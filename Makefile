@@ -25,15 +25,23 @@ BENCHDIFF_CI_INPUT ?= 100000
 BENCHDIFF_CI_THRESHOLD ?= 40%
 BENCHDIFF_CI_SEGMENTS ?= 4
 
-.PHONY: ci build vet fmt-check test race race-parallel allocguard prometheus-golden explain-golden fuzz-short fault-soak crash-soak difftest-soak bench bench-engines bench-parallel bench-segments bench-prefilter bench-snapshot benchdiff benchdiff-ci clean
+.PHONY: ci build vet bench-module fmt-check test race race-parallel allocguard prometheus-golden explain-golden fuzz-short fault-soak crash-soak difftest-soak bench bench-engines bench-parallel bench-segments bench-prefilter bench-snapshot benchdiff benchdiff-ci clean
 
-ci: vet fmt-check build test race-parallel race allocguard prometheus-golden explain-golden fuzz-short fault-soak crash-soak benchdiff-ci
+ci: vet fmt-check build bench-module test race-parallel race allocguard prometheus-golden explain-golden fuzz-short fault-soak crash-soak benchdiff-ci
 
 build:
 	$(GO) build ./...
 
 vet:
 	$(GO) vet ./...
+
+# bench/ is its own module (the repository benchmark): the root ./...
+# patterns above cannot see it, and bench/cmd/azprobe is the one importer
+# of internal/ outside this module — a refactor that breaks it silently
+# costs every per-layer benchmark metric. Build and vet it here.
+bench-module:
+	$(GO) build -C bench ./...
+	$(GO) vet -C bench ./...
 
 # gofmt cleanliness: fail listing any file that gofmt would rewrite.
 fmt-check:
@@ -56,10 +64,9 @@ race-parallel:
 	$(GO) test -race -count=1 ./internal/parallel/ ./internal/telemetry/ ./internal/guard/
 	$(GO) test -race -count=1 -run 'Parallel' ./internal/partition/ ./internal/stats/
 
-# Guard the disabled-telemetry fast path: sim.Engine.Run must stay
-# allocation-free with no tracer/profile/registry attached, and both
-# engines' RunChecked must collapse to it with no governor, progress
-# tracker, flight recorder, or checkpointer installed.
+# Guard the disabled-hook fast path: sim.Engine.Run must stay
+# allocation-free with no tracer/profile/registry attached, and all three
+# engines' RunChecked must collapse to Run under Attach(hooks.Set{}).
 allocguard:
 	$(GO) test -run 'TestNilTelemetryZeroAllocs|TestDisabledLiveTelemetryZeroAllocs' -count=1 -v ./internal/sim/ ./internal/dfa/ ./internal/prefilter/
 

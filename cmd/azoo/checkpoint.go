@@ -15,7 +15,6 @@ import (
 	"automatazoo/internal/guard"
 	"automatazoo/internal/report"
 	"automatazoo/internal/segment"
-	"automatazoo/internal/sim"
 	"automatazoo/internal/stats"
 )
 
@@ -38,14 +37,8 @@ func checkpointFlags(fs *flag.FlagSet) *ckptFlags {
 func (cf *ckptFlags) armed() bool { return cf != nil && *cf.path != "" }
 
 // saver builds the run's checkpoint saver from the session's hooks.
-func (cf *ckptFlags) saver(sess *obsSession) *ckpt.Saver {
-	return &ckpt.Saver{
-		Path:     *cf.path,
-		Interval: ckpt.AlignInterval(*cf.interval),
-		Gov:      sess.governor(),
-		Registry: sess.registry(),
-		Recorder: sess.recorder(),
-	}
+func (cf *ckptFlags) saver(h stats.Hooks) *ckpt.Saver {
+	return &ckpt.Saver{Path: *cf.path, Interval: ckpt.AlignInterval(*cf.interval), Set: h.EngineSet()}
 }
 
 // ckptMeta records everything `azoo resume` needs to rebuild the run:
@@ -68,24 +61,6 @@ func ckptMeta(command string, b core.Benchmark, engine string, scale float64, in
 	}
 }
 
-// ckptEngine builds the whole-automaton scan engine for a checkpointed
-// run: sim.New by default, or the -engine factory (prefilter), asserted
-// to the checkpointable contract.
-func ckptEngine(a *automata.Automaton, factory func(*automata.Automaton) (segment.Engine, error)) (ckpt.Engine, error) {
-	if factory == nil {
-		return sim.New(a), nil
-	}
-	se, err := factory(a)
-	if err != nil {
-		return nil, err
-	}
-	ce, ok := se.(ckpt.Engine)
-	if !ok {
-		return nil, fmt.Errorf("engine %T cannot checkpoint", se)
-	}
-	return ce, nil
-}
-
 // saveFinalOnTrip persists a last checkpoint when a scan stopped on a
 // governor trip (budget, signal, injected fault): the on-disk state then
 // resumes from the drain point instead of the last periodic save.
@@ -101,35 +76,42 @@ func saveFinalOnTrip(sv *ckpt.Saver, err error) {
 	sv.SaveFinal(reason)
 }
 
+// remainingBytes is what a scan resuming at (startStream, startOffset)
+// still has to read: the tail of the in-flight stream plus every stream
+// after it. It is the progress total of a resumed run — streams finished
+// before the checkpoint never heartbeat again, so crediting them would
+// leave the ETA short of ever converging.
+func remainingBytes(streams [][]byte, startStream int, startOffset int64) int64 {
+	total := -startOffset
+	for _, s := range streams[startStream:] {
+		total += int64(len(s))
+	}
+	return total
+}
+
 // runCheckpointedScan is the nfa/prefilter scan path under -checkpoint:
-// one whole-automaton engine driven by ckpt.Scan, with the session's
-// hooks attached and the saver riding the engine's Checkpointer seam (or
-// the between-chunks saves of the segment-parallel shape).
-func runCheckpointedScan(sess *obsSession, sv *ckpt.Saver, meta ckpt.Meta, a *automata.Automaton, segs [][]byte, h stats.Hooks, workers, segments int, start *ckpt.Checkpoint) (stats.Dynamic, segment.Stitch, error) {
-	eng, err := ckptEngine(a, h.NewEngine)
+// one whole-automaton engine driven by ckpt.Scan, with h attached and the
+// saver riding the engine's Checkpointer seam (or the between-chunks
+// saves of the segment-parallel shape).
+func runCheckpointedScan(sv *ckpt.Saver, meta ckpt.Meta, a *automata.Automaton, segs [][]byte, h stats.Hooks, workers, segments int, start *ckpt.Checkpoint) (stats.Dynamic, segment.Stitch, error) {
+	se, err := h.New(a)
 	if err != nil {
 		return stats.Dynamic{}, segment.Stitch{}, err
 	}
-	eng.SetRegistry(h.Registry)
-	eng.SetTracer(h.Tracer)
-	eng.SetGovernor(h.Governor)
-	eng.SetProgress(h.Progress)
-	eng.SetRecorder(h.Recorder)
+	eng, ok := se.(ckpt.Engine)
+	if !ok {
+		return stats.Dynamic{}, segment.Stitch{}, fmt.Errorf("engine %T cannot checkpoint", se)
+	}
+	h.Spans = nil // as in scanNFA: the command times the scan itself
 	cfg := ckpt.ScanConfig{
-		Automaton:   a,
-		Engine:      eng,
-		Streams:     segs,
-		Saver:       sv,
-		Meta:        meta,
-		Segments:    segments,
-		Workers:     workers,
-		Governor:    h.Governor,
-		Registry:    h.Registry,
-		Tracer:      h.Tracer,
-		Progress:    h.Progress,
-		Recorder:    h.Recorder,
-		Attribution: h.Attribution,
-		NewEngine:   h.NewEngine,
+		Automaton: a,
+		Engine:    eng,
+		Streams:   segs,
+		Saver:     sv,
+		Meta:      meta,
+		Segments:  segments,
+		Workers:   workers,
+		Hooks:     h,
 	}
 	if start != nil {
 		cfg.StartStream = start.Cursor.Stream
@@ -144,13 +126,7 @@ func runCheckpointedScan(sess *obsSession, sv *ckpt.Saver, meta ckpt.Meta, a *au
 			eng.RestoreState(start.Sim)
 		}
 	}
-	if h.Progress != nil {
-		var total int64
-		for _, seg := range segs {
-			total += int64(len(seg))
-		}
-		h.Progress.AddTotal(total - cfg.StartOffset)
-	}
+	h.Progress.AddTotal(remainingBytes(segs, cfg.StartStream, cfg.StartOffset))
 	res, err := ckpt.Scan(context.Background(), cfg)
 	if err != nil {
 		saveFinalOnTrip(sv, err)
@@ -169,33 +145,23 @@ func runCheckpointedScan(sess *obsSession, sv *ckpt.Saver, meta ckpt.Meta, a *au
 // -j 1; the checkpoint holds one engine's frontier). Reports and symbols
 // resume exactly; the transition cache restarts cold, so printed cache
 // statistics describe the resumed process (see ARCHITECTURE.md).
-func runCheckpointedDFA(sess *obsSession, sv *ckpt.Saver, meta ckpt.Meta, a *automata.Automaton, segs [][]byte, col *attr.Collector, start *ckpt.Checkpoint) (symbols, reports int64, st dfa.Stats, err error) {
+func runCheckpointedDFA(sv *ckpt.Saver, meta ckpt.Meta, a *automata.Automaton, segs [][]byte, h stats.Hooks, start *ckpt.Checkpoint) (symbols, reports int64, st dfa.Stats, err error) {
 	e, err := dfa.New(a)
 	if err != nil {
 		return 0, 0, dfa.Stats{}, err
 	}
-	pt := sess.tracker(meta.Label)
-	e.SetRegistry(sess.registry())
-	e.SetTracer(sess.ndjson())
-	e.SetSpans(sess.spanSet())
-	e.SetGovernor(sess.governor())
-	e.SetProgress(pt)
-	e.SetRecorder(sess.recorder())
-	var led *attr.Ledger
-	if col != nil {
-		led = col.Ledger(col.GlobalCompOf())
-		e.SetLedger(led)
-		defer led.Commit()
+	set := engineSet(h, nil)
+	e.Attach(set)
+	if set.Ledger != nil {
+		defer set.Ledger.Commit()
 	}
 	cfg := ckpt.DFAScanConfig{
 		Engine:      e,
 		Streams:     segs,
 		Saver:       sv,
 		Meta:        meta,
-		Governor:    sess.governor(),
-		Registry:    sess.registry(),
-		Attribution: col,
-		Ledger:      led,
+		Set:         set,
+		Attribution: h.Attribution,
 	}
 	if start != nil {
 		cfg.StartStream = start.Cursor.Stream
@@ -209,11 +175,8 @@ func runCheckpointedDFA(sess *obsSession, sv *ckpt.Saver, meta ckpt.Meta, a *aut
 			}
 		}
 	}
-	for _, seg := range segs {
-		pt.AddTotal(int64(len(seg)))
-	}
+	h.Progress.AddTotal(remainingBytes(segs, cfg.StartStream, cfg.StartOffset))
 	cum, err := ckpt.ScanDFA(context.Background(), cfg)
-	pt.Done()
 	if err != nil {
 		saveFinalOnTrip(sv, err)
 	}
@@ -287,17 +250,18 @@ func cmdResume(args []string) error {
 	}
 	// No explicit budgets on the resume command line: the original run's
 	// unconsumed budget remainder (persisted at the save) carries over.
-	if sess.governor() == nil && c.Budget != nil {
-		sess.setGovernor(guard.New(context.Background(), *c.Budget))
+	if sess.Governor == nil && c.Budget != nil {
+		sess.Governor = guard.New(context.Background(), *c.Budget)
 	}
 	sess.armSignals(true)
 
 	cfg := core.Config{Scale: scale, InputBytes: input, Seed: seed}
-	bsp := sess.spanSet().Start("build")
+	h := sess.hooks(b.Name)
+	bsp := h.Spans.Start("build")
 	var a *automata.Automaton
 	var segs [][]byte
 	var col *attr.Collector
-	if sess.registry() != nil {
+	if h.Registry != nil {
 		a, segs, col, err = b.BuildAttributed(cfg)
 	} else {
 		a, segs, err = b.Build(cfg)
@@ -315,8 +279,8 @@ func cmdResume(args []string) error {
 	// Restore the run's accumulated observability so the final artifacts
 	// equal an uninterrupted run's: registry counters merge from the
 	// snapshot, attribution totals replace the fresh collector's zeros.
-	if sess.registry() != nil && c.Metrics != nil {
-		sess.registry().Merge(*c.Metrics)
+	if h.Registry != nil && c.Metrics != nil {
+		h.Registry.Merge(*c.Metrics)
 	}
 	if col != nil && c.Attr != nil {
 		if err := col.RestoreTotals(*c.Attr); err != nil {
@@ -324,32 +288,22 @@ func cmdResume(args []string) error {
 		}
 	}
 
+	h.Attribution = col
 	row := report.KernelRow{Name: b.Name, States: a.NumStates()}
-	ssp := sess.spanSet().Start("scan")
+	ssp := h.Spans.Start("scan")
 	runConfig := suiteConfig(scale, input, seed)
 	runConfig["segments"] = fmt.Sprintf("%d", m.Segments)
-	sv := &ckpt.Saver{
-		Path:     path,
-		Interval: m.Interval,
-		Gov:      sess.governor(),
-		Registry: sess.registry(),
-		Recorder: sess.recorder(),
-	}
+	sv := &ckpt.Saver{Path: path, Interval: m.Interval, Set: h.EngineSet()}
 	switch m.Engine {
 	case "nfa", "prefilter":
-		h := stats.Hooks{
-			Registry: sess.registry(), Tracer: sess.ndjson(), Governor: sess.governor(),
-			Progress: sess.tracker(b.Name), Recorder: sess.recorder(),
-			Attribution: col,
-		}
 		var pfExtra func(*report.KernelRow)
 		if m.Engine == "prefilter" {
 			h.NewEngine = prefilterEngine
-			if pfExtra, err = prefilterExtras(a, sess.registry()); err != nil {
+			if pfExtra, err = prefilterExtras(a, h.Registry); err != nil {
 				return err
 			}
 		}
-		dyn, stitch, err := runCheckpointedScan(sess, sv, m, a, segs, h, m.Workers, m.Segments, c)
+		dyn, stitch, err := runCheckpointedScan(sv, m, a, segs, h, m.Workers, m.Segments, c)
 		h.Progress.Done()
 		ssp.End()
 		if err != nil {
@@ -370,7 +324,8 @@ func cmdResume(args []string) error {
 		}
 		printRunNFA(b.Name, a.NumStates(), dyn)
 	case "dfa":
-		symbols, reports, st, err := runCheckpointedDFA(sess, sv, m, a, segs, col, c)
+		symbols, reports, st, err := runCheckpointedDFA(sv, m, a, segs, h, c)
+		h.Progress.Done()
 		ssp.End()
 		row.Symbols, row.Reports = symbols, reports
 		if err != nil {

@@ -7,6 +7,7 @@ import (
 	"strings"
 	"testing"
 
+	"automatazoo/internal/segment"
 	"automatazoo/internal/telemetry"
 )
 
@@ -28,10 +29,10 @@ func get(t *testing.T, url string) (int, string) {
 // expvar, pprof, Prometheus exposition, and the progress JSON.
 func TestDebugServerSurface(t *testing.T) {
 	s := &obsSession{
-		reg:  telemetry.NewRegistry(),
-		prog: telemetry.NewProgress(),
+		Hooks: segment.Hooks{Registry: telemetry.NewRegistry()},
+		prog:  telemetry.NewProgress(),
 	}
-	s.reg.Counter("sim.symbols").Add(17)
+	s.Registry.Counter("sim.symbols").Add(17)
 	s.prog.Tracker("Brill").AddTotal(100)
 
 	addr, err := startDebugServer("127.0.0.1:0", s)
@@ -64,12 +65,12 @@ func TestDebugServerSurface(t *testing.T) {
 // not panic on duplicate expvar publication and must serve the fresh
 // registry.
 func TestDebugServerRegistrationIdempotent(t *testing.T) {
-	s1 := &obsSession{reg: telemetry.NewRegistry()}
+	s1 := &obsSession{Hooks: segment.Hooks{Registry: telemetry.NewRegistry()}}
 	if _, err := startDebugServer("127.0.0.1:0", s1); err != nil {
 		t.Fatal(err)
 	}
-	s2 := &obsSession{reg: telemetry.NewRegistry()}
-	s2.reg.Counter("sim.symbols").Add(99)
+	s2 := &obsSession{Hooks: segment.Hooks{Registry: telemetry.NewRegistry()}}
+	s2.Registry.Counter("sim.symbols").Add(99)
 	addr, err := startDebugServer("127.0.0.1:0", s2)
 	if err != nil {
 		t.Fatal(err)

@@ -1,7 +1,6 @@
 package main
 
 import (
-	"context"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -62,29 +61,19 @@ func explainRun(b core.Benchmark, cfg core.Config, engine string, workers, segme
 	if err != nil {
 		return nil, err
 	}
+	h := stats.Hooks{Attribution: col}
 	switch engine {
-	case "nfa", "prefilter":
-		h := stats.Hooks{Attribution: col}
-		if engine == "prefilter" {
-			// Same scan paths, prefilter engines behind the factory. Anchored
-			// components charge bytes at flush points and one work unit per
-			// matched literal byte (the chain work the nfa engine would have
-			// done); residual components attribute exactly as under nfa.
-			h.NewEngine = prefilterEngine
-		}
-		if workers == 1 || anySegmented(segs, segments, workers) {
-			_, _, err = stats.ObserveStreams(context.Background(), a, segs, stats.StreamOptions{
-				Workers: workers, Segments: segments, Hooks: h,
-			})
-		} else {
-			_, err = stats.ObserveSegmentsParallelHooked(context.Background(), a, segs, workers, h)
-		}
+	case "prefilter":
+		// Same scan paths, prefilter engines behind the factory. Anchored
+		// components charge bytes at flush points and one work unit per
+		// matched literal byte (the chain work the nfa engine would have
+		// done); residual components attribute exactly as under nfa.
+		h.NewEngine = prefilterEngine
+		fallthrough
+	case "nfa":
+		_, _, err = scanNFA(a, segs, workers, segments, h)
 	case "dfa":
-		if workers == 1 {
-			_, _, _, err = runDFAWhole(a, segs, segments, nil, nil, col)
-		} else {
-			_, _, _, err = runDFAParallel(a, segs, workers, segments, nil, nil, col)
-		}
+		_, _, _, err = scanDFA(a, segs, workers, segments, h)
 	default:
 		return nil, usageErrorf("unknown engine %q", engine)
 	}

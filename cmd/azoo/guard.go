@@ -117,10 +117,10 @@ func armGovernor(sess *obsSession, gf *guardFlags) error {
 	if err != nil {
 		return err
 	}
-	if gov == nil && sess != nil && sess.stallAfter > 0 {
+	if gov == nil && sess.stallAfter > 0 {
 		gov = guard.New(context.Background(), guard.Budget{})
 	}
-	sess.setGovernor(gov)
+	sess.Governor = gov
 	sess.armWatchdog()
 	sess.armSignals(false)
 	return nil

@@ -11,9 +11,9 @@
 //	azoo explain -bench "Snort" [-engine nfa|dfa|prefilter] [-top 10] [-json] [-j N] [-segments K]
 //	azoo profile snort [-top 20] [-trace out.ndjson] [-metrics out.json]
 //	azoo table1 [-scale 0.05] [-input 200000] [-compress] [-engine nfa|prefilter] [-j N] [-segments K]
-//	azoo table2 [-samples 4000] [-j N] [-segments K]
-//	azoo table3 [-filters 1719] [-itemsets 20000] [-j N] [-segments K]
-//	azoo table4 [-samples 4000] [-j N] [-segments K]
+//	azoo table2 [-samples 4000] [-j N]
+//	azoo table3 [-filters 1719] [-itemsets 20000] [-j N]
+//	azoo table4 [-samples 4000] [-j N]
 //	azoo fig1   [-filters 10] [-symbols 1000000] [-trials 10]   (also Table V)
 //	azoo snortrates [-scale 0.2] [-input 400000]
 //	azoo bench  [-label ci] [-runs 3] [-kernels "Snort,Brill"] [-j N] [-segments K] [-prefilter]
@@ -74,6 +74,7 @@ import (
 	"automatazoo/internal/core"
 	"automatazoo/internal/dfa"
 	"automatazoo/internal/experiments"
+	"automatazoo/internal/hooks"
 	"automatazoo/internal/mesh"
 	"automatazoo/internal/mnrl"
 	"automatazoo/internal/parallel"
@@ -196,9 +197,7 @@ func workersFlag(fs *flag.FlagSet) *int {
 // segment-parallel scanner (internal/segment). 0 resolves automatically
 // from each stream's size and -j — the suite's standard inputs stay on the
 // exact sequential path, multi-MB streams fan out; printed output is
-// byte-identical at every value. Commands whose kernels are timed
-// whole-stream (table2–4) record the flag in the manifest but scan
-// unsegmented.
+// byte-identical at every value.
 func segmentsFlag(fs *flag.FlagSet) *int {
 	return fs.Int("segments", 0, "segment-parallel pieces per input stream (0 = auto from stream size and -j, 1 = off; output is identical at any value)")
 }
@@ -267,7 +266,8 @@ func cmdRun(args []string) error {
 		sess.armSignals(true)
 	}
 	cfg := core.Config{Scale: *scale, InputBytes: *input, Seed: *seed}
-	bsp := sess.spanSet().Start("build")
+	h := sess.hooks(b.Name)
+	bsp := h.Spans.Start("build")
 	// With telemetry active the run carries cost attribution: the manifest
 	// gains an attribution section and the registry azoo_attr_* families.
 	// Without it col stays nil and every attribution hook is disabled
@@ -275,7 +275,7 @@ func cmdRun(args []string) error {
 	var a *automata.Automaton
 	var segs [][]byte
 	var col *attr.Collector
-	if sess.registry() != nil {
+	if h.Registry != nil {
 		a, segs, col, err = b.BuildAttributed(cfg)
 	} else {
 		a, segs, err = b.Build(cfg)
@@ -284,44 +284,31 @@ func cmdRun(args []string) error {
 	if err != nil {
 		return err
 	}
+	h.Attribution = col
 	row := report.KernelRow{Name: b.Name, States: a.NumStates()}
-	ssp := sess.spanSet().Start("scan")
+	ssp := h.Spans.Start("scan")
 	runConfig := suiteConfig(*scale, *input, *seed)
 	runConfig["segments"] = fmt.Sprintf("%d", *segments)
 	switch *engine {
 	case "nfa", "prefilter":
-		// -j 1 is the exact single-engine path; -j N partitions the
-		// automaton across the worker pool; -segments additionally splits
-		// each stream into speculatively-scanned pieces. -engine prefilter
-		// swaps every scan engine for the two-stage literal prefilter via
-		// the factory — same exact stats and reports, so all combinations
-		// print identical lines (asserted suite-wide by
+		// -engine prefilter swaps every scan engine for the two-stage
+		// literal prefilter via the factory — same exact stats and reports,
+		// so all combinations print identical lines (asserted suite-wide by
 		// TestRunOutputByteIdenticalAcrossWorkers).
 		var dyn stats.Dynamic
 		var stitch segment.Stitch
-		h := stats.Hooks{
-			Registry: sess.registry(), Tracer: sess.ndjson(), Governor: sess.governor(),
-			Progress: sess.tracker(b.Name), Recorder: sess.recorder(),
-			Attribution: col,
-		}
 		var pfExtra func(*report.KernelRow)
 		if *engine == "prefilter" {
 			h.NewEngine = prefilterEngine
-			if pfExtra, err = prefilterExtras(a, sess.registry()); err != nil {
+			if pfExtra, err = prefilterExtras(a, h.Registry); err != nil {
 				return err
 			}
 		}
 		if cf.armed() {
 			meta := ckptMeta("run", b, *engine, *scale, *input, *seed, *workers, *segments, *cf.interval)
-			dyn, stitch, err = runCheckpointedScan(sess, cf.saver(sess), meta, a, segs, h, *workers, *segments, nil)
-		} else if *workers == 1 || anySegmented(segs, *segments, *workers) {
-			// ObserveStreams delegates to the exact historical sequential
-			// path when every stream resolves to one segment.
-			dyn, stitch, err = stats.ObserveStreams(context.Background(), a, segs, stats.StreamOptions{
-				Workers: *workers, Segments: *segments, Hooks: h,
-			})
+			dyn, stitch, err = runCheckpointedScan(cf.saver(h), meta, a, segs, h, *workers, *segments, nil)
 		} else {
-			dyn, err = stats.ObserveSegmentsParallelHooked(context.Background(), a, segs, *workers, h)
+			dyn, stitch, err = scanNFA(a, segs, *workers, *segments, h)
 		}
 		h.Progress.Done()
 		ssp.End()
@@ -351,16 +338,11 @@ func cmdRun(args []string) error {
 				return usageErrorf("-checkpoint with -engine dfa requires -j 1 (the checkpoint holds one engine's frontier)")
 			}
 			meta := ckptMeta("run", b, *engine, *scale, *input, *seed, *workers, *segments, *cf.interval)
-			symbols, reports, st, err = runCheckpointedDFA(sess, cf.saver(sess), meta, a, segs, col, nil)
+			symbols, reports, st, err = runCheckpointedDFA(cf.saver(h), meta, a, segs, h, nil)
 		} else {
-			pt := sess.tracker(b.Name)
-			if *workers == 1 {
-				symbols, reports, st, err = runDFAWhole(a, segs, *segments, sess, pt, col)
-			} else {
-				symbols, reports, st, err = runDFAParallel(a, segs, *workers, *segments, sess, pt, col)
-			}
-			pt.Done()
+			symbols, reports, st, err = scanDFA(a, segs, *workers, *segments, h)
 		}
+		h.Progress.Done()
 		ssp.End()
 		if err != nil {
 			row.Symbols, row.Reports = symbols, reports
@@ -388,15 +370,51 @@ func suiteConfig(scale float64, input int, seed uint64) map[string]string {
 	}
 }
 
-// anySegmented reports whether any stream would resolve to more than one
-// segment under the requested -segments value.
-func anySegmented(segs [][]byte, requested, workers int) bool {
+// scanNFA scans every stream with the execution shape `run` and `explain`
+// share for the nfa and prefilter engines: -j 1 is the exact single-engine
+// path; -j N partitions the automaton across the worker pool; -segments
+// (or automatic resolution on multi-MB streams) instead splits each
+// stream into speculatively-scanned pieces.
+func scanNFA(a *automata.Automaton, segs [][]byte, workers, segments int, h stats.Hooks) (stats.Dynamic, segment.Stitch, error) {
+	// The command times the whole scan itself; the drivers' own phase spans
+	// stay out of the manifest.
+	h.Spans = nil
+	segmented := false
 	for _, seg := range segs {
-		if segment.Resolve(int64(len(seg)), requested, workers, 0) > 1 {
-			return true
+		if segment.Resolve(int64(len(seg)), segments, workers, 0) > 1 {
+			segmented = true
+			break
 		}
 	}
-	return false
+	if workers == 1 || segmented {
+		// ObserveStreams delegates to the exact sequential path when every
+		// stream resolves to one segment.
+		return stats.ObserveStreams(context.Background(), a, segs, stats.StreamOptions{
+			Workers: workers, Segments: segments, Hooks: h,
+		})
+	}
+	dyn, err := stats.ObserveSegmentsParallelHooked(context.Background(), a, segs, workers, h)
+	return dyn, segment.Stitch{}, err
+}
+
+// scanDFA is scanNFA's dfa counterpart: one whole-automaton engine at
+// -j 1, one engine per component slice otherwise.
+func scanDFA(a *automata.Automaton, segs [][]byte, workers, segments int, h stats.Hooks) (symbols, reports int64, st dfa.Stats, err error) {
+	if workers == 1 {
+		return runDFAWhole(a, segs, segments, h)
+	}
+	return runDFAParallel(a, segs, workers, segments, h)
+}
+
+// engineSet is what an engine the command drives directly is attached
+// with: the driver→engine conversion plus the session's Spans (no driver
+// sits in between to time the scan) and, under attribution, a ledger over
+// compOf (nil = the whole automaton).
+func engineSet(h stats.Hooks, compOf []int32) hooks.Set {
+	set := h.EngineSet()
+	set.Spans = h.Spans
+	set.Ledger = h.Ledger(compOf)
+	return set
 }
 
 // annotateFlag registers -annotate, which appends per-kernel top-offender
@@ -507,26 +525,18 @@ func dfaScanStream(e *dfa.Engine, seg []byte, k int) (symbols, reports int64, er
 }
 
 // runDFAWhole scans every segment on one whole-automaton DFA engine (the
-// -j 1 path). col, when non-nil, attaches a cost-attribution ledger
-// committed after the scan.
-func runDFAWhole(a *automata.Automaton, segs [][]byte, segments int, sess *obsSession, pt *telemetry.ProgressTracker, col *attr.Collector) (symbols, reports int64, st dfa.Stats, err error) {
+// -j 1 path). Under attribution the engine's ledger is committed after
+// the scan.
+func runDFAWhole(a *automata.Automaton, segs [][]byte, segments int, h stats.Hooks) (symbols, reports int64, st dfa.Stats, err error) {
 	e, err := dfa.New(a)
 	if err != nil {
 		return 0, 0, dfa.Stats{}, err
 	}
-	for _, seg := range segs {
-		pt.AddTotal(int64(len(seg)))
-	}
-	e.SetRegistry(sess.registry())
-	e.SetTracer(sess.ndjson())
-	e.SetSpans(sess.spanSet())
-	e.SetGovernor(sess.governor())
-	e.SetProgress(pt)
-	e.SetRecorder(sess.recorder())
-	if col != nil {
-		led := col.Ledger(col.GlobalCompOf())
-		e.SetLedger(led)
-		defer led.Commit()
+	h.Progress.AddTotal(remainingBytes(segs, 0, 0))
+	set := engineSet(h, nil)
+	e.Attach(set)
+	if set.Ledger != nil {
+		defer set.Ledger.Commit()
 	}
 	for _, seg := range segs {
 		e.Reset()
@@ -547,27 +557,22 @@ func runDFAWhole(a *automata.Automaton, segs [][]byte, segments int, sess *obsSe
 // per-component — budgets, byte classes, interned states, and cache
 // counters never cross components — so the summed statistics equal the
 // whole-engine run's exactly and the printed output is byte-identical to
-// -j 1. col, when non-nil, attaches one cost-attribution ledger per slice
-// engine (ledger commits are commutative, so the folded totals equal the
-// whole-engine run's).
-func runDFAParallel(a *automata.Automaton, segs [][]byte, workers, segments int, sess *obsSession, pt *telemetry.ProgressTracker, col *attr.Collector) (symbols, reports int64, agg dfa.Stats, err error) {
+// -j 1. Under attribution every slice engine gets its own ledger (ledger
+// commits are commutative, so the folded totals equal the whole-engine
+// run's).
+func runDFAParallel(a *automata.Automaton, segs [][]byte, workers, segments int, h stats.Hooks) (symbols, reports int64, agg dfa.Stats, err error) {
 	plan := partition.ForWorkers(a, workers)
 	// Per-slice engines re-scan the stream, so the heartbeat total is
 	// passes × stream bytes — same convention as the stats parallel path.
-	for _, seg := range segs {
-		pt.AddTotal(int64(plan.Passes()) * int64(len(seg)))
-	}
+	h.Progress.AddTotal(int64(plan.Passes()) * remainingBytes(segs, 0, 0))
 	perSlice := make([]dfa.Stats, plan.Passes())
 	sliceReports := make([]int64, plan.Passes())
 	sliceProgress := make([]int64, plan.Passes())
 	// Each slice's engine spans go to a fork adopted in slice-index order,
 	// so the manifest's span tree is deterministic at any worker count.
-	var sliceSpans []*telemetry.Spans
-	if ss := sess.spanSet(); ss != nil {
-		sliceSpans = make([]*telemetry.Spans, plan.Passes())
-		for i := range sliceSpans {
-			sliceSpans[i] = ss.Fork()
-		}
+	sliceSpans := make([]*telemetry.Spans, plan.Passes())
+	for i := range sliceSpans {
+		sliceSpans[i] = h.Spans.Fork()
 	}
 	err = parallel.ForEach(context.Background(), workers, plan.Passes(), func(i int) error {
 		sub, err := plan.Extract(i)
@@ -578,18 +583,15 @@ func runDFAParallel(a *automata.Automaton, segs [][]byte, workers, segments int,
 		if err != nil {
 			return err
 		}
-		e.SetRegistry(sess.registry())
-		e.SetTracer(sess.ndjson())
-		if sliceSpans != nil {
-			e.SetSpans(sliceSpans[i])
+		var compOf []int32
+		if h.Attribution != nil {
+			compOf = plan.SliceCompOf(i)
 		}
-		e.SetGovernor(sess.governor())
-		e.SetProgress(pt)
-		e.SetRecorder(sess.recorder())
-		if col != nil {
-			led := col.Ledger(plan.SliceCompOf(i))
-			e.SetLedger(led)
-			defer led.Commit()
+		set := engineSet(h, compOf)
+		set.Spans = sliceSpans[i]
+		e.Attach(set)
+		if set.Ledger != nil {
+			defer set.Ledger.Commit()
 		}
 		// Stats are captured even when a governor trip stops the slice
 		// mid-stream, so a truncated manifest still describes partial work.
@@ -606,8 +608,8 @@ func runDFAParallel(a *automata.Automaton, segs [][]byte, workers, segments int,
 		}
 		return nil
 	})
-	for i := range sliceSpans {
-		sess.spanSet().Adopt(sliceSpans[i])
+	for _, f := range sliceSpans {
+		h.Spans.Adopt(f)
 	}
 	if err != nil {
 		// Truncated: report the furthest stream position any slice reached,
@@ -673,7 +675,7 @@ func cmdTable1(args []string) error {
 	cfg := core.Config{Scale: *scale, InputBytes: *input, Seed: *seed}
 	t1Config := suiteConfig(*scale, *input, *seed)
 	t1Config["segments"] = fmt.Sprintf("%d", *segments)
-	rows, err := experiments.TableIParallelSegmented(context.Background(), cfg, *compress, *workers, *segments, obs)
+	rows, err := experiments.TableI(context.Background(), cfg, *compress, *workers, *segments, obs)
 	if err != nil {
 		sess.setReport("table1", *workers, t1Config, nil)
 		return sess.closeTruncated(err)
@@ -711,7 +713,6 @@ func cmdTable2(args []string) error {
 	samples := fs.Int("samples", 4000, "dataset size")
 	seed := fs.Uint64("seed", 7, "seed")
 	workers := workersFlag(fs)
-	segments := segmentsFlag(fs)
 	annotate := annotateFlag(fs)
 	tf := telemetryFlags(fs)
 	gf := governorFlags(fs)
@@ -725,9 +726,8 @@ func cmdTable2(args []string) error {
 	}
 	t2Config := map[string]string{
 		"samples": fmt.Sprintf("%d", *samples), "seed": fmt.Sprintf("%#x", *seed),
-		"segments": fmt.Sprintf("%d", *segments),
 	}
-	rows, err := experiments.TableIIParallel(context.Background(), *samples, *seed, *workers, annotatedObserver(sess, *annotate))
+	rows, err := experiments.TableII(context.Background(), *samples, *seed, *workers, annotatedObserver(sess, *annotate))
 	if err != nil {
 		sess.setReport("table2", *workers, t2Config, nil)
 		return sess.closeTruncated(err)
@@ -766,7 +766,6 @@ func cmdTable3(args []string) error {
 	itemsets := fs.Int("itemsets", 20_000, "input itemsets")
 	seed := fs.Uint64("seed", 3, "seed")
 	workers := workersFlag(fs)
-	segments := segmentsFlag(fs)
 	annotate := annotateFlag(fs)
 	tf := telemetryFlags(fs)
 	gf := governorFlags(fs)
@@ -780,9 +779,9 @@ func cmdTable3(args []string) error {
 	}
 	t3Config := map[string]string{
 		"filters": fmt.Sprintf("%d", *filters), "itemsets": fmt.Sprintf("%d", *itemsets),
-		"seed": fmt.Sprintf("%#x", *seed), "segments": fmt.Sprintf("%d", *segments),
+		"seed": fmt.Sprintf("%#x", *seed),
 	}
-	rows, err := experiments.TableIIIParallel(context.Background(), *filters, *itemsets, *seed, *workers, annotatedObserver(sess, *annotate))
+	rows, err := experiments.TableIII(context.Background(), *filters, *itemsets, *seed, *workers, annotatedObserver(sess, *annotate))
 	if err != nil {
 		sess.setReport("table3", *workers, t3Config, nil)
 		return sess.closeTruncated(err)
@@ -830,7 +829,6 @@ func cmdTable4(args []string) error {
 	samples := fs.Int("samples", 4000, "dataset size")
 	seed := fs.Uint64("seed", 5, "seed")
 	workers := workersFlag(fs)
-	segments := segmentsFlag(fs)
 	annotate := annotateFlag(fs)
 	tf := telemetryFlags(fs)
 	gf := governorFlags(fs)
@@ -844,9 +842,8 @@ func cmdTable4(args []string) error {
 	}
 	t4Config := map[string]string{
 		"samples": fmt.Sprintf("%d", *samples), "seed": fmt.Sprintf("%#x", *seed),
-		"segments": fmt.Sprintf("%d", *segments),
 	}
-	rows, err := experiments.TableIVParallel(context.Background(), *samples, *seed, *workers, annotatedObserver(sess, *annotate))
+	rows, err := experiments.TableIV(context.Background(), *samples, *seed, *workers, annotatedObserver(sess, *annotate))
 	if err != nil {
 		sess.setReport("table4", *workers, t4Config, nil)
 		return sess.closeTruncated(err)

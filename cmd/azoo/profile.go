@@ -75,8 +75,8 @@ func cmdProfile(args []string) error {
 	}
 	// The profile command always keeps a registry: the frontier histogram
 	// and run counters are part of its report even without -metrics.
-	if sess.reg == nil {
-		sess.reg = telemetry.NewRegistry()
+	if sess.Registry == nil {
+		sess.Registry = telemetry.NewRegistry()
 	}
 
 	cfg := core.Config{Scale: *scale, InputBytes: *input, Seed: *seed}
@@ -88,25 +88,24 @@ func cmdProfile(args []string) error {
 	}
 	e := sim.New(a)
 	prof := e.EnableProfile()
-	e.SetRegistry(sess.reg)
-	e.SetTracer(sess.ndjson())
+	e.Attach(sess.EngineSet())
 	// Per-segment scan latency feeds a histogram so the profile can report
 	// tail quantiles, not just totals — segments are this workload's unit
 	// of work (packets, classifications, reads).
-	lat := sess.reg.Histogram("profile.segment_nanos", telemetry.ExpBuckets(1<<10, 40))
+	lat := sess.Registry.Histogram("profile.segment_nanos", telemetry.ExpBuckets(1<<10, 40))
 	for _, seg := range segs {
 		e.Reset()
 		start := time.Now()
 		e.Run(seg)
 		lat.Observe(time.Since(start).Nanoseconds())
 	}
-	dyn := stats.DynamicFromRegistry(sess.reg)
+	dyn := stats.DynamicFromRegistry(sess.Registry)
 	_, comp := a.Components()
 
 	fmt.Printf("%s (%s): %d states, %d subgraphs\n", b.Name, b.Domain, a.NumStates(), countSubgraphs(comp))
 	fmt.Printf("symbols %d, reports %d (%.6f/sym), active set %.2f, enabled set %.2f\n",
 		dyn.Symbols, dyn.Reports, dyn.ReportRate, dyn.ActiveSet, dyn.EnabledSet)
-	h := sess.reg.Histogram("sim.frontier", nil)
+	h := sess.Registry.Histogram("sim.frontier", nil)
 	fmt.Printf("enabled frontier: mean %.2f, max %d (p50 %.0f, p90 %.0f, p99 %.0f)\n",
 		h.Mean(), h.Max(), h.Quantile(0.50), h.Quantile(0.90), h.Quantile(0.99))
 	fmt.Printf("segment latency: p50 %s, p90 %s, p99 %s, max %s (%d segments)\n\n",

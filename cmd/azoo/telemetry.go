@@ -24,6 +24,7 @@ import (
 	"automatazoo/internal/guard"
 	"automatazoo/internal/parallel"
 	"automatazoo/internal/report"
+	"automatazoo/internal/segment"
 	"automatazoo/internal/telemetry"
 )
 
@@ -54,14 +55,14 @@ func telemetryFlags(fs *flag.FlagSet) *telFlags {
 	}
 }
 
-// obsSession is one command's activated telemetry: the registry, trace
-// sink, and phase-span collector built from the flags. Close writes the
-// metrics snapshot and the run-report manifest and flushes the trace.
+// obsSession is one command's activated telemetry: the hook bundle built
+// from the flags — registry, trace sink, phase-span collector, governor
+// and flight recorder (Progress is per kernel, see hooks) — plus where
+// its artifacts go. Close writes the metrics snapshot and the run-report
+// manifest and flushes the trace.
 type obsSession struct {
-	reg         *telemetry.Registry
-	tracer      *telemetry.NDJSON
-	spans       *telemetry.Spans
-	gov         *guard.Governor
+	segment.Hooks
+	traceFile   *telemetry.NDJSON // Tracer's concrete sink, for Close
 	metricsPath string
 	reportPath  string
 
@@ -69,7 +70,6 @@ type obsSession struct {
 	// whenever the session is active; the watchdog and stderr ticker only
 	// when their flags armed them.
 	prog       *telemetry.Progress
-	rec        *telemetry.FlightRecorder
 	watchdog   *telemetry.Watchdog
 	sigStop    func()
 	tickStop   chan struct{}
@@ -101,10 +101,10 @@ func (tf *telFlags) session() (*obsSession, error) {
 	active := *tf.metrics != "" || *tf.debug != "" || *tf.trace != "" || *tf.report != "" ||
 		*tf.progress > 0 || *tf.stall > 0 || *tf.postmortem != ""
 	if active {
-		s.reg = telemetry.NewRegistry()
+		s.Registry = telemetry.NewRegistry()
 		s.prog = telemetry.NewProgress()
-		s.rec = telemetry.NewFlightRecorder(telemetry.DefaultFlightRecorderSize)
-		parallel.SetCrashRecorder(s.rec)
+		s.Recorder = telemetry.NewFlightRecorder(telemetry.DefaultFlightRecorderSize)
+		parallel.SetCrashRecorder(s.Recorder)
 		s.crashRec = true
 	}
 	s.pmPath = *tf.postmortem
@@ -112,15 +112,16 @@ func (tf *telFlags) session() (*obsSession, error) {
 		s.pmPath = *tf.report + ".postmortem.ndjson"
 	}
 	if *tf.report != "" {
-		s.spans = telemetry.NewSpans()
+		s.Spans = telemetry.NewSpans()
 	}
 	if *tf.trace != "" {
 		f, err := os.Create(*tf.trace)
 		if err != nil {
 			return nil, err
 		}
-		s.tracer = telemetry.NewNDJSON(f)
-		s.tracer.SampleEvery = *tf.sample
+		s.traceFile = telemetry.NewNDJSON(f)
+		s.traceFile.SampleEvery = *tf.sample
+		s.Tracer = s.traceFile
 	}
 	if *tf.debug != "" {
 		if _, err := startDebugServer(*tf.debug, s); err != nil {
@@ -193,9 +194,9 @@ func (s *obsSession) armWatchdog() {
 	s.watchdog = telemetry.NewWatchdog(s.prog, quiet, func(r telemetry.StallReport) {
 		fmt.Fprintf(os.Stderr, "azoo: stall: %q produced no heartbeat for %v\n",
 			r.Component, time.Duration(r.QuietNanos))
-		s.rec.Record(telemetry.RecStall, 0, r.Component, r.QuietNanos)
+		s.Recorder.Record(telemetry.RecStall, 0, r.Component, r.QuietNanos)
 		s.writePostmortem("stall", &r, nil)
-		s.gov.TripStalled(r.Component, quiet)
+		s.Governor.TripStalled(r.Component, quiet)
 	})
 	s.watchdog.Start()
 }
@@ -212,11 +213,11 @@ func (s *obsSession) armSignals(force bool) {
 	if s == nil || s.sigStop != nil {
 		return
 	}
-	if !force && s.gov == nil && s.reg == nil {
+	if !force && s.Governor == nil && s.Registry == nil {
 		return
 	}
-	if s.gov == nil {
-		s.gov = guard.New(context.Background(), guard.Budget{})
+	if s.Governor == nil {
+		s.Governor = guard.New(context.Background(), guard.Budget{})
 	}
 	ch := make(chan os.Signal, 2)
 	signal.Notify(ch, os.Interrupt, syscall.SIGTERM)
@@ -225,7 +226,7 @@ func (s *obsSession) armSignals(force bool) {
 		select {
 		case sig := <-ch:
 			fmt.Fprintf(os.Stderr, "azoo: received %v; draining at the next chunk boundary (second signal forces exit)\n", sig)
-			s.gov.TripSignaled(sig.String())
+			s.Governor.TripSignaled(sig.String())
 			select {
 			case sig2 := <-ch:
 				fmt.Fprintf(os.Stderr, "azoo: received %v again; forcing exit\n", sig2)
@@ -254,13 +255,13 @@ func (s *obsSession) writePostmortem(reason string, stall *telemetry.StallReport
 		// truncated-but-parseable postmortem behind.
 		err := atomicio.WriteFile(s.pmPath, func(f io.Writer) error {
 			fmt.Fprintf(f, "{\"ev\":\"postmortem\",\"schema\":1,\"reason\":%q}\n", reason)
-			if s.rec != nil {
-				if err := s.rec.WriteNDJSON(f); err != nil {
+			if s.Recorder != nil {
+				if err := s.Recorder.WriteNDJSON(f); err != nil {
 					return err
 				}
 			}
-			if s.reg != nil {
-				snap, err := json.Marshal(s.reg.Snapshot())
+			if s.Registry != nil {
+				snap, err := json.Marshal(s.Registry.Snapshot())
 				if err == nil {
 					fmt.Fprintf(f, "{\"ev\":\"registry\",\"snapshot\":%s}\n", snap)
 				}
@@ -286,61 +287,21 @@ func (s *obsSession) writePostmortem(reason string, stall *telemetry.StallReport
 	})
 }
 
-// setGovernor attaches a run governor to the session; the observer and
-// the run command's engines pick it up from here.
-func (s *obsSession) setGovernor(g *guard.Governor) {
-	if s != nil {
-		s.gov = g
-	}
-}
-
-// governor returns the session's run governor (nil when unbounded).
-func (s *obsSession) governor() *guard.Governor {
-	if s == nil {
-		return nil
-	}
-	return s.gov
+// hooks returns the session's hook bundle for one named kernel: the
+// session's sinks with Progress set to that kernel's tracker. With
+// nothing armed it is the zero bundle, whose every hook is a no-op.
+func (s *obsSession) hooks(kernel string) segment.Hooks {
+	h := s.Hooks
+	h.Progress = s.prog.Tracker(kernel)
+	return h
 }
 
 // observer adapts the session for the experiments package.
 func (s *obsSession) observer() *experiments.Observer {
-	if s == nil || (s.reg == nil && s.tracer == nil && s.spans == nil && s.gov == nil) {
+	if s.Registry == nil && s.Tracer == nil && s.Spans == nil && s.Governor == nil {
 		return nil
 	}
-	o := &experiments.Observer{
-		Registry: s.reg, Spans: s.spans, Governor: s.gov,
-		Progress: s.prog, Recorder: s.rec,
-	}
-	if s.tracer != nil {
-		o.Tracer = s.tracer
-	}
-	return o
-}
-
-// tracker returns the named per-kernel progress tracker (nil when the
-// live surface is off; a nil tracker is a valid no-op).
-func (s *obsSession) tracker(name string) *telemetry.ProgressTracker {
-	if s == nil || s.prog == nil {
-		return nil
-	}
-	return s.prog.Tracker(name)
-}
-
-// recorder returns the session flight recorder (nil-safe no-op when off).
-func (s *obsSession) recorder() *telemetry.FlightRecorder {
-	if s == nil {
-		return nil
-	}
-	return s.rec
-}
-
-// spanSet returns the session's phase-span collector (nil unless -report
-// was given; all span methods are nil-safe no-ops).
-func (s *obsSession) spanSet() *telemetry.Spans {
-	if s == nil {
-		return nil
-	}
-	return s.spans
+	return &experiments.Observer{Hooks: s.Hooks, Progress: s.prog}
 }
 
 // setReport records the manifest contents for Close: the command name,
@@ -365,7 +326,7 @@ func (s *obsSession) recordAttribution(col *attr.Collector) {
 		return
 	}
 	s.attrRows = attr.Top(col.Fold(), attrTopK)
-	col.Publish(s.reg, attrTopK)
+	col.Publish(s.Registry, attrTopK)
 }
 
 // setTruncated flags the manifest as governor-truncated. A truncated run
@@ -389,8 +350,8 @@ func (s *obsSession) setTruncated(trip *guard.TripError) {
 // pass through untouched.
 func (s *obsSession) closeTruncated(err error) error {
 	if trip := guard.AsTrip(err); trip != nil {
-		if s != nil && s.rec != nil {
-			s.rec.Record(telemetry.RecTrip, 0, trip.Budget, trip.Actual)
+		if s != nil && s.Recorder != nil {
+			s.Recorder.Record(telemetry.RecTrip, 0, trip.Budget, trip.Actual)
 		}
 		s.writePostmortem("trip", nil, nil)
 		s.setTruncated(trip)
@@ -407,23 +368,6 @@ func (s *obsSession) closeTruncated(err error) error {
 		}
 	}
 	return err
-}
-
-// registry returns the session registry (nil when telemetry is off).
-func (s *obsSession) registry() *telemetry.Registry {
-	if s == nil {
-		return nil
-	}
-	return s.reg
-}
-
-// ndjson returns the NDJSON tracer as a telemetry.Tracer, avoiding the
-// typed-nil-in-interface trap when tracing is off.
-func (s *obsSession) ndjson() telemetry.Tracer {
-	if s == nil || s.tracer == nil {
-		return nil
-	}
-	return s.tracer
 }
 
 // Close flushes the trace and writes the metrics snapshot and the
@@ -452,15 +396,15 @@ func (s *obsSession) Close() error {
 		s.crashRec = false
 	}
 	var first error
-	if s.tracer != nil {
-		if err := s.tracer.Close(); err != nil {
+	if s.traceFile != nil {
+		if err := s.traceFile.Close(); err != nil {
 			first = err
 		} else {
-			fmt.Fprintf(os.Stderr, "azoo: wrote %d trace events\n", s.tracer.Events())
+			fmt.Fprintf(os.Stderr, "azoo: wrote %d trace events\n", s.traceFile.Events())
 		}
 	}
-	if s.metricsPath != "" && s.reg != nil {
-		if err := atomicio.WriteFile(s.metricsPath, s.reg.WriteJSON); err != nil && first == nil {
+	if s.metricsPath != "" && s.Registry != nil {
+		if err := atomicio.WriteFile(s.metricsPath, s.Registry.WriteJSON); err != nil && first == nil {
 			first = err
 		}
 	}
@@ -473,7 +417,7 @@ func (s *obsSession) Close() error {
 			Env:           report.CaptureEnv(s.workers),
 			Suite:         s.suite,
 			Kernels:       s.rows,
-			Spans:         s.spans.Snapshot(),
+			Spans:         s.Spans.Snapshot(),
 			Truncated:     s.truncated,
 			TrippedBudget: s.trippedBudget,
 			Attribution:   s.attrRows,
@@ -481,8 +425,8 @@ func (s *obsSession) Close() error {
 		if s.pmWritten.Load() {
 			m.Postmortem = s.pmPath
 		}
-		if s.reg != nil {
-			snap := s.reg.Snapshot()
+		if s.Registry != nil {
+			snap := s.Registry.Snapshot()
 			m.Metrics = &snap
 		}
 		if err := m.WriteFile(s.reportPath); err != nil && first == nil {
@@ -499,7 +443,7 @@ func (s *obsSession) Close() error {
 // per-kernel heartbeat state at /progress. Returns the bound address so
 // tests can dial an OS-assigned port.
 func startDebugServer(addr string, s *obsSession) (net.Addr, error) {
-	reg := s.registry()
+	reg := s.Registry
 	if reg != nil {
 		reg.PublishExpvar("azoo")
 	}

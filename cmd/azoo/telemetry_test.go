@@ -37,7 +37,7 @@ func TestCloseTruncatedWritesManifestAndPostmortem(t *testing.T) {
 	sess := newTestSession(t, "-report", rpt)
 
 	g := guard.New(context.Background(), guard.Budget{MaxInputBytes: 10})
-	sess.setGovernor(g)
+	sess.Governor = g
 	sess.setReport("run", 1, map[string]string{"scale": "0.01"}, nil)
 
 	err := g.Boundary(guard.SiteSimChunk, 100) // trips input-bytes

@@ -13,7 +13,11 @@
 // kernels across CPUs, and a segment-parallel scanning layer
 // (internal/segment) splits long input streams across speculative
 // workers — both with byte-identical output at every worker and segment
-// count; ARCHITECTURE.md maps the packages and the data flow.
+// count. Everything that observes, bounds or checkpoints a scan reaches
+// the engines as one hook bundle (internal/hooks.Set through each
+// engine's Attach; internal/segment.Hooks through the drivers), and every
+// governed scan runs the one chunk protocol in internal/hooks.
+// ARCHITECTURE.md maps the packages and the data flow.
 //
 // Entry points:
 //

@@ -12,6 +12,7 @@ import (
 	"os"
 
 	"automatazoo/internal/core"
+	"automatazoo/internal/hooks"
 	"automatazoo/internal/sim"
 	"automatazoo/internal/telemetry"
 )
@@ -27,16 +28,15 @@ func main() {
 		log.Fatal(err)
 	}
 
-	// Attach all three telemetry hooks: per-state profile, metrics
-	// registry, and a sampled NDJSON trace.
+	// Attach all three telemetry hooks: per-state profile, and — in one
+	// hook bundle — a metrics registry and a sampled NDJSON trace.
 	e := sim.New(a)
 	prof := e.EnableProfile()
 	reg := telemetry.NewRegistry()
-	e.SetRegistry(reg)
 	var traceBuf bytes.Buffer
 	tracer := telemetry.NewNDJSON(&traceBuf)
 	tracer.SampleEvery = 1000 // keep symbol/activate volume down
-	e.SetTracer(tracer)
+	e.Attach(hooks.Set{Registry: reg, Tracer: tracer})
 
 	for _, seg := range segs {
 		e.Reset()

@@ -37,13 +37,13 @@ import (
 	"io"
 	"os"
 
+	"automatazoo/internal/attr"
 	"automatazoo/internal/automata"
 	"automatazoo/internal/dfa"
+	"automatazoo/internal/guard"
+	"automatazoo/internal/hooks"
 	"automatazoo/internal/segment"
 	"automatazoo/internal/sim"
-
-	"automatazoo/internal/attr"
-	"automatazoo/internal/guard"
 	"automatazoo/internal/telemetry"
 )
 
@@ -55,7 +55,7 @@ const (
 	// ChunkAlign is the engines' cooperative chunk granularity; save
 	// points exist only on this absolute grid, and the checkpoint
 	// interval is clamped to a multiple of it.
-	ChunkAlign = 4096
+	ChunkAlign = hooks.Chunk
 	// PrevSuffix names the previous-generation file.
 	PrevSuffix = ".prev"
 	// DefaultInterval is the default bytes-between-saves pacing

@@ -7,6 +7,7 @@ import (
 
 	"automatazoo/internal/atomicio"
 	"automatazoo/internal/guard"
+	"automatazoo/internal/hooks"
 	"automatazoo/internal/telemetry"
 )
 
@@ -40,18 +41,15 @@ type Saver struct {
 	// per stream; it must flush engine telemetry and commit ledgers so
 	// the snapshot covers every byte scanned.
 	Capture func() (*Checkpoint, error)
-	// Gov, when non-nil, supplies fault injection (crash/ioerr rules) and
-	// budget remainders.
-	Gov *guard.Governor
-	// Registry, when non-nil, receives the ckpt.* counters (exposed as
-	// azoo_ckpt_* Prometheus families). ckpt.saves is incremented before
+	// Set is the run's hook bundle; the saver uses three of its sinks.
+	// Governor supplies fault injection (crash/ioerr rules) and budget
+	// remainders. Registry receives the ckpt.* counters (exposed as
+	// azoo_ckpt_* Prometheus families); ckpt.saves is incremented before
 	// Capture so the persisted registry snapshot counts the in-progress
 	// save — the accounting that keeps a resumed run's final counter
-	// equal to the uninterrupted run's.
-	Registry *telemetry.Registry
-	// Recorder, when non-nil, logs RecCheckpoint events (save / retry /
-	// disable) for postmortem dumps.
-	Recorder *telemetry.FlightRecorder
+	// equal to the uninterrupted run's. Recorder logs RecCheckpoint events
+	// (save / retry / disable) for postmortem dumps.
+	hooks.Set
 	// MaxRetries bounds write retries per save (0 = DefaultMaxRetries).
 	MaxRetries int
 	// Sleep, when non-nil, replaces time.Sleep between retries (tests
@@ -110,7 +108,7 @@ func (s *Saver) Save(reason string) error {
 	if s == nil || s.disabled {
 		return nil
 	}
-	if err := s.Gov.Inject(guard.SiteCkptSave); err != nil {
+	if err := s.Governor.Inject(guard.SiteCkptSave); err != nil {
 		return err
 	}
 	return s.save(reason)
@@ -124,7 +122,7 @@ func (s *Saver) SaveFinal(reason string) {
 	if s == nil || s.disabled {
 		return
 	}
-	if t := s.Gov.Err(); t != nil && t.Budget == guard.BudgetCrashed {
+	if t := s.Governor.Err(); t != nil && t.Budget == guard.BudgetCrashed {
 		return
 	}
 	s.save(reason)
@@ -197,7 +195,7 @@ func (s *Saver) save(reason string) error {
 // generation to .prev, then atomically write the new image. A crash
 // between the two steps leaves only .prev — which Load falls back to.
 func (s *Saver) writeOnce(data []byte) error {
-	if s.Gov.InjectIO(guard.SiteCkptWrite) {
+	if s.Governor.InjectIO(guard.SiteCkptWrite) {
 		return fmt.Errorf("ckpt: injected I/O failure at %s", guard.SiteCkptWrite)
 	}
 	if _, err := os.Stat(s.Path); err == nil {

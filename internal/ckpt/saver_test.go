@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"automatazoo/internal/guard"
+	"automatazoo/internal/hooks"
 	"automatazoo/internal/telemetry"
 )
 
@@ -19,8 +20,7 @@ func testSaver(t *testing.T, gov *guard.Governor, reg *telemetry.Registry) *Save
 		Path:     filepath.Join(t.TempDir(), "ck"),
 		Interval: ChunkAlign,
 		Capture:  func() (*Checkpoint, error) { return c, nil },
-		Gov:      gov,
-		Registry: reg,
+		Set:      hooks.Set{Governor: gov, Registry: reg},
 	}
 }
 

@@ -7,20 +7,17 @@ import (
 	"automatazoo/internal/attr"
 	"automatazoo/internal/automata"
 	"automatazoo/internal/dfa"
-	"automatazoo/internal/guard"
+	"automatazoo/internal/hooks"
 	"automatazoo/internal/segment"
 	"automatazoo/internal/sim"
-	"automatazoo/internal/telemetry"
 )
 
 // Engine is the execution contract the checkpointed scan driver needs:
-// the segment scanner's contract plus state capture, the checkpointer
-// seam, and a mid-stream telemetry flush. sim.Engine and prefilter.Engine
-// both satisfy it.
+// the segment scanner's contract plus state capture and a mid-stream
+// telemetry flush. sim.Engine and prefilter.Engine both satisfy it.
 type Engine interface {
 	segment.Engine
 	CaptureState() *sim.StreamState
-	SetCheckpointer(c sim.Checkpointer)
 	FlushTelemetry()
 }
 
@@ -30,9 +27,8 @@ type Engine interface {
 type ScanConfig struct {
 	Automaton *automata.Automaton
 	// Engine is the scan engine: fresh for a new run, restored to the
-	// checkpoint's StreamState for a resume. The driver attaches the
-	// saver and (when Attribution is set) a ledger; all other hooks are
-	// the caller's.
+	// checkpoint's StreamState for a resume. The driver attaches Hooks to
+	// it, plus — per stream — the saver and an attribution ledger.
 	Engine  Engine
 	Streams [][]byte
 
@@ -57,19 +53,12 @@ type ScanConfig struct {
 	Warmup       int
 	AutoMinBytes int64
 
-	// Hooks shared with the engines and the segment scanner.
-	Governor    *guard.Governor
-	Registry    *telemetry.Registry
-	Tracer      telemetry.Tracer
-	Spans       *telemetry.Spans
-	Progress    *telemetry.ProgressTracker
-	Recorder    *telemetry.FlightRecorder
-	Attribution *attr.Collector
+	// Hooks are shared by Engine and the segment scanner (whose
+	// speculative engines come from NewEngine).
+	segment.Hooks
 	// AttrCompOf maps engine-local state IDs to Attribution's global
 	// component indices; nil uses the whole-automaton map.
 	AttrCompOf []int32
-	// NewEngine builds speculative segment engines (nil = sim.New).
-	NewEngine func(*automata.Automaton) (segment.Engine, error)
 	// OnReport, if non-nil, receives every report (canonically ordered
 	// within segmented chunks).
 	OnReport func(sim.Report)
@@ -144,15 +133,9 @@ func (cfg *ScanConfig) scanSeq(si int, stream []byte, off int64, cum *sim.Stats,
 		eng.Reset()
 		eng.SetOffset(0)
 	}
-	var led *attr.Ledger
-	if cfg.Attribution != nil {
-		compOf := cfg.AttrCompOf
-		if compOf == nil {
-			compOf = cfg.Attribution.GlobalCompOf()
-		}
-		led = cfg.Attribution.Ledger(compOf)
-		eng.SetLedger(led)
-	}
+	set := cfg.EngineSet()
+	set.Ledger = cfg.Ledger(cfg.AttrCompOf)
+	led := set.Ledger
 	// cumBase is everything before the engine's per-stream stats counter
 	// (re)started: prior streams, plus — on resume — the restored prefix
 	// of this one.
@@ -166,22 +149,21 @@ func (cfg *ScanConfig) scanSeq(si int, stream []byte, off int64, cum *sim.Stats,
 			snap := eng.CaptureState()
 			return cfg.checkpoint(si, snap, addStats(cumBase, eng.Stats()), *stitch), nil
 		}
-		eng.SetCheckpointer(cfg.Saver)
+		set.Checkpointer = cfg.Saver
 	}
+	eng.Attach(set)
 	if cfg.OnReport != nil {
 		eng.SetOnReport(cfg.OnReport)
 	}
 	st, err := eng.RunChecked(stream[off:])
-	if cfg.Saver != nil {
-		eng.SetCheckpointer(nil)
-	}
+	// The saver and the ledger belong to this stream only.
+	eng.Attach(cfg.EngineSet())
 	if cfg.OnReport != nil {
 		eng.SetOnReport(nil)
 	}
 	*cum = addStats(cumBase, st)
 	if led != nil {
 		led.Commit()
-		eng.SetLedger(nil)
 	}
 	return err
 }
@@ -220,15 +202,8 @@ func (cfg *ScanConfig) scanChunked(ctx context.Context, si int, stream []byte, o
 			Warmup:       cfg.Warmup,
 			AutoMinBytes: cfg.AutoMinBytes,
 			OnReport:     cfg.OnReport,
-			Registry:     cfg.Registry,
-			Tracer:       cfg.Tracer,
-			Spans:        cfg.Spans,
-			Governor:     cfg.Governor,
-			Progress:     cfg.Progress,
-			Recorder:     cfg.Recorder,
-			Attribution:  cfg.Attribution,
+			Hooks:        cfg.Hooks,
 			AttrCompOf:   cfg.AttrCompOf,
-			NewEngine:    cfg.NewEngine,
 			Master:       eng,
 			BaseOffset:   off,
 		})
@@ -302,10 +277,12 @@ type DFAScanConfig struct {
 	Cum         dfa.Stats
 	Saver       *Saver
 	Meta        Meta
-	Governor    *guard.Governor
-	Registry    *telemetry.Registry
+	// Set is what the caller attached to Engine; ScanDFA re-attaches it
+	// with the saver added around each stream. Its Ledger (may be nil) is
+	// committed at every save, its Registry and Governor are snapshotted
+	// into every checkpoint.
+	hooks.Set
 	Attribution *attr.Collector
-	Ledger      *attr.Ledger // engine-attached ledger to commit at saves (may be nil)
 }
 
 // ScanDFA is Scan for the cached-DFA engine.
@@ -334,12 +311,12 @@ func ScanDFA(ctx context.Context, cfg DFAScanConfig) (dfa.Stats, error) {
 				snap := eng.CaptureState()
 				return cfg.checkpointDFA(idx, snap, addDFAStats(cumBase, eng.Stats())), nil
 			}
-			eng.SetCheckpointer(sv)
+			set := cfg.Set
+			set.Checkpointer = sv
+			eng.Attach(set)
 		}
 		st, err := eng.RunChecked(stream[off:])
-		if sv != nil {
-			eng.SetCheckpointer(nil)
-		}
+		eng.Attach(cfg.Set)
 		cum = addDFAStats(cumBase, st)
 		if err != nil {
 			return cum, err

@@ -68,23 +68,20 @@ func runScanAttempt(t *testing.T, a *automata.Automaton, streams [][]byte, worke
 	eng := sim.New(a)
 	reg := telemetry.NewRegistry()
 	col := attr.NewCollector(a, attr.FromComponents(a, "rule-"))
-	eng.SetRegistry(reg)
-	eng.SetGovernor(gov)
-	sv := &Saver{Path: path, Interval: interval, Gov: gov, Registry: reg}
+	h := segment.Hooks{Registry: reg, Governor: gov, Attribution: col}
+	sv := &Saver{Path: path, Interval: interval, Set: h.EngineSet()}
 	var out scanOutcome
 	cfg := ScanConfig{
-		Automaton:   a,
-		Engine:      eng,
-		Streams:     streams,
-		Saver:       sv,
-		Meta:        Meta{Command: "test", Engine: "nfa", Interval: interval, Workers: workers, Segments: segments},
-		Segments:    segments,
-		Workers:     workers,
-		Warmup:      48,
-		Governor:    gov,
-		Registry:    reg,
-		Attribution: col,
-		OnReport:    func(r sim.Report) { out.events = append(out.events, r) },
+		Automaton: a,
+		Engine:    eng,
+		Streams:   streams,
+		Saver:     sv,
+		Meta:      Meta{Command: "test", Engine: "nfa", Interval: interval, Workers: workers, Segments: segments},
+		Segments:  segments,
+		Workers:   workers,
+		Warmup:    48,
+		Hooks:     h,
+		OnReport:  func(r sim.Report) { out.events = append(out.events, r) },
 	}
 	if start != nil {
 		if start.Metrics != nil {

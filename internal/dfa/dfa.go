@@ -24,6 +24,7 @@ import (
 	"automatazoo/internal/automata"
 	"automatazoo/internal/charset"
 	"automatazoo/internal/guard"
+	"automatazoo/internal/hooks"
 	"automatazoo/internal/telemetry"
 )
 
@@ -171,53 +172,33 @@ type Engine struct {
 	OnReport       func(Report)
 	reports        []Report
 
-	// Telemetry hooks, nil by default and nil-guarded everywhere.
-	tracer    telemetry.Tracer
-	reg       *telemetry.Registry
-	published Stats // portion of stats already flushed to reg
-	spans     *telemetry.Spans
+	// h is the attached hook bundle (see Attach), nil-guarded at every
+	// touch point; the zero Set is a bare engine whose RunChecked is
+	// byte-for-byte the Run loop and allocation-free (allocguard test).
+	h         hooks.Set
+	published Stats // portion of stats already flushed to h.Registry
 
-	// Governor hooks. cacheBytes is the engine-wide modeled cache size
-	// (sum of component bytes); govErr stashes a run-stopping governor
-	// error raised inside construction (computeTransition has no error
-	// return) for RunChecked to surface.
-	gov        *guard.Governor
+	// govErr stashes a run-stopping governor error raised inside
+	// construction (computeTransition has no error return) for RunChecked
+	// to surface. cacheBytes is the engine-wide modeled cache size (sum of
+	// component bytes), reserved against the governor's cache budget.
 	govErr     error
 	cacheBytes int64
 
-	// Live-ops hooks, fed at the governed chunk boundaries: prog
-	// heartbeats bytes scanned, live-component count, cache bytes, and
-	// fallback deltas; rec logs budget checks, evictions, fallbacks, and
-	// trips to the flight recorder. Nil-receiver no-ops like the governor;
-	// all-nil RunChecked is byte-for-byte the Run loop.
-	prog          *telemetry.ProgressTracker
-	rec           *telemetry.FlightRecorder
-	progCache     int64 // cacheBytes already published to prog
-	progFallbacks int64 // stats.Fallbacks already published to prog
+	// Progress baselines: the cache bytes and fallbacks already published
+	// to h.Progress, so each chunk heartbeats only the delta.
+	progCache     int64
+	progFallbacks int64
 
-	// led, when attached, attributes runtime cost to source patterns:
-	// per-component scanned bytes (only while the component is live —
-	// dead elision stops the meter), construction/fallback frontier work,
-	// reports by code, cache-byte levels, evictions, and degradations.
-	// Nil-guarded everywhere like the live-ops hooks; the disabled path
-	// stays allocation-free (allocguard test). ledSlot caches each
-	// component's global attribution slot.
+	// led is h.Ledger, held in a field of the attr type itself: its
+	// per-byte methods inline only into packages that import attr
+	// directly, not through hooks.Set. ledSlot caches each component's
+	// global attribution slot. The ledger is charged per-component scanned
+	// bytes (only while the component is live — dead elision stops the
+	// meter), construction/fallback frontier work, reports by code,
+	// cache-byte levels, evictions, and degradations.
 	led     *attr.Ledger
 	ledSlot []int32
-
-	// ckpt, when attached, is offered the stream at every chunk boundary
-	// so it can persist a checkpoint (internal/ckpt). Nil-guarded like the
-	// live-ops hooks; the disabled path stays allocation-free.
-	ckpt Checkpointer
-}
-
-// Checkpointer is the durable-checkpoint hook: RunChecked calls Boundary
-// with the chunk's byte count after each chunk completes. A returned
-// error stops the run like a governor trip. (Declared locally —
-// structurally identical to sim.Checkpointer — so dfa keeps its import
-// graph free of sim.)
-type Checkpointer interface {
-	Boundary(n int64) error
 }
 
 // Options tune the engine's internal strategies; the zero value is the
@@ -302,8 +283,8 @@ func (e *Engine) degrade(c *component, ci int, seed []automata.StateID) {
 	c.overflow = true
 	e.stats.Fallbacks++
 	e.stats.CacheEvictions += int64(len(c.dstates))
-	if e.tracer != nil {
-		e.tracer.OnCacheEvent(e.offset, ci, telemetry.CacheEviction)
+	if e.h.Tracer != nil {
+		e.h.Tracer.OnCacheEvent(e.offset, ci, telemetry.CacheEviction)
 	}
 	e.recordDegrade(ci, int64(len(c.dstates)))
 	e.ledgerDegrade(ci, int64(len(c.dstates)))
@@ -312,7 +293,7 @@ func (e *Engine) degrade(c *component, ci int, seed []automata.StateID) {
 		c.mark = map[automata.StateID]bool{}
 	}
 	e.cacheBytes -= c.bytes
-	e.gov.ReleaseCache(c.bytes)
+	e.h.Governor.ReleaseCache(c.bytes)
 	c.bytes = 0
 	c.dstates = nil
 	c.index = nil
@@ -413,8 +394,8 @@ func (e *Engine) computeTransition(c *component, di uint32, cls uint16) {
 	// Construction boundary: the governor may inject a fault here or
 	// already hold a sticky trip; either stops the run (stashed in govErr
 	// — this function has no error return).
-	if e.gov != nil {
-		if err := e.gov.Inject(guard.SiteDFAConstruct); err != nil {
+	if e.h.Governor != nil {
+		if err := e.h.Governor.Inject(guard.SiteDFAConstruct); err != nil {
 			e.govErr = err
 			return
 		}
@@ -462,8 +443,8 @@ func (e *Engine) computeTransition(c *component, di uint32, cls uint16) {
 		}
 		cost := dstateCost(len(nextFront), c.nClasses)
 		granted := true
-		if e.gov != nil {
-			g, err := e.gov.GrowCache(guard.SiteDFAConstruct, cost)
+		if e.h.Governor != nil {
+			g, err := e.h.Governor.GrowCache(guard.SiteDFAConstruct, cost)
 			if err != nil {
 				e.govErr = err
 				return
@@ -471,7 +452,7 @@ func (e *Engine) computeTransition(c *component, di uint32, cls uint16) {
 			granted = g
 		}
 		if granted && e.opts.MaxCacheBytes > 0 && e.cacheBytes+cost > e.opts.MaxCacheBytes {
-			e.gov.ReleaseCache(cost)
+			e.h.Governor.ReleaseCache(cost)
 			granted = false
 		}
 		if !granted {
@@ -503,76 +484,62 @@ func containsSorted(xs []automata.StateID, v automata.StateID) bool {
 	return i < len(xs) && xs[i] == v
 }
 
-// SetTracer attaches an event tracer (nil detaches). The tracer receives
-// OnReport plus OnCacheEvent for misses and evictions; hits are counted in
-// Stats but not traced (one per live component per byte).
-func (e *Engine) SetTracer(t telemetry.Tracer) { e.tracer = t }
-
-// SetSpans attaches a phase-span collector (nil detaches): every Run call
-// is timed as one aggregated "dfa.run" span, opened outside the per-byte
-// loop so the disabled path stays a nil-receiver no-op.
-func (e *Engine) SetSpans(s *telemetry.Spans) { e.spans = s }
-
-// SetGovernor attaches a run governor (nil detaches). Budgets and fault
-// injection are enforced by RunChecked and at construction boundaries;
-// bare Run calls stay ungoverned. The engine's already-interned initial
-// states are reserved against the governor's cache budget (best effort —
-// they are a handful of near-empty dstates).
-func (e *Engine) SetGovernor(g *guard.Governor) {
-	e.gov = g
-	if g != nil && e.cacheBytes > 0 {
-		g.GrowCache(guard.SiteDFAConstruct, e.cacheBytes)
+// Attach installs h as the engine's hook bundle, replacing whatever was
+// attached (the zero Set detaches everything). Only hooks that changed
+// take their attach-time baseline:
+//
+//   - a new Registry starts publishing from the current statistics;
+//   - a new Governor is asked to reserve the engine's already-interned
+//     states against its cache budget (best effort — before any scan they
+//     are a handful of near-empty dstates). It bounds RunChecked and
+//     subset construction; bare Run calls stay ungoverned;
+//   - a new Progress tracker is heartbeaten cache-byte and fallback
+//     deltas from the current levels;
+//   - a new Ledger has every component's global attribution slot resolved
+//     once here, so the per-byte hooks are pure array increments. Its
+//     compOf map must cover this engine's (possibly slice-local) state
+//     IDs; the engine never commits it.
+//
+// The Tracer receives OnReport plus OnCacheEvent for misses and
+// evictions; hits are counted in Stats but not traced (one per live
+// component per byte).
+func (e *Engine) Attach(h hooks.Set) {
+	old := e.h
+	e.h = h
+	if h.Registry != old.Registry && h.Registry != nil {
+		e.published = e.stats
+	}
+	if h.Governor != old.Governor && h.Governor != nil && e.cacheBytes > 0 {
+		h.Governor.GrowCache(guard.SiteDFAConstruct, e.cacheBytes)
+	}
+	if h.Progress != old.Progress {
+		e.progCache = e.cacheBytes
+		e.progFallbacks = int64(e.stats.Fallbacks)
+	}
+	if h.Ledger != old.Ledger {
+		e.led, e.ledSlot = h.Ledger, nil
+		if e.led != nil {
+			e.ledSlot = make([]int32, len(e.comps))
+			for i, c := range e.comps {
+				if len(c.states) > 0 {
+					e.ledSlot[i] = e.led.Slot(c.states[0])
+				}
+			}
+		}
 	}
 }
 
-// SetProgress attaches a live-progress tracker (nil detaches): RunChecked
-// heartbeats bytes scanned, live-component count, cache-byte level, and
-// fallback deltas at every chunk boundary. Bare Run calls stay silent.
-func (e *Engine) SetProgress(t *telemetry.ProgressTracker) {
-	e.prog = t
-	e.progCache = e.cacheBytes
-	e.progFallbacks = int64(e.stats.Fallbacks)
-}
-
-// SetRecorder attaches a flight recorder (nil detaches): chunk budget
-// checks, cache evictions, DFA→NFA fallbacks, and budget trips are logged
-// for postmortem dumps.
-func (e *Engine) SetRecorder(r *telemetry.FlightRecorder) { e.rec = r }
-
-// SetCheckpointer attaches a durable-checkpoint hook (nil detaches):
-// RunChecked offers it the stream after every chunk. Bare Run calls skip
-// it, like the governor.
-func (e *Engine) SetCheckpointer(c Checkpointer) { e.ckpt = c }
-
 // FlushTelemetry publishes statistics and cache-byte levels accumulated
-// since the last flush to the attached registry and ledger, so a
-// mid-stream snapshot (checkpoint save) reflects every byte scanned so
-// far.
+// since the last flush to the attached registry and ledger. Run and
+// RunChecked flush at run end (and Reset before clearing); the checkpoint
+// saver calls this mid-stream so a snapshot reflects every byte scanned
+// so far.
 func (e *Engine) FlushTelemetry() {
-	if e.reg != nil {
+	if e.h.Registry != nil {
 		e.flushStats()
 	}
 	if e.led != nil {
 		e.flushLedger()
-	}
-}
-
-// SetLedger attaches a cost-attribution ledger (nil detaches). The
-// ledger's compOf map must cover this engine's (possibly slice-local)
-// state IDs; each component's global attribution slot is resolved once
-// here so the per-byte hooks are pure array increments. The engine never
-// commits the ledger; callers fold it after the scan unit completes.
-func (e *Engine) SetLedger(l *attr.Ledger) {
-	e.led = l
-	if l == nil {
-		e.ledSlot = nil
-		return
-	}
-	e.ledSlot = make([]int32, len(e.comps))
-	for i, c := range e.comps {
-		if len(c.states) > 0 {
-			e.ledSlot[i] = l.Slot(c.states[0])
-		}
 	}
 }
 
@@ -598,28 +565,18 @@ func (e *Engine) ledgerDegrade(ci int, evicted int64) {
 // recordDegrade logs a component degradation (eviction + fallback) to the
 // attached flight recorder, if any.
 func (e *Engine) recordDegrade(ci int, evicted int64) {
-	if e.rec == nil {
+	if e.h.Recorder == nil {
 		return
 	}
 	if evicted > 0 {
-		e.rec.Record(telemetry.RecEvict, ci, guard.SiteDFAConstruct, evicted)
+		e.h.Recorder.Record(telemetry.RecEvict, ci, guard.SiteDFAConstruct, evicted)
 	}
-	e.rec.Record(telemetry.RecFallback, ci, guard.SiteDFAConstruct, 0)
-}
-
-// SetRegistry attaches a metrics registry (nil detaches). Aggregate run
-// statistics flush to the dfa.* counters and gauges at the end of every
-// Run and on Reset.
-func (e *Engine) SetRegistry(r *telemetry.Registry) {
-	e.reg = r
-	if r != nil {
-		e.published = e.stats
-	}
+	e.h.Recorder.Record(telemetry.RecFallback, ci, guard.SiteDFAConstruct, 0)
 }
 
 // flushStats publishes stats accumulated since the last flush.
 func (e *Engine) flushStats() {
-	r := e.reg
+	r := e.h.Registry
 	if r == nil {
 		return
 	}
@@ -640,12 +597,7 @@ func (e *Engine) flushStats() {
 // Reset restarts all component DFAs at their initial state and clears
 // statistics and collected reports. Interned DFA states are retained.
 func (e *Engine) Reset() {
-	if e.reg != nil {
-		e.flushStats()
-	}
-	if e.led != nil {
-		e.flushLedger()
-	}
+	e.FlushTelemetry()
 	e.live = e.live[:0]
 	for i, c := range e.comps {
 		e.cur[i] = 1
@@ -684,10 +636,10 @@ func (e *Engine) emit(code int32) {
 		e.led.Report(code)
 	}
 	r := Report{Offset: e.offset, Code: code}
-	if e.tracer != nil {
+	if e.h.Tracer != nil {
 		// DFA reports carry no NFA state ID (the report state was folded
 		// into the dstate); the schema uses state 0 for them.
-		e.tracer.OnReport(e.offset, 0, code)
+		e.h.Tracer.OnReport(e.offset, 0, code)
 	}
 	if e.OnReport != nil {
 		e.OnReport(r)
@@ -700,86 +652,57 @@ func (e *Engine) emit(code int32) {
 // Run consumes input, advancing every component DFA one transition per
 // byte. It may be called repeatedly to continue the same stream.
 func (e *Engine) Run(input []byte) Stats {
-	sp := e.spans.Start("dfa.run")
+	sp := e.h.Spans.Start("dfa.run")
 	for _, b := range input {
 		e.stepByte(b)
 	}
-	if e.reg != nil {
-		e.flushStats()
-	}
-	if e.led != nil {
-		e.flushLedger()
-	}
+	e.FlushTelemetry()
 	sp.End()
 	return e.Stats()
 }
 
-// govChunk is the governed input granularity, matching sim's: budgets,
-// cancellation, and fault injection are observed every govChunk bytes.
-const govChunk = 4096
-
-// RunChecked is Run under the attached governor: the input is consumed
-// in govChunk-sized chunks with a guard boundary before each chunk, and
-// run-stopping governor errors raised inside subset construction are
-// surfaced. On a trip the partial statistics are returned with the
-// *guard.TripError. The same chunk boundaries feed the attached progress
-// tracker and flight recorder. With no governor, progress, or recorder
-// attached it is exactly Run.
+// RunChecked is Run under the attached hooks: the input is consumed
+// through the shared chunk protocol (hooks.Set.Chunks) at
+// guard.SiteDFAChunk, and run-stopping governor errors raised inside
+// subset construction are surfaced. The lazy DFA has no NFA active set,
+// so no active-set budget applies and the engine heartbeats for itself
+// (scanChunk). On a trip the partial statistics are returned with the
+// *guard.TripError. With no governor, progress tracker, recorder or
+// checkpointer attached it is exactly Run.
 func (e *Engine) RunChecked(input []byte) (Stats, error) {
-	if e.gov == nil && e.prog == nil && e.rec == nil && e.ckpt == nil {
+	if !e.h.Chunked() {
 		return e.Run(input), nil
 	}
-	sp := e.spans.Start("dfa.run")
-	var err error
-	for off := 0; off < len(input) && err == nil; off += govChunk {
-		end := off + govChunk
-		if end > len(input) {
-			end = len(input)
-		}
-		n := int64(end - off)
-		if e.rec != nil {
-			e.rec.Record(telemetry.RecBudget, 0, guard.SiteDFAChunk, n)
-		}
-		if err = e.gov.Boundary(guard.SiteDFAChunk, n); err != nil {
-			break
-		}
-		for _, b := range input[off:end] {
-			e.stepByte(b)
-			if e.govErr != nil {
-				err = e.govErr
-				break
-			}
-		}
-		if e.prog != nil {
-			e.prog.Beat(n, int64(len(e.live)))
-			if d := e.cacheBytes - e.progCache; d != 0 {
-				e.prog.AddCache(d)
-				e.progCache = e.cacheBytes
-			}
-			if d := int64(e.stats.Fallbacks) - e.progFallbacks; d != 0 {
-				e.prog.AddFallbacks(d)
-				e.progFallbacks = int64(e.stats.Fallbacks)
-			}
-		}
-		if e.ckpt != nil && err == nil {
-			if err = e.ckpt.Boundary(n); err != nil {
-				break
-			}
-		}
-	}
-	if err != nil && e.rec != nil {
-		if t := guard.AsTrip(err); t != nil {
-			e.rec.Record(telemetry.RecTrip, 0, t.Budget, t.Actual)
-		}
-	}
-	if e.reg != nil {
-		e.flushStats()
-	}
-	if e.led != nil {
-		e.flushLedger()
-	}
+	sp := e.h.Spans.Start("dfa.run")
+	err := e.h.Chunks(guard.SiteDFAChunk, input, e.scanChunk, nil, nil)
+	e.FlushTelemetry()
 	sp.End()
 	return e.Stats(), err
+}
+
+// scanChunk steps chunk until a governor error raised inside construction
+// stops it, then heartbeats the chunk (its full size even when cut short,
+// like the budget it was charged), the live-component count, and the
+// cache-byte and fallback deltas since the last beat.
+func (e *Engine) scanChunk(chunk []byte) error {
+	for _, b := range chunk {
+		e.stepByte(b)
+		if e.govErr != nil {
+			break
+		}
+	}
+	if p := e.h.Progress; p != nil {
+		p.Beat(int64(len(chunk)), int64(len(e.live)))
+		if d := e.cacheBytes - e.progCache; d != 0 {
+			p.AddCache(d)
+			e.progCache = e.cacheBytes
+		}
+		if d := int64(e.stats.Fallbacks) - e.progFallbacks; d != 0 {
+			p.AddFallbacks(d)
+			e.progFallbacks = int64(e.stats.Fallbacks)
+		}
+	}
+	return e.govErr
 }
 
 func (e *Engine) stepByte(b byte) {
@@ -811,8 +734,8 @@ func (e *Engine) stepByte(b byte) {
 			start := time.Now()
 			e.computeTransition(c, di, cls)
 			e.stats.ConstructNanos += time.Since(start).Nanoseconds()
-			if e.tracer != nil {
-				e.tracer.OnCacheEvent(e.offset, int(ci), telemetry.CacheMiss)
+			if e.h.Tracer != nil {
+				e.h.Tracer.OnCacheEvent(e.offset, int(ci), telemetry.CacheMiss)
 			}
 			if e.govErr != nil {
 				// Run-stopping governor error inside construction: the
@@ -820,8 +743,8 @@ func (e *Engine) stepByte(b byte) {
 				return
 			}
 			if c.overflow {
-				if e.tracer != nil {
-					e.tracer.OnCacheEvent(e.offset, int(ci), telemetry.CacheEviction)
+				if e.h.Tracer != nil {
+					e.h.Tracer.OnCacheEvent(e.offset, int(ci), telemetry.CacheEviction)
 				}
 				e.recordDegrade(int(ci), int64(len(c.dstates)))
 				e.ledgerDegrade(int(ci), int64(len(c.dstates)))
@@ -835,7 +758,7 @@ func (e *Engine) stepByte(b byte) {
 					// Byte-budget degradation: release the interned states
 					// now that the frontier is seeded.
 					e.cacheBytes -= c.bytes
-					e.gov.ReleaseCache(c.bytes)
+					e.h.Governor.ReleaseCache(c.bytes)
 					c.bytes = 0
 					c.dstates = nil
 					c.index = nil
@@ -998,15 +921,15 @@ func (e *Engine) RestoreState(s *StreamState) error {
 			}
 			cost := dstateCost(len(f), c.nClasses)
 			granted := true
-			if e.gov != nil {
-				g, err := e.gov.GrowCache(guard.SiteDFAConstruct, cost)
+			if e.h.Governor != nil {
+				g, err := e.h.Governor.GrowCache(guard.SiteDFAConstruct, cost)
 				if err != nil {
 					return err
 				}
 				granted = g
 			}
 			if granted && e.opts.MaxCacheBytes > 0 && e.cacheBytes+cost > e.opts.MaxCacheBytes {
-				e.gov.ReleaseCache(cost)
+				e.h.Governor.ReleaseCache(cost)
 				granted = false
 			}
 			if !granted {

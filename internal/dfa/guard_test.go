@@ -7,6 +7,7 @@ import (
 
 	"automatazoo/internal/automata"
 	"automatazoo/internal/guard"
+	"automatazoo/internal/hooks"
 	"automatazoo/internal/sim"
 )
 
@@ -156,7 +157,7 @@ func TestGovernorCacheBudgetDegrades(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	e.SetGovernor(g)
+	e.Attach(hooks.Set{Governor: g})
 	e.CollectReports = true
 	s, rerr := e.RunChecked(input)
 	if rerr != nil {
@@ -181,7 +182,7 @@ func TestRunCheckedInputBudget(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	e.SetGovernor(guard.New(context.Background(), guard.Budget{MaxInputBytes: 5000}))
+	e.Attach(hooks.Set{Governor: guard.New(context.Background(), guard.Budget{MaxInputBytes: 5000})})
 	s, rerr := e.RunChecked(guardInput(50_000))
 	trip := guard.AsTrip(rerr)
 	if trip == nil || trip.Budget != guard.BudgetInputBytes {
@@ -204,7 +205,7 @@ func TestRunCheckedInjectedTripAtConstruct(t *testing.T) {
 	if nerr != nil {
 		t.Fatal(nerr)
 	}
-	e.SetGovernor(g)
+	e.Attach(hooks.Set{Governor: g})
 	_, rerr := e.RunChecked(guardInput(10_000))
 	trip := guard.AsTrip(rerr)
 	if trip == nil || !trip.Injected || trip.Site != guard.SiteDFAConstruct {

@@ -1,6 +1,10 @@
 package dfa
 
-import "testing"
+import (
+	"testing"
+
+	"automatazoo/internal/hooks"
+)
 
 // TestDisabledLiveTelemetryZeroAllocs: with no governor, progress
 // tracker, flight recorder, attribution ledger, or checkpointer
@@ -12,11 +16,7 @@ func TestDisabledLiveTelemetryZeroAllocs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	e.SetGovernor(nil)
-	e.SetProgress(nil)
-	e.SetRecorder(nil)
-	e.SetLedger(nil)
-	e.SetCheckpointer(nil)
+	e.Attach(hooks.Set{})
 	input := []byte("xxabcxxabcabcxaxbxcabxcabcbcabca")
 	e.Reset()
 	if _, err := e.RunChecked(input); err != nil {

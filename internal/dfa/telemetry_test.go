@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"automatazoo/internal/hooks"
 	"automatazoo/internal/telemetry"
 )
 
@@ -89,7 +90,7 @@ func TestEvictionsOnOverflow(t *testing.T) {
 		c.budget = 2
 	}
 	tr := &cacheRecorder{}
-	e.SetTracer(tr)
+	e.Attach(hooks.Set{Tracer: tr})
 	e.Run(bytes.Repeat([]byte("aabbabab"), 20))
 	st := e.Stats()
 	if st.Fallbacks == 0 {
@@ -130,8 +131,7 @@ func TestTracerAndRegistry(t *testing.T) {
 	}
 	tr := &cacheRecorder{}
 	reg := telemetry.NewRegistry()
-	e.SetTracer(tr)
-	e.SetRegistry(reg)
+	e.Attach(hooks.Set{Tracer: tr, Registry: reg})
 	st := e.Run([]byte("zzabczzabc"))
 	if int64(tr.misses) != st.CacheMisses {
 		t.Errorf("traced misses = %d, stats say %d", tr.misses, st.CacheMisses)

@@ -52,25 +52,17 @@ func ckptAttempt(a *automata.Automaton, input []byte, workers, segments int, use
 		return nil, ckpt.ScanResult{}, telemetry.Snapshot{}, err
 	}
 	reg := telemetry.NewRegistry()
-	eng.SetRegistry(reg)
-	eng.SetGovernor(gov)
+	h := segment.Hooks{Registry: reg, Governor: gov, NewEngine: newEngine}
 	cfg := ckpt.ScanConfig{
 		Automaton: a,
 		Engine:    eng,
 		Streams:   [][]byte{input},
-		Saver: &ckpt.Saver{
-			Path:     path,
-			Interval: interval,
-			Gov:      gov,
-			Registry: reg,
-		},
+		Saver:     &ckpt.Saver{Path: path, Interval: interval, Set: h.EngineSet()},
 		Meta:      ckpt.Meta{Command: "difftest", Engine: "nfa", Interval: interval, Workers: workers, Segments: segments},
 		Segments:  segments,
 		Workers:   workers,
 		Warmup:    resumeWarmup,
-		Governor:  gov,
-		Registry:  reg,
-		NewEngine: newEngine,
+		Hooks:     h,
 		OnReport: func(r sim.Report) {
 			events = append(events, Event{Offset: r.Offset, Code: r.Code})
 		},

@@ -6,120 +6,53 @@
 // report-rate experiment. cmd/azoo and the root benchmarks are thin
 // drivers over these functions.
 //
-// Each table's independent kernels can be fanned out across a worker pool
-// with the Table*Parallel variants (see parallel.go); the sequential
-// TableN / TableNObserved forms are the same harnesses at workers == 1.
+// Each table's independent kernels fan out across a worker pool (see
+// parallel.go); workers == 1 runs them inline in table order.
 package experiments
 
 import (
-	"context"
-
-	"automatazoo/internal/automata"
-	"automatazoo/internal/core"
-	"automatazoo/internal/guard"
 	"automatazoo/internal/mesh"
 	"automatazoo/internal/segment"
 	"automatazoo/internal/snort"
-	"automatazoo/internal/stats"
 	"automatazoo/internal/telemetry"
 )
 
-// Observer carries optional telemetry sinks through an experiment: a
-// metrics registry the engines publish into, a tracer receiving execution
-// events, and a phase-span collector recording each kernel's
-// build/simulate/compress (etc.) wall-clock breakdown. Governor, when
-// non-nil, bounds the experiment: every kernel checks in at the
-// experiments.kernel boundary before starting and every engine runs
-// governed, so one budget trip stops the whole table. Progress, when
-// non-nil, receives one live heartbeat tracker per kernel (named after
-// the kernel), and Recorder logs kernel phase transitions and engine
-// events into the flight recorder for postmortem dumps. The zero value
-// (and a nil *Observer) disables all of them.
+// Observer carries the optional hook bundle through an experiment: the
+// Registry the engines publish into, the Tracer receiving execution
+// events, and the Spans collector recording each kernel's
+// build/simulate/compress (etc.) wall-clock breakdown. Governor bounds
+// the experiment: every kernel checks in at the experiments.kernel
+// boundary before starting and every engine runs governed, so one budget
+// trip stops the whole table. Recorder logs kernel phase transitions and
+// engine events for postmortem dumps. NewEngine selects the scan-engine
+// implementation for every simulation the experiment runs (the `azoo
+// table1 -engine` plumbing) — rows are identical for any exact engine, so
+// it changes how the table is computed, never its contents. The zero
+// value (and a nil *Observer) disables all of them.
 type Observer struct {
-	Registry *telemetry.Registry
-	Tracer   telemetry.Tracer
-	Spans    *telemetry.Spans
-	Governor *guard.Governor
+	segment.Hooks
+	// Progress, when non-nil, hands every kernel its own live heartbeat
+	// tracker (named after the kernel). It shadows the bundle's single
+	// tracker, which a multi-kernel experiment has no use for.
 	Progress *telemetry.Progress
-	Recorder *telemetry.FlightRecorder
 	// Attribute enables per-kernel cost attribution (internal/attr): each
 	// table row's TopOffender names the source pattern responsible for the
 	// most runtime cost. Off by default — attribution never perturbs the
 	// tables' timed loops (annotation scans run outside them) and the
-	// default rendered output is unchanged.
+	// default rendered output is unchanged. The bundle's Attribution
+	// collector is unused: every kernel builds its own.
 	Attribute bool
-	// NewEngine, if non-nil, selects the scan-engine implementation for
-	// every simulation the experiment runs (the `azoo table1 -engine`
-	// plumbing); nil uses the plain NFA interpreter. Rows are identical
-	// for any exact engine, so this changes how the table is computed,
-	// never its contents.
-	NewEngine func(*automata.Automaton) (segment.Engine, error)
 }
 
 func (o *Observer) attribute() bool { return o != nil && o.Attribute }
 
-func (o *Observer) newEngine() func(*automata.Automaton) (segment.Engine, error) {
+// sinks returns the observer's hook bundle and progress aggregator. A nil
+// observer yields the zero bundle and a nil aggregator, both valid no-ops.
+func (o *Observer) sinks() (segment.Hooks, *telemetry.Progress) {
 	if o == nil {
-		return nil
+		return segment.Hooks{}, nil
 	}
-	return o.NewEngine
-}
-
-func (o *Observer) registry() *telemetry.Registry {
-	if o == nil {
-		return nil
-	}
-	return o.Registry
-}
-
-func (o *Observer) tracer() telemetry.Tracer {
-	if o == nil {
-		return nil
-	}
-	return o.Tracer
-}
-
-func (o *Observer) spans() *telemetry.Spans {
-	if o == nil {
-		return nil
-	}
-	return o.Spans
-}
-
-func (o *Observer) governor() *guard.Governor {
-	if o == nil {
-		return nil
-	}
-	return o.Governor
-}
-
-func (o *Observer) recorder() *telemetry.FlightRecorder {
-	if o == nil {
-		return nil
-	}
-	return o.Recorder
-}
-
-// tracker returns the named per-kernel progress tracker, or nil when no
-// Progress aggregator is attached (a nil tracker is a valid no-op).
-func (o *Observer) tracker(name string) *telemetry.ProgressTracker {
-	if o == nil || o.Progress == nil {
-		return nil
-	}
-	return o.Progress.Tracker(name)
-}
-
-// TableI generates every suite benchmark at cfg's scale, computes its
-// static statistics, prefix-merge compression, and simulated active set,
-// and returns the rows in Table I order.
-func TableI(cfg core.Config, compress bool) ([]stats.Row, error) {
-	return TableIObserved(cfg, compress, nil)
-}
-
-// TableIObserved is TableI with telemetry: every benchmark's simulation
-// publishes into obs.Registry and traces to obs.Tracer.
-func TableIObserved(cfg core.Config, compress bool, obs *Observer) ([]stats.Row, error) {
-	return TableIParallel(context.Background(), cfg, compress, 1, obs)
+	return o.Hooks, o.Progress
 }
 
 // TableIIRow is one Random Forest variant's trade-off summary.
@@ -134,22 +67,6 @@ type TableIIRow struct {
 	// TopOffender names the costliest attributed pattern of the variant's
 	// automaton (set only under Observer.Attribute).
 	TopOffender string
-}
-
-// TableII trains the three benchmark variants on the synthetic digit
-// dataset and reports the state/accuracy/runtime trade-offs of Table II.
-// Runtime on a symbol-per-cycle architecture is proportional to symbols
-// per classification, which is how the paper's 1.35x arises (270/200
-// features).
-func TableII(samples int, seed uint64) ([]TableIIRow, error) {
-	return TableIIObserved(samples, seed, nil)
-}
-
-// TableIIObserved is TableII with telemetry: per-variant state and
-// symbol-cost gauges are recorded into obs.Registry (there is no engine
-// run to trace — the table compares trained models, not scans).
-func TableIIObserved(samples int, seed uint64, obs *Observer) ([]TableIIRow, error) {
-	return TableIIParallel(context.Background(), samples, seed, 1, obs)
 }
 
 // TableIIIRow is one engine's padding-overhead measurement. For the DFA
@@ -172,30 +89,6 @@ type TableIIIRow struct {
 	TopOffender string
 }
 
-// TableIII measures the Section-VII experiment: the same Sequence Matching
-// kernel built plain and with soft-reconfiguration padding, executed by
-// the NFA interpreter (VASim proxy) and the lazy-DFA engine (Hyperscan
-// proxy). The NFA engine pays for every enabled pad state; the DFA engine
-// mostly absorbs them into precomputed transitions.
-func TableIII(filters, inputItemsets int, seed uint64) ([]TableIIIRow, error) {
-	return TableIIIObserved(filters, inputItemsets, seed, nil)
-}
-
-// TableIIIObserved is TableIII with telemetry: both engines publish into
-// obs.Registry, and the DFA engine traces cache events to obs.Tracer.
-// (Symbol-level tracing is not attached inside the timed loops — it would
-// measure the tracer, not the engine.)
-func TableIIIObserved(filters, inputItemsets int, seed uint64, obs *Observer) ([]TableIIIRow, error) {
-	return TableIIIParallel(context.Background(), filters, inputItemsets, seed, 1, obs)
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
-
 // TableIVRow is one engine/algorithm combination's Random Forest
 // classification throughput.
 type TableIVRow struct {
@@ -212,21 +105,6 @@ type TableIVRow struct {
 	// TopOffender names the costliest attributed pattern (set on the
 	// automata rows only, under Observer.Attribute).
 	TopOffender string
-}
-
-// TableIV measures Random Forest classification throughput: automata
-// inference on the lazy-DFA engine (Hyperscan proxy), native decision-tree
-// inference single- and multi-threaded (Scikit-Learn proxy), and the
-// analytical REAPR FPGA model — the paper's full-kernel cross-algorithm
-// comparison, possible only because the benchmark is a complete model.
-func TableIV(samples int, seed uint64) ([]TableIVRow, error) {
-	return TableIVObserved(samples, seed, nil)
-}
-
-// TableIVObserved is TableIV with telemetry: the DFA engine publishes into
-// obs.Registry and traces cache events to obs.Tracer.
-func TableIVObserved(samples int, seed uint64, obs *Observer) ([]TableIVRow, error) {
-	return TableIVParallel(context.Background(), samples, seed, 1, obs)
 }
 
 // TableVRow is one profile-selected mesh configuration.

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"testing"
 
 	"automatazoo/internal/core"
@@ -12,7 +13,7 @@ func TestTableISmall(t *testing.T) {
 		t.Skip("full suite generation")
 	}
 	cfg := core.Config{Scale: 0.004, InputBytes: 3000, Seed: 1}
-	rows, err := TableI(cfg, true)
+	rows, err := TableI(context.Background(), cfg, true, 1, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -33,7 +34,7 @@ func TestTableII(t *testing.T) {
 	if testing.Short() {
 		t.Skip("trains three forests")
 	}
-	rows, err := TableII(2500, 7)
+	rows, err := TableII(context.Background(), 2500, 7, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,7 +65,7 @@ func TestTableIII(t *testing.T) {
 	if testing.Short() {
 		t.Skip("timed experiment")
 	}
-	rows, err := TableIII(100, 4000, 3)
+	rows, err := TableIII(context.Background(), 100, 4000, 3, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,7 +91,7 @@ func TestTableIV(t *testing.T) {
 	if testing.Short() {
 		t.Skip("trains a forest and times engines")
 	}
-	rows, err := TableIV(2000, 5)
+	rows, err := TableIV(context.Background(), 2000, 5, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -11,6 +11,7 @@ import (
 	"automatazoo/internal/core"
 	"automatazoo/internal/dfa"
 	"automatazoo/internal/guard"
+	"automatazoo/internal/hooks"
 	"automatazoo/internal/parallel"
 	"automatazoo/internal/randx"
 	"automatazoo/internal/rf"
@@ -21,42 +22,39 @@ import (
 	"automatazoo/internal/telemetry"
 )
 
-// The Table*Parallel harnesses fan each table's independent benchmark
-// kernels out across a worker pool (internal/parallel). Rows always come
-// back in the table's canonical order, and telemetry is kept deterministic
-// by giving every concurrent kernel its own registry and merging them into
+// The Table harnesses fan each table's independent benchmark kernels out
+// across a worker pool (internal/parallel). Rows always come back in the
+// table's canonical order, and telemetry is kept deterministic by giving
+// every concurrent kernel its own registry and merging them into
 // obs.Registry in row order once all kernels finish (telemetry.Registry
 // merge semantics are commutative, so final contents do not depend on
 // completion order). A shared tracer receives events from all kernels;
 // interleaving across kernels is scheduling-dependent under workers > 1.
 //
-// workers == 1 runs every kernel inline in table order — byte-identical
-// behaviour to the sequential TableN/TableNObserved harnesses, which are
-// now thin wrappers over these with workers == 1.
+// workers == 1 runs every kernel inline in table order — the sequential
+// harness. A nil obs runs the table unobserved.
 //
 // Rows that contain wall-clock timings (Tables III and IV) remain valid
 // per-kernel measurements under workers > 1, but concurrent kernels share
 // the machine: use workers == 1 when reproducing the paper's absolute
 // numbers, and workers > 1 when regenerating many tables quickly.
 
-// localRegistries allocates one registry per kernel when obs carries a
-// registry (nil otherwise), so concurrent kernels never contend and the
-// merged result is deterministic.
-func localRegistries(obs *Observer, n int) []*telemetry.Registry {
-	if obs.registry() == nil {
-		return make([]*telemetry.Registry, n)
-	}
+// localRegistries allocates one registry per kernel when the experiment
+// carries a shared one (nil entries otherwise), so concurrent kernels
+// never contend and the merged result is deterministic.
+func localRegistries(shared *telemetry.Registry, n int) []*telemetry.Registry {
 	regs := make([]*telemetry.Registry, n)
-	for i := range regs {
-		regs[i] = telemetry.NewRegistry()
+	if shared != nil {
+		for i := range regs {
+			regs[i] = telemetry.NewRegistry()
+		}
 	}
 	return regs
 }
 
-// mergeRegistries folds the per-kernel registries into obs.Registry in
-// index order.
-func mergeRegistries(obs *Observer, regs []*telemetry.Registry) {
-	shared := obs.registry()
+// mergeRegistries folds the per-kernel registries into shared in index
+// order.
+func mergeRegistries(shared *telemetry.Registry, regs []*telemetry.Registry) {
 	if shared == nil {
 		return
 	}
@@ -65,26 +63,23 @@ func mergeRegistries(obs *Observer, regs []*telemetry.Registry) {
 	}
 }
 
-// localSpans allocates one span fork per kernel when obs carries a span
-// collector (nil otherwise): concurrent kernels record phase spans
-// without contention, and adoptSpans folds them back in index order so
-// the final span tree is deterministic regardless of completion order.
-func localSpans(obs *Observer, n int) []*telemetry.Spans {
-	shared := obs.spans()
-	if shared == nil {
-		return make([]*telemetry.Spans, n)
-	}
+// localSpans allocates one span fork per kernel when the experiment
+// carries a span collector (nil entries otherwise): concurrent kernels
+// record phase spans without contention, and adoptSpans folds them back
+// in index order so the final span tree is deterministic regardless of
+// completion order.
+func localSpans(shared *telemetry.Spans, n int) []*telemetry.Spans {
 	forks := make([]*telemetry.Spans, n)
-	for i := range forks {
-		forks[i] = shared.Fork()
+	if shared != nil {
+		for i := range forks {
+			forks[i] = shared.Fork()
+		}
 	}
 	return forks
 }
 
-// adoptSpans folds the per-kernel span forks into obs.Spans in index
-// order.
-func adoptSpans(obs *Observer, forks []*telemetry.Spans) {
-	shared := obs.spans()
+// adoptSpans folds the per-kernel span forks into shared in index order.
+func adoptSpans(shared *telemetry.Spans, forks []*telemetry.Spans) {
 	if shared == nil {
 		return
 	}
@@ -101,7 +96,7 @@ func annotateNFA(a *automata.Automaton, prefix string, inputs [][]byte) string {
 	col := attr.NewCollector(a, attr.FromComponents(a, prefix))
 	e := sim.New(a)
 	led := col.Ledger(col.GlobalCompOf())
-	e.SetLedger(led)
+	e.Attach(hooks.Set{Ledger: led})
 	for _, in := range inputs {
 		e.Reset()
 		e.Run(in)
@@ -118,7 +113,7 @@ func annotateDFA(a *automata.Automaton, prefix string, inputs [][]byte) (string,
 		return "", err
 	}
 	led := col.Ledger(col.GlobalCompOf())
-	e.SetLedger(led)
+	e.Attach(hooks.Set{Ledger: led})
 	for _, in := range inputs {
 		e.Reset()
 		if _, err := e.RunChecked(in); err != nil {
@@ -140,31 +135,28 @@ func perSecond(n int, elapsed time.Duration) float64 {
 	return float64(n) / elapsed.Seconds()
 }
 
-// TableIParallel regenerates Table I with up to workers benchmarks
-// generated, simulated, and (optionally) compressed concurrently. Rows
-// are returned in Table I order regardless of completion order.
-func TableIParallel(ctx context.Context, cfg core.Config, compress bool, workers int, obs *Observer) ([]stats.Row, error) {
-	// segments == 1 pins the exact historical per-kernel execution path.
-	return TableIParallelSegmented(ctx, cfg, compress, workers, 1, obs)
-}
-
-// TableIParallelSegmented is TableIParallel with segment-parallel input
-// scanning (internal/segment) layered under the kernel fan-out: each
-// kernel's input streams are additionally split into segments scanned
-// speculatively and stitched exactly. segments follows the -segments flag
-// convention — 0 resolves automatically per stream from its size and
-// workers (the suite's standard inputs stay sequential), 1 disables
-// segmentation, N > 1 forces exactly N. Rows are identical for every
-// (workers, segments) pair; the speculation's stitch accounting surfaces
-// through the observer's registry (segment.* counters), never in rows.
-func TableIParallelSegmented(ctx context.Context, cfg core.Config, compress bool, workers, segments int, obs *Observer) ([]stats.Row, error) {
+// TableI regenerates Table I: every suite benchmark is generated at cfg's
+// scale, its static statistics, (optionally) prefix-merge compression and
+// simulated active set are computed — up to workers benchmarks
+// concurrently — and the rows come back in Table I order regardless of
+// completion order.
+//
+// Segment-parallel input scanning (internal/segment) is layered under the
+// kernel fan-out: each kernel's input streams are additionally split into
+// segments scanned speculatively and stitched exactly. segments follows
+// the -segments flag convention — 0 resolves automatically per stream from
+// its size and workers (the suite's standard inputs stay sequential), 1
+// disables segmentation and pins the exact per-kernel sequential path,
+// N > 1 forces exactly N. Rows are identical for every (workers, segments)
+// pair; the speculation's stitch accounting surfaces through the
+// observer's registry (segment.* counters), never in rows.
+func TableI(ctx context.Context, cfg core.Config, compress bool, workers, segments int, obs *Observer) ([]stats.Row, error) {
 	benches := core.All()
 	rows := make([]stats.Row, len(benches))
-	regs := localRegistries(obs, len(benches))
-	forks := localSpans(obs, len(benches))
-	tr := obs.tracer()
-	gov := obs.governor()
-	rec := obs.recorder()
+	h, prog := obs.sinks()
+	regs := localRegistries(h.Registry, len(benches))
+	forks := localSpans(h.Spans, len(benches))
+	gov, rec := h.Governor, h.Recorder
 	err := parallel.ForEach(ctx, workers, len(benches), func(i int) error {
 		b := benches[i]
 		rec.Record(telemetry.RecPhase, i, b.Name, 0)
@@ -187,21 +179,19 @@ func TableIParallelSegmented(ctx context.Context, cfg core.Config, compress bool
 		if err != nil {
 			return fmt.Errorf("%s: %w", b.Name, err)
 		}
-		pt := obs.tracker(b.Name)
+		// The kernel's bundle: its own registry, tracker and collector. Its
+		// phase spans are this harness's (ksp); the scan drivers get none.
+		kh := h
+		kh.Registry, kh.Spans, kh.Progress, kh.Attribution = regs[i], nil, prog.Tracker(b.Name), col
 		ssp := ksp.Start("simulate")
 		dyn, _, err := stats.ObserveStreams(ctx, a, segs, stats.StreamOptions{
-			Workers: workers, Segments: segments,
-			Hooks: stats.Hooks{
-				Registry: regs[i], Tracer: tr, Governor: gov,
-				Progress: pt, Recorder: rec, Attribution: col,
-				NewEngine: obs.newEngine(),
-			},
+			Workers: workers, Segments: segments, Hooks: kh,
 		})
 		ssp.End()
 		if err != nil {
 			return fmt.Errorf("%s: %w", b.Name, err)
 		}
-		pt.Done()
+		kh.Progress.Done()
 		rec.Record(telemetry.RecPhase, i, b.Name, 1)
 		row := stats.Row{
 			Name:    b.Name,
@@ -224,25 +214,30 @@ func TableIParallelSegmented(ctx context.Context, cfg core.Config, compress bool
 	// Merge telemetry on the error path too: a truncated table still
 	// reports the partial phase spans and counters of the kernels that ran
 	// (the pool has drained, so the forks and registries are settled).
-	mergeRegistries(obs, regs)
-	adoptSpans(obs, forks)
+	mergeRegistries(h.Registry, regs)
+	adoptSpans(h.Spans, forks)
 	if err != nil {
 		return nil, err
 	}
 	return rows, nil
 }
 
-// TableIIParallel regenerates Table II with the three Random Forest
-// variants trained and built concurrently. The dataset is generated once
-// and shared read-only.
-func TableIIParallel(ctx context.Context, samples int, seed uint64, workers int, obs *Observer) ([]TableIIRow, error) {
+// TableII trains the three benchmark variants on the synthetic digit
+// dataset — concurrently, on a dataset generated once and shared
+// read-only — and reports the state/accuracy/runtime trade-offs of Table
+// II. Runtime on a symbol-per-cycle architecture is proportional to
+// symbols per classification, which is how the paper's 1.35x arises
+// (270/200 features). Per-variant state and symbol-cost gauges are
+// recorded into obs.Registry (there is no engine run to trace — the table
+// compares trained models, not scans).
+func TableII(ctx context.Context, samples int, seed uint64, workers int, obs *Observer) ([]TableIIRow, error) {
 	ds := rf.GenerateDataset(samples, seed)
 	train, test := ds.Split(0.8)
 	variants := []rf.Variant{rf.VariantA, rf.VariantB, rf.VariantC}
-	regs := localRegistries(obs, len(variants))
-	forks := localSpans(obs, len(variants))
-	gov := obs.governor()
-	rec := obs.recorder()
+	h, _ := obs.sinks()
+	regs := localRegistries(h.Registry, len(variants))
+	forks := localSpans(h.Spans, len(variants))
+	gov, rec := h.Governor, h.Recorder
 	rows, err := parallel.Map(ctx, workers, len(variants), func(i int) (TableIIRow, error) {
 		v := variants[i]
 		rec.Record(telemetry.RecPhase, i, "rf."+v.Name, 0)
@@ -290,8 +285,8 @@ func TableIIParallel(ctx context.Context, samples int, seed uint64, workers int,
 		}
 		return row, nil
 	})
-	mergeRegistries(obs, regs)
-	adoptSpans(obs, forks)
+	mergeRegistries(h.Registry, regs)
+	adoptSpans(h.Spans, forks)
 	if err != nil {
 		return nil, err
 	}
@@ -307,19 +302,29 @@ func TableIIParallel(ctx context.Context, samples int, seed uint64, workers int,
 	return rows, nil
 }
 
-// TableIIIParallel regenerates Table III with its four timed kernels
-// (NFA plain, NFA padded, DFA plain, DFA padded) run concurrently on up
-// to workers goroutines. Each kernel's wall-clock measurement is taken on
-// its own engine; with workers > 1 the kernels contend for the machine,
-// so use workers == 1 for paper-fidelity absolute timings.
-func TableIIIParallel(ctx context.Context, filters, inputItemsets int, seed uint64, workers int, obs *Observer) ([]TableIIIRow, error) {
+// TableIII measures the Section-VII experiment: the same Sequence Matching
+// kernel built plain and with soft-reconfiguration padding, executed by
+// the NFA interpreter (VASim proxy) and the lazy-DFA engine (Hyperscan
+// proxy). The NFA engine pays for every enabled pad state; the DFA engine
+// mostly absorbs them into precomputed transitions.
+//
+// The four timed kernels (NFA plain, NFA padded, DFA plain, DFA padded)
+// run concurrently on up to workers goroutines. Each kernel's wall-clock
+// measurement is taken on its own engine; with workers > 1 the kernels
+// contend for the machine, so use workers == 1 for paper-fidelity
+// absolute timings. Both engines publish into obs.Registry, and the DFA
+// engine traces cache events to obs.Tracer. (Symbol-level tracing is not
+// attached inside the timed loops — it would measure the tracer, not the
+// engine.)
+func TableIII(ctx context.Context, filters, inputItemsets int, seed uint64, workers int, obs *Observer) ([]TableIIIRow, error) {
+	h, prog := obs.sinks()
 	rng := randx.New(seed)
 	pats := make([]spm.Pattern, filters)
 	for i := range pats {
 		pats[i] = spm.RandomPattern(rng, 6)
 	}
 	// The two automaton builds are themselves independent work items.
-	buildForks := localSpans(obs, 2)
+	buildForks := localSpans(h.Spans, 2)
 	built, err := parallel.Map(ctx, workers, 2, func(i int) (*automata.Automaton, error) {
 		name := "build.plain"
 		pad := 0
@@ -330,7 +335,7 @@ func TableIIIParallel(ctx context.Context, filters, inputItemsets int, seed uint
 		defer bsp.End()
 		return spm.Benchmark(filters, 6, spm.Config{Padding: pad}, seed)
 	})
-	adoptSpans(obs, buildForks)
+	adoptSpans(h.Spans, buildForks)
 	if err != nil {
 		return nil, err
 	}
@@ -346,16 +351,12 @@ func TableIIIParallel(ctx context.Context, filters, inputItemsets int, seed uint
 		}
 		return best
 	}
-	regs := localRegistries(obs, 4)
-	tr := obs.tracer()
-	gov := obs.governor()
-	rec := obs.recorder()
-	timeNFA := func(a *automata.Automaton, reg *telemetry.Registry, pt *telemetry.ProgressTracker) (float64, error) {
+	regs := localRegistries(h.Registry, 4)
+	gov, rec := h.Governor, h.Recorder
+	timeNFA := func(a *automata.Automaton, set hooks.Set) (float64, error) {
 		e := sim.New(a)
-		e.SetRegistry(reg)
-		e.SetGovernor(gov)
-		e.SetProgress(pt)
-		e.SetRecorder(rec)
+		set.Tracer = nil // see the doc comment: not inside the timed loop
+		e.Attach(set)
 		var rerr error
 		sec := bestOf(3, func() float64 {
 			e.Reset()
@@ -365,19 +366,15 @@ func TableIIIParallel(ctx context.Context, filters, inputItemsets int, seed uint
 			}
 			return time.Since(start).Seconds()
 		})
-		pt.Done()
+		set.Progress.Done()
 		return sec, rerr
 	}
-	timeDFA := func(a *automata.Automaton, reg *telemetry.Registry, pt *telemetry.ProgressTracker) (float64, dfa.Stats, error) {
+	timeDFA := func(a *automata.Automaton, set hooks.Set) (float64, dfa.Stats, error) {
 		e, err := dfa.New(a)
 		if err != nil {
 			return 0, dfa.Stats{}, err
 		}
-		e.SetRegistry(reg)
-		e.SetTracer(tr)
-		e.SetGovernor(gov)
-		e.SetProgress(pt)
-		e.SetRecorder(rec)
+		e.Attach(set)
 		if _, err := e.RunChecked(input); err != nil { // warm the transition cache fully
 			return 0, dfa.Stats{}, err
 		}
@@ -393,7 +390,7 @@ func TableIIIParallel(ctx context.Context, filters, inputItemsets int, seed uint
 			}
 			return time.Since(start).Seconds() / loops
 		})
-		pt.Done()
+		set.Progress.Done()
 		return sec, e.Stats(), rerr
 	}
 
@@ -403,7 +400,7 @@ func TableIIIParallel(ctx context.Context, filters, inputItemsets int, seed uint
 	dfaStats := make([]dfa.Stats, 4)
 	autos := []*automata.Automaton{plain, padded, plain, padded}
 	names := []string{"nfa.plain", "nfa.padded", "dfa.plain", "dfa.padded"}
-	forks := localSpans(obs, 4)
+	forks := localSpans(h.Spans, 4)
 	err = parallel.ForEach(ctx, workers, 4, func(i int) error {
 		rec.Record(telemetry.RecPhase, i, names[i], 0)
 		if err := gov.Boundary(guard.SiteKernel, 0); err != nil {
@@ -412,21 +409,22 @@ func TableIIIParallel(ctx context.Context, filters, inputItemsets int, seed uint
 		ksp := forks[i].Start(names[i])
 		defer ksp.End()
 		defer rec.Record(telemetry.RecPhase, i, names[i], 1)
-		pt := obs.tracker("table3." + names[i])
+		kh := h
+		kh.Registry, kh.Progress = regs[i], prog.Tracker("table3."+names[i])
 		if i < 2 {
-			sec, err := timeNFA(autos[i], regs[i], pt)
+			sec, err := timeNFA(autos[i], kh.EngineSet())
 			secs[i] = sec
 			return err
 		}
-		sec, st, err := timeDFA(autos[i], regs[i], pt)
+		sec, st, err := timeDFA(autos[i], kh.EngineSet())
 		if err != nil {
 			return err
 		}
 		secs[i], dfaStats[i] = sec, st
 		return nil
 	})
-	mergeRegistries(obs, regs)
-	adoptSpans(obs, forks)
+	mergeRegistries(h.Registry, regs)
+	adoptSpans(h.Spans, forks)
 	if err != nil {
 		return nil, err
 	}
@@ -465,13 +463,19 @@ func TableIIIParallel(ctx context.Context, filters, inputItemsets int, seed uint
 	return rows, nil
 }
 
-// TableIVParallel regenerates Table IV with its single-threaded kernels
-// (the Hyperscan-proxy DFA scan, native single-threaded inference, and
-// the REAPR analytical model) run concurrently; the native multi-threaded
-// measurement runs after the pool drains, because it saturates every core
-// by itself. As with Table III, workers == 1 reproduces the sequential
-// harness exactly.
-func TableIVParallel(ctx context.Context, samples int, seed uint64, workers int, obs *Observer) ([]TableIVRow, error) {
+// TableIV measures Random Forest classification throughput: automata
+// inference on the lazy-DFA engine (Hyperscan proxy), native decision-tree
+// inference single- and multi-threaded (Scikit-Learn proxy), and the
+// analytical REAPR FPGA model — the paper's full-kernel cross-algorithm
+// comparison, possible only because the benchmark is a complete model.
+//
+// The single-threaded kernels (the DFA scan, native single-threaded
+// inference, and the REAPR model) run concurrently; the native
+// multi-threaded measurement runs after the pool drains, because it
+// saturates every core by itself. As with Table III, workers == 1 is the
+// sequential harness. The DFA engine publishes into obs.Registry and
+// traces cache events to obs.Tracer.
+func TableIV(ctx context.Context, samples int, seed uint64, workers int, obs *Observer) ([]TableIVRow, error) {
 	ds := rf.GenerateDataset(samples, seed)
 	train, test := ds.Split(0.8)
 	m, err := rf.Train(train, rf.VariantB, seed)
@@ -492,11 +496,10 @@ func TableIVParallel(ctx context.Context, samples int, seed uint64, workers int,
 	var hsRate, nativeRate, fpgaRate float64
 	var dfaStats dfa.Stats
 	var annotateIns [][]byte // encoded samples kept for the annotation pass
-	regs := localRegistries(obs, 3)
-	forks := localSpans(obs, 3)
-	tr := obs.tracer()
-	gov := obs.governor()
-	rec := obs.recorder()
+	h, prog := obs.sinks()
+	regs := localRegistries(h.Registry, 3)
+	forks := localSpans(h.Spans, 3)
+	gov, rec := h.Governor, h.Recorder
 	kernelNames := []string{"hyperscan", "native", "reapr"}
 	kernels := []func() error{
 		func() error { // Hyperscan proxy: per-sample DFA scan.
@@ -515,13 +518,10 @@ func TableIVParallel(ctx context.Context, samples int, seed uint64, workers int,
 			if err != nil {
 				return err
 			}
-			de.SetRegistry(regs[0])
-			de.SetTracer(tr)
-			de.SetGovernor(gov)
-			pt := obs.tracker("table4.hyperscan")
-			de.SetProgress(pt)
-			de.SetRecorder(rec)
-			defer pt.Done()
+			kh := h
+			kh.Registry, kh.Progress = regs[0], prog.Tracker("table4.hyperscan")
+			de.Attach(kh.EngineSet())
+			defer kh.Progress.Done()
 			for _, s := range encoded[:min(64, len(encoded))] {
 				de.Reset()
 				if _, err := de.RunChecked(s); err != nil {
@@ -572,15 +572,15 @@ func TableIVParallel(ctx context.Context, samples int, seed uint64, workers int,
 		defer rec.Record(telemetry.RecPhase, i, kernelNames[i], 1)
 		return kernels[i]()
 	})
-	mergeRegistries(obs, regs)
-	adoptSpans(obs, forks)
+	mergeRegistries(h.Registry, regs)
+	adoptSpans(h.Spans, forks)
 	if err != nil {
 		return nil, err
 	}
 
 	// Native multi-threaded, alone on the machine (recorded straight into
 	// obs.Spans: the pool has drained, so there is no contention to avoid).
-	msp := obs.spans().Start("native_mt")
+	msp := h.Spans.Start("native_mt")
 	start := time.Now()
 	m.PredictBatch(batch, runtime.GOMAXPROCS(0))
 	mtRate := perSecond(len(batch), time.Since(start))

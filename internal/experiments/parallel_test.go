@@ -22,12 +22,12 @@ func TestTableIParallelMatchesSequential(t *testing.T) {
 	}
 	cfg := core.Config{Scale: 0.004, InputBytes: 3000, Seed: 1}
 	seqReg := telemetry.NewRegistry()
-	seq, err := TableIObserved(cfg, false, &Observer{Registry: seqReg})
+	seq, err := TableI(context.Background(), cfg, false, 1, 1, &Observer{Hooks: segment.Hooks{Registry: seqReg}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	parReg := telemetry.NewRegistry()
-	par, err := TableIParallel(context.Background(), cfg, false, runtime.NumCPU(), &Observer{Registry: parReg})
+	par, err := TableI(context.Background(), cfg, false, runtime.NumCPU(), 1, &Observer{Hooks: segment.Hooks{Registry: parReg}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -50,12 +50,12 @@ func TestTableISegmentedMatchesSequential(t *testing.T) {
 		t.Skip("full suite generation, twice")
 	}
 	cfg := core.Config{Scale: 0.004, InputBytes: 3000, Seed: 1}
-	seq, err := TableIParallel(context.Background(), cfg, false, runtime.NumCPU(), nil)
+	seq, err := TableI(context.Background(), cfg, false, runtime.NumCPU(), 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	reg := telemetry.NewRegistry()
-	seg, err := TableIParallelSegmented(context.Background(), cfg, false, runtime.NumCPU(), 3, &Observer{Registry: reg})
+	seg, err := TableI(context.Background(), cfg, false, runtime.NumCPU(), 3, &Observer{Hooks: segment.Hooks{Registry: reg}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,17 +77,17 @@ func TestTableIPrefilterMatchesSequential(t *testing.T) {
 		t.Skip("full suite generation, twice")
 	}
 	cfg := core.Config{Scale: 0.004, InputBytes: 3000, Seed: 1}
-	seq, err := TableIParallel(context.Background(), cfg, false, runtime.NumCPU(), nil)
+	seq, err := TableI(context.Background(), cfg, false, runtime.NumCPU(), 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	reg := telemetry.NewRegistry()
-	pf, err := TableIParallelSegmented(context.Background(), cfg, false, runtime.NumCPU(), 0, &Observer{
+	pf, err := TableI(context.Background(), cfg, false, runtime.NumCPU(), 0, &Observer{Hooks: segment.Hooks{
 		Registry: reg,
 		NewEngine: func(a *automata.Automaton) (segment.Engine, error) {
 			return prefilter.New(a)
 		},
-	})
+	}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,12 +103,12 @@ func TestTableIIParallelMatchesSequential(t *testing.T) {
 		t.Skip("trains six forests")
 	}
 	seqReg := telemetry.NewRegistry()
-	seq, err := TableIIObserved(800, 7, &Observer{Registry: seqReg})
+	seq, err := TableII(context.Background(), 800, 7, 1, &Observer{Hooks: segment.Hooks{Registry: seqReg}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	parReg := telemetry.NewRegistry()
-	par, err := TableIIParallel(context.Background(), 800, 7, 3, &Observer{Registry: parReg})
+	par, err := TableII(context.Background(), 800, 7, 3, &Observer{Hooks: segment.Hooks{Registry: parReg}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,7 +130,7 @@ func TestTableIIIParallelStructure(t *testing.T) {
 		t.Skip("timed experiment")
 	}
 	reg := telemetry.NewRegistry()
-	rows, err := TableIIIParallel(context.Background(), 60, 2000, 3, runtime.NumCPU(), &Observer{Registry: reg})
+	rows, err := TableIII(context.Background(), 60, 2000, 3, runtime.NumCPU(), &Observer{Hooks: segment.Hooks{Registry: reg}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -154,7 +154,7 @@ func TestTableIVParallelStructure(t *testing.T) {
 	if testing.Short() {
 		t.Skip("trains a forest and times engines")
 	}
-	rows, err := TableIVParallel(context.Background(), 1000, 5, runtime.NumCPU(), nil)
+	rows, err := TableIV(context.Background(), 1000, 5, runtime.NumCPU(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"automatazoo/internal/core"
+	"automatazoo/internal/segment"
 	"automatazoo/internal/telemetry"
 )
 
@@ -17,9 +18,9 @@ func TestPrometheusByteStableAcrossWorkers(t *testing.T) {
 	cfg := core.Config{Scale: 0.004, InputBytes: 3000, Seed: 1}
 	render := func(workers int) string {
 		reg := telemetry.NewRegistry()
-		obs := &Observer{Registry: reg}
-		if _, err := TableIParallel(context.Background(), cfg, false, workers, obs); err != nil {
-			t.Fatalf("TableIParallel j=%d: %v", workers, err)
+		obs := &Observer{Hooks: segment.Hooks{Registry: reg}}
+		if _, err := TableI(context.Background(), cfg, false, workers, 1, obs); err != nil {
+			t.Fatalf("TableI j=%d: %v", workers, err)
 		}
 		var b bytes.Buffer
 		if err := reg.WritePrometheus(&b); err != nil {

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"automatazoo/internal/core"
+	"automatazoo/internal/segment"
 	"automatazoo/internal/telemetry"
 )
 
@@ -45,7 +46,7 @@ func TestTableISpansDeterministicAcrossWorkers(t *testing.T) {
 	var trees [][]telemetry.SpanSnapshot
 	for _, workers := range []int{1, 4} {
 		spans := telemetry.NewSpans()
-		_, err := TableIParallel(context.Background(), cfg, false, workers, &Observer{Spans: spans})
+		_, err := TableI(context.Background(), cfg, false, workers, 1, &Observer{Hooks: segment.Hooks{Spans: spans}})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -77,7 +78,7 @@ func TestTableISpansDeterministicAcrossWorkers(t *testing.T) {
 // TestTableISpansNilObserver asserts the disabled path stays a no-op.
 func TestTableISpansNilObserver(t *testing.T) {
 	cfg := core.Config{Scale: 0.01, InputBytes: 1000, Seed: 0xa20}
-	if _, err := TableIParallel(context.Background(), cfg, false, 2, nil); err != nil {
+	if _, err := TableI(context.Background(), cfg, false, 2, 1, nil); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -14,6 +14,7 @@ import (
 	"automatazoo/internal/parallel"
 	"automatazoo/internal/partition"
 	"automatazoo/internal/randx"
+	"automatazoo/internal/segment"
 	"automatazoo/internal/sim"
 )
 
@@ -57,7 +58,7 @@ func governedRun(p *partition.Plan, input []byte, workers int, spec string, spec
 	for pass := 0; pass < 6; pass++ {
 		_, err := p.Run(context.Background(), input, partition.RunOptions{
 			Workers:  workers,
-			Governor: g,
+			Hooks:    segment.Hooks{Governor: g},
 			OnReport: func(r sim.Report) { reports = append(reports, r) },
 		})
 		if err != nil {

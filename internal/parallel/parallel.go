@@ -1,8 +1,8 @@
 // Package parallel is the suite's shared worker-pool layer: bounded
 // fan-out of independent work items across goroutines, used to run
 // partition slices (partition.Plan.RunParallel), benchmark simulations
-// (stats.ObserveSegmentsParallel), and the experiment harnesses
-// (experiments.Table*Parallel) on every core instead of one.
+// (stats.ObserveSegmentsParallelHooked), and the experiment harnesses
+// (experiments.TableI–TableIV) on every core instead of one.
 //
 // The package exists because automata workloads are embarrassingly
 // parallel across connected components — components share no edges, so

@@ -9,6 +9,7 @@ import (
 	"automatazoo/internal/automata"
 	"automatazoo/internal/mesh"
 	"automatazoo/internal/randx"
+	"automatazoo/internal/segment"
 	"automatazoo/internal/sim"
 	"automatazoo/internal/spm"
 	"automatazoo/internal/telemetry"
@@ -192,7 +193,7 @@ func TestRunParallelSharedRegistryRace(t *testing.T) {
 	counts := map[int]int64{}
 	for _, workers := range []int{1, runtime.NumCPU()} {
 		reg := telemetry.NewRegistry()
-		if _, err := p.Run(context.Background(), k.input, RunOptions{Workers: workers, Registry: reg}); err != nil {
+		if _, err := p.Run(context.Background(), k.input, RunOptions{Workers: workers, Hooks: segment.Hooks{Registry: reg}}); err != nil {
 			t.Fatal(err)
 		}
 		counts[workers] = reg.Counter("sim.symbols").Value()

@@ -23,7 +23,6 @@ import (
 	"fmt"
 	"sort"
 
-	"automatazoo/internal/attr"
 	"automatazoo/internal/automata"
 	"automatazoo/internal/guard"
 	"automatazoo/internal/parallel"
@@ -222,40 +221,12 @@ type RunOptions struct {
 	// OnReport, if non-nil, receives every report after all passes
 	// complete, in the canonical merged order (see RunParallel).
 	OnReport func(sim.Report)
-	// Registry, if non-nil, is attached to every slice engine; sim.*
-	// counters and the frontier histogram accumulate the per-slice work.
-	// Final registry contents are deterministic (counter sums and
-	// histogram totals are order-independent), but note they describe
-	// per-slice engine work: sim.symbols counts Passes() × len(input).
-	Registry *telemetry.Registry
-	// Tracer, if non-nil, is attached to every slice engine. It must be
-	// safe for concurrent use (telemetry.NDJSON is); event interleaving
-	// across slices is scheduling-dependent under Workers > 1.
-	Tracer telemetry.Tracer
-	// Spans, if non-nil, receives a "partition.run" phase span whose
-	// children time slice extraction ("extract"), slice scanning ("scan"),
-	// and report merging ("merge"). Per-slice timings aggregate into those
-	// three nodes (each worker records into a fork adopted in slice-index
-	// order), so the span tree is deterministic at any worker count.
-	Spans *telemetry.Spans
-	// Governor, if non-nil, bounds the run: every slice checks in at the
-	// partition.slice boundary before extracting, and each slice engine
-	// runs governed (per-chunk budget checks, see sim.RunChecked). One
-	// budget trip stops all slices cooperatively; the error is the trip.
-	Governor *guard.Governor
-	// Progress, if non-nil, is attached to every slice engine: each
-	// heartbeats its chunk-boundary progress into the shared tracker
-	// (atomic adds, so any worker count aggregates to the same totals).
-	Progress *telemetry.ProgressTracker
-	// Recorder, if non-nil, receives per-slice phase events and every
-	// slice engine's chunk/trip events for postmortem dumps.
-	Recorder *telemetry.FlightRecorder
-	// Attribution, if non-nil, collects per-component cost-attribution
-	// totals (internal/attr): every slice engine gets a slice-local ledger
-	// committed after its pass, so the collector's folded totals are
-	// identical at any worker or segment count (ledger commits are
-	// commutative sums).
-	Attribution *attr.Collector
+	// Hooks are attached to every slice engine (and, under Segments > 1,
+	// every segment master and speculative engine). Note the Registry
+	// describes per-slice engine work: sim.symbols counts Passes() ×
+	// len(input). Every slice engine gets a slice-local attribution ledger
+	// committed after its pass.
+	segment.Hooks
 	// Segments, when > 1, additionally splits each slice's scan of the
 	// input into that many segment-parallel pieces (internal/segment):
 	// segment 0 scans exactly, later segments speculatively, and a
@@ -273,12 +244,6 @@ type RunOptions struct {
 	// than engine emission order. Offsets are still ascending and ties
 	// across slices still break by slice index; the multiset is unchanged.
 	Segments int
-	// NewEngine, if non-nil, constructs every slice engine (and, under
-	// Segments > 1, every segment master and speculative engine); nil uses
-	// the plain NFA interpreter (sim.New). The factory must be
-	// deterministic so the report-stream contract holds at any worker or
-	// segment count.
-	NewEngine func(*automata.Automaton) (segment.Engine, error)
 }
 
 // RunParallel executes input once per slice, fanning the slices out over
@@ -309,12 +274,11 @@ func (p *Plan) Run(ctx context.Context, input []byte, opts RunOptions) (Result, 
 	// cancellation observability: wrap it in a budget-free governor so the
 	// slice engines check ctx at chunk boundaries. context.Background()
 	// (Done() == nil) keeps the exact ungoverned path.
-	gov := opts.Governor
-	if gov == nil && ctx != nil && ctx.Done() != nil {
-		gov = guard.New(ctx, guard.Budget{})
+	if opts.Governor == nil && ctx != nil && ctx.Done() != nil {
+		opts.Governor = guard.New(ctx, guard.Budget{})
 	}
 	if opts.Segments > 1 {
-		return p.runSegmented(ctx, input, opts, gov)
+		return p.runSegmented(ctx, input, opts)
 	}
 	var buffered [][]sim.Report
 	if opts.OnReport != nil {
@@ -333,7 +297,7 @@ func (p *Plan) Run(ctx context.Context, input []byte, opts RunOptions) (Result, 
 	}
 	err := parallel.ForEach(ctx, opts.Workers, len(p.Slices), func(i int) error {
 		opts.Recorder.Record(telemetry.RecPhase, i, guard.SitePartitionSlice, 0)
-		if err := gov.Boundary(guard.SitePartitionSlice, 0); err != nil {
+		if err := opts.Governor.Boundary(guard.SitePartitionSlice, 0); err != nil {
 			return err
 		}
 		var ss *telemetry.Spans
@@ -346,32 +310,23 @@ func (p *Plan) Run(ctx context.Context, input []byte, opts RunOptions) (Result, 
 		if err != nil {
 			return err
 		}
-		var e segment.Engine
-		if opts.NewEngine != nil {
-			if e, err = opts.NewEngine(sub); err != nil {
-				return err
-			}
-		} else {
-			e = sim.New(sub)
+		e, err := opts.New(sub)
+		if err != nil {
+			return err
 		}
-		e.SetRegistry(opts.Registry)
-		e.SetTracer(opts.Tracer)
-		e.SetGovernor(gov)
-		e.SetProgress(opts.Progress)
-		e.SetRecorder(opts.Recorder)
-		var led *attr.Ledger
+		set := opts.EngineSet()
 		if opts.Attribution != nil {
-			led = opts.Attribution.Ledger(p.SliceCompOf(i))
-			e.SetLedger(led)
+			set.Ledger = opts.Ledger(p.SliceCompOf(i))
 		}
+		e.Attach(set)
 		if buffered != nil {
 			e.SetOnReport(func(r sim.Report) { buffered[i] = append(buffered[i], r) })
 		}
 		rsp := ss.Start("scan")
 		st, err := e.RunChecked(input)
 		rsp.End()
-		if led != nil {
-			led.Commit()
+		if set.Ledger != nil {
+			set.Ledger.Commit()
 		}
 		stats[i] = st
 		return err
@@ -416,7 +371,7 @@ func (p *Plan) Run(ctx context.Context, input []byte, opts RunOptions) (Result, 
 // validates or replays every speculative segment); Result.Stitch carries
 // the speculation accounting. On a budget trip the partial Result sums
 // each slice's exact master-scanned prefix, like the unsegmented path.
-func (p *Plan) runSegmented(ctx context.Context, input []byte, opts RunOptions, gov *guard.Governor) (Result, error) {
+func (p *Plan) runSegmented(ctx context.Context, input []byte, opts RunOptions) (Result, error) {
 	res := Result{Passes: p.Passes()}
 	root := opts.Spans.Start("partition.run")
 	var sliceSpans []*telemetry.Spans
@@ -429,7 +384,7 @@ func (p *Plan) runSegmented(ctx context.Context, input []byte, opts RunOptions, 
 	runners := make([]*segment.Runner, len(p.Slices))
 	err := parallel.ForEach(ctx, opts.Workers, len(p.Slices), func(i int) error {
 		opts.Recorder.Record(telemetry.RecPhase, i, guard.SitePartitionSlice, 0)
-		if err := gov.Boundary(guard.SitePartitionSlice, 0); err != nil {
+		if err := opts.Governor.Boundary(guard.SitePartitionSlice, 0); err != nil {
 			return err
 		}
 		var ss *telemetry.Spans
@@ -446,16 +401,10 @@ func (p *Plan) runSegmented(ctx context.Context, input []byte, opts RunOptions, 
 			Segments:       opts.Segments,
 			Workers:        opts.Workers,
 			CollectReports: opts.OnReport != nil,
-			Registry:       opts.Registry,
-			Tracer:         opts.Tracer,
-			Spans:          ss,
-			Governor:       gov,
-			Progress:       opts.Progress,
-			Recorder:       opts.Recorder,
-			NewEngine:      opts.NewEngine,
+			Hooks:          opts.Hooks,
 		}
+		segOpts.Spans = ss
 		if opts.Attribution != nil {
-			segOpts.Attribution = opts.Attribution
 			segOpts.AttrCompOf = p.SliceCompOf(i)
 		}
 		runners[i], err = segment.NewRunner(sub, input, segOpts)

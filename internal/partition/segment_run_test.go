@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"automatazoo/internal/guard"
+	"automatazoo/internal/segment"
 	"automatazoo/internal/sim"
 )
 
@@ -100,7 +101,7 @@ func TestRunSegmentedGovernedTrip(t *testing.T) {
 	}
 	gov := guard.New(context.Background(), guard.Budget{MaxInputBytes: 8 << 10})
 	res, err := p.Run(context.Background(), k.input, RunOptions{
-		Workers: 4, Segments: 4, Governor: gov,
+		Workers: 4, Segments: 4, Hooks: segment.Hooks{Governor: gov},
 	})
 	trip := guard.AsTrip(err)
 	if trip == nil || trip.Budget != guard.BudgetInputBytes {

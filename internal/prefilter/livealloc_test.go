@@ -3,6 +3,7 @@ package prefilter
 import (
 	"testing"
 
+	"automatazoo/internal/hooks"
 	"automatazoo/internal/sim"
 )
 
@@ -31,11 +32,7 @@ func prefilterWorkload(t testing.TB) (*Engine, []byte) {
 // including the per-offset report merge and the anchor-hit callback.
 func TestDisabledLiveTelemetryZeroAllocs(t *testing.T) {
 	e, input := prefilterWorkload(t)
-	e.SetGovernor(nil)
-	e.SetProgress(nil)
-	e.SetRecorder(nil)
-	e.SetLedger(nil)
-	e.SetCheckpointer(nil)
+	e.Attach(hooks.Set{})
 	e.OnReport = func(sim.Report) {}
 	e.Reset()
 	if _, err := e.RunChecked(input); err != nil {

@@ -47,6 +47,7 @@ import (
 	"automatazoo/internal/automata"
 	"automatazoo/internal/charset"
 	"automatazoo/internal/guard"
+	"automatazoo/internal/hooks"
 	"automatazoo/internal/sim"
 	"automatazoo/internal/telemetry"
 )
@@ -55,9 +56,6 @@ import (
 // this, anchor hits are so frequent the indirection costs more than it
 // saves.
 const MinAnchor = 3
-
-// govChunk is the governed input granularity, matching sim/dfa.
-const govChunk = 4096
 
 // anchor describes one accelerated component.
 type anchor struct {
@@ -124,20 +122,16 @@ type Engine struct {
 
 	onAnchorFn func(int) // bound once so the hot loop never allocates
 
-	// Telemetry hooks, nil-guarded exactly like sim.Engine's so the
-	// disabled path stays allocation-free.
+	// h is the attached hook bundle (see Attach), nil-guarded exactly like
+	// sim.Engine's so the disabled path stays allocation-free.
+	h               hooks.Set
 	telemetryOn     bool
-	tracer          telemetry.Tracer
-	reg             *telemetry.Registry
 	frontierHist    *telemetry.Histogram
 	published       sim.Stats
 	pubAnchorHits   int64
 	pubResidualWork int64
-	gov             *guard.Governor
-	prog            *telemetry.ProgressTracker
-	rec             *telemetry.FlightRecorder
-	ckpt            sim.Checkpointer
-
+	// led is h.Ledger, held as a field of the attr type so its hot-path
+	// methods inline (see sim.Engine.Attach).
 	led             *attr.Ledger
 	ledMark         int64
 	anchorSlot      []int32 // per-anchor attribution slot (when led != nil)
@@ -280,8 +274,8 @@ func (e *Engine) enable(id automata.StateID) {
 // so activation needs no per-cycle mark.
 func (e *Engine) activate(id automata.StateID) {
 	e.stats.Active++
-	if e.telemetryOn && e.tracer != nil {
-		e.tracer.OnActivate(e.offset, id)
+	if e.telemetryOn && e.h.Tracer != nil {
+		e.h.Tracer.OnActivate(e.offset, id)
 	}
 	if e.led != nil {
 		e.led.Activate(id)
@@ -314,7 +308,7 @@ func (e *Engine) flushPend() {
 
 // emit delivers one merged report, mirroring sim.Engine.emit. Residual
 // reports skip the ledger: the residual engine's ledger view (a View of
-// e.led sharing its buffer) already attributed them.
+// the attached ledger sharing its buffer) already attributed them.
 func (e *Engine) emit(p *pending) {
 	e.stats.Reports++
 	if e.CodeCounts != nil {
@@ -323,8 +317,8 @@ func (e *Engine) emit(p *pending) {
 	if e.led != nil && !p.resid {
 		e.led.Report(p.rep.Code)
 	}
-	if e.tracer != nil {
-		e.tracer.OnReport(p.rep.Offset, p.rep.State, p.rep.Code)
+	if e.h.Tracer != nil {
+		e.h.Tracer.OnReport(p.rep.Offset, p.rep.State, p.rep.Code)
 	}
 	if e.OnReport != nil {
 		e.OnReport(p.rep)
@@ -336,8 +330,8 @@ func (e *Engine) emit(p *pending) {
 
 // stepTelemetry runs the per-symbol hooks; called only when telemetryOn.
 func (e *Engine) stepTelemetry(b byte) {
-	if e.tracer != nil {
-		e.tracer.OnSymbol(e.offset, b)
+	if e.h.Tracer != nil {
+		e.h.Tracer.OnSymbol(e.offset, b)
 	}
 	if e.frontierHist != nil {
 		e.frontierHist.Observe(e.frontierLenAll())
@@ -403,72 +397,33 @@ func (e *Engine) Step(b byte) {
 // Run consumes the entire input and returns the accumulated statistics.
 // It may be called repeatedly to continue the same logical stream.
 func (e *Engine) Run(input []byte) sim.Stats {
-	for _, b := range input {
-		e.Step(b)
-	}
-	if e.reg != nil {
-		e.flushStats()
-	}
-	if e.led != nil {
-		e.flushLedger()
-	}
+	e.scanChunk(input)
+	e.FlushTelemetry()
 	return e.Stats()
 }
 
-// RunChecked is Run under the attached governor, chunked at
-// guard.SitePrefilter exactly as sim chunks at sim.chunk: a boundary check
-// (fault injection, deadline, input-byte accounting) before each ~4 KiB
-// chunk, a heartbeat and active-set check after it. The governor's trip is
-// sticky, so a tripped engine stays tripped at every later boundary. With
-// no governor, progress tracker, or recorder attached it is exactly Run.
+// RunChecked is Run under the attached hooks, through the shared chunk
+// protocol (hooks.Set.Chunks) at guard.SitePrefilter with the combined
+// confirm + residual frontier as the active set — exactly as sim chunks
+// at sim.chunk. The governor's trip is sticky, so a tripped engine stays
+// tripped at every later boundary. With no governor, progress tracker,
+// recorder or checkpointer attached it is exactly Run.
 func (e *Engine) RunChecked(input []byte) (sim.Stats, error) {
-	if e.gov == nil && e.prog == nil && e.rec == nil && e.ckpt == nil {
+	if !e.h.Chunked() {
 		return e.Run(input), nil
 	}
-	var err error
-	for off := 0; off < len(input); off += govChunk {
-		end := off + govChunk
-		if end > len(input) {
-			end = len(input)
-		}
-		n := int64(end - off)
-		if e.rec != nil {
-			e.rec.Record(telemetry.RecBudget, 0, guard.SitePrefilter, n)
-		}
-		if err = e.gov.Boundary(guard.SitePrefilter, n); err != nil {
-			break
-		}
-		for _, b := range input[off:end] {
-			e.Step(b)
-		}
-		fl := e.frontierLenAll()
-		if e.prog != nil {
-			e.prog.Beat(n, fl)
-		}
-		if e.led != nil {
-			e.flushLedger()
-		}
-		if e.ckpt != nil {
-			if err = e.ckpt.Boundary(n); err != nil {
-				break
-			}
-		}
-		if err = e.gov.CheckActive(fl); err != nil {
-			break
-		}
-	}
-	if err != nil && e.rec != nil {
-		if t := guard.AsTrip(err); t != nil {
-			e.rec.Record(telemetry.RecTrip, 0, t.Budget, t.Actual)
-		}
-	}
-	if e.reg != nil {
-		e.flushStats()
-	}
-	if e.led != nil {
-		e.flushLedger()
-	}
+	err := e.h.Chunks(guard.SitePrefilter, input, e.scanChunk, e.FrontierLen, e.flushLedger)
+	e.FlushTelemetry()
 	return e.Stats(), err
+}
+
+// scanChunk steps every byte of chunk; like sim, the prefilter cannot
+// fail mid-chunk.
+func (e *Engine) scanChunk(chunk []byte) error {
+	for _, b := range chunk {
+		e.Step(b)
+	}
+	return nil
 }
 
 // Stats returns the combined statistics since the last Reset — exactly the
@@ -494,12 +449,7 @@ func (e *Engine) Reports() []sim.Report { return e.reports }
 
 // Reset clears all runtime state, mirroring sim.Engine.Reset.
 func (e *Engine) Reset() {
-	if e.reg != nil {
-		e.flushStats()
-	}
-	if e.led != nil {
-		e.flushLedger()
-	}
+	e.FlushTelemetry()
 	e.frontier = e.frontier[:0]
 	e.next = e.next[:0]
 	e.pend = e.pend[:0]
@@ -530,64 +480,92 @@ func (e *Engine) SetOnReport(fn func(sim.Report)) { e.OnReport = fn }
 // FrontierLen returns the combined enabled-frontier size.
 func (e *Engine) FrontierLen() int { return int(e.frontierLenAll()) }
 
-// SetTracer attaches an event tracer (nil detaches). The trace covers
-// symbols, reports, and confirm/residual... — chain-state activations are
-// accounted in Stats but not traced (see the package comment).
-func (e *Engine) SetTracer(t telemetry.Tracer) {
-	e.tracer = t
-	e.syncTelemetryOn()
+// Attach installs h as the engine's hook bundle, replacing whatever was
+// attached (the zero Set detaches everything). Only hooks that changed
+// take their attach-time baseline:
+//
+//   - a new Registry starts publishing from the current statistics.
+//     Combined run statistics flush to the same sim.* counters the NFA
+//     engine publishes — the stats layer derives Table-I dynamics from
+//     those deltas regardless of engine — plus the prefilter.anchor_hits /
+//     prefilter.residual_work counters behind the azoo_prefilter_*
+//     Prometheus families. The embedded residual engine deliberately gets
+//     no registry: its work is folded into the combined flush, and
+//     attaching it too would double-count;
+//   - a new Ledger covers this engine's whole state space from this point
+//     of the stream onward; the residual engine receives a View sharing
+//     the same buffer, remapped to its local numbering, so one
+//     Commit/Discard by the caller covers both stages. Anchored
+//     components' scanned bytes are charged at flush points; anchor hits
+//     charge one work unit per literal byte (the chain work sim would
+//     have done).
+//
+// The Tracer covers symbols, reports, and confirm/residual activations —
+// chain-state activations are accounted in Stats but not traced (see the
+// package comment). Spans are not recorded by this engine. Governor,
+// Progress, Recorder and Checkpointer act only under RunChecked.
+func (e *Engine) Attach(h hooks.Set) {
+	old := e.h
+	e.h = h
+	if h.Registry != old.Registry {
+		e.frontierHist = nil
+		if h.Registry != nil {
+			e.frontierHist = h.Registry.Histogram("sim.frontier", telemetry.ExpBuckets(1, 16))
+			e.published = e.Stats()
+			e.pubAnchorHits = e.anchorHits
+			e.pubResidualWork = e.residualWork()
+		}
+	}
+	if h.Ledger != old.Ledger {
+		e.attachLedger()
+	}
+	e.telemetryOn = h.Tracer != nil || e.frontierHist != nil
 }
 
-func (e *Engine) syncTelemetryOn() {
-	e.telemetryOn = e.tracer != nil || e.frontierHist != nil
+// attachLedger resolves the attribution slots of the newly attached
+// ledger and hands the residual engine its view (or detaches it).
+func (e *Engine) attachLedger() {
+	l := e.h.Ledger
+	e.led, e.ledMark = l, e.stats.Symbols
+	var view hooks.Set
+	if l != nil {
+		e.anchorSlot = make([]int32, len(e.anchors))
+		e.anchorCompSlots = e.anchorCompSlots[:0]
+		seen := make(map[int32]bool, len(e.anchors))
+		for i, an := range e.anchors {
+			s := l.Slot(an.tail)
+			e.anchorSlot[i] = s
+			if !seen[s] {
+				seen[s] = true
+				e.anchorCompSlots = append(e.anchorCompSlots, s)
+			}
+		}
+		slices.Sort(e.anchorCompSlots)
+		if e.residual != nil {
+			compOf := make([]int32, len(e.residualInv))
+			for loc, g := range e.residualInv {
+				compOf[loc] = l.Slot(g)
+			}
+			view.Ledger = l.View(compOf)
+		}
+	}
+	if e.residual != nil {
+		e.residual.Attach(view)
+	}
 }
-
-// SetGovernor attaches a run governor (nil detaches); enforced by
-// RunChecked only, like sim.
-func (e *Engine) SetGovernor(g *guard.Governor) { e.gov = g }
-
-// SetProgress attaches a live-progress tracker (nil detaches).
-func (e *Engine) SetProgress(t *telemetry.ProgressTracker) { e.prog = t }
-
-// SetRecorder attaches a flight recorder (nil detaches).
-func (e *Engine) SetRecorder(r *telemetry.FlightRecorder) { e.rec = r }
-
-// SetCheckpointer attaches a durable-checkpoint hook (nil detaches):
-// RunChecked offers it the stream after every chunk, like sim.
-func (e *Engine) SetCheckpointer(c sim.Checkpointer) { e.ckpt = c }
 
 // FlushTelemetry publishes statistics and ledger bytes accumulated since
-// the last flush, so a mid-stream snapshot (checkpoint save) reflects
-// every byte scanned so far. The residual engine's counters fold into
-// the combined flush, exactly as at run end.
+// the last flush. Run and RunChecked flush at run end (and Reset before
+// clearing); the checkpoint saver calls this mid-stream so a snapshot
+// reflects every byte scanned so far. The residual engine's counters fold
+// into the combined flush, exactly as at run end.
 func (e *Engine) FlushTelemetry() {
-	if e.reg != nil {
+	if e.h.Registry != nil {
 		e.flushStats()
 	}
 	if e.led != nil {
 		e.flushLedger()
 	}
-}
-
-// SetRegistry attaches a metrics registry (nil detaches). Combined run
-// statistics flush to the same sim.* counters the NFA engine publishes —
-// the stats layer derives Table-I dynamics from those deltas regardless of
-// engine — plus the prefilter.anchor_hits / prefilter.residual_work
-// counters behind the azoo_prefilter_* Prometheus families. The embedded
-// residual engine deliberately gets no registry: its work is folded into
-// the combined flush, and attaching it too would double-count.
-func (e *Engine) SetRegistry(r *telemetry.Registry) {
-	e.reg = r
-	if r == nil {
-		e.frontierHist = nil
-		e.syncTelemetryOn()
-		return
-	}
-	e.frontierHist = r.Histogram("sim.frontier", telemetry.ExpBuckets(1, 16))
-	e.published = e.Stats()
-	e.pubAnchorHits = e.anchorHits
-	e.pubResidualWork = e.residualWork()
-	e.syncTelemetryOn()
 }
 
 // residualWork is the residual engine's enabled-frontier work sum — the
@@ -601,7 +579,7 @@ func (e *Engine) residualWork() int64 {
 
 // flushStats publishes stats accumulated since the last flush.
 func (e *Engine) flushStats() {
-	d := e.reg
+	d := e.h.Registry
 	if d == nil {
 		return
 	}
@@ -617,42 +595,6 @@ func (e *Engine) flushStats() {
 	e.published = cur
 	e.pubAnchorHits = e.anchorHits
 	e.pubResidualWork = rw
-}
-
-// SetLedger attaches a cost-attribution ledger (nil detaches). The ledger
-// is this engine's whole state space; the residual engine receives a View
-// sharing the same buffer, remapped to its local numbering, so one
-// Commit/Discard by the caller covers both stages. Anchored components'
-// scanned bytes are charged at flush points; anchor hits charge one work
-// unit per literal byte (the chain work sim would have done).
-func (e *Engine) SetLedger(l *attr.Ledger) {
-	e.led = l
-	e.ledMark = e.stats.Symbols
-	if l == nil {
-		if e.residual != nil {
-			e.residual.SetLedger(nil)
-		}
-		return
-	}
-	e.anchorSlot = make([]int32, len(e.anchors))
-	e.anchorCompSlots = e.anchorCompSlots[:0]
-	seen := make(map[int32]bool, len(e.anchors))
-	for i, an := range e.anchors {
-		s := l.Slot(an.tail)
-		e.anchorSlot[i] = s
-		if !seen[s] {
-			seen[s] = true
-			e.anchorCompSlots = append(e.anchorCompSlots, s)
-		}
-	}
-	slices.Sort(e.anchorCompSlots)
-	if e.residual != nil {
-		compOf := make([]int32, len(e.residualInv))
-		for loc, g := range e.residualInv {
-			compOf[loc] = l.Slot(g)
-		}
-		e.residual.SetLedger(l.View(compOf))
-	}
 }
 
 // flushLedger charges bytes scanned since the last flush to every anchored

@@ -9,6 +9,7 @@ import (
 	"automatazoo/internal/clamav"
 	"automatazoo/internal/entity"
 	"automatazoo/internal/guard"
+	"automatazoo/internal/hooks"
 	"automatazoo/internal/regex"
 	"automatazoo/internal/sim"
 	"automatazoo/internal/spm"
@@ -246,7 +247,7 @@ func TestBudgetTripSticky(t *testing.T) {
 		t.Fatal(err)
 	}
 	gov := guard.New(nil, guard.Budget{MaxInputBytes: 6000})
-	e.SetGovernor(gov)
+	e.Attach(hooks.Set{Governor: gov})
 	input := make([]byte, 10000)
 	st, err := e.RunChecked(input)
 	trip := guard.AsTrip(err)
@@ -283,7 +284,7 @@ func TestInjectedFaultAtPrefilterSite(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	e.SetGovernor(gov)
+	e.Attach(hooks.Set{Governor: gov})
 	st, err := e.RunChecked(make([]byte, 10000))
 	trip := guard.AsTrip(err)
 	if trip == nil || !trip.Injected {

@@ -8,6 +8,7 @@ import (
 
 	"automatazoo/internal/automata"
 	"automatazoo/internal/core"
+	"automatazoo/internal/hooks"
 	"automatazoo/internal/partition"
 	"automatazoo/internal/prefilter"
 	"automatazoo/internal/segment"
@@ -144,7 +145,7 @@ func benchKernel(b core.Benchmark, opts BenchOptions, spans *telemetry.Spans, re
 	var engine *sim.Engine
 	if plan == nil {
 		engine = sim.New(a)
-		engine.SetRegistry(reg)
+		engine.Attach(hooks.Set{Registry: reg})
 	}
 
 	var symbols, reports int64
@@ -159,9 +160,8 @@ func benchKernel(b core.Benchmark, opts BenchOptions, spans *telemetry.Spans, re
 				// so slice-level timing aggregates across segments and reps.
 				fork := spans.Fork()
 				res, err := plan.Run(context.Background(), seg, partition.RunOptions{
-					Workers:  opts.Workers,
-					Registry: reg,
-					Spans:    fork,
+					Workers: opts.Workers,
+					Hooks:   segment.Hooks{Registry: reg, Spans: fork},
 				})
 				rsp.Adopt(fork)
 				if err != nil {
@@ -223,7 +223,7 @@ func benchPrefilter(name string, a *automata.Automaton, segs [][]byte, inputByte
 	if err != nil {
 		return KernelRow{}, err
 	}
-	e.SetRegistry(reg)
+	e.Attach(hooks.Set{Registry: reg})
 	var symbols, reports int64
 	rates := make([]float64, 0, opts.Runs)
 	for r := 0; r < opts.Runs; r++ {
@@ -278,8 +278,7 @@ func benchSegmented(name string, a *automata.Automaton, segs [][]byte, inputByte
 			res, err := segment.Run(context.Background(), a, seg, segment.Options{
 				Segments: opts.Segments,
 				Workers:  workers,
-				Registry: reg,
-				Spans:    fork,
+				Hooks:    segment.Hooks{Registry: reg, Spans: fork},
 			})
 			rsp.Adopt(fork)
 			if err != nil {

@@ -31,7 +31,7 @@ func TestInjectedTripClassIdenticalAcrossSegments(t *testing.T) {
 		gov := guard.New(context.Background(), guard.Budget{})
 		gov.SetInjector(inj)
 		res, err := segment.Run(context.Background(), a, input, segment.Options{
-			Segments: segments, Workers: 4, Warmup: 256, Governor: gov,
+			Segments: segments, Workers: 4, Warmup: 256, Hooks: segment.Hooks{Governor: gov},
 		})
 		trip := guard.AsTrip(err)
 		if trip == nil {
@@ -72,7 +72,7 @@ func TestStallMidSegmentUnwindsAllWorkers(t *testing.T) {
 		done := make(chan error, 1)
 		go func() {
 			_, err := segment.Run(context.Background(), a, input, segment.Options{
-				Segments: segments, Workers: 4, Warmup: 256, Governor: gov,
+				Segments: segments, Workers: 4, Warmup: 256, Hooks: segment.Hooks{Governor: gov},
 			})
 			done <- err
 		}()
@@ -104,7 +104,7 @@ func TestTripRecordsSegmentEvents(t *testing.T) {
 	input := difftest.GenInput(rng.Fork(), cfg, 32<<10)
 	rec := telemetry.NewFlightRecorder(128)
 	_, err := segment.Run(context.Background(), a, input, segment.Options{
-		Segments: 4, Workers: 2, Warmup: 64, Recorder: rec,
+		Segments: 4, Workers: 2, Warmup: 64, Hooks: segment.Hooks{Recorder: rec},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -123,7 +123,7 @@ func TestInputByteBudgetTripsTruncated(t *testing.T) {
 	input := difftest.GenInput(rng.Fork(), cfg, 64<<10)
 	gov := guard.New(context.Background(), guard.Budget{MaxInputBytes: 16 << 10})
 	_, err := segment.Run(context.Background(), a, input, segment.Options{
-		Segments: 4, Workers: 4, Warmup: 128, Governor: gov,
+		Segments: 4, Workers: 4, Warmup: 128, Hooks: segment.Hooks{Governor: gov},
 	})
 	trip := guard.AsTrip(err)
 	if trip == nil || trip.Budget != guard.BudgetInputBytes {

@@ -47,6 +47,7 @@ import (
 	"automatazoo/internal/attr"
 	"automatazoo/internal/automata"
 	"automatazoo/internal/guard"
+	"automatazoo/internal/hooks"
 	"automatazoo/internal/parallel"
 	"automatazoo/internal/sim"
 	"automatazoo/internal/telemetry"
@@ -65,8 +66,8 @@ const (
 	// runs keep the exact historical execution path.
 	DefaultAutoMinBytes = 1 << 20
 	// warmChunk is the warmup governor-check granularity, matching the
-	// engines' ~4 KiB cooperative chunking.
-	warmChunk = 4096
+	// engines' cooperative chunking.
+	warmChunk = hooks.Chunk
 )
 
 // Resolve decides the segment count for an n-byte stream. requested > 1
@@ -124,15 +125,101 @@ type Engine interface {
 	RunChecked(input []byte) (sim.Stats, error)
 	Stats() sim.Stats
 	SetOnReport(fn func(sim.Report))
-	SetRegistry(r *telemetry.Registry)
-	SetTracer(t telemetry.Tracer)
-	SetGovernor(g *guard.Governor)
-	SetProgress(p *telemetry.ProgressTracker)
-	SetRecorder(rec *telemetry.FlightRecorder)
-	SetLedger(l *attr.Ledger)
+	Attach(h hooks.Set)
 	SetOffset(off int64)
 	FrontierSnapshot() []automata.StateID
 	RestoreState(s *sim.StreamState)
+}
+
+// Hooks is the driver-level hook bundle: what every scan driver
+// (segment, partition, stats, ckpt, experiments, cmd/azoo) carries by
+// value from the command line down to the engines it builds. The option
+// structs of those layers embed it; stats.Hooks is an alias of it. All
+// fields are optional and the zero value is a bare run.
+type Hooks struct {
+	// Registry is attached to every engine the run builds. sim.*/dfa.*
+	// counters describe engine work — per-slice passes, warmup and replay
+	// waste included — so exact stream statistics come from the drivers'
+	// Results, never from registry deltas. Drivers publish their own
+	// counters (segment.*, ckpt.*) here too. Final contents are
+	// deterministic at any worker or segment count (commutative sums).
+	Registry *telemetry.Registry
+	// Tracer is attached to every slice engine and to segment masters, but
+	// not to speculative segment engines: a traced segmented run records
+	// the master's work (segment 0 plus replays), not the full stream —
+	// use -segments 1 for complete traces. It must be safe for concurrent
+	// use (telemetry.NDJSON is); event interleaving across slices is
+	// scheduling-dependent under Workers > 1.
+	Tracer telemetry.Tracer
+	// Spans receives each driver's own phase spans ("segment.run" with
+	// "segment.scan"/"segment.stitch" children; "partition.run" with
+	// "extract"/"scan"/"merge"). Concurrent tasks record into forks adopted
+	// in index order, so the tree is deterministic at any worker count.
+	// Engines built under the bundle get no Spans (see EngineSet).
+	Spans *telemetry.Spans
+	// Governor bounds the run: drivers check in at their own sites
+	// (segment.spec, partition.slice, experiments.kernel) and every engine
+	// runs governed, so one trip anywhere stops every task cooperatively at
+	// its next chunk boundary.
+	Governor *guard.Governor
+	// Progress receives chunk-boundary heartbeats from every engine
+	// (atomic adds, commutative across slices/segments/workers) and the
+	// expected total from the driver that knows it. Warmup bytes do not
+	// beat; replayed bytes beat twice — ETA is approximate under waste.
+	Progress *telemetry.ProgressTracker
+	// Recorder receives driver phase events (RecPhase per slice,
+	// RecSegment per task plus commit/replay outcomes) and every engine's
+	// chunk/trip events for postmortem dumps.
+	Recorder *telemetry.FlightRecorder
+	// Attribution collects per-component cost attribution (internal/attr):
+	// every engine scans into its own ledger (see Ledger), committed when
+	// its scan unit completes — or discarded when a speculative segment
+	// fails validation and is replayed — so the folded totals equal the
+	// sequential scan's exactly at any worker or segment count.
+	Attribution *attr.Collector
+	// NewEngine constructs every scan engine the run builds; nil uses the
+	// plain NFA interpreter (sim.New). The factory must be deterministic —
+	// every engine it returns must produce identical stats and report
+	// streams over identical inputs, or the byte-identity guarantees break.
+	NewEngine func(*automata.Automaton) (Engine, error)
+}
+
+// EngineSet is the one driver→engine conversion: the ambient sinks every
+// engine built under h is attached with. Spans stays behind — drivers
+// time their own phases, and an "<engine>.run" node under each would
+// change every manifest's span tree; a caller driving one engine directly
+// (cmd/azoo's dfa paths) sets Spans on the result. Ledger and
+// Checkpointer are per scan unit and set by the driver that owns the unit.
+func (h Hooks) EngineSet() hooks.Set {
+	return hooks.Set{
+		Registry: h.Registry,
+		Tracer:   h.Tracer,
+		Governor: h.Governor,
+		Progress: h.Progress,
+		Recorder: h.Recorder,
+	}
+}
+
+// New builds one scan engine for a through h.NewEngine (sim.New when nil).
+func (h Hooks) New(a *automata.Automaton) (Engine, error) {
+	if h.NewEngine == nil {
+		return sim.New(a), nil
+	}
+	return h.NewEngine(a)
+}
+
+// Ledger returns a fresh attribution ledger for one engine, or nil when
+// attribution is off. compOf maps the engine's (possibly slice-local)
+// state IDs to the collector's global component indices; nil uses the
+// collector's whole-automaton map.
+func (h Hooks) Ledger(compOf []int32) *attr.Ledger {
+	if h.Attribution == nil {
+		return nil
+	}
+	if compOf == nil {
+		compOf = h.Attribution.GlobalCompOf()
+	}
+	return h.Attribution.Ledger(compOf)
 }
 
 // Options parameterizes a segment-parallel run. The zero value scans
@@ -156,52 +243,17 @@ type Options struct {
 	// OnReport, if non-nil, receives every report after the stitch
 	// completes, in canonical (offset, code, state) order.
 	OnReport func(sim.Report)
-	// Registry, if non-nil, is attached to every engine (master and
-	// speculative); sim.* counters describe engine work including warmup
-	// and replay waste, and the segment.* stitch counters are published
-	// here. Exact stream statistics come from Result.Stats, never from
-	// registry deltas.
-	Registry *telemetry.Registry
-	// Tracer, if non-nil, is attached to the master engine only: committed
-	// segments are scanned by speculative engines, so a traced segmented
-	// run records the master's work (segment 0 plus replays), not the full
-	// stream. Use -segments 1 for complete traces.
-	Tracer telemetry.Tracer
-	// Spans, if non-nil, receives a "segment.run" phase span with
-	// "segment.scan" (per-task scans, fork-adopted in segment order) and
-	// "segment.stitch" children.
-	Spans *telemetry.Spans
-	// Governor, if non-nil, bounds the run: every segment task checks in
-	// at the segment.spec boundary before scanning and at each warmup
-	// chunk, and all engines run governed. One trip anywhere stops every
-	// segment cooperatively at its next chunk boundary.
-	Governor *guard.Governor
-	// Progress, if non-nil, receives chunk-boundary heartbeats from every
-	// engine (commutative across segments/workers). Warmup bytes do not
-	// beat; replayed bytes beat twice — ETA is approximate under waste.
-	Progress *telemetry.ProgressTracker
-	// Recorder, if non-nil, receives a RecSegment event per task plus
-	// commit/replay outcomes, and every engine's chunk/trip events.
-	Recorder *telemetry.FlightRecorder
-	// Attribution, if non-nil, collects per-component cost attribution
-	// (internal/attr). The master engine carries a ledger committed at
-	// Finish; each speculative segment scans into a scratch ledger that is
-	// committed only when its speculation validates (and discarded on
-	// replay, whose bytes the master re-scans and charges once), so the
-	// folded totals equal the sequential scan's exactly. Warmup bytes are
-	// never charged: the scratch ledger attaches after warmup, at the same
-	// point the segment's exact stats baseline is taken.
-	Attribution *attr.Collector
+	// Hooks are attached to every engine (master and speculative). The
+	// master engine carries an attribution ledger committed at Finish; each
+	// speculative segment scans into a scratch ledger that attaches after
+	// warmup — at the point the segment's exact stats baseline is taken, so
+	// warmup bytes are never charged — and is committed only when the
+	// speculation validates.
+	Hooks
 	// AttrCompOf maps this runner's (possibly slice-local) state IDs to
 	// Attribution's global component indices; nil uses the collector's
 	// whole-automaton map.
 	AttrCompOf []int32
-	// NewEngine, if non-nil, constructs the scan engines (master and
-	// speculative pool); nil uses the plain NFA interpreter (sim.New). The
-	// factory must be deterministic — every engine it returns must produce
-	// identical stats and report streams over identical inputs, or the
-	// stitch's byte-identity guarantee breaks.
-	NewEngine func(*automata.Automaton) (Engine, error)
 	// Master, if non-nil, is used as the master engine instead of a
 	// factory-built one. The checkpointed scan driver (internal/ckpt)
 	// passes its warm, mid-stream engine here so consecutive chunks of one
@@ -303,11 +355,11 @@ type Runner struct {
 	forks  []*telemetry.Spans
 	root   *telemetry.Span
 
-	collect    bool
-	perSeg     [][]sim.Report
-	total      sim.Stats
-	attrCompOf []int32
-	masterLed  *attr.Ledger
+	collect   bool
+	perSeg    [][]sim.Report
+	total     sim.Stats
+	masterLed *attr.Ledger
+	specSet   hooks.Set // what pooled speculative engines are attached with
 
 	speculated  atomic.Int64
 	warmupBytes atomic.Int64
@@ -333,44 +385,30 @@ func NewRunner(a *automata.Automaton, input []byte, opts Options) (*Runner, erro
 	r.specs = make([]spec, r.k)
 	r.perSeg = make([][]sim.Report, r.k)
 
-	newEngine := opts.NewEngine
-	if newEngine == nil {
-		newEngine = func(a *automata.Automaton) (Engine, error) { return sim.New(a), nil }
-	}
-	if opts.Master != nil {
-		r.master = opts.Master
-	} else {
-		m, err := newEngine(a)
+	if r.master = opts.Master; r.master == nil {
+		m, err := opts.New(a)
 		if err != nil {
 			return nil, err
 		}
 		r.master = m
 	}
-	r.master.SetRegistry(opts.Registry)
-	r.master.SetTracer(opts.Tracer)
-	r.master.SetGovernor(opts.Governor)
-	r.master.SetProgress(opts.Progress)
-	r.master.SetRecorder(opts.Recorder)
-	if opts.Attribution != nil {
-		r.attrCompOf = opts.AttrCompOf
-		if r.attrCompOf == nil {
-			r.attrCompOf = opts.Attribution.GlobalCompOf()
-		}
-		r.masterLed = opts.Attribution.Ledger(r.attrCompOf)
-		r.master.SetLedger(r.masterLed)
-	}
+	set := opts.EngineSet()
+	r.masterLed = opts.Ledger(opts.AttrCompOf)
+	set.Ledger = r.masterLed
+	r.master.Attach(set)
 
+	// Speculative engines carry no tracer (see Hooks.Tracer) and a scratch
+	// ledger only while scanning their own segment (see speculate).
+	set.Tracer, set.Ledger = nil, nil
+	r.specSet = set
 	r.pool.New = func() any {
-		e, err := newEngine(a)
+		e, err := opts.New(a)
 		if err != nil {
 			// The master above was built by the same deterministic factory
 			// and succeeded; a pooled construction cannot fail.
 			panic(err)
 		}
-		e.SetRegistry(opts.Registry)
-		e.SetGovernor(opts.Governor)
-		e.SetProgress(opts.Progress)
-		e.SetRecorder(opts.Recorder)
+		e.Attach(r.specSet)
 		return e
 	}
 
@@ -475,14 +513,12 @@ func (r *Runner) speculate(i int) error {
 	}
 	// The scratch attribution ledger attaches here — after warmup, at the
 	// exact-stats baseline — so it records only the segment's own scan.
-	var led *attr.Ledger
-	if r.opts.Attribution != nil {
-		led = r.opts.Attribution.Ledger(r.attrCompOf)
-		e.SetLedger(led)
-	}
+	set := r.specSet
+	set.Ledger = r.opts.Ledger(r.opts.AttrCompOf)
+	e.Attach(set)
 	st, err := e.RunChecked(r.input[lo:hi])
 	e.SetOnReport(nil)
-	e.SetLedger(nil)
+	e.Attach(r.specSet)
 	if err != nil {
 		return err
 	}
@@ -492,7 +528,7 @@ func (r *Runner) speculate(i int) error {
 		exit:    e.FrontierSnapshot(),
 		stats:   subStats(st, base),
 		reports: canonReports(buf),
-		led:     led,
+		led:     set.Ledger,
 	}
 	return nil
 }

@@ -209,7 +209,7 @@ func TestStitchCountersPublished(t *testing.T) {
 	input := difftest.GenInput(rng.Fork(), cfg, 4096)
 	reg := telemetry.NewRegistry()
 	res, err := segment.Run(context.Background(), a, input, segment.Options{
-		Segments: 4, Workers: 2, Warmup: 64, Registry: reg,
+		Segments: 4, Workers: 2, Warmup: 64, Hooks: segment.Hooks{Registry: reg},
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -9,6 +9,7 @@ import (
 	"automatazoo/internal/automata"
 	"automatazoo/internal/charset"
 	"automatazoo/internal/guard"
+	"automatazoo/internal/hooks"
 )
 
 // governed engines over a tiny star automaton: start state matching any
@@ -51,7 +52,7 @@ func TestRunCheckedGovernedUnlimitedMatchesRun(t *testing.T) {
 	e1 := New(a)
 	want := e1.Run(input)
 	e2 := New(a)
-	e2.SetGovernor(guard.New(context.Background(), guard.Budget{}))
+	e2.Attach(hooks.Set{Governor: guard.New(context.Background(), guard.Budget{})})
 	got, err := e2.RunChecked(input)
 	if err != nil {
 		t.Fatal(err)
@@ -65,7 +66,7 @@ func TestRunCheckedInputBudgetTruncates(t *testing.T) {
 	a := guardTestAutomaton(t)
 	input := make([]byte, 50_000)
 	e := New(a)
-	e.SetGovernor(guard.New(context.Background(), guard.Budget{MaxInputBytes: 10_000}))
+	e.Attach(hooks.Set{Governor: guard.New(context.Background(), guard.Budget{MaxInputBytes: 10_000})})
 	stats, err := e.RunChecked(input)
 	trip := guard.AsTrip(err)
 	if trip == nil || trip.Budget != guard.BudgetInputBytes {
@@ -82,7 +83,7 @@ func TestRunCheckedActiveSetBudgetTrips(t *testing.T) {
 	e := New(a)
 	// The star automaton's frontier never exceeds 1 state, so budget 1
 	// must let it run to completion.
-	e.SetGovernor(guard.New(context.Background(), guard.Budget{MaxActiveSet: 1}))
+	e.Attach(hooks.Set{Governor: guard.New(context.Background(), guard.Budget{MaxActiveSet: 1})})
 	if _, err := e.RunChecked(make([]byte, 8192)); err != nil {
 		t.Fatalf("frontier of 1 within budget 1: %v", err)
 	}
@@ -99,7 +100,7 @@ func TestRunCheckedActiveSetBudgetTrips(t *testing.T) {
 		t.Fatal(err)
 	}
 	we := New(wide)
-	we.SetGovernor(guard.New(context.Background(), guard.Budget{MaxActiveSet: 2}))
+	we.Attach(hooks.Set{Governor: guard.New(context.Background(), guard.Budget{MaxActiveSet: 2})})
 	_, err = we.RunChecked(make([]byte, 8192))
 	trip := guard.AsTrip(err)
 	if trip == nil || trip.Budget != guard.BudgetActiveSet {
@@ -111,7 +112,7 @@ func TestRunCheckedDeadline(t *testing.T) {
 	a := guardTestAutomaton(t)
 	e := New(a)
 	g := guard.New(context.Background(), guard.Budget{Timeout: time.Nanosecond})
-	e.SetGovernor(g)
+	e.Attach(hooks.Set{Governor: g})
 	time.Sleep(time.Millisecond)
 	_, err := e.RunChecked(make([]byte, 100_000))
 	if !errors.Is(err, context.DeadlineExceeded) {
@@ -128,7 +129,7 @@ func TestRunCheckedInjectedTrip(t *testing.T) {
 	g := guard.New(context.Background(), guard.Budget{})
 	g.SetInjector(inj)
 	e := New(a)
-	e.SetGovernor(g)
+	e.Attach(hooks.Set{Governor: g})
 	stats, err := e.RunChecked(make([]byte, 20_000))
 	trip := guard.AsTrip(err)
 	if trip == nil || !trip.Injected {

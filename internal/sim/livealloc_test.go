@@ -1,6 +1,10 @@
 package sim
 
-import "testing"
+import (
+	"testing"
+
+	"automatazoo/internal/hooks"
+)
 
 // TestDisabledLiveTelemetryZeroAllocs guards the checked path with the
 // live-ops surface fully disabled: with no governor, progress tracker,
@@ -10,11 +14,7 @@ import "testing"
 func TestDisabledLiveTelemetryZeroAllocs(t *testing.T) {
 	a := literalAutomaton("abc", 1)
 	e := New(a)
-	e.SetGovernor(nil)
-	e.SetProgress(nil)
-	e.SetRecorder(nil)
-	e.SetLedger(nil)
-	e.SetCheckpointer(nil)
+	e.Attach(hooks.Set{})
 	input := []byte("xxabcxxabcabcxaxbxcabxcabc")
 	e.Reset()
 	if _, err := e.RunChecked(input); err != nil {

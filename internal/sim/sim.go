@@ -29,6 +29,7 @@ import (
 	"automatazoo/internal/automata"
 	"automatazoo/internal/charset"
 	"automatazoo/internal/guard"
+	"automatazoo/internal/hooks"
 	"automatazoo/internal/telemetry"
 )
 
@@ -141,63 +142,22 @@ type Engine struct {
 	reports []Report
 	stats   Stats
 
-	// Telemetry hooks. All are nil by default. The hot loop tests only the
-	// single telemetryOn flag, so the disabled path costs one predictable
-	// branch per symbol and per activation and zero allocations (asserted
-	// by TestNilTelemetryZeroAllocs); the individual nil guards run only
-	// once some hook is attached.
-	telemetryOn  bool // any of prof/tracer/frontierHist attached
+	// h is the attached hook bundle (see Attach); the zero Set is a bare
+	// engine. The hot loop tests only the single telemetryOn flag, so the
+	// disabled path costs one predictable branch per symbol and per
+	// activation and zero allocations (asserted by
+	// TestNilTelemetryZeroAllocs); the individual nil guards run only once
+	// some hook is attached. Spans, Governor, Progress, Recorder, Ledger
+	// and Checkpointer are deliberately outside telemetryOn: they are
+	// touched per Run call or per chunk, never per symbol, so all-nil
+	// RunChecked stays byte-for-byte the Run loop.
+	h            hooks.Set
+	led          *attr.Ledger // h.Ledger (see Attach)
+	telemetryOn  bool         // any of prof/Tracer/frontierHist attached
 	prof         *telemetry.StateProfile
-	tracer       telemetry.Tracer
-	reg          *telemetry.Registry
 	frontierHist *telemetry.Histogram
-	published    Stats // portion of stats already flushed to reg
-
-	// spans, when attached, records one aggregated "sim.run" phase span
-	// per Run call. It is deliberately not part of telemetryOn: the span
-	// is opened outside the per-symbol loop, so the disabled path stays a
-	// nil-receiver no-op with zero allocations (see the allocguard test).
-	spans *telemetry.Spans
-
-	// gov, when attached, bounds the run: RunChecked consumes the input
-	// in chunks and asks the governor for permission at each chunk
-	// boundary. Like spans it is outside telemetryOn — the ungoverned
-	// RunChecked path is byte-for-byte the Run loop.
-	gov *guard.Governor
-
-	// prog and rec are the live-ops hooks, fed at the same chunk
-	// boundaries the governor checks: prog heartbeats bytes-scanned and
-	// frontier size to the progress aggregator; rec logs each budget
-	// check (and any trip) to the flight recorder. Both are nil-receiver
-	// no-ops and, like gov, outside telemetryOn — all-nil RunChecked is
-	// byte-for-byte the Run loop (asserted by the allocguard tests).
-	prog *telemetry.ProgressTracker
-	rec  *telemetry.FlightRecorder
-
-	// led, when attached, attributes runtime cost to source patterns: one
-	// frontier-work unit per activation, one report per emit, and scanned
-	// bytes flushed at the same chunk boundaries the governor checks (plus
-	// run end). Like gov/prog/rec it is outside telemetryOn and
-	// nil-guarded at every touch point, so the disabled path stays
-	// allocation-free (asserted by the allocguard test). ledMark is the
-	// Symbols watermark of the last byte flush.
-	led     *attr.Ledger
-	ledMark int64
-
-	// ckpt, when attached, is offered the stream at every chunk boundary
-	// so it can persist a checkpoint (internal/ckpt). Like gov/prog/rec it
-	// is outside telemetryOn and nil-guarded, so the disabled path stays
-	// allocation-free (asserted by the allocguard test).
-	ckpt Checkpointer
-}
-
-// Checkpointer is the durable-checkpoint hook: RunChecked calls Boundary
-// with the chunk's byte count after each chunk completes, and the
-// implementation decides whether the accumulated interval warrants a
-// save (capturing the engine via CaptureState). A returned error stops
-// the run like a governor trip.
-type Checkpointer interface {
-	Boundary(n int64) error
+	published    Stats // portion of stats already flushed to h.Registry
+	ledMark      int64 // Symbols watermark of the last ledger byte flush
 }
 
 // Options tune the engine's internal strategies; the zero value is the
@@ -295,63 +255,50 @@ func (e *Engine) SetOnReport(fn func(Report)) { e.OnReport = fn }
 // for the next Step), without the copy FrontierSnapshot makes.
 func (e *Engine) FrontierLen() int { return len(e.frontier) }
 
-// SetTracer attaches an event tracer (nil detaches). The tracer receives
-// OnSymbol/OnActivate/OnReport callbacks from inside the scan loop.
-func (e *Engine) SetTracer(t telemetry.Tracer) {
-	e.tracer = t
+// Attach installs h as the engine's hook bundle, replacing whatever was
+// attached (the zero Set detaches everything). Only hooks that changed
+// take their attach-time baseline: a new Registry starts publishing from
+// the current statistics (and owns the sim.frontier histogram); a new
+// Ledger is charged from this point of the stream onward — bytes consumed
+// before the attach (e.g. a segment-scan warmup) are not. Governor,
+// Progress, Recorder and Checkpointer act only under RunChecked; bare
+// Run/Step calls stay ungoverned and silent.
+func (e *Engine) Attach(h hooks.Set) {
+	old := e.h
+	e.h = h
+	if h.Registry != old.Registry {
+		e.frontierHist = nil
+		if h.Registry != nil {
+			e.frontierHist = h.Registry.Histogram("sim.frontier", telemetry.ExpBuckets(1, 16))
+			e.published = e.stats
+		}
+	}
+	if h.Ledger != old.Ledger {
+		// The hot loops go through a field of the attr type itself: the
+		// ledger's per-activation methods inline only into packages that
+		// import attr directly, not through hooks.Set.
+		e.led = h.Ledger
+		e.ledMark = e.stats.Symbols
+	}
 	e.syncTelemetryOn()
 }
 
 func (e *Engine) syncTelemetryOn() {
-	e.telemetryOn = e.prof != nil || e.tracer != nil || e.frontierHist != nil
+	e.telemetryOn = e.prof != nil || e.h.Tracer != nil || e.frontierHist != nil
 }
 
-// SetSpans attaches a phase-span collector (nil detaches): every Run call
-// is timed as a "sim.run" span, aggregated across calls (segmented
-// workloads produce one span node with Count == segments, not one node
-// per segment).
-func (e *Engine) SetSpans(s *telemetry.Spans) { e.spans = s }
-
-// SetGovernor attaches a run governor (nil detaches). Budgets are
-// enforced only by RunChecked; bare Run/Step calls stay ungoverned.
-func (e *Engine) SetGovernor(g *guard.Governor) { e.gov = g }
-
-// SetProgress attaches a live-progress tracker (nil detaches): RunChecked
-// heartbeats bytes scanned and the enabled-frontier size at every chunk
-// boundary. Bare Run calls stay silent, like the governor.
-func (e *Engine) SetProgress(t *telemetry.ProgressTracker) { e.prog = t }
-
-// SetRecorder attaches a flight recorder (nil detaches): RunChecked logs
-// chunk budget checks and budget trips for postmortem dumps.
-func (e *Engine) SetRecorder(r *telemetry.FlightRecorder) { e.rec = r }
-
-// SetCheckpointer attaches a durable-checkpoint hook (nil detaches):
-// RunChecked offers it the stream after every chunk. Bare Run calls skip
-// it, like the governor.
-func (e *Engine) SetCheckpointer(c Checkpointer) { e.ckpt = c }
-
 // FlushTelemetry publishes statistics and ledger bytes accumulated since
-// the last flush to the attached registry and ledger. RunChecked flushes
-// on its own at run end; the checkpoint saver calls this mid-stream so a
-// snapshot of the registry/collector reflects every byte scanned so far.
+// the last flush to the attached registry and ledger. Run and RunChecked
+// flush on their own at run end (and Reset before clearing); the
+// checkpoint saver calls this mid-stream so a snapshot of the
+// registry/collector reflects every byte scanned so far.
 func (e *Engine) FlushTelemetry() {
-	if e.reg != nil {
+	if e.h.Registry != nil {
 		e.flushStats()
 	}
 	if e.led != nil {
 		e.flushLedger()
 	}
-}
-
-// SetLedger attaches a cost-attribution ledger (nil detaches). The
-// ledger accumulates per-component frontier work, reports, and scanned
-// bytes from this point of the stream onward — bytes consumed before the
-// attach (e.g. a segment-scan warmup) are not charged. The engine never
-// commits the ledger; the caller folds it into its collector when the
-// scan unit completes.
-func (e *Engine) SetLedger(l *attr.Ledger) {
-	e.led = l
-	e.ledMark = e.stats.Symbols
 }
 
 // flushLedger charges bytes scanned since the last flush to every
@@ -363,26 +310,10 @@ func (e *Engine) flushLedger() {
 	e.ledMark = e.stats.Symbols
 }
 
-// SetRegistry attaches a metrics registry (nil detaches). Aggregate run
-// statistics are flushed to the sim.* counters at the end of every Run
-// (and on Reset), and the per-symbol enabled-frontier size is observed
-// into the sim.frontier histogram.
-func (e *Engine) SetRegistry(r *telemetry.Registry) {
-	e.reg = r
-	if r == nil {
-		e.frontierHist = nil
-		e.syncTelemetryOn()
-		return
-	}
-	e.frontierHist = r.Histogram("sim.frontier", telemetry.ExpBuckets(1, 16))
-	e.published = e.stats
-	e.syncTelemetryOn()
-}
-
 // flushStats publishes stats accumulated since the last flush to the
 // attached registry.
 func (e *Engine) flushStats() {
-	d := e.reg
+	d := e.h.Registry
 	if d == nil {
 		return
 	}
@@ -405,12 +336,7 @@ func (e *Engine) flushStats() {
 // statistics, and any collected reports. The next symbol consumed is
 // treated as the start of data.
 func (e *Engine) Reset() {
-	if e.reg != nil {
-		e.flushStats() // don't lose stats accumulated via bare Step calls
-	}
-	if e.led != nil {
-		e.flushLedger()
-	}
+	e.FlushTelemetry() // don't lose stats accumulated via bare Step calls
 	e.frontier = e.frontier[:0]
 	e.next = e.next[:0]
 	// One bump suffices for EnableState's mark[id] == gen-1 dedupe to stay
@@ -450,83 +376,37 @@ func (e *Engine) Reports() []Report { return e.reports }
 // Run consumes the entire input and returns the accumulated statistics.
 // It may be called repeatedly to continue the same logical stream.
 func (e *Engine) Run(input []byte) Stats {
-	sp := e.spans.Start("sim.run")
-	for _, b := range input {
-		e.Step(b)
-	}
-	if e.reg != nil {
-		e.flushStats()
-	}
-	if e.led != nil {
-		e.flushLedger()
-	}
+	sp := e.h.Spans.Start("sim.run")
+	e.scanChunk(input)
+	e.FlushTelemetry()
 	sp.End()
 	return e.stats
 }
 
-// govChunk is the governed input granularity: budgets and cancellation
-// are observed every govChunk symbols — cheap enough to be invisible,
-// fine enough that a tripped run overruns its budget by at most one
-// chunk.
-const govChunk = 4096
-
-// RunChecked is Run under the attached governor: the input is consumed
-// in govChunk-sized chunks with a guard boundary (fault injection,
-// deadline/cancellation, input-byte accounting) before each chunk and an
-// active-set check after it. On a budget trip the run stops between
-// chunks and the partial statistics are returned with the *guard.TripError.
-// The same chunk boundaries feed the attached progress tracker and flight
-// recorder. With no governor, progress, or recorder attached it is
-// exactly Run.
+// RunChecked is Run under the attached hooks: the input is consumed
+// through the shared chunk protocol (hooks.Set.Chunks) at
+// guard.SiteSimChunk, with the enabled frontier as the active set. On a
+// budget trip the run stops between chunks and the partial statistics are
+// returned with the *guard.TripError. With no governor, progress tracker,
+// recorder or checkpointer attached it is exactly Run.
 func (e *Engine) RunChecked(input []byte) (Stats, error) {
-	if e.gov == nil && e.prog == nil && e.rec == nil && e.ckpt == nil {
+	if !e.h.Chunked() {
 		return e.Run(input), nil
 	}
-	sp := e.spans.Start("sim.run")
-	var err error
-	for off := 0; off < len(input); off += govChunk {
-		end := off + govChunk
-		if end > len(input) {
-			end = len(input)
-		}
-		n := int64(end - off)
-		if e.rec != nil {
-			e.rec.Record(telemetry.RecBudget, 0, guard.SiteSimChunk, n)
-		}
-		if err = e.gov.Boundary(guard.SiteSimChunk, n); err != nil {
-			break
-		}
-		for _, b := range input[off:end] {
-			e.Step(b)
-		}
-		if e.prog != nil {
-			e.prog.Beat(n, int64(len(e.frontier)))
-		}
-		if e.led != nil {
-			e.flushLedger()
-		}
-		if e.ckpt != nil {
-			if err = e.ckpt.Boundary(n); err != nil {
-				break
-			}
-		}
-		if err = e.gov.CheckActive(int64(len(e.frontier))); err != nil {
-			break
-		}
-	}
-	if err != nil && e.rec != nil {
-		if t := guard.AsTrip(err); t != nil {
-			e.rec.Record(telemetry.RecTrip, 0, t.Budget, t.Actual)
-		}
-	}
-	if e.reg != nil {
-		e.flushStats()
-	}
-	if e.led != nil {
-		e.flushLedger()
-	}
+	sp := e.h.Spans.Start("sim.run")
+	err := e.h.Chunks(guard.SiteSimChunk, input, e.scanChunk, e.FrontierLen, e.flushLedger)
+	e.FlushTelemetry()
 	sp.End()
 	return e.stats, err
+}
+
+// scanChunk steps every byte of chunk; the sim engine has no way to fail
+// mid-chunk.
+func (e *Engine) scanChunk(chunk []byte) error {
+	for _, b := range chunk {
+		e.Step(b)
+	}
+	return nil
 }
 
 func (e *Engine) emit(id automata.StateID) {
@@ -538,8 +418,8 @@ func (e *Engine) emit(id automata.StateID) {
 		e.led.Report(e.code[id])
 	}
 	r := Report{Offset: e.offset, State: id, Code: e.code[id]}
-	if e.tracer != nil {
-		e.tracer.OnReport(e.offset, id, e.code[id])
+	if e.h.Tracer != nil {
+		e.h.Tracer.OnReport(e.offset, id, e.code[id])
 	}
 	if e.OnReport != nil {
 		e.OnReport(r)
@@ -586,8 +466,8 @@ func (e *Engine) activate(id automata.StateID) {
 // stepTelemetry runs the per-symbol hooks; called only when telemetryOn.
 // Kept out of Step so the disabled hot loop carries a single branch.
 func (e *Engine) stepTelemetry(b byte) {
-	if e.tracer != nil {
-		e.tracer.OnSymbol(e.offset, b)
+	if e.h.Tracer != nil {
+		e.h.Tracer.OnSymbol(e.offset, b)
 	}
 	if e.frontierHist != nil {
 		e.frontierHist.Observe(int64(len(e.frontier)))
@@ -605,8 +485,8 @@ func (e *Engine) activateTelemetry(id automata.StateID) {
 	if e.prof != nil {
 		e.prof.Activations[id]++
 	}
-	if e.tracer != nil {
-		e.tracer.OnActivate(e.offset, id)
+	if e.h.Tracer != nil {
+		e.h.Tracer.OnActivate(e.offset, id)
 	}
 }
 

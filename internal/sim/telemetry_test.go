@@ -3,6 +3,7 @@ package sim
 import (
 	"testing"
 
+	"automatazoo/internal/hooks"
 	"automatazoo/internal/telemetry"
 )
 
@@ -13,7 +14,7 @@ import (
 func TestNilTelemetryZeroAllocs(t *testing.T) {
 	a := literalAutomaton("abc", 1)
 	e := New(a)
-	e.SetSpans(nil) // explicit: the disabled span path is part of the guard
+	e.Attach(hooks.Set{}) // explicit: the disabled hook path is part of the guard
 	input := []byte("xxabcxxabcabcxaxbxcabxcabc")
 	// Warm: establish frontier slice capacities.
 	e.Reset()
@@ -87,7 +88,7 @@ func TestTracerEventStream(t *testing.T) {
 	a := literalAutomaton("ab", 9)
 	e := New(a)
 	tr := &recordingTracer{}
-	e.SetTracer(tr)
+	e.Attach(hooks.Set{Tracer: tr})
 	st := e.Run([]byte("abxab"))
 	if tr.symbols != 5 {
 		t.Errorf("symbol events = %d, want 5", tr.symbols)
@@ -102,7 +103,7 @@ func TestTracerEventStream(t *testing.T) {
 		t.Errorf("last report code = %d, want 9", tr.lastReportCode)
 	}
 	// Detaching stops the stream.
-	e.SetTracer(nil)
+	e.Attach(hooks.Set{})
 	e.Reset()
 	e.Run([]byte("ab"))
 	if tr.symbols != 5 {
@@ -114,7 +115,7 @@ func TestRegistryPublishing(t *testing.T) {
 	a := literalAutomaton("ab", 1)
 	e := New(a)
 	reg := telemetry.NewRegistry()
-	e.SetRegistry(reg)
+	e.Attach(hooks.Set{Registry: reg})
 	e.Run([]byte("abab"))
 	if got := reg.Counter("sim.symbols").Value(); got != 4 {
 		t.Errorf("sim.symbols = %d, want 4", got)

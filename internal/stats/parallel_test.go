@@ -25,12 +25,12 @@ func TestObserveSegmentsParallelMatchesSequential(t *testing.T) {
 		mesh.RandomDNA(rng, 12_000),
 		mesh.RandomDNA(rng, 8_000),
 	}
-	want := ObserveSegments(a, segments, nil, nil)
+	want := SimulateSegments(a, segments)
 	if want.Reports == 0 {
 		t.Fatal("kernel produced no reports; test is vacuous")
 	}
 	for _, workers := range []int{1, 2, runtime.NumCPU()} {
-		got, err := ObserveSegmentsParallel(context.Background(), a, segments, workers, nil, nil)
+		got, err := ObserveSegmentsParallelHooked(context.Background(), a, segments, workers, Hooks{})
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
@@ -56,7 +56,7 @@ func TestObserveSegmentsParallelRegistry(t *testing.T) {
 		var totals []int64
 		for run := 0; run < 2; run++ {
 			reg := telemetry.NewRegistry()
-			if _, err := ObserveSegmentsParallel(context.Background(), a, [][]byte{seg}, workers, reg, nil); err != nil {
+			if _, err := ObserveSegmentsParallelHooked(context.Background(), a, [][]byte{seg}, workers, Hooks{Registry: reg}); err != nil {
 				t.Fatal(err)
 			}
 			totals = append(totals, reg.Counter("sim.symbols").Value())

@@ -4,12 +4,14 @@
 // and the dynamic active set measured by simulating the benchmark on its
 // standard input.
 //
-// Simulation comes in two forms with identical results: ObserveSegments
-// runs the whole automaton on one engine, and ObserveSegmentsParallel
-// partitions it across a worker pool (internal/parallel via
-// internal/partition) — components are independent, so the summed
-// activation, frontier, and report counts are exactly those of the
-// single-engine run, and the returned Dynamic is equal field-for-field.
+// Simulation comes in three execution shapes with identical results:
+// ObserveSegmentsHooked runs the whole automaton on one engine,
+// ObserveSegmentsParallelHooked partitions it across a worker pool
+// (internal/parallel via internal/partition) — components are
+// independent, so the summed activation, frontier, and report counts are
+// exactly those of the single-engine run — and ObserveStreams
+// additionally splits each stream into segment-parallel pieces
+// (internal/segment). The returned Dynamic is equal field-for-field.
 package stats
 
 import (
@@ -17,12 +19,9 @@ import (
 	"fmt"
 	"math"
 
-	"automatazoo/internal/attr"
 	"automatazoo/internal/automata"
-	"automatazoo/internal/guard"
 	"automatazoo/internal/partition"
 	"automatazoo/internal/segment"
-	"automatazoo/internal/sim"
 	"automatazoo/internal/telemetry"
 	"automatazoo/internal/transform"
 )
@@ -109,148 +108,84 @@ func Simulate(a *automata.Automaton, input []byte) Dynamic {
 // is reset between segments, as in per-classification workloads) and
 // aggregates the dynamic profile across all of them.
 func SimulateSegments(a *automata.Automaton, segments [][]byte) Dynamic {
-	return ObserveSegments(a, segments, nil, nil)
-}
-
-// ObserveSegments is SimulateSegments with telemetry attached: the engine
-// publishes into reg (one is created when nil — cross-segment aggregation
-// always flows through the registry rather than hand-rolled sums) and
-// traces to tr when non-nil. The Dynamic result is derived from the
-// registry's sim.* counters; reg may be shared across calls (the deltas
-// this call contributed are what's reported).
-func ObserveSegments(a *automata.Automaton, segments [][]byte, reg *telemetry.Registry, tr telemetry.Tracer) Dynamic {
-	d, _ := ObserveSegmentsGoverned(a, segments, reg, tr, nil)
+	d, _ := ObserveSegmentsHooked(a, segments, Hooks{})
 	return d
 }
 
-// ObserveSegmentsGoverned is ObserveSegments under a run governor: each
-// segment runs via the engine's checked path, so budgets, cancellation,
-// and injected faults stop the simulation mid-stream. On a trip the
+// Hooks is the driver-level hook bundle (segment.Hooks) every observed
+// simulation carries. All fields are optional; the zero value is a bare
+// run.
+type Hooks = segment.Hooks
+
+// streamBytes sums the stream lengths (the progress total of one pass).
+func streamBytes(streams [][]byte) int64 {
+	var total int64
+	for _, s := range streams {
+		total += int64(len(s))
+	}
+	return total
+}
+
+// ObserveSegmentsHooked runs each segment as an independent stream on one
+// whole-automaton engine with h attached: the engine publishes into
+// h.Registry (one is created when nil — cross-segment aggregation always
+// flows through the registry rather than hand-rolled sums), runs via its
+// checked path so budgets, cancellation and injected faults stop the
+// simulation mid-stream, heartbeats progress and records flight-recorder
+// events at its chunk boundaries. The Dynamic result is derived from the
+// registry's sim.* counters; the registry may be shared across calls (the
+// deltas this call contributed are what's reported). On a trip the
 // Dynamic derived from the work completed so far is returned with the
-// error. A nil governor is exactly ObserveSegments.
-func ObserveSegmentsGoverned(a *automata.Automaton, segments [][]byte, reg *telemetry.Registry, tr telemetry.Tracer, gov *guard.Governor) (Dynamic, error) {
-	return ObserveSegmentsHooked(a, segments, Hooks{Registry: reg, Tracer: tr, Governor: gov})
-}
-
-// Hooks bundles every observability attachment an observed simulation can
-// carry. All fields are optional; the zero value is a bare run.
-type Hooks struct {
-	Registry *telemetry.Registry
-	Tracer   telemetry.Tracer
-	Governor *guard.Governor
-	// Progress, if non-nil, receives chunk-boundary heartbeats (and the
-	// total expected bytes, so ETA is computable) from the engines.
-	Progress *telemetry.ProgressTracker
-	// Recorder, if non-nil, receives engine events for postmortem dumps.
-	Recorder *telemetry.FlightRecorder
-	// Attribution, if non-nil, collects per-component cost attribution
-	// (internal/attr) from every engine the observed run creates; the
-	// collector's folded totals are identical at any worker or segment
-	// count.
-	Attribution *attr.Collector
-	// NewEngine, if non-nil, constructs every scan engine the observed run
-	// creates (whole-automaton, per-slice, and segment engines alike); nil
-	// uses the plain NFA interpreter (sim.New). Engines publish their work
-	// into the same sim.* registry counters regardless of implementation,
-	// so the Dynamic columns stay comparable across engines.
-	NewEngine func(*automata.Automaton) (segment.Engine, error)
-}
-
-// ObserveSegmentsHooked is ObserveSegmentsGoverned with the full live-ops
-// hook set: the engine additionally heartbeats progress and records
-// flight-recorder events at its chunk boundaries.
+// error.
 func ObserveSegmentsHooked(a *automata.Automaton, segments [][]byte, h Hooks) (Dynamic, error) {
-	reg := h.Registry
-	if reg == nil {
-		reg = telemetry.NewRegistry()
+	if h.Registry == nil {
+		h.Registry = telemetry.NewRegistry()
 	}
-	if h.Progress != nil {
-		var total int64
-		for _, seg := range segments {
-			total += int64(len(seg))
-		}
-		h.Progress.AddTotal(total)
+	h.Progress.AddTotal(streamBytes(segments))
+	before := simCounters(h.Registry)
+	e, err := h.New(a)
+	if err != nil {
+		return Dynamic{}, err
 	}
-	before := simCounters(reg)
-	var e segment.Engine
-	if h.NewEngine != nil {
-		var err error
-		if e, err = h.NewEngine(a); err != nil {
-			return Dynamic{}, err
-		}
-	} else {
-		e = sim.New(a)
-	}
-	e.SetRegistry(reg)
-	e.SetTracer(h.Tracer)
-	e.SetGovernor(h.Governor)
-	e.SetProgress(h.Progress)
-	e.SetRecorder(h.Recorder)
-	var led *attr.Ledger
-	if h.Attribution != nil {
-		led = h.Attribution.Ledger(h.Attribution.GlobalCompOf())
-		e.SetLedger(led)
-	}
-	var err error
+	set := h.EngineSet()
+	set.Ledger = h.Ledger(nil)
+	e.Attach(set)
 	for _, seg := range segments {
 		e.Reset()
 		if _, err = e.RunChecked(seg); err != nil {
 			break
 		}
 	}
-	if led != nil {
-		led.Commit()
+	if set.Ledger != nil {
+		set.Ledger.Commit()
 	}
-	after := simCounters(reg)
+	after := simCounters(h.Registry)
 	return dynamicFrom(
 		after[0]-before[0], after[1]-before[1],
 		after[2]-before[2], after[3]-before[3]), err
 }
 
-// ObserveSegmentsParallel computes the same Dynamic profile as
-// ObserveSegments but executes each segment as a component-partitioned
-// parallel run (partition.ForWorkers + Plan.Run) across up to workers
-// goroutines. The returned Dynamic is identical to the sequential path's
-// for any workers value: Symbols counts stream symbols (not per-slice
-// engine symbols), and the Active/Enabled/Report sums across independent
-// slices equal the whole-automaton run's counts. reg, when non-nil, is
-// shared by every slice engine; its final contents are deterministic for
-// a given workers value but describe per-slice work (sim.symbols
-// accumulates the plan's passes × stream length, and the plan's slice
-// count depends on workers). tr must be safe for concurrent use
-// (telemetry.NDJSON is).
-func ObserveSegmentsParallel(ctx context.Context, a *automata.Automaton, segments [][]byte, workers int, reg *telemetry.Registry, tr telemetry.Tracer) (Dynamic, error) {
-	return ObserveSegmentsParallelGoverned(ctx, a, segments, workers, reg, tr, nil)
-}
-
-// ObserveSegmentsParallelGoverned is ObserveSegmentsParallel under a run
-// governor shared by every slice engine (see partition.RunOptions). On a
-// trip the Dynamic derived from completed segments is returned with the
-// error. A nil governor is exactly ObserveSegmentsParallel.
-func ObserveSegmentsParallelGoverned(ctx context.Context, a *automata.Automaton, segments [][]byte, workers int, reg *telemetry.Registry, tr telemetry.Tracer, gov *guard.Governor) (Dynamic, error) {
-	return ObserveSegmentsParallelHooked(ctx, a, segments, workers, Hooks{Registry: reg, Tracer: tr, Governor: gov})
-}
-
-// ObserveSegmentsParallelHooked is ObserveSegmentsParallelGoverned with
-// the full live-ops hook set. Progress heartbeats count per-slice engine
-// bytes, so the tracker's total is pre-credited with passes × stream
-// length — ETA stays meaningful even though slices re-scan the stream.
+// ObserveSegmentsParallelHooked computes the same Dynamic profile as
+// ObserveSegmentsHooked but executes each segment as a
+// component-partitioned parallel run (partition.ForWorkers + Plan.Run)
+// across up to workers goroutines. The returned Dynamic is identical to
+// the sequential path's for any workers value: Symbols counts stream
+// symbols (not per-slice engine symbols), and the Active/Enabled/Report
+// sums across independent slices equal the whole-automaton run's counts.
+// h.Registry, when non-nil, is shared by every slice engine; its final
+// contents are deterministic for a given workers value but describe
+// per-slice work (sim.symbols accumulates the plan's passes × stream
+// length, and the plan's slice count depends on workers). Progress
+// heartbeats count per-slice engine bytes too, so the tracker's total is
+// pre-credited with passes × stream length — ETA stays meaningful even
+// though slices re-scan the stream. On a trip the Dynamic derived from
+// completed segments is returned with the error.
 func ObserveSegmentsParallelHooked(ctx context.Context, a *automata.Automaton, segments [][]byte, workers int, h Hooks) (Dynamic, error) {
 	plan := partition.ForWorkers(a, workers)
-	if h.Progress != nil {
-		var total int64
-		for _, seg := range segments {
-			total += int64(len(seg))
-		}
-		h.Progress.AddTotal(int64(plan.Passes()) * total)
-	}
+	h.Progress.AddTotal(int64(plan.Passes()) * streamBytes(segments))
 	var streamSymbols, active, enabled, reports int64
 	for _, seg := range segments {
-		res, err := plan.Run(ctx, seg, partition.RunOptions{
-			Workers: workers, Registry: h.Registry, Tracer: h.Tracer,
-			Governor: h.Governor, Progress: h.Progress, Recorder: h.Recorder,
-			Attribution: h.Attribution, NewEngine: h.NewEngine,
-		})
+		res, err := plan.Run(ctx, seg, partition.RunOptions{Workers: workers, Hooks: h})
 		if err != nil {
 			return dynamicFrom(streamSymbols, active, enabled, reports), err
 		}
@@ -304,24 +239,15 @@ func ObserveStreams(ctx context.Context, a *automata.Automaton, streams [][]byte
 		d, err := ObserveSegmentsHooked(a, streams, opts.Hooks)
 		return d, segment.Stitch{}, err
 	}
-	if opts.Progress != nil {
-		var total int64
-		for _, s := range streams {
-			total += int64(len(s))
-		}
-		// Replayed segments re-scan their bytes, so progress can overshoot
-		// this total slightly; ETA stays meaningful (waste is bounded by
-		// the stitch accounting).
-		opts.Progress.AddTotal(total)
-	}
+	// Replayed segments re-scan their bytes, so progress can overshoot
+	// this total slightly; ETA stays meaningful (waste is bounded by the
+	// stitch accounting).
+	opts.Progress.AddTotal(streamBytes(streams))
 	var stitch segment.Stitch
 	var symbols, active, enabled, reports int64
 	for i, s := range streams {
 		res, err := segment.Run(ctx, a, s, segment.Options{
-			Segments: ks[i], Workers: opts.Workers,
-			Registry: opts.Registry, Tracer: opts.Tracer, Governor: opts.Governor,
-			Progress: opts.Progress, Recorder: opts.Recorder,
-			Attribution: opts.Attribution, NewEngine: opts.NewEngine,
+			Segments: ks[i], Workers: opts.Workers, Hooks: opts.Hooks,
 		})
 		stitch.Add(res.Stitch)
 		if err != nil {

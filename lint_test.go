@@ -326,3 +326,116 @@ func TestNoMapIterationInAttr(t *testing.T) {
 		t.Errorf("attr ranges over a map (iteration order is randomized — output paths must iterate slices): %s", v)
 	}
 }
+
+// hookBundleViolations is TestOneHookBundle's detector over one parsed
+// file. bundlePkg exempts the two packages that define the bundles;
+// enginePkg additionally bans the per-hook setter methods.
+func hookBundleViolations(fset *token.FileSet, f *ast.File, bundlePkg, enginePkg bool) []string {
+	isPtrTo := func(e ast.Expr, pkg, name string) bool {
+		star, ok := e.(*ast.StarExpr)
+		if !ok {
+			return false
+		}
+		sel, ok := star.X.(*ast.SelectorExpr)
+		if !ok || sel.Sel.Name != name {
+			return false
+		}
+		id, ok := sel.X.(*ast.Ident)
+		return ok && id.Name == pkg
+	}
+	var violations []string
+	ast.Inspect(f, func(n ast.Node) bool {
+		switch v := n.(type) {
+		case *ast.StructType:
+			if bundlePkg {
+				return true
+			}
+			var reg, gov bool
+			for _, fld := range v.Fields.List {
+				reg = reg || isPtrTo(fld.Type, "telemetry", "Registry")
+				gov = gov || isPtrTo(fld.Type, "guard", "Governor")
+			}
+			if reg && gov {
+				violations = append(violations, fset.Position(v.Pos()).String()+
+					": struct declares both a *telemetry.Registry and a *guard.Governor (embed or hold hooks.Set / segment.Hooks)")
+			}
+		case *ast.FuncDecl:
+			if !enginePkg || v.Recv == nil {
+				return true
+			}
+			switch v.Name.Name {
+			case "SetRegistry", "SetTracer", "SetSpans", "SetGovernor", "SetProgress", "SetRecorder":
+				violations = append(violations, fset.Position(v.Pos()).String()+
+					": engine hook setter "+v.Name.Name+" (hooks attach through Attach(hooks.Set))")
+			}
+		}
+		return true
+	})
+	return violations
+}
+
+// One hook bundle from flag to engine: the engine-level hook list is
+// spelled once (internal/hooks.Set) and the driver-level one once
+// (internal/segment.Hooks); every other layer embeds or holds one of the
+// two. Enforcement: outside those two packages no struct may declare
+// both a *telemetry.Registry and a *guard.Governor field — the signature
+// of a re-spelled bundle — and no type in the engine packages may grow a
+// per-hook setter again (their one attachment point is Attach).
+func TestOneHookBundle(t *testing.T) {
+	// Canary: the detector must catch both classes, or the walk below
+	// proves nothing.
+	fset := token.NewFileSet()
+	canary, err := parser.ParseFile(fset, "canary.go", `package canary
+type respelled struct {
+	Registry *telemetry.Registry
+	Governor *guard.Governor
+}
+type fine struct {
+	Registry *telemetry.Registry
+}
+type Engine struct{}
+func (e *Engine) SetGovernor(g *guard.Governor) {}
+func (e *Engine) SetOffset(off int64)           {}
+`, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := hookBundleViolations(fset, canary, false, true); len(got) != 2 {
+		t.Fatalf("canary: detector found %d of 2 planted violations: %v", len(got), got)
+	}
+	if got := hookBundleViolations(fset, canary, true, false); len(got) != 0 {
+		t.Fatalf("canary: exempt package still flagged: %v", got)
+	}
+
+	bundlePackages := map[string]bool{"internal/hooks": true, "internal/segment": true}
+	enginePackages := map[string]bool{"internal/sim": true, "internal/dfa": true, "internal/prefilter": true}
+	var violations []string
+	err = filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			name := d.Name()
+			if name == "testdata" || strings.HasPrefix(name, ".") && name != "." {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+			return nil
+		}
+		f, err := parser.ParseFile(fset, path, nil, 0)
+		if err != nil {
+			return err
+		}
+		dir := filepath.Dir(path)
+		violations = append(violations, hookBundleViolations(fset, f, bundlePackages[dir], enginePackages[dir])...)
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, v := range violations {
+		t.Errorf("hook bundle re-spelled: %s", v)
+	}
+}

@@ -70,10 +70,10 @@ func BenchmarkParallelObserveSegments(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				if workers == 1 {
-					stats.ObserveSegments(a, segs, nil, nil)
+					stats.SimulateSegments(a, segs)
 					continue
 				}
-				if _, err := stats.ObserveSegmentsParallel(context.Background(), a, segs, workers, nil, nil); err != nil {
+				if _, err := stats.ObserveSegmentsParallelHooked(context.Background(), a, segs, workers, stats.Hooks{}); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -50,7 +50,7 @@ func TestRunOutputByteIdenticalAcrossWorkers(t *testing.T) {
 				t.Fatalf("Build: %v", err)
 			}
 
-			seqNFA := nfaLine(bench.Name, a, stats.ObserveSegments(a, segs, nil, nil))
+			seqNFA := nfaLine(bench.Name, a, stats.SimulateSegments(a, segs))
 			var seqDFA string
 			if a.NumCounters() == 0 {
 				// The dfa engine rejects counter automata at any -j, exactly
@@ -67,9 +67,9 @@ func TestRunOutputByteIdenticalAcrossWorkers(t *testing.T) {
 					dyn, _, err = stats.ObserveStreams(context.Background(), a, segs,
 						stats.StreamOptions{Workers: v.j, Segments: v.segs})
 				} else if v.j > 1 {
-					dyn, err = stats.ObserveSegmentsParallel(context.Background(), a, segs, v.j, nil, nil)
+					dyn, err = stats.ObserveSegmentsParallelHooked(context.Background(), a, segs, v.j, stats.Hooks{})
 				} else {
-					dyn = stats.ObserveSegments(a, segs, nil, nil)
+					dyn = stats.SimulateSegments(a, segs)
 				}
 				if err != nil {
 					t.Fatal(err)
