@@ -67,8 +67,12 @@ race-parallel:
 # Guard the disabled-hook fast path: sim.Engine.Run must stay
 # allocation-free with no tracer/profile/registry attached, and all three
 # engines' RunChecked must collapse to Run under Attach(hooks.Set{}).
+# The second line guards the set-up passes the same way, on allocation
+# counts rather than timings: Builder.Build allocates a constant number of
+# objects, PrefixMerge a bounded number per state, RF class synthesis none.
 allocguard:
 	$(GO) test -run 'TestNilTelemetryZeroAllocs|TestDisabledLiveTelemetryZeroAllocs' -count=1 -v ./internal/sim/ ./internal/dfa/ ./internal/prefilter/
+	$(GO) test -run 'TestBuildAllocsConstant|TestPrefixMergeAllocsPerState|TestSymbolClassZeroAllocs' -count=1 -v ./internal/automata/ ./internal/transform/ ./internal/rf/
 
 # Byte-stability gate for the /metrics surface: the exposition golden
 # file plus the cross-worker-count determinism check (Table I's merged

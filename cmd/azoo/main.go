@@ -646,7 +646,7 @@ func runDFAParallel(a *automata.Automaton, segs [][]byte, workers, segments int,
 func cmdTable1(args []string) error {
 	fs := flag.NewFlagSet("table1", flag.ExitOnError)
 	scale, input, seed := suiteFlags(fs)
-	compress := fs.Bool("compress", false, "also run prefix-merge compression (slow at large scales)")
+	compress := fs.Bool("compress", false, "also run prefix-merge compression (about 0.35 µs per state: 0.2 s for the 620 567 states of -scale 0.05)")
 	engine := fs.String("engine", "nfa", "simulation engine: nfa or prefilter (rows are identical — exact engines)")
 	workers := workersFlag(fs)
 	segments := segmentsFlag(fs)

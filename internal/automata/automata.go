@@ -196,17 +196,19 @@ func (a *Automaton) Reports() []StateID {
 	return out
 }
 
-// Reverse returns, for every state, the list of its predecessors. The
-// result is freshly allocated on each call.
+// Reverse returns, for every state, the list of its predecessors in
+// ascending order. The result is freshly allocated on each call: the lists
+// are carved out of one array, each with exactly its in-degree as capacity.
 func (a *Automaton) Reverse() [][]StateID {
 	indeg := make([]uint32, a.NumStates())
 	for _, t := range a.edges {
 		indeg[t]++
 	}
+	flat := make([]StateID, len(a.edges))
 	pred := make([][]StateID, a.NumStates())
 	for i := range pred {
-		if indeg[i] > 0 {
-			pred[i] = make([]StateID, 0, indeg[i])
+		if d := indeg[i]; d > 0 {
+			pred[i], flat = flat[:0:d], flat[d:]
 		}
 	}
 	for s := 0; s < a.NumStates(); s++ {

@@ -2,7 +2,8 @@ package automata
 
 import (
 	"fmt"
-	"sort"
+	"maps"
+	"slices"
 
 	"automatazoo/internal/charset"
 )
@@ -144,51 +145,40 @@ func (b *Builder) Merge(other *Automaton, codeShift int32) StateID {
 // boundary cells and soft-reconfiguration padding rely on this.
 func (b *Builder) Build() (*Automaton, error) {
 	n := StateID(len(b.css))
+	// Freeze edges straight into CSR: append a state's successors, sort
+	// that tail and drop duplicates in place — no per-state allocation.
+	edgeOff := make([]uint32, n+1)
+	flat := make([]StateID, 0, b.edges)
 	for from, ss := range b.succ {
+		edgeOff[from] = uint32(len(flat))
 		for _, to := range ss {
 			if to >= n {
 				return nil, fmt.Errorf("automata: edge %d->%d out of range (n=%d)", from, to, n)
 			}
 		}
+		tail := append(flat[len(flat):], ss...)
+		slices.Sort(tail)
+		flat = flat[:len(flat)+len(slices.Compact(tail))]
 	}
+	edgeOff[n] = uint32(len(flat))
 	for id, c := range b.counter {
 		if c.Target == 0 {
 			return nil, fmt.Errorf("automata: counter %d has zero target", id)
 		}
 	}
+	if len(flat) < cap(flat) {
+		// Duplicates were dropped: do not pin the builder-sized array.
+		flat = slices.Clone(flat)
+	}
 	a := &Automaton{
 		table:    b.table,
-		css:      append([]charset.Handle(nil), b.css...),
-		flags:    append([]uint8(nil), b.flags...),
-		report:   append([]int32(nil), b.report...),
-		counters: make(map[StateID]Counter, len(b.counter)),
+		css:      slices.Clone(b.css),
+		flags:    slices.Clone(b.flags),
+		report:   slices.Clone(b.report),
+		edgeOff:  edgeOff,
+		edges:    flat,
+		counters: maps.Clone(b.counter),
 	}
-	for id, c := range b.counter {
-		a.counters[id] = c
-	}
-	// Freeze edges into CSR, deduplicating successors.
-	a.edgeOff = make([]uint32, n+1)
-	var flat []StateID
-	seen := map[StateID]struct{}{}
-	for i := StateID(0); i < n; i++ {
-		a.edgeOff[i] = uint32(len(flat))
-		ss := b.succ[i]
-		if len(ss) == 0 {
-			continue
-		}
-		clear(seen)
-		uniq := make([]StateID, 0, len(ss))
-		for _, t := range ss {
-			if _, dup := seen[t]; !dup {
-				seen[t] = struct{}{}
-				uniq = append(uniq, t)
-			}
-		}
-		sort.Slice(uniq, func(x, y int) bool { return uniq[x] < uniq[y] })
-		flat = append(flat, uniq...)
-	}
-	a.edgeOff[n] = uint32(len(flat))
-	a.edges = flat
 	for i := StateID(0); i < n; i++ {
 		if a.Start(i) != StartNone {
 			a.starts = append(a.starts, i)

@@ -5,7 +5,11 @@ import (
 	"testing"
 
 	"automatazoo/internal/core"
+	"automatazoo/internal/dfa"
 	"automatazoo/internal/mesh"
+	"automatazoo/internal/randx"
+	"automatazoo/internal/sim"
+	"automatazoo/internal/spm"
 )
 
 func TestTableISmall(t *testing.T) {
@@ -76,14 +80,54 @@ func TestTableIII(t *testing.T) {
 	if nfa.PlainSec <= 0 || dfaRow.PlainSec <= 0 {
 		t.Fatalf("non-positive timings: %+v", rows)
 	}
-	// The paper's qualitative result: padding hurts the NFA interpreter
-	// far more than the DFA engine.
-	if nfa.OverheadPct < 5 {
-		t.Errorf("NFA padding overhead %.1f%% suspiciously low", nfa.OverheadPct)
+	// The overheads are ratios of two ~20 ms wall-clock measurements and
+	// swing by tens of percent between runs, so they are logged, and the
+	// paper's qualitative result — padding hurts the NFA interpreter far
+	// more than the DFA engine — is asserted on its mechanism instead, on
+	// counters that repeat exactly.
+	t.Logf("NFA padding overhead %.1f%% (plain %.4fs), DFA %.1f%% (plain %.4fs)",
+		nfa.OverheadPct, nfa.PlainSec, dfaRow.OverheadPct, dfaRow.PlainSec)
+
+	const filters, itemsets, seed = 100, 4000, 3
+	rng := randx.New(seed)
+	pats := make([]spm.Pattern, filters)
+	for i := range pats {
+		pats[i] = spm.RandomPattern(rng, 6)
 	}
-	if dfaRow.OverheadPct > nfa.OverheadPct {
-		t.Errorf("DFA overhead %.1f%% should be below NFA %.1f%%",
-			dfaRow.OverheadPct, nfa.OverheadPct)
+	input := spm.Input(pats, itemsets, 5, 41, seed)
+	var enabledPerSymbol [2]float64
+	for i, pad := range []int{0, 4} {
+		a, err := spm.Benchmark(filters, 6, spm.Config{Padding: pad}, seed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// The interpreter's work is its enabled frontier, and padding
+		// states join it.
+		st := sim.New(a).Run(input)
+		enabledPerSymbol[i] = float64(st.Enabled) / float64(st.Symbols)
+
+		// The warmed DFA does one table lookup per live component per
+		// symbol whatever the automaton's size, and constructs nothing.
+		e, err := dfa.New(a)
+		if err != nil {
+			t.Fatal(err)
+		}
+		warm := e.Run(input)
+		e.Reset()
+		again := e.Run(input)
+		comps, _ := a.Components()
+		if misses := again.CacheMisses - warm.CacheMisses; misses != 0 || again.Fallbacks != 0 {
+			t.Errorf("padding %d: warmed DFA took %d cache misses, %d fallbacks on its second pass", pad, misses, again.Fallbacks)
+		}
+		if lookups, limit := again.CacheHits-warm.CacheHits, int64(len(comps))*int64(len(input)); lookups > limit {
+			t.Errorf("padding %d: %d DFA lookups on the second pass, more than one per component per symbol (%d)", pad, lookups, limit)
+		}
+	}
+	if rise := (enabledPerSymbol[1]/enabledPerSymbol[0] - 1) * 100; rise < 5 {
+		t.Errorf("padding raised the NFA's enabled states per symbol by only %.1f%% (%.2f -> %.2f)",
+			rise, enabledPerSymbol[0], enabledPerSymbol[1])
+	} else {
+		t.Logf("enabled states per symbol: plain %.2f, padded %.2f (+%.1f%%)", enabledPerSymbol[0], enabledPerSymbol[1], rise)
 	}
 }
 

@@ -278,6 +278,9 @@ func (p *parser) parseAtom() (*node, error) {
 		// unsupported look-around / named groups.
 		if p.accept('?') {
 			if !p.accept(':') {
+				if p.eof() {
+					return nil, p.errorf("pattern ends inside (?")
+				}
 				return nil, p.errorf("unsupported group construct (?%c", p.peek())
 			}
 		}

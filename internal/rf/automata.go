@@ -65,33 +65,52 @@ func (e Encoder) EncodeInto(x []uint8, out []byte) {
 }
 
 // symbolClass computes the set of byte values consistent with the interval
-// constraints of the features packed into symbol sym.
+// constraints of the features packed into symbol sym. It enumerates the
+// satisfying values slot by slot (partial values × the slot's interval), so
+// it costs the size of the class, or O(slots) for the two common extremes:
+// the empty class and the fully unconstrained one.
 func (e Encoder) symbolClass(sym int, lo, hi []uint8) charset.Set {
-	var cls charset.Set
 	first := sym * e.FeaturesPerByte
-	for v := 0; v < 256; v++ {
-		ok := true
-		for slot := 0; slot < e.FeaturesPerByte; slot++ {
-			f := first + slot
-			if f >= e.NumFeatures {
-				// Unused trailing slots must be zero (the encoder zeroes
-				// them), keeping the class tight.
-				shift := 8 - e.BitsPerFeature*(slot+1)
-				if (v>>shift)&((1<<e.BitsPerFeature)-1) != 0 {
-					ok = false
-				}
-				continue
-			}
-			shift := 8 - e.BitsPerFeature*(slot+1)
-			lvl := uint8(v>>shift) & ((1 << e.BitsPerFeature) - 1)
-			if lvl < lo[f] || lvl > hi[f] {
-				ok = false
-				break
+	top := uint8(1)<<e.BitsPerFeature - 1 // highest value a field holds
+	var slotLo, slotHi [8]uint8
+	all := true
+	for slot := 0; slot < e.FeaturesPerByte; slot++ {
+		// Unused trailing slots must be zero (the encoder zeroes them),
+		// keeping the class tight.
+		var l, h uint8
+		if f := first + slot; f < e.NumFeatures {
+			l, h = lo[f], min(hi[f], top)
+		}
+		if l > h {
+			return charset.Set{}
+		}
+		if l != 0 || h != top {
+			all = false
+		}
+		slotLo[slot], slotHi[slot] = l, h
+	}
+	if all {
+		return charset.All()
+	}
+	// vals[:n] holds every satisfying value of the slots seen so far;
+	// each slot multiplies it by its interval width, expanding back to
+	// front so the expansion is in place.
+	var vals [256]uint8
+	n := 1
+	for slot := 0; slot < e.FeaturesPerByte; slot++ {
+		shift := 8 - e.BitsPerFeature*(slot+1)
+		l, w := slotLo[slot], int(slotHi[slot]-slotLo[slot])+1
+		for i := n - 1; i >= 0; i-- {
+			p := vals[i]
+			for k := w - 1; k >= 0; k-- {
+				vals[i*w+k] = p | (l+uint8(k))<<shift
 			}
 		}
-		if ok {
-			cls.Add(byte(v))
-		}
+		n *= w
+	}
+	var cls charset.Set
+	for _, v := range vals[:n] {
+		cls.Add(v)
 	}
 	return cls
 }

@@ -3,6 +3,7 @@ package rf
 import (
 	"testing"
 
+	"automatazoo/internal/charset"
 	"automatazoo/internal/randx"
 )
 
@@ -171,6 +172,100 @@ func TestEncoderPacking(t *testing.T) {
 	sym4 := enc4.Encode([]uint8{3, 1, 2})
 	if sym4[0] != 0b11011000 {
 		t.Fatalf("packed4=%08b", sym4[0])
+	}
+}
+
+// symbolClassReference is the brute-force class synthesis symbolClass
+// replaced, kept as the oracle: test all 256 byte values against every
+// slot's interval.
+func symbolClassReference(e Encoder, sym int, lo, hi []uint8) charset.Set {
+	var cls charset.Set
+	first := sym * e.FeaturesPerByte
+	for v := 0; v < 256; v++ {
+		ok := true
+		for slot := 0; slot < e.FeaturesPerByte; slot++ {
+			f := first + slot
+			if f >= e.NumFeatures {
+				// Unused trailing slots must be zero (the encoder zeroes
+				// them), keeping the class tight.
+				shift := 8 - e.BitsPerFeature*(slot+1)
+				if (v>>shift)&((1<<e.BitsPerFeature)-1) != 0 {
+					ok = false
+				}
+				continue
+			}
+			shift := 8 - e.BitsPerFeature*(slot+1)
+			lvl := uint8(v>>shift) & ((1 << e.BitsPerFeature) - 1)
+			if lvl < lo[f] || lvl > hi[f] {
+				ok = false
+				break
+			}
+		}
+		if ok {
+			cls.Add(byte(v))
+		}
+	}
+	return cls
+}
+
+func TestSymbolClassMatchesReference(t *testing.T) {
+	rng := randx.New(20)
+	// Levels 2, 4, 16, 256 fill their 1/2/4/8-bit fields; 3, 9 and 100
+	// leave field values no level uses.
+	for _, levels := range []int{2, 3, 4, 9, 16, 100, 256} {
+		probe, err := NewEncoder(1, levels)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Feature counts that leave every number of unused trailing slots.
+		for nf := 1; nf <= 2*probe.FeaturesPerByte+1; nf++ {
+			enc, err := NewEncoder(nf, levels)
+			if err != nil {
+				t.Fatal(err)
+			}
+			lo, hi := make([]uint8, nf), make([]uint8, nf)
+			for trial := 0; trial < 60; trial++ {
+				for f := range lo {
+					switch rng.Intn(6) {
+					case 0: // single value
+						lo[f] = uint8(rng.Intn(levels))
+						hi[f] = lo[f]
+					case 1: // empty
+						lo[f] = uint8(rng.IntRange(1, levels-1))
+						hi[f] = uint8(rng.Intn(int(lo[f])))
+					case 2: // arbitrary, possibly empty or above the field
+						lo[f], hi[f] = uint8(rng.Intn(256)), uint8(rng.Intn(256))
+					default: // full range, as Tree.Paths leaves unsplit features
+						lo[f], hi[f] = 0, uint8(levels-1)
+					}
+				}
+				for sym := 0; sym < enc.SymbolsPerSample; sym++ {
+					got := enc.symbolClass(sym, lo, hi)
+					if want := symbolClassReference(enc, sym, lo, hi); got != want {
+						t.Fatalf("levels=%d features=%d sym=%d lo=%v hi=%v:\n got %v\nwant %v",
+							levels, nf, sym, lo, hi, got, want)
+					}
+				}
+			}
+		}
+	}
+}
+
+func TestSymbolClassZeroAllocs(t *testing.T) {
+	enc, err := NewEncoder(13, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lo := make([]uint8, 13)
+	hi := []uint8{3, 3, 1, 3, 3, 3, 3, 3, 2, 3, 3, 3, 3}
+	var sink charset.Set
+	allocs := testing.AllocsPerRun(100, func() {
+		for sym := 0; sym < enc.SymbolsPerSample; sym++ {
+			sink = sink.Union(enc.symbolClass(sym, lo, hi))
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("symbolClass allocated %.0f objects per run; want 0", allocs)
 	}
 }
 

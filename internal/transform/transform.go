@@ -13,7 +13,8 @@ package transform
 
 import (
 	"fmt"
-	"sort"
+	"math/bits"
+	"slices"
 
 	"automatazoo/internal/automata"
 	"automatazoo/internal/charset"
@@ -39,7 +40,8 @@ func PrefixMerge(a *automata.Automaton) (*automata.Automaton, int) {
 // (internal/attr) can union origin sets across a merge.
 func PrefixMergeMapped(a *automata.Automaton) (*automata.Automaton, int, []automata.StateID) {
 	n := a.NumStates()
-	// rep[i] is the canonical representative of state i under merging.
+	// rep[i] is the canonical representative of state i under merging:
+	// always the lowest ID of its class.
 	rep := make([]automata.StateID, n)
 	for i := range rep {
 		rep[i] = automata.StateID(i)
@@ -52,45 +54,106 @@ func PrefixMergeMapped(a *automata.Automaton) (*automata.Automaton, int, []autom
 		return x
 	}
 
-	for pass := 0; ; pass++ {
-		// Signature: class handle, start, report flag+code, kind, and the
-		// canonicalized sorted predecessor multiset.
-		pred := make([][]automata.StateID, n)
-		for s := 0; s < n; s++ {
-			cs := find(automata.StateID(s))
-			for _, t := range a.Succ(automata.StateID(s)) {
-				ct := find(t)
-				pred[ct] = append(pred[ct], cs)
-			}
+	// Predecessor lists of the input, built once. Every member of a class
+	// was merged in with the same canonical predecessor set as its
+	// representative, and coarsening keeps equal sets equal, so a class's
+	// key needs only its representative's own predecessor list.
+	pred := a.Reverse()
+	// canon writes the sorted, deduplicated representatives of id's
+	// predecessors into buf.
+	canon := func(buf []automata.StateID, id automata.StateID) []automata.StateID {
+		buf = buf[:0]
+		for _, p := range pred[id] {
+			buf = append(buf, find(p))
 		}
-		groups := map[string][]automata.StateID{}
-		for s := 0; s < n; s++ {
-			id := automata.StateID(s)
-			if find(id) != id || a.Kind(id) == automata.KindCounter {
-				continue
+		slices.Sort(buf)
+		return slices.Compact(buf)
+	}
+
+	// Representatives are indexed by a chained hash table over their key
+	// (class handle, start, report flag+code, canonical predecessors);
+	// the full hash is kept per state and a hit is verified field by
+	// field, so equal keys — and only equal keys — merge.
+	mask := uint32(1)<<bits.Len(uint(2*n)) - 1
+	bucket := make([]automata.StateID, mask+1) // head of each chain
+	for i := range bucket {
+		bucket[i] = automata.NoState
+	}
+	chain := make([]automata.StateID, n) // next state in the same bucket
+	hash := make([]uint64, n)            // key hash a state is filed under
+	unfile := func(id automata.StateID) {
+		at := &bucket[uint32(hash[id])&mask]
+		for *at != id {
+			at = &chain[*at]
+		}
+		*at = chain[id]
+	}
+
+	// Members of each class as a linked list through its representative,
+	// so a merge can visit the successors of every state it renamed.
+	next := make([]automata.StateID, n)
+	last := make([]automata.StateID, n)
+	for i := range next {
+		next[i], last[i] = automata.NoState, automata.StateID(i)
+	}
+
+	// Worklist refinement: a state is re-examined only when one of its
+	// predecessors changed representative, and leaves the table while it
+	// waits, so the table holds exactly the representatives whose key is
+	// current. Rounds run in ascending ID order, so chains laid out head
+	// first collapse in the first round.
+	work := make([]automata.StateID, 0, n)
+	queued := make([]bool, n)
+	for s := 0; s < n; s++ {
+		if a.Kind(automata.StateID(s)) != automata.KindCounter {
+			work = append(work, automata.StateID(s))
+			queued[s] = true
+		}
+	}
+	var later, key, other []automata.StateID
+	for len(work) > 0 {
+		for _, id := range work {
+			queued[id] = false
+			key = canon(key, id)
+			h := keyHash(a, id, key)
+			at := bucket[uint32(h)&mask]
+			for at != automata.NoState {
+				if hash[at] == h && sameLabel(a, at, id) {
+					if other = canon(other, at); slices.Equal(key, other) {
+						break
+					}
+				}
+				at = chain[at]
 			}
-			ps := pred[id]
-			sort.Slice(ps, func(i, j int) bool { return ps[i] < ps[j] })
-			// Deduplicate canonical predecessors.
-			uniq := ps[:0]
-			for i, p := range ps {
-				if i == 0 || p != ps[i-1] {
-					uniq = append(uniq, p)
+			keep, gone := id, at
+			if at == automata.NoState || at > id {
+				// id is new here, or takes over as the lowest ID.
+				hash[id] = h
+				chain[id] = bucket[uint32(h)&mask]
+				bucket[uint32(h)&mask] = id
+				if at == automata.NoState {
+					continue
+				}
+				unfile(at)
+			} else {
+				keep, gone = at, id
+			}
+			rep[gone] = keep
+			for m := gone; m != automata.NoState; m = next[m] {
+				for _, t := range a.Succ(m) {
+					t = find(t)
+					if !queued[t] && a.Kind(t) != automata.KindCounter {
+						queued[t] = true
+						unfile(t)
+						later = append(later, t)
+					}
 				}
 			}
-			key := signature(a, id, uniq)
-			groups[key] = append(groups[key], id)
+			next[last[keep]] = gone
+			last[keep] = last[gone]
 		}
-		merged := 0
-		for _, g := range groups {
-			for _, other := range g[1:] {
-				rep[other] = g[0]
-				merged++
-			}
-		}
-		if merged == 0 {
-			break
-		}
+		slices.Sort(later)
+		work, later = later, work[:0]
 	}
 
 	// Rebuild with representatives only.
@@ -134,21 +197,29 @@ func PrefixMergeMapped(a *automata.Automaton) (*automata.Automaton, int, []autom
 	return b.MustBuild(), removed, remap
 }
 
-func signature(a *automata.Automaton, id automata.StateID, pred []automata.StateID) string {
-	buf := make([]byte, 0, 16+len(pred)*4)
-	h := a.ClassHandle(id)
-	buf = append(buf, byte(h), byte(h>>8), byte(h>>16), byte(h>>24))
-	buf = append(buf, byte(a.Start(id)))
+// sameLabel reports whether x and y agree on everything in the merge key
+// except their predecessors.
+func sameLabel(a *automata.Automaton, x, y automata.StateID) bool {
+	return a.ClassHandle(x) == a.ClassHandle(y) && a.Start(x) == a.Start(y) &&
+		a.IsReport(x) == a.IsReport(y) && (!a.IsReport(x) || a.ReportCode(x) == a.ReportCode(y))
+}
+
+// keyHash hashes id's merge key: its label and its canonical predecessors.
+func keyHash(a *automata.Automaton, id automata.StateID, pred []automata.StateID) uint64 {
+	mix := func(h uint64, v uint32) uint64 {
+		h = (h ^ uint64(v)) * 0x9E3779B97F4A7C15
+		return h ^ h>>29
+	}
+	h := mix(uint64(len(pred)), uint32(a.ClassHandle(id)))
+	h = mix(h, uint32(a.Start(id)))
 	if a.IsReport(id) {
-		c := a.ReportCode(id)
-		buf = append(buf, 1, byte(c), byte(c>>8), byte(c>>16), byte(c>>24))
-	} else {
-		buf = append(buf, 0, 0, 0, 0, 0)
+		h = mix(h, 1)
+		h = mix(h, uint32(a.ReportCode(id)))
 	}
 	for _, p := range pred {
-		buf = append(buf, byte(p), byte(p>>8), byte(p>>16), byte(p>>24))
+		h = mix(h, p)
 	}
-	return string(buf)
+	return h
 }
 
 // Widen converts a byte-pattern automaton into its "wide" (UTF-16LE-style)
