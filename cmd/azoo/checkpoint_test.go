@@ -2,17 +2,139 @@ package main
 
 import (
 	"bytes"
+	"io"
+	"os"
 	"path/filepath"
+	"reflect"
+	"strings"
 	"testing"
 
 	"automatazoo/internal/automata"
 	"automatazoo/internal/charset"
 	"automatazoo/internal/ckpt"
 	"automatazoo/internal/dfa"
+	"automatazoo/internal/guard"
+	"automatazoo/internal/report"
 	"automatazoo/internal/sim"
 	"automatazoo/internal/stats"
 	"automatazoo/internal/telemetry"
 )
+
+// captureStdout runs f with os.Stdout redirected into a pipe and returns
+// what it printed alongside f's error.
+func captureStdout(t *testing.T, f func() error) (string, error) {
+	t.Helper()
+	r, w, err := os.Pipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	saved := os.Stdout
+	os.Stdout = w
+	out := make(chan string)
+	go func() {
+		b, _ := io.ReadAll(r)
+		out <- string(b)
+	}()
+	ferr := f()
+	os.Stdout = saved
+	w.Close()
+	return <-out, ferr
+}
+
+// TestResumeIdenticalToStraightRun drives the CLI end to end: a
+// checkpointed `azoo run` killed at its second save (crash:ckpt.save:2)
+// and finished by `azoo resume` must print the same stdout and write the
+// same manifest kernel row (seg_*/pf_* extras included) and attribution
+// section as one uninterrupted run with the same checkpoint flags (the
+// save grid shapes the seg_* accounting), and neither may leave a
+// checkpoint behind. The dfa engine re-warms its cache from cold on
+// resume, so only its symbols/reports/states line and row counts are
+// compared.
+func TestResumeIdenticalToStraightRun(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds and scans a benchmark three times per engine shape")
+	}
+	for _, tc := range []struct {
+		name string
+		args []string
+		cold bool // cache-dependent output is documented as cold on resume
+	}{
+		{"nfa-j1", []string{"-engine", "nfa", "-j", "1", "-segments", "1"}, false},
+		{"nfa-j2-seg3", []string{"-engine", "nfa", "-j", "2", "-segments", "3"}, false},
+		{"prefilter", []string{"-engine", "prefilter", "-j", "1", "-segments", "1"}, false},
+		{"dfa-j1", []string{"-engine", "dfa", "-j", "1"}, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			r0, r1, r2 := filepath.Join(dir, "r0.json"), filepath.Join(dir, "r1.json"), filepath.Join(dir, "r2.json")
+			ck0, ck := filepath.Join(dir, "straight.ckpt"), filepath.Join(dir, "run.ckpt")
+			base := append([]string{"-bench", "Snort", "-scale", "0.02", "-input", "30000",
+				"-checkpoint-interval", "4096"}, tc.args...)
+			base = base[:len(base):len(base)] // each run appends its own tail
+
+			want, err := captureStdout(t, func() error {
+				return cmdRun(append(base, "-report", r0, "-checkpoint", ck0))
+			})
+			if err != nil {
+				t.Fatalf("straight run: %v", err)
+			}
+
+			_, err = captureStdout(t, func() error {
+				return cmdRun(append(base, "-report", r1, "-checkpoint", ck, "-faults", "crash:ckpt.save:2"))
+			})
+			if trip := guard.AsTrip(err); trip == nil || trip.Budget != guard.BudgetCrashed {
+				t.Fatalf("crashed run: want an injected crash trip, got %v", err)
+			}
+			if exitCode(err) != exitTruncated {
+				t.Errorf("crashed run: exit %d, want %d (truncated)", exitCode(err), exitTruncated)
+			}
+			if _, err := os.Stat(ck); err != nil {
+				t.Fatalf("crashed run left no checkpoint: %v", err)
+			}
+
+			got, err := captureStdout(t, func() error { return cmdResume([]string{"-report", r2, ck}) })
+			if err != nil {
+				t.Fatalf("resume: %v", err)
+			}
+			for _, f := range []string{ck0, ck0 + ".prev", ck, ck + ".prev"} {
+				if _, err := os.Stat(f); !os.IsNotExist(err) {
+					t.Errorf("completed run left %s behind (stat err %v)", f, err)
+				}
+			}
+
+			m0, err := report.ReadFile(r0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			m2, err := report.ReadFile(r2)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(m0.Kernels) != 1 || len(m2.Kernels) != 1 {
+				t.Fatalf("kernel rows: straight %d, resumed %d, want 1 each", len(m0.Kernels), len(m2.Kernels))
+			}
+			k0, k2 := m0.Kernels[0], m2.Kernels[0]
+			if m2.Truncated || m2.Command != m0.Command || !reflect.DeepEqual(m2.Suite, m0.Suite) {
+				t.Errorf("resumed manifest header: truncated=%v command=%q suite=%v, straight command=%q suite=%v",
+					m2.Truncated, m2.Command, m2.Suite, m0.Command, m0.Suite)
+			}
+			if tc.cold {
+				want, _, _ = strings.Cut(want, "DFA states")
+				got, _, _ = strings.Cut(got, "DFA states")
+				k0 = report.KernelRow{Name: k0.Name, States: k0.States, Symbols: k0.Symbols, Reports: k0.Reports}
+				k2 = report.KernelRow{Name: k2.Name, States: k2.States, Symbols: k2.Symbols, Reports: k2.Reports}
+			} else if !reflect.DeepEqual(m2.Attribution, m0.Attribution) || len(m0.Attribution) == 0 {
+				t.Errorf("attribution differs (or is empty):\nstraight %+v\nresumed  %+v", m0.Attribution, m2.Attribution)
+			}
+			if got != want || want == "" {
+				t.Errorf("stdout differs:\nstraight %q\nresumed  %q", want, got)
+			}
+			if !reflect.DeepEqual(k2, k0) {
+				t.Errorf("manifest kernel row differs:\nstraight %+v\nresumed  %+v", k0, k2)
+			}
+		})
+	}
+}
 
 // TestResumeProgressTotalCoversOnlyRemainingStreams resumes a three-stream
 // scan from a cursor inside the SECOND stream and requires the progress
@@ -42,7 +164,7 @@ func TestResumeProgressTotalCoversOnlyRemainingStreams(t *testing.T) {
 			st := e.Run(stream[:resumeAt])
 			c := cursor()
 			c.Sim = &st
-			_, _, err := runCheckpointedScan(sv, ckpt.Meta{}, a, streams, h, 1, 1,
+			_, _, err := runCheckpointedScan(sv, ckpt.Meta{Workers: 1, Segments: 1}, a, streams, h,
 				&ckpt.Checkpoint{Sim: e.CaptureState(), Cursor: c})
 			return err
 		},

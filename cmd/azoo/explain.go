@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"strings"
 
 	"automatazoo/internal/attr"
 	"automatazoo/internal/core"
@@ -22,28 +21,17 @@ import (
 // value (asserted by TestExplainByteIdenticalAcrossWorkersAndSegments).
 func cmdExplain(args []string) error {
 	fs := flag.NewFlagSet("explain", flag.ExitOnError)
-	scale, input, seed := suiteFlags(fs)
-	name := fs.String("bench", "", "benchmark name (or pass it as the first argument)")
+	cfg := suiteFlags(fs)
 	engine := fs.String("engine", "nfa", "engine: nfa (VASim-like), dfa (Hyperscan-like), or prefilter (two-stage literal prefilter)")
 	workers := workersFlag(fs)
 	segments := segmentsFlag(fs)
 	topK := fs.Int("top", 10, "cost rows to print (0 = every pattern)")
 	asJSON := fs.Bool("json", false, "emit the cost rows as JSON instead of the text table")
-	// Accept `azoo explain <benchmark>` with the name before the flags.
-	if len(args) > 0 && !strings.HasPrefix(args[0], "-") {
-		*name = args[0]
-		args = args[1:]
-	}
-	fs.Parse(args)
-	if *name == "" {
-		return usageErrorf("explain: benchmark name required (azoo explain <benchmark>)")
-	}
-	b, err := resolveBenchmark(*name)
+	b, err := parseBench(fs, args)
 	if err != nil {
 		return err
 	}
-	cfg := core.Config{Scale: *scale, InputBytes: *input, Seed: *seed}
-	col, err := explainRun(b, cfg, *engine, *workers, *segments)
+	col, err := explainRun(b, *cfg, *engine, *workers, *segments)
 	if err != nil {
 		return err
 	}

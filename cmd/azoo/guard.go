@@ -19,7 +19,6 @@ const (
 	exitUsage      = 2 // bad command line
 	exitTruncated  = 3 // run stopped by the governor; partial manifest written
 	exitDivergence = 4 // difftest found engines disagreeing
-	exitRegression = 5 // benchdiff found a throughput regression
 )
 
 // usageError marks a command-line mistake (unknown engine, bad flag
@@ -39,16 +38,6 @@ func (e divergenceError) Error() string {
 	return fmt.Sprintf("%d divergence(s) found", e.n)
 }
 
-// regressionError is benchdiff's verdict when a kernel regressed.
-type regressionError struct {
-	n         int
-	threshold string
-}
-
-func (e regressionError) Error() string {
-	return fmt.Sprintf("benchdiff: %d kernel(s) regressed beyond %s", e.n, e.threshold)
-}
-
 // exitCode maps a command error to the process exit code. Governor trips
 // (budget, deadline, cancellation, injected faults) rank as truncation:
 // the run is incomplete, not incorrect.
@@ -58,7 +47,6 @@ func exitCode(err error) int {
 	}
 	var ue usageError
 	var de divergenceError
-	var re regressionError
 	switch {
 	case errors.As(err, &ue):
 		return exitUsage
@@ -66,8 +54,6 @@ func exitCode(err error) int {
 		return exitTruncated
 	case errors.As(err, &de):
 		return exitDivergence
-	case errors.As(err, &re):
-		return exitRegression
 	}
 	return exitRuntime
 }
@@ -107,15 +93,20 @@ func degradedMark(fallbacks int) string {
 	return ""
 }
 
-// armGovernor materializes gf and attaches the resulting governor (when
-// any budget or fault rule is armed) to the session, then arms the stall
-// watchdog. A -stall-after with no budgets still needs a governor — the
-// watchdog trips it to release stalled workers — so one is created with
-// an empty budget in that case.
-func armGovernor(sess *obsSession, gf *guardFlags) error {
+// openSession materializes the telemetry flags into a session and the
+// governor flags into its governor (when any budget or fault rule is
+// armed), then arms the stall watchdog and the signal drain. A
+// -stall-after with no budgets still needs a governor — the watchdog trips
+// it to release stalled workers — so one is created with an empty budget
+// in that case.
+func openSession(tf *telFlags, gf *guardFlags) (*obsSession, error) {
+	sess, err := tf.session()
+	if err != nil {
+		return nil, err
+	}
 	gov, err := gf.governor(context.Background())
 	if err != nil {
-		return err
+		return nil, err
 	}
 	if gov == nil && sess.stallAfter > 0 {
 		gov = guard.New(context.Background(), guard.Budget{})
@@ -123,7 +114,7 @@ func armGovernor(sess *obsSession, gf *guardFlags) error {
 	sess.Governor = gov
 	sess.armWatchdog()
 	sess.armSignals(false)
-	return nil
+	return sess, nil
 }
 
 // governor materializes the flags into a run governor, or nil when

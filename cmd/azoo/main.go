@@ -16,16 +16,14 @@
 //	azoo table4 [-samples 4000] [-j N]
 //	azoo fig1   [-filters 10] [-symbols 1000000] [-trials 10]   (also Table V)
 //	azoo snortrates [-scale 0.2] [-input 400000]
-//	azoo bench  [-label ci] [-runs 3] [-kernels "Snort,Brill"] [-j N] [-segments K] [-prefilter]
-//	azoo benchdiff old.json new.json [-threshold 5%]
 //	azoo difftest [-seeds 500] [-states 12] [-input 512] [-seed 1] [-pair sim-dfa] [-json]
 //	azoo version
 //
 // run and the table commands accept -report <file> to write a run-report
 // manifest (environment provenance, per-kernel rows, phase spans, and the
-// metrics snapshot); bench writes the same manifest as its artifact. See
-// EXPERIMENTS.md ("Continuous benchmarking") for the schema and the
-// bench → benchdiff regression-gate workflow.
+// metrics snapshot); EXPERIMENTS.md ("Run manifests") has the schema.
+// Speed is measured by the repository benchmark under bench/ (see
+// bench/README.md), not by this command.
 //
 // The live-ops surface rides the same flag set: -debug-addr serves pprof,
 // expvar (/debug/vars), Prometheus text exposition (/metrics), and live
@@ -68,9 +66,11 @@ import (
 	"os"
 	"runtime"
 	"runtime/debug"
+	"strings"
 
 	"automatazoo/internal/attr"
 	"automatazoo/internal/automata"
+	"automatazoo/internal/ckpt"
 	"automatazoo/internal/core"
 	"automatazoo/internal/dfa"
 	"automatazoo/internal/experiments"
@@ -137,10 +137,6 @@ func run() (code int) {
 		err = cmdExport(args)
 	case "partition":
 		err = cmdPartition(args)
-	case "bench":
-		err = cmdBench(args)
-	case "benchdiff":
-		err = cmdBenchDiff(args)
 	case "difftest":
 		err = cmdDifftest(args)
 	case "version":
@@ -173,17 +169,42 @@ commands:
   snortrates   Section-V Snort report-rate experiment
   export       write a benchmark automaton as MNRL JSON or Graphviz dot
   partition    bin-pack a benchmark onto a capacity-limited device
-  bench        run a kernel set N times and write a BENCH_<label>.json manifest
-  benchdiff    compare two manifests; non-zero exit on throughput regression
   difftest     cross-engine differential soak; non-zero exit on divergence
   version      print the build's version and VCS revision`)
 }
 
-func suiteFlags(fs *flag.FlagSet) (*float64, *int, *uint64) {
-	scale := fs.Float64("scale", 0.05, "pattern-count scale (1.0 = paper scale)")
-	input := fs.Int("input", 200_000, "standard input bytes")
-	seed := fs.Uint64("seed", 0xa20, "generator seed")
-	return scale, input, seed
+// buildFlags registers the generator flags of every command that builds a
+// benchmark and returns the config they fill in at Parse. The standard
+// input is fixed at 4 KiB: commands that scan it register -input on top
+// (suiteFlags); the others only need the automaton.
+func buildFlags(fs *flag.FlagSet) *core.Config {
+	cfg := &core.Config{InputBytes: 4096}
+	fs.Float64Var(&cfg.Scale, "scale", 0.05, "pattern-count scale (1.0 = paper scale)")
+	fs.Uint64Var(&cfg.Seed, "seed", 0xa20, "generator seed")
+	return cfg
+}
+
+// suiteFlags is buildFlags plus -input, the standard-input length.
+func suiteFlags(fs *flag.FlagSet) *core.Config {
+	cfg := buildFlags(fs)
+	fs.IntVar(&cfg.InputBytes, "input", 200_000, "standard input bytes")
+	return cfg
+}
+
+// parseBench registers -bench on fs, parses args — the name may also lead
+// them as a bare argument (`azoo profile snort`) — and resolves it. It is
+// the one benchmark-name path of every single-benchmark command: a missing,
+// unknown or ambiguous name is a usage error.
+func parseBench(fs *flag.FlagSet, args []string) (core.Benchmark, error) {
+	name := fs.String("bench", "", "benchmark name, exact or a unique case-insensitive substring (see `azoo list`); may also be given as the first argument")
+	if len(args) > 0 && !strings.HasPrefix(args[0], "-") {
+		*name, args = args[0], args[1:]
+	}
+	fs.Parse(args)
+	if *name == "" {
+		return core.Benchmark{}, usageErrorf("%s: benchmark name required (azoo %[1]s <benchmark>)", fs.Name())
+	}
+	return resolveBenchmark(*name)
 }
 
 // workersFlag registers -j, the worker count of the parallel execution
@@ -210,18 +231,22 @@ func cmdList() error {
 	return nil
 }
 
+// cmdVersion prints the build's module version and VCS revision — the
+// same provenance recorded in every run-report manifest.
+func cmdVersion() error {
+	fmt.Println(report.VersionString())
+	return nil
+}
+
 func cmdStats(args []string) error {
 	fs := flag.NewFlagSet("stats", flag.ExitOnError)
-	scale, input, seed := suiteFlags(fs)
-	name := fs.String("bench", "", "benchmark name (see `azoo list`)")
+	cfg := suiteFlags(fs)
 	compress := fs.Bool("compress", false, "also run prefix-merge compression")
-	fs.Parse(args)
-	b, err := core.ByName(*name)
+	b, err := parseBench(fs, args)
 	if err != nil {
 		return err
 	}
-	cfg := core.Config{Scale: *scale, InputBytes: *input, Seed: *seed}
-	a, segs, err := b.Build(cfg)
+	a, segs, err := b.Build(*cfg)
 	if err != nil {
 		return err
 	}
@@ -240,32 +265,73 @@ func cmdStats(args []string) error {
 
 func cmdRun(args []string) error {
 	fs := flag.NewFlagSet("run", flag.ExitOnError)
-	scale, input, seed := suiteFlags(fs)
-	name := fs.String("bench", "", "benchmark name")
+	cfg := suiteFlags(fs)
 	engine := fs.String("engine", "nfa", "engine: nfa (VASim-like), dfa (Hyperscan-like), or prefilter (two-stage literal prefilter)")
 	workers := workersFlag(fs)
 	segments := segmentsFlag(fs)
+	ckptPath := fs.String("checkpoint", "",
+		"write crash-safe scan checkpoints to this file; resume an interrupted run with `azoo resume <file>` (scans on one whole-automaton engine; -j sizes the segment worker pool)")
+	interval := fs.Int64("checkpoint-interval", ckpt.DefaultInterval,
+		"input bytes scanned between periodic checkpoints (aligned down to a 4096-byte multiple)")
 	tf := telemetryFlags(fs)
 	gf := governorFlags(fs)
-	cf := checkpointFlags(fs)
-	fs.Parse(args)
-	b, err := resolveBenchmark(*name)
+	b, err := parseBench(fs, args)
 	if err != nil {
 		return err
 	}
-	sess, err := tf.session()
+	switch *engine {
+	case "nfa", "prefilter":
+	case "dfa":
+		if *ckptPath != "" && *workers != 1 {
+			return usageErrorf("-checkpoint with -engine dfa requires -j 1 (the checkpoint holds one engine's frontier)")
+		}
+	default:
+		return usageErrorf("unknown engine %q", *engine)
+	}
+	sess, err := openSession(tf, gf)
 	if err != nil {
 		return err
 	}
-	if err := armGovernor(sess, gf); err != nil {
-		return err
-	}
-	if cf.armed() {
+	return runScan(sess, scanSpec{
+		bench: b, cfg: *cfg, ckptPath: *ckptPath,
+		meta: ckpt.Meta{
+			Command: "run", Label: b.Name, Engine: *engine,
+			Flags: map[string]string{
+				"bench": b.Name,
+				"scale": fmt.Sprintf("%g", cfg.Scale),
+				"input": fmt.Sprintf("%d", cfg.InputBytes),
+				"seed":  fmt.Sprintf("%#x", cfg.Seed),
+			},
+			Interval: ckpt.AlignInterval(*interval), Workers: *workers, Segments: *segments,
+		},
+	})
+}
+
+// scanSpec is what `run` scans and how. meta is the recipe a checkpoint
+// persists — engine (validated by the caller), execution knobs that fix
+// the scan shape and so the save grid, and the suite flags as strings;
+// bench and cfg are those flags resolved. cmdRun fills it from its flags,
+// cmdResume from a checkpoint (which is then also where to start).
+type scanSpec struct {
+	meta     ckpt.Meta
+	bench    core.Benchmark
+	cfg      core.Config
+	ckptPath string // "" = no checkpointing
+	start    *ckpt.Checkpoint
+}
+
+// runScan is the one body of `run` and `resume`: build the benchmark, scan
+// its standard input on the spec's engine (from the spec's checkpoint, if
+// any), print the result line and record the manifest row. A straight run
+// and a resumed one differ only in sp, so their output is identical by
+// construction.
+func runScan(sess *obsSession, sp scanSpec) error {
+	if sp.ckptPath != "" {
 		// Checkpointed scans always drain gracefully on SIGINT/SIGTERM —
 		// the final save needs a governor to stop the engines cooperatively.
 		sess.armSignals(true)
 	}
-	cfg := core.Config{Scale: *scale, InputBytes: *input, Seed: *seed}
+	b, m := sp.bench, sp.meta
 	h := sess.hooks(b.Name)
 	bsp := h.Spans.Start("build")
 	// With telemetry active the run carries cost attribution: the manifest
@@ -275,98 +341,98 @@ func cmdRun(args []string) error {
 	var a *automata.Automaton
 	var segs [][]byte
 	var col *attr.Collector
+	var err error
 	if h.Registry != nil {
-		a, segs, col, err = b.BuildAttributed(cfg)
+		a, segs, col, err = b.BuildAttributed(sp.cfg)
 	} else {
-		a, segs, err = b.Build(cfg)
+		a, segs, err = b.Build(sp.cfg)
 	}
 	bsp.End()
 	if err != nil {
 		return err
 	}
-	h.Attribution = col
-	row := report.KernelRow{Name: b.Name, States: a.NumStates()}
-	ssp := h.Spans.Start("scan")
-	runConfig := suiteConfig(*scale, *input, *seed)
-	runConfig["segments"] = fmt.Sprintf("%d", *segments)
-	switch *engine {
-	case "nfa", "prefilter":
-		// -engine prefilter swaps every scan engine for the two-stage
-		// literal prefilter via the factory — same exact stats and reports,
-		// so all combinations print identical lines (asserted suite-wide by
-		// TestRunOutputByteIdenticalAcrossWorkers).
-		var dyn stats.Dynamic
-		var stitch segment.Stitch
-		var pfExtra func(*report.KernelRow)
-		if *engine == "prefilter" {
-			h.NewEngine = prefilterEngine
-			if pfExtra, err = prefilterExtras(a, h.Registry); err != nil {
+	if c := sp.start; c != nil {
+		if c.Cursor.Stream < 0 || c.Cursor.Stream >= len(segs) {
+			return fmt.Errorf("checkpoint cursor: stream %d of %d", c.Cursor.Stream, len(segs))
+		}
+		if off := c.Cursor.Offset; off < 0 || off > int64(len(segs[c.Cursor.Stream])) {
+			return fmt.Errorf("checkpoint cursor: offset %d beyond stream of %d bytes", off, len(segs[c.Cursor.Stream]))
+		}
+		// Restore the run's accumulated observability so the final artifacts
+		// equal an uninterrupted run's: registry counters merge from the
+		// snapshot, attribution totals replace the fresh collector's zeros.
+		if h.Registry != nil && c.Metrics != nil {
+			h.Registry.Merge(*c.Metrics)
+		}
+		if col != nil && c.Attr != nil {
+			if err := col.RestoreTotals(*c.Attr); err != nil {
 				return err
 			}
 		}
-		if cf.armed() {
-			meta := ckptMeta("run", b, *engine, *scale, *input, *seed, *workers, *segments, *cf.interval)
-			dyn, stitch, err = runCheckpointedScan(cf.saver(h), meta, a, segs, h, *workers, *segments, nil)
-		} else {
-			dyn, stitch, err = scanNFA(a, segs, *workers, *segments, h)
-		}
-		h.Progress.Done()
-		ssp.End()
-		if err != nil {
-			// A governor trip still records the partial work in the manifest.
-			row.Symbols, row.Reports = dyn.Symbols, dyn.Reports
-			addStitchExtra(&row, stitch)
-			if pfExtra != nil {
-				pfExtra(&row)
-			}
-			sess.recordAttribution(col)
-			sess.setReport("run", *workers, runConfig, []report.KernelRow{row})
-			return sess.closeTruncated(err)
-		}
-		row.Symbols, row.Reports = dyn.Symbols, dyn.Reports
-		row.Extra = map[string]float64{"active_set": dyn.ActiveSet, "report_rate": dyn.ReportRate}
-		addStitchExtra(&row, stitch)
-		if pfExtra != nil {
-			pfExtra(&row)
-		}
-		printRunNFA(b.Name, a.NumStates(), dyn)
-	case "dfa":
-		var symbols, reports int64
-		var st dfa.Stats
-		if cf.armed() {
-			if *workers != 1 {
-				return usageErrorf("-checkpoint with -engine dfa requires -j 1 (the checkpoint holds one engine's frontier)")
-			}
-			meta := ckptMeta("run", b, *engine, *scale, *input, *seed, *workers, *segments, *cf.interval)
-			symbols, reports, st, err = runCheckpointedDFA(cf.saver(h), meta, a, segs, h, nil)
-		} else {
-			symbols, reports, st, err = scanDFA(a, segs, *workers, *segments, h)
-		}
-		h.Progress.Done()
-		ssp.End()
-		if err != nil {
-			row.Symbols, row.Reports = symbols, reports
-			sess.recordAttribution(col)
-			sess.setReport("run", *workers, runConfig, []report.KernelRow{row})
-			return sess.closeTruncated(err)
-		}
-		row.Symbols, row.Reports = symbols, reports
-		row.HasCache, row.CacheHitRate, row.CacheEvictRate = true, st.HitRate(), st.EvictionRate()
-		printRunDFA(b.Name, a.NumStates(), symbols, reports, st)
+	}
+	h.Attribution = col
+	if m.Engine == "prefilter" {
+		// Every scan engine becomes the two-stage literal prefilter via the
+		// factory — same exact stats and reports, so all combinations print
+		// identical lines (asserted suite-wide by
+		// TestRunOutputByteIdenticalAcrossWorkers).
+		h.NewEngine = prefilterEngine
+	}
+	var sv *ckpt.Saver
+	if sp.ckptPath != "" {
+		sv = &ckpt.Saver{Path: sp.ckptPath, Interval: m.Interval, Set: h.EngineSet()}
+	}
+	isDFA := m.Engine == "dfa"
+	row := report.KernelRow{Name: b.Name, States: a.NumStates()}
+	ssp := h.Spans.Start("scan")
+	var dyn stats.Dynamic // the dfa paths fill Symbols and Reports only
+	var stitch segment.Stitch
+	var cache dfa.Stats
+	switch {
+	case isDFA && sv != nil:
+		dyn.Symbols, dyn.Reports, cache, err = runCheckpointedDFA(sv, m, a, segs, h, sp.start)
+	case isDFA:
+		dyn.Symbols, dyn.Reports, cache, err = scanDFA(a, segs, m.Workers, m.Segments, h)
+	case sv != nil:
+		dyn, stitch, err = runCheckpointedScan(sv, m, a, segs, h, sp.start)
 	default:
-		return usageErrorf("unknown engine %q", *engine)
+		dyn, stitch, err = scanNFA(a, segs, m.Workers, m.Segments, h)
+	}
+	h.Progress.Done()
+	ssp.End()
+	row.Symbols, row.Reports = dyn.Symbols, dyn.Reports
+	switch {
+	case err != nil:
+		// A governor trip still records the partial work in the manifest.
+	case isDFA:
+		row.HasCache, row.CacheHitRate, row.CacheEvictRate = true, cache.HitRate(), cache.EvictionRate()
+		printRunDFA(b.Name, a.NumStates(), dyn.Symbols, dyn.Reports, cache)
+	default:
+		row.Extra = map[string]float64{"active_set": dyn.ActiveSet, "report_rate": dyn.ReportRate}
+		printRunNFA(b.Name, a.NumStates(), dyn)
+	}
+	addStitchExtra(&row, stitch)
+	if m.Engine == "prefilter" && sess.reportPath != "" {
+		if perr := addPrefilterExtra(&row, a, h.Registry); perr != nil {
+			return perr
+		}
 	}
 	sess.recordAttribution(col)
-	sess.setReport("run", *workers, runConfig, []report.KernelRow{row})
+	sess.setReport(m.Command, m.Workers, suiteConfig(sp.cfg, m.Segments), []report.KernelRow{row})
+	if err != nil {
+		return sess.closeTruncated(err)
+	}
 	return sess.Close()
 }
 
-// suiteConfig stringifies the shared suite flags for a report manifest.
-func suiteConfig(scale float64, input int, seed uint64) map[string]string {
+// suiteConfig stringifies the suite flags run and table1 share for a
+// report manifest.
+func suiteConfig(cfg core.Config, segments int) map[string]string {
 	return map[string]string{
-		"scale":       fmt.Sprintf("%g", scale),
-		"input_bytes": fmt.Sprintf("%d", input),
-		"seed":        fmt.Sprintf("%#x", seed),
+		"scale":       fmt.Sprintf("%g", cfg.Scale),
+		"input_bytes": fmt.Sprintf("%d", cfg.InputBytes),
+		"seed":        fmt.Sprintf("%#x", cfg.Seed),
+		"segments":    fmt.Sprintf("%d", segments),
 	}
 }
 
@@ -417,63 +483,36 @@ func engineSet(h stats.Hooks, compOf []int32) hooks.Set {
 	return set
 }
 
-// annotateFlag registers -annotate, which appends per-kernel top-offender
-// cost-attribution lines after a table. Default stdout is unchanged.
-func annotateFlag(fs *flag.FlagSet) *bool {
-	return fs.Bool("annotate", false, "append per-kernel top-offender cost attribution after the table")
-}
-
-// annotatedObserver returns the session's observer with attribution
-// enabled when -annotate was given (materializing an observer if the
-// session alone would not have one).
-func annotatedObserver(sess *obsSession, annotate bool) *experiments.Observer {
-	obs := sess.observer()
-	if annotate {
-		if obs == nil {
-			obs = &experiments.Observer{}
-		}
-		obs.Attribute = true
-	}
-	return obs
-}
-
 // prefilterEngine adapts prefilter.New to the segment.Engine factory
 // shape shared by the hooks/partition plumbing.
 func prefilterEngine(a *automata.Automaton) (segment.Engine, error) {
 	return prefilter.New(a)
 }
 
-// prefilterExtras returns a closure recording the two-stage prefilter's
-// manifest extras on a kernel row: the static anchored/unanchored
-// component split (from a throwaway analysis engine — the scan engines
-// live behind the factory and may be partitioned) and, when a registry is
-// attached, the dynamic anchor-hit count and per-symbol density
-// accumulated across every engine the run constructed. stdout never
-// carries these — printed output must stay byte-identical to -engine nfa.
-func prefilterExtras(a *automata.Automaton, reg *telemetry.Registry) (func(*report.KernelRow), error) {
+// addPrefilterExtra records the two-stage prefilter's manifest extras on a
+// kernel row: the static anchored/unanchored component split (from an
+// analysis engine built only for this — the scan engines live behind the
+// factory and may be partitioned — so callers skip it when no manifest
+// will be written) and the anchor-hit count and per-symbol density
+// accumulated in reg (the session's registry, which -report always arms)
+// across every engine the run constructed. stdout never carries these —
+// printed output must stay byte-identical to -engine nfa.
+func addPrefilterExtra(row *report.KernelRow, a *automata.Automaton, reg *telemetry.Registry) error {
 	pf, err := prefilter.New(a)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	anchored, unanchored := pf.Anchored(), pf.Unanchored()
-	var base int64
-	if reg != nil {
-		base = reg.Counter("prefilter.anchor_hits").Value()
+	if row.Extra == nil {
+		row.Extra = map[string]float64{}
 	}
-	return func(row *report.KernelRow) {
-		if row.Extra == nil {
-			row.Extra = map[string]float64{}
-		}
-		row.Extra["pf_anchored"] = float64(anchored)
-		row.Extra["pf_unanchored"] = float64(unanchored)
-		if reg != nil {
-			hits := reg.Counter("prefilter.anchor_hits").Value() - base
-			row.Extra["pf_anchor_hits"] = float64(hits)
-			if row.Symbols > 0 {
-				row.Extra["pf_anchor_hit_density"] = float64(hits) / float64(row.Symbols)
-			}
-		}
-	}, nil
+	row.Extra["pf_anchored"] = float64(pf.Anchored())
+	row.Extra["pf_unanchored"] = float64(pf.Unanchored())
+	hits := reg.Counter("prefilter.anchor_hits").Value()
+	row.Extra["pf_anchor_hits"] = float64(hits)
+	if row.Symbols > 0 {
+		row.Extra["pf_anchor_hit_density"] = float64(hits) / float64(row.Symbols)
+	}
+	return nil
 }
 
 // addStitchExtra records the segment-parallel stitch accounting in a
@@ -643,121 +682,130 @@ func runDFAParallel(a *automata.Automaton, segs [][]byte, workers, segments int,
 	return symbols, reports, agg, nil
 }
 
-func cmdTable1(args []string) error {
-	fs := flag.NewFlagSet("table1", flag.ExitOnError)
-	scale, input, seed := suiteFlags(fs)
-	compress := fs.Bool("compress", false, "also run prefix-merge compression (about 0.35 µs per state: 0.2 s for the 620 567 states of -scale 0.05)")
-	engine := fs.String("engine", "nfa", "simulation engine: nfa or prefilter (rows are identical — exact engines)")
+// tableRow is one table line as runTable needs it: the manifest row (whose
+// Name labels the -annotate block) and the row's top cost offender.
+type tableRow struct {
+	report.KernelRow
+	offender string
+}
+
+// runTable is the one body of the four table commands. It registers the
+// flags they share on fs (-j, -annotate, telemetry, governor), parses,
+// arms the session and governor, and calls table, which computes the
+// experiment and — only if that succeeded — prints it, returning the
+// manifest's config map and rows. runTable turns an error into the
+// truncated manifest, prints the -annotate block with labels padded to
+// labelWidth, records the report and closes the session.
+func runTable(fs *flag.FlagSet, args []string, labelWidth int,
+	table func(workers int, obs *experiments.Observer) (map[string]string, []tableRow, error)) error {
 	workers := workersFlag(fs)
-	segments := segmentsFlag(fs)
-	annotate := annotateFlag(fs)
+	annotate := fs.Bool("annotate", false, "append per-kernel top-offender cost attribution after the table")
 	tf := telemetryFlags(fs)
 	gf := governorFlags(fs)
 	fs.Parse(args)
-	sess, err := tf.session()
+	sess, err := openSession(tf, gf)
 	if err != nil {
 		return err
 	}
-	if err := armGovernor(sess, gf); err != nil {
-		return err
-	}
-	obs := annotatedObserver(sess, *annotate)
-	switch *engine {
-	case "nfa":
-	case "prefilter":
-		if obs == nil {
-			obs = &experiments.Observer{}
-		}
-		obs.NewEngine = prefilterEngine
-	default:
-		return usageErrorf("unknown engine %q", *engine)
-	}
-	cfg := core.Config{Scale: *scale, InputBytes: *input, Seed: *seed}
-	t1Config := suiteConfig(*scale, *input, *seed)
-	t1Config["segments"] = fmt.Sprintf("%d", *segments)
-	rows, err := experiments.TableI(context.Background(), cfg, *compress, *workers, *segments, obs)
+	// With nothing armed this is the zero Observer, which observes nothing.
+	obs := &experiments.Observer{Hooks: sess.Hooks, Progress: sess.prog, Attribute: *annotate}
+	config, rows, err := table(*workers, obs)
 	if err != nil {
-		sess.setReport("table1", *workers, t1Config, nil)
+		sess.setReport(fs.Name(), *workers, config, nil)
 		return sess.closeTruncated(err)
 	}
-	fmt.Printf("Table I (scale %.3f, input %d bytes)\n", *scale, *input)
-	fmt.Println(stats.Header())
-	for _, r := range rows {
-		fmt.Println(r.Format())
+	krows := make([]report.KernelRow, len(rows))
+	for i, r := range rows {
+		krows[i] = r.KernelRow
 	}
 	if *annotate {
 		fmt.Println("\ntop offenders (cost attribution):")
 		for _, r := range rows {
-			if r.TopOffender != "" {
-				fmt.Printf("  %-22s %s\n", r.Name, r.TopOffender)
+			if r.offender != "" {
+				fmt.Printf("  %-*s %s\n", labelWidth, r.Name, r.offender)
 			}
 		}
 	}
-	krows := make([]report.KernelRow, len(rows))
-	for i, r := range rows {
-		krows[i] = report.KernelRow{
-			Name: r.Name, States: r.States, Symbols: r.Symbols, Reports: r.Reports,
-			Extra: map[string]float64{
-				"active_set":  r.ActiveSet,
-				"report_rate": r.ReportRate,
-				"subgraphs":   float64(r.Subgraphs),
-			},
-		}
-	}
-	sess.setReport("table1", *workers, t1Config, krows)
+	sess.setReport(fs.Name(), *workers, config, krows)
 	return sess.Close()
+}
+
+func cmdTable1(args []string) error {
+	fs := flag.NewFlagSet("table1", flag.ExitOnError)
+	cfg := suiteFlags(fs)
+	compress := fs.Bool("compress", false, "also run prefix-merge compression (about 0.35 µs per state: 0.2 s for the 620 567 states of -scale 0.05)")
+	engine := fs.String("engine", "nfa", "simulation engine: nfa or prefilter (rows are identical — exact engines)")
+	segments := segmentsFlag(fs)
+	return runTable(fs, args, 22, func(workers int, obs *experiments.Observer) (map[string]string, []tableRow, error) {
+		config := suiteConfig(*cfg, *segments)
+		switch *engine {
+		case "nfa":
+		case "prefilter":
+			obs.NewEngine = prefilterEngine
+		default:
+			return config, nil, usageErrorf("unknown engine %q", *engine)
+		}
+		rows, err := experiments.TableI(context.Background(), *cfg, *compress, workers, *segments, obs)
+		if err != nil {
+			return config, nil, err
+		}
+		fmt.Printf("Table I (scale %.3f, input %d bytes)\n", cfg.Scale, cfg.InputBytes)
+		fmt.Println(stats.Header())
+		out := make([]tableRow, len(rows))
+		for i, r := range rows {
+			fmt.Println(r.Format())
+			out[i] = tableRow{offender: r.TopOffender, KernelRow: report.KernelRow{
+				Name: r.Name, States: r.States, Symbols: r.Symbols, Reports: r.Reports,
+				Extra: map[string]float64{
+					"active_set":  r.ActiveSet,
+					"report_rate": r.ReportRate,
+					"subgraphs":   float64(r.Subgraphs),
+				},
+			}}
+		}
+		return config, out, nil
+	})
 }
 
 func cmdTable2(args []string) error {
 	fs := flag.NewFlagSet("table2", flag.ExitOnError)
 	samples := fs.Int("samples", 4000, "dataset size")
 	seed := fs.Uint64("seed", 7, "seed")
-	workers := workersFlag(fs)
-	annotate := annotateFlag(fs)
-	tf := telemetryFlags(fs)
-	gf := governorFlags(fs)
-	fs.Parse(args)
-	sess, err := tf.session()
-	if err != nil {
-		return err
-	}
-	if err := armGovernor(sess, gf); err != nil {
-		return err
-	}
-	t2Config := map[string]string{
-		"samples": fmt.Sprintf("%d", *samples), "seed": fmt.Sprintf("%#x", *seed),
-	}
-	rows, err := experiments.TableII(context.Background(), *samples, *seed, *workers, annotatedObserver(sess, *annotate))
-	if err != nil {
-		sess.setReport("table2", *workers, t2Config, nil)
-		return sess.closeTruncated(err)
-	}
-	fmt.Println("Table II: Random Forest benchmark variant trade-offs")
-	fmt.Printf("%-8s %9s %11s %9s %9s %8s\n",
-		"Variant", "Features", "Max Leaves", "States", "Accuracy", "Runtime")
-	krows := make([]report.KernelRow, len(rows))
-	for i, r := range rows {
-		fmt.Printf("%-8s %9d %11d %9d %8.2f%% %7.2fx\n",
-			r.Variant, r.Features, r.MaxLeaves, r.States, r.Accuracy*100, r.RuntimeRel)
-		krows[i] = report.KernelRow{
-			Name: "rf." + r.Variant, States: r.States,
-			Extra: map[string]float64{
-				"accuracy":           r.Accuracy,
-				"symbols_per_sample": float64(r.SymbolsPer),
-				"runtime_rel":        r.RuntimeRel,
-			},
+	return runTable(fs, args, 22, func(workers int, obs *experiments.Observer) (map[string]string, []tableRow, error) {
+		config := map[string]string{
+			"samples": fmt.Sprintf("%d", *samples), "seed": fmt.Sprintf("%#x", *seed),
 		}
-	}
-	if *annotate {
-		fmt.Println("\ntop offenders (cost attribution):")
-		for _, r := range rows {
-			if r.TopOffender != "" {
-				fmt.Printf("  %-22s %s\n", "rf."+r.Variant, r.TopOffender)
-			}
+		rows, err := experiments.TableII(context.Background(), *samples, *seed, workers, obs)
+		if err != nil {
+			return config, nil, err
 		}
+		fmt.Println("Table II: Random Forest benchmark variant trade-offs")
+		fmt.Printf("%-8s %9s %11s %9s %9s %8s\n",
+			"Variant", "Features", "Max Leaves", "States", "Accuracy", "Runtime")
+		out := make([]tableRow, len(rows))
+		for i, r := range rows {
+			fmt.Printf("%-8s %9d %11d %9d %8.2f%% %7.2fx\n",
+				r.Variant, r.Features, r.MaxLeaves, r.States, r.Accuracy*100, r.RuntimeRel)
+			out[i] = tableRow{offender: r.TopOffender, KernelRow: report.KernelRow{
+				Name: "rf." + r.Variant, States: r.States,
+				Extra: map[string]float64{
+					"accuracy":           r.Accuracy,
+					"symbols_per_sample": float64(r.SymbolsPer),
+					"runtime_rel":        r.RuntimeRel,
+				},
+			}}
+		}
+		return config, out, nil
+	})
+}
+
+// cacheColumns renders the CacheHit and Evict/Lk cells Tables III and IV
+// share ("-" for engines without a transition cache).
+func cacheColumns(hasCache bool, hitRate, evictRate float64) (hit, evict string) {
+	if !hasCache {
+		return "-", "-"
 	}
-	sess.setReport("table2", *workers, t2Config, krows)
-	return sess.Close()
+	return fmt.Sprintf("%.2f%%", hitRate*100), fmt.Sprintf("%.4f", evictRate)
 }
 
 func cmdTable3(args []string) error {
@@ -765,120 +813,72 @@ func cmdTable3(args []string) error {
 	filters := fs.Int("filters", 1719, "sequence-matching filters")
 	itemsets := fs.Int("itemsets", 20_000, "input itemsets")
 	seed := fs.Uint64("seed", 3, "seed")
-	workers := workersFlag(fs)
-	annotate := annotateFlag(fs)
-	tf := telemetryFlags(fs)
-	gf := governorFlags(fs)
-	fs.Parse(args)
-	sess, err := tf.session()
-	if err != nil {
-		return err
-	}
-	if err := armGovernor(sess, gf); err != nil {
-		return err
-	}
-	t3Config := map[string]string{
-		"filters": fmt.Sprintf("%d", *filters), "itemsets": fmt.Sprintf("%d", *itemsets),
-		"seed": fmt.Sprintf("%#x", *seed),
-	}
-	rows, err := experiments.TableIII(context.Background(), *filters, *itemsets, *seed, *workers, annotatedObserver(sess, *annotate))
-	if err != nil {
-		sess.setReport("table3", *workers, t3Config, nil)
-		return sess.closeTruncated(err)
-	}
-	fmt.Println("Table III: impact of AP-specific padding on CPU engines")
-	fmt.Printf("%-28s %10s %12s %10s %9s %9s\n",
-		"CPU Engine", "6 Wide", "6 Wide Pad", "Overhead", "CacheHit", "Evict/Lk")
-	krows := make([]report.KernelRow, len(rows))
-	for i, r := range rows {
-		hit, evict := "-", "-"
-		if r.HasCache {
-			hit = fmt.Sprintf("%.2f%%", r.CacheHitRate*100)
-			evict = fmt.Sprintf("%.4f", r.CacheEvictRate)
+	return runTable(fs, args, 28, func(workers int, obs *experiments.Observer) (map[string]string, []tableRow, error) {
+		config := map[string]string{
+			"filters": fmt.Sprintf("%d", *filters), "itemsets": fmt.Sprintf("%d", *itemsets),
+			"seed": fmt.Sprintf("%#x", *seed),
 		}
-		fmt.Printf("%-28s %9.3fs %11.3fs %9.1f%% %9s %9s%s\n",
-			r.Engine, r.PlainSec, r.PaddedSec, r.OverheadPct, hit, evict,
-			degradedMark(r.Fallbacks))
-		krows[i] = report.KernelRow{
-			Name: r.Engine, HasCache: r.HasCache,
-			CacheHitRate: r.CacheHitRate, CacheEvictRate: r.CacheEvictRate,
-			Extra: map[string]float64{
-				"plain_sec":    r.PlainSec,
-				"padded_sec":   r.PaddedSec,
-				"overhead_pct": r.OverheadPct,
-			},
+		rows, err := experiments.TableIII(context.Background(), *filters, *itemsets, *seed, workers, obs)
+		if err != nil {
+			return config, nil, err
 		}
-		if r.Fallbacks > 0 {
-			krows[i].Extra["fallbacks"] = float64(r.Fallbacks)
-		}
-	}
-	if *annotate {
-		fmt.Println("\ntop offenders (cost attribution):")
-		for _, r := range rows {
-			if r.TopOffender != "" {
-				fmt.Printf("  %-28s %s\n", r.Engine, r.TopOffender)
+		fmt.Println("Table III: impact of AP-specific padding on CPU engines")
+		fmt.Printf("%-28s %10s %12s %10s %9s %9s\n",
+			"CPU Engine", "6 Wide", "6 Wide Pad", "Overhead", "CacheHit", "Evict/Lk")
+		out := make([]tableRow, len(rows))
+		for i, r := range rows {
+			hit, evict := cacheColumns(r.HasCache, r.CacheHitRate, r.CacheEvictRate)
+			fmt.Printf("%-28s %9.3fs %11.3fs %9.1f%% %9s %9s%s\n",
+				r.Engine, r.PlainSec, r.PaddedSec, r.OverheadPct, hit, evict,
+				degradedMark(r.Fallbacks))
+			out[i] = tableRow{offender: r.TopOffender, KernelRow: report.KernelRow{
+				Name: r.Engine, HasCache: r.HasCache,
+				CacheHitRate: r.CacheHitRate, CacheEvictRate: r.CacheEvictRate,
+				Extra: map[string]float64{
+					"plain_sec":    r.PlainSec,
+					"padded_sec":   r.PaddedSec,
+					"overhead_pct": r.OverheadPct,
+				},
+			}}
+			if r.Fallbacks > 0 {
+				out[i].Extra["fallbacks"] = float64(r.Fallbacks)
 			}
 		}
-	}
-	sess.setReport("table3", *workers, t3Config, krows)
-	return sess.Close()
+		return config, out, nil
+	})
 }
 
 func cmdTable4(args []string) error {
 	fs := flag.NewFlagSet("table4", flag.ExitOnError)
 	samples := fs.Int("samples", 4000, "dataset size")
 	seed := fs.Uint64("seed", 5, "seed")
-	workers := workersFlag(fs)
-	annotate := annotateFlag(fs)
-	tf := telemetryFlags(fs)
-	gf := governorFlags(fs)
-	fs.Parse(args)
-	sess, err := tf.session()
-	if err != nil {
-		return err
-	}
-	if err := armGovernor(sess, gf); err != nil {
-		return err
-	}
-	t4Config := map[string]string{
-		"samples": fmt.Sprintf("%d", *samples), "seed": fmt.Sprintf("%#x", *seed),
-	}
-	rows, err := experiments.TableIV(context.Background(), *samples, *seed, *workers, annotatedObserver(sess, *annotate))
-	if err != nil {
-		sess.setReport("table4", *workers, t4Config, nil)
-		return sess.closeTruncated(err)
-	}
-	fmt.Println("Table IV: Random Forest classification throughput")
-	fmt.Printf("%-34s %16s %10s %9s %9s\n", "Engine", "kClass/sec", "Relative", "CacheHit", "Evict/Lk")
-	krows := make([]report.KernelRow, len(rows))
-	for i, r := range rows {
-		hit, evict := "-", "-"
-		if r.HasCache {
-			hit = fmt.Sprintf("%.2f%%", r.CacheHitRate*100)
-			evict = fmt.Sprintf("%.4f", r.CacheEvictRate)
+	return runTable(fs, args, 34, func(workers int, obs *experiments.Observer) (map[string]string, []tableRow, error) {
+		config := map[string]string{
+			"samples": fmt.Sprintf("%d", *samples), "seed": fmt.Sprintf("%#x", *seed),
 		}
-		fmt.Printf("%-34s %16.1f %9.1fx %9s %9s%s\n", r.Engine, r.KClassPerSec, r.Relative, hit, evict,
-			degradedMark(r.Fallbacks))
-		tp := report.AggregateOf([]float64{r.KClassPerSec})
-		krows[i] = report.KernelRow{
-			Name: r.Engine, Unit: "kClass/s", Throughput: &tp,
-			HasCache: r.HasCache, CacheHitRate: r.CacheHitRate, CacheEvictRate: r.CacheEvictRate,
-			Extra: map[string]float64{"relative": r.Relative},
+		rows, err := experiments.TableIV(context.Background(), *samples, *seed, workers, obs)
+		if err != nil {
+			return config, nil, err
 		}
-		if r.Fallbacks > 0 {
-			krows[i].Extra["fallbacks"] = float64(r.Fallbacks)
-		}
-	}
-	if *annotate {
-		fmt.Println("\ntop offenders (cost attribution):")
-		for _, r := range rows {
-			if r.TopOffender != "" {
-				fmt.Printf("  %-34s %s\n", r.Engine, r.TopOffender)
+		fmt.Println("Table IV: Random Forest classification throughput")
+		fmt.Printf("%-34s %16s %10s %9s %9s\n", "Engine", "kClass/sec", "Relative", "CacheHit", "Evict/Lk")
+		out := make([]tableRow, len(rows))
+		for i, r := range rows {
+			hit, evict := cacheColumns(r.HasCache, r.CacheHitRate, r.CacheEvictRate)
+			fmt.Printf("%-34s %16.1f %9.1fx %9s %9s%s\n", r.Engine, r.KClassPerSec, r.Relative, hit, evict,
+				degradedMark(r.Fallbacks))
+			tp := report.AggregateOf([]float64{r.KClassPerSec})
+			out[i] = tableRow{offender: r.TopOffender, KernelRow: report.KernelRow{
+				Name: r.Engine, Unit: "kClass/s", Throughput: &tp,
+				HasCache: r.HasCache, CacheHitRate: r.CacheHitRate, CacheEvictRate: r.CacheEvictRate,
+				Extra: map[string]float64{"relative": r.Relative},
+			}}
+			if r.Fallbacks > 0 {
+				out[i].Extra["fallbacks"] = float64(r.Fallbacks)
 			}
 		}
-	}
-	sess.setReport("table4", *workers, t4Config, krows)
-	return sess.Close()
+		return config, out, nil
+	})
 }
 
 func cmdFig1(args []string) error {
@@ -910,18 +910,14 @@ func cmdFig1(args []string) error {
 
 func cmdExport(args []string) error {
 	fs := flag.NewFlagSet("export", flag.ExitOnError)
-	scale, input, seed := suiteFlags(fs)
-	_ = input
-	name := fs.String("bench", "", "benchmark name")
+	cfg := buildFlags(fs)
 	format := fs.String("format", "mnrl", "output format: mnrl or dot")
 	out := fs.String("o", "", "output file (default stdout)")
-	fs.Parse(args)
-	b, err := core.ByName(*name)
+	b, err := parseBench(fs, args)
 	if err != nil {
 		return err
 	}
-	cfg := core.Config{Scale: *scale, InputBytes: 4096, Seed: *seed}
-	a, _, err := b.Build(cfg)
+	a, _, err := b.Build(*cfg)
 	if err != nil {
 		return err
 	}
@@ -946,17 +942,13 @@ func cmdExport(args []string) error {
 
 func cmdPartition(args []string) error {
 	fs := flag.NewFlagSet("partition", flag.ExitOnError)
-	scale, input, seed := suiteFlags(fs)
-	_ = input
-	name := fs.String("bench", "", "benchmark name")
+	cfg := buildFlags(fs)
 	device := fs.String("device", "d480", "device model: d480 or reapr")
-	fs.Parse(args)
-	b, err := core.ByName(*name)
+	b, err := parseBench(fs, args)
 	if err != nil {
 		return err
 	}
-	cfg := core.Config{Scale: *scale, InputBytes: 4096, Seed: *seed}
-	a, _, err := b.Build(cfg)
+	a, _, err := b.Build(*cfg)
 	if err != nil {
 		return err
 	}

@@ -16,7 +16,8 @@ import (
 
 // resolveBenchmark finds a benchmark by exact name, case-insensitive
 // name, or unique case-insensitive substring — so `azoo profile snort`
-// works without quoting the registry's exact "Snort".
+// works without quoting the registry's exact "Snort". No match or several
+// is a usage error.
 func resolveBenchmark(name string) (core.Benchmark, error) {
 	if b, err := core.ByName(name); err == nil {
 		return b, nil
@@ -36,13 +37,13 @@ func resolveBenchmark(name string) (core.Benchmark, error) {
 	case 1:
 		return matches[0], nil
 	case 0:
-		return core.Benchmark{}, fmt.Errorf("unknown benchmark %q (see `azoo list`)", name)
+		return core.Benchmark{}, usageErrorf("unknown benchmark %q (see `azoo list`)", name)
 	default:
 		names := make([]string, len(matches))
 		for i, b := range matches {
 			names[i] = b.Name
 		}
-		return core.Benchmark{}, fmt.Errorf("benchmark %q is ambiguous: %s", name, strings.Join(names, ", "))
+		return core.Benchmark{}, usageErrorf("benchmark %q is ambiguous: %s", name, strings.Join(names, ", "))
 	}
 }
 
@@ -51,21 +52,11 @@ func resolveBenchmark(name string) (core.Benchmark, error) {
 // analogue of VASim's --profile mode.
 func cmdProfile(args []string) error {
 	fs := flag.NewFlagSet("profile", flag.ExitOnError)
-	scale, input, seed := suiteFlags(fs)
-	name := fs.String("bench", "", "benchmark name (or pass it as the first argument)")
+	cfg := suiteFlags(fs)
 	topK := fs.Int("top", 20, "hottest states to print")
 	topSub := fs.Int("subgraphs", 10, "hottest subgraphs to print (0 disables)")
 	tf := telemetryFlags(fs)
-	// Accept `azoo profile <benchmark>` with the name before the flags.
-	if len(args) > 0 && !strings.HasPrefix(args[0], "-") {
-		*name = args[0]
-		args = args[1:]
-	}
-	fs.Parse(args)
-	if *name == "" {
-		return fmt.Errorf("profile: benchmark name required (azoo profile <benchmark>)")
-	}
-	b, err := resolveBenchmark(*name)
+	b, err := parseBench(fs, args)
 	if err != nil {
 		return err
 	}
@@ -79,10 +70,9 @@ func cmdProfile(args []string) error {
 		sess.Registry = telemetry.NewRegistry()
 	}
 
-	cfg := core.Config{Scale: *scale, InputBytes: *input, Seed: *seed}
 	// The attributed build carries the provenance map that turns the
 	// heatmap's bare state indices into pattern names.
-	a, segs, col, err := b.BuildAttributed(cfg)
+	a, segs, col, err := b.BuildAttributed(*cfg)
 	if err != nil {
 		return err
 	}

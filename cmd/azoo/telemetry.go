@@ -20,7 +20,6 @@ import (
 
 	"automatazoo/internal/atomicio"
 	"automatazoo/internal/attr"
-	"automatazoo/internal/experiments"
 	"automatazoo/internal/guard"
 	"automatazoo/internal/parallel"
 	"automatazoo/internal/report"
@@ -183,7 +182,7 @@ func printProgress(p *telemetry.Progress) {
 }
 
 // armWatchdog starts the stall watchdog when -stall-after is set. Called
-// by armGovernor after the governor is attached: on a stall the watchdog
+// by openSession after the governor is attached: on a stall the watchdog
 // dumps the postmortem and trips the governor, which releases workers
 // parked at their next boundary check.
 func (s *obsSession) armWatchdog() {
@@ -294,14 +293,6 @@ func (s *obsSession) hooks(kernel string) segment.Hooks {
 	h := s.Hooks
 	h.Progress = s.prog.Tracker(kernel)
 	return h
-}
-
-// observer adapts the session for the experiments package.
-func (s *obsSession) observer() *experiments.Observer {
-	if s.Registry == nil && s.Tracer == nil && s.Spans == nil && s.Governor == nil {
-		return nil
-	}
-	return &experiments.Observer{Hooks: s.Hooks, Progress: s.prog}
 }
 
 // setReport records the manifest contents for Close: the command name,

@@ -16,7 +16,9 @@
 // count. Everything that observes, bounds or checkpoints a scan reaches
 // the engines as one hook bundle (internal/hooks.Set through each
 // engine's Attach; internal/segment.Hooks through the drivers), and every
-// governed scan runs the one chunk protocol in internal/hooks.
+// governed scan runs the one chunk protocol in internal/hooks. Speed is
+// measured by one instrument, the repository benchmark under bench/ (its
+// own module; see bench/README.md).
 // ARCHITECTURE.md maps the packages and the data flow.
 //
 // Entry points:

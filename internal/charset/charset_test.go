@@ -264,17 +264,3 @@ func TestInternTableClone(t *testing.T) {
 		t.Fatal("clone lookup wrong")
 	}
 }
-
-func BenchmarkContains(b *testing.B) {
-	s := Range('a', 'z')
-	for i := 0; i < b.N; i++ {
-		_ = s.Contains(byte(i))
-	}
-}
-
-func BenchmarkIntern(b *testing.B) {
-	tab := NewTable()
-	for i := 0; i < b.N; i++ {
-		tab.Intern(Single(byte(i)))
-	}
-}

@@ -202,14 +202,8 @@ type Engine struct {
 }
 
 // Options tune the engine's internal strategies; the zero value is the
-// production configuration. The Disable* knobs exist for the ablation
-// benchmarks that quantify each design choice.
+// production configuration.
 type Options struct {
-	// NoByteClasses disables byte-equivalence-class compression: every
-	// dstate carries a full 256-entry transition row.
-	NoByteClasses bool
-	// NoDeadElision keeps permanently-dead components in the scan loop.
-	NoDeadElision bool
 	// BudgetFactor overrides the DFA-state budget multiplier (default 16
 	// states per NFA state).
 	BudgetFactor int
@@ -310,47 +304,37 @@ func (e *Engine) prepare(c *component) {
 			c.sodStarts = append(c.sodStarts, s)
 		}
 	}
-	if e.opts.NoByteClasses {
-		// Ablation: one class per byte value.
-		c.classRep = make([]byte, 256)
-		for b := 0; b < 256; b++ {
-			c.byteClass[b] = uint16(b)
-			c.classRep[b] = byte(b)
-		}
-		c.nClasses = 256
-	} else {
-		// Byte equivalence classes: two bytes are equivalent iff every
-		// distinct charset in the component treats them identically.
-		handles := map[charset.Handle]struct{}{}
-		for _, s := range c.states {
-			handles[e.a.ClassHandle(s)] = struct{}{}
-		}
-		distinct := make([]charset.Set, 0, len(handles))
-		for h := range handles {
-			distinct = append(distinct, e.sets[h])
-		}
-		sigIndex := map[string]uint16{}
-		sig := make([]byte, (len(distinct)+7)/8)
-		for b := 0; b < 256; b++ {
-			for i := range sig {
-				sig[i] = 0
-			}
-			for i, cs := range distinct {
-				if cs.Contains(byte(b)) {
-					sig[i/8] |= 1 << (i % 8)
-				}
-			}
-			key := string(sig)
-			cls, ok := sigIndex[key]
-			if !ok {
-				cls = uint16(len(sigIndex))
-				sigIndex[key] = cls
-				c.classRep = append(c.classRep, byte(b))
-			}
-			c.byteClass[b] = cls
-		}
-		c.nClasses = len(sigIndex)
+	// Byte equivalence classes: two bytes are equivalent iff every
+	// distinct charset in the component treats them identically.
+	handles := map[charset.Handle]struct{}{}
+	for _, s := range c.states {
+		handles[e.a.ClassHandle(s)] = struct{}{}
 	}
+	distinct := make([]charset.Set, 0, len(handles))
+	for h := range handles {
+		distinct = append(distinct, e.sets[h])
+	}
+	sigIndex := map[string]uint16{}
+	sig := make([]byte, (len(distinct)+7)/8)
+	for b := 0; b < 256; b++ {
+		for i := range sig {
+			sig[i] = 0
+		}
+		for i, cs := range distinct {
+			if cs.Contains(byte(b)) {
+				sig[i/8] |= 1 << (i % 8)
+			}
+		}
+		key := string(sig)
+		cls, ok := sigIndex[key]
+		if !ok {
+			cls = uint16(len(sigIndex))
+			sigIndex[key] = cls
+			c.classRep = append(c.classRep, byte(b))
+		}
+		c.byteClass[b] = cls
+	}
+	c.nClasses = len(sigIndex)
 	factor := e.opts.BudgetFactor
 	if factor <= 0 {
 		factor = 16
@@ -790,7 +774,7 @@ func (e *Engine) stepByte(b byte) {
 		}
 		next := d.trans[cls]
 		e.cur[ci] = next
-		if next == 0 && len(c.allStarts) == 0 && !e.opts.NoDeadElision {
+		if next == 0 && len(c.allStarts) == 0 {
 			// Permanently dead until Reset: drop from the scan loop.
 			e.live[i] = e.live[len(e.live)-1]
 			e.live = e.live[:len(e.live)-1]
@@ -946,7 +930,7 @@ func (e *Engine) RestoreState(s *StreamState) error {
 			e.cacheBytes += cost
 		}
 		e.cur[i] = di
-		if di == 0 && len(c.allStarts) == 0 && !e.opts.NoDeadElision {
+		if di == 0 && len(c.allStarts) == 0 {
 			// Empty frontier and nothing can re-arm it: elide, as stepByte
 			// would have.
 			continue

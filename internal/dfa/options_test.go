@@ -6,8 +6,7 @@ import (
 	"automatazoo/internal/sim"
 )
 
-// Every ablation configuration must report identically to the reference
-// NFA engine.
+// Every state budget must report identically to the reference NFA engine.
 func TestOptionsEquivalence(t *testing.T) {
 	a := compile(t, "cat", "[bc]at+", "^dog", "a{2,3}b")
 	input := []byte("catdogaabbcattttaaab catt")
@@ -20,9 +19,6 @@ func TestOptionsEquivalence(t *testing.T) {
 	}
 	for _, opts := range []Options{
 		{},
-		{NoByteClasses: true},
-		{NoDeadElision: true},
-		{NoByteClasses: true, NoDeadElision: true},
 		{BudgetFactor: 1},
 	} {
 		e, err := NewWithOptions(a, opts)
@@ -42,19 +38,6 @@ func TestOptionsEquivalence(t *testing.T) {
 			if got[k] != v {
 				t.Fatalf("opts %+v: report %v: %d vs %d", opts, k, got[k], v)
 			}
-		}
-	}
-}
-
-func TestNoByteClassesUsesFullRows(t *testing.T) {
-	a := compile(t, "acgt")
-	e, err := NewWithOptions(a, Options{NoByteClasses: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, c := range e.comps {
-		if c.nClasses != 256 {
-			t.Fatalf("nClasses=%d want 256", c.nClasses)
 		}
 	}
 }

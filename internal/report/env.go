@@ -1,10 +1,8 @@
-// Package report turns suite runs into durable, machine-readable run
-// reports: a Manifest captures environment provenance, suite
-// configuration, per-kernel throughput rows, phase-span breakdowns, and a
-// telemetry snapshot as deterministic JSON; Bench produces BENCH_*.json
-// artifacts from repeated kernel runs; and Compare aligns two manifests
-// into a per-kernel delta table with a perf-regression verdict — the
-// pieces behind `azoo bench`, `azoo benchdiff`, and the `-report` flag.
+// Package report is the run-report format behind the `-report` flag: a
+// Manifest captures environment provenance, suite configuration,
+// per-kernel rows, phase-span breakdowns, and a telemetry snapshot as
+// deterministic JSON. It measures nothing itself — the commands fill it
+// in, and speed is measured by the repository benchmark under bench/.
 package report
 
 import (

@@ -43,14 +43,13 @@ func AggregateOf(samples []float64) Aggregate {
 }
 
 // KernelRow is one kernel's (benchmark's, engine's, variant's) results in
-// a manifest. Fields beyond Name are optional: table reports fill what the
-// table measures, bench reports fill the throughput aggregate. Extra
+// a manifest. Fields beyond Name are optional: each command fills what it
+// measures (Table IV is the one that reports a throughput). Extra
 // carries table-specific scalars (overhead_pct, accuracy, ...) without
 // schema churn; JSON object keys sort, so it stays deterministic.
 type KernelRow struct {
 	Name           string             `json:"name"`
 	States         int                `json:"states,omitempty"`
-	Runs           int                `json:"runs,omitempty"`
 	Symbols        int64              `json:"symbols,omitempty"`
 	Reports        int64              `json:"reports,omitempty"`
 	Unit           string             `json:"unit,omitempty"` // throughput unit, e.g. "MB/s"
@@ -85,9 +84,8 @@ type Manifest struct {
 	// Truncated marks a run the governor stopped early: a budget tripped,
 	// the deadline expired, or the context was cancelled. The manifest is
 	// still valid — kernels, spans, and metrics describe the work completed
-	// before the stop — but its numbers are partial, so benchdiff skips
-	// regression flagging against it. TrippedBudget names the budget that
-	// stopped the run (guard.TripError.Budget).
+	// before the stop — but its numbers are partial. TrippedBudget names
+	// the budget that stopped the run (guard.TripError.Budget).
 	Truncated     bool   `json:"truncated,omitempty"`
 	TrippedBudget string `json:"tripped_budget,omitempty"`
 
@@ -109,12 +107,6 @@ func (m *Manifest) WriteJSON(w io.Writer) error {
 // a truncated-but-parseable one.
 func (m *Manifest) WriteFile(path string) error {
 	return atomicio.WriteFile(path, m.WriteJSON)
-}
-
-// ArtifactName returns the conventional artifact filename for a label:
-// BENCH_<label>.json.
-func ArtifactName(label string) string {
-	return fmt.Sprintf("BENCH_%s.json", label)
 }
 
 // Read decodes a manifest and validates its schema version.
@@ -143,25 +135,4 @@ func ReadFile(path string) (*Manifest, error) {
 		return nil, fmt.Errorf("%s: %w", path, err)
 	}
 	return m, nil
-}
-
-// Kernel returns the row with the given name, or nil.
-func (m *Manifest) Kernel(name string) *KernelRow {
-	for i := range m.Kernels {
-		if m.Kernels[i].Name == name {
-			return &m.Kernels[i]
-		}
-	}
-	return nil
-}
-
-// KernelSpans returns the span subtree rooted at the kernel's name, or
-// nil — bench manifests record one root span per kernel.
-func (m *Manifest) KernelSpans(name string) []telemetry.SpanSnapshot {
-	for _, s := range m.Spans {
-		if s.Name == name {
-			return s.Children
-		}
-	}
-	return nil
 }

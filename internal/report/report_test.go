@@ -2,6 +2,7 @@ package report
 
 import (
 	"bytes"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -13,7 +14,7 @@ func testManifest() *Manifest {
 	return &Manifest{
 		SchemaVersion: SchemaVersion,
 		Label:         "test",
-		Command:       "bench",
+		Command:       "table4",
 		Timestamp:     "2026-08-06T00:00:00Z",
 		Env: Environment{
 			GOOS: "linux", GOARCH: "amd64", NumCPU: 8, Workers: 1,
@@ -21,7 +22,7 @@ func testManifest() *Manifest {
 		},
 		Suite: map[string]string{"scale": "0.05", "seed": "0xa20"},
 		Kernels: []KernelRow{
-			{Name: "Snort", States: 100, Runs: 3, Symbols: 1000, Reports: 5,
+			{Name: "Snort", States: 100, Symbols: 1000, Reports: 5,
 				Unit: "MB/s", Throughput: &tp,
 				Extra: map[string]float64{"b": 2, "a": 1}},
 		},
@@ -68,13 +69,8 @@ func TestManifestRoundTrip(t *testing.T) {
 	if got.Label != m.Label || got.Timestamp != m.Timestamp {
 		t.Errorf("round trip lost label/timestamp: %+v", got)
 	}
-	k := got.Kernel("Snort")
-	if k == nil || k.Throughput == nil || k.Throughput.Mean != 20 {
-		t.Fatalf("round trip kernel = %+v", k)
-	}
-	spans := got.KernelSpans("Snort")
-	if len(spans) != 2 || spans[0].Name != "build" || spans[1].Count != 3 {
-		t.Errorf("round trip spans = %+v", spans)
+	if !reflect.DeepEqual(got, m) {
+		t.Errorf("round trip changed the manifest:\n got %+v\nwant %+v", got, m)
 	}
 }
 
@@ -87,12 +83,6 @@ func TestReadRejectsSchemaMismatch(t *testing.T) {
 	}
 }
 
-func TestArtifactName(t *testing.T) {
-	if got := ArtifactName("ci"); got != "BENCH_ci.json" {
-		t.Errorf("ArtifactName = %q", got)
-	}
-}
-
 func TestAggregateOf(t *testing.T) {
 	a := AggregateOf([]float64{3, 1, 2})
 	if a.Min != 1 || a.Mean != 2 || a.Max != 3 {
@@ -100,15 +90,5 @@ func TestAggregateOf(t *testing.T) {
 	}
 	if z := AggregateOf(nil); z != (Aggregate{}) {
 		t.Errorf("AggregateOf(nil) = %+v, want zero", z)
-	}
-}
-
-func TestKernelLookupMissing(t *testing.T) {
-	m := testManifest()
-	if m.Kernel("nope") != nil {
-		t.Error("Kernel on missing name should be nil")
-	}
-	if m.KernelSpans("nope") != nil {
-		t.Error("KernelSpans on missing name should be nil")
 	}
 }

@@ -15,7 +15,7 @@ func TestTruncatedManifestRoundTrip(t *testing.T) {
 		guard.BudgetDeadline, guard.BudgetCanceled, guard.BudgetInputBytes,
 		guard.BudgetCacheBytes, guard.BudgetActiveSet, guard.BudgetInjected,
 	} {
-		m := diffManifest(100)
+		m := testManifest()
 		m.Truncated = true
 		m.TrippedBudget = budget
 		var buf bytes.Buffer
@@ -36,48 +36,10 @@ func TestTruncatedManifestRoundTrip(t *testing.T) {
 // pre-governor artifacts and fresh complete runs stay byte-identical.
 func TestCompleteManifestOmitsTruncation(t *testing.T) {
 	var buf bytes.Buffer
-	if err := diffManifest(100).WriteJSON(&buf); err != nil {
+	if err := testManifest().WriteJSON(&buf); err != nil {
 		t.Fatal(err)
 	}
 	if strings.Contains(buf.String(), "truncated") || strings.Contains(buf.String(), "tripped_budget") {
 		t.Fatalf("complete manifest encodes truncation fields:\n%s", buf.String())
-	}
-}
-
-// Comparing against a truncated manifest must never flag regressions —
-// a run the governor stopped early has meaningless throughput — and the
-// rendered diff must warn which side was truncated.
-func TestCompareSkipsTruncated(t *testing.T) {
-	for _, tc := range []struct {
-		name     string
-		oldTrunc bool
-		newTrunc bool
-		want     string
-	}{
-		{"new", false, true, "new manifest truncated"},
-		{"old", true, false, "old manifest truncated"},
-		{"both", true, true, "old and new manifest truncated"},
-	} {
-		oldM, newM := diffManifest(100), diffManifest(10) // 90% drop
-		oldM.Truncated = tc.oldTrunc
-		newM.Truncated = tc.newTrunc
-		d := Compare(oldM, newM, 0.05)
-		if d.HasRegressions() {
-			t.Errorf("%s: truncated comparison flagged regressions: %v", tc.name, d.Regressions)
-		}
-		if !d.Truncated {
-			t.Errorf("%s: diff not marked truncated", tc.name)
-		}
-		var sb strings.Builder
-		if err := d.Write(&sb); err != nil {
-			t.Fatal(err)
-		}
-		if !strings.Contains(sb.String(), tc.want) {
-			t.Errorf("%s: diff output missing %q:\n%s", tc.name, tc.want, sb.String())
-		}
-		// The structural comparison still ran.
-		if len(d.Kernels) != 1 {
-			t.Errorf("%s: kernels not compared: %+v", tc.name, d.Kernels)
-		}
 	}
 }

@@ -100,7 +100,6 @@ type Engine struct {
 	code      []int32
 
 	startIdx    [256][]automata.StateID // all-input starts matching each byte
-	allStarts   []automata.StateID      // used instead when NoStartIndex
 	startOfData []automata.StateID
 
 	// Frontier state. mark[i]==gen means state i is in the next frontier;
@@ -160,24 +159,9 @@ type Engine struct {
 	ledMark      int64 // Symbols watermark of the last ledger byte flush
 }
 
-// Options tune the engine's internal strategies; the zero value is the
-// production configuration. The Disable* knob exists for the ablation
-// benchmarks quantifying the design choice.
-type Options struct {
-	// NoStartIndex disables the byte→starts index: every all-input start
-	// state is tested against every symbol, the naive strategy the index
-	// replaces.
-	NoStartIndex bool
-}
-
 // New returns an engine for a. The automaton is analyzed once; subsequent
 // runs reuse the prepared indexes.
 func New(a *automata.Automaton) *Engine {
-	return NewWithOptions(a, Options{})
-}
-
-// NewWithOptions is New with explicit strategy options.
-func NewWithOptions(a *automata.Automaton, opts Options) *Engine {
 	n := a.NumStates()
 	e := &Engine{
 		a:          a,
@@ -211,10 +195,6 @@ func NewWithOptions(a *automata.Automaton, opts Options) *Engine {
 	for _, s := range a.Starts() {
 		switch a.Start(s) {
 		case automata.StartAllInput:
-			if opts.NoStartIndex {
-				e.allStarts = append(e.allStarts, s)
-				continue
-			}
 			cls := e.sets[e.css[s]]
 			for c := 0; c < 256; c++ {
 				if cls.Contains(byte(c)) {
@@ -584,13 +564,6 @@ func (e *Engine) Step(b byte) {
 	// All-input starts, via the byte index: only matching ones are touched.
 	for _, s := range e.startIdx[b] {
 		e.activate(s)
-	}
-	// Ablation path (NoStartIndex): test every all-input start per symbol.
-	for _, s := range e.allStarts {
-		e.stats.Enabled++
-		if e.sets[e.css[s]].Contains(b) {
-			e.activate(s)
-		}
 	}
 	// Previously-enabled states.
 	e.stats.Enabled += int64(len(e.frontier))

@@ -160,7 +160,7 @@ func ObserveSegmentsHooked(a *automata.Automaton, segments [][]byte, h Hooks) (D
 		set.Ledger.Commit()
 	}
 	after := simCounters(h.Registry)
-	return dynamicFrom(
+	return DynamicFrom(
 		after[0]-before[0], after[1]-before[1],
 		after[2]-before[2], after[3]-before[3]), err
 }
@@ -187,14 +187,14 @@ func ObserveSegmentsParallelHooked(ctx context.Context, a *automata.Automaton, s
 	for _, seg := range segments {
 		res, err := plan.Run(ctx, seg, partition.RunOptions{Workers: workers, Hooks: h})
 		if err != nil {
-			return dynamicFrom(streamSymbols, active, enabled, reports), err
+			return DynamicFrom(streamSymbols, active, enabled, reports), err
 		}
 		streamSymbols += int64(len(seg))
 		active += res.Active
 		enabled += res.Enabled
 		reports += res.Reports
 	}
-	return dynamicFrom(streamSymbols, active, enabled, reports), nil
+	return DynamicFrom(streamSymbols, active, enabled, reports), nil
 }
 
 // StreamOptions parameterizes ObserveStreams.
@@ -251,14 +251,14 @@ func ObserveStreams(ctx context.Context, a *automata.Automaton, streams [][]byte
 		})
 		stitch.Add(res.Stitch)
 		if err != nil {
-			return dynamicFrom(symbols, active, enabled, reports), stitch, err
+			return DynamicFrom(symbols, active, enabled, reports), stitch, err
 		}
 		symbols += int64(len(s))
 		active += res.Stats.Active
 		enabled += res.Stats.Enabled
 		reports += res.Stats.Reports
 	}
-	return dynamicFrom(symbols, active, enabled, reports), stitch, nil
+	return DynamicFrom(symbols, active, enabled, reports), stitch, nil
 }
 
 // simCounters reads the four sim.* counters behind the dynamic columns in
@@ -272,7 +272,9 @@ func simCounters(reg *telemetry.Registry) [4]int64 {
 	}
 }
 
-func dynamicFrom(symbols, active, enabled, reports int64) Dynamic {
+// DynamicFrom derives the Table-I dynamic columns from cumulative engine
+// totals. All rates zero-guard an empty input.
+func DynamicFrom(symbols, active, enabled, reports int64) Dynamic {
 	d := Dynamic{Symbols: symbols, Reports: reports}
 	if symbols > 0 {
 		d.ActiveSet = float64(active) / float64(symbols)
@@ -282,12 +284,11 @@ func dynamicFrom(symbols, active, enabled, reports int64) Dynamic {
 	return d
 }
 
-// DynamicFromRegistry derives the Table-I dynamic columns from a
-// registry's cumulative sim.* counters. All rates zero-guard an empty
-// input.
+// DynamicFromRegistry is DynamicFrom over a registry's cumulative sim.*
+// counters.
 func DynamicFromRegistry(reg *telemetry.Registry) Dynamic {
 	c := simCounters(reg)
-	return dynamicFrom(c[0], c[1], c[2], c[3])
+	return DynamicFrom(c[0], c[1], c[2], c[3])
 }
 
 // Row is one full Table-I row. TopOffender, when set, names the source

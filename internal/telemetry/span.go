@@ -234,30 +234,3 @@ type SpanSnapshot struct {
 	Count    int64          `json:"count"`
 	Children []SpanSnapshot `json:"children,omitempty"`
 }
-
-// FlattenSpans renders a span forest as "/"-joined path → node pairs in
-// depth-first first-start order — the alignment key benchdiff uses to
-// compare phase breakdowns across two run reports.
-func FlattenSpans(snap []SpanSnapshot) []FlatSpan {
-	var out []FlatSpan
-	var walk func(prefix string, nodes []SpanSnapshot)
-	walk = func(prefix string, nodes []SpanSnapshot) {
-		for _, n := range nodes {
-			path := n.Name
-			if prefix != "" {
-				path = prefix + "/" + n.Name
-			}
-			out = append(out, FlatSpan{Path: path, Nanos: n.Nanos, Count: n.Count})
-			walk(path, n.Children)
-		}
-	}
-	walk("", snap)
-	return out
-}
-
-// FlatSpan is one flattened span path.
-type FlatSpan struct {
-	Path  string
-	Nanos int64
-	Count int64
-}

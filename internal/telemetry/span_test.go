@@ -148,26 +148,3 @@ func TestNilSpansZeroAllocs(t *testing.T) {
 		t.Errorf("disabled span path allocates %.1f per op, want 0", allocs)
 	}
 }
-
-func TestFlattenSpans(t *testing.T) {
-	snap := []SpanSnapshot{
-		{Name: "run", Nanos: 30, Count: 1, Children: []SpanSnapshot{
-			{Name: "build", Nanos: 10, Count: 1},
-			{Name: "scan", Nanos: 20, Count: 2},
-		}},
-	}
-	flat := FlattenSpans(snap)
-	want := []FlatSpan{
-		{Path: "run", Nanos: 30, Count: 1},
-		{Path: "run/build", Nanos: 10, Count: 1},
-		{Path: "run/scan", Nanos: 20, Count: 2},
-	}
-	if len(flat) != len(want) {
-		t.Fatalf("flatten = %+v, want %+v", flat, want)
-	}
-	for i := range want {
-		if flat[i] != want[i] {
-			t.Errorf("flat[%d] = %+v, want %+v", i, flat[i], want[i])
-		}
-	}
-}

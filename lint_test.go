@@ -439,3 +439,183 @@ func (e *Engine) SetOffset(off int64)           {}
 		t.Errorf("hook bundle re-spelled: %s", v)
 	}
 }
+
+// goFiles parses every .go file under root (tests included when tests is
+// set), skipping testdata, dot directories and bench/ — the repository
+// benchmark is its own module with its own rules.
+func goFiles(t *testing.T, root string, tests bool) (*token.FileSet, map[string]*ast.File) {
+	t.Helper()
+	fset := token.NewFileSet()
+	files := map[string]*ast.File{}
+	err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			name := d.Name()
+			if name == "testdata" || path == "bench" || strings.HasPrefix(name, ".") && name != "." {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(path, ".go") || !tests && strings.HasSuffix(path, "_test.go") {
+			return nil
+		}
+		f, err := parser.ParseFile(fset, path, nil, 0)
+		if err != nil {
+			return err
+		}
+		files[path] = f
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return fset, files
+}
+
+// internal/report is a format package: it describes and encodes a run
+// manifest and measures nothing. The import list is the enforcement — an
+// engine, the suite registry or a scan driver showing up here means a
+// second measuring instrument is growing next to bench/.
+func TestReportIsAFormatPackage(t *testing.T) {
+	allowed := map[string]bool{
+		"automatazoo/internal/telemetry": true,
+		"automatazoo/internal/attr":      true,
+		"automatazoo/internal/atomicio":  true,
+	}
+	fset, files := goFiles(t, "internal/report", false)
+	for _, f := range files {
+		for _, imp := range f.Imports {
+			path := strings.Trim(imp.Path.Value, `"`)
+			if strings.HasPrefix(path, "automatazoo/") && !allowed[path] {
+				t.Errorf("%s: internal/report imports %s (allowed: telemetry, attr, atomicio)",
+					fset.Position(imp.Pos()), path)
+			}
+		}
+	}
+}
+
+// Speed has one instrument, the repository benchmark under bench/, whose
+// per-layer probes time single operations under its paired protocol. A
+// func Benchmark* in this module would be a second, unpaired set of
+// numbers.
+func TestNoGoBenchmarksInRootModule(t *testing.T) {
+	fset, files := goFiles(t, ".", true)
+	for path, f := range files {
+		if !strings.HasSuffix(path, "_test.go") {
+			continue
+		}
+		for _, decl := range f.Decls {
+			fn, ok := decl.(*ast.FuncDecl)
+			if ok && fn.Recv == nil && strings.HasPrefix(fn.Name.Name, "Benchmark") {
+				t.Errorf("%s: %s — measure it as a bench/cmd/azprobe layer instead",
+					fset.Position(fn.Pos()), fn.Name.Name)
+			}
+		}
+	}
+}
+
+// The engines carry no ablation forks: an exported Options field that
+// switches a strategy off (No*, Disable*) keeps a second code path alive
+// in a hot loop for the sake of a measurement nobody gates on.
+func TestNoAblationKnobsInEngines(t *testing.T) {
+	for _, dir := range []string{"internal/sim", "internal/dfa"} {
+		fset, files := goFiles(t, dir, false)
+		for _, f := range files {
+			ast.Inspect(f, func(n ast.Node) bool {
+				ts, ok := n.(*ast.TypeSpec)
+				if !ok || ts.Name.Name != "Options" {
+					return true
+				}
+				st, ok := ts.Type.(*ast.StructType)
+				if !ok {
+					return true
+				}
+				for _, fld := range st.Fields.List {
+					for _, name := range fld.Names {
+						if strings.HasPrefix(name.Name, "No") || strings.HasPrefix(name.Name, "Disable") {
+							t.Errorf("%s: %s.Options.%s is an ablation knob", fset.Position(name.Pos()), dir, name.Name)
+						}
+					}
+				}
+				return false
+			})
+		}
+	}
+}
+
+// Every command azoo dispatches is listed by its usage text and vice
+// versa, and the retired perf-gate commands are neither (so they fall to
+// the default branch: usage, exit 2 — cmd/azoo's TestRetiredCommandsAreUsageErrors
+// runs that).
+func TestDispatchMatchesUsage(t *testing.T) {
+	fset := token.NewFileSet()
+	f, err := parser.ParseFile(fset, "cmd/azoo/main.go", nil, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dispatched, listed := map[string]bool{}, map[string]bool{}
+	for _, decl := range f.Decls {
+		fn, ok := decl.(*ast.FuncDecl)
+		if !ok || fn.Recv != nil {
+			continue
+		}
+		switch fn.Name.Name {
+		case "run":
+			ast.Inspect(fn, func(n ast.Node) bool {
+				sw, ok := n.(*ast.SwitchStmt)
+				if !ok {
+					return true
+				}
+				if tag, ok := sw.Tag.(*ast.Ident); !ok || tag.Name != "cmd" {
+					return true
+				}
+				for _, stmt := range sw.Body.List {
+					for _, e := range stmt.(*ast.CaseClause).List {
+						if lit, ok := e.(*ast.BasicLit); ok && lit.Kind == token.STRING {
+							dispatched[strings.Trim(lit.Value, `"`)] = true
+						}
+					}
+				}
+				return false
+			})
+		case "usage":
+			ast.Inspect(fn, func(n ast.Node) bool {
+				lit, ok := n.(*ast.BasicLit)
+				if !ok || lit.Kind != token.STRING {
+					return true
+				}
+				_, cmds, _ := strings.Cut(strings.Trim(lit.Value, "`"), "commands:\n")
+				for _, line := range strings.Split(cmds, "\n") {
+					if fields := strings.Fields(line); len(fields) > 0 {
+						for _, name := range strings.Split(fields[0], "|") {
+							listed[name] = true
+						}
+					}
+				}
+				return true
+			})
+		}
+	}
+	if len(dispatched) == 0 || len(listed) == 0 {
+		t.Fatalf("found %d dispatched and %d listed commands; the detector no longer matches cmd/azoo/main.go", len(dispatched), len(listed))
+	}
+	for name := range dispatched {
+		if !listed[name] {
+			t.Errorf("azoo dispatches %q but usage() does not list it", name)
+		}
+	}
+	for name := range listed {
+		if !dispatched[name] {
+			t.Errorf("usage() lists %q but azoo does not dispatch it", name)
+		}
+	}
+	// The second name is spelled in halves so that grepping the tree for it
+	// finds only a real comeback.
+	for _, name := range []string{"bench", "bench" + "diff"} {
+		if dispatched[name] || listed[name] {
+			t.Errorf("retired command %q is back (the perf instrument is bench/)", name)
+		}
+	}
+}
