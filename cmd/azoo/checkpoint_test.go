@@ -2,6 +2,9 @@ package main
 
 import (
 	"bytes"
+	"context"
+	"encoding/json"
+	"fmt"
 	"io"
 	"os"
 	"path/filepath"
@@ -12,10 +15,9 @@ import (
 	"automatazoo/internal/automata"
 	"automatazoo/internal/charset"
 	"automatazoo/internal/ckpt"
-	"automatazoo/internal/dfa"
 	"automatazoo/internal/guard"
 	"automatazoo/internal/report"
-	"automatazoo/internal/sim"
+	"automatazoo/internal/scan"
 	"automatazoo/internal/stats"
 	"automatazoo/internal/telemetry"
 )
@@ -48,8 +50,8 @@ func captureStdout(t *testing.T, f func() error) (string, error) {
 // section as one uninterrupted run with the same checkpoint flags (the
 // save grid shapes the seg_* accounting), and neither may leave a
 // checkpoint behind. The dfa engine re-warms its cache from cold on
-// resume, so only its symbols/reports/states line and row counts are
-// compared.
+// resume (scan.Result.Cache), so only its symbols/reports/states line and
+// row counts are compared.
 func TestResumeIdenticalToStraightRun(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds and scans a benchmark three times per engine shape")
@@ -63,6 +65,7 @@ func TestResumeIdenticalToStraightRun(t *testing.T) {
 		{"nfa-j2-seg3", []string{"-engine", "nfa", "-j", "2", "-segments", "3"}, false},
 		{"prefilter", []string{"-engine", "prefilter", "-j", "1", "-segments", "1"}, false},
 		{"dfa-j1", []string{"-engine", "dfa", "-j", "1"}, true},
+		{"dfa-j2-seg3", []string{"-engine", "dfa", "-j", "2", "-segments", "3"}, true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			dir := t.TempDir()
@@ -157,36 +160,31 @@ func TestResumeProgressTotalCoversOnlyRemainingStreams(t *testing.T) {
 	streams := [][]byte{stream, stream, stream}
 	const wantTotal = (streamLen - resumeAt) + streamLen
 
-	cursor := func() ckpt.Cursor { return ckpt.Cursor{Stream: 1, Offset: resumeAt} }
-	engines := map[string]func(h stats.Hooks, sv *ckpt.Saver) error{
-		"nfa": func(h stats.Hooks, sv *ckpt.Saver) error {
-			e := sim.New(a)
-			st := e.Run(stream[:resumeAt])
-			c := cursor()
-			c.Sim = &st
-			_, _, err := runCheckpointedScan(sv, ckpt.Meta{Workers: 1, Segments: 1}, a, streams, h,
-				&ckpt.Checkpoint{Sim: e.CaptureState(), Cursor: c})
-			return err
-		},
-		"dfa": func(h stats.Hooks, sv *ckpt.Saver) error {
-			e, err := dfa.New(a)
-			if err != nil {
-				return err
-			}
-			st := e.Run(stream[:resumeAt])
-			c := cursor()
-			c.DFA = &st
-			_, _, _, err = runCheckpointedDFA(sv, ckpt.Meta{}, a, streams, h,
-				&ckpt.Checkpoint{DFA: e.CaptureState(), Cursor: c})
-			return err
-		},
-	}
-	for name, resume := range engines {
+	for _, name := range []string{"nfa", "dfa"} {
 		t.Run(name, func(t *testing.T) {
+			newEngine, err := scan.Factory(name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			e, err := newEngine(a)
+			if err != nil {
+				t.Fatal(err)
+			}
+			st, err := e.RunChecked(stream[:resumeAt])
+			if err != nil {
+				t.Fatal(err)
+			}
+			start := &ckpt.Checkpoint{
+				Sim:    e.(ckpt.Engine).CaptureState(),
+				Cursor: ckpt.Cursor{Stream: 1, Offset: resumeAt, Sim: &st},
+			}
 			prog := telemetry.NewProgress()
-			h := stats.Hooks{Progress: prog.Tracker(name)}
-			sv := &ckpt.Saver{Path: filepath.Join(t.TempDir(), "ck"), Interval: ckpt.ChunkAlign}
-			if err := resume(h, sv); err != nil {
+			_, err = scan.Run(context.Background(), a, streams, scan.Spec{
+				Hooks:   stats.Hooks{Progress: prog.Tracker(name), NewEngine: newEngine},
+				Workers: 1, Segments: 1, Start: start,
+				Saver: &ckpt.Saver{Path: filepath.Join(t.TempDir(), "ck"), Interval: ckpt.ChunkAlign},
+			})
+			if err != nil {
 				t.Fatal(err)
 			}
 			snap := prog.Snapshot()[0]
@@ -195,5 +193,79 @@ func TestResumeProgressTotalCoversOnlyRemainingStreams(t *testing.T) {
 					resumeAt, snap.Bytes, snap.TotalBytes, wantTotal)
 			}
 		})
+	}
+}
+
+// TestRunCheckpointedDFAPrintsPlainLines: checkpointing changes where a
+// run saves, never what it prints. A checkpointed multi-stream dfa run —
+// at -j 1, and at -j 2, which a checkpoint now accepts — prints exactly
+// the uninterrupted -j 1 lines, transition-cache line included.
+func TestRunCheckpointedDFAPrintsPlainLines(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds and scans a benchmark three times")
+	}
+	base := []string{"-engine", "dfa", "-bench", "Random Forest B", "-scale", "0.02", "-input", "20000"}
+	run := func(extra ...string) string {
+		t.Helper()
+		out, err := captureStdout(t, func() error { return cmdRun(append(append([]string(nil), base...), extra...)) })
+		if err != nil {
+			t.Fatalf("run %v: %v", extra, err)
+		}
+		return out
+	}
+	want := run("-j", "1")
+	if !strings.Contains(want, "transition cache") {
+		t.Fatalf("no cache line in %q", want)
+	}
+	for _, extra := range [][]string{
+		{"-j", "1", "-checkpoint", filepath.Join(t.TempDir(), "j1.ckpt")},
+		{"-j", "2", "-checkpoint", filepath.Join(t.TempDir(), "j2.ckpt")},
+	} {
+		if got := run(extra...); got != want {
+			t.Errorf("run %v:\n got %q\nwant %q", extra, got, want)
+		}
+	}
+}
+
+// TestDFAGaugesSumOverEngines: the dfa.* gauges describe the whole run —
+// at -j 2 the sum over the slice engines, not the last one to flush — so
+// -metrics agrees at -j 1 and -j 2 and with the printed DFA-state count.
+func TestDFAGaugesSumOverEngines(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds and scans a benchmark twice")
+	}
+	var gauges []map[string]int64
+	for _, j := range []string{"1", "2"} {
+		metrics := filepath.Join(t.TempDir(), "m.json")
+		out, err := captureStdout(t, func() error {
+			return cmdRun([]string{"-engine", "dfa", "-bench", "Snort", "-scale", "0.02", "-input", "30000",
+				"-j", j, "-metrics", metrics})
+		})
+		if err != nil {
+			t.Fatalf("-j %s: %v", j, err)
+		}
+		raw, err := os.ReadFile(metrics)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var snap telemetry.Snapshot
+		if err := json.Unmarshal(raw, &snap); err != nil {
+			t.Fatal(err)
+		}
+		var states int64
+		if _, err := fmt.Sscanf(out[strings.Index(out, "reports, ")+len("reports, "):], "%d DFA states", &states); err != nil {
+			t.Fatalf("-j %s: no DFA-state count in %q: %v", j, out, err)
+		}
+		if got := snap.Gauges["dfa.states"]; got != states {
+			t.Errorf("-j %s: dfa.states gauge %d, printed %d", j, got, states)
+		}
+		gauges = append(gauges, map[string]int64{
+			"dfa.states":      snap.Gauges["dfa.states"],
+			"dfa.cache_bytes": snap.Gauges["dfa.cache_bytes"],
+			"dfa.fallbacks":   snap.Gauges["dfa.fallbacks"],
+		})
+	}
+	if !reflect.DeepEqual(gauges[0], gauges[1]) {
+		t.Errorf("dfa gauges differ: -j 1 %v, -j 2 %v", gauges[0], gauges[1])
 	}
 }

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"context"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -9,6 +10,7 @@ import (
 
 	"automatazoo/internal/attr"
 	"automatazoo/internal/core"
+	"automatazoo/internal/scan"
 	"automatazoo/internal/stats"
 )
 
@@ -22,7 +24,7 @@ import (
 func cmdExplain(args []string) error {
 	fs := flag.NewFlagSet("explain", flag.ExitOnError)
 	cfg := suiteFlags(fs)
-	engine := fs.String("engine", "nfa", "engine: nfa (VASim-like), dfa (Hyperscan-like), or prefilter (two-stage literal prefilter)")
+	engine := engineFlag(fs, engineUsage, "nfa", "dfa", "prefilter")
 	workers := workersFlag(fs)
 	segments := segmentsFlag(fs)
 	topK := fs.Int("top", 10, "cost rows to print (0 = every pattern)")
@@ -31,41 +33,35 @@ func cmdExplain(args []string) error {
 	if err != nil {
 		return err
 	}
-	col, err := explainRun(b, *cfg, *engine, *workers, *segments)
+	name, err := engine()
 	if err != nil {
 		return err
 	}
-	return writeExplain(os.Stdout, b.Name, *engine, col, *topK, *asJSON)
+	col, err := explainRun(b, *cfg, name, *workers, *segments)
+	if err != nil {
+		return err
+	}
+	return writeExplain(os.Stdout, b.Name, name, col, *topK, *asJSON)
 }
 
 // explainRun builds the benchmark with its provenance map and scans its
-// standard input on the requested engine with a cost ledger attached,
-// returning the filled collector. The execution paths mirror `azoo run`
-// exactly (single-engine, component-partitioned, and segment-parallel),
-// so the committed totals are the same ones a production run would
-// attribute.
+// standard input through scan.Run — the layouts `azoo run` uses — with a
+// cost ledger attached, returning the filled collector: the committed
+// totals are the ones a production run would attribute. Prefilter
+// engines charge anchored components' bytes at flush points and one work
+// unit per matched literal byte (the chain work the nfa engine would have
+// done); residual components attribute exactly as under nfa.
 func explainRun(b core.Benchmark, cfg core.Config, engine string, workers, segments int) (*attr.Collector, error) {
+	newEngine, err := scan.Factory(engine)
+	if err != nil {
+		return nil, err
+	}
 	a, segs, col, err := b.BuildAttributed(cfg)
 	if err != nil {
 		return nil, err
 	}
-	h := stats.Hooks{Attribution: col}
-	switch engine {
-	case "prefilter":
-		// Same scan paths, prefilter engines behind the factory. Anchored
-		// components charge bytes at flush points and one work unit per
-		// matched literal byte (the chain work the nfa engine would have
-		// done); residual components attribute exactly as under nfa.
-		h.NewEngine = prefilterEngine
-		fallthrough
-	case "nfa":
-		_, _, err = scanNFA(a, segs, workers, segments, h)
-	case "dfa":
-		_, _, _, err = scanDFA(a, segs, workers, segments, h)
-	default:
-		return nil, usageErrorf("unknown engine %q", engine)
-	}
-	if err != nil {
+	h := stats.Hooks{Attribution: col, NewEngine: newEngine}
+	if _, err := scan.Run(context.Background(), a, segs, scan.Spec{Hooks: h, Workers: workers, Segments: segments}); err != nil {
 		return nil, err
 	}
 	return col, nil

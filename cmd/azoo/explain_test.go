@@ -10,7 +10,7 @@ import (
 
 	"automatazoo/internal/attr"
 	"automatazoo/internal/core"
-	"automatazoo/internal/dfa"
+	"automatazoo/internal/scan"
 	"automatazoo/internal/sim"
 )
 
@@ -92,11 +92,15 @@ func TestExplainReportIdentity(t *testing.T) {
 	}
 
 	var dfaTotal int64
-	de, err := dfa.New(a)
+	newDFA, err := scan.Factory("dfa")
 	if err != nil {
 		t.Fatal(err)
 	}
-	de.OnReport = func(dfa.Report) { dfaTotal++ }
+	de, err := newDFA(a)
+	if err != nil {
+		t.Fatal(err)
+	}
+	de.SetOnReport(func(sim.Report) { dfaTotal++ })
 	for _, seg := range segs {
 		de.Reset()
 		if _, err := de.RunChecked(seg); err != nil {

@@ -36,27 +36,30 @@
 // Crash safety: run -checkpoint persists a durable, checksummed
 // checkpoint of the scan (engine continuation, report cursor, metrics,
 // attribution, budget remainder) every -checkpoint-interval bytes and on
-// graceful drains; azoo resume restores it and finishes the run with
-// stdout, manifests, and attribution byte-identical to an uninterrupted
-// run (nfa/prefilter engines; dfa resumes exactly but re-warms its cache
-// from cold). SIGINT/SIGTERM on a checkpointed or telemetry-active run
-// trip the governor's graceful drain: engines stop at their next chunk
-// boundary, a final checkpoint and postmortem are saved, the truncated
-// manifest is written, and the process exits 3 (truncated) — a second
-// signal forces immediate exit. See EXPERIMENTS.md ("Surviving a
-// kill -9").
+// graceful drains, with any engine at any -j and -segments; azoo resume
+// restores it and finishes the run with stdout, manifests, and
+// attribution byte-identical to an uninterrupted run — except the dfa
+// engine's transition-cache line, which describes the resumed process
+// only (its cache restarts cold). SIGINT/SIGTERM on a checkpointed or
+// telemetry-active run trip the governor's graceful drain: engines stop
+// at their next chunk boundary, a final checkpoint and postmortem are
+// saved, the truncated manifest is written, and the process exits 3
+// (truncated) — a second signal forces immediate exit. See
+// EXPERIMENTS.md ("Surviving a kill -9").
 //
-// The -j flag sets the worker count of the parallel execution layer
-// (internal/parallel): -j 1 reproduces the single-threaded behaviour
-// exactly, the default is one worker per CPU, and report output is
-// byte-identical at every value (see ARCHITECTURE.md). The -segments
-// flag adds segment-parallel input scanning (internal/segment): each
-// stream splits into K speculatively-scanned segments stitched back to
-// the exact sequential result — byte-identical output at any K, with
-// the speculation accounting surfaced as segment.* metrics and seg_*
-// manifest extras, never on stdout. The default 0 resolves
-// automatically from stream size and -j (suite-sized streams stay
-// unsegmented).
+// Every command that scans a benchmark's streams does it through one
+// driver, internal/scan. The -j flag sets the worker count of the
+// parallel execution layer (internal/parallel): -j 1 reproduces the
+// single-threaded behaviour exactly, the default is one worker per CPU,
+// and report output is byte-identical at every value (see
+// ARCHITECTURE.md, "Scan path"). The -segments flag adds segment-parallel
+// input scanning: each stream splits into K speculatively-scanned
+// segments stitched back to the exact sequential result — byte-identical
+// output at any K, with the speculation accounting surfaced as segment.*
+// metrics and seg_* manifest extras, never on stdout. The default 0
+// resolves automatically from stream size and -j (suite-sized streams
+// stay unsegmented); an uncheckpointed dfa run at -j N > 1 uses
+// component slices instead, since the dfa never speculates.
 package main
 
 import (
@@ -66,25 +69,21 @@ import (
 	"os"
 	"runtime"
 	"runtime/debug"
+	"slices"
 	"strings"
 
 	"automatazoo/internal/attr"
 	"automatazoo/internal/automata"
 	"automatazoo/internal/ckpt"
 	"automatazoo/internal/core"
-	"automatazoo/internal/dfa"
 	"automatazoo/internal/experiments"
-	"automatazoo/internal/hooks"
 	"automatazoo/internal/mesh"
 	"automatazoo/internal/mnrl"
-	"automatazoo/internal/parallel"
 	"automatazoo/internal/partition"
-	"automatazoo/internal/prefilter"
 	"automatazoo/internal/report"
-	"automatazoo/internal/segment"
+	"automatazoo/internal/scan"
 	"automatazoo/internal/spatial"
 	"automatazoo/internal/stats"
-	"automatazoo/internal/telemetry"
 )
 
 func main() {
@@ -263,10 +262,28 @@ func cmdStats(args []string) error {
 	return nil
 }
 
+// engineUsage is the -engine help of the commands that take all three
+// engines.
+const engineUsage = "engine: nfa (VASim-like), dfa (Hyperscan-like), or prefilter (two-stage literal prefilter)"
+
+// engineFlag registers -engine on fs, accepting names (the first is the
+// default), and returns the chosen name once it is known to be one of
+// them: anything else is a usage error, raised before the benchmark is
+// built. scan.Factory turns the name into the engine.
+func engineFlag(fs *flag.FlagSet, usage string, names ...string) func() (string, error) {
+	name := fs.String("engine", names[0], usage)
+	return func() (string, error) {
+		if !slices.Contains(names, *name) {
+			return "", usageErrorf("unknown engine %q (want %s)", *name, strings.Join(names, ", "))
+		}
+		return *name, nil
+	}
+}
+
 func cmdRun(args []string) error {
 	fs := flag.NewFlagSet("run", flag.ExitOnError)
 	cfg := suiteFlags(fs)
-	engine := fs.String("engine", "nfa", "engine: nfa (VASim-like), dfa (Hyperscan-like), or prefilter (two-stage literal prefilter)")
+	engine := engineFlag(fs, engineUsage, "nfa", "dfa", "prefilter")
 	workers := workersFlag(fs)
 	segments := segmentsFlag(fs)
 	ckptPath := fs.String("checkpoint", "",
@@ -279,14 +296,9 @@ func cmdRun(args []string) error {
 	if err != nil {
 		return err
 	}
-	switch *engine {
-	case "nfa", "prefilter":
-	case "dfa":
-		if *ckptPath != "" && *workers != 1 {
-			return usageErrorf("-checkpoint with -engine dfa requires -j 1 (the checkpoint holds one engine's frontier)")
-		}
-	default:
-		return usageErrorf("unknown engine %q", *engine)
+	name, err := engine()
+	if err != nil {
+		return err
 	}
 	sess, err := openSession(tf, gf)
 	if err != nil {
@@ -295,7 +307,7 @@ func cmdRun(args []string) error {
 	return runScan(sess, scanSpec{
 		bench: b, cfg: *cfg, ckptPath: *ckptPath,
 		meta: ckpt.Meta{
-			Command: "run", Label: b.Name, Engine: *engine,
+			Command: "run", Label: b.Name, Engine: name,
 			Flags: map[string]string{
 				"bench": b.Name,
 				"scale": fmt.Sprintf("%g", cfg.Scale),
@@ -308,10 +320,10 @@ func cmdRun(args []string) error {
 }
 
 // scanSpec is what `run` scans and how. meta is the recipe a checkpoint
-// persists — engine (validated by the caller), execution knobs that fix
-// the scan shape and so the save grid, and the suite flags as strings;
-// bench and cfg are those flags resolved. cmdRun fills it from its flags,
-// cmdResume from a checkpoint (which is then also where to start).
+// persists — engine, execution knobs that fix the scan layout and so the
+// save grid, and the suite flags as strings; bench and cfg are those
+// flags resolved. cmdRun fills it from its flags, cmdResume from a
+// checkpoint (which is then also where to start).
 type scanSpec struct {
 	meta     ckpt.Meta
 	bench    core.Benchmark
@@ -321,9 +333,9 @@ type scanSpec struct {
 }
 
 // runScan is the one body of `run` and `resume`: build the benchmark, scan
-// its standard input on the spec's engine (from the spec's checkpoint, if
-// any), print the result line and record the manifest row. A straight run
-// and a resumed one differ only in sp, so their output is identical by
+// its standard input through scan.Run (from the spec's checkpoint, if
+// any), print the result and record the manifest row. A straight run and
+// a resumed one differ only in sp, so their output is identical by
 // construction.
 func runScan(sess *obsSession, sp scanSpec) error {
 	if sp.ckptPath != "" {
@@ -333,6 +345,10 @@ func runScan(sess *obsSession, sp scanSpec) error {
 	}
 	b, m := sp.bench, sp.meta
 	h := sess.hooks(b.Name)
+	var err error
+	if h.NewEngine, err = scan.Factory(m.Engine); err != nil {
+		return err
+	}
 	bsp := h.Spans.Start("build")
 	// With telemetry active the run carries cost attribution: the manifest
 	// gains an attribution section and the registry azoo_attr_* families.
@@ -341,7 +357,6 @@ func runScan(sess *obsSession, sp scanSpec) error {
 	var a *automata.Automaton
 	var segs [][]byte
 	var col *attr.Collector
-	var err error
 	if h.Registry != nil {
 		a, segs, col, err = b.BuildAttributed(sp.cfg)
 	} else {
@@ -351,69 +366,32 @@ func runScan(sess *obsSession, sp scanSpec) error {
 	if err != nil {
 		return err
 	}
-	if c := sp.start; c != nil {
-		if c.Cursor.Stream < 0 || c.Cursor.Stream >= len(segs) {
-			return fmt.Errorf("checkpoint cursor: stream %d of %d", c.Cursor.Stream, len(segs))
-		}
-		if off := c.Cursor.Offset; off < 0 || off > int64(len(segs[c.Cursor.Stream])) {
-			return fmt.Errorf("checkpoint cursor: offset %d beyond stream of %d bytes", off, len(segs[c.Cursor.Stream]))
-		}
-		// Restore the run's accumulated observability so the final artifacts
-		// equal an uninterrupted run's: registry counters merge from the
-		// snapshot, attribution totals replace the fresh collector's zeros.
-		if h.Registry != nil && c.Metrics != nil {
-			h.Registry.Merge(*c.Metrics)
-		}
-		if col != nil && c.Attr != nil {
-			if err := col.RestoreTotals(*c.Attr); err != nil {
-				return err
-			}
-		}
-	}
 	h.Attribution = col
-	if m.Engine == "prefilter" {
-		// Every scan engine becomes the two-stage literal prefilter via the
-		// factory — same exact stats and reports, so all combinations print
-		// identical lines (asserted suite-wide by
-		// TestRunOutputByteIdenticalAcrossWorkers).
-		h.NewEngine = prefilterEngine
-	}
-	var sv *ckpt.Saver
+	spec := scan.Spec{Hooks: h, Workers: m.Workers, Segments: m.Segments, Start: sp.start}
+	spec.Spans = nil // the command times the scan as a whole
 	if sp.ckptPath != "" {
-		sv = &ckpt.Saver{Path: sp.ckptPath, Interval: m.Interval, Set: h.EngineSet()}
+		spec.Saver = &ckpt.Saver{Path: sp.ckptPath, Interval: m.Interval, Meta: m}
 	}
-	isDFA := m.Engine == "dfa"
-	row := report.KernelRow{Name: b.Name, States: a.NumStates()}
 	ssp := h.Spans.Start("scan")
-	var dyn stats.Dynamic // the dfa paths fill Symbols and Reports only
-	var stitch segment.Stitch
-	var cache dfa.Stats
-	switch {
-	case isDFA && sv != nil:
-		dyn.Symbols, dyn.Reports, cache, err = runCheckpointedDFA(sv, m, a, segs, h, sp.start)
-	case isDFA:
-		dyn.Symbols, dyn.Reports, cache, err = scanDFA(a, segs, m.Workers, m.Segments, h)
-	case sv != nil:
-		dyn, stitch, err = runCheckpointedScan(sv, m, a, segs, h, sp.start)
-	default:
-		dyn, stitch, err = scanNFA(a, segs, m.Workers, m.Segments, h)
-	}
+	res, err := scan.Run(context.Background(), a, segs, spec)
 	h.Progress.Done()
 	ssp.End()
-	row.Symbols, row.Reports = dyn.Symbols, dyn.Reports
+	st := res.Stats
+	row := report.KernelRow{Name: b.Name, States: a.NumStates(), Symbols: st.Symbols, Reports: st.Reports}
 	switch {
 	case err != nil:
 		// A governor trip still records the partial work in the manifest.
-	case isDFA:
-		row.HasCache, row.CacheHitRate, row.CacheEvictRate = true, cache.HitRate(), cache.EvictionRate()
-		printRunDFA(b.Name, a.NumStates(), dyn.Symbols, dyn.Reports, cache)
+	case res.Cache != nil:
+		row.HasCache, row.CacheHitRate, row.CacheEvictRate = true, res.Cache.HitRate(), res.Cache.EvictionRate()
 	default:
-		row.Extra = map[string]float64{"active_set": dyn.ActiveSet, "report_rate": dyn.ReportRate}
-		printRunNFA(b.Name, a.NumStates(), dyn)
+		row.Extra = map[string]float64{"active_set": st.ActiveAvg(), "report_rate": st.ReportRate()}
 	}
-	addStitchExtra(&row, stitch)
+	if err == nil {
+		fmt.Print(res.Format(b.Name, a.NumStates()))
+	}
+	addStitchExtra(&row, res)
 	if m.Engine == "prefilter" && sess.reportPath != "" {
-		if perr := addPrefilterExtra(&row, a, h.Registry); perr != nil {
+		if perr := addPrefilterExtra(&row, a, h); perr != nil {
 			return perr
 		}
 	}
@@ -436,78 +414,29 @@ func suiteConfig(cfg core.Config, segments int) map[string]string {
 	}
 }
 
-// scanNFA scans every stream with the execution shape `run` and `explain`
-// share for the nfa and prefilter engines: -j 1 is the exact single-engine
-// path; -j N partitions the automaton across the worker pool; -segments
-// (or automatic resolution on multi-MB streams) instead splits each
-// stream into speculatively-scanned pieces.
-func scanNFA(a *automata.Automaton, segs [][]byte, workers, segments int, h stats.Hooks) (stats.Dynamic, segment.Stitch, error) {
-	// The command times the whole scan itself; the drivers' own phase spans
-	// stay out of the manifest.
-	h.Spans = nil
-	segmented := false
-	for _, seg := range segs {
-		if segment.Resolve(int64(len(seg)), segments, workers, 0) > 1 {
-			segmented = true
-			break
-		}
-	}
-	if workers == 1 || segmented {
-		// ObserveStreams delegates to the exact sequential path when every
-		// stream resolves to one segment.
-		return stats.ObserveStreams(context.Background(), a, segs, stats.StreamOptions{
-			Workers: workers, Segments: segments, Hooks: h,
-		})
-	}
-	dyn, err := stats.ObserveSegmentsParallelHooked(context.Background(), a, segs, workers, h)
-	return dyn, segment.Stitch{}, err
-}
-
-// scanDFA is scanNFA's dfa counterpart: one whole-automaton engine at
-// -j 1, one engine per component slice otherwise.
-func scanDFA(a *automata.Automaton, segs [][]byte, workers, segments int, h stats.Hooks) (symbols, reports int64, st dfa.Stats, err error) {
-	if workers == 1 {
-		return runDFAWhole(a, segs, segments, h)
-	}
-	return runDFAParallel(a, segs, workers, segments, h)
-}
-
-// engineSet is what an engine the command drives directly is attached
-// with: the driver→engine conversion plus the session's Spans (no driver
-// sits in between to time the scan) and, under attribution, a ledger over
-// compOf (nil = the whole automaton).
-func engineSet(h stats.Hooks, compOf []int32) hooks.Set {
-	set := h.EngineSet()
-	set.Spans = h.Spans
-	set.Ledger = h.Ledger(compOf)
-	return set
-}
-
-// prefilterEngine adapts prefilter.New to the segment.Engine factory
-// shape shared by the hooks/partition plumbing.
-func prefilterEngine(a *automata.Automaton) (segment.Engine, error) {
-	return prefilter.New(a)
-}
-
 // addPrefilterExtra records the two-stage prefilter's manifest extras on a
 // kernel row: the static anchored/unanchored component split (from an
-// analysis engine built only for this — the scan engines live behind the
-// factory and may be partitioned — so callers skip it when no manifest
-// will be written) and the anchor-hit count and per-symbol density
-// accumulated in reg (the session's registry, which -report always arms)
-// across every engine the run constructed. stdout never carries these —
-// printed output must stay byte-identical to -engine nfa.
-func addPrefilterExtra(row *report.KernelRow, a *automata.Automaton, reg *telemetry.Registry) error {
-	pf, err := prefilter.New(a)
+// analysis engine built only for this — the scan's engines may be
+// partitioned — so callers skip it when no manifest will be written) and
+// the anchor-hit count and per-symbol density accumulated in h.Registry
+// (the session's registry, which -report always arms) across every engine
+// the run constructed. stdout never carries these — printed output must
+// stay byte-identical to -engine nfa.
+func addPrefilterExtra(row *report.KernelRow, a *automata.Automaton, h stats.Hooks) error {
+	e, err := h.NewEngine(a)
 	if err != nil {
 		return err
 	}
+	pf := e.(interface {
+		Anchored() int
+		Unanchored() int
+	})
 	if row.Extra == nil {
 		row.Extra = map[string]float64{}
 	}
 	row.Extra["pf_anchored"] = float64(pf.Anchored())
 	row.Extra["pf_unanchored"] = float64(pf.Unanchored())
-	hits := reg.Counter("prefilter.anchor_hits").Value()
+	hits := h.Registry.Counter("prefilter.anchor_hits").Value()
 	row.Extra["pf_anchor_hits"] = float64(hits)
 	if row.Symbols > 0 {
 		row.Extra["pf_anchor_hit_density"] = float64(hits) / float64(row.Symbols)
@@ -519,7 +448,8 @@ func addPrefilterExtra(row *report.KernelRow, a *automata.Automaton, reg *teleme
 // manifest kernel row. stdout never carries these (it must stay
 // byte-identical across -segments); the manifest, the registry, and
 // /metrics do.
-func addStitchExtra(row *report.KernelRow, stitch segment.Stitch) {
+func addStitchExtra(row *report.KernelRow, res scan.Result) {
+	stitch := res.Stitch
 	if stitch.Segments == 0 {
 		return
 	}
@@ -532,154 +462,6 @@ func addStitchExtra(row *report.KernelRow, stitch segment.Stitch) {
 	row.Extra["seg_replayed"] = float64(stitch.Replayed)
 	row.Extra["seg_warmup_bytes"] = float64(stitch.WarmupBytes)
 	row.Extra["seg_replay_bytes"] = float64(stitch.ReplayBytes)
-}
-
-// dfaScanStream scans one stream on e (already Reset), in k resume-chunks
-// when k > 1: each segment boundary round-trips the engine through
-// CaptureState/RestoreState, exercising the frontier-snapshot resume path
-// end to end. The lazy DFA has no speculative segment mode — its printed
-// DFAStates and cache statistics are interning history, which concurrent
-// speculation would perturb — so chunks run sequentially and the printed
-// output is byte-identical at every k (see ARCHITECTURE.md).
-func dfaScanStream(e *dfa.Engine, seg []byte, k int) (symbols, reports int64, err error) {
-	if k <= 1 {
-		st, err := e.RunChecked(seg)
-		return st.Symbols, st.Reports, err
-	}
-	bounds := segment.Bounds(int64(len(seg)), k)
-	for ci := 0; ci < k; ci++ {
-		// RestoreState restarts per-stream stats, so each chunk's return is
-		// chunk-local; cache counters persist across the handoff.
-		if err := e.RestoreState(e.CaptureState()); err != nil {
-			return symbols, reports, err
-		}
-		st, rerr := e.RunChecked(seg[bounds[ci]:bounds[ci+1]])
-		symbols += st.Symbols
-		reports += st.Reports
-		if rerr != nil {
-			return symbols, reports, rerr
-		}
-	}
-	return symbols, reports, nil
-}
-
-// runDFAWhole scans every segment on one whole-automaton DFA engine (the
-// -j 1 path). Under attribution the engine's ledger is committed after
-// the scan.
-func runDFAWhole(a *automata.Automaton, segs [][]byte, segments int, h stats.Hooks) (symbols, reports int64, st dfa.Stats, err error) {
-	e, err := dfa.New(a)
-	if err != nil {
-		return 0, 0, dfa.Stats{}, err
-	}
-	h.Progress.AddTotal(remainingBytes(segs, 0, 0))
-	set := engineSet(h, nil)
-	e.Attach(set)
-	if set.Ledger != nil {
-		defer set.Ledger.Commit()
-	}
-	for _, seg := range segs {
-		e.Reset()
-		k := segment.Resolve(int64(len(seg)), segments, 1, 0)
-		sym, rep, rerr := dfaScanStream(e, seg, k)
-		symbols += sym
-		reports += rep
-		if rerr != nil {
-			return symbols, reports, e.Stats(), rerr
-		}
-	}
-	return symbols, reports, e.Stats(), nil
-}
-
-// runDFAParallel partitions the automaton at component granularity
-// (partition.ForWorkers) and scans every segment on one DFA engine per
-// slice across the worker pool. The lazy-DFA engine is strictly
-// per-component — budgets, byte classes, interned states, and cache
-// counters never cross components — so the summed statistics equal the
-// whole-engine run's exactly and the printed output is byte-identical to
-// -j 1. Under attribution every slice engine gets its own ledger (ledger
-// commits are commutative, so the folded totals equal the whole-engine
-// run's).
-func runDFAParallel(a *automata.Automaton, segs [][]byte, workers, segments int, h stats.Hooks) (symbols, reports int64, agg dfa.Stats, err error) {
-	plan := partition.ForWorkers(a, workers)
-	// Per-slice engines re-scan the stream, so the heartbeat total is
-	// passes × stream bytes — same convention as the stats parallel path.
-	h.Progress.AddTotal(int64(plan.Passes()) * remainingBytes(segs, 0, 0))
-	perSlice := make([]dfa.Stats, plan.Passes())
-	sliceReports := make([]int64, plan.Passes())
-	sliceProgress := make([]int64, plan.Passes())
-	// Each slice's engine spans go to a fork adopted in slice-index order,
-	// so the manifest's span tree is deterministic at any worker count.
-	sliceSpans := make([]*telemetry.Spans, plan.Passes())
-	for i := range sliceSpans {
-		sliceSpans[i] = h.Spans.Fork()
-	}
-	err = parallel.ForEach(context.Background(), workers, plan.Passes(), func(i int) error {
-		sub, err := plan.Extract(i)
-		if err != nil {
-			return err
-		}
-		e, err := dfa.New(sub)
-		if err != nil {
-			return err
-		}
-		var compOf []int32
-		if h.Attribution != nil {
-			compOf = plan.SliceCompOf(i)
-		}
-		set := engineSet(h, compOf)
-		set.Spans = sliceSpans[i]
-		e.Attach(set)
-		if set.Ledger != nil {
-			defer set.Ledger.Commit()
-		}
-		// Stats are captured even when a governor trip stops the slice
-		// mid-stream, so a truncated manifest still describes partial work.
-		defer func() { perSlice[i] = e.Stats() }()
-		for _, seg := range segs {
-			e.Reset() // clears per-run Symbols/Reports; cache counters persist
-			k := segment.Resolve(int64(len(seg)), segments, workers, 0)
-			sym, rep, serr := dfaScanStream(e, seg, k)
-			sliceProgress[i] = sym
-			sliceReports[i] += rep
-			if serr != nil {
-				return serr
-			}
-		}
-		return nil
-	})
-	for _, f := range sliceSpans {
-		h.Spans.Adopt(f)
-	}
-	if err != nil {
-		// Truncated: report the furthest stream position any slice reached,
-		// not the full stream length. perSlice covers a slice that died
-		// before dfaScanStream returned (its Symbols are chunk-local under
-		// -segments, never more than the true progress).
-		for i, st := range perSlice {
-			reports += sliceReports[i]
-			p := sliceProgress[i]
-			if st.Symbols > p {
-				p = st.Symbols
-			}
-			if p > symbols {
-				symbols = p
-			}
-		}
-		return symbols, reports, agg, err
-	}
-	for _, seg := range segs {
-		symbols += int64(len(seg)) // stream symbols, not per-slice engine work
-	}
-	for i, st := range perSlice {
-		reports += sliceReports[i]
-		agg.DFAStates += st.DFAStates
-		agg.Fallbacks += st.Fallbacks
-		agg.CacheHits += st.CacheHits
-		agg.CacheMisses += st.CacheMisses
-		agg.CacheEvictions += st.CacheEvictions
-		agg.ConstructNanos += st.ConstructNanos
-	}
-	return symbols, reports, agg, nil
 }
 
 // tableRow is one table line as runTable needs it: the manifest row (whose
@@ -734,16 +516,16 @@ func cmdTable1(args []string) error {
 	fs := flag.NewFlagSet("table1", flag.ExitOnError)
 	cfg := suiteFlags(fs)
 	compress := fs.Bool("compress", false, "also run prefix-merge compression (about 0.35 µs per state: 0.2 s for the 620 567 states of -scale 0.05)")
-	engine := fs.String("engine", "nfa", "simulation engine: nfa or prefilter (rows are identical — exact engines)")
+	engine := engineFlag(fs, "simulation engine: nfa or prefilter (rows are identical — exact engines)", "nfa", "prefilter")
 	segments := segmentsFlag(fs)
 	return runTable(fs, args, 22, func(workers int, obs *experiments.Observer) (map[string]string, []tableRow, error) {
 		config := suiteConfig(*cfg, *segments)
-		switch *engine {
-		case "nfa":
-		case "prefilter":
-			obs.NewEngine = prefilterEngine
-		default:
-			return config, nil, usageErrorf("unknown engine %q", *engine)
+		name, err := engine()
+		if err != nil {
+			return config, nil, err
+		}
+		if obs.NewEngine, err = scan.Factory(name); err != nil {
+			return config, nil, err
 		}
 		rows, err := experiments.TableI(context.Background(), *cfg, *compress, workers, *segments, obs)
 		if err != nil {

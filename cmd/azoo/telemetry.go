@@ -23,7 +23,7 @@ import (
 	"automatazoo/internal/guard"
 	"automatazoo/internal/parallel"
 	"automatazoo/internal/report"
-	"automatazoo/internal/segment"
+	"automatazoo/internal/stats"
 	"automatazoo/internal/telemetry"
 )
 
@@ -60,7 +60,7 @@ func telemetryFlags(fs *flag.FlagSet) *telFlags {
 // its artifacts go. Close writes the metrics snapshot and the run-report
 // manifest and flushes the trace.
 type obsSession struct {
-	segment.Hooks
+	stats.Hooks
 	traceFile   *telemetry.NDJSON // Tracer's concrete sink, for Close
 	metricsPath string
 	reportPath  string
@@ -289,7 +289,7 @@ func (s *obsSession) writePostmortem(reason string, stall *telemetry.StallReport
 // hooks returns the session's hook bundle for one named kernel: the
 // session's sinks with Progress set to that kernel's tracker. With
 // nothing armed it is the zero bundle, whose every hook is a no-op.
-func (s *obsSession) hooks(kernel string) segment.Hooks {
+func (s *obsSession) hooks(kernel string) stats.Hooks {
 	h := s.Hooks
 	h.Progress = s.prog.Tracker(kernel)
 	return h

@@ -56,7 +56,7 @@ func main() {
 		log.Fatal(err)
 	}
 	d.CollectReports = true
-	d.Run(input)
+	ds := d.Run(input)
 	fmt.Printf("\nDFA engine: %d interned DFA states, %d reports (identical match set)\n",
-		d.Stats().DFAStates, d.Stats().Reports)
+		ds.DFAStates, ds.Reports)
 }

@@ -56,7 +56,7 @@ func TestCrossEngineEquivalenceSuiteWide(t *testing.T) {
 				}
 				got := collect(func(_ int, input []byte, emit func(int64, int32)) {
 					d.Reset()
-					d.OnReport = func(r dfa.Report) { emit(r.Offset, r.Code) }
+					d.OnReport = func(r sim.Report) { emit(r.Offset, r.Code) }
 					d.Run(input)
 				})
 				compare(t, "dfa", nfa, got)

@@ -1,10 +1,12 @@
-// Package ckpt makes long scans crash-safe: it persists a versioned,
-// checksummed snapshot of a run's full observable state — engine
-// continuation (sim/dfa/prefilter CaptureState), emitted-report cursor,
-// telemetry registry, attribution totals, and the guard budget remainder
-// — at chunk boundaries every checkpoint interval, and restores it so a
-// resumed run produces stdout, report manifests, and attribution output
-// byte-identical to an uninterrupted one.
+// Package ckpt makes long scans crash-safe: it defines the checkpoint of a
+// run's full observable state — engine continuation (any Engine's
+// CaptureState), emitted-report cursor, telemetry registry, attribution
+// totals, and the guard budget remainder — its versioned, checksummed
+// file format (Encode, Decode, Load), and the Saver that persists it. The
+// scan driver (internal/scan) decides when to save and resumes from a
+// loaded checkpoint, so a resumed run produces stdout, report manifests,
+// and attribution output byte-identical to an uninterrupted one (the
+// dfa engine's cold cache is the one exception; see scan.Result.Cache).
 //
 // Durability discipline:
 //
@@ -39,7 +41,6 @@ import (
 
 	"automatazoo/internal/attr"
 	"automatazoo/internal/automata"
-	"automatazoo/internal/dfa"
 	"automatazoo/internal/guard"
 	"automatazoo/internal/hooks"
 	"automatazoo/internal/segment"
@@ -66,11 +67,12 @@ const (
 
 var magic = [4]byte{'A', 'Z', 'C', 'K'}
 
-// Section kinds.
+// Section kinds. Kind 3 held the dfa engine's per-component frontiers
+// before that engine captured a sim.StreamState like the others; Decode
+// rejects it as unknown.
 const (
 	secMeta   = 1
-	secSim    = 2 // sim.StreamState (nfa and prefilter engines)
-	secDFA    = 3 // dfa.StreamState
+	secSim    = 2 // sim.StreamState (every engine)
 	secCursor = 4
 	secMetric = 5 // telemetry.Snapshot
 	secAttr   = 6 // attr.Totals
@@ -101,17 +103,24 @@ type Cursor struct {
 	Offset  int64           `json:"offset"`
 	Reports int64           `json:"reports"`
 	Sim     *sim.Stats      `json:"sim,omitempty"`
-	DFA     *dfa.Stats      `json:"dfa,omitempty"`
 	Stitch  *segment.Stitch `json:"stitch,omitempty"`
 }
 
+// Engine is what a checkpointed scan needs of its engine: the segment
+// scanner's contract plus state capture and a mid-stream telemetry flush.
+// sim.Engine, prefilter.Engine and dfa.Engine all satisfy it.
+type Engine interface {
+	segment.Engine
+	CaptureState() *sim.StreamState
+	FlushTelemetry()
+}
+
 // Checkpoint is one decoded checkpoint: everything a fresh process needs
-// to continue the run. Exactly one of Sim/DFA is set, matching
-// Meta.Engine.
+// to continue the run. Sim is the in-flight stream's engine state, nil
+// at a stream boundary.
 type Checkpoint struct {
 	Meta    Meta
 	Sim     *sim.StreamState
-	DFA     *dfa.StreamState
 	Cursor  Cursor
 	Metrics *telemetry.Snapshot
 	Attr    *attr.Totals
@@ -137,7 +146,7 @@ func (c *Checkpoint) Encode(w io.Writer) error {
 	var hdr [4]byte
 	binary.LittleEndian.PutUint16(hdr[0:2], Version)
 	nsec := 2 // meta + cursor
-	for _, present := range []bool{c.Sim != nil, c.DFA != nil, c.Metrics != nil, c.Attr != nil, c.Budget != nil} {
+	for _, present := range []bool{c.Sim != nil, c.Metrics != nil, c.Attr != nil, c.Budget != nil} {
 		if present {
 			nsec++
 		}
@@ -150,9 +159,6 @@ func (c *Checkpoint) Encode(w io.Writer) error {
 	}
 	if c.Sim != nil {
 		writeSection(&buf, secSim, encodeSimState(c.Sim))
-	}
-	if c.DFA != nil {
-		writeSection(&buf, secDFA, encodeDFAState(c.DFA))
 	}
 	if err := writeJSONSection(&buf, secCursor, c.Cursor); err != nil {
 		return err
@@ -264,53 +270,6 @@ func decodeSimState(p []byte) (*sim.StreamState, error) {
 	return s, nil
 }
 
-// encodeDFAState: offset, then per-component length-prefixed frontiers.
-func encodeDFAState(s *dfa.StreamState) []byte {
-	var buf bytes.Buffer
-	var b8 [8]byte
-	binary.LittleEndian.PutUint64(b8[:], uint64(s.Offset))
-	buf.Write(b8[:])
-	var b4 [4]byte
-	binary.LittleEndian.PutUint32(b4[:], uint32(len(s.Frontiers)))
-	buf.Write(b4[:])
-	for _, f := range s.Frontiers {
-		binary.LittleEndian.PutUint32(b4[:], uint32(len(f)))
-		buf.Write(b4[:])
-		for _, id := range f {
-			binary.LittleEndian.PutUint32(b4[:], uint32(id))
-			buf.Write(b4[:])
-		}
-	}
-	return buf.Bytes()
-}
-
-func decodeDFAState(p []byte) (*dfa.StreamState, error) {
-	r := byteReader{p: p}
-	s := &dfa.StreamState{Offset: int64(r.u64())}
-	ncomp := r.u32()
-	if r.err == nil && uint64(ncomp)*4 > uint64(len(p)) {
-		return nil, fmt.Errorf("ckpt: dfa snapshot component count %d overruns section", ncomp)
-	}
-	for i := uint32(0); i < ncomp && r.err == nil; i++ {
-		n := r.u32()
-		if r.err == nil && uint64(n)*4 > uint64(len(p)) {
-			return nil, fmt.Errorf("ckpt: dfa snapshot frontier length %d overruns section", n)
-		}
-		var f []automata.StateID
-		for j := uint32(0); j < n && r.err == nil; j++ {
-			f = append(f, automata.StateID(r.u32()))
-		}
-		s.Frontiers = append(s.Frontiers, f)
-	}
-	if r.err != nil {
-		return nil, r.err
-	}
-	if !r.done() {
-		return nil, fmt.Errorf("ckpt: dfa snapshot has %d trailing bytes", len(p)-r.off)
-	}
-	return s, nil
-}
-
 // byteReader is a bounds-checked little-endian cursor; the first overrun
 // sticks in err so decoders can read a whole struct and check once.
 type byteReader struct {
@@ -398,8 +357,6 @@ func Decode(p []byte) (*Checkpoint, error) {
 			sawMeta = err == nil
 		case secSim:
 			c.Sim, err = decodeSimState(payload)
-		case secDFA:
-			c.DFA, err = decodeDFAState(payload)
 		case secCursor:
 			err = json.Unmarshal(payload, &c.Cursor)
 			sawCursor = err == nil

@@ -11,7 +11,6 @@ import (
 
 	"automatazoo/internal/attr"
 	"automatazoo/internal/automata"
-	"automatazoo/internal/dfa"
 	"automatazoo/internal/guard"
 	"automatazoo/internal/segment"
 	"automatazoo/internal/sim"
@@ -78,16 +77,16 @@ func TestCodecRoundTrip(t *testing.T) {
 	}
 }
 
+// A dfa-engine checkpoint is an ordinary one — the flattened frontier in
+// the sim section, the cursor's statistics in Sim — and an image carrying
+// the retired per-component dfa section (kind 3) fails to decode with an
+// error instead of a panic.
 func TestCodecRoundTripDFA(t *testing.T) {
-	st := dfa.Stats{Symbols: 5000, Reports: 3, CacheHits: 4000, CacheMisses: 20, DFAStates: 12, CacheBytes: 4096}
+	st := sim.Stats{Symbols: 5000, Reports: 3}
 	c := &Checkpoint{
-		Meta: Meta{Command: "run", Engine: "dfa", Interval: 4096, Workers: 1, Segments: 1},
-		DFA: &dfa.StreamState{
-			Offset: 4096,
-			// One populated frontier, one empty (elided/dead component).
-			Frontiers: [][]automata.StateID{{2, 3}, nil},
-		},
-		Cursor: Cursor{Stream: 0, Offset: 4096, Reports: 3, DFA: &st},
+		Meta:   Meta{Command: "run", Engine: "dfa", Interval: 4096, Workers: 2, Segments: 3},
+		Sim:    &sim.StreamState{Offset: 4096, Frontier: []automata.StateID{2, 3, 40}},
+		Cursor: Cursor{Stream: 0, Offset: 4096, Reports: 3, Sim: &st},
 	}
 	data, err := c.EncodeBytes()
 	if err != nil {
@@ -99,6 +98,20 @@ func TestCodecRoundTripDFA(t *testing.T) {
 	}
 	if !reflect.DeepEqual(c, got) {
 		t.Errorf("round trip mismatch:\n in: %+v\nout: %+v", c, got)
+	}
+
+	var old bytes.Buffer
+	old.Write(data[:6])
+	old.Write([]byte{3, 0}) // meta, cursor and the old dfa section
+	if err := writeJSONSection(&old, secMeta, c.Meta); err != nil {
+		t.Fatal(err)
+	}
+	writeSection(&old, 3, []byte{0, 16, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0})
+	if err := writeJSONSection(&old, secCursor, c.Cursor); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Decode(old.Bytes()); err == nil || !strings.Contains(err.Error(), "unknown section kind 3") {
+		t.Errorf("old dfa checkpoint: got %v, want an unknown-section error", err)
 	}
 }
 

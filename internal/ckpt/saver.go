@@ -37,9 +37,11 @@ type Saver struct {
 	// Interval is the minimum scanned bytes between periodic saves,
 	// already aligned by AlignInterval.
 	Interval int64
-	// Capture builds the checkpoint to persist. The scan driver sets it
-	// per stream; it must flush engine telemetry and commit ledgers so
-	// the snapshot covers every byte scanned.
+	// Meta is stored verbatim in every checkpoint the scan driver builds.
+	Meta Meta
+	// Capture builds the checkpoint to persist. The scan driver
+	// (internal/scan) sets it; it must flush engine telemetry and commit
+	// ledgers so the snapshot covers every byte scanned.
 	Capture func() (*Checkpoint, error)
 	// Set is the run's hook bundle; the saver uses three of its sinks.
 	// Governor supplies fault injection (crash/ioerr rules) and budget

@@ -13,10 +13,18 @@
 //
 // Counters cannot be determinized (their value is unbounded runtime state);
 // New rejects automata containing them, as Hyperscan rejects such rules.
+//
+// The engine speaks the other engines' types (sim.Stats, sim.Report,
+// sim.StreamState) and satisfies the segment and checkpoint contracts, so
+// every scan layout drives it like any other engine. Its Stats carry
+// Symbols and Reports only (a DFA has no NFA active set); CacheStats adds
+// the transition-cache profile.
 package dfa
 
 import (
 	"errors"
+	"fmt"
+	"slices"
 	"sort"
 	"time"
 
@@ -25,15 +33,17 @@ import (
 	"automatazoo/internal/charset"
 	"automatazoo/internal/guard"
 	"automatazoo/internal/hooks"
+	"automatazoo/internal/sim"
 	"automatazoo/internal/telemetry"
 )
 
 // ErrCounters is returned for automata with counter elements.
 var ErrCounters = errors.New("dfa: automaton contains counter elements")
 
-// Stats aggregates a run's dynamic profile. Symbols and Reports reset with
-// the stream (Reset); the cache counters describe the engine's long-lived
-// transition cache and accumulate across Resets, like DFAStates.
+// Stats is the engine's full profile (CacheStats, Run). Symbols and
+// Reports reset with the stream (Reset); the cache counters describe the
+// engine's long-lived transition cache and accumulate across Resets, like
+// DFAStates.
 type Stats struct {
 	Symbols   int64
 	Reports   int64
@@ -64,6 +74,24 @@ type Stats struct {
 	CacheBytes int64
 }
 
+// Add returns the field-wise sum s + o. Components never share cache
+// state, so the sum over engines that split an automaton's components
+// between them (levels included) is the whole-automaton engine's profile.
+func (s Stats) Add(o Stats) Stats {
+	return Stats{
+		Symbols:        s.Symbols + o.Symbols,
+		Reports:        s.Reports + o.Reports,
+		DFAStates:      s.DFAStates + o.DFAStates,
+		Fallbacks:      s.Fallbacks + o.Fallbacks,
+		CacheHits:      s.CacheHits + o.CacheHits,
+		CacheMisses:    s.CacheMisses + o.CacheMisses,
+		CacheEvictions: s.CacheEvictions + o.CacheEvictions,
+		ConstructNanos: s.ConstructNanos + o.ConstructNanos,
+		FallbackBytes:  s.FallbackBytes + o.FallbackBytes,
+		CacheBytes:     s.CacheBytes + o.CacheBytes,
+	}
+}
+
 // ReportRate returns reports per symbol.
 func (s Stats) ReportRate() float64 {
 	if s.Symbols == 0 {
@@ -90,13 +118,6 @@ func (s Stats) EvictionRate() float64 {
 		return 0
 	}
 	return float64(s.CacheEvictions) / float64(total)
-}
-
-// Report mirrors sim.Report: a match at an input offset.
-type Report struct {
-	Offset int64
-	State  automata.StateID
-	Code   int32
 }
 
 // component is the static, lazily-extended DFA of one connected component.
@@ -156,6 +177,9 @@ type Engine struct {
 	sets  []charset.Set
 	comps []*component
 	cur   []uint32 // current dstate per component
+	// compOf is each state's component: RestoreState splits a flat
+	// frontier back into per-component frontiers with it.
+	compOf []int32
 
 	// live lists the components that can still act. A component whose DFA
 	// reaches the dead state and has no all-input starts can never match
@@ -169,8 +193,8 @@ type Engine struct {
 	// CollectReports controls report list collection; OnReport is invoked
 	// for every report regardless.
 	CollectReports bool
-	OnReport       func(Report)
-	reports        []Report
+	OnReport       func(sim.Report)
+	reports        []sim.Report
 
 	// h is the attached hook bundle (see Attach), nil-guarded at every
 	// touch point; the zero Set is a bare engine whose RunChecked is
@@ -242,7 +266,7 @@ func NewWithOptions(a *automata.Automaton, opts Options) (*Engine, error) {
 			nComp = int(c) + 1
 		}
 	}
-	e := &Engine{a: a, opts: opts, sets: a.Table().Sets(), comps: make([]*component, nComp)}
+	e := &Engine{a: a, opts: opts, sets: a.Table().Sets(), comps: make([]*component, nComp), compOf: compIdx}
 	for i := range e.comps {
 		e.comps[i] = &component{index: map[string]uint32{}}
 	}
@@ -564,7 +588,7 @@ func (e *Engine) flushStats() {
 	if r == nil {
 		return
 	}
-	s := e.Stats() // includes live DFAStates
+	s := e.CacheStats() // includes live DFAStates
 	r.Counter("dfa.symbols").Add(s.Symbols - e.published.Symbols)
 	r.Counter("dfa.reports").Add(s.Reports - e.published.Reports)
 	r.Counter("dfa.cache_hits").Add(s.CacheHits - e.published.CacheHits)
@@ -599,9 +623,15 @@ func (e *Engine) Reset() {
 	e.reports = e.reports[:0]
 }
 
-// Stats returns statistics accumulated since the last Reset, plus the
-// current total DFA state count.
-func (e *Engine) Stats() Stats {
+// Stats returns the symbols and reports since the last Reset — the
+// statistics every engine keeps (a DFA has no NFA active set).
+func (e *Engine) Stats() sim.Stats {
+	return sim.Stats{Symbols: e.stats.Symbols, Reports: e.stats.Reports}
+}
+
+// CacheStats returns the full profile: Stats plus the transition-cache
+// counters and the current DFA state count and cache level.
+func (e *Engine) CacheStats() Stats {
 	s := e.stats
 	s.DFAStates = 0
 	for _, c := range e.comps {
@@ -612,14 +642,17 @@ func (e *Engine) Stats() Stats {
 }
 
 // Reports returns collected reports (when CollectReports is set).
-func (e *Engine) Reports() []Report { return e.reports }
+func (e *Engine) Reports() []sim.Report { return e.reports }
+
+// SetOnReport sets the OnReport callback (nil detaches).
+func (e *Engine) SetOnReport(fn func(sim.Report)) { e.OnReport = fn }
 
 func (e *Engine) emit(code int32) {
 	e.stats.Reports++
 	if e.led != nil {
 		e.led.Report(code)
 	}
-	r := Report{Offset: e.offset, Code: code}
+	r := sim.Report{Offset: e.offset, Code: code}
 	if e.h.Tracer != nil {
 		// DFA reports carry no NFA state ID (the report state was folded
 		// into the dstate); the schema uses state 0 for them.
@@ -634,16 +667,24 @@ func (e *Engine) emit(code int32) {
 }
 
 // Run consumes input, advancing every component DFA one transition per
-// byte. It may be called repeatedly to continue the same stream.
+// byte, and returns the full profile (CacheStats). It may be called
+// repeatedly to continue the same stream.
 func (e *Engine) Run(input []byte) Stats {
+	e.run(input)
+	return e.CacheStats()
+}
+
+func (e *Engine) run(input []byte) {
 	sp := e.h.Spans.Start("dfa.run")
 	for _, b := range input {
 		e.stepByte(b)
 	}
 	e.FlushTelemetry()
 	sp.End()
-	return e.Stats()
 }
+
+// Step consumes one input symbol.
+func (e *Engine) Step(b byte) { e.stepByte(b) }
 
 // RunChecked is Run under the attached hooks: the input is consumed
 // through the shared chunk protocol (hooks.Set.Chunks) at
@@ -653,9 +694,10 @@ func (e *Engine) Run(input []byte) Stats {
 // (scanChunk). On a trip the partial statistics are returned with the
 // *guard.TripError. With no governor, progress tracker, recorder or
 // checkpointer attached it is exactly Run.
-func (e *Engine) RunChecked(input []byte) (Stats, error) {
+func (e *Engine) RunChecked(input []byte) (sim.Stats, error) {
 	if !e.h.Chunked() {
-		return e.Run(input), nil
+		e.run(input)
+		return e.Stats(), nil
 	}
 	sp := e.h.Spans.Start("dfa.run")
 	err := e.h.Chunks(guard.SiteDFAChunk, input, e.scanChunk, nil, nil)
@@ -829,35 +871,40 @@ func (e *Engine) nfaStep(c *component, ci int32, b byte) {
 	c.frontier, c.next = c.next, c.frontier
 }
 
-// StreamState is a portable snapshot of the engine's mid-stream
-// continuation point: the absolute offset of the next byte plus each
-// component's NFA frontier (sorted). The frontier is the determinization-
-// independent representation — a dstate index would be meaningless in
-// another engine whose lazy cache interned different states — so a
-// snapshot restores into any engine built from the same automaton,
-// whatever its cache or degradation state.
-type StreamState struct {
-	Offset    int64
-	Frontiers [][]automata.StateID
+// CaptureState snapshots the engine between Run calls: the absolute
+// offset of the next byte and the union of the components' NFA frontiers
+// (FrontierSnapshot). Component state sets are disjoint, so the union
+// loses nothing. The frontier is the determinization-independent
+// representation — a dstate index would be meaningless in another engine
+// whose lazy cache interned different states — so a snapshot restores
+// into any engine built from the same automaton, whatever its cache or
+// degradation state. The snapshot shares no storage with the engine.
+func (e *Engine) CaptureState() *sim.StreamState {
+	return &sim.StreamState{Offset: e.offset, Frontier: e.FrontierSnapshot()}
 }
 
-// CaptureState snapshots the engine between Run calls. The snapshot
-// shares no storage with the engine.
-func (e *Engine) CaptureState() *StreamState {
-	s := &StreamState{Offset: e.offset, Frontiers: make([][]automata.StateID, len(e.comps))}
+// FrontierSnapshot returns the sorted union of the components' frontiers.
+func (e *Engine) FrontierSnapshot() []automata.StateID {
+	var f []automata.StateID
 	for i, c := range e.comps {
-		var f []automata.StateID
 		if c.overflow {
-			f = append([]automata.StateID(nil), c.frontier...)
-			sort.Slice(f, func(x, y int) bool { return f[x] < f[y] })
+			f = append(f, c.frontier...)
 		} else {
-			// dstate frontiers are canonical (sorted at construction).
-			f = append([]automata.StateID(nil), c.dstates[e.cur[i]].frontier...)
+			f = append(f, c.dstates[e.cur[i]].frontier...)
 		}
-		s.Frontiers[i] = f
 	}
-	return s
+	slices.Sort(f)
+	return f
 }
+
+// SetOffset positions the engine at an absolute stream offset without
+// touching any other state (see sim.Engine.SetOffset).
+func (e *Engine) SetOffset(off int64) { e.offset = off }
+
+// Speculative is always false: the printed DFA-state and cache statistics
+// record the engine's interning history, which a second engine scanning a
+// segment speculatively would split. Segments cascade on one engine.
+func (e *Engine) Speculative() bool { return false }
 
 // RestoreState resets the engine and re-seeds it to continue the logical
 // stream at s. Per-stream statistics (Symbols, Reports) restart from
@@ -865,18 +912,25 @@ func (e *Engine) CaptureState() *StreamState {
 // seeds its fallback frontier directly; a cached component interns the
 // frontier as a dstate — subject to the usual state/cache budgets, so a
 // restore can itself trigger a DFA→NFA degradation (reports unchanged).
-// Returns an error when the snapshot's component count does not match
-// (it was captured from a different automaton) or when the governor
-// holds a run-stopping trip.
-func (e *Engine) RestoreState(s *StreamState) error {
-	if len(s.Frontiers) != len(e.comps) {
-		return errors.New("dfa: RestoreState: snapshot component count mismatch")
+// Returns an error when the snapshot names a state this automaton does
+// not have or holds counter values (it was captured from a different
+// automaton), or when the governor holds a run-stopping trip.
+func (e *Engine) RestoreState(s *sim.StreamState) error {
+	if len(s.Counters) > 0 {
+		return errors.New("dfa: RestoreState: snapshot holds counter values")
+	}
+	per := make([][]automata.StateID, len(e.comps))
+	for _, id := range s.Frontier {
+		if int(id) >= len(e.compOf) {
+			return fmt.Errorf("dfa: RestoreState: state %d outside the automaton's %d states", id, len(e.compOf))
+		}
+		per[e.compOf[id]] = append(per[e.compOf[id]], id)
 	}
 	e.Reset()
 	e.live = e.live[:0]
 	for i, c := range e.comps {
-		f := append([]automata.StateID(nil), s.Frontiers[i]...)
-		sort.Slice(f, func(x, y int) bool { return f[x] < f[y] })
+		f := per[i]
+		slices.Sort(f)
 		if c.overflow {
 			c.frontier = append(c.frontier[:0], f...)
 			if c.mark == nil {

@@ -123,8 +123,7 @@ func TestDFAStatesBounded(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	e.Run([]byte("abcdeabcdeXXabc"))
-	st := e.Stats()
+	st := e.Run([]byte("abcdeabcdeXXabc"))
 	// A 5-literal has ≤ ~2^5 frontiers but in practice a handful.
 	if st.DFAStates > 64 {
 		t.Fatalf("suspiciously many DFA states: %d", st.DFAStates)
@@ -167,7 +166,7 @@ func TestFallbackCorrectness(t *testing.T) {
 	if got := e.CountReports(input); got != wantN {
 		t.Fatalf("fallback reports=%d want %d", got, wantN)
 	}
-	if e.Stats().Fallbacks == 0 {
+	if e.CacheStats().Fallbacks == 0 {
 		t.Fatal("expected fallback to trigger")
 	}
 }
@@ -249,7 +248,7 @@ func TestOnReportCallback(t *testing.T) {
 		t.Fatal(err)
 	}
 	var n int
-	e.OnReport = func(r Report) {
+	e.OnReport = func(r sim.Report) {
 		n++
 		if r.Offset != 1 {
 			t.Errorf("offset=%d", r.Offset)

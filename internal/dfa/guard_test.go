@@ -159,8 +159,7 @@ func TestGovernorCacheBudgetDegrades(t *testing.T) {
 	}
 	e.Attach(hooks.Set{Governor: g})
 	e.CollectReports = true
-	s, rerr := e.RunChecked(input)
-	if rerr != nil {
+	if _, rerr := e.RunChecked(input); rerr != nil {
 		t.Fatalf("cache-budget denial must degrade, not trip: %v", rerr)
 	}
 	got := map[[2]int64]int{}
@@ -168,7 +167,7 @@ func TestGovernorCacheBudgetDegrades(t *testing.T) {
 		got[[2]int64{r.Offset, int64(r.Code)}]++
 	}
 	sameReports(t, got, want, "governor-degraded vs sim")
-	if s.Fallbacks == 0 {
+	if e.CacheStats().Fallbacks == 0 {
 		t.Fatal("governor cache denial did not degrade")
 	}
 	if g.Err() != nil {
@@ -221,10 +220,10 @@ func TestRunCheckedUngovernedMatchesRun(t *testing.T) {
 	want := e1.Run(input)
 	e2, _ := New(a)
 	e2.CollectReports = true
-	got, err := e2.RunChecked(input)
-	if err != nil {
+	if _, err := e2.RunChecked(input); err != nil {
 		t.Fatal(err)
 	}
+	got := e2.CacheStats()
 	// Construction wall time varies run to run; everything else must match.
 	got.ConstructNanos, want.ConstructNanos = 0, 0
 	if got != want {

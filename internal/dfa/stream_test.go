@@ -5,13 +5,15 @@ import (
 	"slices"
 	"testing"
 
+	"automatazoo/internal/automata"
 	"automatazoo/internal/dfa"
 	"automatazoo/internal/difftest"
 	"automatazoo/internal/randx"
+	"automatazoo/internal/sim"
 )
 
-func dfaReports(e *dfa.Engine) []dfa.Report {
-	return append([]dfa.Report(nil), e.Reports()...)
+func dfaReports(e *dfa.Engine) []sim.Report {
+	return append([]sim.Report(nil), e.Reports()...)
 }
 
 // TestDFACaptureRestoreResumesExactly: scanning a prefix, capturing, and
@@ -134,7 +136,7 @@ func TestDFARestoreResumeOnSameEngine(t *testing.T) {
 		t.Fatal(err)
 	}
 	e.CollectReports = true
-	var got []dfa.Report
+	var got []sim.Report
 	var symbols, reports int64
 	for lo := 0; lo < len(input); lo += 1000 {
 		hi := min(lo+1000, len(input))
@@ -157,24 +159,26 @@ func TestDFARestoreResumeOnSameEngine(t *testing.T) {
 }
 
 // TestDFARestoreComponentMismatch: a snapshot from a different automaton
-// is rejected, not silently misapplied.
+// — one naming states this automaton does not have, or holding counter
+// values — is rejected, not silently misapplied, and leaves the engine
+// as it was.
 func TestDFARestoreComponentMismatch(t *testing.T) {
 	rng := randx.New(44)
-	a := difftest.Generate(rng.Fork(), difftest.GenConfig{States: 24})
 	b := difftest.Generate(rng.Fork(), difftest.GenConfig{States: 4})
-
-	ea, err := dfa.New(a)
-	if err != nil {
-		t.Fatal(err)
-	}
 	eb, err := dfa.New(b)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(ea.CaptureState().Frontiers) == len(eb.CaptureState().Frontiers) {
-		t.Skip("generated automata decomposed into the same component count")
-	}
-	if err := eb.RestoreState(ea.CaptureState()); err == nil {
-		t.Fatal("RestoreState accepted a snapshot from a different automaton")
+	before := eb.CaptureState()
+	for _, bad := range []*sim.StreamState{
+		{Offset: 7, Frontier: []automata.StateID{0, automata.StateID(b.NumStates())}},
+		{Offset: 7, Counters: []sim.CounterSnapshot{{ID: 0, Value: 1}}},
+	} {
+		if err := eb.RestoreState(bad); err == nil {
+			t.Fatalf("RestoreState accepted a snapshot from a different automaton: %+v", bad)
+		}
+		if got := eb.CaptureState(); !reflect.DeepEqual(got, before) {
+			t.Fatalf("a rejected restore changed the engine: %+v, was %+v", got, before)
+		}
 	}
 }

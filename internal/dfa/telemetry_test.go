@@ -48,7 +48,7 @@ func TestCacheCounters(t *testing.T) {
 	}
 	input := bytes.Repeat([]byte("abcxyzzz"), 50)
 	e.Run(input)
-	cold := e.Stats()
+	cold := e.CacheStats()
 	if cold.CacheMisses == 0 {
 		t.Fatal("cold run should subset-construct at least one transition")
 	}
@@ -62,7 +62,7 @@ func TestCacheCounters(t *testing.T) {
 	// hit rate must rise.
 	e.Reset()
 	e.Run(input)
-	warm := e.Stats()
+	warm := e.CacheStats()
 	if warm.CacheMisses != cold.CacheMisses {
 		t.Errorf("warm run added misses: %d -> %d", cold.CacheMisses, warm.CacheMisses)
 	}
@@ -92,7 +92,7 @@ func TestEvictionsOnOverflow(t *testing.T) {
 	tr := &cacheRecorder{}
 	e.Attach(hooks.Set{Tracer: tr})
 	e.Run(bytes.Repeat([]byte("aabbabab"), 20))
-	st := e.Stats()
+	st := e.CacheStats()
 	if st.Fallbacks == 0 {
 		t.Fatal("expected budget overflow")
 	}

@@ -10,7 +10,7 @@ import (
 	"automatazoo/internal/automata"
 	"automatazoo/internal/ckpt"
 	"automatazoo/internal/guard"
-	"automatazoo/internal/prefilter"
+	"automatazoo/internal/scan"
 	"automatazoo/internal/segment"
 	"automatazoo/internal/sim"
 	"automatazoo/internal/telemetry"
@@ -25,19 +25,6 @@ const resumeWarmup = 48
 // even if every armed attempt dies before making progress.
 const maxCrashes = 8
 
-// ckptEngine builds the scan engine and (for segmented runs) the
-// speculative-engine factory for one oracle attempt.
-func ckptEngine(a *automata.Automaton, usePrefilter bool) (ckpt.Engine, func(*automata.Automaton) (segment.Engine, error), error) {
-	if usePrefilter {
-		pf, err := prefilter.New(a)
-		if err != nil {
-			return nil, nil, err
-		}
-		return pf, func(a *automata.Automaton) (segment.Engine, error) { return prefilter.New(a) }, nil
-	}
-	return sim.New(a), nil, nil
-}
-
 // ckptAttempt runs one "process lifetime" of a checkpointed scan: a fresh
 // engine and a fresh registry (seeded from the checkpoint's embedded
 // snapshot on resume), scanning from the checkpoint cursor to either
@@ -46,47 +33,29 @@ func ckptEngine(a *automata.Automaton, usePrefilter bool) (ckpt.Engine, func(*au
 // final registry snapshot.
 func ckptAttempt(a *automata.Automaton, input []byte, workers, segments int, usePrefilter bool,
 	path string, interval int64, gov *guard.Governor, start *ckpt.Checkpoint,
-) (events []Event, res ckpt.ScanResult, snap telemetry.Snapshot, err error) {
-	eng, newEngine, err := ckptEngine(a, usePrefilter)
+) (events []Event, res scan.Result, snap telemetry.Snapshot, err error) {
+	engine := "nfa"
+	if usePrefilter {
+		engine = "prefilter"
+	}
+	newEngine, err := scan.Factory(engine)
 	if err != nil {
-		return nil, ckpt.ScanResult{}, telemetry.Snapshot{}, err
+		return nil, res, snap, err
 	}
 	reg := telemetry.NewRegistry()
-	h := segment.Hooks{Registry: reg, Governor: gov, NewEngine: newEngine}
-	cfg := ckpt.ScanConfig{
-		Automaton: a,
-		Engine:    eng,
-		Streams:   [][]byte{input},
-		Saver:     &ckpt.Saver{Path: path, Interval: interval, Set: h.EngineSet()},
-		Meta:      ckpt.Meta{Command: "difftest", Engine: "nfa", Interval: interval, Workers: workers, Segments: segments},
-		Segments:  segments,
-		Workers:   workers,
-		Warmup:    resumeWarmup,
-		Hooks:     h,
+	res, err = scan.Run(context.Background(), a, [][]byte{input}, scan.Spec{
+		Hooks:    segment.Hooks{Registry: reg, Governor: gov, NewEngine: newEngine},
+		Workers:  workers,
+		Segments: segments,
+		Warmup:   resumeWarmup,
+		Saver: &ckpt.Saver{Path: path, Interval: interval, Meta: ckpt.Meta{
+			Command: "difftest", Engine: engine, Interval: interval, Workers: workers, Segments: segments,
+		}},
+		Start: start,
 		OnReport: func(r sim.Report) {
 			events = append(events, Event{Offset: r.Offset, Code: r.Code})
 		},
-	}
-	if usePrefilter {
-		cfg.Meta.Engine = "prefilter"
-	}
-	if start != nil {
-		if start.Metrics != nil {
-			reg.Merge(*start.Metrics)
-		}
-		cfg.StartStream = start.Cursor.Stream
-		cfg.StartOffset = start.Cursor.Offset
-		if start.Cursor.Sim != nil {
-			cfg.Cum = *start.Cursor.Sim
-		}
-		if start.Cursor.Stitch != nil {
-			cfg.CumStitch = *start.Cursor.Stitch
-		}
-		if start.Cursor.Offset > 0 {
-			eng.RestoreState(start.Sim)
-		}
-	}
-	res, err = ckpt.Scan(context.Background(), cfg)
+	})
 	return events, res, reg.Snapshot(), err
 }
 
@@ -121,7 +90,7 @@ func StraightVsResumed(a *automata.Automaton, input []byte, workers, segments in
 	path := filepath.Join(dir, "ck")
 	var kept []Event
 	var start *ckpt.Checkpoint
-	var gotRes ckpt.ScanResult
+	var gotRes scan.Result
 	var gotSnap telemetry.Snapshot
 	crashes := 0
 	for attempt := 0; ; attempt++ {

@@ -391,7 +391,7 @@ func TableIII(ctx context.Context, filters, inputItemsets int, seed uint64, work
 			return time.Since(start).Seconds() / loops
 		})
 		set.Progress.Done()
-		return sec, e.Stats(), rerr
+		return sec, e.CacheStats(), rerr
 	}
 
 	// Kernel order matches the sequential harness: NFA plain, NFA padded,
@@ -539,7 +539,7 @@ func TableIV(ctx context.Context, samples int, seed uint64, workers int, obs *Ob
 			}
 			hsRate = perSecond(hsN, time.Since(start))
 			ssp.End()
-			dfaStats = de.Stats()
+			dfaStats = de.CacheStats()
 			if obs.attribute() {
 				annotateIns = encoded[:min(64, len(encoded))]
 			}

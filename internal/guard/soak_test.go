@@ -56,7 +56,7 @@ func governedRun(p *partition.Plan, input []byte, workers int, spec string, spec
 	g.SetInjector(inj)
 	var reports []sim.Report
 	for pass := 0; pass < 6; pass++ {
-		_, err := p.Run(context.Background(), input, partition.RunOptions{
+		_, err := p.Run(context.Background(), [][]byte{input}, partition.RunOptions{
 			Workers:  workers,
 			Hooks:    segment.Hooks{Governor: g},
 			OnReport: func(r sim.Report) { reports = append(reports, r) },
@@ -122,13 +122,13 @@ func TestFaultSoak(t *testing.T) {
 
 		// Un-faulted control: identical results and report streams at any -j.
 		var rep1, repN []sim.Report
-		res1, err := plan.Run(context.Background(), input, partition.RunOptions{
+		res1, err := plan.Run(context.Background(), [][]byte{input}, partition.RunOptions{
 			Workers: 1, OnReport: func(r sim.Report) { rep1 = append(rep1, r) },
 		})
 		if err != nil {
 			t.Fatalf("seed %d control j1: %v", seed, err)
 		}
-		resN, err := plan.Run(context.Background(), input, partition.RunOptions{
+		resN, err := plan.Run(context.Background(), [][]byte{input}, partition.RunOptions{
 			Workers: jN, OnReport: func(r sim.Report) { repN = append(repN, r) },
 		})
 		if err != nil {

@@ -49,7 +49,7 @@ func TestRunParallelMidRunCancellation(t *testing.T) {
 		cancel()
 		close(done)
 	}()
-	res, err := p.Run(ctx, input, RunOptions{
+	res, err := p.Run(ctx, [][]byte{input}, RunOptions{
 		Workers:  4,
 		OnReport: func(sim.Report) { reports++ },
 	})
@@ -81,7 +81,7 @@ func TestRunBackgroundCtxMatchesSequential(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := p.Run(context.Background(), input, RunOptions{Workers: 2})
+	got, err := p.Run(context.Background(), [][]byte{input}, RunOptions{Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,7 +97,7 @@ func TestRunGovernedInputBudget(t *testing.T) {
 	p := ForWorkers(a, 4)
 	input := make([]byte, 1<<20)
 	g := guard.New(context.Background(), guard.Budget{MaxInputBytes: 64 << 10})
-	_, err := p.Run(context.Background(), input, RunOptions{Workers: 4, Hooks: segment.Hooks{Governor: g}})
+	_, err := p.Run(context.Background(), [][]byte{input}, RunOptions{Workers: 4, Hooks: segment.Hooks{Governor: g}})
 	trip := guard.AsTrip(err)
 	if trip == nil || trip.Budget != guard.BudgetInputBytes {
 		t.Fatalf("want input-bytes trip, got %v", err)
@@ -119,7 +119,7 @@ func TestRunGovernedInjectedPanicIsolated(t *testing.T) {
 		}
 		g := guard.New(context.Background(), guard.Budget{})
 		g.SetInjector(inj)
-		_, err = p.Run(context.Background(), make([]byte, 1000), RunOptions{Workers: workers, Hooks: segment.Hooks{Governor: g}})
+		_, err = p.Run(context.Background(), [][]byte{make([]byte, 1000)}, RunOptions{Workers: workers, Hooks: segment.Hooks{Governor: g}})
 		var pe *parallel.PanicError
 		if !errors.As(err, &pe) {
 			t.Fatalf("workers=%d: want *parallel.PanicError, got %T %v", workers, err, err)

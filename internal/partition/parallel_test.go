@@ -193,7 +193,7 @@ func TestRunParallelSharedRegistryRace(t *testing.T) {
 	counts := map[int]int64{}
 	for _, workers := range []int{1, runtime.NumCPU()} {
 		reg := telemetry.NewRegistry()
-		if _, err := p.Run(context.Background(), k.input, RunOptions{Workers: workers, Hooks: segment.Hooks{Registry: reg}}); err != nil {
+		if _, err := p.Run(context.Background(), [][]byte{k.input}, RunOptions{Workers: workers, Hooks: segment.Hooks{Registry: reg}}); err != nil {
 			t.Fatal(err)
 		}
 		counts[workers] = reg.Counter("sim.symbols").Value()

@@ -11,11 +11,13 @@
 // edges, so running them separately cannot change any report.
 //
 // The same independence makes slices the unit of CPU parallelism:
-// Plan.RunParallel fans the slices of a Plan out across a worker pool
-// (internal/parallel) with one NFA engine per slice and merges the report
-// streams deterministically, and ForWorkers builds a plan sized for a
-// worker count rather than a device capacity. RunSequential remains the
-// single-threaded multi-pass reference that RunParallel is tested against.
+// Plan.Run fans the slices of a Plan out across a worker pool
+// (internal/parallel) with one engine per slice for all of a run's
+// streams and merges the report streams deterministically (RunParallel is
+// its one-stream form), and ForWorkers builds a plan sized for a worker
+// count rather than a device capacity. RunSequential remains the
+// single-threaded multi-pass reference that Run is tested against. The
+// one scan driver, internal/scan, picks this layout for -j N.
 package partition
 
 import (
@@ -177,10 +179,6 @@ type Result struct {
 	Enabled       int64
 	Active        int64
 	CounterPulses int64
-	// Stitch aggregates the segment-parallel scanner's accounting across
-	// slices (internal/segment); zero when the run was unsegmented
-	// (RunOptions.Segments <= 1).
-	Stitch segment.Stitch
 }
 
 func (r *Result) add(st sim.Stats) {
@@ -219,36 +217,19 @@ type RunOptions struct {
 	// CPU, 1 runs the slices inline in order.
 	Workers int
 	// OnReport, if non-nil, receives every report after all passes
-	// complete, in the canonical merged order (see RunParallel).
+	// complete, stream by stream in the canonical merged order (see
+	// RunParallel).
 	OnReport func(sim.Report)
-	// Hooks are attached to every slice engine (and, under Segments > 1,
-	// every segment master and speculative engine). Note the Registry
-	// describes per-slice engine work: sim.symbols counts Passes() ×
-	// len(input). Every slice engine gets a slice-local attribution ledger
-	// committed after its pass.
+	// Hooks are attached to every slice engine. Note the Registry
+	// describes per-slice engine work: sim.symbols counts Passes() × the
+	// stream bytes. Every slice engine gets a slice-local attribution
+	// ledger committed after its pass.
 	segment.Hooks
-	// Segments, when > 1, additionally splits each slice's scan of the
-	// input into that many segment-parallel pieces (internal/segment):
-	// segment 0 scans exactly, later segments speculatively, and a
-	// validated stitch keeps the aggregate Result and the report multiset
-	// identical to the unsegmented run. The slices' segment tasks share
-	// one global work list, so Workers bounds total concurrency across
-	// both dimensions. 0 or 1 keeps the scan sequential per slice (the
-	// exact existing path); automatic resolution from input size is the
-	// caller's job (segment.Resolve) — the zero value never changes
-	// behavior. Counter-bearing slices cascade sequentially on their
-	// master engine, which is still exact.
-	//
-	// Report-order caveat: with Segments > 1, same-offset reports within
-	// one slice arrive in the canonical (offset, code, state) order rather
-	// than engine emission order. Offsets are still ascending and ties
-	// across slices still break by slice index; the multiset is unchanged.
-	Segments int
 }
 
 // RunParallel executes input once per slice, fanning the slices out over
-// a worker pool with one fresh NFA engine per slice, and returns the same
-// aggregate Result as RunSequential.
+// a worker pool with one fresh engine per slice, and returns the same
+// aggregate Result as RunSequential. It is Run over one stream.
 //
 // Determinism contract: for a fixed Plan and input, the onReport callback
 // sequence is identical for every workers value (including 1) and across
@@ -262,12 +243,14 @@ type RunOptions struct {
 // boundaries (a long input stops within ~4 KiB of the cancellation, not
 // at the end of the pass). No reports are delivered on error.
 func (p *Plan) RunParallel(ctx context.Context, workers int, input []byte, onReport func(sim.Report)) (Result, error) {
-	return p.Run(ctx, input, RunOptions{Workers: workers, OnReport: onReport})
+	return p.Run(ctx, [][]byte{input}, RunOptions{Workers: workers, OnReport: onReport})
 }
 
-// Run is RunParallel with full options (telemetry attachment). See
-// RunParallel for the determinism contract.
-func (p *Plan) Run(ctx context.Context, input []byte, opts RunOptions) (Result, error) {
+// Run scans every stream once per slice: each slice is extracted once and
+// its one engine scans the streams in order, Reset between them, while
+// the slices fan out over the worker pool. Reports are delivered stream
+// by stream under RunParallel's determinism contract.
+func (p *Plan) Run(ctx context.Context, streams [][]byte, opts RunOptions) (Result, error) {
 	res := Result{Passes: p.Passes()}
 	stats := make([]sim.Stats, len(p.Slices))
 	// A cancellable ctx without an explicit governor still gets mid-slice
@@ -277,12 +260,10 @@ func (p *Plan) Run(ctx context.Context, input []byte, opts RunOptions) (Result, 
 	if opts.Governor == nil && ctx != nil && ctx.Done() != nil {
 		opts.Governor = guard.New(ctx, guard.Budget{})
 	}
-	if opts.Segments > 1 {
-		return p.runSegmented(ctx, input, opts)
-	}
-	var buffered [][]sim.Report
+	// buffered[i][s] holds slice i's reports on stream s.
+	var buffered [][][]sim.Report
 	if opts.OnReport != nil {
-		buffered = make([][]sim.Report, len(p.Slices))
+		buffered = make([][][]sim.Report, len(p.Slices))
 	}
 	// Phase spans: each worker records into its own fork; forks are
 	// adopted in slice-index order after the barrier, so the merged
@@ -317,19 +298,26 @@ func (p *Plan) Run(ctx context.Context, input []byte, opts RunOptions) (Result, 
 		set := opts.EngineSet()
 		if opts.Attribution != nil {
 			set.Ledger = opts.Ledger(p.SliceCompOf(i))
+			defer set.Ledger.Commit()
 		}
 		e.Attach(set)
 		if buffered != nil {
-			e.SetOnReport(func(r sim.Report) { buffered[i] = append(buffered[i], r) })
+			buffered[i] = make([][]sim.Report, len(streams))
 		}
 		rsp := ss.Start("scan")
-		st, err := e.RunChecked(input)
-		rsp.End()
-		if set.Ledger != nil {
-			set.Ledger.Commit()
+		defer rsp.End()
+		for s, input := range streams {
+			e.Reset()
+			if buffered != nil {
+				e.SetOnReport(func(r sim.Report) { buffered[i][s] = append(buffered[i][s], r) })
+			}
+			st, err := e.RunChecked(input)
+			stats[i] = stats[i].Add(st)
+			if err != nil {
+				return err
+			}
 		}
-		stats[i] = st
-		return err
+		return nil
 	})
 	// Adopt the per-slice span forks and sum stats on the error path too:
 	// a truncated run still reports its partial phase spans and work done
@@ -346,118 +334,16 @@ func (p *Plan) Run(ctx context.Context, input []byte, opts RunOptions) (Result, 
 	}
 	if buffered != nil {
 		msp := root.Start("merge")
-		merged := mergeReports(buffered)
+		perSlice := make([][]sim.Report, len(p.Slices))
+		for s := range streams {
+			for i := range buffered {
+				perSlice[i] = buffered[i][s]
+			}
+			for _, r := range mergeReports(perSlice) {
+				opts.OnReport(r)
+			}
+		}
 		msp.End()
-		for _, r := range merged {
-			opts.OnReport(r)
-		}
-	}
-	root.End()
-	return res, nil
-}
-
-// runSegmented is Run's Segments > 1 path: every slice's scan is itself
-// segment-parallel. Three phases share the one worker budget:
-//
-//  1. extract each slice and prepare its segment.Runner (per-slice
-//     governor boundary and recorder phase event, like the unsegmented
-//     path);
-//  2. run every (slice, segment-task) pair off one flattened work list —
-//     a counter-bearing slice contributes a single cascade task, a
-//     counter-free slice one task per segment;
-//  3. stitch each slice left-to-right on its master engine and merge.
-//
-// The aggregate Result equals the unsegmented run's exactly (the stitch
-// validates or replays every speculative segment); Result.Stitch carries
-// the speculation accounting. On a budget trip the partial Result sums
-// each slice's exact master-scanned prefix, like the unsegmented path.
-func (p *Plan) runSegmented(ctx context.Context, input []byte, opts RunOptions) (Result, error) {
-	res := Result{Passes: p.Passes()}
-	root := opts.Spans.Start("partition.run")
-	var sliceSpans []*telemetry.Spans
-	if opts.Spans != nil {
-		sliceSpans = make([]*telemetry.Spans, len(p.Slices))
-		for i := range sliceSpans {
-			sliceSpans[i] = opts.Spans.Fork()
-		}
-	}
-	runners := make([]*segment.Runner, len(p.Slices))
-	err := parallel.ForEach(ctx, opts.Workers, len(p.Slices), func(i int) error {
-		opts.Recorder.Record(telemetry.RecPhase, i, guard.SitePartitionSlice, 0)
-		if err := opts.Governor.Boundary(guard.SitePartitionSlice, 0); err != nil {
-			return err
-		}
-		var ss *telemetry.Spans
-		if sliceSpans != nil {
-			ss = sliceSpans[i]
-		}
-		esp := ss.Start("extract")
-		sub, err := p.Extract(i)
-		esp.End()
-		if err != nil {
-			return err
-		}
-		segOpts := segment.Options{
-			Segments:       opts.Segments,
-			Workers:        opts.Workers,
-			CollectReports: opts.OnReport != nil,
-			Hooks:          opts.Hooks,
-		}
-		segOpts.Spans = ss
-		if opts.Attribution != nil {
-			segOpts.AttrCompOf = p.SliceCompOf(i)
-		}
-		runners[i], err = segment.NewRunner(sub, input, segOpts)
-		return err
-	})
-	if err == nil {
-		// Flatten (slice, task) into one work list via prefix sums so the
-		// segment scans of all slices share the worker pool.
-		prefix := make([]int, len(runners)+1)
-		for i, r := range runners {
-			prefix[i+1] = prefix[i] + r.Tasks()
-		}
-		err = parallel.ForEach(ctx, opts.Workers, prefix[len(runners)], func(t int) error {
-			s := sort.Search(len(runners), func(i int) bool { return prefix[i+1] > t })
-			return runners[s].RunTask(t - prefix[s])
-		})
-	}
-	// Stitch sequentially: each Finish is cheap when speculation committed,
-	// and a replay after a trip stops at the next chunk boundary anyway.
-	// Finishing on the error path too keeps partial stats (and ends the
-	// runners' spans).
-	var buffered [][]sim.Report
-	if opts.OnReport != nil {
-		buffered = make([][]sim.Report, len(p.Slices))
-	}
-	for i, r := range runners {
-		if r == nil {
-			continue // phase 1 failed before this slice was prepared
-		}
-		sres, serr := r.Finish(err)
-		res.add(sres.Stats)
-		res.Stitch.Add(sres.Stitch)
-		if buffered != nil {
-			buffered[i] = sres.Reports
-		}
-		if err == nil && serr != nil {
-			err = serr
-		}
-	}
-	for i := range sliceSpans {
-		root.Adopt(sliceSpans[i])
-	}
-	if err != nil {
-		root.End()
-		return res, err
-	}
-	if buffered != nil {
-		msp := root.Start("merge")
-		merged := mergeReports(buffered)
-		msp.End()
-		for _, r := range merged {
-			opts.OnReport(r)
-		}
 	}
 	root.End()
 	return res, nil

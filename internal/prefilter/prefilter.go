@@ -658,8 +658,8 @@ func (e *Engine) FrontierSnapshot() []automata.StateID {
 // restore the matcher state, residual-component entries re-arm the
 // residual engine, the rest the confirm frontier. Counter snapshots are
 // forwarded to the residual engine (anchored components never hold
-// counters).
-func (e *Engine) RestoreState(s *sim.StreamState) {
+// counters), which rejects what it cannot hold.
+func (e *Engine) RestoreState(s *sim.StreamState) error {
 	e.Reset()
 	var rs sim.StreamState
 	rs.Offset = s.Offset
@@ -679,11 +679,16 @@ func (e *Engine) RestoreState(s *sim.StreamState) {
 			rs.Counters = append(rs.Counters, sim.CounterSnapshot{ID: loc, Value: c.Value, Latched: c.Latched})
 		}
 	}
-	if e.residual != nil {
-		e.residual.RestoreState(&rs)
-	}
 	e.offset = s.Offset
+	if e.residual != nil {
+		return e.residual.RestoreState(&rs)
+	}
+	return nil
 }
+
+// Speculative reports whether segments may be scanned speculatively: as
+// for sim, only automata without counters.
+func (e *Engine) Speculative() bool { return e.a.NumCounters() == 0 }
 
 // CaptureState snapshots the engine between Run calls in RestoreState's
 // encoding: FrontierSnapshot (confirm + residual frontiers plus the

@@ -27,9 +27,11 @@
 //     offset, reports are delivered in canonical (offset, code, state)
 //     order rather than engine emission order — the one observable
 //     difference, and only for same-offset ties.
-//   - Counter-bearing automata disable speculation (counter values don't
-//     converge like frontiers); the segments cascade sequentially on the
-//     master engine, trivially exact, with no parallel speedup.
+//   - An engine that is not Speculative — counter automata (counter values
+//     don't converge like frontiers) and the caching DFA (its printed cache
+//     statistics are interning history) — cascades the segments
+//     sequentially on the master engine, trivially exact, with no
+//     parallel speedup.
 //
 // Waste is observable: Stitch counts committed/replayed segments and the
 // warmup/replay bytes, published as segment.* registry counters (and from
@@ -112,27 +114,28 @@ func Bounds(n int64, k int) []int64 {
 	return bounds
 }
 
-// Engine is the execution contract the segment scanner drives. sim.Engine
-// (the NFA interpreter) and prefilter.Engine (the two-stage literal
-// prefilter) both satisfy it; anything implementing it gains segment
-// parallelism for free, provided it is deterministic from (frontier,
-// offset, input) — the stitch validates FrontierSnapshot equality and
-// assumes everything downstream of an equal snapshot coincides.
+// Engine is the execution contract every scan driver uses. sim.Engine
+// (the NFA interpreter), prefilter.Engine (the two-stage literal
+// prefilter) and dfa.Engine (the lazy DFA) all satisfy it. A Speculative
+// engine gains segment parallelism for free, provided it is deterministic
+// from (frontier, offset, input) — the stitch validates FrontierSnapshot
+// equality and assumes everything downstream of an equal snapshot
+// coincides; any other engine cascades its segments.
 type Engine interface {
 	Reset()
 	Step(b byte)
-	Run(input []byte) sim.Stats
 	RunChecked(input []byte) (sim.Stats, error)
 	Stats() sim.Stats
 	SetOnReport(fn func(sim.Report))
 	Attach(h hooks.Set)
 	SetOffset(off int64)
 	FrontierSnapshot() []automata.StateID
-	RestoreState(s *sim.StreamState)
+	RestoreState(s *sim.StreamState) error
+	Speculative() bool
 }
 
 // Hooks is the driver-level hook bundle: what every scan driver
-// (segment, partition, stats, ckpt, experiments, cmd/azoo) carries by
+// (scan, segment, partition, stats, experiments, cmd/azoo) carries by
 // value from the command line down to the engines it builds. The option
 // structs of those layers embed it; stats.Hooks is an alias of it. All
 // fields are optional and the zero value is a bare run.
@@ -187,9 +190,8 @@ type Hooks struct {
 // EngineSet is the one driver→engine conversion: the ambient sinks every
 // engine built under h is attached with. Spans stays behind — drivers
 // time their own phases, and an "<engine>.run" node under each would
-// change every manifest's span tree; a caller driving one engine directly
-// (cmd/azoo's dfa paths) sets Spans on the result. Ledger and
-// Checkpointer are per scan unit and set by the driver that owns the unit.
+// change every manifest's span tree. Ledger and Checkpointer are per scan
+// unit and set by the driver that owns the unit.
 func (h Hooks) EngineSet() hooks.Set {
 	return hooks.Set{
 		Registry: h.Registry,
@@ -244,7 +246,7 @@ type Options struct {
 	// completes, in canonical (offset, code, state) order.
 	OnReport func(sim.Report)
 	// Hooks are attached to every engine (master and speculative). The
-	// master engine carries an attribution ledger committed at Finish; each
+	// master engine carries an attribution ledger committed at the stitch; each
 	// speculative segment scans into a scratch ledger that attaches after
 	// warmup — at the point the segment's exact stats baseline is taken, so
 	// warmup bytes are never charged — and is committed only when the
@@ -255,11 +257,12 @@ type Options struct {
 	// whole-automaton map.
 	AttrCompOf []int32
 	// Master, if non-nil, is used as the master engine instead of a
-	// factory-built one. The checkpointed scan driver (internal/ckpt)
-	// passes its warm, mid-stream engine here so consecutive chunks of one
-	// stream continue the same logical scan; the runner attaches the
-	// Options hooks to it exactly as it would to a fresh engine, and does
-	// NOT reset it — its frontier and offset are the chunk's entry state.
+	// factory-built one. The scan driver (internal/scan) passes its one
+	// whole-automaton engine here, so consecutive chunks of one stream
+	// continue the same logical scan and a caching engine keeps one cache
+	// across streams; the runner attaches the Options hooks to it exactly
+	// as it would to a fresh engine, and does NOT reset it — its frontier
+	// and offset are the chunk's entry state.
 	Master Engine
 	// BaseOffset is the absolute stream offset of input[0]. Speculative
 	// warmups and stitch restores position engines at BaseOffset-relative
@@ -334,12 +337,10 @@ type spec struct {
 	led     *attr.Ledger // scratch attribution, committed iff validated
 }
 
-// Runner is a resumable segmented scan: phase 1 exposes Tasks()
-// independent work items (RunTask is safe to call concurrently for
-// distinct tasks — the partition layer flattens them into its worker pool
-// alongside slice tasks), and Finish performs the sequential left-to-right
-// stitch. Use Run for the standalone whole-scan form.
-type Runner struct {
+// runner is one segmented scan: phase 1 runs tasks() independent work
+// items (runTask is safe to call concurrently for distinct tasks), and
+// finish performs the sequential left-to-right stitch.
+type runner struct {
 	a     *automata.Automaton
 	input []byte
 	opts  Options
@@ -365,12 +366,12 @@ type Runner struct {
 	warmupBytes atomic.Int64
 }
 
-// NewRunner prepares a segmented scan of input. Resolution happens here:
-// Segments() reports the outcome, and a resolution of 1 degenerates to an
-// exact single-task sequential scan. The error is the engine factory's
-// (nil-factory sim construction cannot fail).
-func NewRunner(a *automata.Automaton, input []byte, opts Options) (*Runner, error) {
-	r := &Runner{a: a, input: input, opts: opts}
+// newRunner prepares a segmented scan of input. Resolution happens here,
+// and a resolution of 1 degenerates to an exact single-task sequential
+// scan. The error is the engine factory's (nil-factory sim construction
+// cannot fail).
+func newRunner(a *automata.Automaton, input []byte, opts Options) (*runner, error) {
+	r := &runner{a: a, input: input, opts: opts}
 	r.warmup = opts.Warmup
 	if r.warmup == 0 {
 		r.warmup = DefaultWarmup
@@ -380,7 +381,6 @@ func NewRunner(a *automata.Automaton, input []byte, opts Options) (*Runner, erro
 	}
 	r.k = Resolve(int64(len(input)), opts.Segments, opts.Workers, opts.AutoMinBytes)
 	r.bounds = Bounds(int64(len(input)), r.k)
-	r.specOK = r.k > 1 && r.warmup > 0 && a.NumCounters() == 0
 	r.collect = opts.CollectReports || opts.OnReport != nil
 	r.specs = make([]spec, r.k)
 	r.perSeg = make([][]sim.Report, r.k)
@@ -392,6 +392,7 @@ func NewRunner(a *automata.Automaton, input []byte, opts Options) (*Runner, erro
 		}
 		r.master = m
 	}
+	r.specOK = r.k > 1 && r.warmup > 0 && r.master.Speculative()
 	set := opts.EngineSet()
 	r.masterLed = opts.Ledger(opts.AttrCompOf)
 	set.Ledger = r.masterLed
@@ -414,7 +415,7 @@ func NewRunner(a *automata.Automaton, input []byte, opts Options) (*Runner, erro
 
 	r.root = opts.Spans.Start("segment.run")
 	if opts.Spans != nil {
-		r.forks = make([]*telemetry.Spans, r.Tasks())
+		r.forks = make([]*telemetry.Spans, r.tasks())
 		for i := range r.forks {
 			r.forks[i] = opts.Spans.Fork()
 		}
@@ -422,24 +423,21 @@ func NewRunner(a *automata.Automaton, input []byte, opts Options) (*Runner, erro
 	return r, nil
 }
 
-// Segments returns the resolved segment count.
-func (r *Runner) Segments() int { return r.k }
-
-// Tasks returns the phase-1 work-item count: one per segment when
+// tasks returns the phase-1 work-item count: one per segment when
 // speculation is on, otherwise 1 (the stitch cascades the segments
 // sequentially on the master engine).
-func (r *Runner) Tasks() int {
+func (r *runner) tasks() int {
 	if r.specOK {
 		return r.k
 	}
 	return 1
 }
 
-// RunTask executes phase-1 work item i. Task 0 is the master engine's
+// runTask executes phase-1 work item i. Task 0 is the master engine's
 // exact scan of segment 0 (so a trip still yields exact prefix-partial
 // statistics); tasks 1..k-1 are speculative warmup+scan. Distinct tasks
 // may run concurrently.
-func (r *Runner) RunTask(i int) error {
+func (r *runner) runTask(i int) error {
 	if r.forks != nil {
 		sp := r.forks[i].Start("segment.scan")
 		defer sp.End()
@@ -457,7 +455,7 @@ func (r *Runner) RunTask(i int) error {
 // scanMaster scans segment i on the master engine, accumulating exact
 // stats and (canonicalized) reports. Called for segment 0 in phase 1 and
 // for cascaded/replayed segments during the stitch.
-func (r *Runner) scanMaster(i int) error {
+func (r *runner) scanMaster(i int) error {
 	lo, hi := r.bounds[i], r.bounds[i+1]
 	var buf []sim.Report
 	if r.collect {
@@ -466,14 +464,14 @@ func (r *Runner) scanMaster(i int) error {
 	base := r.master.Stats()
 	st, err := r.master.RunChecked(r.input[lo:hi])
 	r.master.SetOnReport(nil)
-	r.total = addStats(r.total, subStats(st, base))
+	r.total = r.total.Add(subStats(st, base))
 	r.perSeg[i] = canonReports(buf)
 	return err
 }
 
 // speculate runs segment i's warmup and speculative scan on a pooled
 // engine, leaving the candidate result in r.specs[i].
-func (r *Runner) speculate(i int) error {
+func (r *runner) speculate(i int) error {
 	e := r.pool.Get().(Engine)
 	defer r.pool.Put(e)
 	e.Reset()
@@ -533,11 +531,11 @@ func (r *Runner) speculate(i int) error {
 	return nil
 }
 
-// Finish performs the left-to-right stitch after phase 1 and returns the
+// finish performs the left-to-right stitch after phase 1 and returns the
 // merged result. phase1Err, when non-nil, short-circuits: the master's
 // exact partial statistics are returned with it (speculative partial work
 // is discarded — it may cover bytes the master never reached).
-func (r *Runner) Finish(phase1Err error) (Result, error) {
+func (r *runner) finish(phase1Err error) (Result, error) {
 	for _, f := range r.forks {
 		r.root.Adopt(f)
 	}
@@ -563,9 +561,11 @@ func (r *Runner) Finish(phase1Err error) (Result, error) {
 			// Speculation validated: the segment was scanned from the true
 			// boundary frontier, so its stats and reports are exact. Jump
 			// the master to the segment's exit state.
-			r.total = addStats(r.total, s.stats)
+			r.total = r.total.Add(s.stats)
 			r.perSeg[i] = s.reports
-			r.master.RestoreState(&sim.StreamState{Offset: r.opts.BaseOffset + r.bounds[i+1], Frontier: s.exit})
+			if err = r.master.RestoreState(&sim.StreamState{Offset: r.opts.BaseOffset + r.bounds[i+1], Frontier: s.exit}); err != nil {
+				break
+			}
 			if s.led != nil {
 				s.led.Commit()
 			}
@@ -620,12 +620,12 @@ func Run(ctx context.Context, a *automata.Automaton, input []byte, opts Options)
 	if opts.Governor == nil && ctx != nil && ctx.Done() != nil {
 		opts.Governor = guard.New(ctx, guard.Budget{})
 	}
-	r, err := NewRunner(a, input, opts)
+	r, err := newRunner(a, input, opts)
 	if err != nil {
 		return Result{}, err
 	}
-	err = parallel.ForEach(ctx, opts.Workers, r.Tasks(), r.RunTask)
-	return r.Finish(err)
+	err = parallel.ForEach(ctx, opts.Workers, r.tasks(), r.runTask)
+	return r.finish(err)
 }
 
 // canonReports sorts one segment's report buffer into the canonical
@@ -655,16 +655,6 @@ func flatten(perSeg [][]sim.Report) []sim.Report {
 		out = append(out, b...)
 	}
 	return out
-}
-
-func addStats(a, b sim.Stats) sim.Stats {
-	return sim.Stats{
-		Symbols:       a.Symbols + b.Symbols,
-		Enabled:       a.Enabled + b.Enabled,
-		Active:        a.Active + b.Active,
-		CounterPulses: a.CounterPulses + b.CounterPulses,
-		Reports:       a.Reports + b.Reports,
-	}
 }
 
 func subStats(a, b sim.Stats) sim.Stats {

@@ -23,6 +23,7 @@
 package sim
 
 import (
+	"fmt"
 	"slices"
 
 	"automatazoo/internal/attr"
@@ -59,6 +60,18 @@ type Stats struct {
 	CounterPulses int64
 	// Reports counts emitted reports.
 	Reports int64
+}
+
+// Add returns the field-wise sum s + o: the statistics of two pieces of
+// work (streams, segments, slices) taken together.
+func (s Stats) Add(o Stats) Stats {
+	return Stats{
+		Symbols:       s.Symbols + o.Symbols,
+		Enabled:       s.Enabled + o.Enabled,
+		Active:        s.Active + o.Active,
+		CounterPulses: s.CounterPulses + o.CounterPulses,
+		Reports:       s.Reports + o.Reports,
+	}
 }
 
 // EnabledAvg returns mean enabled-frontier size per symbol.
@@ -662,8 +675,21 @@ func (e *Engine) CaptureState() *StreamState {
 // carry absolute offsets; start-of-data states fire only when s.Offset is
 // 0). Per-stream accounting restarts: Stats and collected reports cover
 // only the work after the restore, exactly like Reset — callers stitching
-// a stream from several engines sum the per-piece stats themselves.
-func (e *Engine) RestoreState(s *StreamState) {
+// a stream from several engines sum the per-piece stats themselves. A
+// snapshot naming a state this automaton does not have (or a counter
+// value for a non-counter) was captured elsewhere and is rejected before
+// anything changes.
+func (e *Engine) RestoreState(s *StreamState) error {
+	for _, id := range s.Frontier {
+		if int(id) >= len(e.mark) {
+			return fmt.Errorf("sim: RestoreState: state %d outside the automaton's %d states", id, len(e.mark))
+		}
+	}
+	for _, c := range s.Counters {
+		if int(c.ID) >= len(e.isCounter) || !e.isCounter[c.ID] {
+			return fmt.Errorf("sim: RestoreState: state %d is not a counter", c.ID)
+		}
+	}
 	e.Reset()
 	for _, id := range s.Frontier {
 		e.EnableState(id)
@@ -675,7 +701,14 @@ func (e *Engine) RestoreState(s *StreamState) {
 		}
 	}
 	e.offset = s.Offset
+	return nil
 }
+
+// Speculative reports whether a segment of this engine's stream may be
+// scanned by a second engine from a warmup frontier and committed on
+// frontier equality (internal/segment). Counter values do not converge
+// like frontiers, so counter automata cascade on one engine instead.
+func (e *Engine) Speculative() bool { return e.a.NumCounters() == 0 }
 
 // SetOffset positions the engine at an absolute stream offset without
 // touching any other state — the segment-parallel scanner uses it to give

@@ -4,14 +4,12 @@
 // and the dynamic active set measured by simulating the benchmark on its
 // standard input.
 //
-// Simulation comes in three execution shapes with identical results:
-// ObserveSegmentsHooked runs the whole automaton on one engine,
-// ObserveSegmentsParallelHooked partitions it across a worker pool
-// (internal/parallel via internal/partition) — components are
-// independent, so the summed activation, frontier, and report counts are
-// exactly those of the single-engine run — and ObserveStreams
-// additionally splits each stream into segment-parallel pieces
-// (internal/segment). The returned Dynamic is equal field-for-field.
+// Simulation runs on the one scan driver (internal/scan). The Observe*
+// functions are adapters naming its layouts: ObserveSegmentsHooked runs
+// the whole automaton on one engine, ObserveSegmentsParallelHooked
+// partitions it across a worker pool, and ObserveStreams splits large
+// streams into segment-parallel pieces instead. The returned Dynamic
+// is equal field-for-field whichever runs.
 package stats
 
 import (
@@ -20,8 +18,9 @@ import (
 	"math"
 
 	"automatazoo/internal/automata"
-	"automatazoo/internal/partition"
+	"automatazoo/internal/scan"
 	"automatazoo/internal/segment"
+	"automatazoo/internal/sim"
 	"automatazoo/internal/telemetry"
 	"automatazoo/internal/transform"
 )
@@ -117,84 +116,24 @@ func SimulateSegments(a *automata.Automaton, segments [][]byte) Dynamic {
 // run.
 type Hooks = segment.Hooks
 
-// streamBytes sums the stream lengths (the progress total of one pass).
-func streamBytes(streams [][]byte) int64 {
-	var total int64
-	for _, s := range streams {
-		total += int64(len(s))
-	}
-	return total
-}
-
 // ObserveSegmentsHooked runs each segment as an independent stream on one
-// whole-automaton engine with h attached: the engine publishes into
-// h.Registry (one is created when nil — cross-segment aggregation always
-// flows through the registry rather than hand-rolled sums), runs via its
-// checked path so budgets, cancellation and injected faults stop the
-// simulation mid-stream, heartbeats progress and records flight-recorder
-// events at its chunk boundaries. The Dynamic result is derived from the
-// registry's sim.* counters; the registry may be shared across calls (the
-// deltas this call contributed are what's reported). On a trip the
-// Dynamic derived from the work completed so far is returned with the
-// error.
+// whole-automaton engine with h attached (scan.Run's whole layout): the
+// engine runs its checked path, so budgets, cancellation and injected
+// faults stop the simulation mid-stream, and it heartbeats progress and
+// records flight-recorder events at its chunk boundaries. On a trip the
+// Dynamic of the work completed so far is returned with the error.
 func ObserveSegmentsHooked(a *automata.Automaton, segments [][]byte, h Hooks) (Dynamic, error) {
-	if h.Registry == nil {
-		h.Registry = telemetry.NewRegistry()
-	}
-	h.Progress.AddTotal(streamBytes(segments))
-	before := simCounters(h.Registry)
-	e, err := h.New(a)
-	if err != nil {
-		return Dynamic{}, err
-	}
-	set := h.EngineSet()
-	set.Ledger = h.Ledger(nil)
-	e.Attach(set)
-	for _, seg := range segments {
-		e.Reset()
-		if _, err = e.RunChecked(seg); err != nil {
-			break
-		}
-	}
-	if set.Ledger != nil {
-		set.Ledger.Commit()
-	}
-	after := simCounters(h.Registry)
-	return DynamicFrom(
-		after[0]-before[0], after[1]-before[1],
-		after[2]-before[2], after[3]-before[3]), err
+	return observe(context.Background(), a, segments, scan.Spec{Hooks: h, Workers: 1, Segments: 1})
 }
 
-// ObserveSegmentsParallelHooked computes the same Dynamic profile as
-// ObserveSegmentsHooked but executes each segment as a
-// component-partitioned parallel run (partition.ForWorkers + Plan.Run)
-// across up to workers goroutines. The returned Dynamic is identical to
-// the sequential path's for any workers value: Symbols counts stream
-// symbols (not per-slice engine symbols), and the Active/Enabled/Report
-// sums across independent slices equal the whole-automaton run's counts.
-// h.Registry, when non-nil, is shared by every slice engine; its final
-// contents are deterministic for a given workers value but describe
-// per-slice work (sim.symbols accumulates the plan's passes × stream
-// length, and the plan's slice count depends on workers). Progress
-// heartbeats count per-slice engine bytes too, so the tracker's total is
-// pre-credited with passes × stream length — ETA stays meaningful even
-// though slices re-scan the stream. On a trip the Dynamic derived from
-// completed segments is returned with the error.
+// ObserveSegmentsParallelHooked is ObserveSegmentsHooked on scan.Run's
+// component-slice layout: the automaton is partitioned across up to
+// workers goroutines, one engine per slice. The returned Dynamic is
+// identical to the sequential path's for any workers value; h.Registry
+// describes per-slice work (sim.symbols accumulates the plan's passes ×
+// stream length), as does the progress total.
 func ObserveSegmentsParallelHooked(ctx context.Context, a *automata.Automaton, segments [][]byte, workers int, h Hooks) (Dynamic, error) {
-	plan := partition.ForWorkers(a, workers)
-	h.Progress.AddTotal(int64(plan.Passes()) * streamBytes(segments))
-	var streamSymbols, active, enabled, reports int64
-	for _, seg := range segments {
-		res, err := plan.Run(ctx, seg, partition.RunOptions{Workers: workers, Hooks: h})
-		if err != nil {
-			return DynamicFrom(streamSymbols, active, enabled, reports), err
-		}
-		streamSymbols += int64(len(seg))
-		active += res.Active
-		enabled += res.Enabled
-		reports += res.Reports
-	}
-	return DynamicFrom(streamSymbols, active, enabled, reports), nil
+	return observe(ctx, a, segments, scan.Spec{Hooks: h, Workers: workers, Segments: 1})
 }
 
 // StreamOptions parameterizes ObserveStreams.
@@ -210,85 +149,42 @@ type StreamOptions struct {
 	Hooks
 }
 
-// ObserveStreams runs each stream as an independent scan — the engine
-// state restarts per stream, like ObserveSegmentsHooked — optionally
-// splitting each stream into segment-parallel pieces. It returns the
-// Dynamic profile, the summed stitch accounting (zero when every stream
-// resolved to one segment), and the first error.
-//
-// The Dynamic is derived from each stream's exact stitched Result, never
-// from registry deltas, so it is identical for every Workers and Segments
-// value — warmup and replay waste stay out of the Table-I columns and are
-// visible only in the stitch accounting and the registry's sim.*/segment.*
-// counters. When every stream resolves to a single segment the call
-// delegates to ObserveSegmentsHooked, keeping the exact historical
-// execution path (and its registry-delta derivation, which is equal there).
-// On a governor trip, completed streams' exact profiles are returned with
-// the error; the tripped stream's partial work is dropped, matching
-// ObserveSegmentsParallelHooked.
+// ObserveStreams runs each stream as an independent scan on one
+// whole-automaton engine, splitting a stream that resolves to more than
+// one segment into segment-parallel pieces — never across component
+// slices (scan.Unsliced): a Table-I kernel's workers fan out over
+// kernels. It returns the Dynamic profile, the summed stitch
+// accounting (zero when nothing was segmented), and the first error.
+// Warmup and replay waste stay out of the Dynamic, visible only in the
+// stitch accounting and the registry's sim.*/segment.* counters.
 func ObserveStreams(ctx context.Context, a *automata.Automaton, streams [][]byte, opts StreamOptions) (Dynamic, segment.Stitch, error) {
-	segmented := false
-	ks := make([]int, len(streams))
-	for i, s := range streams {
-		ks[i] = segment.Resolve(int64(len(s)), opts.Segments, opts.Workers, 0)
-		if ks[i] > 1 {
-			segmented = true
-		}
-	}
-	if !segmented {
-		d, err := ObserveSegmentsHooked(a, streams, opts.Hooks)
-		return d, segment.Stitch{}, err
-	}
-	// Replayed segments re-scan their bytes, so progress can overshoot
-	// this total slightly; ETA stays meaningful (waste is bounded by the
-	// stitch accounting).
-	opts.Progress.AddTotal(streamBytes(streams))
-	var stitch segment.Stitch
-	var symbols, active, enabled, reports int64
-	for i, s := range streams {
-		res, err := segment.Run(ctx, a, s, segment.Options{
-			Segments: ks[i], Workers: opts.Workers, Hooks: opts.Hooks,
-		})
-		stitch.Add(res.Stitch)
-		if err != nil {
-			return DynamicFrom(symbols, active, enabled, reports), stitch, err
-		}
-		symbols += int64(len(s))
-		active += res.Stats.Active
-		enabled += res.Stats.Enabled
-		reports += res.Stats.Reports
-	}
-	return DynamicFrom(symbols, active, enabled, reports), stitch, nil
+	res, err := scan.Unsliced(ctx, a, streams, scan.Spec{Hooks: opts.Hooks, Workers: opts.Workers, Segments: opts.Segments})
+	return dynamicOf(res.Stats), res.Stitch, err
 }
 
-// simCounters reads the four sim.* counters behind the dynamic columns in
-// a fixed order: symbols, active, enabled, reports.
-func simCounters(reg *telemetry.Registry) [4]int64 {
-	return [4]int64{
-		reg.Counter("sim.symbols").Value(),
-		reg.Counter("sim.active").Value(),
-		reg.Counter("sim.enabled").Value(),
-		reg.Counter("sim.reports").Value(),
+func observe(ctx context.Context, a *automata.Automaton, streams [][]byte, sp scan.Spec) (Dynamic, error) {
+	res, err := scan.Run(ctx, a, streams, sp)
+	return dynamicOf(res.Stats), err
+}
+
+// dynamicOf derives the Table-I dynamic columns from cumulative engine
+// totals (the sim.Stats rates zero-guard an empty input).
+func dynamicOf(st sim.Stats) Dynamic {
+	return Dynamic{
+		Symbols: st.Symbols, Reports: st.Reports,
+		ActiveSet: st.ActiveAvg(), EnabledSet: st.EnabledAvg(), ReportRate: st.ReportRate(),
 	}
 }
 
-// DynamicFrom derives the Table-I dynamic columns from cumulative engine
-// totals. All rates zero-guard an empty input.
-func DynamicFrom(symbols, active, enabled, reports int64) Dynamic {
-	d := Dynamic{Symbols: symbols, Reports: reports}
-	if symbols > 0 {
-		d.ActiveSet = float64(active) / float64(symbols)
-		d.EnabledSet = float64(enabled) / float64(symbols)
-		d.ReportRate = float64(reports) / float64(symbols)
-	}
-	return d
-}
-
-// DynamicFromRegistry is DynamicFrom over a registry's cumulative sim.*
-// counters.
+// DynamicFromRegistry derives the dynamic columns from a registry's
+// cumulative sim.* counters.
 func DynamicFromRegistry(reg *telemetry.Registry) Dynamic {
-	c := simCounters(reg)
-	return DynamicFrom(c[0], c[1], c[2], c[3])
+	return dynamicOf(sim.Stats{
+		Symbols: reg.Counter("sim.symbols").Value(),
+		Active:  reg.Counter("sim.active").Value(),
+		Enabled: reg.Counter("sim.enabled").Value(),
+		Reports: reg.Counter("sim.reports").Value(),
+	})
 }
 
 // Row is one full Table-I row. TopOffender, when set, names the source

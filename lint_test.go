@@ -6,6 +6,7 @@ import (
 	"go/token"
 	"io/fs"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -616,6 +617,91 @@ func TestDispatchMatchesUsage(t *testing.T) {
 	for _, name := range []string{"bench", "bench" + "diff"} {
 		if dispatched[name] || listed[name] {
 			t.Errorf("retired command %q is back (the perf instrument is bench/)", name)
+		}
+	}
+}
+
+// scanPathViolations is TestOneScanPath's detector over one parsed file of
+// directory dir: imports banned there, and — outside internal/scan — any
+// assignment of a checkpoint saver's Capture.
+func scanPathViolations(fset *token.FileSet, f *ast.File, dir string) []string {
+	banned := map[string][]string{
+		"internal/ckpt": {"automatazoo/internal/dfa"},
+		"cmd/azoo":      {"automatazoo/internal/dfa", "automatazoo/internal/segment", "automatazoo/internal/prefilter"},
+	}
+	var violations []string
+	for _, imp := range f.Imports {
+		if path := strings.Trim(imp.Path.Value, `"`); slices.Contains(banned[dir], path) {
+			violations = append(violations, fset.Position(imp.Pos()).String()+": "+dir+" imports "+path)
+		}
+	}
+	if dir == "internal/scan" {
+		return violations
+	}
+	capture := func(n ast.Node) {
+		violations = append(violations, fset.Position(n.Pos()).String()+": assigns ckpt.Saver.Capture")
+	}
+	ast.Inspect(f, func(n ast.Node) bool {
+		switch v := n.(type) {
+		case *ast.AssignStmt:
+			for _, lhs := range v.Lhs {
+				if sel, ok := lhs.(*ast.SelectorExpr); ok && sel.Sel.Name == "Capture" {
+					capture(lhs)
+				}
+			}
+		case *ast.CompositeLit:
+			typ, ok := v.Type.(*ast.SelectorExpr)
+			if !ok || typ.Sel.Name != "Saver" {
+				return true
+			}
+			for _, elt := range v.Elts {
+				if kv, ok := elt.(*ast.KeyValueExpr); ok {
+					if key, ok := kv.Key.(*ast.Ident); ok && key.Name == "Capture" {
+						capture(kv)
+					}
+				}
+			}
+		}
+		return true
+	})
+	return violations
+}
+
+// One scan path: internal/scan's Run is the only driver that scans a
+// benchmark's streams, for every engine, layout and checkpoint. Its
+// enforcement: the checkpoint format does not know the dfa engine;
+// cmd/azoo reaches no engine and no segment scanner except through scan;
+// and only scan decides what a checkpoint holds (no other non-test code
+// assigns ckpt.Saver.Capture).
+func TestOneScanPath(t *testing.T) {
+	// Canary: the detector must catch every class, or the walk below
+	// proves nothing.
+	fset := token.NewFileSet()
+	canary, err := parser.ParseFile(fset, "canary.go", `package canary
+import (
+	"automatazoo/internal/dfa"
+	"automatazoo/internal/prefilter"
+	"automatazoo/internal/segment"
+)
+func bad(sv *ckpt.Saver) {
+	sv.Capture = nil
+	_ = &ckpt.Saver{Path: "f", Capture: nil}
+	_ = &ckpt.Checkpoint{Meta: ckpt.Meta{}}
+}
+`, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for dir, want := range map[string]int{"cmd/azoo": 5, "internal/ckpt": 3, "internal/scan": 0, "internal/stats": 2} {
+		if got := scanPathViolations(fset, canary, dir); len(got) != want {
+			t.Fatalf("canary as %s: detector found %d of %d planted violations: %v", dir, len(got), want, got)
+		}
+	}
+
+	fset, files := goFiles(t, ".", false)
+	for path, f := range files {
+		for _, v := range scanPathViolations(fset, f, filepath.Dir(path)) {
+			t.Errorf("second scan path: %s", v)
 		}
 	}
 }
