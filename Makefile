@@ -55,11 +55,12 @@ race-parallel:
 # allocation-free with no tracer/profile/registry attached, and all three
 # engines' RunChecked must collapse to Run under Attach(hooks.Set{}).
 # The second line guards the set-up passes the same way, on allocation
-# counts rather than timings: Builder.Build allocates a constant number of
-# objects, PrefixMerge a bounded number per state, RF class synthesis none.
+# counts rather than timings: Builder.Build and acmatch.Compile allocate a
+# constant number of objects, PrefixMerge a bounded number per state, RF
+# class synthesis none.
 allocguard:
 	$(GO) test -run 'TestNilTelemetryZeroAllocs|TestDisabledLiveTelemetryZeroAllocs' -count=1 -v ./internal/sim/ ./internal/dfa/ ./internal/prefilter/
-	$(GO) test -run 'TestBuildAllocsConstant|TestPrefixMergeAllocsPerState|TestSymbolClassZeroAllocs' -count=1 -v ./internal/automata/ ./internal/transform/ ./internal/rf/
+	$(GO) test -run 'TestBuildAllocsConstant|TestPrefixMergeAllocsPerState|TestSymbolClassZeroAllocs|TestCompileAllocsConstant' -count=1 -v ./internal/automata/ ./internal/transform/ ./internal/rf/ ./internal/acmatch/
 
 # Byte-stability gate for the /metrics surface: the exposition golden
 # file plus the cross-worker-count determinism check (Table I's merged
@@ -86,6 +87,7 @@ fuzz-short:
 	$(GO) test -run '^$$' -fuzz 'FuzzSimVsPrefilter' -fuzztime $(FUZZTIME) ./internal/difftest/
 	$(GO) test -run '^$$' -fuzz 'FuzzRegexCompile' -fuzztime $(FUZZTIME) ./internal/difftest/
 	$(GO) test -run '^$$' -fuzz 'FuzzMNRLLoad' -fuzztime $(FUZZTIME) ./internal/mnrl/
+	$(GO) test -run '^$$' -fuzz 'FuzzCompileMatchesReference' -fuzztime $(FUZZTIME) ./internal/acmatch/
 
 # Resilience acceptance gate: 200 seeded fault-injection trials (every
 # injected panic/deadline/trip must surface as a structured error with the

@@ -9,7 +9,7 @@ package acmatch
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 )
 
 // Match is one literal occurrence: pattern index and the offset of its
@@ -22,16 +22,25 @@ type Match struct {
 // Matcher is a compiled Aho–Corasick automaton. Immutable after Compile;
 // safe for concurrent scanning.
 //
-// Nodes are renumbered in BFS (shallowest-first) order after construction,
-// and the shallowest denseLimit nodes get fully resolved 256-entry
-// transition rows: on realistic inputs the scan loop spends nearly all its
-// time near the root, so those rows make stepping a single array load.
-// Deeper nodes fall back to sparse goto maps with failure-link walks.
+// Nodes are numbered in BFS order — the root 0, depth-1 nodes in the order
+// the patterns introduce them, deeper levels by parent, then byte — so
+// fail[u] < u. The prefilter's checkpoints encode node IDs (its frontier
+// sentinel), so this numbering must not change.
+//
+// Node u's children are edgeByte/edgeTo[edgeOff[u]:edgeOff[u+1]], sorted by
+// byte; its outputs (its own patterns in index order, then its fail node's)
+// are outPat[outOff[u]:outOff[u+1]]. The first maxDenseNodes nodes also get
+// full 256-entry transition rows: the scan spends nearly all its time near
+// the root, where a step is then one array load. Deeper nodes search their
+// edges and follow failure links down to a dense row.
 type Matcher struct {
-	next   []map[byte]int32
-	fail   []int32
-	output [][]int32
-	lens   []int
+	edgeOff  []int32
+	edgeByte []byte
+	edgeTo   []int32
+	fail     []int32
+	outOff   []int32
+	outPat   []int32
+	lens     []int
 
 	dense [][256]int32 // rows for nodes [0, len(dense))
 }
@@ -42,127 +51,140 @@ const maxDenseNodes = 8192
 // Compile builds the matcher from the given byte patterns. Empty patterns
 // are rejected; duplicates are allowed (each reports its own index).
 func Compile(patterns [][]byte) (*Matcher, error) {
-	m := &Matcher{
-		next:   []map[byte]int32{{}},
-		fail:   []int32{0},
-		output: [][]int32{nil},
-	}
-	m.lens = make([]int, len(patterns))
+	m := &Matcher{lens: make([]int, len(patterns))}
+	total := 0
 	for i, p := range patterns {
 		if len(p) == 0 {
 			return nil, fmt.Errorf("acmatch: pattern %d is empty", i)
 		}
 		m.lens[i] = len(p)
-		cur := int32(0)
-		for _, c := range p {
-			nxt, ok := m.next[cur][c]
-			if !ok {
-				nxt = int32(len(m.next))
-				m.next = append(m.next, map[byte]int32{})
-				m.fail = append(m.fail, 0)
-				m.output = append(m.output, nil)
-				m.next[cur][c] = nxt
-			}
-			cur = nxt
-		}
-		m.output[cur] = append(m.output[cur], int32(i))
+		total += len(p)
 	}
-	// BFS to set failure links and merge outputs.
-	queue := make([]int32, 0, len(m.next))
-	for _, v := range m.next[0] {
-		queue = append(queue, v)
-	}
-	sort.Slice(queue, func(i, j int) bool { return queue[i] < queue[j] })
-	for qi := 0; qi < len(queue); qi++ {
-		u := queue[qi]
-		// Deterministic child order keeps the BFS renumbering stable.
-		children := make([]byte, 0, len(m.next[u]))
-		for c := range m.next[u] {
-			children = append(children, c)
-		}
-		sort.Slice(children, func(i, j int) bool { return children[i] < children[j] })
-		for _, c := range children {
-			v := m.next[u][c]
-			queue = append(queue, v)
-			f := m.fail[u]
-			for f != 0 {
-				if w, ok := m.next[f][c]; ok {
-					f = w
-					goto linked
-				}
-				f = m.fail[f]
-			}
-			if w, ok := m.next[0][c]; ok && w != v {
-				f = w
-			} else {
-				f = 0
-			}
-		linked:
-			m.fail[v] = f
-			m.output[v] = append(m.output[v], m.output[f]...)
-		}
-	}
-	m.renumberBFS(queue)
-	m.buildDense()
+	m.link(m.buildTrie(patterns, total))
 	return m, nil
 }
 
-// renumberBFS relabels nodes so that BFS order (root first, then by depth)
-// is ascending — the precondition for the dense-row construction.
-func (m *Matcher) renumberBFS(bfs []int32) {
-	n := len(m.next)
-	newID := make([]int32, n)
-	newID[0] = 0
-	for i, old := range bfs {
-		newID[old] = int32(i + 1)
-	}
-	next := make([]map[byte]int32, n)
-	fail := make([]int32, n)
-	output := make([][]int32, n)
-	for old := 0; old < n; old++ {
-		nu := newID[old]
-		mp := make(map[byte]int32, len(m.next[old]))
-		for c, v := range m.next[old] {
-			mp[c] = newID[v]
-		}
-		next[nu] = mp
-		fail[nu] = newID[m.fail[old]]
-		output[nu] = m.output[old]
-	}
-	m.next, m.fail, m.output = next, fail, output
-}
+// buildTrie lays the trie out one level at a time, creating nodes in
+// their final BFS order. cur lists the patterns that reach depth d,
+// grouped by node (at) in ID order and by index within a node. Patterns
+// of length d end there; the rest of each node's group is stably sorted
+// by byte, and each run of equal bytes becomes the next child ID. At
+// depth 0 the sort key is a byte's first use instead of the byte, which
+// orders the depth-1 nodes by the first pattern that starts with them. It
+// fills the edge arrays and returns each node's own patterns,
+// ownPat[own[u]:own[u+1]].
+func (m *Matcher) buildTrie(patterns [][]byte, total int) (own, ownPat []int32) {
+	cur, at := make([]int32, len(patterns)), make([]int32, len(patterns))
+	own, ownPat = make([]int32, total+2), make([]int32, 0, len(patterns))
+	m.edgeOff = make([]int32, 0, total+2)
+	m.edgeByte = make([]byte, 0, total)
+	m.edgeTo = make([]int32, 0, total)
 
-// buildDense resolves full transition rows for the shallowest nodes.
-// BFS numbering guarantees fail[u] < u, so rows can be filled in order
-// using delta(u, c) = goto(u, c) or delta(fail(u), c).
-func (m *Matcher) buildDense() {
-	limit := len(m.next)
-	if limit > maxDenseNodes {
-		limit = maxDenseNodes
+	var key [256]int // depth 0: first-use rank from 1, 0 if unused
+	rank := 0
+	for i, p := range patterns {
+		cur[i] = int32(i)
+		if key[p[0]] == 0 {
+			rank++
+			key[p[0]] = rank
+		}
 	}
-	m.dense = make([][256]int32, limit)
-	for u := 0; u < limit; u++ {
-		for c := 0; c < 256; c++ {
-			if v, ok := m.next[u][byte(c)]; ok {
-				m.dense[u][c] = v
-			} else if u == 0 {
-				m.dense[u][c] = 0
-			} else {
-				f := m.fail[u]
-				if int(f) < limit {
-					m.dense[u][c] = m.dense[f][c]
-				} else {
-					// Shouldn't happen (fail links point shallower), but
-					// stay correct if it ever does.
-					m.dense[u][c] = m.slowStep(f, byte(c))
+	for lo, next, d := int32(0), int32(1), 0; lo < next; d++ {
+		live := 0
+		for k, i := range cur {
+			if len(patterns[i]) == d {
+				ownPat = append(ownPat, i)
+				own[at[k]+1]++
+				continue
+			}
+			cur[live], at[live] = i, at[k]
+			live++
+		}
+		cur, at = cur[:live], at[:live]
+		byKey := func(x, y int32) int { return key[patterns[x][d]] - key[patterns[y][d]] }
+		k, hi := 0, next
+		for u := lo; u < hi; u++ {
+			first, end := len(m.edgeTo), k
+			m.edgeOff = append(m.edgeOff, int32(first))
+			for end < live && at[end] == u {
+				end++
+			}
+			slices.SortStableFunc(cur[k:end], byKey)
+			for ; k < end; k++ {
+				c := patterns[cur[k]][d]
+				if len(m.edgeTo) == first || m.edgeByte[len(m.edgeByte)-1] != c {
+					m.edgeByte = append(m.edgeByte, c)
+					m.edgeTo = append(m.edgeTo, next)
+					next++
 				}
+				at[k] = next - 1
 			}
 		}
+		if d == 0 {
+			// The root's edges came out in first-use order, so a byte's
+			// child is its rank; store them in byte order like every other
+			// node's. Deeper levels sort by the byte itself.
+			m.edgeByte, m.edgeTo = m.edgeByte[:0], m.edgeTo[:0]
+			for c, r := range key {
+				if r != 0 {
+					m.edgeByte, m.edgeTo = append(m.edgeByte, byte(c)), append(m.edgeTo, int32(r))
+				}
+				key[c] = c
+			}
+		}
+		lo = hi
+	}
+	m.edgeOff = append(m.edgeOff, int32(len(m.edgeTo)))
+
+	// Patterns ended level by level, each level in node order, so ownPat
+	// is already grouped by node; own[u] becomes node u's first entry.
+	own = own[:len(m.edgeOff)]
+	for u := 1; u < len(own); u++ {
+		own[u] += own[u-1]
+	}
+	return own, ownPat
+}
+
+// link sets the failure links, dense rows and output lists in one
+// ascending pass. A node's row is its fail node's row with its own edges
+// written over it; a child's fail node is where the parent's fail node
+// steps on the child's byte; a node's outputs are its own patterns
+// (ownPat[own[u]:own[u+1]]), then its fail node's. All three read only
+// nodes with smaller IDs, which are final.
+func (m *Matcher) link(own, ownPat []int32) {
+	n := len(m.edgeOff) - 1
+	m.fail = make([]int32, n)
+	m.outOff = make([]int32, n+1)
+	m.dense = make([][256]int32, min(n, maxDenseNodes))
+	for u := 0; u < n; u++ {
+		lo, hi := m.edgeOff[u], m.edgeOff[u+1]
+		f := m.fail[u]
+		if u < len(m.dense) {
+			if u > 0 {
+				m.dense[u] = m.dense[f]
+			}
+			for k := lo; k < hi; k++ {
+				m.dense[u][m.edgeByte[k]] = m.edgeTo[k]
+			}
+		}
+		if u == 0 {
+			continue // the root has no outputs, and its children fail to it
+		}
+		m.outOff[u+1] = m.outOff[u] + own[u+1] - own[u] + m.outOff[f+1] - m.outOff[f]
+		for k := lo; k < hi; k++ {
+			m.fail[m.edgeTo[k]] = m.step(f, m.edgeByte[k])
+		}
+	}
+	m.outPat = make([]int32, m.outOff[n])
+	for u := 1; u < n; u++ {
+		f := m.fail[u]
+		k := m.outOff[u] + int32(copy(m.outPat[m.outOff[u]:], ownPat[own[u]:own[u+1]]))
+		copy(m.outPat[k:], m.outPat[m.outOff[f]:m.outOff[f+1]])
 	}
 }
 
 // NumNodes returns the trie size (including the root).
-func (m *Matcher) NumNodes() int { return len(m.next) }
+func (m *Matcher) NumNodes() int { return len(m.fail) }
 
 // step advances from state via byte c.
 func (m *Matcher) step(state int32, c byte) int32 {
@@ -172,17 +194,26 @@ func (m *Matcher) step(state int32, c byte) int32 {
 	return m.slowStep(state, c)
 }
 
-// slowStep is the sparse goto/fail walk for deep nodes.
+// slowStep is the sparse path for nodes past the dense rows: search the
+// node's edges, else follow its failure link, until a dense row answers.
 func (m *Matcher) slowStep(state int32, c byte) int32 {
-	for {
-		if nxt, ok := m.next[state][c]; ok {
+	for int(state) >= len(m.dense) {
+		if nxt, ok := m.child(state, c); ok {
 			return nxt
-		}
-		if state == 0 {
-			return 0
 		}
 		state = m.fail[state]
 	}
+	return m.dense[state][c]
+}
+
+// child returns u's goto edge on c.
+func (m *Matcher) child(u int32, c byte) (int32, bool) {
+	lo, hi := m.edgeOff[u], m.edgeOff[u+1]
+	k, ok := slices.BinarySearch(m.edgeByte[lo:hi], c)
+	if !ok {
+		return 0, false
+	}
+	return m.edgeTo[lo+int32(k)], true
 }
 
 // Scan finds all occurrences of all patterns in input, in end-offset
@@ -198,8 +229,8 @@ func (m *Matcher) ScanFunc(input []byte, fn func(Match)) {
 	state := int32(0)
 	for i, c := range input {
 		state = m.step(state, c)
-		for _, p := range m.output[state] {
-			fn(Match{Pattern: int(p), End: int64(i)})
+		for k := m.outOff[state]; k < m.outOff[state+1]; k++ {
+			fn(Match{Pattern: int(m.outPat[k]), End: int64(i)})
 		}
 	}
 }
@@ -209,8 +240,8 @@ func (m *Matcher) ScanFunc(input []byte, fn func(Match)) {
 // initial state. This is the streaming form used by incremental scanners.
 func (m *Matcher) StepFrom(state int32, c byte, fn func(pattern int)) int32 {
 	state = m.step(state, c)
-	for _, p := range m.output[state] {
-		fn(int(p))
+	for k := m.outOff[state]; k < m.outOff[state+1]; k++ {
+		fn(int(m.outPat[k]))
 	}
 	return state
 }
@@ -230,17 +261,17 @@ func (m *Matcher) StepFrom(state int32, c byte, fn func(pattern int)) int32 {
 //
 // patterns must be the literal set the matcher was compiled from. The
 // computation walks each pattern's goto path accumulating through/ends
-// counts per node, then folds them down the failure links: BFS renumbering
+// counts per node, then folds them down the failure links: BFS numbering
 // guarantees fail[u] < u, so one ascending pass resolves
 // w[u] = w[fail[u]] + own[u].
 func (m *Matcher) PrefixWeights(patterns [][]byte) (active, enabled []int64, err error) {
-	n := len(m.next)
+	n := len(m.fail)
 	through := make([]int64, n)
 	ends := make([]int64, n)
 	for i, p := range patterns {
 		cur := int32(0)
 		for _, c := range p {
-			nxt, ok := m.next[cur][c]
+			nxt, ok := m.child(cur, c)
 			if !ok {
 				return nil, nil, fmt.Errorf("acmatch: pattern %d not in trie (matcher compiled from a different set)", i)
 			}

@@ -85,10 +85,11 @@ type Engine struct {
 
 	// residual runs the non-anchored components in lockstep (nil when
 	// every component is anchored). residualInv/residualLoc translate its
-	// local state IDs from/to whole-automaton IDs.
+	// local state IDs from/to whole-automaton IDs; residualLoc is -1 for
+	// anchored states.
 	residual    *sim.Engine
 	residualInv []automata.StateID
-	residualLoc map[automata.StateID]automata.StateID
+	residualLoc []int32
 
 	numStates  int
 	anchored   int
@@ -211,16 +212,12 @@ func New(a *automata.Automaton) (*Engine, error) {
 		e.matcher, e.wa, e.we = m, wa, we
 	}
 	if e.unanchored > 0 {
-		res, inv, err := extractComponents(a, compIdx, func(c int32) bool { return !anchoredComp[c] })
+		res, loc, inv, err := extractComponents(a, compIdx, func(c int32) bool { return !anchoredComp[c] })
 		if err != nil {
 			return nil, err
 		}
 		e.residual = sim.New(res)
-		e.residualInv = inv
-		e.residualLoc = make(map[automata.StateID]automata.StateID, len(inv))
-		for loc, g := range inv {
-			e.residualLoc[g] = automata.StateID(loc)
-		}
+		e.residualInv, e.residualLoc = inv, loc
 		e.residual.OnReport = e.residReport
 	}
 	e.onAnchorFn = e.onAnchor
@@ -624,7 +621,7 @@ func (e *Engine) SetOffset(off int64) {
 // EnableState arms a whole-automaton state for the next Step, routing
 // residual-component states to the embedded residual engine.
 func (e *Engine) EnableState(id automata.StateID) {
-	if loc, ok := e.residualLoc[id]; ok {
+	if loc, ok := e.residualID(id); ok {
 		e.residual.EnableState(loc)
 		return
 	}
@@ -634,6 +631,15 @@ func (e *Engine) EnableState(id automata.StateID) {
 	}
 	e.mark[id] = prev
 	e.frontier = append(e.frontier, id)
+}
+
+// residualID returns the residual engine's ID for a whole-automaton state
+// of an unanchored component.
+func (e *Engine) residualID(id automata.StateID) (automata.StateID, bool) {
+	if int(id) < len(e.residualLoc) && e.residualLoc[id] >= 0 {
+		return automata.StateID(e.residualLoc[id]), true
+	}
+	return 0, false
 }
 
 // FrontierSnapshot returns the canonical continuation set: the sorted
@@ -658,8 +664,26 @@ func (e *Engine) FrontierSnapshot() []automata.StateID {
 // restore the matcher state, residual-component entries re-arm the
 // residual engine, the rest the confirm frontier. Counter snapshots are
 // forwarded to the residual engine (anchored components never hold
-// counters), which rejects what it cannot hold.
+// counters), which rejects what it cannot hold. A frontier without
+// exactly one sentinel, or with a sentinel or state this engine does not
+// have, was captured elsewhere and is rejected before anything changes.
 func (e *Engine) RestoreState(s *sim.StreamState) error {
+	nodes := 1 // the root, the only state of an absent matcher
+	if e.matcher != nil {
+		nodes = e.matcher.NumNodes()
+	}
+	sentinels := 0
+	for _, id := range s.Frontier {
+		if int(id) >= e.numStates+nodes {
+			return fmt.Errorf("prefilter: RestoreState: entry %d outside the %d states and %d matcher nodes", id, e.numStates, nodes)
+		}
+		if int(id) >= e.numStates {
+			sentinels++
+		}
+	}
+	if sentinels != 1 {
+		return fmt.Errorf("prefilter: RestoreState: frontier carries %d matcher sentinels, want 1", sentinels)
+	}
 	e.Reset()
 	var rs sim.StreamState
 	rs.Offset = s.Offset
@@ -668,14 +692,14 @@ func (e *Engine) RestoreState(s *sim.StreamState) error {
 			e.acState = int32(int(id) - e.numStates)
 			continue
 		}
-		if loc, ok := e.residualLoc[id]; ok {
+		if loc, ok := e.residualID(id); ok {
 			rs.Frontier = append(rs.Frontier, loc)
 			continue
 		}
 		e.EnableState(id)
 	}
 	for _, c := range s.Counters {
-		if loc, ok := e.residualLoc[c.ID]; ok {
+		if loc, ok := e.residualID(c.ID); ok {
 			rs.Counters = append(rs.Counters, sim.CounterSnapshot{ID: loc, Value: c.Value, Latched: c.Latched})
 		}
 	}
@@ -759,14 +783,16 @@ func anchorResult(lit []byte, tail automata.StateID) ([]byte, automata.StateID, 
 }
 
 // extractComponents rebuilds the sub-automaton of the components selected
-// by keep, returning it with the local→original state-ID map (locals are
-// assigned in ascending original order).
-func extractComponents(a *automata.Automaton, compIdx []int32, keep func(int32) bool) (*automata.Automaton, []automata.StateID, error) {
+// by keep, returning it with the original→local state-ID map (-1 for
+// states left out) and its inverse (locals are assigned in ascending
+// original order).
+func extractComponents(a *automata.Automaton, compIdx []int32, keep func(int32) bool) (*automata.Automaton, []int32, []automata.StateID, error) {
 	b := automata.NewBuilder()
-	newID := map[automata.StateID]automata.StateID{}
-	var inv []automata.StateID
 	n := a.NumStates()
+	newID := make([]int32, n)
+	var inv []automata.StateID
 	for i := 0; i < n; i++ {
+		newID[i] = -1
 		id := automata.StateID(i)
 		if !keep(compIdx[i]) {
 			continue
@@ -781,7 +807,7 @@ func extractComponents(a *automata.Automaton, compIdx []int32, keep func(int32) 
 		if a.IsReport(id) {
 			b.SetReport(nid, a.ReportCode(id))
 		}
-		newID[id] = nid
+		newID[id] = int32(nid)
 		inv = append(inv, id)
 	}
 	for i := 0; i < n; i++ {
@@ -790,12 +816,12 @@ func extractComponents(a *automata.Automaton, compIdx []int32, keep func(int32) 
 			continue
 		}
 		for _, t := range a.Succ(id) {
-			b.AddEdge(newID[id], newID[t])
+			b.AddEdge(automata.StateID(newID[id]), automata.StateID(newID[t]))
 		}
 	}
 	res, err := b.Build()
 	if err != nil {
-		return nil, nil, err
+		return nil, nil, nil, err
 	}
-	return res, inv, nil
+	return res, newID, inv, nil
 }

@@ -1,6 +1,7 @@
 package prefilter
 
 import (
+	"slices"
 	"sort"
 	"testing"
 
@@ -348,6 +349,51 @@ func TestSnapshotRestoreRoundTrip(t *testing.T) {
 				t.Fatalf("cut %d report %d: %+v vs %+v", cut, i, gotReps[i], wantReps[i])
 			}
 		}
+	}
+}
+
+// TestRestoreStateRejectsForeignFrontier: a frontier whose matcher
+// sentinel is missing, doubled or past the trie — or names a state past the
+// automaton — is rejected before the engine changes, instead of restoring
+// an AC state the next Run indexes out of range.
+func TestRestoreStateRejectsForeignFrontier(t *testing.T) {
+	for _, tc := range []struct {
+		name     string
+		patterns []string
+	}{
+		{"anchored", []string{"abcab", `abc[0-9]+x`, "[qz]qq"}},
+		{"no matcher", []string{"[qz]qq", "[ab]b"}},
+	} {
+		a := compilePatterns(t, tc.patterns...)
+		e, err := New(a)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ns := automata.StateID(a.NumStates())
+		nodes := automata.StateID(1)
+		if e.matcher != nil {
+			nodes = automata.StateID(e.matcher.NumNodes())
+		}
+		e.Run([]byte("abcab zq"))
+		before := e.FrontierSnapshot()
+		for _, bad := range [][]automata.StateID{
+			{ns + nodes + 5},
+			{ns + nodes},
+			{0},
+			{ns, ns},
+			{0, ns, ns + nodes - 1},
+		} {
+			if err := e.RestoreState(&sim.StreamState{Offset: 3, Frontier: bad}); err == nil {
+				t.Fatalf("%s: frontier %v accepted (%d states, %d nodes)", tc.name, bad, ns, nodes)
+			}
+			if got := e.FrontierSnapshot(); !slices.Equal(got, before) {
+				t.Fatalf("%s: rejected frontier %v changed the engine: %v, was %v", tc.name, bad, got, before)
+			}
+		}
+		if err := e.RestoreState(&sim.StreamState{Offset: 3, Frontier: []automata.StateID{0, ns + nodes - 1}}); err != nil {
+			t.Fatalf("%s: last matcher node rejected: %v", tc.name, err)
+		}
+		e.Run([]byte("abcab zqq"))
 	}
 }
 
