@@ -7,9 +7,9 @@ GO ?= go
 # plain `go test`; this budget buys mutation time on top.
 FUZZTIME ?= 10s
 
-.PHONY: ci build vet bench-module fmt-check test race race-parallel allocguard prometheus-golden explain-golden fuzz-short fault-soak crash-soak difftest-soak loc clean
+.PHONY: ci build vet bench-module fmt-check test race race-parallel allocguard prometheus-golden explain-golden fuzz-short soak loc clean
 
-ci: vet fmt-check build test race-parallel race allocguard prometheus-golden explain-golden fuzz-short fault-soak crash-soak bench-module
+ci: vet fmt-check build test race-parallel race allocguard prometheus-golden explain-golden fuzz-short soak bench-module
 
 build:
 	$(GO) build ./...
@@ -89,26 +89,16 @@ fuzz-short:
 	$(GO) test -run '^$$' -fuzz 'FuzzMNRLLoad' -fuzztime $(FUZZTIME) ./internal/mnrl/
 	$(GO) test -run '^$$' -fuzz 'FuzzCompileMatchesReference' -fuzztime $(FUZZTIME) ./internal/acmatch/
 
-# Resilience acceptance gate: 200 seeded fault-injection trials (every
-# injected panic/deadline/trip must surface as a structured error with the
-# same class at -j 1 and -j NumCPU; un-faulted controls byte-identical),
-# then a forced DFA→NFA degradation soak through the differential oracle.
-fault-soak:
+# The soak, the acceptance gate for engine changes. First 200 seeded
+# fault-injection trials: every injected panic/deadline/trip must surface
+# as a structured error with the same class at -j 1 and -j NumCPU, and
+# un-faulted controls stay byte-identical. Then the differential oracle,
+# 500 seeded trials of the engine × transform × mode matrix (forced,
+# starved and thrashing DFA degradation included), one crash-resume cell
+# per trial (killed at seed-drawn save points, resumed, held to the
+# uninterrupted run) and the bit-level trial.
+soak:
 	AZOO_SOAK_SEEDS=200 $(GO) test -run 'TestFaultSoak' -count=1 ./internal/guard/
-	$(GO) run ./cmd/azoo difftest -seeds 200 -pair sim-dfa -force-fallback
-
-# Crash-recovery acceptance gate: 200 seeded trials of the
-# straight-vs-resumed oracle. Each trial checkpoints a scan, kills it at
-# a seed-drawn save point (crash:ckpt.save fault), resumes from the
-# durable checkpoint, and requires the stitched run to match an
-# uninterrupted reference exactly — reports, engine stats, telemetry
-# registry, and attribution — across the j × segments × engine matrix.
-crash-soak:
-	$(GO) run ./cmd/azoo difftest -seeds 200 -pair straight-vs-resumed
-
-# Long cross-engine soak (the acceptance gate for engine changes):
-# 500 seeded trials through every comparable engine pair.
-difftest-soak:
 	$(GO) run ./cmd/azoo difftest -seeds 500
 
 # The number ROADMAP asks every PR to report before/after: non-test Go

@@ -5,50 +5,30 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"strings"
+	"sort"
 
 	"automatazoo/internal/difftest"
 )
 
-// cmdDifftest runs the cross-engine differential oracle as a soak: N seeded
-// trials, each generating random automata and inputs and comparing report
-// streams across the engine pairs. Exit status is non-zero when any pair
-// diverges, so the command slots directly into CI; -json emits the full
-// machine-readable report (including the seed of every divergence, which
-// reproduces it exactly).
+// cmdDifftest soaks the cross-engine differential oracle (internal/difftest)
+// over N seeded trials and exits non-zero when any cell diverges; -json
+// emits the machine-readable report, whose seeds reproduce each divergence.
 func cmdDifftest(args []string) error {
 	fs := flag.NewFlagSet("difftest", flag.ExitOnError)
 	seeds := fs.Int("seeds", 500, "number of seeded trials")
 	states := fs.Int("states", 12, "STE states per generated automaton")
-	inputLen := fs.Int("input", 512, "input bytes per trial")
+	inputLen := fs.Int("input", 2048, "input bytes per trial")
 	seed := fs.Uint64("seed", 1, "base seed (trial i uses seed+i)")
-	pair := fs.String("pair", "", "restrict to one pair: "+strings.Join(difftest.AllPairs, ", ")+" (default all)")
-	forceFallback := fs.Bool("force-fallback", false, "run the sim-dfa pair with every DFA component degraded to NFA stepping (pins the graceful-degradation contract)")
 	jsonOut := fs.Bool("json", false, "write the JSON soak report to stdout")
 	fs.Parse(args)
-
-	cfg := difftest.SoakConfig{
-		Seeds:            *seeds,
-		States:           *states,
-		InputLen:         *inputLen,
-		Seed:             *seed,
-		ForceDFAFallback: *forceFallback,
+	if fs.NArg() > 0 {
+		return usageErrorf("difftest: unexpected argument %q", fs.Arg(0))
 	}
-	if *pair != "" {
-		valid := false
-		for _, p := range difftest.AllPairs {
-			if p == *pair {
-				valid = true
-				break
-			}
-		}
-		if !valid {
-			return usageErrorf("unknown pair %q (want one of %s)", *pair, strings.Join(difftest.AllPairs, ", "))
-		}
-		cfg.Pairs = []string{*pair}
+	if *seeds <= 0 || *states <= 0 || *inputLen <= 0 {
+		return usageErrorf("difftest: -seeds, -states and -input must be positive")
 	}
 
-	res := difftest.Soak(cfg)
+	res := difftest.Soak(difftest.SoakConfig{Seeds: *seeds, States: *states, InputLen: *inputLen, Seed: *seed})
 
 	if *jsonOut {
 		enc := json.NewEncoder(os.Stdout)
@@ -58,22 +38,24 @@ func cmdDifftest(args []string) error {
 		}
 	} else {
 		fmt.Printf("difftest: %d seeds (base %#x)\n", res.Seeds, res.BaseSeed)
-		for _, p := range difftest.AllPairs {
-			st, ok := res.Pairs[p]
-			if !ok {
-				continue
-			}
-			fmt.Printf("  %-16s %6d runs, %8d reports compared\n", p, st.Runs, st.Reports)
+		names := make([]string, 0, len(res.Cells))
+		for name := range res.Cells {
+			names = append(names, name)
+		}
+		sort.Strings(names)
+		for _, name := range names {
+			st := res.Cells[name]
+			fmt.Printf("  %-28s %6d runs, %8d reports compared\n", name, st.Runs, st.Reports)
 		}
 		for _, d := range res.Divergences {
 			fmt.Printf("  DIVERGENCE seed=%d %s\n", d.Seed, d.String())
 		}
+		if len(res.Divergences) == 0 {
+			fmt.Println("  every cell agrees with the reference")
+		}
 	}
-	if !res.Ok() {
-		return divergenceError{n: len(res.Divergences)}
-	}
-	if !*jsonOut {
-		fmt.Println("  all engine pairs agree")
+	if n := len(res.Divergences); n > 0 {
+		return divergenceError{n: n}
 	}
 	return nil
 }

@@ -16,7 +16,7 @@
 //	azoo table4 [-samples 4000] [-j N]
 //	azoo fig1   [-filters 10] [-symbols 1000000] [-trials 10]   (also Table V)
 //	azoo snortrates [-scale 0.2] [-input 400000]
-//	azoo difftest [-seeds 500] [-states 12] [-input 512] [-seed 1] [-pair sim-dfa] [-json]
+//	azoo difftest [-seeds 500] [-states 12] [-input 2048] [-seed 1] [-json]
 //	azoo version
 //
 // run and the table commands accept -report <file> to write a run-report

@@ -1,43 +1,44 @@
-// Package difftest is the cross-engine differential oracle: it generates
-// seeded random automata and inputs, runs the same workload through pairs
-// of independently-implemented engines, and diagnoses the first divergence
-// in their (offset, code) report streams.
+// Package difftest is the cross-engine differential oracle. It generates
+// seeded random automata and inputs and scans each through every cell of
+// one matrix, each cell a scan.Run scan — the driver the CLI uses, so the
+// oracle checks the scan path that ships:
+//
+//	engine     nfa, prefilter, dfa, and dfa under each degradation option
+//	           (forced NFA fallback, a one-byte cache budget, an aggressive
+//	           thrash detector), which must all fall back
+//	transform  none, or prefix-merge
+//	mode       (-j 1, -segments 1), (4, 1) component slices, (1, N) and
+//	           (4, N), with N chosen per trial and a 48-byte warmup
+//
+// plus a crash-resume cell (resume.go) and a bit-level trial (checkBit).
+// Every cell's canonical (offset, code) multiset must equal that of the
+// reference cell (nfa, no transform, -j 1 -segments 1), and so must its
+// sim.Stats: field for field on untransformed nfa and prefilter cells,
+// Symbols and Reports elsewhere (dfa keeps no active set; prefix-merge
+// changes the state set). The generator gives every reporting state a
+// unique code, so prefix-merge never merges two reporters and multiset
+// equality is the honest bar. A cell whose engine rejects the automaton by
+// type (dfa.ErrCounters) is not applicable; any other error is a
+// divergence. A divergence names its cell and first diverging offset.
 //
 // The paper's throughput tables are only meaningful because every engine
 // agrees on *what matches where*; Hyperscan guards the same property with
-// its hscollider tool. Three pairs are comparable here:
-//
-//	sim vs dfa            counter-free automata only: determinization has
-//	                      no translation for counter elements (dfa.New
-//	                      returns ErrCounters), so counter-bearing inputs
-//	                      are excluded by construction, not skipped.
-//	sim vs compressed-sim prefix-merge must preserve the exact report
-//	                      multiset. The generator gives every reporting
-//	                      state a unique code, so two reporting states are
-//	                      never merge-candidates and multiset equality is
-//	                      the honest acceptance bar.
-//	sim vs bitnfa         the bit-level reference interpreter vs sim
-//	                      executing the 8-strided byte automaton.
-//
-// Every generator consumes an explicit randx seed, so any divergence is
-// reproducible from its seed alone — the CLI (azoo difftest) prints seeds
-// in its JSON report and the fuzz targets store them in the corpus.
+// its hscollider tool. Every generator consumes an explicit randx seed, so
+// any divergence reproduces from its seed alone — the CLI (azoo difftest)
+// prints seeds in its JSON report and the fuzz targets store them in the
+// corpus.
 package difftest
 
 import (
-	"context"
+	"cmp"
 	"fmt"
-	"sort"
+	"math"
+	"slices"
 
 	"automatazoo/internal/automata"
 	"automatazoo/internal/bitnfa"
 	"automatazoo/internal/charset"
-	"automatazoo/internal/dfa"
-	"automatazoo/internal/prefilter"
 	"automatazoo/internal/randx"
-	"automatazoo/internal/segment"
-	"automatazoo/internal/sim"
-	"automatazoo/internal/transform"
 )
 
 // Event is one report, reduced to the fields every engine must agree on.
@@ -49,29 +50,16 @@ type Event struct {
 }
 
 func canon(evs []Event) []Event {
-	sort.Slice(evs, func(i, j int) bool {
-		if evs[i].Offset != evs[j].Offset {
-			return evs[i].Offset < evs[j].Offset
-		}
-		return evs[i].Code < evs[j].Code
+	slices.SortFunc(evs, func(a, b Event) int {
+		return cmp.Or(cmp.Compare(a.Offset, b.Offset), cmp.Compare(a.Code, b.Code))
 	})
 	return evs
 }
 
-func simEvents(a *automata.Automaton, input []byte) []Event {
-	e := sim.New(a)
-	e.CollectReports = true
-	e.Run(input)
-	evs := make([]Event, 0, len(e.Reports()))
-	for _, r := range e.Reports() {
-		evs = append(evs, Event{Offset: r.Offset, Code: r.Code})
-	}
-	return canon(evs)
-}
-
-// Divergence describes the first point where two engines disagree.
+// Divergence describes the first point where a cell disagrees with the
+// reference cell.
 type Divergence struct {
-	Pair       string  `json:"pair"`
+	Cell       string  `json:"cell"`
 	Seed       uint64  `json:"seed,omitempty"`       // set by Soak; zero for direct oracle calls
 	Offset     int64   `json:"offset"`               // first diverging input offset
 	Missing    []Event `json:"missing,omitempty"`    // reference emitted, candidate did not
@@ -80,66 +68,54 @@ type Divergence struct {
 }
 
 func (d *Divergence) String() string {
-	if d == nil {
-		return "<no divergence>"
-	}
 	return fmt.Sprintf("%s diverges at offset %d: missing=%v unexpected=%v (%s)",
-		d.Pair, d.Offset, d.Missing, d.Unexpected, d.Detail)
+		d.Cell, d.Offset, d.Missing, d.Unexpected, d.Detail)
 }
 
 // diffStreams compares two canonical event streams and, when they differ,
 // localizes the first diverging offset and the per-offset multiset delta.
-// ref is the trusted reference (sim), got the engine under test.
-func diffStreams(pair string, ref, got []Event) *Divergence {
-	i, j := 0, 0
-	for i < len(ref) && j < len(got) {
-		if ref[i] == got[j] {
-			i, j = i+1, j+1
-			continue
-		}
-		break
+// ref is the reference cell's stream, got the cell's under test.
+func diffStreams(cell string, ref, got []Event) *Divergence {
+	i := 0
+	for i < len(ref) && i < len(got) && ref[i] == got[i] {
+		i++
 	}
-	if i == len(ref) && j == len(got) {
+	if i == len(ref) && i == len(got) {
 		return nil
 	}
-	// First disagreement is at the earlier of the two cursors' offsets.
-	var at int64
-	switch {
-	case i < len(ref) && j < len(got):
-		at = min(ref[i].Offset, got[j].Offset)
-	case i < len(ref):
+	// First disagreement is at the earlier of the two streams' offsets.
+	at := int64(math.MaxInt64)
+	if i < len(ref) {
 		at = ref[i].Offset
-	default:
-		at = got[j].Offset
 	}
-	d := &Divergence{Pair: pair, Offset: at}
-	// Multiset delta restricted to the diverging offset: counts per code.
-	refAt := map[int32]int{}
-	gotAt := map[int32]int{}
+	if i < len(got) {
+		at = min(at, got[i].Offset)
+	}
+	// Multiset delta restricted to the diverging offset: ref's count minus
+	// got's, per code.
+	delta := map[int32]int{}
 	for _, e := range ref {
 		if e.Offset == at {
-			refAt[e.Code]++
+			delta[e.Code]++
 		}
 	}
 	for _, e := range got {
 		if e.Offset == at {
-			gotAt[e.Code]++
+			delta[e.Code]--
 		}
 	}
-	for code, n := range refAt {
-		for k := gotAt[code]; k < n; k++ {
+	d := &Divergence{Cell: cell, Offset: at, Detail: fmt.Sprintf(
+		"reference emitted %d events, cell %d; first mismatch at stream index %d", len(ref), len(got), i)}
+	for code, n := range delta {
+		for ; n > 0; n-- {
 			d.Missing = append(d.Missing, Event{Offset: at, Code: code})
 		}
-	}
-	for code, n := range gotAt {
-		for k := refAt[code]; k < n; k++ {
+		for ; n < 0; n++ {
 			d.Unexpected = append(d.Unexpected, Event{Offset: at, Code: code})
 		}
 	}
 	canon(d.Missing)
 	canon(d.Unexpected)
-	d.Detail = fmt.Sprintf("reference emitted %d events, candidate %d; first mismatch at stream index %d/%d",
-		len(ref), len(got), i, j)
 	return d
 }
 
@@ -264,32 +240,21 @@ func Generate(rng *randx.Rand, cfg GenConfig) *automata.Automaton {
 // actually match) with a sprinkle of arbitrary bytes to exercise the
 // no-match paths.
 func GenInput(rng *randx.Rand, cfg GenConfig, n int) []byte {
-	cfg = cfg.normalized()
+	return draw(rng, cfg.normalized().Alphabet, 0.9, n)
+}
+
+// draw returns n bytes, each from alphabet with probability p and
+// arbitrary otherwise.
+func draw(rng *randx.Rand, alphabet []byte, p float64, n int) []byte {
 	out := make([]byte, n)
 	for i := range out {
-		if rng.Float64() < 0.9 {
-			out[i] = randx.Pick(rng, cfg.Alphabet)
+		if rng.Float64() < p {
+			out[i] = randx.Pick(rng, alphabet)
 		} else {
 			out[i] = rng.Byte()
 		}
 	}
 	return out
-}
-
-// BitGenConfig parameterizes the bit-level generator.
-type BitGenConfig struct {
-	Patterns int // default 3
-	MaxBytes int // max pattern length in bytes (default 3)
-}
-
-func (c BitGenConfig) normalized() BitGenConfig {
-	if c.Patterns <= 0 {
-		c.Patterns = 3
-	}
-	if c.MaxBytes <= 0 {
-		c.MaxBytes = 3
-	}
-	return c
 }
 
 // GenerateBit builds a random byte-aligned bit automaton: each pattern is a
@@ -298,13 +263,13 @@ func (c BitGenConfig) normalized() BitGenConfig {
 // its byte-aligned tail with a unique code. It also returns one concrete
 // witness byte-string per pattern — an input guaranteed to match — so input
 // generation can embed real matches; purely random input almost never hits
-// a multi-byte masked pattern and would starve the oracle of reports.
-func GenerateBit(rng *randx.Rand, cfg BitGenConfig) (*bitnfa.Automaton, [][]byte) {
-	cfg = cfg.normalized()
+// a multi-byte masked pattern and would starve the oracle of reports. It
+// draws 3 patterns of 1..3 bytes.
+func GenerateBit(rng *randx.Rand) (*bitnfa.Automaton, [][]byte) {
 	a := bitnfa.New()
 	var witnesses [][]byte
-	for p := 0; p < cfg.Patterns; p++ {
-		nBytes := rng.IntRange(1, cfg.MaxBytes)
+	for p := 0; p < 3; p++ {
+		nBytes := rng.IntRange(1, 3)
 		witness := make([]byte, 0, nBytes)
 		// First element is always a masked byte: AppendByte is the only
 		// constructor that plants the start state.
@@ -320,12 +285,11 @@ func GenerateBit(rng *randx.Rand, cfg BitGenConfig) (*bitnfa.Automaton, [][]byte
 				lo := uint64(rng.Intn(int(max) + 1))
 				hi := lo + uint64(rng.Intn(int(max-lo)+1))
 				tails, err := a.AppendUintRange(tail, w, lo, hi)
+				if err == nil {
+					tail, err = a.AppendAnyBits(tails, 8-w)
+				}
 				if err != nil {
 					panic(err) // unreachable: width is in [1,7]
-				}
-				tail, err = a.AppendAnyBits(tails, 8-w)
-				if err != nil {
-					panic(err)
 				}
 				witness = append(witness, byte(lo<<(8-w)))
 			} else {
@@ -344,88 +308,21 @@ func GenerateBit(rng *randx.Rand, cfg BitGenConfig) (*bitnfa.Automaton, [][]byte
 // GenBitInput builds an input of random bytes with each witness spliced in
 // a few times at random offsets, so the bit oracle sees real matches.
 func GenBitInput(rng *randx.Rand, witnesses [][]byte, n int) []byte {
-	out := rng.Bytes(n)
+	return splice(rng, rng.Bytes(n), witnesses)
+}
+
+// splice copies each witness that fits into out three times, at random
+// offsets.
+func splice(rng *randx.Rand, out []byte, witnesses [][]byte) []byte {
 	for _, w := range witnesses {
-		if len(w) > n {
+		if len(w) > len(out) {
 			continue
 		}
 		for k := 0; k < 3; k++ {
-			copy(out[rng.Intn(n-len(w)+1):], w)
+			copy(out[rng.Intn(len(out)-len(w)+1):], w)
 		}
 	}
 	return out
-}
-
-// SimVsDFA runs input through sim and dfa and reports the first divergence
-// (nil if they agree). The automaton must be counter-free; dfa.New's
-// ErrCounters is passed through.
-func SimVsDFA(a *automata.Automaton, input []byte) (*Divergence, error) {
-	return SimVsDFAWithOptions(a, input, dfa.Options{})
-}
-
-// SimVsDFAWithOptions is SimVsDFA with explicit dfa.Options, so the oracle
-// can pin report identity across the engine's degradation modes: forced
-// NFA fallback, tiny cache byte budgets, and aggressive thrash detection
-// must all produce the exact sim report stream.
-func SimVsDFAWithOptions(a *automata.Automaton, input []byte, opts dfa.Options) (*Divergence, error) {
-	d, err := dfa.NewWithOptions(a, opts)
-	if err != nil {
-		return nil, err
-	}
-	d.CollectReports = true
-	d.Run(input)
-	got := make([]Event, 0, len(d.Reports()))
-	for _, r := range d.Reports() {
-		got = append(got, Event{Offset: r.Offset, Code: r.Code})
-	}
-	return diffStreams("sim-dfa", simEvents(a, input), canon(got)), nil
-}
-
-// SimVsCompressed checks that prefix-merge preserves the exact report
-// multiset: sim on a vs sim on PrefixMerge(a), same input.
-func SimVsCompressed(a *automata.Automaton, input []byte) *Divergence {
-	m, _ := transform.PrefixMerge(a)
-	return diffStreams("sim-compressed", simEvents(a, input), simEvents(m, input))
-}
-
-// SeqVsSegmented checks the segment-parallel scanner's byte-identity
-// invariant: segment.Run over the given segment count must reproduce the
-// sequential engine's exact statistics AND its exact (offset, code)
-// report multiset. The warmup window is deliberately tiny relative to the
-// soak's input lengths, so across seeds speculation both commits and
-// replays — both stitch paths are on trial. Counter-bearing automata are
-// valid input: they disable speculation inside the runner and exercise
-// the sequential-cascade path (including counter handoff across segment
-// boundaries on the master engine).
-func SeqVsSegmented(a *automata.Automaton, input []byte, segments int) *Divergence {
-	ref := sim.New(a)
-	ref.CollectReports = true
-	refStats := ref.Run(input)
-	refEvs := make([]Event, 0, len(ref.Reports()))
-	for _, r := range ref.Reports() {
-		refEvs = append(refEvs, Event{Offset: r.Offset, Code: r.Code})
-	}
-	res, err := segment.Run(context.Background(), a, input, segment.Options{
-		Segments:       segments,
-		Workers:        2,
-		Warmup:         48,
-		CollectReports: true,
-	})
-	if err != nil {
-		return &Divergence{Pair: PairSeqVsSegmented, Offset: -1, Detail: "segment.Run: " + err.Error()}
-	}
-	if res.Stats != refStats {
-		return &Divergence{
-			Pair: PairSeqVsSegmented, Offset: -1,
-			Detail: fmt.Sprintf("stats mismatch: sequential %+v, segmented %+v (stitch %+v)",
-				refStats, res.Stats, res.Stitch),
-		}
-	}
-	got := make([]Event, 0, len(res.Reports))
-	for _, r := range res.Reports {
-		got = append(got, Event{Offset: r.Offset, Code: r.Code})
-	}
-	return diffStreams(PairSeqVsSegmented, canon(refEvs), canon(got))
 }
 
 // anchorAlphabet is the tiny symbol pool of the anchorable generator: four
@@ -437,7 +334,7 @@ var anchorAlphabet = []byte("abcd")
 // prefilter can anchor: single-symbol chains hanging off one all-input
 // start, optionally continued by multi-symbol class tails. The generic
 // Generate almost never produces such shapes (its states draw dense random
-// classes), so without this generator the seq-prefilter pair would soak
+// classes), so without this generator the prefilter cells would soak
 // only the residual pass-through. A sprinkling of the prefilter's
 // documented fallbacks — chains shorter than its minimum anchor length,
 // start-of-data heads, second start states converging mid-chain — keeps
@@ -500,71 +397,5 @@ func GenAnchorable(rng *randx.Rand) (*automata.Automaton, [][]byte) {
 // in a few times, so anchor hits (and their residual confirmations) occur
 // at realistic density instead of never.
 func GenAnchorableInput(rng *randx.Rand, witnesses [][]byte, n int) []byte {
-	out := make([]byte, n)
-	for i := range out {
-		if rng.Float64() < 0.85 {
-			out[i] = randx.Pick(rng, anchorAlphabet)
-		} else {
-			out[i] = rng.Byte()
-		}
-	}
-	for _, w := range witnesses {
-		if len(w) > n {
-			continue
-		}
-		for k := 0; k < 3; k++ {
-			copy(out[rng.Intn(n-len(w)+1):], w)
-		}
-	}
-	return out
-}
-
-// SimVsPrefilter checks the two-stage literal prefilter's exactness
-// contract: prefilter on a must reproduce sim's exact Stats AND its exact
-// (offset, code) report multiset on the same input. Any automaton is valid
-// input — components the analysis cannot anchor (including counter-bearing
-// ones) run on the embedded residual engine, so an unanchorable automaton
-// exercises the pass-through accounting rather than vacuously passing.
-func SimVsPrefilter(a *automata.Automaton, input []byte) *Divergence {
-	ref := sim.New(a)
-	ref.CollectReports = true
-	refStats := ref.Run(input)
-	refEvs := make([]Event, 0, len(ref.Reports()))
-	for _, r := range ref.Reports() {
-		refEvs = append(refEvs, Event{Offset: r.Offset, Code: r.Code})
-	}
-	pf, err := prefilter.New(a)
-	if err != nil {
-		return &Divergence{Pair: PairSimVsPrefilter, Offset: -1, Detail: "prefilter.New: " + err.Error()}
-	}
-	pf.CollectReports = true
-	gotStats := pf.Run(input)
-	if gotStats != refStats {
-		return &Divergence{
-			Pair: PairSimVsPrefilter, Offset: -1,
-			Detail: fmt.Sprintf("stats mismatch: sim %+v, prefilter %+v (%d/%d components anchored)",
-				refStats, gotStats, pf.Anchored(), pf.Anchored()+pf.Unanchored()),
-		}
-	}
-	got := make([]Event, 0, len(pf.Reports()))
-	for _, r := range pf.Reports() {
-		got = append(got, Event{Offset: r.Offset, Code: r.Code})
-	}
-	return diffStreams(PairSimVsPrefilter, canon(refEvs), canon(got))
-}
-
-// SimVsBitNFA checks 8-striding: the bit-level reference interpreter vs
-// sim executing the strided byte automaton. Stride8's mid-byte-report
-// error (non-byte-aligned pattern) is passed through; the generator never
-// produces such patterns.
-func SimVsBitNFA(ba *bitnfa.Automaton, input []byte) (*Divergence, error) {
-	strided, err := ba.Stride8()
-	if err != nil {
-		return nil, err
-	}
-	ref := make([]Event, 0, 8)
-	for _, oc := range ba.Simulate(input) {
-		ref = append(ref, Event{Offset: oc[0], Code: int32(oc[1])})
-	}
-	return diffStreams("sim-bitnfa", canon(ref), simEvents(strided, input)), nil
+	return splice(rng, draw(rng, anchorAlphabet, 0.85, n), witnesses)
 }

@@ -8,15 +8,21 @@ import (
 	"automatazoo/internal/regex"
 )
 
-// The fuzz targets wrap the differential oracles for go's native fuzzer.
-// Each takes a generator seed plus raw input bytes; the seed picks the
-// automaton, the bytes are mapped into the generator alphabet (fuzzers
-// mutate bytes blindly — left raw, almost nothing would ever match and the
-// oracle would compare empty streams). Seed corpora under testdata/fuzz/
-// execute on every plain `go test` run, so checked-in reproducers are
-// regression tests even when no -fuzz session is running.
+// The fuzz targets drive the matrix (every cell but crash-resume) under
+// go's native fuzzer. Each keeps its historical name, signature and
+// seed→generator mapping, so checked-in corpora still reproduce. Each
+// takes a generator seed plus raw input bytes; the seed picks the
+// automaton and the segmented cells' count, the bytes are mapped into the
+// generator alphabet (fuzzers mutate bytes blindly — left raw, almost
+// nothing would ever match and the oracle would compare empty streams).
+// Seed corpora under testdata/fuzz/ execute on every plain `go test` run,
+// so checked-in reproducers are regression tests even when no -fuzz
+// session is running.
 
 const maxFuzzInput = 4096
+
+// fuzzSegments is the segmented cells' count for a fuzz seed.
+func fuzzSegments(seed uint64) int { return 2 + int(seed%3) }
 
 // fuzzInput maps raw fuzz bytes into the generator alphabet, keeping a
 // fraction raw to exercise the no-match paths.
@@ -42,14 +48,7 @@ func FuzzSimVsDFA(f *testing.F) {
 	f.Fuzz(func(t *testing.T, seed uint64, raw []byte) {
 		cfg := GenConfig{}
 		a := Generate(randx.New(seed), cfg)
-		input := fuzzInput(raw, cfg)
-		d, err := SimVsDFA(a, input)
-		if err != nil {
-			t.Fatalf("seed %d: %v", seed, err)
-		}
-		if d != nil {
-			t.Fatalf("seed %d: %s", seed, d.String())
-		}
+		agree(t, check(a, fuzzInput(raw, cfg), fuzzSegments(seed), matrix()))
 	})
 }
 
@@ -61,17 +60,13 @@ func FuzzCompressPreservesReports(f *testing.F) {
 	f.Fuzz(func(t *testing.T, seed uint64, raw []byte) {
 		cfg := GenConfig{Counters: 2 + int(seed%3)}
 		a := Generate(randx.New(seed), cfg)
-		input := fuzzInput(raw, cfg)
-		if d := SimVsCompressed(a, input); d != nil {
-			t.Fatalf("seed %d: %s", seed, d.String())
-		}
+		agree(t, check(a, fuzzInput(raw, cfg), fuzzSegments(seed), matrix()))
 	})
 }
 
-// FuzzSeqVsSegmented drives the segment-parallel scanner's byte-identity
-// contract: for any generated automaton (counter-free or counter-bearing,
-// chosen by the seed) and any input, the stitched stats and report
-// multiset must equal one sequential engine's, at a segment count and
+// FuzzSeqVsSegmented picks the segmented cells' count itself: for any
+// generated automaton (counter-free or counter-bearing, chosen by the
+// seed) and any input, every cell must agree at a segment count and
 // deliberately tiny warmup that exercise both the commit and replay
 // stitch paths.
 func FuzzSeqVsSegmented(f *testing.F) {
@@ -83,18 +78,12 @@ func FuzzSeqVsSegmented(f *testing.F) {
 	f.Fuzz(func(t *testing.T, seed uint64, nseg uint8, raw []byte) {
 		cfg := GenConfig{Counters: int(seed % 3)} // 0 = speculative, >0 = cascade
 		a := Generate(randx.New(seed), cfg)
-		input := fuzzInput(raw, cfg)
-		segments := 2 + int(nseg%7)
-		if d := SeqVsSegmented(a, input, segments); d != nil {
-			t.Fatalf("seed %d segments %d: %s", seed, segments, d.String())
-		}
+		agree(t, check(a, fuzzInput(raw, cfg), 2+int(nseg%7), matrix()))
 	})
 }
 
-// FuzzSimVsPrefilter drives the two-stage literal prefilter's exactness
-// contract: for any anchorable automaton (chosen by the seed) and any
-// input, the prefilter's Stats and report multiset must equal sim's. The
-// seed also picks between the anchorable generator (the two-stage path)
+// FuzzSimVsPrefilter aims the matrix at the two-stage literal prefilter:
+// the seed picks between the anchorable generator (the two-stage path)
 // and the generic one (residual pass-through, sometimes with counters),
 // so both halves of the engine fuzz from one target.
 func FuzzSimVsPrefilter(f *testing.F) {
@@ -131,9 +120,7 @@ func FuzzSimVsPrefilter(f *testing.F) {
 			a = Generate(randx.New(seed), cfg)
 			input = fuzzInput(raw, cfg)
 		}
-		if d := SimVsPrefilter(a, input); d != nil {
-			t.Fatalf("seed %d: %s", seed, d.String())
-		}
+		agree(t, check(a, input, fuzzSegments(seed), matrix()))
 	})
 }
 
@@ -158,18 +145,18 @@ func FuzzRegexCompile(f *testing.F) {
 		if len(input) > maxFuzzInput {
 			input = input[:maxFuzzInput]
 		}
-		// Glushkov output is counter-free, so the sim-dfa oracle applies.
-		// The compressed pair deliberately does not: a pattern like "a|a"
-		// yields two reporting positions sharing one code, which
-		// prefix-merge collapses — match-set preserving, but not
-		// report-multiset preserving. Only unique-code automata (the
-		// generator's) get the multiset bar.
-		d, err := SimVsDFA(a, input)
-		if err != nil {
-			t.Fatalf("pattern %q: %v", pattern, err)
+		// Glushkov output is counter-free, so every engine applies. The
+		// merge cells deliberately do not: a pattern like "a|a" yields two
+		// reporting positions sharing one code, which prefix-merge
+		// collapses — match-set preserving, but not report-multiset
+		// preserving. Only unique-code automata (the generator's) get the
+		// multiset bar.
+		var cells []cell
+		for _, c := range matrix() {
+			if !c.merge {
+				cells = append(cells, c)
+			}
 		}
-		if d != nil {
-			t.Fatalf("pattern %q: %s", pattern, d.String())
-		}
+		agree(t, check(a, input, 3, cells))
 	})
 }

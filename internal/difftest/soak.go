@@ -2,213 +2,93 @@ package difftest
 
 import (
 	"automatazoo/internal/ckpt"
-	"automatazoo/internal/dfa"
 	"automatazoo/internal/randx"
 )
 
-// Pair names for SoakConfig.Pairs and Divergence.Pair.
-const (
-	PairSimDFA            = "sim-dfa"
-	PairSimCompressed     = "sim-compressed"
-	PairSimBitNFA         = "sim-bitnfa"
-	PairSeqVsSegmented    = "seq-segmented"
-	PairSimVsPrefilter    = "seq-prefilter"
-	PairStraightVsResumed = "straight-vs-resumed"
-)
-
-// AllPairs lists every oracle pair in canonical order.
-var AllPairs = []string{PairSimDFA, PairSimCompressed, PairSimBitNFA, PairSeqVsSegmented, PairSimVsPrefilter, PairStraightVsResumed}
-
 // SoakConfig parameterizes a soak run.
 type SoakConfig struct {
-	Seeds    int      // number of independent trials (default 100)
-	States   int      // STE count per generated automaton (default 12)
-	InputLen int      // input length per trial (default 512)
-	Seed     uint64   // base seed; trial i uses Seed+i
-	Pairs    []string // subset of AllPairs; nil = all
-
-	// ForceDFAFallback runs the sim-dfa pair with every component degraded
-	// to NFA stepping from the start (dfa.Options.ForceNFAFallback) — the
-	// oracle for the engine's graceful-degradation contract: the fallback
-	// path must emit the exact same report stream as both sim and the
-	// cached-DFA path.
-	ForceDFAFallback bool
-}
-
-// PairStat summarizes one oracle pair's coverage across a soak.
-type PairStat struct {
-	Runs    int   `json:"runs"`    // oracle invocations
-	Reports int64 `json:"reports"` // reference-stream events compared
+	Seeds    int    // number of independent trials
+	States   int    // STE count per generated automaton (default 12)
+	InputLen int    // input length per trial
+	Seed     uint64 // base seed; trial i uses Seed+i
 }
 
 // SoakResult is the JSON-serializable outcome of a soak run.
 type SoakResult struct {
 	Seeds       int                 `json:"seeds"`
 	BaseSeed    uint64              `json:"base_seed"`
-	Pairs       map[string]PairStat `json:"pairs"`
+	Cells       map[string]CellStat `json:"cells"`
 	Divergences []Divergence        `json:"divergences"`
 }
 
-// Ok reports whether the soak found no divergences.
-func (r SoakResult) Ok() bool { return len(r.Divergences) == 0 }
+func (r *SoakResult) record(seed uint64, vs ...verdict) {
+	for _, v := range vs {
+		st := r.Cells[v.cell]
+		st.add(v.stat)
+		r.Cells[v.cell] = st
+		if v.div != nil {
+			v.div.Seed = seed
+			r.Divergences = append(r.Divergences, *v.div)
+		}
+	}
+}
 
 // Soak runs cfg.Seeds independent trials. Each trial derives everything
 // from randx.New(cfg.Seed + i), so any divergence reproduces from the seed
-// recorded on it. Per trial:
+// recorded on it. Per trial, with N = 2 + i%3 segments:
 //
-//   - a counter-free automaton is checked sim-vs-dfa and sim-vs-compressed;
-//   - a counter-bearing automaton (including counter→counter chains, per
-//     the generator's uniform edge targets) is checked sim-vs-compressed —
-//     dfa cannot execute counters, so that pair is excluded by type, and
-//     prefix-merge must leave counter behavior untouched;
-//   - a bit-level automaton is checked sim-vs-bitnfa (reference bit
-//     interpreter vs the 8-strided byte automaton under sim);
-//   - a counter-free AND a counter-bearing automaton are checked
-//     seq-vs-segmented (the segment-parallel scanner's stitched stats and
-//     report multiset vs one sequential engine), over a segment count that
-//     varies with the trial index.
+//   - every matrix cell scans a counter-free automaton and a
+//     counter-bearing one (including counter→counter chains; the dfa cells
+//     are not applicable), then on even trials a deep one whose frontiers
+//     outlive the segment warmup (its dense frontiers make it the costliest,
+//     so on a quarter of the input) and on odd trials an anchorable one
+//     with spliced witness matches (the prefilter's two-stage path proper);
+//   - the bit-level trial checks bitnfa against the 8-strided automaton;
+//   - one crash-resume cell runs, its engine (nfa, prefilter, dfa) and its
+//     (workers, segments) shape rotating with the trial index, on an input
+//     several checkpoint intervals long so kills land mid-stream.
 //
-// Trials run sequentially: determinism is the point, and the whole default
-// soak is sub-second.
+// Trials run sequentially: determinism is the point.
 func Soak(cfg SoakConfig) SoakResult {
-	if cfg.Seeds <= 0 {
-		cfg.Seeds = 100
+	res := SoakResult{Seeds: cfg.Seeds, BaseSeed: cfg.Seed, Cells: map[string]CellStat{}, Divergences: []Divergence{}}
+	cells := matrix()
+	// deep automata match almost every byte from almost no all-input
+	// start, so their frontiers outlive the warmup and speculation
+	// replays; the other generators' frontiers converge within it.
+	deep := GenConfig{States: cfg.States, Density: 0.9, StartFrac: 0.01, Alphabet: make([]byte, 256)}
+	for b := range deep.Alphabet {
+		deep.Alphabet[b] = byte(b)
 	}
-	if cfg.InputLen <= 0 {
-		cfg.InputLen = 512
-	}
-	pairs := cfg.Pairs
-	if len(pairs) == 0 {
-		pairs = AllPairs
-	}
-	want := map[string]bool{}
-	for _, p := range pairs {
-		want[p] = true
-	}
-
-	res := SoakResult{
-		Seeds:    cfg.Seeds,
-		BaseSeed: cfg.Seed,
-		Pairs:    map[string]PairStat{},
-	}
-	record := func(pair string, seed uint64, refEvents int, d *Divergence) {
-		st := res.Pairs[pair]
-		st.Runs++
-		st.Reports += int64(refEvents)
-		res.Pairs[pair] = st
-		if d != nil {
-			d.Seed = seed
-			res.Divergences = append(res.Divergences, *d)
-		}
-	}
-
 	for i := 0; i < cfg.Seeds; i++ {
 		seed := cfg.Seed + uint64(i)
 		rng := randx.New(seed)
+		segments := 2 + i%3
 
-		if want[PairSimDFA] || want[PairSimCompressed] {
-			cfgFree := GenConfig{States: cfg.States}
-			a := Generate(rng.Fork(), cfgFree)
-			input := GenInput(rng.Fork(), cfgFree, cfg.InputLen)
-			ref := simEvents(a, input)
-			if want[PairSimDFA] {
-				d, err := SimVsDFAWithOptions(a, input, dfa.Options{
-					ForceNFAFallback: cfg.ForceDFAFallback,
-				})
-				if err != nil {
-					// Counter-free by construction; an error here is a bug.
-					record(PairSimDFA, seed, len(ref), &Divergence{
-						Pair: PairSimDFA, Offset: -1, Detail: "dfa.New: " + err.Error(),
-					})
-				} else {
-					record(PairSimDFA, seed, len(ref), d)
-				}
-			}
-			if want[PairSimCompressed] {
-				record(PairSimCompressed, seed, len(ref), SimVsCompressed(a, input))
-			}
+		for _, g := range []GenConfig{{States: cfg.States}, {States: cfg.States, Counters: 1 + i%3}} {
+			a := Generate(rng.Fork(), g)
+			res.record(seed, check(a, GenInput(rng.Fork(), g, cfg.InputLen), segments, cells)...)
 		}
-
-		if want[PairSimCompressed] {
-			cfgCtr := GenConfig{States: cfg.States, Counters: 2 + i%3}
-			a := Generate(rng.Fork(), cfgCtr)
-			input := GenInput(rng.Fork(), cfgCtr, cfg.InputLen)
-			record(PairSimCompressed, seed, len(simEvents(a, input)), SimVsCompressed(a, input))
-		}
-
-		if want[PairSimBitNFA] {
-			ba, witnesses := GenerateBit(rng.Fork(), BitGenConfig{})
-			input := GenBitInput(rng.Fork(), witnesses, min(cfg.InputLen, 256))
-			d, err := SimVsBitNFA(ba, input)
-			refEvents := len(ba.Simulate(input))
-			if err != nil {
-				// The generator only emits byte-aligned patterns; a
-				// mid-byte-report error is itself a divergence.
-				record(PairSimBitNFA, seed, refEvents, &Divergence{
-					Pair: PairSimBitNFA, Offset: -1, Detail: "Stride8: " + err.Error(),
-				})
-			} else {
-				record(PairSimBitNFA, seed, refEvents, d)
-			}
-		}
-
-		// Appended last so the earlier pairs' rng derivation streams are
-		// unchanged by this pair's existence (seed-stable soak history).
-		if want[PairSeqVsSegmented] {
-			segments := 2 + i%3
-			cfgFree := GenConfig{States: cfg.States}
-			a := Generate(rng.Fork(), cfgFree)
-			input := GenInput(rng.Fork(), cfgFree, cfg.InputLen)
-			record(PairSeqVsSegmented, seed, len(simEvents(a, input)), SeqVsSegmented(a, input, segments))
-
-			cfgCtr := GenConfig{States: cfg.States, Counters: 1 + i%3}
-			ac := Generate(rng.Fork(), cfgCtr)
-			inputC := GenInput(rng.Fork(), cfgCtr, cfg.InputLen)
-			record(PairSeqVsSegmented, seed, len(simEvents(ac, inputC)), SeqVsSegmented(ac, inputC, segments))
-		}
-
-		// Appended last (same seed-stability rule as above). Three trials
-		// per seed: an anchorable automaton with spliced witness matches
-		// (the two-stage path proper), a generic counter-free automaton
-		// (mostly residual pass-through), and a counter-bearing one (counter
-		// components always route to the residual).
-		if want[PairSimVsPrefilter] {
+		if i%2 == 0 {
+			a := Generate(rng.Fork(), deep)
+			res.record(seed, check(a, GenInput(rng.Fork(), deep, cfg.InputLen/4), segments, cells)...)
+		} else {
 			a, wit := GenAnchorable(rng.Fork())
-			input := GenAnchorableInput(rng.Fork(), wit, cfg.InputLen)
-			record(PairSimVsPrefilter, seed, len(simEvents(a, input)), SimVsPrefilter(a, input))
-
-			cfgFree := GenConfig{States: cfg.States}
-			ag := Generate(rng.Fork(), cfgFree)
-			inputG := GenInput(rng.Fork(), cfgFree, cfg.InputLen)
-			record(PairSimVsPrefilter, seed, len(simEvents(ag, inputG)), SimVsPrefilter(ag, inputG))
-
-			cfgCtr := GenConfig{States: cfg.States, Counters: 1 + i%2}
-			ac := Generate(rng.Fork(), cfgCtr)
-			inputC := GenInput(rng.Fork(), cfgCtr, cfg.InputLen)
-			record(PairSimVsPrefilter, seed, len(simEvents(ac, inputC)), SimVsPrefilter(ac, inputC))
+			res.record(seed, check(a, GenAnchorableInput(rng.Fork(), wit, cfg.InputLen), segments, cells)...)
 		}
 
-		// Appended last (same seed-stability rule). One trial per seed:
-		// a checkpointed scan killed at seed-chosen save points and
-		// resumed must reproduce the uninterrupted run's report sequence,
-		// stats, and registry exactly. The (workers, segments) shape and
-		// the engine (sim / prefilter) rotate with the trial index so
-		// both the sequential Checkpointer seam and the chunked
-		// segment-parallel save path soak at every execution shape; the
-		// input spans several checkpoint intervals so kills land mid-
-		// stream, not trivially before the first save.
-		if want[PairStraightVsResumed] {
-			combos := [4][2]int{{1, 1}, {4, 1}, {1, 4}, {4, 4}}
-			wk, sg := combos[i%4][0], combos[i%4][1]
-			usePrefilter := i%2 == 1
-			interval := int64(ckpt.ChunkAlign) * int64(1+i%2)
-			cfgRes := GenConfig{States: cfg.States, Counters: i % 3}
-			a := Generate(rng.Fork(), cfgRes)
-			n := 6*ckpt.ChunkAlign + 512 + 256*(i%5)
-			input := GenInput(rng.Fork(), cfgRes, n)
-			record(PairStraightVsResumed, seed, len(simEvents(a, input)),
-				StraightVsResumed(a, input, wk, sg, usePrefilter, interval, seed))
+		ba, bwit := GenerateBit(rng.Fork())
+		res.record(seed, checkBit(ba, GenBitInput(rng.Fork(), bwit, min(cfg.InputLen, 256))))
+
+		shape := [4][2]int{{1, 1}, {4, 1}, {1, 4}, {4, 4}}[i%4]
+		c := cell{engine: engines[i%3], workers: shape[0], segmented: shape[1] > 1} // nfa, prefilter, dfa
+		crash := GenConfig{States: cfg.States}
+		if c.name != "dfa" { // dfa rejects counters
+			crash.Counters = (i / 3) % 3
 		}
+		a := Generate(rng.Fork(), crash)
+		input := GenInput(rng.Fork(), crash, 6*ckpt.ChunkAlign+512+256*(i%5))
+		interval := int64(ckpt.ChunkAlign) * int64(1+i%2)
+		res.record(seed, c.crashResume(a, input, shape[1], interval, seed))
 	}
 	return res
 }

@@ -74,7 +74,7 @@ const (
 	BudgetSignaled = "signaled"
 	// BudgetCrashed marks an injected process death (the `crash:` fault
 	// kind): the checkpoint saver aborts *instead of* completing the save,
-	// simulating kill -9 at a save boundary for the crash-soak harness.
+	// simulating kill -9 at a save boundary for the crash-resume oracle.
 	BudgetCrashed = "crashed"
 )
 

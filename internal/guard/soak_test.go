@@ -68,7 +68,7 @@ func governedRun(p *partition.Plan, input []byte, workers int, spec string, spec
 	return faultClass{Kind: "ok"}, reports, nil
 }
 
-// TestFaultSoak is the resilience acceptance gate (`make fault-soak` runs
+// TestFaultSoak is the resilience acceptance gate (`make soak` runs
 // it at 200 seeds): for every seed, a random automaton takes a
 // deterministically chosen injected fault — panic, deadline, or budget
 // trip, at a sim-chunk or slice boundary — under a governed parallel run.

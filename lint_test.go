@@ -622,12 +622,16 @@ func TestDispatchMatchesUsage(t *testing.T) {
 }
 
 // scanPathViolations is TestOneScanPath's detector over one parsed file of
-// directory dir: imports banned there, and — outside internal/scan — any
-// assignment of a checkpoint saver's Capture.
+// directory dir: imports and package-function calls banned there, and —
+// outside internal/scan — any assignment of a checkpoint saver's Capture.
 func scanPathViolations(fset *token.FileSet, f *ast.File, dir string) []string {
 	banned := map[string][]string{
-		"internal/ckpt": {"automatazoo/internal/dfa"},
-		"cmd/azoo":      {"automatazoo/internal/dfa", "automatazoo/internal/segment", "automatazoo/internal/prefilter"},
+		"internal/ckpt":     {"automatazoo/internal/dfa"},
+		"cmd/azoo":          {"automatazoo/internal/dfa", "automatazoo/internal/segment", "automatazoo/internal/prefilter"},
+		"internal/difftest": {"automatazoo/internal/prefilter", "automatazoo/internal/partition"},
+	}
+	bannedCalls := map[string][]string{
+		"internal/difftest": {"segment.Run", "sim.New"},
 	}
 	var violations []string
 	for _, imp := range f.Imports {
@@ -643,6 +647,12 @@ func scanPathViolations(fset *token.FileSet, f *ast.File, dir string) []string {
 	}
 	ast.Inspect(f, func(n ast.Node) bool {
 		switch v := n.(type) {
+		case *ast.CallExpr:
+			if sel, ok := v.Fun.(*ast.SelectorExpr); ok {
+				if x, ok := sel.X.(*ast.Ident); ok && slices.Contains(bannedCalls[dir], x.Name+"."+sel.Sel.Name) {
+					violations = append(violations, fset.Position(v.Pos()).String()+": "+dir+" calls "+x.Name+"."+sel.Sel.Name)
+				}
+			}
 		case *ast.AssignStmt:
 			for _, lhs := range v.Lhs {
 				if sel, ok := lhs.(*ast.SelectorExpr); ok && sel.Sel.Name == "Capture" {
@@ -671,7 +681,9 @@ func scanPathViolations(fset *token.FileSet, f *ast.File, dir string) []string {
 // benchmark's streams, for every engine, layout and checkpoint. Its
 // enforcement: the checkpoint format does not know the dfa engine;
 // cmd/azoo reaches no engine and no segment scanner except through scan;
-// and only scan decides what a checkpoint holds (no other non-test code
+// the differential oracle drives its cells through scan too (no
+// prefilter or partition import, no segment.Run or sim.New call); and
+// only scan decides what a checkpoint holds (no other non-test code
 // assigns ckpt.Saver.Capture).
 func TestOneScanPath(t *testing.T) {
 	// Canary: the detector must catch every class, or the walk below
@@ -680,6 +692,7 @@ func TestOneScanPath(t *testing.T) {
 	canary, err := parser.ParseFile(fset, "canary.go", `package canary
 import (
 	"automatazoo/internal/dfa"
+	"automatazoo/internal/partition"
 	"automatazoo/internal/prefilter"
 	"automatazoo/internal/segment"
 )
@@ -687,12 +700,15 @@ func bad(sv *ckpt.Saver) {
 	sv.Capture = nil
 	_ = &ckpt.Saver{Path: "f", Capture: nil}
 	_ = &ckpt.Checkpoint{Meta: ckpt.Meta{}}
+	segment.Run(nil, nil, nil, segment.Options{})
+	_ = sim.New(nil)
+	_ = dfa.New(nil)
 }
 `, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for dir, want := range map[string]int{"cmd/azoo": 5, "internal/ckpt": 3, "internal/scan": 0, "internal/stats": 2} {
+	for dir, want := range map[string]int{"cmd/azoo": 5, "internal/ckpt": 3, "internal/scan": 0, "internal/stats": 2, "internal/difftest": 6} {
 		if got := scanPathViolations(fset, canary, dir); len(got) != want {
 			t.Fatalf("canary as %s: detector found %d of %d planted violations: %v", dir, len(got), want, got)
 		}
@@ -703,5 +719,64 @@ func bad(sv *ckpt.Saver) {
 		for _, v := range scanPathViolations(fset, f, filepath.Dir(path)) {
 			t.Errorf("second scan path: %s", v)
 		}
+	}
+}
+
+// orphanPackages returns the internal/ packages among files (non-test
+// files keyed by slash path) that no non-test file in cmd/, internal/ or
+// examples/ outside the package's own directory imports.
+func orphanPackages(files map[string]*ast.File) []string {
+	pkgs, imported := map[string]bool{}, map[string]bool{}
+	for path, f := range files {
+		dir := filepath.ToSlash(filepath.Dir(path))
+		if strings.HasPrefix(dir, "internal/") {
+			pkgs[dir] = true
+		}
+		if !strings.HasPrefix(dir, "cmd/") && !strings.HasPrefix(dir, "internal/") && !strings.HasPrefix(dir, "examples/") {
+			continue
+		}
+		for _, imp := range f.Imports {
+			if p := strings.TrimPrefix(strings.Trim(imp.Path.Value, `"`), "automatazoo/"); p != dir {
+				imported[p] = true
+			}
+		}
+	}
+	var orphans []string
+	for p := range pkgs {
+		if !imported[p] {
+			orphans = append(orphans, p)
+		}
+	}
+	slices.Sort(orphans)
+	return orphans
+}
+
+// Every internal/ package earns its place: some non-test code outside it
+// imports it. A package only its own tests run is dead code.
+func TestEveryInternalPackageIsImported(t *testing.T) {
+	// Canary: internal/a imports internal/b, internal/c imports only
+	// itself and the root imports internal/a — so a and c are orphans.
+	fset := token.NewFileSet()
+	canary := map[string]*ast.File{}
+	for path, src := range map[string]string{
+		"internal/a/a.go":  `package a; import _ "automatazoo/internal/b"`,
+		"internal/b/b.go":  `package b`,
+		"internal/c/c.go":  `package c; import _ "automatazoo/internal/c"`,
+		"internal/c/c2.go": `package c`,
+		"doc.go":           `package automatazoo; import _ "automatazoo/internal/a"`,
+	} {
+		f, err := parser.ParseFile(fset, path, src, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		canary[path] = f
+	}
+	if got, want := orphanPackages(canary), []string{"internal/a", "internal/c"}; !slices.Equal(got, want) {
+		t.Fatalf("canary: detector found orphans %v, want %v", got, want)
+	}
+
+	_, files := goFiles(t, ".", false)
+	for _, p := range orphanPackages(files) {
+		t.Errorf("%s has no non-test importer in cmd/, internal/ or examples/: use it or delete it", p)
 	}
 }
