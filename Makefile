@@ -24,7 +24,7 @@ vet:
 # a refactor that breaks it silently costs every per-layer benchmark
 # metric. Build, vet and smoke-test it here. The telemetry-overhead budget
 # (<2%) is judged against its hooks.overhead_ratio.* probes and is NOT met
-# today (seed: 1.20 nfa / 1.16 dfa / 1.10 prefilter; ROADMAP item 10a).
+# today (seed: 1.20 nfa / 1.16 dfa / 1.10 prefilter; ROADMAP item 12).
 bench-module:
 	$(GO) build -C bench ./...
 	$(GO) vet -C bench ./...

@@ -95,10 +95,7 @@ func degradedMark(fallbacks int) string {
 
 // openSession materializes the telemetry flags into a session and the
 // governor flags into its governor (when any budget or fault rule is
-// armed), then arms the stall watchdog and the signal drain. A
-// -stall-after with no budgets still needs a governor — the watchdog trips
-// it to release stalled workers — so one is created with an empty budget
-// in that case.
+// armed), then arms the stall watchdog and the signal drain.
 func openSession(tf *telFlags, gf *guardFlags) (*obsSession, error) {
 	sess, err := tf.session()
 	if err != nil {
@@ -107,9 +104,6 @@ func openSession(tf *telFlags, gf *guardFlags) (*obsSession, error) {
 	gov, err := gf.governor(context.Background())
 	if err != nil {
 		return nil, err
-	}
-	if gov == nil && sess.stallAfter > 0 {
-		gov = guard.New(context.Background(), guard.Budget{})
 	}
 	sess.Governor = gov
 	sess.armWatchdog()

@@ -69,6 +69,8 @@ func cmdProfile(args []string) error {
 	if sess.Registry == nil {
 		sess.Registry = telemetry.NewRegistry()
 	}
+	sess.armWatchdog()
+	h := sess.hooks(b.Name)
 
 	// The attributed build carries the provenance map that turns the
 	// heatmap's bare state indices into pattern names.
@@ -78,26 +80,33 @@ func cmdProfile(args []string) error {
 	}
 	e := sim.New(a)
 	prof := e.EnableProfile()
-	e.Attach(sess.EngineSet())
+	e.Attach(h.EngineSet())
 	// Per-segment scan latency feeds a histogram so the profile can report
 	// tail quantiles, not just totals — segments are this workload's unit
 	// of work (packets, classifications, reads).
 	lat := sess.Registry.Histogram("profile.segment_nanos", telemetry.ExpBuckets(1<<10, 40))
 	for _, seg := range segs {
+		h.Progress.AddTotal(int64(len(seg)))
+	}
+	for _, seg := range segs {
 		e.Reset()
 		start := time.Now()
-		e.Run(seg)
+		_, err := e.RunChecked(seg)
 		lat.Observe(time.Since(start).Nanoseconds())
+		if err != nil {
+			return sess.closeTruncated(err)
+		}
 	}
+	h.Progress.Done()
 	dyn := stats.DynamicFromRegistry(sess.Registry)
 	_, comp := a.Components()
 
 	fmt.Printf("%s (%s): %d states, %d subgraphs\n", b.Name, b.Domain, a.NumStates(), countSubgraphs(comp))
 	fmt.Printf("symbols %d, reports %d (%.6f/sym), active set %.2f, enabled set %.2f\n",
 		dyn.Symbols, dyn.Reports, dyn.ReportRate, dyn.ActiveSet, dyn.EnabledSet)
-	h := sess.Registry.Histogram("sim.frontier", nil)
+	fh := sess.Registry.Histogram("sim.frontier", nil)
 	fmt.Printf("enabled frontier: mean %.2f, max %d (p50 %.0f, p90 %.0f, p99 %.0f)\n",
-		h.Mean(), h.Max(), h.Quantile(0.50), h.Quantile(0.90), h.Quantile(0.99))
+		fh.Mean(), fh.Max(), fh.Quantile(0.50), fh.Quantile(0.90), fh.Quantile(0.99))
 	fmt.Printf("segment latency: p50 %s, p90 %s, p99 %s, max %s (%d segments)\n\n",
 		nanosStr(lat.Quantile(0.50)), nanosStr(lat.Quantile(0.90)),
 		nanosStr(lat.Quantile(0.99)), nanosStr(float64(lat.Max())), lat.Count())

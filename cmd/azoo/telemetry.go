@@ -182,12 +182,16 @@ func printProgress(p *telemetry.Progress) {
 }
 
 // armWatchdog starts the stall watchdog when -stall-after is set. Called
-// by openSession after the governor is attached: on a stall the watchdog
-// dumps the postmortem and trips the governor, which releases workers
-// parked at their next boundary check.
+// after the governor is attached: on a stall the watchdog dumps the
+// postmortem and trips the governor, which releases workers parked at
+// their next boundary check. A -stall-after with no budgets still needs a
+// governor to trip, so one is created with an empty budget in that case.
 func (s *obsSession) armWatchdog() {
 	if s == nil || s.stallAfter <= 0 || s.prog == nil {
 		return
+	}
+	if s.Governor == nil {
+		s.Governor = guard.New(context.Background(), guard.Budget{})
 	}
 	quiet := s.stallAfter
 	s.watchdog = telemetry.NewWatchdog(s.prog, quiet, func(r telemetry.StallReport) {

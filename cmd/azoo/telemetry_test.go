@@ -138,3 +138,18 @@ func TestStallWatchdogEndToEnd(t *testing.T) {
 		t.Errorf("exit code = %d, want %d", exitCode(err), exitTruncated)
 	}
 }
+
+// `azoo profile` honors the live-ops flags it registers: its scan runs
+// under the session's per-kernel hooks with the watchdog armed, so a
+// -stall-after far below the watchdog's 10ms poll trips the run as a
+// stalled truncation.
+func TestProfileArmsStallWatchdog(t *testing.T) {
+	err := cmdProfile([]string{"snort", "-scale", "0.01", "-input", "3000000", "-stall-after", "1ns"})
+	trip := guard.AsTrip(err)
+	if trip == nil || trip.Budget != guard.BudgetStalled {
+		t.Fatalf("cmdProfile returned %v, want a stall trip", err)
+	}
+	if exitCode(err) != exitTruncated {
+		t.Errorf("exit code = %d, want %d", exitCode(err), exitTruncated)
+	}
+}

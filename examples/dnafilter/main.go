@@ -59,7 +59,7 @@ func main() {
 	copy(genome[2000:], del)
 
 	report := func(name string, e *sim.Engine) {
-		found := map[int32][]int64{}
+		found := make([][]int64, nPatterns) // indexed by report code
 		e.OnReport = func(r sim.Report) {
 			if offs := found[r.Code]; len(offs) == 0 || offs[len(offs)-1] != r.Offset {
 				found[r.Code] = append(offs, r.Offset)
@@ -67,10 +67,14 @@ func main() {
 		}
 		e.Run(genome)
 		fmt.Printf("\n%s matches:\n", name)
+		none := true
 		for code, offs := range found {
-			fmt.Printf("  pattern %d at offsets %v\n", code, offs)
+			if len(offs) > 0 {
+				fmt.Printf("  pattern %d at offsets %v\n", code, offs)
+				none = false
+			}
 		}
-		if len(found) == 0 {
+		if none {
 			fmt.Println("  none")
 		}
 	}

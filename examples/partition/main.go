@@ -7,8 +7,10 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
+	"slices"
 
 	"automatazoo/internal/clamav"
 	"automatazoo/internal/partition"
@@ -40,15 +42,20 @@ func main() {
 		log.Fatal(err)
 	}
 
-	// Sequential multi-pass scan.
+	// Sequential multi-pass scan: one worker runs the passes in order.
 	merged := map[int32]bool{}
-	res, err := plan.RunSequential(img, func(r sim.Report) { merged[r.Code] = true })
+	res, err := plan.RunParallel(context.Background(), 1, img, func(r sim.Report) { merged[r.Code] = true })
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("\nmulti-pass scan: %d passes × %d bytes, %d reports\n",
 		res.Passes, len(img), res.Reports)
+	codes := make([]int32, 0, len(merged))
 	for code := range merged {
+		codes = append(codes, code)
+	}
+	slices.Sort(codes)
+	for _, code := range codes {
 		fmt.Printf("  detected %s\n", sigs[code].Name)
 	}
 

@@ -41,11 +41,12 @@ func main() {
 
 	// VASim-style NFA interpretation: cycle-accurate, reports offsets.
 	e := sim.New(a)
-	e.CollectReports = true
+	var reports []sim.Report
+	e.OnReport = func(r sim.Report) { reports = append(reports, r) }
 	st := e.Run(input)
 	fmt.Printf("\nNFA engine: %d symbols, active set %.2f, %d reports\n",
 		st.Symbols, st.ActiveAvg(), st.Reports)
-	for _, r := range e.Reports() {
+	for _, r := range reports {
 		fmt.Printf("  pattern %q matched ending at offset %d\n",
 			patterns[r.Code], r.Offset)
 	}
@@ -55,7 +56,6 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	d.CollectReports = true
 	ds := d.Run(input)
 	fmt.Printf("\nDFA engine: %d interned DFA states, %d reports (identical match set)\n",
 		ds.DFAStates, ds.Reports)

@@ -36,16 +36,19 @@ func main() {
 	}
 
 	e := sim.New(a)
-	e.CollectReports = true
+	seen := map[int32]bool{}
+	var first []sim.Report // each signature's first report, in stream order
+	e.OnReport = func(r sim.Report) {
+		if !seen[r.Code] {
+			seen[r.Code] = true
+			first = append(first, r)
+		}
+	}
 	st := e.Run(img)
 	fmt.Printf("\nscanned %d bytes: %d reports, active set %.1f states/symbol\n",
 		st.Symbols, st.Reports, st.ActiveAvg())
-	seen := map[int32]bool{}
-	for _, r := range e.Reports() {
-		if !seen[r.Code] {
-			seen[r.Code] = true
-			fmt.Printf("  VIRUS %s at offset %d\n", sigs[r.Code].Name, r.Offset)
-		}
+	for _, r := range first {
+		fmt.Printf("  VIRUS %s at offset %d\n", sigs[r.Code].Name, r.Offset)
 	}
 	if len(seen) == 0 {
 		fmt.Println("  no infections found")

@@ -216,14 +216,6 @@ func (m *Matcher) child(u int32, c byte) (int32, bool) {
 	return m.edgeTo[lo+int32(k)], true
 }
 
-// Scan finds all occurrences of all patterns in input, in end-offset
-// order. For large result sets prefer ScanFunc.
-func (m *Matcher) Scan(input []byte) []Match {
-	var out []Match
-	m.ScanFunc(input, func(mt Match) { out = append(out, mt) })
-	return out
-}
-
 // ScanFunc streams matches to fn.
 func (m *Matcher) ScanFunc(input []byte, fn func(Match)) {
 	state := int32(0)
@@ -296,6 +288,3 @@ func (m *Matcher) Count(input []byte) []int64 {
 	m.ScanFunc(input, func(mt Match) { counts[mt.Pattern]++ })
 	return counts
 }
-
-// PatternLen returns the length of pattern i.
-func (m *Matcher) PatternLen(i int) int { return m.lens[i] }

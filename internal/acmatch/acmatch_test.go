@@ -31,9 +31,7 @@ func checkAgainstNaive(t *testing.T, patterns [][]byte, input []byte) {
 		t.Fatal(err)
 	}
 	got := map[Match]int{}
-	for _, mt := range m.Scan(input) {
-		got[mt]++
-	}
+	m.ScanFunc(input, func(mt Match) { got[mt]++ })
 	want := naiveMatches(patterns, input)
 	if len(got) != len(want) {
 		t.Fatalf("match sets differ: got %d want %d\ngot=%v\nwant=%v", len(got), len(want), got, want)
@@ -66,7 +64,8 @@ func TestDuplicatePatterns(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ms := m.Scan([]byte("ab"))
+	var ms []Match
+	m.ScanFunc([]byte("ab"), func(mt Match) { ms = append(ms, mt) })
 	if len(ms) != 2 {
 		t.Fatalf("duplicates should both report: %v", ms)
 	}
@@ -87,7 +86,7 @@ func TestCount(t *testing.T) {
 	if counts[0] != 2 || counts[1] != 2 {
 		t.Fatalf("counts=%v", counts)
 	}
-	if m.PatternLen(0) != 2 || m.PatternLen(1) != 1 {
+	if m.lens[0] != 2 || m.lens[1] != 1 {
 		t.Fatal("pattern lengths wrong")
 	}
 }

@@ -55,10 +55,6 @@ const Unattributed = "(unattributed)"
 // reserved unattributed bucket).
 func (p *Provenance) NumPatterns() int { return len(p.patterns) }
 
-// Patterns returns the pattern list in ID order. Callers must not modify
-// it.
-func (p *Provenance) Patterns() []Pattern { return p.patterns }
-
 // NumStates returns the number of automaton states the provenance covers.
 func (p *Provenance) NumStates() int { return len(p.origins) }
 

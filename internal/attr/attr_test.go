@@ -40,7 +40,7 @@ func TestRangesDedupeAndEmpty(t *testing.T) {
 	if p.NumPatterns() != 2 {
 		t.Fatalf("patterns=%d want 2 (repeated name must not fork, empty must drop)", p.NumPatterns())
 	}
-	if got := p.Patterns()[0].Name; got != "a" {
+	if got := p.patterns[0].Name; got != "a" {
 		t.Fatalf("pattern 0 = %q", got)
 	}
 	for s := 0; s < 4; s++ {
@@ -157,7 +157,7 @@ func TestFromComponents(t *testing.T) {
 	if p.NumPatterns() != 2 {
 		t.Fatalf("patterns=%d want 2", p.NumPatterns())
 	}
-	names := []string{p.Patterns()[0].Name, p.Patterns()[1].Name}
+	names := []string{p.patterns[0].Name, p.patterns[1].Name}
 	for _, n := range names {
 		if !strings.HasPrefix(n, "comp") || !strings.Contains(n, "code=") {
 			t.Fatalf("component name %q missing prefix or report code", n)
@@ -186,8 +186,8 @@ func buildTwo(t *testing.T) (*automata.Automaton, *Provenance) {
 func TestCollectorFoldAndReportExactness(t *testing.T) {
 	a, prov := buildTwo(t)
 	c := NewCollector(a, prov)
-	if c.NumComponents() != 2 {
-		t.Fatalf("components=%d want 2", c.NumComponents())
+	if len(c.compPats) != 2 {
+		t.Fatalf("components=%d want 2", len(c.compPats))
 	}
 	led := c.Ledger(c.GlobalCompOf())
 	led.Activate(0) // alpha's component

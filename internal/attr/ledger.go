@@ -125,13 +125,6 @@ func NewCollector(a *automata.Automaton, prov *Provenance) *Collector {
 // Provenance returns the provenance the collector folds through.
 func (c *Collector) Provenance() *Provenance { return c.prov }
 
-// NumComponents returns the number of weakly-connected components of the
-// attributed automaton.
-func (c *Collector) NumComponents() int { return len(c.compPats) }
-
-// ComponentOf returns the global component index of a global state.
-func (c *Collector) ComponentOf(s automata.StateID) int32 { return c.compOf[s] }
-
 // Ledger returns a fresh engine-local scratch ledger. compOf maps the
 // engine's local state IDs to *global* component indices — pass
 // c.GlobalCompOf() for whole-automaton engines, or a slice-local map

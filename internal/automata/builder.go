@@ -26,13 +26,6 @@ func NewBuilder() *Builder {
 	return &Builder{table: charset.NewTable(), counter: map[StateID]Counter{}}
 }
 
-// NewBuilderWithTable returns an empty builder sharing (and extending) an
-// existing charset table; transformation passes use this to keep handles
-// stable across derived automata.
-func NewBuilderWithTable(t *charset.Table) *Builder {
-	return &Builder{table: t, counter: map[StateID]Counter{}}
-}
-
 // Table exposes the builder's charset table.
 func (b *Builder) Table() *charset.Table { return b.table }
 

@@ -105,7 +105,8 @@ func TestUintRangeSingleByte(t *testing.T) {
 	e := sim.New(byteA)
 	for v := 0; v < 256; v++ {
 		e.Reset()
-		got := e.CountReports([]byte{byte(v)}) > 0
+		e.Reset()
+		got := e.Run([]byte{byte(v)}).Reports > 0
 		want := v >= 3 && v <= 17
 		if got != want {
 			t.Fatalf("value %d: matched=%v want %v", v, got, want)
@@ -149,7 +150,8 @@ func TestUintRangeSplitFields(t *testing.T) {
 		t.Helper()
 		v := uint16(hour)<<11 | uint16(min)<<5 | uint16(sec2)
 		e.Reset()
-		got := e.CountReports([]byte{byte(v >> 8), byte(v)}) > 0
+		e.Reset()
+		got := e.Run([]byte{byte(v >> 8), byte(v)}).Reports > 0
 		if got != want {
 			t.Fatalf("h=%d m=%d s=%d: matched=%v want %v", hour, min, sec2, got, want)
 		}
@@ -213,7 +215,8 @@ func TestCrossByteBitField(t *testing.T) {
 		want bool
 	}{{299, false}, {300, true}, {512, true}, {700, true}, {701, false}, {0, false}, {65535, false}} {
 		e.Reset()
-		got := e.CountReports([]byte{byte(c.v >> 8), byte(c.v)}) > 0
+		e.Reset()
+		got := e.Run([]byte{byte(c.v >> 8), byte(c.v)}).Reports > 0
 		if got != c.want {
 			t.Fatalf("v=%d matched=%v want %v", c.v, got, c.want)
 		}

@@ -39,7 +39,8 @@ func TestRuleSiteDetection(t *testing.T) {
 		{Word: "the", Tag: 5},
 		{Word: "jump", Tag: 7},
 	})
-	if got := e.CountReports(site); got != 1 {
+	e.Reset()
+	if got := e.Run(site).Reports; got != 1 {
 		t.Fatalf("site not detected: %d", got)
 	}
 	// Wrong previous tag: no match.
@@ -47,7 +48,8 @@ func TestRuleSiteDetection(t *testing.T) {
 		{Word: "the", Tag: 6},
 		{Word: "jump", Tag: 7},
 	})
-	if got := e.CountReports(miss); got != 0 {
+	e.Reset()
+	if got := e.Run(miss).Reports; got != 0 {
 		t.Fatalf("wrong-context match: %d", got)
 	}
 	// Wrong word: no match.
@@ -55,7 +57,8 @@ func TestRuleSiteDetection(t *testing.T) {
 		{Word: "the", Tag: 5},
 		{Word: "jumps", Tag: 7},
 	})
-	if got := e.CountReports(miss2); got != 0 {
+	e.Reset()
+	if got := e.Run(miss2).Reports; got != 0 {
 		t.Fatalf("wrong-word match: %d", got)
 	}
 }

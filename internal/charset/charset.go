@@ -17,10 +17,6 @@ import (
 // Set is a 256-bit bitmap over byte values. The zero value matches nothing.
 type Set [4]uint64
 
-// Empty returns the set matching no symbols. It is the zero value, provided
-// for readability at call sites.
-func Empty() Set { return Set{} }
-
 // All returns the set matching every byte value (the ANML '*' symbol set).
 func All() Set {
 	return Set{^uint64(0), ^uint64(0), ^uint64(0), ^uint64(0)}
@@ -101,9 +97,6 @@ func (s Set) Minus(t Set) Set {
 func (s Set) Negate() Set {
 	return Set{^s[0], ^s[1], ^s[2], ^s[3]}
 }
-
-// Equal reports whether s and t match exactly the same symbols.
-func (s Set) Equal(t Set) bool { return s == t }
 
 // Bytes returns the matched symbols in ascending order.
 func (s Set) Bytes() []byte {

@@ -96,7 +96,7 @@ func TestSetAlgebra(t *testing.T) {
 	if n.Count() != 256-13 {
 		t.Fatalf("negate count=%d", n.Count())
 	}
-	if !a.Negate().Negate().Equal(a) {
+	if a.Negate().Negate() != a {
 		t.Fatal("double negation not identity")
 	}
 }

@@ -85,7 +85,7 @@ func runScanAttempt(t *testing.T, a *automata.Automaton, streams [][]byte, worke
 	})
 	out.snap = reg.Snapshot()
 	out.attr = col.Fold()
-	out.saves = sv.Saves()
+	out.saves = out.snap.Counters["ckpt.saves"]
 	return out
 }
 
@@ -272,9 +272,9 @@ func TestDFARestoreCacheBudgetDegradation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ref.CollectReports = true
+	var want, got []sim.Report
+	ref.OnReport = func(r sim.Report) { want = append(want, r) }
 	ref.Run(input)
-	want := ref.Reports()
 	if len(want) == 0 {
 		t.Fatal("reference run reported nothing — test is vacuous")
 	}
@@ -283,7 +283,7 @@ func TestDFARestoreCacheBudgetDegradation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	engA.CollectReports = true
+	engA.OnReport = func(r sim.Report) { got = append(got, r) }
 	engA.Run(input[:cut])
 	snap := engA.CaptureState()
 	if len(snap.Frontier) == 0 {
@@ -322,8 +322,8 @@ func TestDFARestoreCacheBudgetDegradation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	engB.CollectReports = true
 	engB.Run(input[:1]) // warm the start dstates up to the budget
+	engB.OnReport = engA.OnReport
 	if err := engB.RestoreState(dec.Sim); err != nil {
 		t.Fatalf("RestoreState: %v", err)
 	}
@@ -332,7 +332,6 @@ func TestDFARestoreCacheBudgetDegradation(t *testing.T) {
 	}
 	engB.Run(input[cut:])
 
-	got := append(append([]sim.Report(nil), engA.Reports()...), engB.Reports()...)
 	if len(got) != len(want) {
 		t.Fatalf("reports: got %d, want %d", len(got), len(want))
 	}
@@ -351,16 +350,16 @@ func TestSimCounterStateRoundTrip(t *testing.T) {
 	input := []byte("ccxcacbccacbacc") // two 'c's before the cut: latch fires and latches
 	cut := 3                           // rollover (target 3) sits at value 2 — mid-count
 
+	var want, got []sim.Report
 	ref := sim.New(a)
-	ref.CollectReports = true
+	ref.OnReport = func(r sim.Report) { want = append(want, r) }
 	ref.Run(input)
-	want := ref.Reports()
 	if len(want) == 0 {
 		t.Fatal("reference run reported nothing — test is vacuous")
 	}
 
 	engA := sim.New(a)
-	engA.CollectReports = true
+	engA.OnReport = func(r sim.Report) { got = append(got, r) }
 	engA.Run(input[:cut])
 	snap := engA.CaptureState()
 	latched, midCount := false, false
@@ -396,11 +395,10 @@ func TestSimCounterStateRoundTrip(t *testing.T) {
 	}
 
 	engB := sim.New(a)
-	engB.CollectReports = true
+	engB.OnReport = engA.OnReport
 	engB.RestoreState(dec.Sim)
 	engB.Run(input[cut:])
 
-	got := append(append([]sim.Report(nil), engA.Reports()...), engB.Reports()...)
 	if len(got) != len(want) {
 		t.Fatalf("reports: got %d, want %d", len(got), len(want))
 	}

@@ -61,7 +61,6 @@ type Saver struct {
 	Warn func(msg string)
 
 	sinceSave int64
-	saves     int64
 	disabled  bool
 }
 
@@ -84,14 +83,6 @@ func (s *Saver) Boundary(n int64) error {
 
 // Disabled reports whether the saver degraded to checkpoint-disabled.
 func (s *Saver) Disabled() bool { return s != nil && s.disabled }
-
-// Saves returns the number of completed saves.
-func (s *Saver) Saves() int64 {
-	if s == nil {
-		return 0
-	}
-	return s.saves
-}
 
 // ResetInterval restarts the between-saves byte accumulator (the driver
 // calls it when a direct Save makes the accumulated count stale).
@@ -167,7 +158,6 @@ func (s *Saver) save(reason string) error {
 			}
 		}
 		if lastErr = s.writeOnce(data); lastErr == nil {
-			s.saves++
 			if s.Recorder != nil {
 				s.Recorder.Record(telemetry.RecCheckpoint, 0, "save", c.Cursor.Offset)
 			}

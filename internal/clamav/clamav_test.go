@@ -55,8 +55,7 @@ func matchSig(t *testing.T, hex string, input []byte) bool {
 	if err != nil || skipped != 0 {
 		t.Fatalf("compile %q: err=%v skipped=%d", hex, err, skipped)
 	}
-	e := sim.New(a)
-	return e.CountReports(input) > 0
+	return sim.New(a).Run(input).Reports > 0
 }
 
 func TestSignatureSemantics(t *testing.T) {

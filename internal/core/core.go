@@ -39,11 +39,6 @@ type Config struct {
 	Seed uint64
 }
 
-// DefaultConfig is sized for a quick full-suite run on a laptop.
-func DefaultConfig() Config {
-	return Config{Scale: 0.05, InputBytes: 200_000, Seed: 0xa20}
-}
-
 // Benchmark is one suite entry.
 type Benchmark struct {
 	Name   string

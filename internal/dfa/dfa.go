@@ -190,11 +190,9 @@ type Engine struct {
 	offset int64
 	stats  Stats
 
-	// CollectReports controls report list collection; OnReport is invoked
-	// for every report regardless.
-	CollectReports bool
-	OnReport       func(sim.Report)
-	reports        []sim.Report
+	// OnReport, if set, is invoked for every report: the engine's one
+	// report output.
+	OnReport func(sim.Report)
 
 	// h is the attached hook bundle (see Attach), nil-guarded at every
 	// touch point; the zero Set is a bare engine whose RunChecked is
@@ -603,7 +601,7 @@ func (e *Engine) flushStats() {
 }
 
 // Reset restarts all component DFAs at their initial state and clears
-// statistics and collected reports. Interned DFA states are retained.
+// statistics. Interned DFA states are retained.
 func (e *Engine) Reset() {
 	e.FlushTelemetry()
 	e.live = e.live[:0]
@@ -620,7 +618,6 @@ func (e *Engine) Reset() {
 	e.stats.Symbols = 0
 	e.published.Reports = 0
 	e.published.Symbols = 0
-	e.reports = e.reports[:0]
 }
 
 // Stats returns the symbols and reports since the last Reset — the
@@ -641,9 +638,6 @@ func (e *Engine) CacheStats() Stats {
 	return s
 }
 
-// Reports returns collected reports (when CollectReports is set).
-func (e *Engine) Reports() []sim.Report { return e.reports }
-
 // SetOnReport sets the OnReport callback (nil detaches).
 func (e *Engine) SetOnReport(fn func(sim.Report)) { e.OnReport = fn }
 
@@ -652,17 +646,13 @@ func (e *Engine) emit(code int32) {
 	if e.led != nil {
 		e.led.Report(code)
 	}
-	r := sim.Report{Offset: e.offset, Code: code}
 	if e.h.Tracer != nil {
 		// DFA reports carry no NFA state ID (the report state was folded
 		// into the dstate); the schema uses state 0 for them.
 		e.h.Tracer.OnReport(e.offset, 0, code)
 	}
 	if e.OnReport != nil {
-		e.OnReport(r)
-	}
-	if e.CollectReports {
-		e.reports = append(e.reports, r)
+		e.OnReport(sim.Report{Offset: e.offset, Code: code})
 	}
 }
 
@@ -993,14 +983,4 @@ func (e *Engine) RestoreState(s *sim.StreamState) error {
 	}
 	e.offset = s.Offset
 	return nil
-}
-
-// CountReports runs over input after a Reset and returns the report count.
-func (e *Engine) CountReports(input []byte) int64 {
-	e.Reset()
-	collect := e.CollectReports
-	e.CollectReports = false
-	e.Run(input)
-	e.CollectReports = collect
-	return e.stats.Reports
 }

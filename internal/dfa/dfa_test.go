@@ -25,28 +25,35 @@ func compile(t *testing.T, patterns ...string) *automata.Automaton {
 	return b.MustBuild()
 }
 
+// reportKeys points an engine's report callback (its SetOnReport) at a
+// fresh (offset, code) multiset and returns the multiset.
+func reportKeys(setOnReport func(func(sim.Report))) map[[2]int64]int {
+	m := map[[2]int64]int{}
+	setOnReport(func(r sim.Report) { m[[2]int64{r.Offset, int64(r.Code)}]++ })
+	return m
+}
+
+// countReports runs input on e from a fresh stream and returns the number
+// of reports.
+func countReports(e *Engine, input []byte) int64 {
+	e.Reset()
+	return e.Run(input).Reports
+}
+
 // agree checks the DFA engine and the NFA reference engine report identical
 // (offset, code) multisets on input.
 func agree(t *testing.T, a *automata.Automaton, input []byte) {
 	t.Helper()
 	ref := sim.New(a)
-	ref.CollectReports = true
+	want := reportKeys(ref.SetOnReport)
 	ref.Run(input)
-	want := map[[2]int64]int{}
-	for _, r := range ref.Reports() {
-		want[[2]int64{r.Offset, int64(r.Code)}]++
-	}
 
 	e, err := New(a)
 	if err != nil {
 		t.Fatal(err)
 	}
-	e.CollectReports = true
+	got := reportKeys(e.SetOnReport)
 	e.Run(input)
-	got := map[[2]int64]int{}
-	for _, r := range e.Reports() {
-		got[[2]int64{r.Offset, int64(r.Code)}]++
-	}
 	if len(got) != len(want) {
 		t.Fatalf("report sets differ: got %d keys want %d\ngot=%v\nwant=%v",
 			len(got), len(want), got, want)
@@ -96,10 +103,10 @@ func TestResetRestartsStream(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := e.CountReports([]byte("ab")); got != 1 {
+	if got := countReports(e, []byte("ab")); got != 1 {
 		t.Fatalf("first run: %d", got)
 	}
-	if got := e.CountReports([]byte("ab")); got != 1 {
+	if got := countReports(e, []byte("ab")); got != 1 {
 		t.Fatalf("after reset: %d (anchored state leaked)", got)
 	}
 }
@@ -161,9 +168,8 @@ func TestFallbackCorrectness(t *testing.T) {
 		c.budget = 2 // absurdly small: force overflow immediately
 	}
 	input := []byte("abbaabbbabb")
-	ref := sim.New(a)
-	wantN := ref.CountReports(input)
-	if got := e.CountReports(input); got != wantN {
+	wantN := sim.New(a).Run(input).Reports
+	if got := countReports(e, input); got != wantN {
 		t.Fatalf("fallback reports=%d want %d", got, wantN)
 	}
 	if e.CacheStats().Fallbacks == 0 {

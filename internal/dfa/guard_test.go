@@ -3,6 +3,7 @@ package dfa
 import (
 	"context"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"automatazoo/internal/automata"
@@ -18,24 +19,16 @@ func dfaReports(t *testing.T, a *automata.Automaton, opts Options, input []byte)
 	if err != nil {
 		t.Fatal(err)
 	}
-	e.CollectReports = true
+	got := reportKeys(e.SetOnReport)
 	e.Run(input)
-	got := map[[2]int64]int{}
-	for _, r := range e.Reports() {
-		got[[2]int64{r.Offset, int64(r.Code)}]++
-	}
 	return got
 }
 
 func simReports(t *testing.T, a *automata.Automaton, input []byte) map[[2]int64]int {
 	t.Helper()
 	ref := sim.New(a)
-	ref.CollectReports = true
+	want := reportKeys(ref.SetOnReport)
 	ref.Run(input)
-	want := map[[2]int64]int{}
-	for _, r := range ref.Reports() {
-		want[[2]int64{r.Offset, int64(r.Code)}]++
-	}
 	return want
 }
 
@@ -107,12 +100,8 @@ func TestMaxCacheBytesDegradesMidStream(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	e.CollectReports = true
+	got := reportKeys(e.SetOnReport)
 	s := e.Run(input)
-	got := map[[2]int64]int{}
-	for _, r := range e.Reports() {
-		got[[2]int64{r.Offset, int64(r.Code)}]++
-	}
 	sameReports(t, got, want, "byte-budget degraded vs sim")
 	if s.Fallbacks == 0 || s.FallbackBytes == 0 {
 		t.Fatalf("no degradation recorded: %+v", s)
@@ -134,12 +123,8 @@ func TestThrashMissRateDegrades(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	e.CollectReports = true
+	got := reportKeys(e.SetOnReport)
 	s := e.Run(input)
-	got := map[[2]int64]int{}
-	for _, r := range e.Reports() {
-		got[[2]int64{r.Offset, int64(r.Code)}]++
-	}
 	sameReports(t, got, want, "thrash-degraded vs sim")
 	if s.Fallbacks == 0 {
 		t.Fatal("thrash threshold never degraded any component")
@@ -158,13 +143,9 @@ func TestGovernorCacheBudgetDegrades(t *testing.T) {
 		t.Fatal(err)
 	}
 	e.Attach(hooks.Set{Governor: g})
-	e.CollectReports = true
+	got := reportKeys(e.SetOnReport)
 	if _, rerr := e.RunChecked(input); rerr != nil {
 		t.Fatalf("cache-budget denial must degrade, not trip: %v", rerr)
-	}
-	got := map[[2]int64]int{}
-	for _, r := range e.Reports() {
-		got[[2]int64{r.Offset, int64(r.Code)}]++
 	}
 	sameReports(t, got, want, "governor-degraded vs sim")
 	if e.CacheStats().Fallbacks == 0 {
@@ -215,11 +196,12 @@ func TestRunCheckedInjectedTripAtConstruct(t *testing.T) {
 func TestRunCheckedUngovernedMatchesRun(t *testing.T) {
 	a := compile(t, "cat", "[ab]+c")
 	input := guardInput(10_000)
+	var reps1, reps2 []sim.Report
 	e1, _ := New(a)
-	e1.CollectReports = true
+	e1.OnReport = func(r sim.Report) { reps1 = append(reps1, r) }
 	want := e1.Run(input)
 	e2, _ := New(a)
-	e2.CollectReports = true
+	e2.OnReport = func(r sim.Report) { reps2 = append(reps2, r) }
 	if _, err := e2.RunChecked(input); err != nil {
 		t.Fatal(err)
 	}
@@ -229,7 +211,7 @@ func TestRunCheckedUngovernedMatchesRun(t *testing.T) {
 	if got != want {
 		t.Fatalf("ungoverned RunChecked stats %+v != Run %+v", got, want)
 	}
-	if len(e1.Reports()) != len(e2.Reports()) {
-		t.Fatal("report counts differ")
+	if !slices.Equal(reps1, reps2) {
+		t.Fatal("report streams differ")
 	}
 }

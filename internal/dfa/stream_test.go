@@ -12,8 +12,9 @@ import (
 	"automatazoo/internal/sim"
 )
 
-func dfaReports(e *dfa.Engine) []sim.Report {
-	return append([]sim.Report(nil), e.Reports()...)
+// record points e's OnReport at the list *reps.
+func record(e *dfa.Engine, reps *[]sim.Report) {
+	e.OnReport = func(r sim.Report) { *reps = append(*reps, r) }
 }
 
 // TestDFACaptureRestoreResumesExactly: scanning a prefix, capturing, and
@@ -30,7 +31,8 @@ func TestDFACaptureRestoreResumesExactly(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		ref.CollectReports = true
+		var want []sim.Report
+		record(ref, &want)
 		ref.Run(input)
 
 		for _, cut := range []int{0, 1, 137, 1000, 1999, 2000} {
@@ -38,7 +40,8 @@ func TestDFACaptureRestoreResumesExactly(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			head.CollectReports = true
+			var got []sim.Report
+			record(head, &got)
 			head.Run(input[:cut])
 			snap := head.CaptureState()
 
@@ -46,16 +49,15 @@ func TestDFACaptureRestoreResumesExactly(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			tail.CollectReports = true
+			record(tail, &got)
 			if err := tail.RestoreState(snap); err != nil {
 				t.Fatalf("seed %d cut %d: RestoreState: %v", seed, cut, err)
 			}
 			tail.Run(input[cut:])
 
-			got := append(dfaReports(head), dfaReports(tail)...)
-			if !slices.Equal(got, dfaReports(ref)) {
+			if !slices.Equal(got, want) {
 				t.Fatalf("seed %d cut %d: report streams differ: ref %d, stitched %d",
-					seed, cut, len(ref.Reports()), len(got))
+					seed, cut, len(want), len(got))
 			}
 			if !reflect.DeepEqual(tail.CaptureState(), ref.CaptureState()) {
 				t.Fatalf("seed %d cut %d: final stream states differ", seed, cut)
@@ -79,9 +81,9 @@ func TestDFARestoreAcrossDegradationBoundary(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ref.CollectReports = true
+	var want []sim.Report
+	record(ref, &want)
 	ref.Run(input)
-	want := dfaReports(ref)
 
 	for _, dir := range []struct {
 		name       string
@@ -94,7 +96,8 @@ func TestDFARestoreAcrossDegradationBoundary(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		head.CollectReports = true
+		var got []sim.Report
+		record(head, &got)
 		head.Run(input[:cut])
 		snap := head.CaptureState()
 
@@ -102,13 +105,12 @@ func TestDFARestoreAcrossDegradationBoundary(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		tail.CollectReports = true
+		record(tail, &got)
 		if err := tail.RestoreState(snap); err != nil {
 			t.Fatalf("%s: RestoreState: %v", dir.name, err)
 		}
 		tail.Run(input[cut:])
 
-		got := append(dfaReports(head), dfaReports(tail)...)
 		if !slices.Equal(got, want) {
 			t.Fatalf("%s: report streams differ: ref %d, stitched %d", dir.name, len(want), len(got))
 		}
@@ -128,15 +130,15 @@ func TestDFARestoreResumeOnSameEngine(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ref.CollectReports = true
+	var want, got []sim.Report
+	record(ref, &want)
 	refStats := ref.Run(input)
 
 	e, err := dfa.New(a)
 	if err != nil {
 		t.Fatal(err)
 	}
-	e.CollectReports = true
-	var got []sim.Report
+	record(e, &got)
 	var symbols, reports int64
 	for lo := 0; lo < len(input); lo += 1000 {
 		hi := min(lo+1000, len(input))
@@ -147,14 +149,13 @@ func TestDFARestoreResumeOnSameEngine(t *testing.T) {
 		st := e.Run(input[lo:hi])
 		symbols += st.Symbols
 		reports += st.Reports
-		got = append(got, dfaReports(e)...)
 	}
 	if symbols != refStats.Symbols || reports != refStats.Reports {
 		t.Fatalf("summed per-chunk stats diverge: symbols %d/%d, reports %d/%d",
 			symbols, refStats.Symbols, reports, refStats.Reports)
 	}
-	if !slices.Equal(got, dfaReports(ref)) {
-		t.Fatalf("chunked report stream differs: ref %d, chunked %d", len(ref.Reports()), len(got))
+	if !slices.Equal(got, want) {
+		t.Fatalf("chunked report stream differs: ref %d, chunked %d", len(want), len(got))
 	}
 }
 

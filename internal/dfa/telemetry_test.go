@@ -2,7 +2,6 @@ package dfa
 
 import (
 	"bytes"
-	"strings"
 	"testing"
 
 	"automatazoo/internal/hooks"
@@ -148,11 +147,14 @@ func TestTracerAndRegistry(t *testing.T) {
 	if got := reg.Gauge("dfa.states").Value(); got != int64(st.DFAStates) {
 		t.Errorf("dfa.states gauge = %d, stats say %d", got, st.DFAStates)
 	}
-	// Registry names should include the full dfa.* set.
-	names := strings.Join(reg.Names(), " ")
-	for _, want := range []string{"dfa.cache_misses", "dfa.cache_evictions", "dfa.construct_nanos", "dfa.fallbacks"} {
-		if !strings.Contains(names, want) {
-			t.Errorf("registry missing %s (have %s)", want, names)
+	// The registry should hold the full dfa.* set.
+	snap := reg.Snapshot()
+	for _, want := range []string{"dfa.cache_misses", "dfa.cache_evictions", "dfa.construct_nanos"} {
+		if _, ok := snap.Counters[want]; !ok {
+			t.Errorf("registry missing counter %s", want)
 		}
+	}
+	if _, ok := snap.Gauges["dfa.fallbacks"]; !ok {
+		t.Error("registry missing gauge dfa.fallbacks")
 	}
 }

@@ -35,13 +35,15 @@ func TestExactAndFuzzyMatch(t *testing.T) {
 	}
 	a := b.MustBuild()
 	e := sim.New(a)
-	if got := e.CountReports([]byte("xx joan smithson yy")); got == 0 {
+	if got := e.Run([]byte("xx joan smithson yy")).Reports; got == 0 {
 		t.Fatal("exact name not matched")
 	}
-	if got := e.CountReports([]byte("xx joan smitHson yy")); got == 0 {
+	e.Reset()
+	if got := e.Run([]byte("xx joan smitHson yy")).Reports; got == 0 {
 		t.Fatal("single-typo name not matched (d=1)")
 	}
-	if got := e.CountReports([]byte("xx joAn smitHson yy")); got != 0 {
+	e.Reset()
+	if got := e.Run([]byte("xx joAn smitHson yy")).Reports; got != 0 {
 		t.Fatal("two-typo name matched (should exceed d=1)")
 	}
 }

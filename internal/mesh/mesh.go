@@ -146,9 +146,6 @@ func BuildClassChain(b *automata.Builder, classes []charset.Set, entries []autom
 	return []automata.StateID{prev}, nil
 }
 
-// HammingStates returns the closed-form state count of BuildHamming.
-func HammingStates(l, d int) int { return l + d*d + 2*d*(l-d) }
-
 // BuildLevenshtein appends one Levenshtein(l, d) filter for pattern into b.
 // It is the homogeneous Levenshtein NFA over cells (j, e) — j pattern
 // characters consumed, e edits — with deletion (ε) transitions collapsed
@@ -231,10 +228,6 @@ func BuildLevenshtein(b *automata.Builder, pattern []byte, d int, code int32) er
 	}
 	return nil
 }
-
-// LevenshteinStates returns the closed-form state count of
-// BuildLevenshtein: l match columns of (d+1) plus l error columns of d.
-func LevenshteinStates(l, d int) int { return l * (2*d + 1) }
 
 // Kernel selects the scoring kernel of a filter set.
 type Kernel int

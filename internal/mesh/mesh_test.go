@@ -161,6 +161,9 @@ func min(a, b int) int {
 	return b
 }
 
+// hammingStates is the closed-form state count of BuildHamming.
+func hammingStates(l, d int) int { return l + d*d + 2*d*(l-d) }
+
 func TestClosedFormStateCounts(t *testing.T) {
 	rng := randx.New(5)
 	for _, c := range []struct{ l, d int }{{18, 3}, {22, 5}, {31, 10}, {8, 2}} {
@@ -168,7 +171,7 @@ func TestClosedFormStateCounts(t *testing.T) {
 		if err := BuildHamming(b, RandomDNA(rng, c.l), c.d, 0); err != nil {
 			t.Fatal(err)
 		}
-		if got, want := b.NumStates(), HammingStates(c.l, c.d); got != want {
+		if got, want := b.NumStates(), hammingStates(c.l, c.d); got != want {
 			t.Errorf("Hamming(%d,%d) states=%d closed form %d", c.l, c.d, got, want)
 		}
 	}
@@ -177,7 +180,8 @@ func TestClosedFormStateCounts(t *testing.T) {
 		if err := BuildLevenshtein(b, RandomDNA(rng, c.l), c.d, 0); err != nil {
 			t.Fatal(err)
 		}
-		if got, want := b.NumStates(), LevenshteinStates(c.l, c.d); got != want {
+		// l match columns of (d+1) plus l error columns of d.
+		if got, want := b.NumStates(), c.l*(2*c.d+1); got != want {
 			t.Errorf("Levenshtein(%d,%d) states=%d closed form %d", c.l, c.d, got, want)
 		}
 	}
@@ -205,7 +209,7 @@ func TestBenchmarkConstruction(t *testing.T) {
 	if len(sizes) != 5 {
 		t.Fatalf("subgraphs=%d want 5", len(sizes))
 	}
-	if a.NumStates() != 5*HammingStates(10, 2) {
+	if a.NumStates() != 5*hammingStates(10, 2) {
 		t.Fatalf("states=%d", a.NumStates())
 	}
 }

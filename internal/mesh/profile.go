@@ -24,11 +24,6 @@ type ProfileConfig struct {
 	Seed         uint64
 }
 
-// DefaultProfileConfig is the paper's configuration.
-func DefaultProfileConfig() ProfileConfig {
-	return ProfileConfig{Filters: 10, InputSymbols: 1_000_000, Trials: 10, Seed: 0x5eed}
-}
-
 // MeasurePoint builds cfg.Filters random filters of the given kernel,
 // length, and distance, runs them over random DNA for each trial, and
 // returns the mean number of match events per filter per million symbols.

@@ -57,13 +57,23 @@ func reports(a *automata.Automaton, input []byte) map[[2]int64]int {
 	return out
 }
 
+// mustCompile compiles pattern or fails the test.
+func mustCompile(t *testing.T, pattern string, flags regex.Flags, code int32) *regex.CompileResult {
+	t.Helper()
+	res, err := regex.Compile(pattern, flags, code)
+	if err != nil {
+		t.Fatalf("Compile(%q): %v", pattern, err)
+	}
+	return res
+}
+
 func TestRoundTripRegex(t *testing.T) {
-	res := regex.MustCompile(`(cat|dog)[0-9]{2,3}`, regex.CaseInsensitive, 42)
+	res := mustCompile(t, `(cat|dog)[0-9]{2,3}`, regex.CaseInsensitive, 42)
 	roundTrip(t, res.Automaton, []byte("CAT12 dog999 cat1"))
 }
 
 func TestRoundTripAnchored(t *testing.T) {
-	res := regex.MustCompile(`^head.*tail`, regex.DotAll, 1)
+	res := mustCompile(t, `^head.*tail`, regex.DotAll, 1)
 	back := roundTrip(t, res.Automaton, []byte("headxxxtail"))
 	if back.Start(0) != automata.StartOfData {
 		t.Fatal("start-of-data lost")
@@ -177,13 +187,13 @@ func TestForwardReferences(t *testing.T) {
 		t.Fatal(err)
 	}
 	e := sim.New(a)
-	if got := e.CountReports([]byte("ab")); got != 1 {
+	if got := e.Run([]byte("ab")).Reports; got != 1 {
 		t.Fatalf("forward-referenced automaton broken: %d", got)
 	}
 }
 
 func TestJSONShape(t *testing.T) {
-	res := regex.MustCompile("ab", 0, 3)
+	res := mustCompile(t, "ab", 0, 3)
 	var buf bytes.Buffer
 	if err := WriteAutomaton(&buf, res.Automaton, "shape"); err != nil {
 		t.Fatal(err)

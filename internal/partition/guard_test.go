@@ -72,15 +72,12 @@ func TestRunParallelMidRunCancellation(t *testing.T) {
 }
 
 // A background (non-cancellable) ctx with no governor must keep the exact
-// ungoverned path: identical Result to RunSequential.
+// ungoverned path: identical Result to the sequential reference.
 func TestRunBackgroundCtxMatchesSequential(t *testing.T) {
 	a := wideAutomaton(t, 4)
 	p := ForWorkers(a, 2)
 	input := make([]byte, 10_000)
-	want, err := p.RunSequential(input, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	_, want := canonical(t, p, input)
 	got, err := p.Run(context.Background(), [][]byte{input}, RunOptions{Workers: 2})
 	if err != nil {
 		t.Fatal(err)

@@ -56,14 +56,22 @@ func kernels(t *testing.T) []struct {
 	}
 }
 
-// canonical returns RunSequential's report stream stably sorted by offset
-// — the order RunParallel promises for every workers value.
+// canonical is the multi-pass reference Run is held to: every slice
+// extracted and scanned on a fresh NFA engine, one after another. It
+// returns the summed Result and the report stream stably sorted by
+// offset — the order RunParallel promises for every workers value.
 func canonical(t *testing.T, p *Plan, input []byte) ([]sim.Report, Result) {
 	t.Helper()
+	res := Result{Passes: p.Passes()}
 	var seq []sim.Report
-	res, err := p.RunSequential(input, func(r sim.Report) { seq = append(seq, r) })
-	if err != nil {
-		t.Fatal(err)
+	for i := range p.Slices {
+		sub, err := p.Extract(i)
+		if err != nil {
+			t.Fatal(err)
+		}
+		e := sim.New(sub)
+		e.OnReport = func(r sim.Report) { seq = append(seq, r) }
+		res.add(e.Run(input))
 	}
 	sort.SliceStable(seq, func(x, y int) bool { return seq[x].Offset < seq[y].Offset })
 	return seq, res
@@ -108,35 +116,30 @@ func TestRunParallelDeterministicAcrossWorkers(t *testing.T) {
 	}
 }
 
-// TestRunSequentialNilOnReport is the regression test for the nil-guard:
-// a nil callback must run all passes and still count reports, mirroring
-// the engines' nil-guarded telemetry hooks.
-func TestRunSequentialNilOnReport(t *testing.T) {
+// TestRunNilOnReport is the regression test for the nil-guard: a nil
+// callback must run all passes and still count reports, mirroring the
+// engines' nil-guarded telemetry hooks.
+func TestRunNilOnReport(t *testing.T) {
 	k := kernels(t)[0]
 	p, err := Partition(k.a, k.a.NumStates()/4+1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	withCB, err := p.RunSequential(k.input, func(sim.Report) {})
+	withCB, err := p.RunParallel(context.Background(), 1, k.input, func(sim.Report) {})
 	if err != nil {
 		t.Fatal(err)
 	}
-	nilCB, err := p.RunSequential(k.input, nil)
-	if err != nil {
-		t.Fatal(err)
+	if withCB.Reports == 0 {
+		t.Fatal("kernel produced no reports; test is vacuous")
 	}
-	if nilCB != withCB {
-		t.Fatalf("nil onReport changed the result: %+v vs %+v", nilCB, withCB)
-	}
-	if nilCB.Reports == 0 {
-		t.Fatal("reports must still be counted with a nil callback")
-	}
-	pNil, err := p.RunParallel(context.Background(), 2, k.input, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if pNil != withCB {
-		t.Fatalf("RunParallel nil onReport: %+v vs %+v", pNil, withCB)
+	for _, workers := range []int{1, 2} {
+		nilCB, err := p.RunParallel(context.Background(), workers, k.input, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if nilCB != withCB {
+			t.Fatalf("workers=%d: nil onReport changed the result: %+v vs %+v", workers, nilCB, withCB)
+		}
 	}
 }
 

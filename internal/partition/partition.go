@@ -15,9 +15,9 @@
 // (internal/parallel) with one engine per slice for all of a run's
 // streams and merges the report streams deterministically (RunParallel is
 // its one-stream form), and ForWorkers builds a plan sized for a worker
-// count rather than a device capacity. RunSequential remains the
-// single-threaded multi-pass reference that Run is tested against. The
-// one scan driver, internal/scan, picks this layout for -j N.
+// count rather than a device capacity. Workers 1 runs the passes one
+// after another, the single-device multi-pass run. The one scan driver,
+// internal/scan, picks this layout for -j N.
 package partition
 
 import (
@@ -167,7 +167,7 @@ func (p *Plan) SliceCompOf(i int) []int32 {
 	return compOf
 }
 
-// Result aggregates a multi-pass run (sequential or parallel).
+// Result aggregates a multi-pass run.
 type Result struct {
 	Passes  int
 	Symbols int64 // total symbols across all passes
@@ -189,28 +189,6 @@ func (r *Result) add(st sim.Stats) {
 	r.CounterPulses += st.CounterPulses
 }
 
-// RunSequential executes input once per slice on a fresh NFA engine,
-// invoking onReport (if non-nil) for every report, and returns the
-// aggregate. The union of reports across passes equals a single-pass run
-// of the whole automaton; reports are delivered slice-major (all of slice
-// 0's in offset order, then slice 1's, ...). A nil onReport runs the
-// passes report-callback-free, like the engines' nil-guarded hooks.
-func (p *Plan) RunSequential(input []byte, onReport func(sim.Report)) (Result, error) {
-	res := Result{Passes: p.Passes()}
-	for i := range p.Slices {
-		sub, err := p.Extract(i)
-		if err != nil {
-			return res, err
-		}
-		e := sim.New(sub)
-		if onReport != nil {
-			e.OnReport = onReport
-		}
-		res.add(e.Run(input))
-	}
-	return res, nil
-}
-
 // RunOptions parameterizes Plan.Run.
 type RunOptions struct {
 	// Workers bounds the goroutines running slices; <= 0 means one per
@@ -228,15 +206,15 @@ type RunOptions struct {
 }
 
 // RunParallel executes input once per slice, fanning the slices out over
-// a worker pool with one fresh engine per slice, and returns the same
-// aggregate Result as RunSequential. It is Run over one stream.
+// a worker pool with one fresh engine per slice, and returns the
+// aggregate Result. It is Run over one stream. The union of reports
+// across passes equals a single-pass run of the whole automaton.
 //
 // Determinism contract: for a fixed Plan and input, the onReport callback
-// sequence is identical for every workers value (including 1) and across
-// runs. Reports are buffered per slice and delivered after all passes
-// complete, ordered by input offset, ties broken by slice index and then
-// by emission order within the slice — exactly RunSequential's report
-// stream stably sorted by offset. Result is identical to RunSequential's.
+// sequence and the Result are identical for every workers value
+// (including 1) and across runs. Reports are buffered per slice and
+// delivered after all passes complete, ordered by input offset, ties
+// broken by slice index and then by emission order within the slice.
 //
 // ctx cancellation abandons unstarted slices and returns ctx.Err(); a
 // cancellable ctx is additionally observed mid-slice at engine chunk

@@ -78,11 +78,9 @@ func TestExtractPreservesBehaviour(t *testing.T) {
 	e.Run(input)
 
 	merged := map[[2]int64]int{}
-	res, err := p.RunSequential(input, func(r sim.Report) {
+	reps, res := canonical(t, p, input)
+	for _, r := range reps {
 		merged[[2]int64{r.Offset, int64(r.Code)}]++
-	})
-	if err != nil {
-		t.Fatal(err)
 	}
 	if res.Passes != p.Passes() {
 		t.Fatalf("passes=%d", res.Passes)

@@ -23,9 +23,8 @@
 //     within one offset are delivered in the canonical (offset, code,
 //     state) order — the three emit mechanisms (confirm frontier, anchor
 //     tails, residual engine) are merged per symbol.
-//   - CollectReports/MaxReports/OnReport/CodeCounts behave exactly as on
-//     sim.Engine; RunChecked performs the same ~4 KiB cooperative budget
-//     checks at guard.SitePrefilter.
+//   - OnReport behaves exactly as on sim.Engine; RunChecked performs the
+//     same ~4 KiB cooperative budget checks at guard.SitePrefilter.
 //   - FrontierSnapshot/RestoreState make mid-stream handoff exact: the
 //     snapshot is the confirm frontier plus the residual frontier (in
 //     whole-automaton state IDs) plus one sentinel entry >= NumStates
@@ -110,13 +109,9 @@ type Engine struct {
 	acState int32
 	offset  int64
 
-	// Report contract, field-for-field sim.Engine's.
-	CollectReports bool
-	MaxReports     int
-	OnReport       func(sim.Report)
-	CodeCounts     map[int32]int64
+	// OnReport is the report output, exactly sim.Engine's.
+	OnReport func(sim.Report)
 
-	reports    []sim.Report
 	stats      sim.Stats // this engine's share; Stats() folds the residual in
 	anchorHits int64
 	pend       []pending
@@ -308,9 +303,6 @@ func (e *Engine) flushPend() {
 // the attached ledger sharing its buffer) already attributed them.
 func (e *Engine) emit(p *pending) {
 	e.stats.Reports++
-	if e.CodeCounts != nil {
-		e.CodeCounts[p.rep.Code]++
-	}
 	if e.led != nil && !p.resid {
 		e.led.Report(p.rep.Code)
 	}
@@ -319,9 +311,6 @@ func (e *Engine) emit(p *pending) {
 	}
 	if e.OnReport != nil {
 		e.OnReport(p.rep)
-	}
-	if e.CollectReports && (e.MaxReports == 0 || len(e.reports) < e.MaxReports) {
-		e.reports = append(e.reports, p.rep)
 	}
 }
 
@@ -440,10 +429,6 @@ func (e *Engine) Stats() sim.Stats {
 // AnchorHits returns the number of anchor-literal occurrences since Reset.
 func (e *Engine) AnchorHits() int64 { return e.anchorHits }
 
-// Reports returns the reports collected since the last Reset (only
-// populated when CollectReports is set).
-func (e *Engine) Reports() []sim.Report { return e.reports }
-
 // Reset clears all runtime state, mirroring sim.Engine.Reset.
 func (e *Engine) Reset() {
 	e.FlushTelemetry()
@@ -465,7 +450,6 @@ func (e *Engine) Reset() {
 	e.pubAnchorHits = 0
 	e.pubResidualWork = 0
 	e.ledMark = 0
-	e.reports = e.reports[:0]
 	if e.residual != nil {
 		e.residual.Reset()
 	}

@@ -71,12 +71,6 @@ func BuildChain(b *automata.Builder, k int, chainCode int32, rng *randx.Rand) er
 	return nil
 }
 
-// StatesPerChain returns the per-chain state count: k branches + k² sides.
-func StatesPerChain(k int) int { return k + k*k }
-
-// EdgesPerChain returns the per-chain edge count: 2k².
-func EdgesPerChain(k int) int { return 2 * k * k }
-
 // Benchmark builds n parallel k-sided chains (the paper: 1,000 chains,
 // 4- and 8-sided variants) with seeded per-chain structure randomization.
 func Benchmark(n, k int, seed uint64) (*automata.Automaton, error) {

@@ -9,25 +9,17 @@ import (
 	"automatazoo/internal/sim"
 )
 
+// A k-sided chain has k branches + k² sides and 2k² edges: Table I's
+// 4-sided 20 states 32 edges, 8-sided 72/128.
 func TestChainGeometry(t *testing.T) {
-	for _, k := range []int{4, 8} {
-		a, err := Benchmark(1, k, 1)
+	for _, c := range []struct{ k, states, edges int }{{4, 20, 32}, {8, 72, 128}} {
+		a, err := Benchmark(1, c.k, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if a.NumStates() != StatesPerChain(k) {
-			t.Fatalf("k=%d states=%d want %d", k, a.NumStates(), StatesPerChain(k))
+		if a.NumStates() != c.states || a.NumEdges() != c.edges {
+			t.Fatalf("k=%d: %d states %d edges, want %d/%d", c.k, a.NumStates(), a.NumEdges(), c.states, c.edges)
 		}
-		if a.NumEdges() != EdgesPerChain(k) {
-			t.Fatalf("k=%d edges=%d want %d", k, a.NumEdges(), EdgesPerChain(k))
-		}
-	}
-	// Table I geometry: 4-sided 20 states 32 edges, 8-sided 72/128.
-	if StatesPerChain(4) != 20 || EdgesPerChain(4) != 32 {
-		t.Fatal("4-sided geometry off")
-	}
-	if StatesPerChain(8) != 72 || EdgesPerChain(8) != 128 {
-		t.Fatal("8-sided geometry off")
 	}
 }
 

@@ -57,13 +57,15 @@ func TestMotifSearchSemantics(t *testing.T) {
 		t.Fatalf("compile: %v skipped=%d", err, skipped)
 	}
 	e := sim.New(a)
-	if got := e.CountReports([]byte("AACGGHTAA")); got != 1 {
+	if got := e.Run([]byte("AACGGHTAA")).Reports; got != 1 {
 		t.Fatalf("C-x(2)-H-T should match: %d", got)
 	}
-	if got := e.CountReports([]byte("AACGHTAA")); got != 0 {
+	e.Reset()
+	if got := e.Run([]byte("AACGHTAA")).Reports; got != 0 {
 		t.Fatalf("gap of 1 should not match: %d", got)
 	}
-	if got := e.CountReports([]byte("AACGGGKTAA")); got != 1 {
+	e.Reset()
+	if got := e.Run([]byte("AACGGGKTAA")).Reports; got != 1 {
 		t.Fatalf("C-x(3)-K-T should match: %d", got)
 	}
 }
@@ -127,7 +129,7 @@ func TestMotifInstanceMatchesPattern(t *testing.T) {
 			t.Fatal(err)
 		}
 		e := sim.New(a)
-		if e.CountReports(inst) == 0 {
+		if e.Run(inst).Reports == 0 {
 			t.Fatalf("instance %q does not match its own pattern %q", inst, p.Pattern)
 		}
 	}

@@ -34,15 +34,6 @@ func Compile(pattern string, flags Flags, code int32) (*CompileResult, error) {
 	return &CompileResult{Automaton: a, AnchoredEnd: parsed.AnchoredEnd, Positions: n}, nil
 }
 
-// MustCompile is Compile for program-constructed patterns.
-func MustCompile(pattern string, flags Flags, code int32) *CompileResult {
-	r, err := Compile(pattern, flags, code)
-	if err != nil {
-		panic(err)
-	}
-	return r
-}
-
 // CompileInto compiles an already-parsed pattern into an existing builder,
 // so rule-set benchmarks can assemble thousands of patterns into one
 // automaton without intermediate copies. It returns the number of states

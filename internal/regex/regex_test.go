@@ -10,6 +10,16 @@ import (
 	"automatazoo/internal/sim"
 )
 
+// mustCompile compiles pattern or fails the test.
+func mustCompile(t *testing.T, pattern string, flags Flags, code int32) *CompileResult {
+	t.Helper()
+	res, err := Compile(pattern, flags, code)
+	if err != nil {
+		t.Fatalf("Compile(%q): %v", pattern, err)
+	}
+	return res
+}
+
 // matchOffsets runs the compiled pattern over input and returns the set of
 // distinct offsets at which a report fired.
 func matchOffsets(t *testing.T, pattern string, flags Flags, input string) map[int64]bool {
@@ -268,13 +278,14 @@ func TestCompileInto(t *testing.T) {
 	}
 	a := b.MustBuild()
 	e := sim.New(a)
-	e.CollectReports = true
+	var reps []sim.Report
+	e.OnReport = func(r sim.Report) { reps = append(reps, r) }
 	e.Run([]byte("catdog"))
-	if len(e.Reports()) != 2 {
-		t.Fatalf("reports=%v", e.Reports())
+	if len(reps) != 2 {
+		t.Fatalf("reports=%v", reps)
 	}
-	if e.Reports()[0].Code != 1 || e.Reports()[1].Code != 2 {
-		t.Fatalf("codes wrong: %v", e.Reports())
+	if reps[0].Code != 1 || reps[1].Code != 2 {
+		t.Fatalf("codes wrong: %v", reps)
 	}
 }
 
@@ -290,7 +301,7 @@ func TestLiteralPattern(t *testing.T) {
 	}
 	a := b.MustBuild()
 	e := sim.New(a)
-	if got := e.CountReports([]byte("AB ab Ab")); got != 3 {
+	if got := e.Run([]byte("AB ab Ab")).Reports; got != 3 {
 		t.Fatalf("case-folded literal count=%d", got)
 	}
 	if _, _, err := LiteralPattern(b, nil, 0, automata.StartAllInput); err == nil {
@@ -299,7 +310,7 @@ func TestLiteralPattern(t *testing.T) {
 }
 
 func TestPositionsCount(t *testing.T) {
-	res := MustCompile("a{4}b", 0, 0)
+	res := mustCompile(t, "a{4}b", 0, 0)
 	if res.Positions != 5 || res.Automaton.NumStates() != 5 {
 		t.Fatalf("positions=%d states=%d", res.Positions, res.Automaton.NumStates())
 	}
@@ -358,19 +369,19 @@ func TestSyntaxErrorMessage(t *testing.T) {
 }
 
 func TestStartTypesOnCompiledStates(t *testing.T) {
-	res := MustCompile("^ab", 0, 0)
+	res := mustCompile(t, "^ab", 0, 0)
 	a := res.Automaton
 	if a.Start(0) != automata.StartOfData {
 		t.Fatal("anchored head should be start-of-data")
 	}
-	res = MustCompile("ab", 0, 0)
+	res = mustCompile(t, "ab", 0, 0)
 	if res.Automaton.Start(0) != automata.StartAllInput {
 		t.Fatal("unanchored head should be all-input")
 	}
 }
 
 func TestClassNegationIncludesHighBytes(t *testing.T) {
-	res := MustCompile("[^a]", 0, 0)
+	res := mustCompile(t, "[^a]", 0, 0)
 	cls := res.Automaton.Class(0)
 	if cls.Contains('a') || !cls.Contains(0xff) || !cls.Contains(0) {
 		t.Fatal("negated class wrong")

@@ -236,23 +236,6 @@ func (t *Tree) Leaves() int {
 	return n
 }
 
-// Depth returns the maximum root-to-leaf depth.
-func (t *Tree) Depth() int {
-	var rec func(i int32) int
-	rec = func(i int32) int {
-		nd := &t.Nodes[i]
-		if nd.Feature < 0 {
-			return 0
-		}
-		l, r := rec(nd.Left), rec(nd.Right)
-		if l > r {
-			return l + 1
-		}
-		return r + 1
-	}
-	return rec(0)
-}
-
 // LeafPath describes one root-to-leaf path as per-feature level intervals
 // [Lo, Hi] (inclusive), plus the leaf's class.
 type LeafPath struct {

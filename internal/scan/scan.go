@@ -203,7 +203,7 @@ func (sp *Spec) run(ctx context.Context, a *automata.Automaton, streams [][]byte
 // (segment.Resolve).
 func segmented(streams [][]byte, segments, workers int) bool {
 	for _, s := range streams {
-		if segment.Resolve(int64(len(s)), segments, workers, 0) > 1 {
+		if segment.Resolve(int64(len(s)), segments, workers) > 1 {
 			return true
 		}
 	}
@@ -317,7 +317,7 @@ func (sp *Spec) whole(ctx context.Context, a *automata.Automaton, e segment.Engi
 		if off == 0 {
 			e.Reset()
 		}
-		if segment.Resolve(int64(len(stream)), sp.Segments, sp.Workers, 0) > 1 {
+		if segment.Resolve(int64(len(stream)), sp.Segments, sp.Workers) > 1 {
 			err := sp.chunked(ctx, a, e, stream, off, res, func() (*ckpt.Checkpoint, error) {
 				return save(si, eng.CaptureState(), res.Stats)
 			})

@@ -74,10 +74,9 @@ const (
 
 // Resolve decides the segment count for an n-byte stream. requested > 1
 // asks for exactly that many (clamped to one byte per segment); 1 disables
-// segmentation; <= 0 means auto: min(workers, n/autoMin) so small inputs
-// stay sequential and large ones fan out to the worker count. autoMin <= 0
-// uses DefaultAutoMinBytes.
-func Resolve(n int64, requested, workers int, autoMin int64) int {
+// segmentation; <= 0 means auto: min(workers, n/DefaultAutoMinBytes) so
+// small inputs stay sequential and large ones fan out to the worker count.
+func Resolve(n int64, requested, workers int) int {
 	if n <= 1 {
 		return 1
 	}
@@ -91,10 +90,7 @@ func Resolve(n int64, requested, workers int, autoMin int64) int {
 		}
 		return int(k)
 	}
-	if autoMin <= 0 {
-		autoMin = DefaultAutoMinBytes
-	}
-	k := n / autoMin
+	k := n / DefaultAutoMinBytes
 	if w := int64(parallel.Workers(workers)); k > w {
 		k = w
 	}
@@ -237,11 +233,6 @@ type Options struct {
 	// DefaultWarmup, < 0 disables speculation entirely (segments cascade
 	// sequentially on the master engine — exact, but no speedup).
 	Warmup int
-	// AutoMinBytes floors the per-segment size under auto resolution
-	// (0 = DefaultAutoMinBytes).
-	AutoMinBytes int64
-	// CollectReports populates Result.Reports.
-	CollectReports bool
 	// OnReport, if non-nil, receives every report after the stitch
 	// completes, in canonical (offset, code, state) order.
 	OnReport func(sim.Report)
@@ -252,10 +243,6 @@ type Options struct {
 	// warmup bytes are never charged — and is committed only when the
 	// speculation validates.
 	Hooks
-	// AttrCompOf maps this runner's (possibly slice-local) state IDs to
-	// Attribution's global component indices; nil uses the collector's
-	// whole-automaton map.
-	AttrCompOf []int32
 	// Master, if non-nil, is used as the master engine instead of a
 	// factory-built one. The scan driver (internal/scan) passes its one
 	// whole-automaton engine here, so consecutive chunks of one stream
@@ -320,9 +307,6 @@ type Result struct {
 	// prefix (the whole stream on success, the bytes before the trip on
 	// truncation).
 	Stats sim.Stats
-	// Reports holds the canonical (offset, code, state)-ordered report
-	// stream when Options.CollectReports is set.
-	Reports []sim.Report
 	// Stitch is the speculation/stitch outcome tally.
 	Stitch Stitch
 }
@@ -379,9 +363,9 @@ func newRunner(a *automata.Automaton, input []byte, opts Options) (*runner, erro
 	if r.warmup < 0 {
 		r.warmup = 0
 	}
-	r.k = Resolve(int64(len(input)), opts.Segments, opts.Workers, opts.AutoMinBytes)
+	r.k = Resolve(int64(len(input)), opts.Segments, opts.Workers)
 	r.bounds = Bounds(int64(len(input)), r.k)
-	r.collect = opts.CollectReports || opts.OnReport != nil
+	r.collect = opts.OnReport != nil
 	r.specs = make([]spec, r.k)
 	r.perSeg = make([][]sim.Report, r.k)
 
@@ -394,7 +378,7 @@ func newRunner(a *automata.Automaton, input []byte, opts Options) (*runner, erro
 	}
 	r.specOK = r.k > 1 && r.warmup > 0 && r.master.Speculative()
 	set := opts.EngineSet()
-	r.masterLed = opts.Ledger(opts.AttrCompOf)
+	r.masterLed = opts.Ledger(nil)
 	set.Ledger = r.masterLed
 	r.master.Attach(set)
 
@@ -481,11 +465,11 @@ func (r *runner) speculate(i int) error {
 		ws = 0
 	}
 	// Warmup: re-scan the window before the boundary from the empty
-	// frontier. Reports are suppressed (no OnReport/CollectReports) and the
-	// bytes are not charged to the input budget — they are re-scanned
-	// stream bytes, already charged once by whichever engine owns them —
-	// but the governor still gets a trip/fault checkpoint per chunk so a
-	// tripped run unwinds speculative workers too.
+	// frontier. Reports are suppressed (no OnReport) and the bytes are not
+	// charged to the input budget — they are re-scanned stream bytes,
+	// already charged once by whichever engine owns them — but the
+	// governor still gets a trip/fault checkpoint per chunk so a tripped
+	// run unwinds speculative workers too.
 	e.SetOffset(r.opts.BaseOffset + ws)
 	for off := ws; off < lo; {
 		end := off + warmChunk
@@ -512,7 +496,7 @@ func (r *runner) speculate(i int) error {
 	// The scratch attribution ledger attaches here — after warmup, at the
 	// exact-stats baseline — so it records only the segment's own scan.
 	set := r.specSet
-	set.Ledger = r.opts.Ledger(r.opts.AttrCompOf)
+	set.Ledger = r.opts.Ledger(nil)
 	e.Attach(set)
 	st, err := e.RunChecked(r.input[lo:hi])
 	e.SetOnReport(nil)
@@ -597,13 +581,11 @@ func (r *runner) finish(phase1Err error) (Result, error) {
 		r.root.End()
 		return res, err
 	}
-	merged := flatten(r.perSeg)
-	if r.opts.CollectReports {
-		res.Reports = merged
-	}
-	if r.opts.OnReport != nil {
-		for _, rep := range merged {
-			r.opts.OnReport(rep)
+	if r.collect {
+		for _, seg := range r.perSeg {
+			for _, rep := range seg {
+				r.opts.OnReport(rep)
+			}
 		}
 	}
 	r.root.End()
@@ -643,18 +625,6 @@ func canonReports(buf []sim.Report) []sim.Report {
 		return buf[x].State < buf[y].State
 	})
 	return buf
-}
-
-func flatten(perSeg [][]sim.Report) []sim.Report {
-	total := 0
-	for _, b := range perSeg {
-		total += len(b)
-	}
-	out := make([]sim.Report, 0, total)
-	for _, b := range perSeg {
-		out = append(out, b...)
-	}
-	return out
 }
 
 func subStats(a, b sim.Stats) sim.Stats {

@@ -18,10 +18,10 @@ import (
 // and canonically-ordered reports — the reference every segmented run
 // must reproduce exactly.
 func sequential(a *automata.Automaton, input []byte) (sim.Stats, []sim.Report) {
+	var reps []sim.Report
 	e := sim.New(a)
-	e.CollectReports = true
+	e.OnReport = func(r sim.Report) { reps = append(reps, r) }
 	st := e.Run(input)
-	reps := append([]sim.Report(nil), e.Reports()...)
 	slices.SortFunc(reps, func(x, y sim.Report) int {
 		if x.Offset != y.Offset {
 			return int(x.Offset - y.Offset)
@@ -37,7 +37,8 @@ func sequential(a *automata.Automaton, input []byte) (sim.Stats, []sim.Report) {
 func checkIdentical(t *testing.T, a *automata.Automaton, input []byte, opts segment.Options) segment.Result {
 	t.Helper()
 	wantStats, wantReps := sequential(a, input)
-	opts.CollectReports = true
+	var reps []sim.Report
+	opts.OnReport = func(r sim.Report) { reps = append(reps, r) }
 	res, err := segment.Run(context.Background(), a, input, opts)
 	if err != nil {
 		t.Fatalf("segment.Run: %v", err)
@@ -45,8 +46,8 @@ func checkIdentical(t *testing.T, a *automata.Automaton, input []byte, opts segm
 	if res.Stats != wantStats {
 		t.Fatalf("stats diverge: sequential %+v, segmented %+v (stitch %+v)", wantStats, res.Stats, res.Stitch)
 	}
-	if !slices.Equal(res.Reports, wantReps) {
-		t.Fatalf("reports diverge: sequential %d, segmented %d (stitch %+v)", len(wantReps), len(res.Reports), res.Stitch)
+	if !slices.Equal(reps, wantReps) {
+		t.Fatalf("reports diverge: sequential %d, segmented %d (stitch %+v)", len(wantReps), len(reps), res.Stitch)
 	}
 	return res
 }
@@ -147,21 +148,20 @@ func TestResolve(t *testing.T) {
 		n         int64
 		requested int
 		workers   int
-		autoMin   int64
 		want      int
 	}{
-		{200_000, 0, 8, 0, 1},        // suite-sized input stays sequential under auto
-		{8 << 20, 0, 4, 0, 4},        // large input fans to the worker count
-		{8 << 20, 0, 64, 1 << 20, 8}, // ... but never below autoMin per segment
-		{100, 3, 8, 0, 3},            // explicit count bypasses the auto floor
-		{2, 8, 1, 0, 2},              // explicit count clamps to one byte per segment
-		{0, 4, 4, 0, 1},              // empty input
-		{1, 4, 4, 0, 1},              // single byte
-		{8 << 20, 1, 8, 0, 1},        // 1 = off
+		{200_000, 0, 8, 1},  // suite-sized input stays sequential under auto
+		{8 << 20, 0, 4, 4},  // large input fans to the worker count
+		{8 << 20, 0, 64, 8}, // ... but never below DefaultAutoMinBytes per segment
+		{100, 3, 8, 3},      // explicit count bypasses the auto floor
+		{2, 8, 1, 2},        // explicit count clamps to one byte per segment
+		{0, 4, 4, 1},        // empty input
+		{1, 4, 4, 1},        // single byte
+		{8 << 20, 1, 8, 1},  // 1 = off
 	}
 	for _, c := range cases {
-		if got := segment.Resolve(c.n, c.requested, c.workers, c.autoMin); got != c.want {
-			t.Errorf("Resolve(%d, %d, %d, %d) = %d, want %d", c.n, c.requested, c.workers, c.autoMin, got, c.want)
+		if got := segment.Resolve(c.n, c.requested, c.workers); got != c.want {
+			t.Errorf("Resolve(%d, %d, %d) = %d, want %d", c.n, c.requested, c.workers, got, c.want)
 		}
 	}
 }
@@ -239,18 +239,21 @@ func TestSegmentsAreDeterministicAcrossWorkers(t *testing.T) {
 	a := difftest.Generate(rng.Fork(), cfg)
 	input := difftest.GenInput(rng.Fork(), cfg, 8192)
 	var base segment.Result
+	var baseReps []sim.Report
 	for i, workers := range []int{1, 2, 8} {
+		var reps []sim.Report
 		res, err := segment.Run(context.Background(), a, input, segment.Options{
-			Segments: 4, Workers: workers, Warmup: 64, CollectReports: true,
+			Segments: 4, Workers: workers, Warmup: 64,
+			OnReport: func(r sim.Report) { reps = append(reps, r) },
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
 		if i == 0 {
-			base = res
+			base, baseReps = res, reps
 			continue
 		}
-		if res.Stats != base.Stats || res.Stitch != base.Stitch || !slices.Equal(res.Reports, base.Reports) {
+		if res.Stats != base.Stats || res.Stitch != base.Stitch || !slices.Equal(reps, baseReps) {
 			t.Fatalf("workers=%d diverges from workers=1: %+v vs %+v", workers, res.Stitch, base.Stitch)
 		}
 	}

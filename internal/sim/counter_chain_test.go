@@ -44,9 +44,7 @@ func TestChainedCountersDeterministic(t *testing.T) {
 	for trial := 0; trial < 100; trial++ {
 		a := chainPair(1, 2, automata.CountRollover, automata.CountRollover, true)
 		e := New(a)
-		e.CollectReports = true
-		e.Run([]byte("xx"))
-		reps := e.Reports()
+		reps := reportsOf(e, []byte("xx"))
 		if len(reps) != 1 || reps[0].Offset != 1 || reps[0].Code != 9 {
 			t.Fatalf("trial %d: reports=%v, want exactly [{1 _ 9}]", trial, reps)
 		}
@@ -63,9 +61,7 @@ func TestChainedCountersDeterministic(t *testing.T) {
 func TestChainedCounterFiresAtTarget(t *testing.T) {
 	a := chainPair(1, 2, automata.CountRollover, automata.CountRollover, false)
 	e := New(a)
-	e.CollectReports = true
-	e.Run([]byte("xxx"))
-	reps := e.Reports()
+	reps := reportsOf(e, []byte("xxx"))
 	if len(reps) != 1 || reps[0].Offset != 1 {
 		t.Fatalf("reports=%v, want one report at offset 1 (chained increments reach target)", reps)
 	}
@@ -77,9 +73,7 @@ func TestChainedCounterFiresAtTarget(t *testing.T) {
 func TestChainedCounterRespectsLatch(t *testing.T) {
 	a := chainPair(1, 1, automata.CountRollover, automata.CountLatch, false)
 	e := New(a)
-	e.CollectReports = true
-	e.Run([]byte("xxxxx"))
-	reps := e.Reports()
+	reps := reportsOf(e, []byte("xxxxx"))
 	if len(reps) != 1 || reps[0].Offset != 0 {
 		t.Fatalf("reports=%v, want one latched report at offset 0", reps)
 	}
@@ -106,11 +100,9 @@ func TestChainedCounterCycleTerminates(t *testing.T) {
 	b.AddEdge(c2, c1)
 	a := b.MustBuild()
 	e := New(a)
-	e.CollectReports = true
-	e.Run([]byte("x"))
+	reps := reportsOf(e, []byte("x"))
 	// c1 fires from its pulse; its chain increments c2, which fires and
 	// chains back — but c1 already consumed its one increment this cycle.
-	reps := e.Reports()
 	if len(reps) != 2 || reps[0].Code != 1 || reps[1].Code != 2 {
 		t.Fatalf("reports=%v, want codes [1 2] at offset 0", reps)
 	}
@@ -131,9 +123,7 @@ func TestCounterReportOrderCanonical(t *testing.T) {
 	}
 	for trial := 0; trial < 50; trial++ {
 		e := New(build())
-		e.CollectReports = true
-		e.Run([]byte("x"))
-		reps := e.Reports()
+		reps := reportsOf(e, []byte("x"))
 		if len(reps) != 6 {
 			t.Fatalf("trial %d: %d reports, want 6", trial, len(reps))
 		}

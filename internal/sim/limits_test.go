@@ -8,22 +8,17 @@ import (
 	"automatazoo/internal/charset"
 )
 
-// Report-limiting paths: every emit must feed stats, CodeCounts, and
-// OnReport regardless of CollectReports/MaxReports truncation, for both
-// STE-activation reports and counter-fire reports.
+// The one report path: every emit must feed both the stats count and
+// OnReport, for STE-activation reports and counter-fire reports alike.
 
 func TestOnReportFiresWithoutCollection(t *testing.T) {
 	a := literalAutomaton("a", 7)
 	e := New(a)
-	e.CollectReports = false
 	var calls []Report
 	e.OnReport = func(r Report) { calls = append(calls, r) }
 	st := e.Run(bytes.Repeat([]byte("a"), 5))
 	if len(calls) != 5 {
-		t.Fatalf("OnReport calls=%d want 5 with CollectReports off", len(calls))
-	}
-	if len(e.Reports()) != 0 {
-		t.Fatalf("Reports()=%v, want empty with CollectReports off", e.Reports())
+		t.Fatalf("OnReport calls=%d want 5", len(calls))
 	}
 	if st.Reports != 5 {
 		t.Fatalf("stats.Reports=%d want 5", st.Reports)
@@ -33,49 +28,8 @@ func TestOnReportFiresWithoutCollection(t *testing.T) {
 	}
 }
 
-func TestMaxReportsDoesNotStarveCallbackOrCodeCounts(t *testing.T) {
-	a := literalAutomaton("a", 3)
-	e := New(a)
-	e.CollectReports = true
-	e.MaxReports = 2
-	e.CodeCounts = map[int32]int64{}
-	var calls int
-	e.OnReport = func(Report) { calls++ }
-	st := e.Run(bytes.Repeat([]byte("a"), 9))
-	if len(e.Reports()) != 2 {
-		t.Fatalf("collected=%d want 2 (truncated)", len(e.Reports()))
-	}
-	if st.Reports != 9 {
-		t.Fatalf("stats.Reports=%d want 9 (truncation must not affect counting)", st.Reports)
-	}
-	if calls != 9 {
-		t.Fatalf("OnReport calls=%d want 9 (truncation must not affect callback)", calls)
-	}
-	if e.CodeCounts[3] != 9 {
-		t.Fatalf("CodeCounts=%v want {3:9} (truncation must not affect accumulation)", e.CodeCounts)
-	}
-}
-
-func TestCodeCountsAccumulateAcrossRunsUntilReset(t *testing.T) {
-	a := literalAutomaton("a", 1)
-	e := New(a)
-	e.CodeCounts = map[int32]int64{}
-	e.Run([]byte("aa"))
-	e.Run([]byte("a")) // same stream continued
-	if e.CodeCounts[1] != 3 {
-		t.Fatalf("CodeCounts=%v want {1:3} across Run calls", e.CodeCounts)
-	}
-	// Reset clears engine state but leaves the caller-owned map alone; the
-	// Snort report-rate experiment accumulates across segments this way.
-	e.Reset()
-	e.Run([]byte("a"))
-	if e.CodeCounts[1] != 4 {
-		t.Fatalf("CodeCounts=%v want {1:4} (caller-owned map persists)", e.CodeCounts)
-	}
-}
-
-// Counter-fire reports go through the same emit path: truncation, counting,
-// CodeCounts, and OnReport all apply.
+// Counter-fire reports go through the same emit path: counting and
+// OnReport both apply.
 func TestCounterReportsThroughLimitingPaths(t *testing.T) {
 	b := automata.NewBuilder()
 	s := b.AddSTE(charset.Single('x'), automata.StartAllInput)
@@ -84,9 +38,6 @@ func TestCounterReportsThroughLimitingPaths(t *testing.T) {
 	b.SetReport(c, 42)
 	a := b.MustBuild()
 	e := New(a)
-	e.CollectReports = true
-	e.MaxReports = 1
-	e.CodeCounts = map[int32]int64{}
 	var calls int
 	e.OnReport = func(r Report) {
 		if r.Code != 42 {
@@ -95,8 +46,7 @@ func TestCounterReportsThroughLimitingPaths(t *testing.T) {
 		calls++
 	}
 	st := e.Run([]byte("xxx"))
-	if len(e.Reports()) != 1 || st.Reports != 3 || calls != 3 || e.CodeCounts[42] != 3 {
-		t.Fatalf("collected=%d stats=%d calls=%d codecounts=%v, want 1/3/3/{42:3}",
-			len(e.Reports()), st.Reports, calls, e.CodeCounts)
+	if st.Reports != 3 || calls != 3 {
+		t.Fatalf("stats=%d calls=%d, want 3/3", st.Reports, calls)
 	}
 }

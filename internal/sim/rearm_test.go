@@ -25,12 +25,11 @@ func rearmAutomaton() (*automata.Automaton, automata.StateID) {
 func TestEnableStateAfterReset(t *testing.T) {
 	a, u := rearmAutomaton()
 	e := New(a)
-	e.CollectReports = true
 	e.Run([]byte("a")) // final cycle leaves u on the upcoming frontier
 	e.Reset()
 	e.EnableState(u)
 	e.Step('b')
-	if got := len(e.Reports()); got != 1 {
+	if got := e.Stats().Reports; got != 1 {
 		t.Fatalf("reset-then-rearm: got %d reports, want 1", got)
 	}
 }

@@ -139,20 +139,11 @@ type Engine struct {
 
 	offset int64
 
-	// CollectReports controls whether Run returns the report list. Count
-	// and rate statistics are always maintained.
-	CollectReports bool
-	// MaxReports bounds the collected report list (0 = unlimited).
-	MaxReports int
-	// OnReport, if set, is invoked for every report regardless of
-	// CollectReports.
+	// OnReport, if set, is invoked for every report: the engine's one
+	// report output. Count and rate statistics are always maintained.
 	OnReport func(Report)
-	// CodeCounts, if non-nil, accumulates per-report-code counts (used by
-	// the Snort report-rate experiment).
-	CodeCounts map[int32]int64
 
-	reports []Report
-	stats   Stats
+	stats Stats
 
 	// h is the attached hook bundle (see Attach); the zero Set is a bare
 	// engine. The hot loop tests only the single telemetryOn flag, so the
@@ -235,9 +226,6 @@ func (e *Engine) EnableProfile() *telemetry.StateProfile {
 	e.syncTelemetryOn()
 	return e.prof
 }
-
-// Profile returns the attached per-state profile, or nil.
-func (e *Engine) Profile() *telemetry.StateProfile { return e.prof }
 
 // SetOnReport sets the OnReport callback (nil detaches) — the method form
 // required by the segment scanner's engine interface, identical to
@@ -325,9 +313,9 @@ func (e *Engine) flushStats() {
 	e.published = e.stats
 }
 
-// Reset clears all runtime state: the frontier, counters, latches, offset,
-// statistics, and any collected reports. The next symbol consumed is
-// treated as the start of data.
+// Reset clears all runtime state: the frontier, counters, latches, offset
+// and statistics. The next symbol consumed is treated as the start of
+// data.
 func (e *Engine) Reset() {
 	e.FlushTelemetry() // don't lose stats accumulated via bare Step calls
 	e.frontier = e.frontier[:0]
@@ -356,15 +344,10 @@ func (e *Engine) Reset() {
 	e.stats = Stats{}
 	e.published = Stats{}
 	e.ledMark = 0
-	e.reports = e.reports[:0]
 }
 
 // Stats returns the statistics accumulated since the last Reset.
 func (e *Engine) Stats() Stats { return e.stats }
-
-// Reports returns the reports collected since the last Reset (only
-// populated when CollectReports is set).
-func (e *Engine) Reports() []Report { return e.reports }
 
 // Run consumes the entire input and returns the accumulated statistics.
 // It may be called repeatedly to continue the same logical stream.
@@ -404,21 +387,14 @@ func (e *Engine) scanChunk(chunk []byte) error {
 
 func (e *Engine) emit(id automata.StateID) {
 	e.stats.Reports++
-	if e.CodeCounts != nil {
-		e.CodeCounts[e.code[id]]++
-	}
 	if e.led != nil {
 		e.led.Report(e.code[id])
 	}
-	r := Report{Offset: e.offset, State: id, Code: e.code[id]}
 	if e.h.Tracer != nil {
 		e.h.Tracer.OnReport(e.offset, id, e.code[id])
 	}
 	if e.OnReport != nil {
-		e.OnReport(r)
-	}
-	if e.CollectReports && (e.MaxReports == 0 || len(e.reports) < e.MaxReports) {
-		e.reports = append(e.reports, r)
+		e.OnReport(Report{Offset: e.offset, State: id, Code: e.code[id]})
 	}
 }
 
@@ -464,11 +440,6 @@ func (e *Engine) stepTelemetry(b byte) {
 	}
 	if e.frontierHist != nil {
 		e.frontierHist.Observe(int64(len(e.frontier)))
-	}
-	if e.prof != nil {
-		for _, s := range e.frontier {
-			e.prof.Enables[s]++
-		}
 	}
 }
 
@@ -673,12 +644,11 @@ func (e *Engine) CaptureState() *StreamState {
 // stream at s: the frontier is re-armed, counter values and latches are
 // reinstated, and the next Step consumes the symbol at s.Offset (reports
 // carry absolute offsets; start-of-data states fire only when s.Offset is
-// 0). Per-stream accounting restarts: Stats and collected reports cover
-// only the work after the restore, exactly like Reset — callers stitching
-// a stream from several engines sum the per-piece stats themselves. A
-// snapshot naming a state this automaton does not have (or a counter
-// value for a non-counter) was captured elsewhere and is rejected before
-// anything changes.
+// 0). Per-stream accounting restarts: Stats cover only the work after the
+// restore, exactly like Reset — callers stitching a stream from several
+// engines sum the per-piece stats themselves. A snapshot naming a state
+// this automaton does not have (or a counter value for a non-counter) was
+// captured elsewhere and is rejected before anything changes.
 func (e *Engine) RestoreState(s *StreamState) error {
 	for _, id := range s.Frontier {
 		if int(id) >= len(e.mark) {
@@ -716,15 +686,3 @@ func (e *Engine) Speculative() bool { return e.a.NumCounters() == 0 }
 // suppression: only offset 0 arms StartOfData states) before it scans a
 // mid-stream slice. Call it between Step calls.
 func (e *Engine) SetOffset(off int64) { e.offset = off }
-
-// CountReports runs the engine over input without collecting report
-// structures and returns only the number of reports. The engine is Reset
-// first.
-func (e *Engine) CountReports(input []byte) int64 {
-	e.Reset()
-	collect := e.CollectReports
-	e.CollectReports = false
-	e.Run(input)
-	e.CollectReports = collect
-	return e.stats.Reports
-}

@@ -1,7 +1,6 @@
 package sim
 
 import (
-	"bytes"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -30,6 +29,23 @@ func literalAutomaton(lit string, code int32) *automata.Automaton {
 	return b.MustBuild()
 }
 
+// reportsOf runs input on e, continuing its stream, and returns the
+// reports the run emitted through OnReport.
+func reportsOf(e *Engine, input []byte) []Report {
+	var reps []Report
+	e.OnReport = func(r Report) { reps = append(reps, r) }
+	e.Run(input)
+	e.OnReport = nil
+	return reps
+}
+
+// countReports runs input on e from a fresh stream and returns the number
+// of reports.
+func countReports(e *Engine, input []byte) int64 {
+	e.Reset()
+	return e.Run(input).Reports
+}
+
 // naiveCount counts occurrences of lit in input (overlapping included),
 // the ground truth for literal automata.
 func naiveCount(input, lit string) int64 {
@@ -45,9 +61,7 @@ func naiveCount(input, lit string) int64 {
 func TestLiteralMatch(t *testing.T) {
 	a := literalAutomaton("abc", 1)
 	e := New(a)
-	e.CollectReports = true
-	e.Run([]byte("xxabcxxabcabc"))
-	reps := e.Reports()
+	reps := reportsOf(e, []byte("xxabcxxabcabc"))
 	if len(reps) != 3 {
 		t.Fatalf("reports=%d want 3", len(reps))
 	}
@@ -65,7 +79,7 @@ func TestLiteralMatch(t *testing.T) {
 func TestOverlappingMatches(t *testing.T) {
 	a := literalAutomaton("aa", 0)
 	e := New(a)
-	if got := e.CountReports([]byte("aaaa")); got != 3 {
+	if got := countReports(e, []byte("aaaa")); got != 3 {
 		t.Fatalf("overlapping count=%d want 3", got)
 	}
 }
@@ -79,10 +93,10 @@ func TestStartOfData(t *testing.T) {
 	b.SetReport(s1, 0)
 	a := b.MustBuild()
 	e := New(a)
-	if got := e.CountReports([]byte("abab")); got != 1 {
+	if got := countReports(e, []byte("abab")); got != 1 {
 		t.Fatalf("anchored count=%d want 1", got)
 	}
-	if got := e.CountReports([]byte("xab")); got != 0 {
+	if got := countReports(e, []byte("xab")); got != 0 {
 		t.Fatalf("anchored count=%d want 0", got)
 	}
 }
@@ -92,7 +106,7 @@ func TestResetClearsState(t *testing.T) {
 	e := New(a)
 	e.Run([]byte("a")) // 'a' active; 'b' enabled
 	e.Reset()
-	if got := e.CountReports([]byte("b")); got != 0 {
+	if got := countReports(e, []byte("b")); got != 0 {
 		t.Fatal("stale frontier survived Reset")
 	}
 	if e.Stats().Symbols != 1 {
@@ -122,9 +136,7 @@ func TestAlternationViaFanout(t *testing.T) {
 	b.SetReport(y, 2)
 	a := b.MustBuild()
 	e := New(a)
-	e.CollectReports = true
-	e.Run([]byte("abac"))
-	reps := e.Reports()
+	reps := reportsOf(e, []byte("abac"))
 	if len(reps) != 2 || reps[0].Code != 1 || reps[1].Code != 2 {
 		t.Fatalf("reports=%v", reps)
 	}
@@ -140,10 +152,10 @@ func TestSelfLoop(t *testing.T) {
 	b.SetReport(r, 0)
 	a := b.MustBuild()
 	e := New(a)
-	if got := e.CountReports([]byte("aaab")); got != 1 {
+	if got := countReports(e, []byte("aaab")); got != 1 {
 		t.Fatalf("a+b count=%d want 1", got)
 	}
-	if got := e.CountReports([]byte("b")); got != 0 {
+	if got := countReports(e, []byte("b")); got != 0 {
 		t.Fatalf("bare b matched: %d", got)
 	}
 }
@@ -157,7 +169,7 @@ func TestAllInputStartWithIncomingEdgeActivatesOnce(t *testing.T) {
 	b.SetReport(s, 0)
 	a := b.MustBuild()
 	e := New(a)
-	if got := e.CountReports([]byte("aa")); got != 2 {
+	if got := countReports(e, []byte("aa")); got != 2 {
 		t.Fatalf("reports=%d want 2 (once per symbol)", got)
 	}
 }
@@ -171,9 +183,7 @@ func TestCounterRollover(t *testing.T) {
 	b.SetReport(c, 9)
 	a := b.MustBuild()
 	e := New(a)
-	e.CollectReports = true
-	e.Run([]byte("xxxxxxx")) // 7 x's -> fires at 3rd and 6th
-	reps := e.Reports()
+	reps := reportsOf(e, []byte("xxxxxxx")) // 7 x's -> fires at 3rd and 6th
 	if len(reps) != 2 {
 		t.Fatalf("counter reports=%d want 2", len(reps))
 	}
@@ -193,7 +203,7 @@ func TestCounterLatch(t *testing.T) {
 	b.SetReport(c, 0)
 	a := b.MustBuild()
 	e := New(a)
-	if got := e.CountReports([]byte("xxxxxx")); got != 1 {
+	if got := countReports(e, []byte("xxxxxx")); got != 1 {
 		t.Fatalf("latched counter reports=%d want 1", got)
 	}
 }
@@ -209,10 +219,10 @@ func TestCounterEnablesSuccessor(t *testing.T) {
 	b.SetReport(r, 0)
 	a := b.MustBuild()
 	e := New(a)
-	if got := e.CountReports([]byte("aab")); got != 1 {
+	if got := countReports(e, []byte("aab")); got != 1 {
 		t.Fatalf("counter-enabled match=%d want 1", got)
 	}
-	if got := e.CountReports([]byte("ab")); got != 0 {
+	if got := countReports(e, []byte("ab")); got != 0 {
 		t.Fatalf("premature counter fire: %d", got)
 	}
 }
@@ -229,10 +239,10 @@ func TestCounterSinglePulsePerCycle(t *testing.T) {
 	b.SetReport(c, 0)
 	a := b.MustBuild()
 	e := New(a)
-	if got := e.CountReports([]byte("x")); got != 0 {
+	if got := countReports(e, []byte("x")); got != 0 {
 		t.Fatalf("counter double-pulsed in one cycle: %d", got)
 	}
-	if got := e.CountReports([]byte("xx")); got != 1 {
+	if got := countReports(e, []byte("xx")); got != 1 {
 		t.Fatalf("counter fire count=%d want 1", got)
 	}
 }
@@ -267,35 +277,6 @@ func TestStatsZeroSymbols(t *testing.T) {
 	}
 }
 
-func TestCodeCounts(t *testing.T) {
-	b := automata.NewBuilder()
-	x := b.AddSTE(charset.Single('x'), automata.StartAllInput)
-	y := b.AddSTE(charset.Single('y'), automata.StartAllInput)
-	b.SetReport(x, 1)
-	b.SetReport(y, 2)
-	a := b.MustBuild()
-	e := New(a)
-	e.CodeCounts = map[int32]int64{}
-	e.Run([]byte("xxy"))
-	if e.CodeCounts[1] != 2 || e.CodeCounts[2] != 1 {
-		t.Fatalf("code counts=%v", e.CodeCounts)
-	}
-}
-
-func TestMaxReports(t *testing.T) {
-	a := literalAutomaton("a", 0)
-	e := New(a)
-	e.CollectReports = true
-	e.MaxReports = 2
-	e.Run(bytes.Repeat([]byte("a"), 10))
-	if len(e.Reports()) != 2 {
-		t.Fatalf("collected=%d want 2", len(e.Reports()))
-	}
-	if e.Stats().Reports != 10 {
-		t.Fatalf("stats.Reports=%d want 10 (counting unaffected)", e.Stats().Reports)
-	}
-}
-
 func TestOnReportCallback(t *testing.T) {
 	a := literalAutomaton("z", 5)
 	e := New(a)
@@ -324,7 +305,7 @@ func TestQuickLiteralEquivalence(t *testing.T) {
 		}
 		a := literalAutomaton(string(lit), 0)
 		e := New(a)
-		return e.CountReports(input) == naiveCount(string(input), string(lit))
+		return countReports(e, input) == naiveCount(string(input), string(lit))
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Error(err)
@@ -381,7 +362,7 @@ func TestGenerationWraparound(t *testing.T) {
 	a := literalAutomaton("ab", 0)
 	e := New(a)
 	for i := 0; i < 1000; i++ {
-		if got := e.CountReports([]byte("ab")); got != 1 {
+		if got := countReports(e, []byte("ab")); got != 1 {
 			t.Fatalf("iteration %d: got %d", i, got)
 		}
 	}
@@ -392,7 +373,7 @@ func TestEngineIndependentInstances(t *testing.T) {
 	e1 := New(a)
 	e2 := New(a)
 	e1.Run([]byte("a"))
-	if got := e2.CountReports([]byte("b")); got != 0 {
+	if got := countReports(e2, []byte("b")); got != 0 {
 		t.Fatal("engines share runtime state")
 	}
 }
@@ -404,7 +385,7 @@ func TestDotNewlineIndependence(t *testing.T) {
 	b.SetReport(s, 0)
 	a := b.MustBuild()
 	e := New(a)
-	if got := e.CountReports([]byte("a\nb")); got != 2 {
+	if got := countReports(e, []byte("a\nb")); got != 2 {
 		t.Fatalf("notnewline count=%d want 2", got)
 	}
 }
@@ -415,10 +396,8 @@ func TestMultiPatternMerged(t *testing.T) {
 	b.Merge(literalAutomaton("dog", 2), 0)
 	a := b.MustBuild()
 	e := New(a)
-	e.CollectReports = true
-	e.Run([]byte("the cat saw a dog catnap"))
 	var cats, dogs int
-	for _, r := range e.Reports() {
+	for _, r := range reportsOf(e, []byte("the cat saw a dog catnap")) {
 		switch r.Code {
 		case 1:
 			cats++
@@ -438,7 +417,7 @@ func TestLongInputThroughput(t *testing.T) {
 	a := literalAutomaton("needle", 0)
 	e := New(a)
 	input := []byte(strings.Repeat("haystack", 10000) + "needle")
-	if got := e.CountReports(input); got != 1 {
+	if got := countReports(e, input); got != 1 {
 		t.Fatalf("got %d", got)
 	}
 }

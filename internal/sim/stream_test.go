@@ -52,25 +52,23 @@ func TestCaptureRestoreResumesExactly(t *testing.T) {
 	a := streamAutomaton()
 	input := streamInput(200)
 	for _, cut := range []int{0, 1, 7, 100, 199, 200} {
+		var want, got []sim.Report
 		ref := sim.New(a)
-		ref.CollectReports = true
+		ref.OnReport = func(r sim.Report) { want = append(want, r) }
 		refStats := ref.Run(input)
 
 		head := sim.New(a)
-		head.CollectReports = true
+		head.OnReport = func(r sim.Report) { got = append(got, r) }
 		headStats := head.Run(input[:cut])
 		snap := head.CaptureState()
 
 		tail := sim.New(a)
-		tail.CollectReports = true
+		tail.OnReport = head.OnReport
 		tail.RestoreState(snap)
 		tailStats := tail.Run(input[cut:])
 
-		var got []sim.Report
-		got = append(got, head.Reports()...)
-		got = append(got, tail.Reports()...)
-		if !slices.Equal(got, ref.Reports()) {
-			t.Fatalf("cut %d: report streams differ: ref %d, stitched %d", cut, len(ref.Reports()), len(got))
+		if !slices.Equal(got, want) {
+			t.Fatalf("cut %d: report streams differ: ref %d, stitched %d", cut, len(want), len(got))
 		}
 		sum := sim.Stats{
 			Symbols:       headStats.Symbols + tailStats.Symbols,
@@ -120,12 +118,12 @@ func TestSetOffsetSuppressesStartOfData(t *testing.T) {
 	a := b.MustBuild()
 
 	e := sim.New(a)
-	e.CollectReports = true
+	var reps []sim.Report
+	e.OnReport = func(r sim.Report) { reps = append(reps, r) }
 	e.SetOffset(100)
 	for _, c := range []byte("axa") {
 		e.Step(c)
 	}
-	reps := e.Reports()
 	if len(reps) != 1 || reps[0].Code != 1 || reps[0].Offset != 101 {
 		t.Fatalf("want exactly one code-1 report at offset 101, got %+v", reps)
 	}
@@ -144,11 +142,9 @@ func TestRestoreStateIsSelfContained(t *testing.T) {
 	src.Run([]byte("zzzz")) // scribble on the source after capture
 
 	ref := sim.New(a)
-	ref.CollectReports = true
 	ref.Run(input)
 
 	dst := sim.New(a)
-	dst.CollectReports = true
 	dst.RestoreState(snap)
 	dst.Run(input[60:])
 	if !reflect.DeepEqual(dst.CaptureState(), ref.CaptureState()) {

@@ -41,9 +41,6 @@ func TestStateProfileCounts(t *testing.T) {
 	if got := prof.Activations[1]; got != 2 {
 		t.Errorf("state 1 activations = %d, want 2", got)
 	}
-	if got := prof.Enables[1]; got != 2 {
-		t.Errorf("state 1 enables = %d, want 2", got)
-	}
 	if total := prof.TotalActivations(); total != 4 {
 		t.Errorf("total activations = %d, want 4", total)
 	}

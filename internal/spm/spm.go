@@ -75,15 +75,6 @@ type Config struct {
 	SupportThreshold uint32
 }
 
-// StatesPerFilter returns the state count of one filter under cfg.
-func StatesPerFilter(p int, cfg Config) int {
-	n := 5 * (p + cfg.Padding)
-	if cfg.WithCounter {
-		n++
-	}
-	return n
-}
-
 // Build appends one pattern filter to b, reporting with code.
 func Build(b *automata.Builder, pat Pattern, cfg Config, code int32) error {
 	if len(pat.Items) == 0 {

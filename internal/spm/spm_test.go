@@ -29,8 +29,7 @@ func buildOne(t *testing.T, pat Pattern, cfg Config) *automata.Automaton {
 }
 
 func countReports(a *automata.Automaton, input []byte) int64 {
-	e := sim.New(a)
-	return e.CountReports(input)
+	return sim.New(a).Run(input).Reports
 }
 
 func TestSimpleSequenceMatch(t *testing.T) {
@@ -115,9 +114,6 @@ func TestStatesPerFilter(t *testing.T) {
 		a := buildOne(t, pat, c.cfg)
 		if a.NumStates() != c.want {
 			t.Errorf("cfg %+v: states=%d want %d", c.cfg, a.NumStates(), c.want)
-		}
-		if got := StatesPerFilter(6, c.cfg); got != c.want {
-			t.Errorf("StatesPerFilter(%+v)=%d want %d", c.cfg, got, c.want)
 		}
 	}
 }

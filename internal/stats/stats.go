@@ -97,12 +97,6 @@ type Dynamic struct {
 	ReportRate float64
 }
 
-// Simulate runs a on input with a fresh engine and returns the dynamic
-// profile.
-func Simulate(a *automata.Automaton, input []byte) Dynamic {
-	return SimulateSegments(a, [][]byte{input})
-}
-
 // SimulateSegments runs each segment as an independent stream (the engine
 // is reset between segments, as in per-classification workloads) and
 // aggregates the dynamic profile across all of them.

@@ -69,7 +69,7 @@ func TestCompress(t *testing.T) {
 
 func TestSimulateDynamic(t *testing.T) {
 	a := buildTwoChains(t)
-	d := Simulate(a, []byte("abcz"))
+	d := SimulateSegments(a, [][]byte{[]byte("abcz")})
 	if d.Symbols != 4 {
 		t.Fatalf("symbols=%d", d.Symbols)
 	}
@@ -92,7 +92,7 @@ func TestRowFormat(t *testing.T) {
 		Input:       "inline",
 		Static:      Compute(a),
 		Compression: Compress(a),
-		Dynamic:     Simulate(a, []byte("abcz")),
+		Dynamic:     SimulateSegments(a, [][]byte{[]byte("abcz")}),
 	}
 	line := r.Format()
 	if !strings.Contains(line, "TestBench") || !strings.Contains(line, "Unit Testing") {

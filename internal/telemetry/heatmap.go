@@ -16,18 +16,11 @@ type StateProfile struct {
 	// Activations[s] counts cycles in which state s matched the input
 	// symbol (the paper's "active set", attributed per state).
 	Activations []int64
-	// Enables[s] counts cycles in which state s was on the enabled
-	// frontier entering the cycle — the per-state share of sequential-CPU
-	// work.
-	Enables []int64
 }
 
 // NewStateProfile returns a zeroed profile for an automaton of n states.
 func NewStateProfile(n int) *StateProfile {
-	return &StateProfile{
-		Activations: make([]int64, n),
-		Enables:     make([]int64, n),
-	}
+	return &StateProfile{Activations: make([]int64, n)}
 }
 
 // Reset zeroes all counters in place.
@@ -35,18 +28,12 @@ func (p *StateProfile) Reset() {
 	for i := range p.Activations {
 		p.Activations[i] = 0
 	}
-	for i := range p.Enables {
-		p.Enables[i] = 0
-	}
 }
 
 // Merge adds other's counts into p. Profiles must be the same size.
 func (p *StateProfile) Merge(other *StateProfile) {
 	for i, v := range other.Activations {
 		p.Activations[i] += v
-	}
-	for i, v := range other.Enables {
-		p.Enables[i] += v
 	}
 }
 
@@ -69,7 +56,6 @@ type HeatEntry struct {
 	Subgraph    int32
 	Pattern     string
 	Activations int64
-	Enables     int64
 	Share       float64
 }
 
@@ -84,7 +70,7 @@ func (p *StateProfile) TopK(k int, comp []int32) []HeatEntry {
 		if n == 0 {
 			continue
 		}
-		e := HeatEntry{State: uint32(s), Subgraph: -1, Activations: n, Enables: p.Enables[s]}
+		e := HeatEntry{State: uint32(s), Subgraph: -1, Activations: n}
 		if comp != nil {
 			e.Subgraph = comp[s]
 		}

@@ -34,7 +34,6 @@ func TestWriteHeatmapZeroSymbols(t *testing.T) {
 func TestWriteHeatmapSingleState(t *testing.T) {
 	p := NewStateProfile(1)
 	p.Activations[0] = 5
-	p.Enables[0] = 5
 	entries := p.TopK(10, []int32{0})
 	if len(entries) != 1 || entries[0].Share != 1 {
 		t.Fatalf("TopK single-state = %+v, want one entry with share 1", entries)

@@ -20,7 +20,7 @@ func TestMergeIsCommutative(t *testing.T) {
 	a, b := NewRegistry(), NewRegistry()
 	fill(a, 1)
 	fill(b, 3)
-	b.Counter("c.only_b").Inc()
+	b.Counter("c.only_b").Add(1)
 	b.Histogram("h.only_b", ExpBuckets(2, 3)).Observe(5)
 
 	ab, ba := NewRegistry(), NewRegistry()
@@ -81,10 +81,10 @@ func TestRegistrySharedAcrossGoroutines(t *testing.T) {
 			defer wg.Done()
 			local := NewRegistry()
 			for i := 0; i < iters; i++ {
-				shared.Counter("n").Inc()
+				shared.Counter("n").Add(1)
 				shared.Gauge("g").Max(int64(i))
 				shared.Histogram("h", ExpBuckets(1, 8)).Observe(int64(i))
-				local.Counter("n").Inc()
+				local.Counter("n").Add(1)
 			}
 			shared.MergeFrom(local)
 			_ = shared.Snapshot()

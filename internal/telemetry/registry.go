@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"expvar"
 	"io"
-	"sort"
 	"sync"
 	"sync/atomic"
 )
@@ -16,9 +15,6 @@ type Counter struct {
 
 // Add increments the counter by n.
 func (c *Counter) Add(n int64) { c.v.Add(n) }
-
-// Inc increments the counter by one.
-func (c *Counter) Inc() { c.v.Add(1) }
 
 // Value returns the current count.
 func (c *Counter) Value() int64 { return c.v.Load() }
@@ -267,24 +263,6 @@ func (r *Registry) WriteJSON(w io.Writer) error {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	return enc.Encode(r.Snapshot())
-}
-
-// Names returns every registered metric name, sorted, for diagnostics.
-func (r *Registry) Names() []string {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	names := make([]string, 0, len(r.counters)+len(r.gauges)+len(r.hists))
-	for n := range r.counters {
-		names = append(names, n)
-	}
-	for n := range r.gauges {
-		names = append(names, n)
-	}
-	for n := range r.hists {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
 }
 
 // Merge folds a snapshot into the registry. It is how the parallel

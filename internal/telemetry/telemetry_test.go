@@ -40,7 +40,7 @@ func fillRegistry() *Registry {
 	r := NewRegistry()
 	r.Counter("sim.symbols").Add(1000)
 	r.Counter("sim.active").Add(2345)
-	r.Counter("sim.reports").Inc()
+	r.Counter("sim.reports").Add(1)
 	r.Gauge("dfa.states").Set(42)
 	h := r.Histogram("sim.frontier", ExpBuckets(1, 4))
 	for _, v := range []int64{0, 1, 1, 2, 3, 5, 8, 13, 100} {
@@ -118,7 +118,7 @@ func TestRegistryIdempotentAndConcurrent(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for j := 0; j < 1000; j++ {
-				r.Counter("x").Inc()
+				r.Counter("x").Add(1)
 				r.Histogram("h", nil).Observe(int64(j))
 			}
 		}()
@@ -162,7 +162,6 @@ func TestHeatmapRanking(t *testing.T) {
 	p.Activations[1] = 10
 	p.Activations[3] = 30
 	p.Activations[4] = 10
-	p.Enables[3] = 31
 	comp := []int32{0, 0, 1, 1, 2}
 	top := p.TopK(2, comp)
 	if len(top) != 2 || top[0].State != 3 || top[0].Subgraph != 1 {

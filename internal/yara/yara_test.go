@@ -100,17 +100,20 @@ func TestPaperExamplePattern(t *testing.T) {
 	e := sim.New(a)
 	// First alternative: ?A=0x3A, ??=0x11, 00.
 	hit := []byte{0x9C, 0x50, 0xA1, 0x77, 0x3A, 0x11, 0x00, 0x99, 0x58, 0x0F, 0x85}
-	if got := e.CountReports(hit); got != 1 {
+	e.Reset()
+	if got := e.Run(hit).Reports; got != 1 {
 		t.Fatalf("alt1 reports=%d", got)
 	}
 	// Second alternative: 66 A9 D?=0xD5.
 	hit2 := []byte{0x9C, 0x50, 0xA1, 0x77, 0x66, 0xA9, 0xD5, 0x99, 0x58, 0x0F, 0x85}
-	if got := e.CountReports(hit2); got != 1 {
+	e.Reset()
+	if got := e.Run(hit2).Reports; got != 1 {
 		t.Fatalf("alt2 reports=%d", got)
 	}
 	// Nibble mismatch: ?A needs low nibble A.
 	miss := []byte{0x9C, 0x50, 0xA1, 0x77, 0x3B, 0x11, 0x00, 0x99, 0x58, 0x0F, 0x85}
-	if got := e.CountReports(miss); got != 0 {
+	e.Reset()
+	if got := e.Run(miss).Reports; got != 0 {
 		t.Fatalf("nibble miss matched: %d", got)
 	}
 }
@@ -129,10 +132,11 @@ func TestWideCompilation(t *testing.T) {
 		t.Fatalf("compile: %v skipped=%d", err, skipped)
 	}
 	e := sim.New(a)
-	if got := e.CountReports([]byte{'h', 0, 'i', 0}); got != 1 {
+	if got := e.Run([]byte{'h', 0, 'i', 0}).Reports; got != 1 {
 		t.Fatalf("wide form not matched: %d", got)
 	}
-	if got := e.CountReports([]byte("hi")); got != 0 {
+	e.Reset()
+	if got := e.Run([]byte("hi")).Reports; got != 0 {
 		t.Fatalf("narrow input matched wide rule: %d", got)
 	}
 }
@@ -220,7 +224,7 @@ func TestMalwareBodyMatchesOwnRule(t *testing.T) {
 			t.Fatalf("rule %d compile: %v skipped=%d", i, err, skipped)
 		}
 		e := sim.New(a)
-		if e.CountReports(body) == 0 {
+		if e.Run(body).Reports == 0 {
 			t.Fatalf("rule %d (%s) does not match its own body %x",
 				i, strings.TrimSpace(Format([]Rule{r})), body)
 		}

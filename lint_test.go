@@ -454,7 +454,7 @@ func goFiles(t *testing.T, root string, tests bool) (*token.FileSet, map[string]
 		}
 		if d.IsDir() {
 			name := d.Name()
-			if name == "testdata" || path == "bench" || strings.HasPrefix(name, ".") && name != "." {
+			if name == "testdata" || path == "bench" && root != "bench" || strings.HasPrefix(name, ".") && name != "." {
 				return filepath.SkipDir
 			}
 			return nil
@@ -778,5 +778,166 @@ func TestEveryInternalPackageIsImported(t *testing.T) {
 	_, files := goFiles(t, ".", false)
 	for _, p := range orphanPackages(files) {
 		t.Errorf("%s has no non-test importer in cmd/, internal/ or examples/: use it or delete it", p)
+	}
+}
+
+// orphanExports returns the exported functions and methods declared in
+// the internal/ files among files (non-test files keyed by slash path)
+// that nothing refers to, as "dir.Func" or "dir.Type.Method". The scan is
+// by name: a function is referred to by any bare identifier or
+// package-qualified selector of its name, a method by any other selector
+// of its name. A name shared with a live declaration hides an orphan, so
+// the lint can miss dead code but never reports live code.
+func orphanExports(files map[string]*ast.File) []string {
+	type decl struct{ key, use string }
+	var decls []decl
+	used := map[string]bool{} // "Func" and ".Method"
+	for path, f := range files {
+		dir := filepath.ToSlash(filepath.Dir(path))
+		pkgs := map[string]bool{} // import names
+		for _, imp := range f.Imports {
+			p := strings.Trim(imp.Path.Value, `"`)
+			name := p[strings.LastIndex(p, "/")+1:]
+			if imp.Name != nil {
+				name = imp.Name.Name
+			}
+			pkgs[name] = true
+		}
+		declaring := map[*ast.Ident]bool{}
+		for _, d := range f.Decls {
+			fn, ok := d.(*ast.FuncDecl)
+			if !ok {
+				continue
+			}
+			declaring[fn.Name] = true
+			if !fn.Name.IsExported() || !strings.HasPrefix(dir, "internal/") {
+				continue
+			}
+			if fn.Recv == nil {
+				decls = append(decls, decl{dir + "." + fn.Name.Name, fn.Name.Name})
+				continue
+			}
+			recv := fn.Recv.List[0].Type
+			if star, ok := recv.(*ast.StarExpr); ok {
+				recv = star.X
+			}
+			if idx, ok := recv.(*ast.IndexExpr); ok {
+				recv = idx.X
+			}
+			decls = append(decls, decl{dir + "." + recv.(*ast.Ident).Name + "." + fn.Name.Name, "." + fn.Name.Name})
+		}
+		ast.Inspect(f, func(n ast.Node) bool {
+			switch v := n.(type) {
+			case *ast.SelectorExpr:
+				if x, ok := v.X.(*ast.Ident); ok && pkgs[x.Name] {
+					used[v.Sel.Name] = true
+					return false
+				}
+				used["."+v.Sel.Name] = true
+			case *ast.Ident:
+				if !declaring[v] {
+					used[v.Name] = true
+				}
+			}
+			return true
+		})
+	}
+	var orphans []string
+	for _, d := range decls {
+		if !used[d.use] {
+			orphans = append(orphans, d.key)
+		}
+	}
+	slices.Sort(orphans)
+	return orphans
+}
+
+// Every exported function and method under internal/ has a caller
+// outside test files: in its own package, another package, cmd/,
+// examples/ or the benchmark module under bench/. An export only tests
+// call is dead code. The allow-list holds what is called from outside
+// this repository's source — by the standard library through an
+// interface, or by a test through a seam or oracle the program itself
+// never uses — and the dead exports not yet deleted, each named with the
+// test that goes with it. An entry that stops being an orphan fails the
+// test, so the list only shrinks.
+func TestEveryInternalExportIsCalled(t *testing.T) {
+	// Canary: internal/a exports F (called from the root), G (called
+	// only inside a), H (never called), method T.M (called through a
+	// selector in internal/b) and T.N (never called, though a standard
+	// library function shares its name) — so H and T.N are orphans.
+	fset := token.NewFileSet()
+	canary := map[string]*ast.File{}
+	for path, src := range map[string]string{
+		"internal/a/a.go": `package a
+type T struct{}
+func F() { G() }
+func G() {}
+func H() {}
+func (T) M() {}
+func (*T) N() {}`,
+		"internal/b/b.go": `package b
+import ("automatazoo/internal/a"; "strings")
+func use(t a.T) { t.M(); _ = strings.N }`,
+		"doc.go": `package automatazoo; import z "automatazoo/internal/a"; var _ = z.F`,
+	} {
+		f, err := parser.ParseFile(fset, path, src, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		canary[path] = f
+	}
+	if got, want := orphanExports(canary), []string{"internal/a.H", "internal/a.T.N"}; !slices.Equal(got, want) {
+		t.Fatalf("canary: detector found orphans %v, want %v", got, want)
+	}
+
+	allowed := map[string]string{
+		// Called from outside this repository's source.
+		"internal/guard.TripError.Unwrap":      "errors.Is and errors.As unwrap a trip through it",
+		"internal/rf.candHeap.Less":            "container/heap.Interface",
+		"internal/rf.candHeap.Pop":             "container/heap.Interface",
+		"internal/rf.candHeap.Push":            "container/heap.Interface",
+		"internal/rf.candHeap.Swap":            "container/heap.Interface",
+		"internal/telemetry.Progress.SetClock": "injected-clock test seam",
+		"internal/telemetry.Spans.SetClock":    "injected-clock test seam",
+		"internal/mnrl.ReadAutomaton":          "MNRL reader: the round-trip oracle for export and the FuzzMNRLLoad target",
+		// Dead, each with a test of its own that goes with it: the next
+		// deletions of ROADMAP item 13(d).
+		"internal/attr.NewTagger":               "dead (TestTaggerScopes): the CompileTagged tag callbacks replaced it",
+		"internal/attr.Tagger.Begin":            "dead (TestTaggerScopes), as NewTagger",
+		"internal/attr.Provenance.Apply":        "dead (TestApplyMergesAndDrops and the transform provenance tests)",
+		"internal/attr.Provenance.ApplyMulti":   "dead (TestApplyMultiReplicates and the transform provenance tests)",
+		"internal/automata.Builder.ClearReport": "dead (TestSetStartAndClassMutation)",
+		"internal/automata.Builder.SetClass":    "dead (TestSetStartAndClassMutation)",
+		"internal/brill.Apply":                  "dead (TestApply): no experiment applies the located corrections",
+		"internal/charset.Set.Hash":             "dead (TestHashEqualSetsEqualHash)",
+		"internal/charset.Set.Remove":           "dead (TestAddRemove)",
+		"internal/charset.Table.Clone":          "dead (TestInternTableClone)",
+		"internal/mnrl.Network.Validate":        "dead (TestValidate): import enforces the same invariants",
+		"internal/randx.Rand.NormFloat64":       "dead (TestNormFloat64)",
+		"internal/randx.Rand.Perm":              "dead (TestPerm)",
+		"internal/regex.LiteralPattern":         "dead (TestLiteralPattern)",
+		"internal/snort.ParseRule":              "dead (TestParseRuleErrors): the generator emits rules already parsed",
+		"internal/spatial.Model.DevicesNeeded":  "dead (TestFitsAndDevices)",
+		"internal/spatial.Model.Fits":           "dead (TestFitsAndDevices)",
+		"internal/transform.MaxFanIn":           "dead (TestMaxFanStats)",
+		"internal/transform.MaxFanOut":          "dead (TestMaxFanStats)",
+		"internal/yara.ParseRules":              "dead (TestParseRules): the generator emits rules already parsed",
+	}
+	_, files := goFiles(t, ".", false)
+	_, benchFiles := goFiles(t, "bench", false)
+	for path, f := range benchFiles {
+		files[path] = f
+	}
+	orphans := orphanExports(files)
+	for _, o := range orphans {
+		if _, ok := allowed[o]; !ok {
+			t.Errorf("%s has no caller outside test files: use it or delete it", o)
+		}
+	}
+	for o := range allowed {
+		if !slices.Contains(orphans, o) {
+			t.Errorf("allow-list entry %s is called or gone: drop the entry", o)
+		}
 	}
 }
