@@ -53,13 +53,15 @@ race-parallel:
 
 # Guard the disabled-hook fast path: sim.Engine.Run must stay
 # allocation-free with no tracer/profile/registry attached, and all three
-# engines' RunChecked must collapse to Run under Attach(hooks.Set{}).
+# engines' RunChecked must collapse to Run under Attach(hooks.Set{}). A
+# degraded dfa component's fallback step allocates nothing either, and dfa
+# subset construction at most once per new dstate, amortised.
 # The second line guards the set-up passes the same way, on allocation
 # counts rather than timings: Builder.Build and acmatch.Compile allocate a
 # constant number of objects, PrefixMerge a bounded number per state, RF
 # class synthesis none.
 allocguard:
-	$(GO) test -run 'TestNilTelemetryZeroAllocs|TestDisabledLiveTelemetryZeroAllocs' -count=1 -v ./internal/sim/ ./internal/dfa/ ./internal/prefilter/
+	$(GO) test -run 'TestNilTelemetryZeroAllocs|TestDisabledLiveTelemetryZeroAllocs|TestFallbackStepZeroAllocs|TestConstructAllocsPerDstate' -count=1 -v ./internal/sim/ ./internal/dfa/ ./internal/prefilter/
 	$(GO) test -run 'TestBuildAllocsConstant|TestPrefixMergeAllocsPerState|TestSymbolClassZeroAllocs|TestCompileAllocsConstant' -count=1 -v ./internal/automata/ ./internal/transform/ ./internal/rf/ ./internal/acmatch/
 
 # Byte-stability gate for the /metrics surface: the exposition golden
@@ -88,6 +90,7 @@ fuzz-short:
 	$(GO) test -run '^$$' -fuzz 'FuzzRegexCompile' -fuzztime $(FUZZTIME) ./internal/difftest/
 	$(GO) test -run '^$$' -fuzz 'FuzzMNRLLoad' -fuzztime $(FUZZTIME) ./internal/mnrl/
 	$(GO) test -run '^$$' -fuzz 'FuzzCompileMatchesReference' -fuzztime $(FUZZTIME) ./internal/acmatch/
+	$(GO) test -run '^$$' -fuzz 'FuzzEngineMatchesReference' -fuzztime $(FUZZTIME) ./internal/dfa/
 
 # The soak, the acceptance gate for engine changes. First 200 seeded
 # fault-injection trials: every injected panic/deadline/trip must surface

@@ -19,13 +19,20 @@
 // every scan layout drives it like any other engine. Its Stats carry
 // Symbols and Reports only (a DFA has no NFA active set); CacheStats adds
 // the transition-cache profile.
+//
+// Construction is map-free. A component keeps its interned frontiers in one
+// arena, its transitions and report spans in flat dstate × class tables, and
+// an open-addressed frontier-hash table; one generation-marked NFA step
+// serves subset construction and the degraded fallback alike. A component
+// with no start-of-data states files the empty frontier under its initial
+// dstate 1, not the dead dstate 0 (see intern).
 package dfa
 
 import (
 	"errors"
 	"fmt"
+	"math/bits"
 	"slices"
-	"sort"
 	"time"
 
 	"automatazoo/internal/attr"
@@ -121,48 +128,126 @@ func (s Stats) EvictionRate() float64 {
 }
 
 // component is the static, lazily-extended DFA of one connected component.
+// The fields a cache hit reads lead, sharing one cache line.
 type component struct {
+	// Interned DFA states: dstate d's frontier is arena[fspan[d]], its
+	// transition on class k trans[d*nClasses+k] (transUnset = not yet
+	// computed), emitting repArena[reps[d*nClasses+k]]. dstate 0 is dead,
+	// 1 initial; table maps a frontier (hash dhash[d]) to d, see lookup.
+	trans    []uint32
+	reps     []span
+	nClasses int
+	overflow bool // budget exceeded: component runs in NFA-fallback mode
+
+	// Thrash-detection window (used when Options.ThrashMissRate is set):
+	// transition-cache lookups and misses since the last window reset.
+	winLookups int32
+	winMisses  int32
+
+	repArena []int32
+	arena    []automata.StateID
+	fspan    []span
+	dhash    []uint64
+	table    []uint32 // open-addressed: dstate+1, 0 = empty slot
+
+	byteClass [256]uint16 // byte → equivalence class
+	classRep  []byte      // class → representative byte
+
 	states    []automata.StateID // members, ascending
 	allStarts []automata.StateID // all-input starts
 	sodStarts []automata.StateID // start-of-data starts
 
-	byteClass [256]uint16 // byte → equivalence class
-	classRep  []byte      // class → representative byte
-	nClasses  int
+	budget int
+	bytes  int64 // modeled bytes held by this component's dstates
 
-	// Interned DFA states. dstates[0] is the dead state (empty frontier),
-	// dstates[1] is the initial state (start-of-data frontier).
-	dstates  []dstate
-	index    map[string]uint32
-	overflow bool // budget exceeded: component runs in NFA-fallback mode
-	budget   int
-	bytes    int64 // modeled bytes held by this component's dstates
-
-	// freeBytes marks a byte-budget/thrash/forced degradation: the
-	// interned dstates are released once the fallback frontier is seeded.
-	// The legacy state-count overflow keeps them (DFAStates in existing
-	// output must not change).
+	// freeBytes marks a byte-budget/thrash/forced degradation: the interned
+	// dstates are released once the fallback frontier is seeded (fallBack).
 	freeBytes bool
-
-	// Thrash-detection window (only tracked when Options.ThrashMissRate
-	// is set): transition-cache lookups and misses since the last window
-	// reset.
-	winLookups int32
-	winMisses  int32
 
 	// NFA-fallback runtime (only used when overflow).
 	frontier []automata.StateID
 	next     []automata.StateID
-	mark     map[automata.StateID]bool
 }
 
-type dstate struct {
-	frontier []automata.StateID
-	trans    []uint32  // per byte-class; transUnset = not yet computed
-	reports  [][]int32 // per byte-class; computed with trans
-}
+// span is an offset/length pair into a component's arena or repArena.
+type span struct{ off, n uint32 }
 
 const transUnset = ^uint32(0)
+
+// numDstates is the number of interned dstates.
+func (c *component) numDstates() int { return len(c.fspan) }
+
+// frontierOf returns dstate d's frontier, a view into the arena.
+func (c *component) frontierOf(d uint32) []automata.StateID {
+	sp := c.fspan[d]
+	return c.arena[sp.off : sp.off+sp.n]
+}
+
+// hashFrontier is FNV-1a over the state IDs plus a murmur3 finalizer for
+// the low bits the table masks with; a variable so tests can force collisions.
+var hashFrontier = func(f []automata.StateID) uint64 {
+	h := uint64(14695981039346656037)
+	for _, s := range f {
+		h = (h ^ uint64(s)) * 1099511628211
+	}
+	h ^= h >> 33
+	h *= 0xff51afd7ed558ccd
+	h ^= h >> 33
+	return h
+}
+
+// lookup returns f's dstate and its table slot, or false and the empty
+// slot where f belongs. A hit needs the hash and the frontier itself to
+// match.
+func (c *component) lookup(f []automata.StateID, h uint64) (d uint32, slot int, ok bool) {
+	mask := len(c.table) - 1
+	for i := int(h) & mask; ; i = (i + 1) & mask {
+		v := c.table[i]
+		if v == 0 {
+			return 0, i, false
+		}
+		if c.dhash[v-1] == h && slices.Equal(c.frontierOf(v-1), f) {
+			return v - 1, i, true
+		}
+	}
+}
+
+// intern appends f as a new dstate and files it in the table. A frontier
+// already filed is re-filed under the new dstate (last insert wins): a
+// component with no start-of-data states has an empty initial frontier, so
+// dstate 1 takes over the empty frontier from the dead dstate 0 and every
+// later transition to the empty frontier lands on dstate 1, never on 0.
+func (c *component) intern(f []automata.StateID, h uint64) uint32 {
+	d := uint32(len(c.fspan))
+	c.fspan = append(c.fspan, span{uint32(len(c.arena)), uint32(len(f))})
+	c.arena = append(grow(c.arena, len(f)), f...)
+	c.dhash = append(c.dhash, h)
+	n := len(c.trans)
+	c.trans = grow(c.trans, c.nClasses)[:n+c.nClasses]
+	for i := n; i < len(c.trans); i++ {
+		c.trans[i] = transUnset
+	}
+	c.reps = grow(c.reps, c.nClasses)[:n+c.nClasses]
+	clear(c.reps[n:])
+	first := d // file d, or every dstate into a grown table
+	if 2*len(c.fspan) > len(c.table) {
+		c.table, first = make([]uint32, max(16, 2*len(c.table))), 0
+	}
+	for ; first <= d; first++ {
+		_, slot, _ := c.lookup(c.frontierOf(first), c.dhash[first])
+		c.table[slot] = first + 1
+	}
+	return d
+}
+
+// grow returns s with room for n more elements, doubling its capacity (append
+// grows large arenas by 1.25×, copying several times their final size).
+func grow[T any](s []T, n int) []T {
+	if len(s)+n <= cap(s) {
+		return s
+	}
+	return append(make([]T, 0, max(2*cap(s), len(s)+n)), s...)
+}
 
 // thrashWindow is the lookup window over which Options.ThrashMissRate is
 // evaluated per component.
@@ -180,6 +265,15 @@ type Engine struct {
 	// compOf is each state's component: RestoreState splits a flat
 	// frontier back into per-component frontiers with it.
 	compOf []int32
+
+	// mark[s] == gen: s is marked in step's current pass (see bump). extra,
+	// next and fired are scratch: starts outside the frontier, construction's
+	// next frontier, and the fallback's report codes.
+	mark  []uint32
+	gen   uint32
+	extra []automata.StateID
+	next  []automata.StateID
+	fired []int32
 
 	// live lists the components that can still act. A component whose DFA
 	// reaches the dead state and has no all-input starts can never match
@@ -264,16 +358,19 @@ func NewWithOptions(a *automata.Automaton, opts Options) (*Engine, error) {
 			nComp = int(c) + 1
 		}
 	}
-	e := &Engine{a: a, opts: opts, sets: a.Table().Sets(), comps: make([]*component, nComp), compOf: compIdx}
+	e := &Engine{a: a, opts: opts, sets: a.Table().Sets(), comps: make([]*component, nComp), compOf: compIdx,
+		mark: make([]uint32, a.NumStates())}
 	for i := range e.comps {
-		e.comps[i] = &component{index: map[string]uint32{}}
+		e.comps[i] = &component{}
 	}
 	for s := 0; s < a.NumStates(); s++ {
 		c := e.comps[compIdx[s]]
 		c.states = append(c.states, automata.StateID(s))
 	}
-	for _, c := range e.comps {
-		e.prepare(c)
+	// seen[h] == i+1: charset handle h already refined component i.
+	seen := make([]uint32, len(e.sets))
+	for i, c := range e.comps {
+		e.prepare(c, seen, uint32(i+1))
 	}
 	e.cur = make([]uint32, nComp)
 	e.Reset()
@@ -296,28 +393,70 @@ func dstateCost(frontierLen, nClasses int) int64 {
 // seeded from seed (nil for a fresh stream), releasing its interned
 // dstates' bytes to the engine and governor accounting.
 func (e *Engine) degrade(c *component, ci int, seed []automata.StateID) {
-	c.overflow = true
+	c.overflow, c.freeBytes = true, true
 	e.stats.Fallbacks++
-	e.stats.CacheEvictions += int64(len(c.dstates))
-	if e.h.Tracer != nil {
+	e.stats.CacheEvictions += int64(c.numDstates())
+	e.fallBack(c, ci, seed, true)
+}
+
+// fallBack completes a degradation already counted (degrade, admit): it
+// logs it (to the tracer too if trace), seeds the fallback frontier from
+// seed, and for a byte-budget degradation (freeBytes) releases the interned
+// dstates. The state-budget overflow keeps them: DFAStates in existing
+// output must not change.
+func (e *Engine) fallBack(c *component, ci int, seed []automata.StateID, trace bool) {
+	if trace && e.h.Tracer != nil {
 		e.h.Tracer.OnCacheEvent(e.offset, ci, telemetry.CacheEviction)
 	}
-	e.recordDegrade(ci, int64(len(c.dstates)))
-	e.ledgerDegrade(ci, int64(len(c.dstates)))
+	e.recordDegrade(ci, int64(c.numDstates()))
+	e.ledgerDegrade(ci, int64(c.numDstates()))
 	c.frontier = append(c.frontier[:0], seed...)
-	if c.mark == nil {
-		c.mark = map[automata.StateID]bool{}
+	if c.freeBytes {
+		e.cacheBytes -= c.bytes
+		e.h.Governor.ReleaseCache(c.bytes)
+		c.bytes, c.freeBytes = 0, false
+		c.arena, c.fspan, c.dhash, c.trans, c.reps, c.repArena, c.table = nil, nil, nil, nil, nil, nil, nil
 	}
-	e.cacheBytes -= c.bytes
-	e.h.Governor.ReleaseCache(c.bytes)
-	c.bytes = 0
-	c.dstates = nil
-	c.index = nil
-	c.freeBytes = false
+}
+
+// admit interns frontier f (hash h) as a new dstate of c if the state
+// budget, the governor and Options.MaxCacheBytes allow it. Otherwise it
+// counts a degradation of c, freeBytes when a byte budget refused, and
+// returns false for the caller to finish with fallBack; or it returns a
+// run-stopping governor error and changes nothing.
+func (e *Engine) admit(c *component, f []automata.StateID, h uint64) (uint32, bool, error) {
+	refuse := func(freeBytes bool) (uint32, bool, error) {
+		c.overflow, c.freeBytes = true, freeBytes
+		e.stats.Fallbacks++
+		e.stats.CacheEvictions += int64(c.numDstates())
+		return 0, false, nil
+	}
+	if c.numDstates() >= c.budget {
+		return refuse(false)
+	}
+	cost := dstateCost(len(f), c.nClasses)
+	if e.h.Governor != nil {
+		granted, err := e.h.Governor.GrowCache(guard.SiteDFAConstruct, cost)
+		if err != nil {
+			return 0, false, err
+		}
+		if !granted {
+			return refuse(true)
+		}
+	}
+	if e.opts.MaxCacheBytes > 0 && e.cacheBytes+cost > e.opts.MaxCacheBytes {
+		e.h.Governor.ReleaseCache(cost)
+		return refuse(true)
+	}
+	c.bytes += cost
+	e.cacheBytes += cost
+	return c.intern(f, h), true, nil
 }
 
 // prepare computes byte classes and the initial DFA states of a component.
-func (e *Engine) prepare(c *component) {
+// seen is a per-handle stamp array shared across components; stamp is this
+// component's.
+func (e *Engine) prepare(c *component, seen []uint32, stamp uint32) {
 	for _, s := range c.states {
 		switch e.a.Start(s) {
 		case automata.StartAllInput:
@@ -327,72 +466,120 @@ func (e *Engine) prepare(c *component) {
 		}
 	}
 	// Byte equivalence classes: two bytes are equivalent iff every
-	// distinct charset in the component treats them identically.
-	handles := map[charset.Handle]struct{}{}
+	// distinct charset in the component treats them identically. Refine
+	// the one-class partition by each distinct charset (or its complement,
+	// which refines the same way, when that is smaller): a part holding a
+	// byte of the set splits into its bytes inside and outside the set.
+	// Then number the classes in order of their first byte.
+	parts := []charset.Set{charset.All()}
+	var partOf [256]uint16 // byte → part
 	for _, s := range c.states {
-		handles[e.a.ClassHandle(s)] = struct{}{}
-	}
-	distinct := make([]charset.Set, 0, len(handles))
-	for h := range handles {
-		distinct = append(distinct, e.sets[h])
-	}
-	sigIndex := map[string]uint16{}
-	sig := make([]byte, (len(distinct)+7)/8)
-	for b := 0; b < 256; b++ {
-		for i := range sig {
-			sig[i] = 0
+		h := e.a.ClassHandle(s)
+		if seen[h] == stamp || len(parts) == 256 {
+			continue
 		}
-		for i, cs := range distinct {
-			if cs.Contains(byte(b)) {
-				sig[i/8] |= 1 << (i % 8)
+		seen[h] = stamp
+		cs := e.sets[h]
+		if cs.Count() > 128 {
+			cs = cs.Negate()
+		}
+		eachByte(cs, func(b int) {
+			k := partOf[b]
+			in := parts[k].Intersect(cs)
+			if in == parts[k] {
+				return
 			}
-		}
-		key := string(sig)
-		cls, ok := sigIndex[key]
-		if !ok {
-			cls = uint16(len(sigIndex))
-			sigIndex[key] = cls
-			c.classRep = append(c.classRep, byte(b))
-		}
-		c.byteClass[b] = cls
+			parts[k] = parts[k].Minus(cs)
+			parts = append(parts, in)
+			eachByte(in, func(b int) { partOf[b] = uint16(len(parts) - 1) })
+		})
 	}
-	c.nClasses = len(sigIndex)
+	number := make([]uint16, len(parts)) // class + 1, 0 = not yet numbered
+	for b := 0; b < 256; b++ {
+		k := partOf[b]
+		if number[k] == 0 {
+			c.classRep = append(c.classRep, byte(b))
+			number[k] = uint16(len(c.classRep))
+		}
+		c.byteClass[b] = number[k] - 1
+	}
+	c.nClasses = len(parts)
 	factor := e.opts.BudgetFactor
 	if factor <= 0 {
 		factor = 16
 	}
 	c.budget = factor*len(c.states) + 64
 	// dstate 0: dead (empty frontier). dstate 1: initial (start-of-data
-	// frontier).
-	c.dstates = append(c.dstates, e.newDstate(c, nil))
-	c.index[""] = 0
-	init := append([]automata.StateID(nil), c.sodStarts...)
-	sort.Slice(init, func(i, j int) bool { return init[i] < init[j] })
-	c.dstates = append(c.dstates, e.newDstate(c, init))
-	c.index[frontierKey(init)] = 1
-	cost := dstateCost(0, c.nClasses) + dstateCost(len(init), c.nClasses)
+	// frontier) — the same empty frontier when there are no start-of-data
+	// states, which then re-files it under dstate 1 (see intern).
+	c.intern(nil, hashFrontier(nil))
+	c.intern(c.sodStarts, hashFrontier(c.sodStarts)) // ascending, as states
+	cost := dstateCost(0, c.nClasses) + dstateCost(len(c.sodStarts), c.nClasses)
 	c.bytes += cost
 	e.cacheBytes += cost
 }
 
-func (e *Engine) newDstate(c *component, frontier []automata.StateID) dstate {
-	d := dstate{
-		frontier: frontier,
-		trans:    make([]uint32, c.nClasses),
-		reports:  make([][]int32, c.nClasses),
+// eachByte calls fn for every byte of s, ascending.
+func eachByte(s charset.Set, fn func(b int)) {
+	for w, word := range s {
+		for ; word != 0; word &= word - 1 {
+			fn(w<<6 | bits.TrailingZeros64(word))
+		}
 	}
-	for i := range d.trans {
-		d.trans[i] = transUnset
-	}
-	return d
 }
 
-func frontierKey(f []automata.StateID) string {
-	buf := make([]byte, 0, len(f)*4)
-	for _, s := range f {
-		buf = append(buf, byte(s), byte(s>>8), byte(s>>16), byte(s>>24))
+// bump starts a new marking pass and returns its generation. On uint32 wrap
+// the marks are cleared, so no stale mark can equal a live generation.
+func (e *Engine) bump() uint32 {
+	e.gen++
+	if e.gen == 0 {
+		clear(e.mark)
+		e.gen = 1
 	}
-	return string(buf)
+	return e.gen
+}
+
+// step is the one NFA step under construction and fallback: it considers
+// every state of frontier f, then every state of sod and all that is not
+// in f, in that order. A considered state whose charset contains b appends
+// its report code to fired and its unmarked successors to next, in
+// discovery order.
+func (e *Engine) step(f, sod, all []automata.StateID, b byte, next []automata.StateID, fired []int32) ([]automata.StateID, []int32) {
+	e.extra = e.extra[:0]
+	if len(sod)+len(all) > 0 {
+		g := e.bump()
+		for _, s := range f {
+			e.mark[s] = g
+		}
+		for _, s := range sod {
+			if e.mark[s] != g {
+				e.extra = append(e.extra, s)
+			}
+		}
+		for _, s := range all {
+			if e.mark[s] != g {
+				e.extra = append(e.extra, s)
+			}
+		}
+	}
+	g := e.bump()
+	for _, list := range [2][]automata.StateID{f, e.extra} {
+		for _, s := range list {
+			if !e.sets[e.a.ClassHandle(s)].Contains(b) {
+				continue
+			}
+			if e.a.IsReport(s) {
+				fired = append(fired, e.a.ReportCode(s))
+			}
+			for _, t := range e.a.Succ(s) {
+				if e.mark[t] != g {
+					e.mark[t] = g
+					next = append(next, t)
+				}
+			}
+		}
+	}
+	return next, fired
 }
 
 // computeTransition determinizes one (dstate, byte-class) edge.
@@ -406,88 +593,25 @@ func (e *Engine) computeTransition(c *component, di uint32, cls uint16) {
 			return
 		}
 	}
-	d := &c.dstates[di]
-	rep := c.classRep[cls]
-	var reports []int32
-	var nextFront []automata.StateID
-	seen := map[automata.StateID]bool{}
-	consider := func(s automata.StateID) {
-		if !e.sets[e.a.ClassHandle(s)].Contains(rep) {
-			return
-		}
-		if e.a.IsReport(s) {
-			reports = append(reports, e.a.ReportCode(s))
-		}
-		for _, t := range e.a.Succ(s) {
-			if !seen[t] {
-				seen[t] = true
-				nextFront = append(nextFront, t)
-			}
-		}
-	}
-	for _, s := range d.frontier {
-		consider(s)
-	}
-	for _, s := range c.allStarts {
-		if !containsSorted(d.frontier, s) {
-			consider(s)
-		}
-	}
-	sort.Slice(nextFront, func(i, j int) bool { return nextFront[i] < nextFront[j] })
-	key := frontierKey(nextFront)
-	ni, ok := c.index[key]
+	repOff := len(c.repArena)
+	e.next, c.repArena = e.step(c.frontierOf(di), nil, c.allStarts, c.classRep[cls], e.next[:0], c.repArena)
+	slices.Sort(e.next)
+	h := hashFrontier(e.next)
+	ni, _, ok := c.lookup(e.next, h)
 	if !ok {
-		if len(c.dstates) >= c.budget {
-			// State budget exceeded: switch the whole component to NFA
-			// fallback. The interned dstates are abandoned (evicted from
-			// active use) but retained — DFAStates in existing output must
-			// not change; the NFA path steps the frontier directly.
-			c.overflow = true
-			e.stats.Fallbacks++
-			e.stats.CacheEvictions += int64(len(c.dstates))
-			return
-		}
-		cost := dstateCost(len(nextFront), c.nClasses)
-		granted := true
-		if e.h.Governor != nil {
-			g, err := e.h.Governor.GrowCache(guard.SiteDFAConstruct, cost)
+		var err error
+		if ni, ok, err = e.admit(c, e.next, h); !ok {
+			// A governor error, or a degradation stepByte finishes.
 			if err != nil {
 				e.govErr = err
-				return
 			}
-			granted = g
-		}
-		if granted && e.opts.MaxCacheBytes > 0 && e.cacheBytes+cost > e.opts.MaxCacheBytes {
-			e.h.Governor.ReleaseCache(cost)
-			granted = false
-		}
-		if !granted {
-			// Cache-byte budget exhausted: degrade this component. Unlike
-			// the state-budget path its dstates are freed (that is the
-			// point of the byte budget) — stepByte seeds the fallback
-			// frontier from the current dstate first, then releases.
-			c.overflow = true
-			c.freeBytes = true
-			e.stats.Fallbacks++
-			e.stats.CacheEvictions += int64(len(c.dstates))
+			c.repArena = c.repArena[:repOff]
 			return
 		}
-		ni = uint32(len(c.dstates))
-		nd := e.newDstate(c, nextFront)
-		c.dstates = append(c.dstates, nd)
-		c.index[key] = ni
-		c.bytes += cost
-		e.cacheBytes += cost
 	}
-	// Re-take the pointer: the append above may have moved the slice.
-	d = &c.dstates[di]
-	d.trans[cls] = ni
-	d.reports[cls] = reports
-}
-
-func containsSorted(xs []automata.StateID, v automata.StateID) bool {
-	i := sort.Search(len(xs), func(i int) bool { return xs[i] >= v })
-	return i < len(xs) && xs[i] == v
+	t := int(di)*c.nClasses + int(cls)
+	c.trans[t] = ni
+	c.reps[t] = span{uint32(repOff), uint32(len(c.repArena) - repOff)}
 }
 
 // Attach installs h as the engine's hook bundle, replacing whatever was
@@ -608,9 +732,6 @@ func (e *Engine) Reset() {
 	for i, c := range e.comps {
 		e.cur[i] = 1
 		c.frontier = c.frontier[:0]
-		if c.overflow && c.mark == nil {
-			c.mark = map[automata.StateID]bool{}
-		}
 		e.live = append(e.live, int32(i))
 	}
 	e.offset = 0
@@ -632,7 +753,7 @@ func (e *Engine) CacheStats() Stats {
 	s := e.stats
 	s.DFAStates = 0
 	for _, c := range e.comps {
-		s.DFAStates += len(c.dstates)
+		s.DFAStates += c.numDstates()
 	}
 	s.CacheBytes = e.cacheBytes
 	return s
@@ -739,7 +860,8 @@ func (e *Engine) stepByte(b byte) {
 		}
 		di := e.cur[ci]
 		cls := c.byteClass[b]
-		if c.dstates[di].trans[cls] == transUnset {
+		t := int(di)*c.nClasses + int(cls)
+		if c.trans[t] == transUnset {
 			e.stats.CacheMisses++
 			c.winMisses++
 			if e.led != nil {
@@ -759,27 +881,9 @@ func (e *Engine) stepByte(b byte) {
 				return
 			}
 			if c.overflow {
-				if e.h.Tracer != nil {
-					e.h.Tracer.OnCacheEvent(e.offset, int(ci), telemetry.CacheEviction)
-				}
-				e.recordDegrade(int(ci), int64(len(c.dstates)))
-				e.ledgerDegrade(int(ci), int64(len(c.dstates)))
 				// Seed the fallback frontier from the current dstate and
 				// process this byte via the NFA path.
-				c.frontier = append(c.frontier[:0], c.dstates[di].frontier...)
-				if c.mark == nil {
-					c.mark = map[automata.StateID]bool{}
-				}
-				if c.freeBytes {
-					// Byte-budget degradation: release the interned states
-					// now that the frontier is seeded.
-					e.cacheBytes -= c.bytes
-					e.h.Governor.ReleaseCache(c.bytes)
-					c.bytes = 0
-					c.dstates = nil
-					c.index = nil
-					c.freeBytes = false
-				}
+				e.fallBack(c, int(ci), c.frontierOf(di), true)
 				e.nfaStep(c, ci, b)
 				i++
 				continue
@@ -793,18 +897,19 @@ func (e *Engine) stepByte(b byte) {
 				// Persistent cache thrash: constructing (and re-constructing)
 				// is costing more than interpreting — degrade the component
 				// and process this byte via the NFA path.
-				e.degrade(c, int(ci), c.dstates[di].frontier)
+				e.degrade(c, int(ci), c.frontierOf(di))
 				e.nfaStep(c, ci, b)
 				i++
 				continue
 			}
 			c.winLookups, c.winMisses = 0, 0
 		}
-		d := &c.dstates[di]
-		for _, code := range d.reports[cls] {
-			e.emit(code)
+		if r := c.reps[t]; r.n > 0 {
+			for _, code := range c.repArena[r.off : r.off+r.n] {
+				e.emit(code)
+			}
 		}
-		next := d.trans[cls]
+		next := c.trans[t]
 		e.cur[ci] = next
 		if next == 0 && len(c.allStarts) == 0 {
 			// Permanently dead until Reset: drop from the scan loop.
@@ -825,38 +930,13 @@ func (e *Engine) nfaStep(c *component, ci int32, b byte) {
 		// activation count: one unit per frontier state plus the step itself.
 		e.led.AddWork(e.ledSlot[ci], int64(len(c.frontier))+1)
 	}
-	c.next = c.next[:0]
-	clear(c.mark)
-	consider := func(s automata.StateID) {
-		if !e.sets[e.a.ClassHandle(s)].Contains(b) {
-			return
-		}
-		if e.a.IsReport(s) {
-			e.emit(e.a.ReportCode(s))
-		}
-		for _, t := range e.a.Succ(s) {
-			if !c.mark[t] {
-				c.mark[t] = true
-				c.next = append(c.next, t)
-			}
-		}
-	}
-	inFrontier := map[automata.StateID]bool{}
-	for _, s := range c.frontier {
-		inFrontier[s] = true
-		consider(s)
-	}
+	var sod []automata.StateID
 	if e.offset == 0 {
-		for _, s := range c.sodStarts {
-			if !inFrontier[s] {
-				consider(s)
-			}
-		}
+		sod = c.sodStarts
 	}
-	for _, s := range c.allStarts {
-		if !inFrontier[s] {
-			consider(s)
-		}
+	c.next, e.fired = e.step(c.frontier, sod, c.allStarts, b, c.next[:0], e.fired[:0])
+	for _, code := range e.fired {
+		e.emit(code)
 	}
 	c.frontier, c.next = c.next, c.frontier
 }
@@ -880,7 +960,7 @@ func (e *Engine) FrontierSnapshot() []automata.StateID {
 		if c.overflow {
 			f = append(f, c.frontier...)
 		} else {
-			f = append(f, c.dstates[e.cur[i]].frontier...)
+			f = append(f, c.frontierOf(e.cur[i])...)
 		}
 	}
 	slices.Sort(f)
@@ -923,55 +1003,23 @@ func (e *Engine) RestoreState(s *sim.StreamState) error {
 		slices.Sort(f)
 		if c.overflow {
 			c.frontier = append(c.frontier[:0], f...)
-			if c.mark == nil {
-				c.mark = map[automata.StateID]bool{}
-			}
 			e.live = append(e.live, int32(i))
 			continue
 		}
-		key := frontierKey(f)
-		di, ok := c.index[key]
+		h := hashFrontier(f)
+		di, _, ok := c.lookup(f, h)
 		if !ok {
-			if len(c.dstates) >= c.budget {
-				// State budget exceeded: degrade like computeTransition's
-				// overflow path (dstates retained, DFAStates unchanged).
-				c.overflow = true
-				e.stats.Fallbacks++
-				e.stats.CacheEvictions += int64(len(c.dstates))
-				e.recordDegrade(i, int64(len(c.dstates)))
-				e.ledgerDegrade(i, int64(len(c.dstates)))
-				c.frontier = append(c.frontier[:0], f...)
-				if c.mark == nil {
-					c.mark = map[automata.StateID]bool{}
-				}
+			var err error
+			if di, ok, err = e.admit(c, f, h); err != nil {
+				return err
+			}
+			if !ok {
+				// Degrade like the construction path (a state-budget
+				// overflow is not traced here).
+				e.fallBack(c, i, f, c.freeBytes)
 				e.live = append(e.live, int32(i))
 				continue
 			}
-			cost := dstateCost(len(f), c.nClasses)
-			granted := true
-			if e.h.Governor != nil {
-				g, err := e.h.Governor.GrowCache(guard.SiteDFAConstruct, cost)
-				if err != nil {
-					return err
-				}
-				granted = g
-			}
-			if granted && e.opts.MaxCacheBytes > 0 && e.cacheBytes+cost > e.opts.MaxCacheBytes {
-				e.h.Governor.ReleaseCache(cost)
-				granted = false
-			}
-			if !granted {
-				// Cache-byte budget exhausted: degrade and free, like the
-				// construction path.
-				e.degrade(c, i, f)
-				e.live = append(e.live, int32(i))
-				continue
-			}
-			di = uint32(len(c.dstates))
-			c.dstates = append(c.dstates, e.newDstate(c, f))
-			c.index[key] = di
-			c.bytes += cost
-			e.cacheBytes += cost
 		}
 		e.cur[i] = di
 		if di == 0 && len(c.allStarts) == 0 {

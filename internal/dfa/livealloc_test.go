@@ -1,8 +1,11 @@
 package dfa
 
 import (
+	"runtime"
 	"testing"
 
+	"automatazoo/internal/automata"
+	"automatazoo/internal/core"
 	"automatazoo/internal/hooks"
 )
 
@@ -28,5 +31,66 @@ func TestDisabledLiveTelemetryZeroAllocs(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("disabled-live RunChecked allocated %.1f times per run, want 0", allocs)
+	}
+}
+
+// TestFallbackStepZeroAllocs: a degraded component steps its NFA frontier
+// on generation marks and reused scratch, so once the frontiers have grown
+// to size a fallback scan allocates nothing.
+func TestFallbackStepZeroAllocs(t *testing.T) {
+	a, input := kernel(t, "Hamming 18x3", 0.005, 2048)
+	e, err := NewWithOptions(a, Options{ForceNFAFallback: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	e.Run(input)
+	allocs := testing.AllocsPerRun(20, func() {
+		e.Reset()
+		e.Run(input)
+	})
+	if allocs != 0 {
+		t.Fatalf("fallback scan allocated %.1f times per run, want 0", allocs)
+	}
+	if s := e.CacheStats(); s.FallbackBytes == 0 {
+		t.Fatalf("stats %+v: the scan did not run degraded", s)
+	}
+}
+
+// kernel builds a suite kernel and its standard input.
+func kernel(t *testing.T, name string, scale float64, input int) (*automata.Automaton, []byte) {
+	t.Helper()
+	bm, err := core.ByName(name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, segs, err := bm.Build(core.Config{Scale: scale, InputBytes: input, Seed: 0xa20})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return a, segs[0]
+}
+
+// TestConstructAllocsPerDstate: subset construction appends to flat
+// per-component arrays, so a cold scan that interns thousands of dstates
+// allocates at most once per new dstate, amortised.
+func TestConstructAllocsPerDstate(t *testing.T) {
+	a, input := kernel(t, "Hamming 18x3", 0.02, 8192)
+	e, err := New(a)
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := e.CacheStats().DFAStates
+	var m0, m1 runtime.MemStats
+	runtime.ReadMemStats(&m0)
+	e.Run(input)
+	runtime.ReadMemStats(&m1)
+	built := e.CacheStats().DFAStates - before
+	if built < 1000 {
+		t.Fatalf("only %d dstates built: the scan does not exercise construction", built)
+	}
+	per := float64(m1.Mallocs-m0.Mallocs) / float64(built)
+	t.Logf("%d dstates, %.3f allocations each", built, per)
+	if per > 1 {
+		t.Fatalf("%.2f allocations per new dstate (%d dstates), want <= 1", per, built)
 	}
 }
