@@ -52,7 +52,7 @@ race-parallel:
 	$(GO) test -race -count=1 -run 'Parallel' ./internal/partition/ ./internal/stats/
 
 # Guard the disabled-hook fast path: sim.Engine.Run must stay
-# allocation-free with no tracer/profile/registry attached, and all three
+# allocation-free with no tracer/registry attached, and all three
 # engines' RunChecked must collapse to Run under Attach(hooks.Set{}). A
 # degraded dfa component's fallback step allocates nothing either, and dfa
 # subset construction at most once per new dstate, amortised.
@@ -72,11 +72,12 @@ prometheus-golden:
 
 # Byte-stability gate for `azoo explain`: the golden cost plan for one
 # small kernel plus the cross-(workers × segments) determinism matrix and
-# the report-attribution identity, on both engines. Regenerate the golden
-# after intentional attribution changes with:
-#   go test ./cmd/azoo/ -run TestExplainGolden -update
+# the report-attribution identity, on both engines, and the golden
+# `-states` heatmap. Regenerate the goldens after intentional attribution
+# or profile changes with:
+#   go test ./cmd/azoo/ -run 'TestExplainGolden|TestExplainStatesGolden' -update
 explain-golden:
-	$(GO) test -run 'TestExplainGolden|TestExplainByteIdenticalAcrossWorkersAndSegments|TestExplainReportIdentity' -count=1 -v ./cmd/azoo/
+	$(GO) test -run 'TestExplainGolden|TestExplainStatesGolden|TestExplainByteIdenticalAcrossWorkersAndSegments|TestExplainReportIdentity' -count=1 -v ./cmd/azoo/
 
 # Short differential-fuzzing gate: each oracle target gets a fixed
 # FUZZTIME of mutation on top of the always-executed deterministic seed

@@ -8,7 +8,6 @@ import (
 	"path/filepath"
 	"testing"
 
-	"automatazoo/internal/attr"
 	"automatazoo/internal/core"
 	"automatazoo/internal/scan"
 	"automatazoo/internal/sim"
@@ -33,15 +32,15 @@ func explainCfg(t *testing.T) (core.Benchmark, core.Config) {
 // the text table and the JSON document.
 func renderExplain(t *testing.T, b core.Benchmark, cfg core.Config, engine string, workers, segments int) (text, jsonOut []byte) {
 	t.Helper()
-	col, err := explainRun(b, cfg, engine, workers, segments)
+	ex, err := explainRun(b, cfg, engine, workers, segments, false)
 	if err != nil {
 		t.Fatalf("explainRun(%s, j=%d, segments=%d): %v", engine, workers, segments, err)
 	}
 	var tb, jb bytes.Buffer
-	if err := writeExplain(&tb, b.Name, engine, col, 10, false); err != nil {
+	if err := writeExplain(&tb, b.Name, engine, ex.col, 10, false); err != nil {
 		t.Fatal(err)
 	}
-	if err := writeExplain(&jb, b.Name, engine, col, 10, true); err != nil {
+	if err := writeExplain(&jb, b.Name, engine, ex.col, 10, true); err != nil {
 		t.Fatal(err)
 	}
 	return tb.Bytes(), jb.Bytes()
@@ -115,12 +114,12 @@ func TestExplainReportIdentity(t *testing.T) {
 		if tc.want == 0 {
 			t.Fatalf("%s: test premise broken — input produces no reports", tc.engine)
 		}
-		col, err := explainRun(b, cfg, tc.engine, 4, 4)
+		ex, err := explainRun(b, cfg, tc.engine, 4, 4, false)
 		if err != nil {
 			t.Fatal(err)
 		}
 		var attributed int64
-		for _, r := range col.Fold() {
+		for _, r := range ex.col.Fold() {
 			attributed += r.Reports
 		}
 		if attributed != tc.want {
@@ -135,40 +134,68 @@ func TestExplainGolden(t *testing.T) {
 	b, cfg := explainCfg(t)
 	var buf bytes.Buffer
 	for _, engine := range []string{"nfa", "dfa"} {
-		col, err := explainRun(b, cfg, engine, 1, 1)
+		ex, err := explainRun(b, cfg, engine, 1, 1, false)
 		if err != nil {
 			t.Fatal(err)
 		}
 		fmt.Fprintf(&buf, "== azoo explain Brill -engine %s -top 5 ==\n", engine)
-		if err := writeExplain(&buf, b.Name, engine, col, 5, false); err != nil {
+		if err := writeExplain(&buf, b.Name, engine, ex.col, 5, false); err != nil {
 			t.Fatal(err)
 		}
 	}
-	golden := filepath.Join("testdata", "explain_brill.golden")
-	if *updateGolden {
-		if err := os.MkdirAll("testdata", 0o755); err != nil {
+	checkGolden(t, filepath.Join("testdata", "explain_brill.golden"), buf.Bytes())
+}
+
+// TestExplainStatesGolden pins `azoo explain snort -states 5 -top 5` on a
+// small Snort: the cost plan, then the heatmap of one traced scan. Both
+// -j values must render it byte for byte: a traced scan stays on one
+// whole-automaton engine. Regenerate with
+// `go test ./cmd/azoo/ -run TestExplainStatesGolden -update`.
+func TestExplainStatesGolden(t *testing.T) {
+	b, err := core.ByName("Snort")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := core.Config{Scale: 0.01, InputBytes: 20000, Seed: 42}
+	render := func(workers int) []byte {
+		ex, err := explainRun(b, cfg, "nfa", workers, 0, true)
+		if err != nil {
 			t.Fatal(err)
 		}
-		if err := os.WriteFile(golden, buf.Bytes(), 0o644); err != nil {
+		var buf bytes.Buffer
+		if err := writeExplain(&buf, b.Name, "nfa", ex.col, 5, false); err != nil {
+			t.Fatal(err)
+		}
+		if err := writeStates(&buf, b, ex, 5); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+	got := render(1)
+	if j2 := render(2); !bytes.Equal(j2, got) {
+		t.Errorf("-states output differs between -j 1 and -j 2:\n--- j=1\n%s--- j=2\n%s", got, j2)
+	}
+	checkGolden(t, filepath.Join("testdata", "explain_states_snort.golden"), got)
+}
+
+// checkGolden compares got with the golden file at path, or rewrites the
+// file under -update.
+func checkGolden(t *testing.T, path string, got []byte) {
+	t.Helper()
+	if *updateGolden {
+		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, got, 0o644); err != nil {
 			t.Fatal(err)
 		}
 		return
 	}
-	want, err := os.ReadFile(golden)
+	want, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatalf("%v (regenerate with -update)", err)
 	}
-	if !bytes.Equal(buf.Bytes(), want) {
-		t.Errorf("explain output drifted from golden file:\n--- want\n%s--- got\n%s", want, buf.Bytes())
-	}
-}
-
-// TestExplainTopUnattributedSkipped guards the TopOffender contract used
-// by the experiment annotations: the unattributed bucket is never named
-// as a kernel's top offender.
-func TestExplainTopUnattributedSkipped(t *testing.T) {
-	rows := []attr.Cost{{ID: 2, Name: attr.Unattributed, Cost: 9}, {ID: 0, Name: "sid:1", Cost: 1}}
-	if got := attr.TopOffender(rows); got != "sid:1" {
-		t.Fatalf("TopOffender=%q", got)
+	if !bytes.Equal(got, want) {
+		t.Errorf("output drifted from %s:\n--- want\n%s--- got\n%s", path, want, got)
 	}
 }

@@ -9,7 +9,7 @@
 //	azoo run    -bench "ClamAV" [-scale 0.05] [-input 200000] [-engine nfa|dfa|prefilter] [-j N] [-segments K] [-checkpoint file [-checkpoint-interval N]]
 //	azoo resume [-report out.json] [...telemetry/governor flags] <checkpoint-file>
 //	azoo explain -bench "Snort" [-engine nfa|dfa|prefilter] [-top 10] [-json] [-j N] [-segments K]
-//	azoo profile snort [-top 20] [-trace out.ndjson] [-metrics out.json]
+//	azoo explain snort -states 20     (nfa: cost plan, then the per-state activation heatmap)
 //	azoo table1 [-scale 0.05] [-input 200000] [-compress] [-engine nfa|prefilter] [-j N] [-segments K]
 //	azoo table2 [-samples 4000] [-j N]
 //	azoo table3 [-filters 1719] [-itemsets 20000] [-j N]
@@ -26,11 +26,11 @@
 // bench/README.md), not by this command.
 //
 // The live-ops surface rides the same flag set: -debug-addr serves pprof,
-// expvar (/debug/vars), Prometheus text exposition (/metrics), and live
-// heartbeat state (/progress); -progress <interval> prints per-kernel
-// heartbeats to stderr; -stall-after <duration> arms a watchdog that trips
-// the run and dumps a flight-recorder postmortem when a kernel stops
-// heartbeating; -postmortem <file> overrides the dump path (default
+// Prometheus text exposition (/metrics), and live heartbeat state
+// (/progress); -progress <interval> prints per-kernel heartbeats to
+// stderr; -stall-after <duration> arms a watchdog that trips the run and
+// dumps a flight-recorder postmortem when a kernel stops heartbeating;
+// -postmortem <file> overrides the dump path (default
 // <report>.postmortem.ndjson). See EXPERIMENTS.md ("Live ops").
 //
 // Crash safety: run -checkpoint persists a durable, checksummed
@@ -118,8 +118,6 @@ func run() (code int) {
 		err = cmdResume(args)
 	case "explain":
 		err = cmdExplain(args)
-	case "profile":
-		err = cmdProfile(args)
 	case "table1":
 		err = cmdTable1(args)
 	case "table2":
@@ -158,8 +156,7 @@ commands:
   stats        Table-I statistics for one benchmark
   run          run a benchmark's standard input through an engine
   resume       continue an interrupted "run -checkpoint" from its checkpoint file
-  explain      per-pattern cost attribution (top-K offenders, text or -json)
-  profile      per-state activation heatmap of a benchmark run
+  explain      per-pattern cost plan (top-K offenders); -states K adds the state heatmap
   table1       regenerate Table I (suite statistics)
   table2       regenerate Table II (Random Forest variants)
   table3       regenerate Table III (padding overhead)
@@ -191,7 +188,7 @@ func suiteFlags(fs *flag.FlagSet) *core.Config {
 }
 
 // parseBench registers -bench on fs, parses args — the name may also lead
-// them as a bare argument (`azoo profile snort`) — and resolves it. It is
+// them as a bare argument (`azoo explain snort`) — and resolves it. It is
 // the one benchmark-name path of every single-benchmark command: a missing,
 // unknown or ambiguous name is a usage error.
 func parseBench(fs *flag.FlagSet, args []string) (core.Benchmark, error) {
@@ -204,6 +201,39 @@ func parseBench(fs *flag.FlagSet, args []string) (core.Benchmark, error) {
 		return core.Benchmark{}, usageErrorf("%s: benchmark name required (azoo %[1]s <benchmark>)", fs.Name())
 	}
 	return resolveBenchmark(*name)
+}
+
+// resolveBenchmark finds a benchmark by exact name, case-insensitive
+// name, or unique case-insensitive substring — so `azoo explain snort`
+// works without quoting the registry's exact "Snort". No match or several
+// is a usage error.
+func resolveBenchmark(name string) (core.Benchmark, error) {
+	if b, err := core.ByName(name); err == nil {
+		return b, nil
+	}
+	lower := strings.ToLower(name)
+	var matches []core.Benchmark
+	for _, b := range core.All() {
+		ln := strings.ToLower(b.Name)
+		if ln == lower {
+			return b, nil
+		}
+		if strings.Contains(ln, lower) {
+			matches = append(matches, b)
+		}
+	}
+	switch len(matches) {
+	case 1:
+		return matches[0], nil
+	case 0:
+		return core.Benchmark{}, usageErrorf("unknown benchmark %q (see `azoo list`)", name)
+	default:
+		names := make([]string, len(matches))
+		for i, b := range matches {
+			names[i] = b.Name
+		}
+		return core.Benchmark{}, usageErrorf("benchmark %q is ambiguous: %s", name, strings.Join(names, ", "))
+	}
 }
 
 // workersFlag registers -j, the worker count of the parallel execution
@@ -464,24 +494,15 @@ func addStitchExtra(row *report.KernelRow, res scan.Result) {
 	row.Extra["seg_replay_bytes"] = float64(stitch.ReplayBytes)
 }
 
-// tableRow is one table line as runTable needs it: the manifest row (whose
-// Name labels the -annotate block) and the row's top cost offender.
-type tableRow struct {
-	report.KernelRow
-	offender string
-}
-
 // runTable is the one body of the four table commands. It registers the
-// flags they share on fs (-j, -annotate, telemetry, governor), parses,
-// arms the session and governor, and calls table, which computes the
-// experiment and — only if that succeeded — prints it, returning the
-// manifest's config map and rows. runTable turns an error into the
-// truncated manifest, prints the -annotate block with labels padded to
-// labelWidth, records the report and closes the session.
-func runTable(fs *flag.FlagSet, args []string, labelWidth int,
-	table func(workers int, obs *experiments.Observer) (map[string]string, []tableRow, error)) error {
+// flags they share on fs (-j, telemetry, governor), parses, arms the
+// session and governor, and calls table, which computes the experiment
+// and — only if that succeeded — prints it, returning the manifest's
+// config map and rows. runTable turns an error into the truncated
+// manifest, records the report and closes the session.
+func runTable(fs *flag.FlagSet, args []string,
+	table func(workers int, obs *experiments.Observer) (map[string]string, []report.KernelRow, error)) error {
 	workers := workersFlag(fs)
-	annotate := fs.Bool("annotate", false, "append per-kernel top-offender cost attribution after the table")
 	tf := telemetryFlags(fs)
 	gf := governorFlags(fs)
 	fs.Parse(args)
@@ -490,25 +511,13 @@ func runTable(fs *flag.FlagSet, args []string, labelWidth int,
 		return err
 	}
 	// With nothing armed this is the zero Observer, which observes nothing.
-	obs := &experiments.Observer{Hooks: sess.Hooks, Progress: sess.prog, Attribute: *annotate}
+	obs := &experiments.Observer{Hooks: sess.Hooks, Progress: sess.prog}
 	config, rows, err := table(*workers, obs)
 	if err != nil {
 		sess.setReport(fs.Name(), *workers, config, nil)
 		return sess.closeTruncated(err)
 	}
-	krows := make([]report.KernelRow, len(rows))
-	for i, r := range rows {
-		krows[i] = r.KernelRow
-	}
-	if *annotate {
-		fmt.Println("\ntop offenders (cost attribution):")
-		for _, r := range rows {
-			if r.offender != "" {
-				fmt.Printf("  %-*s %s\n", labelWidth, r.Name, r.offender)
-			}
-		}
-	}
-	sess.setReport(fs.Name(), *workers, config, krows)
+	sess.setReport(fs.Name(), *workers, config, rows)
 	return sess.Close()
 }
 
@@ -518,7 +527,7 @@ func cmdTable1(args []string) error {
 	compress := fs.Bool("compress", false, "also run prefix-merge compression (about 0.35 µs per state: 0.2 s for the 620 567 states of -scale 0.05)")
 	engine := engineFlag(fs, "simulation engine: nfa or prefilter (rows are identical — exact engines)", "nfa", "prefilter")
 	segments := segmentsFlag(fs)
-	return runTable(fs, args, 22, func(workers int, obs *experiments.Observer) (map[string]string, []tableRow, error) {
+	return runTable(fs, args, func(workers int, obs *experiments.Observer) (map[string]string, []report.KernelRow, error) {
 		config := suiteConfig(*cfg, *segments)
 		name, err := engine()
 		if err != nil {
@@ -533,17 +542,17 @@ func cmdTable1(args []string) error {
 		}
 		fmt.Printf("Table I (scale %.3f, input %d bytes)\n", cfg.Scale, cfg.InputBytes)
 		fmt.Println(stats.Header())
-		out := make([]tableRow, len(rows))
+		out := make([]report.KernelRow, len(rows))
 		for i, r := range rows {
 			fmt.Println(r.Format())
-			out[i] = tableRow{offender: r.TopOffender, KernelRow: report.KernelRow{
+			out[i] = report.KernelRow{
 				Name: r.Name, States: r.States, Symbols: r.Symbols, Reports: r.Reports,
 				Extra: map[string]float64{
 					"active_set":  r.ActiveSet,
 					"report_rate": r.ReportRate,
 					"subgraphs":   float64(r.Subgraphs),
 				},
-			}}
+			}
 		}
 		return config, out, nil
 	})
@@ -553,7 +562,7 @@ func cmdTable2(args []string) error {
 	fs := flag.NewFlagSet("table2", flag.ExitOnError)
 	samples := fs.Int("samples", 4000, "dataset size")
 	seed := fs.Uint64("seed", 7, "seed")
-	return runTable(fs, args, 22, func(workers int, obs *experiments.Observer) (map[string]string, []tableRow, error) {
+	return runTable(fs, args, func(workers int, obs *experiments.Observer) (map[string]string, []report.KernelRow, error) {
 		config := map[string]string{
 			"samples": fmt.Sprintf("%d", *samples), "seed": fmt.Sprintf("%#x", *seed),
 		}
@@ -564,18 +573,18 @@ func cmdTable2(args []string) error {
 		fmt.Println("Table II: Random Forest benchmark variant trade-offs")
 		fmt.Printf("%-8s %9s %11s %9s %9s %8s\n",
 			"Variant", "Features", "Max Leaves", "States", "Accuracy", "Runtime")
-		out := make([]tableRow, len(rows))
+		out := make([]report.KernelRow, len(rows))
 		for i, r := range rows {
 			fmt.Printf("%-8s %9d %11d %9d %8.2f%% %7.2fx\n",
 				r.Variant, r.Features, r.MaxLeaves, r.States, r.Accuracy*100, r.RuntimeRel)
-			out[i] = tableRow{offender: r.TopOffender, KernelRow: report.KernelRow{
+			out[i] = report.KernelRow{
 				Name: "rf." + r.Variant, States: r.States,
 				Extra: map[string]float64{
 					"accuracy":           r.Accuracy,
 					"symbols_per_sample": float64(r.SymbolsPer),
 					"runtime_rel":        r.RuntimeRel,
 				},
-			}}
+			}
 		}
 		return config, out, nil
 	})
@@ -595,7 +604,7 @@ func cmdTable3(args []string) error {
 	filters := fs.Int("filters", 1719, "sequence-matching filters")
 	itemsets := fs.Int("itemsets", 20_000, "input itemsets")
 	seed := fs.Uint64("seed", 3, "seed")
-	return runTable(fs, args, 28, func(workers int, obs *experiments.Observer) (map[string]string, []tableRow, error) {
+	return runTable(fs, args, func(workers int, obs *experiments.Observer) (map[string]string, []report.KernelRow, error) {
 		config := map[string]string{
 			"filters": fmt.Sprintf("%d", *filters), "itemsets": fmt.Sprintf("%d", *itemsets),
 			"seed": fmt.Sprintf("%#x", *seed),
@@ -607,13 +616,13 @@ func cmdTable3(args []string) error {
 		fmt.Println("Table III: impact of AP-specific padding on CPU engines")
 		fmt.Printf("%-28s %10s %12s %10s %9s %9s\n",
 			"CPU Engine", "6 Wide", "6 Wide Pad", "Overhead", "CacheHit", "Evict/Lk")
-		out := make([]tableRow, len(rows))
+		out := make([]report.KernelRow, len(rows))
 		for i, r := range rows {
 			hit, evict := cacheColumns(r.HasCache, r.CacheHitRate, r.CacheEvictRate)
 			fmt.Printf("%-28s %9.3fs %11.3fs %9.1f%% %9s %9s%s\n",
 				r.Engine, r.PlainSec, r.PaddedSec, r.OverheadPct, hit, evict,
 				degradedMark(r.Fallbacks))
-			out[i] = tableRow{offender: r.TopOffender, KernelRow: report.KernelRow{
+			out[i] = report.KernelRow{
 				Name: r.Engine, HasCache: r.HasCache,
 				CacheHitRate: r.CacheHitRate, CacheEvictRate: r.CacheEvictRate,
 				Extra: map[string]float64{
@@ -621,7 +630,7 @@ func cmdTable3(args []string) error {
 					"padded_sec":   r.PaddedSec,
 					"overhead_pct": r.OverheadPct,
 				},
-			}}
+			}
 			if r.Fallbacks > 0 {
 				out[i].Extra["fallbacks"] = float64(r.Fallbacks)
 			}
@@ -634,7 +643,7 @@ func cmdTable4(args []string) error {
 	fs := flag.NewFlagSet("table4", flag.ExitOnError)
 	samples := fs.Int("samples", 4000, "dataset size")
 	seed := fs.Uint64("seed", 5, "seed")
-	return runTable(fs, args, 34, func(workers int, obs *experiments.Observer) (map[string]string, []tableRow, error) {
+	return runTable(fs, args, func(workers int, obs *experiments.Observer) (map[string]string, []report.KernelRow, error) {
 		config := map[string]string{
 			"samples": fmt.Sprintf("%d", *samples), "seed": fmt.Sprintf("%#x", *seed),
 		}
@@ -644,17 +653,17 @@ func cmdTable4(args []string) error {
 		}
 		fmt.Println("Table IV: Random Forest classification throughput")
 		fmt.Printf("%-34s %16s %10s %9s %9s\n", "Engine", "kClass/sec", "Relative", "CacheHit", "Evict/Lk")
-		out := make([]tableRow, len(rows))
+		out := make([]report.KernelRow, len(rows))
 		for i, r := range rows {
 			hit, evict := cacheColumns(r.HasCache, r.CacheHitRate, r.CacheEvictRate)
 			fmt.Printf("%-34s %16.1f %9.1fx %9s %9s%s\n", r.Engine, r.KClassPerSec, r.Relative, hit, evict,
 				degradedMark(r.Fallbacks))
 			tp := report.AggregateOf([]float64{r.KClassPerSec})
-			out[i] = tableRow{offender: r.TopOffender, KernelRow: report.KernelRow{
+			out[i] = report.KernelRow{
 				Name: r.Engine, Unit: "kClass/s", Throughput: &tp,
 				HasCache: r.HasCache, CacheHitRate: r.CacheHitRate, CacheEvictRate: r.CacheEvictRate,
 				Extra: map[string]float64{"relative": r.Relative},
-			}}
+			}
 			if r.Fallbacks > 0 {
 				out[i].Extra["fallbacks"] = float64(r.Fallbacks)
 			}

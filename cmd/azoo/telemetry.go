@@ -4,7 +4,6 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
-	"expvar"
 	"flag"
 	"fmt"
 	"io"
@@ -27,7 +26,7 @@ import (
 	"automatazoo/internal/telemetry"
 )
 
-// telFlags is the observability flag set shared by run, profile, and the
+// telFlags is the observability flag set shared by run, resume and the
 // table commands: -trace, -trace-sample, -metrics, -debug-addr, -report,
 // plus the live-ops flags -progress, -stall-after, and -postmortem.
 type telFlags struct {
@@ -46,7 +45,7 @@ func telemetryFlags(fs *flag.FlagSet) *telFlags {
 		trace:      fs.String("trace", "", "write an NDJSON event trace to this file (see internal/telemetry doc.go for the schema)"),
 		sample:     fs.Int64("trace-sample", 1, "record symbol/activate trace events only for offsets divisible by N (reports and cache events are always recorded)"),
 		metrics:    fs.String("metrics", "", "write a metrics-registry JSON snapshot to this file on completion"),
-		debug:      fs.String("debug-addr", "", "serve net/http/pprof, expvar (/debug/vars), Prometheus (/metrics), and live progress (/progress) on this address, e.g. localhost:6060"),
+		debug:      fs.String("debug-addr", "", "serve net/http/pprof, Prometheus (/metrics), and live progress (/progress) on this address, e.g. localhost:6060"),
 		report:     fs.String("report", "", "write a run-report manifest (JSON: environment, kernel rows, phase spans, metrics) to this file"),
 		progress:   fs.Duration("progress", 0, "print per-kernel progress heartbeats (bytes, rate, active set, ETA) to stderr at this interval (0 = off)"),
 		stall:      fs.Duration("stall-after", 0, "declare a stall and dump a postmortem when a kernel heartbeats nothing for this long (0 = off)"),
@@ -94,7 +93,7 @@ type obsSession struct {
 
 // session materializes the flags. The registry exists whenever any
 // telemetry output is requested (the trace alone still benefits from
-// counters at /debug/vars); everything nil means fully disabled.
+// counters at /metrics); everything nil means fully disabled.
 func (tf *telFlags) session() (*obsSession, error) {
 	s := &obsSession{metricsPath: *tf.metrics, reportPath: *tf.report, stallAfter: *tf.stall}
 	active := *tf.metrics != "" || *tf.debug != "" || *tf.trace != "" || *tf.report != "" ||
@@ -431,24 +430,19 @@ func (s *obsSession) Close() error {
 	return first
 }
 
-// startDebugServer serves pprof, expvar, Prometheus exposition, and the
-// live progress JSON on addr for the lifetime of the process — ops
-// support for long suite runs. The registry's live snapshot appears under
-// "azoo" at /debug/vars, in Prometheus text format at /metrics, and the
-// per-kernel heartbeat state at /progress. Returns the bound address so
-// tests can dial an OS-assigned port.
+// startDebugServer serves pprof, Prometheus exposition, and the live
+// progress JSON on addr for the lifetime of the process — ops support for
+// long suite runs. The registry's live snapshot appears in Prometheus text
+// format at /metrics, and the per-kernel heartbeat state at /progress.
+// Returns the bound address so tests can dial an OS-assigned port.
 func startDebugServer(addr string, s *obsSession) (net.Addr, error) {
 	reg := s.Registry
-	if reg != nil {
-		reg.PublishExpvar("azoo")
-	}
 	mux := http.NewServeMux()
 	mux.HandleFunc("/debug/pprof/", pprof.Index)
 	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
 	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
 	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
 	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
-	mux.Handle("/debug/vars", expvar.Handler())
 	mux.HandleFunc("/metrics", func(w http.ResponseWriter, _ *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 		if reg != nil {
@@ -471,7 +465,7 @@ func startDebugServer(addr string, s *obsSession) (net.Addr, error) {
 	if err != nil {
 		return nil, fmt.Errorf("debug server: %w", err)
 	}
-	fmt.Fprintf(os.Stderr, "azoo: debug server at http://%s/debug/pprof/ (also /debug/vars, /metrics, /progress)\n", ln.Addr())
+	fmt.Fprintf(os.Stderr, "azoo: debug server at http://%s/debug/pprof/ (also /metrics, /progress)\n", ln.Addr())
 	go func() {
 		if err := http.Serve(ln, mux); err != nil {
 			fmt.Fprintln(os.Stderr, "azoo: debug server:", err)

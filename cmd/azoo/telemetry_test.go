@@ -139,17 +139,32 @@ func TestStallWatchdogEndToEnd(t *testing.T) {
 	}
 }
 
-// `azoo profile` honors the live-ops flags it registers: its scan runs
-// under the session's per-kernel hooks with the watchdog armed, so a
-// -stall-after far below the watchdog's 10ms poll trips the run as a
-// stalled truncation.
-func TestProfileArmsStallWatchdog(t *testing.T) {
-	err := cmdProfile([]string{"snort", "-scale", "0.01", "-input", "3000000", "-stall-after", "1ns"})
-	trip := guard.AsTrip(err)
-	if trip == nil || trip.Budget != guard.BudgetStalled {
-		t.Fatalf("cmdProfile returned %v, want a stall trip", err)
+// TestRunTraceIdenticalAcrossWorkers: an unsegmented traced run writes the
+// same trace file at -j 1 and -j 2. Component slices would hand the
+// tracer slice-local state IDs in a scheduling-dependent order, so
+// scan.Run keeps a traced run on one whole-automaton engine.
+func TestRunTraceIdenticalAcrossWorkers(t *testing.T) {
+	dir := t.TempDir()
+	trace := func(j string) []byte {
+		path := filepath.Join(dir, "j"+j+".ndjson")
+		_, err := captureStdout(t, func() error {
+			return cmdRun([]string{"-bench", "Snort", "-scale", "0.01", "-input", "20000",
+				"-j", j, "-segments", "1", "-trace", path})
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return b
 	}
-	if exitCode(err) != exitTruncated {
-		t.Errorf("exit code = %d, want %d", exitCode(err), exitTruncated)
+	j1, j2 := trace("1"), trace("2")
+	if !strings.Contains(string(j1), `"ev":"activate"`) {
+		t.Fatal("test premise broken: the trace records no activations")
+	}
+	if string(j1) != string(j2) {
+		t.Errorf("trace at -j 2 (%d bytes) differs from -j 1 (%d bytes)", len(j2), len(j1))
 	}
 }

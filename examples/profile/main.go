@@ -1,8 +1,8 @@
 // Profile: run the Snort kernel under full instrumentation and print a
 // per-state activation heatmap with subgraph attribution — the library
-// API behind `azoo profile snort`. The same engine run also feeds a
-// metrics registry (counters + the frontier-size histogram) and an NDJSON
-// event trace, demonstrating all three faces of internal/telemetry.
+// API behind `azoo explain snort -states 10`. The same engine run also
+// feeds a metrics registry (counters + the frontier-size histogram) and an
+// NDJSON event trace, demonstrating all three faces of internal/telemetry.
 package main
 
 import (
@@ -28,15 +28,16 @@ func main() {
 		log.Fatal(err)
 	}
 
-	// Attach all three telemetry hooks: per-state profile, and — in one
-	// hook bundle — a metrics registry and a sampled NDJSON trace.
+	// Attach all three telemetry hooks in one bundle: a metrics registry,
+	// and as the tracer both the per-state profile (a Tracer that counts
+	// activations) and a sampled NDJSON trace.
 	e := sim.New(a)
-	prof := e.EnableProfile()
+	prof := telemetry.NewStateProfile(a.NumStates())
 	reg := telemetry.NewRegistry()
 	var traceBuf bytes.Buffer
 	tracer := telemetry.NewNDJSON(&traceBuf)
 	tracer.SampleEvery = 1000 // keep symbol/activate volume down
-	e.Attach(hooks.Set{Registry: reg, Tracer: tracer})
+	e.Attach(hooks.Set{Registry: reg, Tracer: tee{prof, tracer}})
 
 	for _, seg := range segs {
 		e.Reset()
@@ -69,4 +70,28 @@ func main() {
 	for i := 0; i < 2 && i < len(lines); i++ {
 		fmt.Printf("  %s\n", lines[i])
 	}
+}
+
+// tee hands every engine event to both of its tracers: an engine carries
+// one Tracer, so two sinks share it through a fan-out like this.
+type tee [2]telemetry.Tracer
+
+func (t tee) OnSymbol(off int64, b byte) {
+	t[0].OnSymbol(off, b)
+	t[1].OnSymbol(off, b)
+}
+
+func (t tee) OnActivate(off int64, s uint32) {
+	t[0].OnActivate(off, s)
+	t[1].OnActivate(off, s)
+}
+
+func (t tee) OnReport(off int64, s uint32, code int32) {
+	t[0].OnReport(off, s, code)
+	t[1].OnReport(off, s, code)
+}
+
+func (t tee) OnCacheEvent(off int64, comp int, k telemetry.CacheEventKind) {
+	t[0].OnCacheEvent(off, comp, k)
+	t[1].OnCacheEvent(off, comp, k)
 }

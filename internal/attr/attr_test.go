@@ -292,12 +292,6 @@ func TestTopAndTopOffender(t *testing.T) {
 	if got := Top(rows, 0); len(got) != 3 {
 		t.Fatalf("Top(0) must return all, got %d", len(got))
 	}
-	if got := TopOffender(rows); got != "a" {
-		t.Fatalf("TopOffender=%q want %q (must skip unattributed)", got, "a")
-	}
-	if got := TopOffender(nil); got != "" {
-		t.Fatalf("TopOffender(nil)=%q want empty", got)
-	}
 }
 
 func TestWriteTextDeterministic(t *testing.T) {

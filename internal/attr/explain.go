@@ -115,18 +115,6 @@ func WriteText(w io.Writer, rows []Cost) error {
 	return tw.Flush()
 }
 
-// TopOffender names the most expensive attributed pattern (skipping the
-// unattributed bucket unless it is all there is), or "" when nothing was
-// recorded.
-func TopOffender(rows []Cost) string {
-	for _, r := range rows {
-		if r.Name != Unattributed && r.Cost+r.Reports > 0 {
-			return r.Name
-		}
-	}
-	return ""
-}
-
 // Publish exports the top-k folded rows into a telemetry registry as
 // attr.* counters — rendered on /metrics as azoo_attr_* Prometheus
 // families. Gauge levels (cache bytes) use gauges; flows use counters.

@@ -35,16 +35,7 @@ type Observer struct {
 	// tracker (named after the kernel). It shadows the bundle's single
 	// tracker, which a multi-kernel experiment has no use for.
 	Progress *telemetry.Progress
-	// Attribute enables per-kernel cost attribution (internal/attr): each
-	// table row's TopOffender names the source pattern responsible for the
-	// most runtime cost. Off by default — attribution never perturbs the
-	// tables' timed loops (annotation scans run outside them) and the
-	// default rendered output is unchanged. The bundle's Attribution
-	// collector is unused: every kernel builds its own.
-	Attribute bool
 }
-
-func (o *Observer) attribute() bool { return o != nil && o.Attribute }
 
 // sinks returns the observer's hook bundle and progress aggregator. A nil
 // observer yields the zero bundle and a nil aggregator, both valid no-ops.
@@ -64,9 +55,6 @@ type TableIIRow struct {
 	Accuracy   float64
 	SymbolsPer int     // input symbols per classification
 	RuntimeRel float64 // symbols relative to variant B (the paper's 1.35x)
-	// TopOffender names the costliest attributed pattern of the variant's
-	// automaton (set only under Observer.Attribute).
-	TopOffender string
 }
 
 // TableIIIRow is one engine's padding-overhead measurement. For the DFA
@@ -84,9 +72,6 @@ type TableIIIRow struct {
 	// during the measurement (cache budget or thrash); non-zero rows are
 	// annotated "[degraded]" in the rendered table.
 	Fallbacks int
-	// TopOffender names the costliest attributed pattern under this engine
-	// (set only under Observer.Attribute, from an untimed annotation scan).
-	TopOffender string
 }
 
 // TableIVRow is one engine/algorithm combination's Random Forest
@@ -102,9 +87,6 @@ type TableIVRow struct {
 	// Fallbacks counts components that degraded from DFA to NFA stepping
 	// during the measurement; non-zero rows are annotated "[degraded]".
 	Fallbacks int
-	// TopOffender names the costliest attributed pattern (set on the
-	// automata rows only, under Observer.Attribute).
-	TopOffender string
 }
 
 // TableVRow is one profile-selected mesh configuration.

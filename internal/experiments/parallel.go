@@ -6,7 +6,6 @@ import (
 	"runtime"
 	"time"
 
-	"automatazoo/internal/attr"
 	"automatazoo/internal/automata"
 	"automatazoo/internal/core"
 	"automatazoo/internal/dfa"
@@ -88,42 +87,6 @@ func adoptSpans(shared *telemetry.Spans, forks []*telemetry.Spans) {
 	}
 }
 
-// annotateNFA scans inputs through a fresh NFA engine under a
-// component-fallback attribution collector and returns the top offender's
-// name — the untimed annotation pass behind Observer.Attribute, run
-// outside every timed loop so it never perturbs a measurement.
-func annotateNFA(a *automata.Automaton, prefix string, inputs [][]byte) string {
-	col := attr.NewCollector(a, attr.FromComponents(a, prefix))
-	e := sim.New(a)
-	led := col.Ledger(col.GlobalCompOf())
-	e.Attach(hooks.Set{Ledger: led})
-	for _, in := range inputs {
-		e.Reset()
-		e.Run(in)
-	}
-	led.Commit()
-	return attr.TopOffender(col.Fold())
-}
-
-// annotateDFA is annotateNFA on the lazy-DFA engine.
-func annotateDFA(a *automata.Automaton, prefix string, inputs [][]byte) (string, error) {
-	col := attr.NewCollector(a, attr.FromComponents(a, prefix))
-	e, err := dfa.New(a)
-	if err != nil {
-		return "", err
-	}
-	led := col.Ledger(col.GlobalCompOf())
-	e.Attach(hooks.Set{Ledger: led})
-	for _, in := range inputs {
-		e.Reset()
-		if _, err := e.RunChecked(in); err != nil {
-			return "", err
-		}
-	}
-	led.Commit()
-	return attr.TopOffender(col.Fold()), nil
-}
-
 // perSecond returns n/elapsed events per second, clamping elapsed to one
 // microsecond: on coarse clocks (or trivially small inputs) time.Since
 // can return zero, and the naive division would put +Inf — or NaN at
@@ -166,23 +129,15 @@ func TableI(ctx context.Context, cfg core.Config, compress bool, workers, segmen
 		ksp := forks[i].Start(b.Name)
 		defer ksp.End()
 		bsp := ksp.Start("build")
-		var a *automata.Automaton
-		var segs [][]byte
-		var col *attr.Collector
-		var err error
-		if obs.attribute() {
-			a, segs, col, err = b.BuildAttributed(cfg)
-		} else {
-			a, segs, err = b.Build(cfg)
-		}
+		a, segs, err := b.Build(cfg)
 		bsp.End()
 		if err != nil {
 			return fmt.Errorf("%s: %w", b.Name, err)
 		}
-		// The kernel's bundle: its own registry, tracker and collector. Its
-		// phase spans are this harness's (ksp); the scan drivers get none.
+		// The kernel's bundle: its own registry and tracker. Its phase spans
+		// are this harness's (ksp); the scan drivers get none.
 		kh := h
-		kh.Registry, kh.Spans, kh.Progress, kh.Attribution = regs[i], nil, prog.Tracker(b.Name), col
+		kh.Registry, kh.Spans, kh.Progress = regs[i], nil, prog.Tracker(b.Name)
 		ssp := ksp.Start("simulate")
 		dyn, _, err := stats.ObserveStreams(ctx, a, segs, stats.StreamOptions{
 			Workers: workers, Segments: segments, Hooks: kh,
@@ -199,9 +154,6 @@ func TableI(ctx context.Context, cfg core.Config, compress bool, workers, segmen
 			Input:   b.Input,
 			Static:  stats.Compute(a),
 			Dynamic: dyn,
-		}
-		if col != nil {
-			row.TopOffender = attr.TopOffender(col.Fold())
 		}
 		if compress {
 			csp := ksp.Start("compress")
@@ -270,18 +222,6 @@ func TableII(ctx context.Context, samples int, seed uint64, workers int, obs *Ob
 			States:     a.NumStates(),
 			Accuracy:   m.Accuracy(test),
 			SymbolsPer: enc.SymbolsPerSample,
-		}
-		if obs.attribute() {
-			// Annotate with a short classification scan: which tree chain
-			// (component) does the most frontier work on real samples.
-			n := min(32, len(test.Samples))
-			qbuf := make([]uint8, m.FM.NumSelected())
-			ins := make([][]byte, n)
-			for j := 0; j < n; j++ {
-				m.FM.QuantizeInto(test.Samples[j].Pixels, qbuf)
-				ins[j] = enc.Encode(qbuf)
-			}
-			row.TopOffender = annotateNFA(a, "tree", ins)
 		}
 		return row, nil
 	})
@@ -450,16 +390,6 @@ func TableIII(ctx context.Context, filters, inputItemsets int, seed uint64, work
 			HasCache: true, CacheHitRate: cacheTotal.HitRate(), CacheEvictRate: cacheTotal.EvictionRate(),
 			Fallbacks: cacheTotal.Fallbacks},
 	}
-	if obs.attribute() {
-		// Untimed annotation passes over the plain kernel, one per engine,
-		// after every timed measurement has finished.
-		rows[0].TopOffender = annotateNFA(plain, "filter", [][]byte{input})
-		off, err := annotateDFA(plain, "filter", [][]byte{input})
-		if err != nil {
-			return nil, err
-		}
-		rows[1].TopOffender = off
-	}
 	return rows, nil
 }
 
@@ -495,7 +425,6 @@ func TableIV(ctx context.Context, samples int, seed uint64, workers int, obs *Ob
 
 	var hsRate, nativeRate, fpgaRate float64
 	var dfaStats dfa.Stats
-	var annotateIns [][]byte // encoded samples kept for the annotation pass
 	h, prog := obs.sinks()
 	regs := localRegistries(h.Registry, 3)
 	forks := localSpans(h.Spans, 3)
@@ -540,9 +469,6 @@ func TableIV(ctx context.Context, samples int, seed uint64, workers int, obs *Ob
 			hsRate = perSecond(hsN, time.Since(start))
 			ssp.End()
 			dfaStats = de.CacheStats()
-			if obs.attribute() {
-				annotateIns = encoded[:min(64, len(encoded))]
-			}
 			return nil
 		},
 		func() error { // Native single-threaded, from raw pixels.
@@ -597,15 +523,6 @@ func TableIV(ctx context.Context, samples int, seed uint64, workers int, obs *Ob
 		if rows[0].KClassPerSec > 0 {
 			rows[i].Relative = rows[i].KClassPerSec / rows[0].KClassPerSec
 		}
-	}
-	if len(annotateIns) > 0 {
-		// Untimed annotation pass on a fresh engine after the measurements;
-		// only the automata row has patterns to attribute.
-		off, err := annotateDFA(a, "tree", annotateIns)
-		if err != nil {
-			return nil, err
-		}
-		rows[0].TopOffender = off
 	}
 	return rows, nil
 }

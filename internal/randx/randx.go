@@ -6,10 +6,7 @@
 // rather than math/rand, whose stream is not guaranteed across releases.
 package randx
 
-import (
-	"math"
-	"math/bits"
-)
+import "math/bits"
 
 // Rand is a deterministic xoshiro256** generator. Not safe for concurrent
 // use; give each goroutine its own, forked via Fork.
@@ -92,35 +89,10 @@ func (r *Rand) Bytes(n int) []byte {
 // Pick returns a random element of the (non-empty) slice.
 func Pick[T any](r *Rand, xs []T) T { return xs[r.Intn(len(xs))] }
 
-// Perm returns a random permutation of [0, n).
-func (r *Rand) Perm(n int) []int {
-	p := make([]int, n)
-	for i := range p {
-		p[i] = i
-	}
-	for i := n - 1; i > 0; i-- {
-		j := r.Intn(i + 1)
-		p[i], p[j] = p[j], p[i]
-	}
-	return p
-}
-
 // Shuffle permutes xs in place.
 func Shuffle[T any](r *Rand, xs []T) {
 	for i := len(xs) - 1; i > 0; i-- {
 		j := r.Intn(i + 1)
 		xs[i], xs[j] = xs[j], xs[i]
-	}
-}
-
-// NormFloat64 returns a standard normal variate (Marsaglia polar method).
-func (r *Rand) NormFloat64() float64 {
-	for {
-		u := 2*r.Float64() - 1
-		v := 2*r.Float64() - 1
-		s := u*u + v*v
-		if s > 0 && s < 1 {
-			return u * math.Sqrt(-2*math.Log(s)/s)
-		}
 	}
 }

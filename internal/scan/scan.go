@@ -10,7 +10,7 @@
 //	segmented         a stream resolves to     one whole-automaton master,
 //	                  more than one segment    segment.Run per stream
 //	                  (not a caching engine)
-//	component slices  Workers > 1              one engine per partition slice
+//	component slices  Workers > 1, no Tracer   one engine per partition slice
 //	whole             otherwise                one whole-automaton engine
 //
 // The first, second and fourth share one loop (whole): each stream is one
@@ -18,10 +18,13 @@
 // stream resolves to more than one segment — in checkpoint-interval chunks
 // when checkpointing. A caching engine (dfa) never speculates, so a
 // segmented scan would cascade on its master; at Workers > 1 it keeps the
-// component slices instead. Unsliced is Run without the slices. Every
-// layout yields the same Result.Stats, report multiset and, for dfa, cache
-// line: the engine is deterministic, and a caching engine keeps one cache
-// per automaton component whichever layout holds it.
+// component slices instead. A traced run never slices: a slice engine
+// numbers its states locally, and the Tracer contract is automaton state
+// IDs, so an unsegmented traced run emits the same events at any Workers.
+// Unsliced is Run without the slices. Every layout yields the same
+// Result.Stats, report multiset and, for dfa, cache line: the engine is
+// deterministic, and a caching engine keeps one cache per automaton
+// component whichever layout holds it.
 package scan
 
 import (
@@ -162,12 +165,13 @@ func (sp *Spec) run(ctx context.Context, a *automata.Automaton, streams [][]byte
 		}
 		return e, err
 	}
-	// Slices at Workers > 1 when nothing is checkpointed, unless a stream
-	// resolves to more than one segment and the engine is not a caching
-	// one: those are the segmented layout's master.
+	// Slices at Workers > 1 when nothing is checkpointed or traced (slice
+	// engines number states locally, and a Tracer sees automaton IDs),
+	// unless a stream resolves to more than one segment and the engine is
+	// not a caching one: those are the segmented layout's master.
 	var e segment.Engine
 	var err error
-	sliced := sliceable && sp.Saver == nil && sp.Start == nil && parallel.Workers(sp.Workers) > 1
+	sliced := sliceable && sp.Saver == nil && sp.Start == nil && sp.Tracer == nil && parallel.Workers(sp.Workers) > 1
 	if sliced && segmented(streams, sp.Segments, sp.Workers) {
 		if e, err = sp.New(a); err != nil {
 			return res, err

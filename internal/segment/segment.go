@@ -143,12 +143,13 @@ type Hooks struct {
 	// counters (segment.*, ckpt.*) here too. Final contents are
 	// deterministic at any worker or segment count (commutative sums).
 	Registry *telemetry.Registry
-	// Tracer is attached to every slice engine and to segment masters, but
-	// not to speculative segment engines: a traced segmented run records
-	// the master's work (segment 0 plus replays), not the full stream —
-	// use -segments 1 for complete traces. It must be safe for concurrent
-	// use (telemetry.NDJSON is); event interleaving across slices is
-	// scheduling-dependent under Workers > 1.
+	// Tracer is attached to whole-automaton engines and segment masters,
+	// but not to speculative segment engines: a traced segmented run
+	// records the master's work (segment 0 plus replays), not the full
+	// stream — use -segments 1 for complete traces. scan.Run never splits
+	// a traced run into component slices, whose engines number states
+	// locally, so the tracer sees automaton state IDs in stream order. It
+	// must be safe for concurrent use (telemetry.NDJSON is).
 	Tracer telemetry.Tracer
 	// Spans receives each driver's own phase spans ("segment.run" with
 	// "segment.scan"/"segment.stitch" children; "partition.run" with

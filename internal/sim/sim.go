@@ -156,8 +156,7 @@ type Engine struct {
 	// RunChecked stays byte-for-byte the Run loop.
 	h            hooks.Set
 	led          *attr.Ledger // h.Ledger (see Attach)
-	telemetryOn  bool         // any of prof/Tracer/frontierHist attached
-	prof         *telemetry.StateProfile
+	telemetryOn  bool         // Tracer or frontierHist attached
 	frontierHist *telemetry.Histogram
 	published    Stats // portion of stats already flushed to h.Registry
 	ledMark      int64 // Symbols watermark of the last ledger byte flush
@@ -216,17 +215,6 @@ func New(a *automata.Automaton) *Engine {
 // Automaton returns the automaton the engine executes.
 func (e *Engine) Automaton() *automata.Automaton { return e.a }
 
-// EnableProfile attaches (creating on first call) a per-state activity
-// profile and returns it. The profile accumulates across Resets; call its
-// Reset to zero it.
-func (e *Engine) EnableProfile() *telemetry.StateProfile {
-	if e.prof == nil {
-		e.prof = telemetry.NewStateProfile(e.a.NumStates())
-	}
-	e.syncTelemetryOn()
-	return e.prof
-}
-
 // SetOnReport sets the OnReport callback (nil detaches) — the method form
 // required by the segment scanner's engine interface, identical to
 // assigning the OnReport field.
@@ -261,11 +249,7 @@ func (e *Engine) Attach(h hooks.Set) {
 		e.led = h.Ledger
 		e.ledMark = e.stats.Symbols
 	}
-	e.syncTelemetryOn()
-}
-
-func (e *Engine) syncTelemetryOn() {
-	e.telemetryOn = e.prof != nil || e.h.Tracer != nil || e.frontierHist != nil
+	e.telemetryOn = e.h.Tracer != nil || e.frontierHist != nil
 }
 
 // FlushTelemetry publishes statistics and ledger bytes accumulated since
@@ -446,9 +430,6 @@ func (e *Engine) stepTelemetry(b byte) {
 // activateTelemetry runs the per-activation hooks; called only when
 // telemetryOn.
 func (e *Engine) activateTelemetry(id automata.StateID) {
-	if e.prof != nil {
-		e.prof.Activations[id]++
-	}
 	if e.h.Tracer != nil {
 		e.h.Tracer.OnActivate(e.offset, id)
 	}

@@ -8,7 +8,7 @@ import (
 )
 
 // TestNilTelemetryZeroAllocs is the benchmark guard for the disabled
-// telemetry path: with no tracer, profile, registry, or span collector
+// telemetry path: with no tracer, registry, or span collector
 // attached, Run must not allocate at all once the engine is warm (the
 // per-run "sim.run" phase span reduces to a nil-receiver no-op).
 func TestNilTelemetryZeroAllocs(t *testing.T) {
@@ -31,7 +31,8 @@ func TestNilTelemetryZeroAllocs(t *testing.T) {
 func TestStateProfileCounts(t *testing.T) {
 	a := literalAutomaton("ab", 7)
 	e := New(a)
-	prof := e.EnableProfile()
+	prof := telemetry.NewStateProfile(a.NumStates())
+	e.Attach(hooks.Set{Tracer: prof})
 	e.Run([]byte("abab"))
 	// State 0 ('a', all-input start) matches at offsets 0 and 2; state 1
 	// ('b') is enabled after each 'a' and matches at offsets 1 and 3.
@@ -51,15 +52,11 @@ func TestStateProfileCounts(t *testing.T) {
 	if top[0].Share+top[1].Share < 0.999 {
 		t.Errorf("shares should sum to 1: %v", top)
 	}
-	// The profile accumulates across Reset and zeroes on its own Reset.
+	// The profile accumulates across the engine's Reset.
 	e.Reset()
 	e.Run([]byte("ab"))
 	if got := prof.Activations[0]; got != 3 {
 		t.Errorf("accumulated activations = %d, want 3", got)
-	}
-	prof.Reset()
-	if got := prof.TotalActivations(); got != 0 {
-		t.Errorf("after profile reset total = %d, want 0", got)
 	}
 }
 

@@ -31,20 +31,6 @@ func MicronD480() Model {
 	return Model{Name: "Micron D480", ClockHz: 133e6, StateCapacity: 49_152}
 }
 
-// Fits reports whether an automaton of the given state count fits in one
-// device.
-func (m Model) Fits(states int) bool { return states <= m.StateCapacity }
-
-// DevicesNeeded returns how many devices a benchmark of the given size
-// must be partitioned across (the paper: "researchers must develop ways to
-// evaluate sequential runs of the partitioned benchmark").
-func (m Model) DevicesNeeded(states int) int {
-	if states <= 0 {
-		return 0
-	}
-	return (states + m.StateCapacity - 1) / m.StateCapacity
-}
-
 // SymbolsPerSec returns the streaming symbol throughput given a report
 // rate (reports per symbol).
 func (m Model) SymbolsPerSec(reportRate float64) float64 {

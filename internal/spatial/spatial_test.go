@@ -5,19 +5,6 @@ import (
 	"testing"
 )
 
-func TestFitsAndDevices(t *testing.T) {
-	m := MicronD480()
-	if !m.Fits(49_152) || m.Fits(49_153) {
-		t.Fatal("capacity boundary wrong")
-	}
-	if m.DevicesNeeded(0) != 0 {
-		t.Fatal("zero states need zero devices")
-	}
-	if m.DevicesNeeded(1) != 1 || m.DevicesNeeded(49_152) != 1 || m.DevicesNeeded(49_153) != 2 {
-		t.Fatal("device partitioning wrong")
-	}
-}
-
 func TestClassificationsPerSec(t *testing.T) {
 	m := REAPR()
 	if got := m.ClassificationsPerSec(25); got != 250e6/25 {

@@ -21,7 +21,6 @@ import (
 	"automatazoo/internal/scan"
 	"automatazoo/internal/segment"
 	"automatazoo/internal/sim"
-	"automatazoo/internal/telemetry"
 	"automatazoo/internal/transform"
 )
 
@@ -170,21 +169,7 @@ func dynamicOf(st sim.Stats) Dynamic {
 	}
 }
 
-// DynamicFromRegistry derives the dynamic columns from a registry's
-// cumulative sim.* counters.
-func DynamicFromRegistry(reg *telemetry.Registry) Dynamic {
-	return dynamicOf(sim.Stats{
-		Symbols: reg.Counter("sim.symbols").Value(),
-		Active:  reg.Counter("sim.active").Value(),
-		Enabled: reg.Counter("sim.enabled").Value(),
-		Reports: reg.Counter("sim.reports").Value(),
-	})
-}
-
-// Row is one full Table-I row. TopOffender, when set, names the source
-// pattern attributed the most runtime cost (experiments.Observer
-// attribution); Format never renders it, so the printed table is
-// unchanged.
+// Row is one full Table-I row.
 type Row struct {
 	Name   string
 	Domain string
@@ -192,7 +177,6 @@ type Row struct {
 	Static
 	Compression
 	Dynamic
-	TopOffender string
 }
 
 // Format renders the row in the layout of Table I.

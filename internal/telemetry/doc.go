@@ -1,8 +1,8 @@
 // Package telemetry is the suite's zero-dependency observability layer:
 // a metrics registry, an execution-event tracer, and per-state activity
-// profiles, shared by both execution engines (internal/sim, internal/dfa)
-// and surfaced by `azoo profile`, `--trace`, `--metrics`, and
-// `--debug-addr`.
+// profiles, shared by the execution engines (internal/sim, internal/dfa,
+// internal/prefilter) and surfaced by `azoo explain -states`, `-trace`,
+// `-metrics`, and `-debug-addr`.
 //
 // The paper's entire evaluation is dynamic profiling — Table I's active
 // set, Figure 1's report rates, Tables III–IV's CPU-engine comparisons —
@@ -31,8 +31,8 @@
 //	dfa.fallbacks        gauge    components running in NFA fallback
 //
 // Registry.Snapshot serializes to deterministic JSON (map keys sort), and
-// PublishExpvar exposes the live snapshot at /debug/vars for long suite
-// runs (see `azoo ... -debug-addr`).
+// WritePrometheus renders the live registry as Prometheus text, which
+// `azoo ... -debug-addr` serves at /metrics for long suite runs.
 //
 // # Trace event schema (NDJSON)
 //
@@ -62,8 +62,9 @@
 //
 // # Per-state profiles and heatmaps
 //
-// StateProfile accumulates per-state activation and enable counts
-// (sim.Engine.EnableProfile). TopK/TopSubgraphs rank the hot states with
-// subgraph attribution via automata.Components, and WriteHeatmap renders
-// the `azoo profile` text heatmap.
+// StateProfile is a Tracer that accumulates per-state activation counts;
+// attach it to an engine like any tracer (hooks.Set{Tracer: prof}).
+// TopK/TopSubgraphs rank the hot states with subgraph attribution via
+// automata.Components, and WriteHeatmap renders the text heatmap that
+// `azoo explain -states` prints after the cost plan.
 package telemetry

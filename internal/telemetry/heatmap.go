@@ -7,11 +7,12 @@ import (
 	"strings"
 )
 
-// StateProfile holds per-state activity counters for one engine run — the
-// data behind VASim's --profile heatmaps and this suite's `azoo profile`.
-// Slices are indexed by dense state ID. The profile is owned by a single
-// engine and is not synchronized; merge profiles from parallel engines
-// with Merge.
+// StateProfile holds per-state activity counters — the data behind
+// VASim's --profile heatmaps and `azoo explain -states`. It is a Tracer
+// that counts OnActivate per state (the other events are ignored), so it
+// attaches to an engine like any tracer and accumulates across the
+// engine's Resets. Slices are indexed by dense state ID; the profile is
+// not synchronized, so attach it to one engine at a time.
 type StateProfile struct {
 	// Activations[s] counts cycles in which state s matched the input
 	// symbol (the paper's "active set", attributed per state).
@@ -23,19 +24,17 @@ func NewStateProfile(n int) *StateProfile {
 	return &StateProfile{Activations: make([]int64, n)}
 }
 
-// Reset zeroes all counters in place.
-func (p *StateProfile) Reset() {
-	for i := range p.Activations {
-		p.Activations[i] = 0
-	}
-}
+// OnActivate implements Tracer: it counts one activation of state.
+func (p *StateProfile) OnActivate(_ int64, state uint32) { p.Activations[state]++ }
 
-// Merge adds other's counts into p. Profiles must be the same size.
-func (p *StateProfile) Merge(other *StateProfile) {
-	for i, v := range other.Activations {
-		p.Activations[i] += v
-	}
-}
+// OnSymbol implements Tracer (ignored).
+func (p *StateProfile) OnSymbol(int64, byte) {}
+
+// OnReport implements Tracer (ignored).
+func (p *StateProfile) OnReport(int64, uint32, int32) {}
+
+// OnCacheEvent implements Tracer (ignored).
+func (p *StateProfile) OnCacheEvent(int64, int, CacheEventKind) {}
 
 // TotalActivations returns the sum of all per-state activation counts.
 func (p *StateProfile) TotalActivations() int64 {
@@ -155,7 +154,8 @@ func heatBar(share, maxShare float64) string {
 }
 
 // WriteHeatmap renders a per-state heatmap (TopK output) as aligned text
-// with proportional bars, the human-readable form `azoo profile` prints.
+// with proportional bars, the human-readable form `azoo explain -states`
+// prints.
 func WriteHeatmap(w io.Writer, entries []HeatEntry, symbols int64) error {
 	if len(entries) == 0 {
 		_, err := fmt.Fprintln(w, "(no state activations)")

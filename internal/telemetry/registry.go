@@ -2,7 +2,6 @@ package telemetry
 
 import (
 	"encoding/json"
-	"expvar"
 	"io"
 	"sync"
 	"sync/atomic"
@@ -325,39 +324,4 @@ func (r *Registry) MergeFrom(other *Registry) {
 		return
 	}
 	r.Merge(other.Snapshot())
-}
-
-// expvarSlots backs PublishExpvar's idempotency: expvar.Publish panics on
-// a duplicate name and offers no unpublish, so each name is published
-// exactly once with an expvar.Func that reads the current registry out of
-// an atomic slot. Re-publishing a name just swaps the slot — which is
-// what subcommand re-entry (tests, future `azoo serve`) needs.
-var (
-	expvarMu    sync.Mutex
-	expvarSlots = map[string]*atomic.Pointer[Registry]{}
-)
-
-// PublishExpvar exposes the registry's live snapshot under the given
-// expvar name (served at /debug/vars). Unlike raw expvar.Publish, calling
-// it again with the same name is safe: the name's expvar binding is
-// installed once per process and later calls re-point it at r.
-func (r *Registry) PublishExpvar(name string) {
-	expvarMu.Lock()
-	defer expvarMu.Unlock()
-	slot, ok := expvarSlots[name]
-	if !ok {
-		slot = &atomic.Pointer[Registry]{}
-		expvarSlots[name] = slot
-	}
-	// Store before Publish so a concurrent scrape arriving between the
-	// two calls never dereferences an empty slot.
-	slot.Store(r)
-	if !ok {
-		expvar.Publish(name, expvar.Func(func() any {
-			if cur := slot.Load(); cur != nil {
-				return cur.Snapshot()
-			}
-			return Snapshot{}
-		}))
-	}
 }

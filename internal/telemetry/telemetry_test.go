@@ -179,12 +179,8 @@ func TestHeatmapRanking(t *testing.T) {
 	if len(subs) != 3 || subs[0].Subgraph != 1 || subs[0].Activations != 30 {
 		t.Fatalf("TopSubgraphs = %+v", subs)
 	}
-	// Merge combines profiles.
-	q := NewStateProfile(5)
-	q.Activations[0] = 5
-	p.Merge(q)
-	if p.Activations[0] != 5 || p.TotalActivations() != 55 {
-		t.Errorf("merge failed: %+v", p.Activations)
+	if p.TotalActivations() != 50 {
+		t.Errorf("total = %d, want 50", p.TotalActivations())
 	}
 	var buf bytes.Buffer
 	if err := WriteHeatmap(&buf, p.TopK(3, comp), 100); err != nil {

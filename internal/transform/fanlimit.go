@@ -167,32 +167,3 @@ func limitFanOutOnce(a *automata.Automaton, max int) (bool, *automata.Automaton,
 	nb, err := b.Build()
 	return true, nb, copies, err
 }
-
-// MaxFanOut returns the largest STE out-degree in the automaton.
-func MaxFanOut(a *automata.Automaton) int {
-	best := 0
-	for i := 0; i < a.NumStates(); i++ {
-		if d := a.OutDegree(automata.StateID(i)); d > best {
-			best = d
-		}
-	}
-	return best
-}
-
-// MaxFanIn returns the largest in-degree in the automaton.
-func MaxFanIn(a *automata.Automaton) int {
-	n := a.NumStates()
-	indeg := make([]int, n)
-	for i := 0; i < n; i++ {
-		for _, t := range a.Succ(automata.StateID(i)) {
-			indeg[t]++
-		}
-	}
-	best := 0
-	for _, d := range indeg {
-		if d > best {
-			best = d
-		}
-	}
-	return best
-}

@@ -914,14 +914,8 @@ func use(t a.T) { t.M(); _ = strings.N }`,
 		"internal/charset.Set.Remove":           "dead (TestAddRemove)",
 		"internal/charset.Table.Clone":          "dead (TestInternTableClone)",
 		"internal/mnrl.Network.Validate":        "dead (TestValidate): import enforces the same invariants",
-		"internal/randx.Rand.NormFloat64":       "dead (TestNormFloat64)",
-		"internal/randx.Rand.Perm":              "dead (TestPerm)",
 		"internal/regex.LiteralPattern":         "dead (TestLiteralPattern)",
 		"internal/snort.ParseRule":              "dead (TestParseRuleErrors): the generator emits rules already parsed",
-		"internal/spatial.Model.DevicesNeeded":  "dead (TestFitsAndDevices)",
-		"internal/spatial.Model.Fits":           "dead (TestFitsAndDevices)",
-		"internal/transform.MaxFanIn":           "dead (TestMaxFanStats)",
-		"internal/transform.MaxFanOut":          "dead (TestMaxFanStats)",
 		"internal/yara.ParseRules":              "dead (TestParseRules): the generator emits rules already parsed",
 	}
 	_, files := goFiles(t, ".", false)
