@@ -52,7 +52,8 @@ race-parallel:
 	$(GO) test -race -count=1 -run 'Parallel' ./internal/partition/ ./internal/stats/
 
 # Guard the disabled-hook fast path: sim.Engine.Run must stay
-# allocation-free with no tracer/registry attached, and all three
+# allocation-free with no tracer/registry attached, on the list and on the
+# bitset frontier, and all three
 # engines' RunChecked must collapse to Run under Attach(hooks.Set{}). A
 # degraded dfa component's fallback step allocates nothing either, and dfa
 # subset construction at most once per new dstate, amortised.
@@ -61,7 +62,7 @@ race-parallel:
 # constant number of objects, PrefixMerge a bounded number per state, RF
 # class synthesis none.
 allocguard:
-	$(GO) test -run 'TestNilTelemetryZeroAllocs|TestDisabledLiveTelemetryZeroAllocs|TestFallbackStepZeroAllocs|TestConstructAllocsPerDstate' -count=1 -v ./internal/sim/ ./internal/dfa/ ./internal/prefilter/
+	$(GO) test -run 'TestNilTelemetryZeroAllocs|TestDisabledLiveTelemetryZeroAllocs|TestBitsetStepZeroAllocs|TestFallbackStepZeroAllocs|TestConstructAllocsPerDstate' -count=1 -v ./internal/sim/ ./internal/dfa/ ./internal/prefilter/
 	$(GO) test -run 'TestBuildAllocsConstant|TestPrefixMergeAllocsPerState|TestSymbolClassZeroAllocs|TestCompileAllocsConstant' -count=1 -v ./internal/automata/ ./internal/transform/ ./internal/rf/ ./internal/acmatch/
 
 # Byte-stability gate for the /metrics surface: the exposition golden
@@ -92,6 +93,7 @@ fuzz-short:
 	$(GO) test -run '^$$' -fuzz 'FuzzMNRLLoad' -fuzztime $(FUZZTIME) ./internal/mnrl/
 	$(GO) test -run '^$$' -fuzz 'FuzzCompileMatchesReference' -fuzztime $(FUZZTIME) ./internal/acmatch/
 	$(GO) test -run '^$$' -fuzz 'FuzzEngineMatchesReference' -fuzztime $(FUZZTIME) ./internal/dfa/
+	$(GO) test -run '^$$' -fuzz 'FuzzEngineMatchesReference' -fuzztime $(FUZZTIME) ./internal/sim/
 
 # The soak, the acceptance gate for engine changes. First 200 seeded
 # fault-injection trials: every injected panic/deadline/trip must surface

@@ -2,14 +2,18 @@ package main
 
 import (
 	"context"
+	"encoding/json"
 	"flag"
+	"maps"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
 	"automatazoo/internal/guard"
 	"automatazoo/internal/report"
+	"automatazoo/internal/telemetry"
 )
 
 // newTestSession builds an obsSession through the real flag plumbing.
@@ -166,5 +170,62 @@ func TestRunTraceIdenticalAcrossWorkers(t *testing.T) {
 	}
 	if string(j1) != string(j2) {
 		t.Errorf("trace at -j 2 (%d bytes) differs from -j 1 (%d bytes)", len(j2), len(j1))
+	}
+}
+
+// TestRunMetricsIdenticalAcrossLayouts: a segmented run writes the same
+// -metrics file at -j 1 and -j 2, and agrees with the unsegmented -j 1
+// run on every entry that describes the stream. The sim.* and segment.*
+// entries describe engine work (segment.Hooks.Registry), which segments
+// add to by re-scanning their warmup windows. Hamming 18x3 steps most of
+// its stream on the bitset frontier, Snort on the list. The file has no
+// timing fields.
+func TestRunMetricsIdenticalAcrossLayouts(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds and scans two benchmarks three times each")
+	}
+	for _, bench := range []string{"Hamming 18x3", "Snort"} {
+		t.Run(bench, func(t *testing.T) {
+			dir := t.TempDir()
+			metrics := func(name string, args ...string) []byte {
+				path := filepath.Join(dir, name+".json")
+				_, err := captureStdout(t, func() error {
+					return cmdRun(append([]string{"-bench", bench, "-scale", "0.02", "-input", "20000", "-metrics", path}, args...))
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+				b, err := os.ReadFile(path)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return b
+			}
+			seq := metrics("j1", "-j", "1", "-segments", "1")
+			seg1, seg2 := metrics("j1s3", "-j", "1", "-segments", "3"), metrics("j2s3", "-j", "2", "-segments", "3")
+			if string(seg1) != string(seg2) {
+				t.Errorf("-segments 3: -metrics at -j 2 differs from -j 1:\n%s\n%s", seg2, seg1)
+			}
+			stream := func(raw []byte) telemetry.Snapshot {
+				var s telemetry.Snapshot
+				if err := json.Unmarshal(raw, &s); err != nil {
+					t.Fatal(err)
+				}
+				work := func(name string) bool {
+					return strings.HasPrefix(name, "sim.") || strings.HasPrefix(name, "segment.")
+				}
+				maps.DeleteFunc(s.Counters, func(k string, _ int64) bool { return work(k) })
+				maps.DeleteFunc(s.Gauges, func(k string, _ int64) bool { return work(k) })
+				maps.DeleteFunc(s.Histograms, func(k string, _ telemetry.HistogramSnapshot) bool { return work(k) })
+				return s
+			}
+			want, got := stream(seq), stream(seg2)
+			if len(want.Counters) == 0 {
+				t.Fatal("test premise broken: no stream counters left to compare")
+			}
+			if !reflect.DeepEqual(want, got) {
+				t.Errorf("stream entries of -metrics differ:\n-j 1: %+v\n-j 2 -segments 3: %+v", want, got)
+			}
+		})
 	}
 }

@@ -176,6 +176,11 @@ func (a *Automaton) Succ(id StateID) []StateID {
 	return a.edges[a.edgeOff[id]:a.edgeOff[id+1]]
 }
 
+// CSR returns every successor list in one compressed sparse row: state
+// id's successors are edges[off[id]:off[id+1]], the slice Succ returns.
+// The caller must not modify either slice.
+func (a *Automaton) CSR() (off []uint32, edges []StateID) { return a.edgeOff, a.edges }
+
 // OutDegree returns the number of successors of state id.
 func (a *Automaton) OutDegree(id StateID) int {
 	return int(a.edgeOff[id+1] - a.edgeOff[id])

@@ -60,9 +60,6 @@ func FromString(str string) Set {
 // Add sets the bit for b.
 func (s *Set) Add(b byte) { s[b>>6] |= 1 << (b & 63) }
 
-// Remove clears the bit for b.
-func (s *Set) Remove(b byte) { s[b>>6] &^= 1 << (b & 63) }
-
 // Contains reports whether the set matches b.
 func (s Set) Contains(b byte) bool { return s[b>>6]&(1<<(b&63)) != 0 }
 
@@ -110,18 +107,6 @@ func (s Set) Bytes() []byte {
 		}
 	}
 	return out
-}
-
-// Hash returns a 64-bit mixing hash of the set, suitable for interning
-// tables. Equal sets hash equal.
-func (s Set) Hash() uint64 {
-	h := uint64(0x9e3779b97f4a7c15)
-	for _, w := range s {
-		h ^= w
-		h *= 0xbf58476d1ce4e5b9
-		h ^= h >> 29
-	}
-	return h
 }
 
 // CaseFold adds, for every matched ASCII letter, the letter of the opposite
@@ -208,3 +193,48 @@ func Space() Set { return spaceChars }
 
 // NotNewline returns the PCRE '.' class without the s (dotall) flag.
 func NotNewline() Set { return All().Minus(Single('\n')) }
+
+// Classes partitions the bytes into the coarsest classes no set yielded by
+// each splits, numbered in order of their smallest byte: class[b] is byte
+// b's class, reps[k] class k's smallest byte. yield returns false once all
+// 256 bytes stand apart. Each set (or its complement, when smaller) splits
+// every part holding one of its bytes into the bytes inside and outside it.
+func Classes(each func(yield func(Set) bool)) (class [256]uint16, reps []byte) {
+	parts := []Set{All()}
+	var partOf [256]uint16 // byte → part
+	each(func(cs Set) bool {
+		if cs.Count() > 128 {
+			cs = cs.Negate()
+		}
+		eachByte(cs, func(b int) {
+			k := partOf[b]
+			in := parts[k].Intersect(cs)
+			if in == parts[k] {
+				return
+			}
+			parts[k] = parts[k].Minus(cs)
+			parts = append(parts, in)
+			eachByte(in, func(b int) { partOf[b] = uint16(len(parts) - 1) })
+		})
+		return len(parts) < 256
+	})
+	number := make([]uint16, len(parts)) // class + 1, 0 = not yet numbered
+	for b := 0; b < 256; b++ {
+		k := partOf[b]
+		if number[k] == 0 {
+			reps = append(reps, byte(b))
+			number[k] = uint16(len(reps))
+		}
+		class[b] = number[k] - 1
+	}
+	return class, reps
+}
+
+// eachByte calls fn for every byte of s, ascending.
+func eachByte(s Set, fn func(b int)) {
+	for w, word := range s {
+		for ; word != 0; word &= word - 1 {
+			fn(w<<6 | bits.TrailingZeros64(word))
+		}
+	}
+}

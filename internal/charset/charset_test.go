@@ -59,24 +59,6 @@ func TestRange(t *testing.T) {
 	}
 }
 
-func TestAddRemove(t *testing.T) {
-	var s Set
-	s.Add(0)
-	s.Add(255)
-	s.Add(128)
-	if s.Count() != 3 {
-		t.Fatalf("count=%d", s.Count())
-	}
-	s.Remove(128)
-	if s.Count() != 2 || s.Contains(128) {
-		t.Fatal("remove failed")
-	}
-	s.Remove(128) // idempotent
-	if s.Count() != 2 {
-		t.Fatal("double remove changed set")
-	}
-}
-
 func TestSetAlgebra(t *testing.T) {
 	a := Range('a', 'm')
 	b := Range('h', 'z')
@@ -161,17 +143,6 @@ func TestNamedClasses(t *testing.T) {
 	}
 }
 
-func TestHashEqualSetsEqualHash(t *testing.T) {
-	a := Range('a', 'z')
-	b := FromString("abcdefghijklmnopqrstuvwxyz")
-	if a.Hash() != b.Hash() {
-		t.Fatal("equal sets, different hashes")
-	}
-	if a.Hash() == Single('q').Hash() {
-		t.Fatal("suspicious hash collision on trivially different sets")
-	}
-}
-
 // Property: union is commutative and associative; De Morgan holds.
 func TestQuickAlgebraLaws(t *testing.T) {
 	gen := func(r *rand.Rand) Set {
@@ -243,24 +214,5 @@ func TestInternTableZeroValue(t *testing.T) {
 	h := tab.Intern(All())
 	if !tab.Set(h).IsAll() {
 		t.Fatal("zero-value table broken")
-	}
-}
-
-func TestInternTableClone(t *testing.T) {
-	tab := NewTable()
-	h1 := tab.Intern(Single('a'))
-	cl := tab.Clone()
-	h2 := cl.Intern(Single('b'))
-	if tab.Len() != 1 {
-		t.Fatal("clone extension leaked into original")
-	}
-	if cl.Len() != 2 {
-		t.Fatalf("clone len=%d", cl.Len())
-	}
-	if cl.Intern(Single('a')) != h1 {
-		t.Fatal("clone lost original index")
-	}
-	if cl.Set(h2) != Single('b') {
-		t.Fatal("clone lookup wrong")
 	}
 }

@@ -41,17 +41,3 @@ func (t *Table) Len() int { return len(t.sets) }
 // Sets returns the backing slice of interned sets, indexed by Handle. The
 // caller must not modify it.
 func (t *Table) Sets() []Set { return t.sets }
-
-// Clone returns a deep copy of the table. The clone can be extended without
-// affecting the original, which is how transformation passes derive a new
-// automaton from a frozen one.
-func (t *Table) Clone() *Table {
-	nt := &Table{
-		sets:  append([]Set(nil), t.sets...),
-		index: make(map[Set]Handle, len(t.index)),
-	}
-	for s, h := range t.index {
-		nt.index[s] = h
-	}
-	return nt
-}

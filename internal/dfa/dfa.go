@@ -31,7 +31,6 @@ package dfa
 import (
 	"errors"
 	"fmt"
-	"math/bits"
 	"slices"
 	"time"
 
@@ -466,44 +465,18 @@ func (e *Engine) prepare(c *component, seen []uint32, stamp uint32) {
 		}
 	}
 	// Byte equivalence classes: two bytes are equivalent iff every
-	// distinct charset in the component treats them identically. Refine
-	// the one-class partition by each distinct charset (or its complement,
-	// which refines the same way, when that is smaller): a part holding a
-	// byte of the set splits into its bytes inside and outside the set.
-	// Then number the classes in order of their first byte.
-	parts := []charset.Set{charset.All()}
-	var partOf [256]uint16 // byte → part
-	for _, s := range c.states {
-		h := e.a.ClassHandle(s)
-		if seen[h] == stamp || len(parts) == 256 {
-			continue
-		}
-		seen[h] = stamp
-		cs := e.sets[h]
-		if cs.Count() > 128 {
-			cs = cs.Negate()
-		}
-		eachByte(cs, func(b int) {
-			k := partOf[b]
-			in := parts[k].Intersect(cs)
-			if in == parts[k] {
-				return
+	// distinct charset in the component treats them identically.
+	c.byteClass, c.classRep = charset.Classes(func(yield func(charset.Set) bool) {
+		for _, s := range c.states {
+			if h := e.a.ClassHandle(s); seen[h] != stamp {
+				seen[h] = stamp
+				if !yield(e.sets[h]) {
+					return
+				}
 			}
-			parts[k] = parts[k].Minus(cs)
-			parts = append(parts, in)
-			eachByte(in, func(b int) { partOf[b] = uint16(len(parts) - 1) })
-		})
-	}
-	number := make([]uint16, len(parts)) // class + 1, 0 = not yet numbered
-	for b := 0; b < 256; b++ {
-		k := partOf[b]
-		if number[k] == 0 {
-			c.classRep = append(c.classRep, byte(b))
-			number[k] = uint16(len(c.classRep))
 		}
-		c.byteClass[b] = number[k] - 1
-	}
-	c.nClasses = len(parts)
+	})
+	c.nClasses = len(c.classRep)
 	factor := e.opts.BudgetFactor
 	if factor <= 0 {
 		factor = 16
@@ -517,15 +490,6 @@ func (e *Engine) prepare(c *component, seen []uint32, stamp uint32) {
 	cost := dstateCost(0, c.nClasses) + dstateCost(len(c.sodStarts), c.nClasses)
 	c.bytes += cost
 	e.cacheBytes += cost
-}
-
-// eachByte calls fn for every byte of s, ascending.
-func eachByte(s charset.Set, fn func(b int)) {
-	for w, word := range s {
-		for ; word != 0; word &= word - 1 {
-			fn(w<<6 | bits.TrailingZeros64(word))
-		}
-	}
 }
 
 // bump starts a new marking pass and returns its generation. On uint32 wrap

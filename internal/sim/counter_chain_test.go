@@ -78,10 +78,10 @@ func TestChainedCounterRespectsLatch(t *testing.T) {
 		t.Fatalf("reports=%v, want one latched report at offset 0", reps)
 	}
 	c2 := automata.StateID(2)
-	if !e.latched[c2] {
+	if !e.ctr[c2].latched {
 		t.Fatal("c2 not latched after firing")
 	}
-	if v := e.counterVal[c2]; v != 1 {
+	if v := e.ctr[c2].val; v != 1 {
 		t.Fatalf("latched counter value drifted to %d, want clamped at target 1", v)
 	}
 }

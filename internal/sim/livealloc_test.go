@@ -3,6 +3,8 @@ package sim
 import (
 	"testing"
 
+	"automatazoo/internal/automata"
+	"automatazoo/internal/charset"
 	"automatazoo/internal/hooks"
 )
 
@@ -26,5 +28,38 @@ func TestDisabledLiveTelemetryZeroAllocs(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("disabled-live RunChecked allocated %.1f times per run, want 0", allocs)
+	}
+}
+
+// TestBitsetStepZeroAllocs guards the bitset frontier the same way: once
+// its tables exist, a run that switches from the list to the bitset at the
+// first block boundary and steps the rest densely allocates nothing.
+func TestBitsetStepZeroAllocs(t *testing.T) {
+	const n = 200
+	b := automata.NewBuilder()
+	for i := 0; i < n; i++ {
+		st := automata.StartNone
+		if i == 0 {
+			st = automata.StartAllInput
+		}
+		b.AddSTE(charset.All(), st)
+	}
+	for i := 0; i < n; i++ {
+		b.AddEdge(automata.StateID(i), automata.StateID((i+1)%n))
+		b.AddEdge(automata.StateID(i), automata.StateID((i+3)%n))
+	}
+	b.SetReport(n-1, 1)
+	e := New(b.MustBuild())
+	input := make([]byte, 1024)
+	e.Run(input) // builds the bitset tables
+	if !e.dense {
+		t.Fatalf("engine on the list after %d dense symbols (enabled %.1f per symbol)", len(input), e.Stats().EnabledAvg())
+	}
+	allocs := testing.AllocsPerRun(100, func() {
+		e.Reset()
+		e.Run(input)
+	})
+	if allocs != 0 {
+		t.Fatalf("bitset Run allocated %.1f times per run, want 0", allocs)
 	}
 }

@@ -13,17 +13,30 @@
 //	  counter at target      → fire (enable successors / report), then
 //	                           roll over or latch
 //
-// Two optimizations make paper-scale benchmarks (ClamAV: 2.3M states, 33k
-// always-on subgraphs) simulable without changing semantics:
+// All-input start states are never iterated: the list step takes the
+// matching ones from a byte→starts index, the bitset step ORs in their row.
+// The enabled frontier has two representations behind the one Step:
 //
-//   - all-input start states are never iterated; a 256-entry byte→starts
-//     index yields exactly the matching ones per symbol, and
-//   - the enabled frontier is a dense list deduplicated with generation
-//     marks, so per-symbol cost is O(frontier + matches), not O(states).
+//   - a list deduplicated with generation marks: per-symbol cost is
+//     O(frontier + matches), not O(states), which makes paper-scale ClamAV
+//     (2.3M states, 33k always-on subgraphs) simulable; and
+//   - a bitset over all states, stepped a 64-bit word at a time: active =
+//     (enabled | all-input starts) & match[class(b)], reports from active &
+//     reporting, successors of the set bits OR-ed into the next bitset
+//     through the automaton's CSR edges.
+//
+// Every stream starts on the list. At each 64-symbol block boundary of the
+// stream offset the engine enters the bitset when the block averaged
+// bitsetEnter or more enabled states per frontier word (of at least
+// bitsetMinWords), and leaves it below bitsetLeave. The bitset tables are built on first entry; automata with
+// counters stay on the list. Statistics, snapshots and hooks are identical
+// in both; only within one offset does the bitset emit reports and
+// OnActivate events in ascending state order, which no output depends on.
 package sim
 
 import (
 	"fmt"
+	"math/bits"
 	"slices"
 
 	"automatazoo/internal/attr"
@@ -99,6 +112,18 @@ func (s Stats) ReportRate() float64 {
 	return float64(s.Reports) / float64(s.Symbols)
 }
 
+// The frontier switch (package doc), in enabled states per word per symbol
+// over a block. Break-even is near one (File Carving 0.98× at 1.0, Entity
+// Resolution 1.5× at 2.4); the gap stops flapping. Below 16 enabled states
+// the bitset's fixed cost loses (File Carving's prefilter residual: 65
+// states, 3.6 enabled per symbol, 25 % slower), hence bitsetMinWords.
+const (
+	blockLen       = 64
+	bitsetEnter    = 2.0
+	bitsetLeave    = 1.0
+	bitsetMinWords = 8
+)
+
 // Engine executes one automaton over byte streams. It is reusable across
 // runs (Reset) but not safe for concurrent use; run parallel streams with
 // one Engine each (the frozen Automaton is shared and immutable).
@@ -115,7 +140,7 @@ type Engine struct {
 	startIdx    [256][]automata.StateID // all-input starts matching each byte
 	startOfData []automata.StateID
 
-	// Frontier state. mark[i]==gen means state i is in the next frontier;
+	// List frontier. mark[i]==gen means state i is in the next frontier;
 	// amark[i]==gen means state i already activated this cycle (a state can
 	// be both an all-input start and a successor — it must act once).
 	frontier []automata.StateID
@@ -124,18 +149,25 @@ type Engine struct {
 	amark    []uint32
 	gen      uint32
 
-	// Counter runtime state. pulsed is the dense, deterministically
-	// ordered list of counters that received a count-enable this cycle;
-	// pulseMark[id] dedupes deliveries (a counter's count-enable input is
-	// a single wire: at most one increment per counter per cycle, no
-	// matter how many predecessors pulse it or chained counters fire into
-	// it). A map here would make multi-counter resolution follow Go's
-	// randomized iteration order — see fireCounters.
-	counterVal map[automata.StateID]uint32
-	counterCfg map[automata.StateID]automata.Counter
-	pulsed     []automata.StateID
-	pulseMark  []bool // allocated only when the automaton has counters
-	latched    map[automata.StateID]bool
+	// Bitset frontier, in use while dense. blockSyms and blockEnabled are
+	// the statistics at the last block boundary; enterAt and leaveAt are
+	// bitsetEnter and bitsetLeave, fields so that tests can pin a mode.
+	dense            bool
+	bf               *bitFrontier
+	blockSyms        int64
+	blockEnabled     int64
+	enterAt, leaveAt float64
+
+	// Counter runtime state, nil without counters. ctr is indexed by
+	// state ID; counters lists the counter IDs ascending. pulsed is the
+	// dense, deterministically ordered list of counters that received a
+	// count-enable this cycle, and counter.pulsed dedupes deliveries (a
+	// counter's count-enable input is a single wire: at most one increment
+	// per counter per cycle, no matter how many predecessors pulse it or
+	// chained counters fire into it) — see fireCounters.
+	ctr      []counter
+	counters []automata.StateID
+	pulsed   []automata.StateID
 
 	offset int64
 
@@ -162,26 +194,46 @@ type Engine struct {
 	ledMark      int64 // Symbols watermark of the last ledger byte flush
 }
 
+// counter is one counter element's configuration and runtime state.
+type counter struct {
+	cfg     automata.Counter
+	val     uint32
+	latched bool // ignores count-enables until Reset
+	pulsed  bool // received its count-enable this cycle
+	touched bool // val set since Reset: CaptureState lists it
+}
+
+// bitFrontier is the bitset frontier and the rows it is stepped with.
+type bitFrontier struct {
+	class     [256]uint16        // byte → class (charset.Classes)
+	match     []uint64           // row k*words..: states whose class holds class k's bytes
+	starts    []uint64           // all-input starts
+	sodStarts []uint64           // starts plus start-of-data states, for offset 0
+	report    []uint64           // reporting states
+	off       []uint32           // the automaton's CSR successors, with
+	edges     []automata.StateID // off padded to whole words
+	cur, next []uint64           // enabled now; next, all zero between steps
+}
+
 // New returns an engine for a. The automaton is analyzed once; subsequent
 // runs reuse the prepared indexes.
 func New(a *automata.Automaton) *Engine {
 	n := a.NumStates()
 	e := &Engine{
-		a:          a,
-		sets:       a.Table().Sets(),
-		css:        make([]charset.Handle, n),
-		succ:       make([][]automata.StateID, n),
-		isCounter:  make([]bool, n),
-		isReport:   make([]bool, n),
-		code:       make([]int32, n),
-		mark:       make([]uint32, n),
-		amark:      make([]uint32, n),
-		counterVal: map[automata.StateID]uint32{},
-		counterCfg: map[automata.StateID]automata.Counter{},
-		latched:    map[automata.StateID]bool{},
+		a:         a,
+		sets:      a.Table().Sets(),
+		css:       make([]charset.Handle, n),
+		succ:      make([][]automata.StateID, n),
+		isCounter: make([]bool, n),
+		isReport:  make([]bool, n),
+		code:      make([]int32, n),
+		mark:      make([]uint32, n),
+		amark:     make([]uint32, n),
+		enterAt:   bitsetEnter,
+		leaveAt:   bitsetLeave,
 	}
 	if a.NumCounters() > 0 {
-		e.pulseMark = make([]bool, n)
+		e.ctr = make([]counter, n)
 	}
 	for i := 0; i < n; i++ {
 		id := automata.StateID(i)
@@ -191,8 +243,8 @@ func New(a *automata.Automaton) *Engine {
 		e.code[id] = a.ReportCode(id)
 		if a.Kind(id) == automata.KindCounter {
 			e.isCounter[id] = true
-			cfg, _ := a.CounterConfig(id)
-			e.counterCfg[id] = cfg
+			e.ctr[id].cfg, _ = a.CounterConfig(id)
+			e.counters = append(e.counters, id)
 		}
 	}
 	for _, s := range a.Starts() {
@@ -212,6 +264,59 @@ func New(a *automata.Automaton) *Engine {
 	return e
 }
 
+// newBitFrontier builds the bitset tables of e's automaton, which has no
+// counters: one match row per byte class, and the start, start-of-data
+// and report rows.
+func newBitFrontier(e *Engine) *bitFrontier {
+	n := len(e.css)
+	words := (n + 63) / 64
+	f := &bitFrontier{
+		starts:    make([]uint64, words),
+		sodStarts: make([]uint64, words),
+		report:    make([]uint64, words),
+		off:       make([]uint32, words*64+1),
+		cur:       make([]uint64, words),
+		next:      make([]uint64, words),
+	}
+	var off []uint32
+	off, f.edges = e.a.CSR()
+	for i := copy(f.off, off); i < len(f.off); i++ {
+		f.off[i] = off[n]
+	}
+	seen := make([]bool, len(e.sets))
+	var reps []byte
+	f.class, reps = charset.Classes(func(yield func(charset.Set) bool) {
+		for _, h := range e.css {
+			if !seen[h] {
+				seen[h] = true
+				if !yield(e.sets[h]) {
+					return
+				}
+			}
+		}
+	})
+	f.match = make([]uint64, len(reps)*words)
+	for i, h := range e.css {
+		bit := uint64(1) << (i & 63)
+		for k, b := range reps {
+			if e.sets[h].Contains(b) {
+				f.match[k*words+i>>6] |= bit
+			}
+		}
+		if e.isReport[i] {
+			f.report[i>>6] |= bit
+		}
+	}
+	for _, s := range e.a.Starts() {
+		bit := uint64(1) << (s & 63)
+		if e.a.Start(s) == automata.StartAllInput {
+			f.starts[s>>6] |= bit
+		}
+		f.sodStarts[s>>6] |= bit
+	}
+	return f
+}
+
 // Automaton returns the automaton the engine executes.
 func (e *Engine) Automaton() *automata.Automaton { return e.a }
 
@@ -222,7 +327,16 @@ func (e *Engine) SetOnReport(fn func(Report)) { e.OnReport = fn }
 
 // FrontierLen returns the current enabled-frontier size (the states armed
 // for the next Step), without the copy FrontierSnapshot makes.
-func (e *Engine) FrontierLen() int { return len(e.frontier) }
+func (e *Engine) FrontierLen() int {
+	if !e.dense {
+		return len(e.frontier)
+	}
+	n := 0
+	for _, x := range e.bf.cur {
+		n += bits.OnesCount64(x)
+	}
+	return n
+}
 
 // Attach installs h as the engine's hook bundle, replacing whatever was
 // attached (the zero Set detaches everything). Only hooks that changed
@@ -299,11 +413,15 @@ func (e *Engine) flushStats() {
 
 // Reset clears all runtime state: the frontier, counters, latches, offset
 // and statistics. The next symbol consumed is treated as the start of
-// data.
+// data, on the list frontier.
 func (e *Engine) Reset() {
 	e.FlushTelemetry() // don't lose stats accumulated via bare Step calls
 	e.frontier = e.frontier[:0]
 	e.next = e.next[:0]
+	if e.dense {
+		clear(e.bf.cur)
+		e.dense = false
+	}
 	// One bump suffices for EnableState's mark[id] == gen-1 dedupe to stay
 	// sound: marks are only ever written with the in-Step generation (or
 	// gen-1 by EnableState itself), and Step bumps gen after writing, so
@@ -311,23 +429,33 @@ func (e *Engine) Reset() {
 	// cycle of the previous run CAN be re-armed immediately after Reset
 	// (pinned by TestEnableStateAfterReset).
 	e.gen++
-	if e.gen < 2 { // wrapped (or first use): clear marks, keep gen >= 2
-		for i := range e.mark {
-			e.mark[i] = 0
-			e.amark[i] = 0
-		}
-		e.gen = 2
+	if e.gen < 2 {
+		e.wrapGen()
 	}
-	clear(e.counterVal)
-	for _, id := range e.pulsed {
-		e.pulseMark[id] = false
+	for _, id := range e.counters {
+		e.ctr[id] = counter{cfg: e.ctr[id].cfg}
 	}
 	e.pulsed = e.pulsed[:0]
-	clear(e.latched)
 	e.offset = 0
 	e.stats = Stats{}
 	e.published = Stats{}
 	e.ledMark = 0
+	e.blockSyms, e.blockEnabled = 0, 0
+}
+
+// wrapGen restarts the generation after uint32 wrap: it clears every mark
+// and sets gen to 2 (EnableState dedupes against gen-1, which must not
+// collide with the cleared value 0). The live frontier is re-marked with
+// gen-1: its states were marked with the pre-wrap generation, and without
+// the re-mark re-arming a state already on it would append a duplicate,
+// double-counted in Enabled (TestEnableStateDedupeAcrossGenerationWrap).
+func (e *Engine) wrapGen() {
+	clear(e.mark)
+	clear(e.amark)
+	e.gen = 2
+	for _, s := range e.frontier {
+		e.mark[s] = e.gen - 1
+	}
 }
 
 // Stats returns the statistics accumulated since the last Reset.
@@ -423,7 +551,7 @@ func (e *Engine) stepTelemetry(b byte) {
 		e.h.Tracer.OnSymbol(e.offset, b)
 	}
 	if e.frontierHist != nil {
-		e.frontierHist.Observe(int64(len(e.frontier)))
+		e.frontierHist.Observe(int64(e.FrontierLen()))
 	}
 }
 
@@ -438,10 +566,10 @@ func (e *Engine) activateTelemetry(id automata.StateID) {
 // pulse delivers a count-enable to a counter (at most one increment per
 // counter per cycle, per the AP model).
 func (e *Engine) pulse(id automata.StateID) {
-	if e.pulseMark[id] {
+	if e.ctr[id].pulsed {
 		return
 	}
-	e.pulseMark[id] = true
+	e.ctr[id].pulsed = true
 	e.pulsed = append(e.pulsed, id)
 	e.stats.CounterPulses++
 }
@@ -473,13 +601,13 @@ func (e *Engine) fireCounters() {
 	slices.Sort(queue)
 	for i := 0; i < len(queue); i++ {
 		id := queue[i]
-		if e.latched[id] {
+		c := &e.ctr[id]
+		if c.latched {
 			continue // a latched counter ignores count-enables until Reset
 		}
-		cfg := e.counterCfg[id]
-		v := e.counterVal[id] + 1
-		if v < cfg.Target {
-			e.counterVal[id] = v
+		c.touched = true
+		if c.val+1 < c.cfg.Target {
+			c.val++
 			continue
 		}
 		// Fire.
@@ -488,8 +616,8 @@ func (e *Engine) fireCounters() {
 		}
 		for _, t := range e.succ[id] {
 			if e.isCounter[t] {
-				if !e.pulseMark[t] {
-					e.pulseMark[t] = true
+				if !e.ctr[t].pulsed {
+					e.ctr[t].pulsed = true
 					e.stats.CounterPulses++
 					queue = append(queue, t)
 				}
@@ -497,21 +625,25 @@ func (e *Engine) fireCounters() {
 				e.enable(t)
 			}
 		}
-		if cfg.Mode == automata.CountRollover {
-			e.counterVal[id] = 0
+		if c.cfg.Mode == automata.CountRollover {
+			c.val = 0
 		} else {
-			e.latched[id] = true
-			e.counterVal[id] = cfg.Target
+			c.latched = true
+			c.val = c.cfg.Target
 		}
 	}
 	for _, id := range queue {
-		e.pulseMark[id] = false
+		e.ctr[id].pulsed = false
 	}
 	e.pulsed = queue[:0]
 }
 
 // Step consumes one input symbol.
 func (e *Engine) Step(b byte) {
+	if e.dense {
+		e.stepBits(b)
+		return
+	}
 	e.stats.Symbols++
 	if e.telemetryOn {
 		e.stepTelemetry(b)
@@ -542,22 +674,146 @@ func (e *Engine) Step(b byte) {
 	// re-mark from scratch.
 	e.frontier, e.next = e.next, e.frontier[:0]
 	e.gen++
-	if e.gen < 2 { // wrapped: clear marks, keep gen >= 2 for EnableState
-		for i := range e.mark {
-			e.mark[i] = 0
-			e.amark[i] = 0
-		}
-		e.gen = 2
-		// Re-mark the live frontier: its states were marked with the
-		// pre-wrap generation, and EnableState dedupes against mark[id] ==
-		// gen-1. Without this, re-arming a state already on the frontier
-		// right after a wrap appends a duplicate (double-counted in
-		// Enabled); see TestEnableStateDedupeAcrossGenerationWrap.
-		for _, s := range e.frontier {
-			e.mark[s] = e.gen - 1
+	if e.gen < 2 {
+		e.wrapGen()
+	}
+	e.advance()
+}
+
+// advance moves to the next offset and, at a block boundary, chooses the
+// frontier representation for the next block.
+func (e *Engine) advance() {
+	e.offset++
+	if e.offset&(blockLen-1) == 0 {
+		e.chooseFrontier()
+	}
+}
+
+// chooseFrontier switches representation by the block's mean enabled
+// states per frontier word (see bitsetEnter). Automata with counters stay
+// on the list.
+func (e *Engine) chooseFrontier() {
+	if e.ctr != nil {
+		return
+	}
+	syms := e.stats.Symbols - e.blockSyms
+	words := max((len(e.css)+63)/64, bitsetMinWords)
+	perWord := float64(e.stats.Enabled-e.blockEnabled) / float64(syms) / float64(words)
+	e.blockSyms, e.blockEnabled = e.stats.Symbols, e.stats.Enabled
+	switch {
+	case !e.dense && perWord >= e.enterAt:
+		e.enterBits()
+	case e.dense && perWord < e.leaveAt:
+		e.leaveBits()
+	}
+}
+
+// enterBits moves the list frontier into the bitset.
+func (e *Engine) enterBits() {
+	if e.bf == nil {
+		e.bf = newBitFrontier(e)
+	}
+	for _, s := range e.frontier {
+		e.bf.cur[s>>6] |= 1 << (s & 63)
+	}
+	e.frontier = e.frontier[:0]
+	e.dense = true
+}
+
+// leaveBits moves the bitset frontier onto the list. The bitset step
+// writes no marks, so the marks of the list frontier that entered the
+// bitset still read gen-1: a new generation retires them before the
+// frontier is re-marked for EnableState's dedupe.
+func (e *Engine) leaveBits() {
+	e.dense = false
+	e.gen++
+	if e.gen < 2 {
+		e.wrapGen()
+	}
+	e.frontier = appendBits(e.frontier, e.bf.cur)
+	for _, s := range e.frontier {
+		e.mark[s] = e.gen - 1
+	}
+	clear(e.bf.cur)
+}
+
+// appendBits appends the states whose bits are set in words, ascending.
+func appendBits(dst []automata.StateID, words []uint64) []automata.StateID {
+	for w, x := range words {
+		for ; x != 0; x &= x - 1 {
+			dst = append(dst, automata.StateID(w<<6|bits.TrailingZeros64(x)))
 		}
 	}
-	e.offset++
+	return dst
+}
+
+// stepBits is Step on the bitset frontier, a word of 64 states at a time.
+// Consumed words of cur are cleared, so after the swap next is all zero
+// again.
+func (e *Engine) stepBits(b byte) {
+	e.stats.Symbols++
+	if e.telemetryOn {
+		e.stepTelemetry(b)
+	}
+	f := e.bf
+	cur, next := f.cur, f.next
+	words := len(cur)
+	k := int(f.class[b]) * words
+	match := f.match[k : k+words]
+	starts := f.starts
+	if e.offset == 0 {
+		starts = f.sodStarts
+		e.stats.Enabled += int64(len(e.startOfData))
+	}
+	starts, report, next := starts[:words], f.report[:words], next[:words]
+	edges := f.edges
+	hooked := e.telemetryOn || e.led != nil
+	enabled, active := 0, 0
+	for w, x := range cur {
+		enabled += bits.OnesCount64(x)
+		act := (x | starts[w]) & match[w]
+		cur[w] = 0
+		if act == 0 {
+			continue
+		}
+		active += bits.OnesCount64(act)
+		if hooked {
+			e.activateWord(w, act)
+		} else {
+			for r := act & report[w]; r != 0; r &= r - 1 {
+				e.emit(automata.StateID(w<<6 | bits.TrailingZeros64(r)))
+			}
+		}
+		off := (*[65]uint32)(f.off[w<<6 : w<<6+65]) // no bounds checks below
+		for ; act != 0; act &= act - 1 {
+			i := bits.TrailingZeros64(act) & 63
+			for _, t := range edges[off[i]:off[i+1]] {
+				next[t>>6] |= 1 << (t & 63)
+			}
+		}
+	}
+	e.stats.Enabled += int64(enabled)
+	e.stats.Active += int64(active)
+	f.cur, f.next = next, cur
+	e.advance()
+}
+
+// activateWord runs the per-activation hooks and reports of the active
+// states in word w, ascending; the bitset step calls it only when some
+// hook is attached.
+func (e *Engine) activateWord(w int, act uint64) {
+	for ; act != 0; act &= act - 1 {
+		id := automata.StateID(w<<6 | bits.TrailingZeros64(act))
+		if e.telemetryOn {
+			e.activateTelemetry(id)
+		}
+		if e.led != nil {
+			e.led.Activate(id)
+		}
+		if e.isReport[id] {
+			e.emit(id)
+		}
+	}
 }
 
 // EnableState places id on the frontier for the NEXT Step call, as if an
@@ -566,6 +822,10 @@ func (e *Engine) Step(b byte) {
 // reports (the paper's §XI future-work direction). Call it between Step
 // calls (or from OnReport of another engine); duplicates are coalesced.
 func (e *Engine) EnableState(id automata.StateID) {
+	if e.dense {
+		e.bf.cur[id>>6] |= 1 << (id & 63)
+		return
+	}
 	// The upcoming frontier was marked with the previous generation (it
 	// was built as "next" during the last Step). gen is kept >= 2, so
 	// gen-1 never collides with the cleared-mark value 0.
@@ -604,6 +864,9 @@ type StreamState struct {
 // stream position return equal snapshots regardless of the order their
 // frontiers were built in.
 func (e *Engine) FrontierSnapshot() []automata.StateID {
+	if e.dense {
+		return appendBits(nil, e.bf.cur)
+	}
 	f := append([]automata.StateID(nil), e.frontier...)
 	slices.Sort(f)
 	return f
@@ -614,10 +877,11 @@ func (e *Engine) FrontierSnapshot() []automata.StateID {
 // across Reset/RestoreState.
 func (e *Engine) CaptureState() *StreamState {
 	s := &StreamState{Offset: e.offset, Frontier: e.FrontierSnapshot()}
-	for id, v := range e.counterVal {
-		s.Counters = append(s.Counters, CounterSnapshot{ID: id, Value: v, Latched: e.latched[id]})
+	for _, id := range e.counters {
+		if c := e.ctr[id]; c.touched {
+			s.Counters = append(s.Counters, CounterSnapshot{ID: id, Value: c.val, Latched: c.latched})
+		}
 	}
-	slices.SortFunc(s.Counters, func(a, b CounterSnapshot) int { return int(a.ID) - int(b.ID) })
 	return s
 }
 
@@ -646,10 +910,9 @@ func (e *Engine) RestoreState(s *StreamState) error {
 		e.EnableState(id)
 	}
 	for _, c := range s.Counters {
-		e.counterVal[c.ID] = c.Value
-		if c.Latched {
-			e.latched[c.ID] = true
-		}
+		e.ctr[c.ID].val = c.Value
+		e.ctr[c.ID].latched = c.Latched
+		e.ctr[c.ID].touched = true
 	}
 	e.offset = s.Offset
 	return nil

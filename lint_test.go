@@ -910,9 +910,6 @@ func use(t a.T) { t.M(); _ = strings.N }`,
 		"internal/automata.Builder.ClearReport": "dead (TestSetStartAndClassMutation)",
 		"internal/automata.Builder.SetClass":    "dead (TestSetStartAndClassMutation)",
 		"internal/brill.Apply":                  "dead (TestApply): no experiment applies the located corrections",
-		"internal/charset.Set.Hash":             "dead (TestHashEqualSetsEqualHash)",
-		"internal/charset.Set.Remove":           "dead (TestAddRemove)",
-		"internal/charset.Table.Clone":          "dead (TestInternTableClone)",
 		"internal/mnrl.Network.Validate":        "dead (TestValidate): import enforces the same invariants",
 		"internal/regex.LiteralPattern":         "dead (TestLiteralPattern)",
 		"internal/snort.ParseRule":              "dead (TestParseRuleErrors): the generator emits rules already parsed",
