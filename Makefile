@@ -94,6 +94,7 @@ fuzz-short:
 	$(GO) test -run '^$$' -fuzz 'FuzzCompileMatchesReference' -fuzztime $(FUZZTIME) ./internal/acmatch/
 	$(GO) test -run '^$$' -fuzz 'FuzzEngineMatchesReference' -fuzztime $(FUZZTIME) ./internal/dfa/
 	$(GO) test -run '^$$' -fuzz 'FuzzEngineMatchesReference' -fuzztime $(FUZZTIME) ./internal/sim/
+	$(GO) test -run '^$$' -fuzz 'FuzzEngineMatchesReference' -fuzztime $(FUZZTIME) ./internal/prefilter/
 
 # The soak, the acceptance gate for engine changes. First 200 seeded
 # fault-injection trials: every injected panic/deadline/trip must surface

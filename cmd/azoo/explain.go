@@ -76,13 +76,13 @@ type explanation struct {
 // explainRun builds the benchmark with its provenance map and scans its
 // standard input through scan.Run — the layouts `azoo run` uses — with a
 // cost ledger attached: the committed totals are the ones a production
-// run would attribute. Prefilter engines charge anchored components'
-// bytes at flush points and one work unit per matched literal byte (the
-// chain work the nfa engine would have done); residual components
-// attribute exactly as under nfa. With states set the scan also carries a
-// StateProfile as its tracer and a registry, at one segment per stream:
-// scan.Run then keeps the whole automaton on one engine, so the profile
-// counts automaton state IDs and every byte of the input.
+// run would attribute. Prefilter engines attribute through their sim
+// stage exactly as under nfa, plus one work unit per matched literal byte
+// (the chain work the nfa engine would have done). With states set the
+// scan also carries a StateProfile as its tracer and a registry, at one
+// segment per stream: scan.Run then keeps the whole automaton on one
+// engine, so the profile counts automaton state IDs and every byte of the
+// input.
 func explainRun(b core.Benchmark, cfg core.Config, engine string, workers, segments int, states bool) (explanation, error) {
 	newEngine, err := scan.Factory(engine)
 	if err != nil {

@@ -8,7 +8,7 @@
 //
 //   - Provenance: a compile-time map from every automaton state to the
 //     set of pattern IDs whose compilation produced it. Loaders record
-//     contiguous builder state ranges per pattern (Ranges/Tagger); every
+//     contiguous builder state ranges per pattern (Ranges); every
 //     transform pass propagates origins through its state rewrite
 //     (Apply/ApplyMulti), so merged states carry origin-ID sets.
 //   - Collector/Ledger (ledger.go): a runtime cost ledger — per-component
@@ -135,43 +135,6 @@ func (r *Ranges) Provenance(numStates int) *Provenance {
 		origins[s] = uniq
 	}
 	return &Provenance{patterns: append([]Pattern(nil), r.patterns...), origins: origins}
-}
-
-// Tagger wraps a builder with begin/end pattern scoping: call Begin
-// before compiling each pattern and the states added until the next
-// Begin (or Done) are tagged with that name.
-type Tagger struct {
-	b      *automata.Builder
-	ranges Ranges
-	name   string
-	lo     int
-	open   bool
-}
-
-// NewTagger returns a tagger over b.
-func NewTagger(b *automata.Builder) *Tagger { return &Tagger{b: b} }
-
-// Begin opens a new pattern scope, closing any previous one.
-func (t *Tagger) Begin(name string) {
-	t.close()
-	t.name, t.lo, t.open = name, t.b.NumStates(), true
-}
-
-// Done closes the open scope (if any).
-func (t *Tagger) Done() { t.close() }
-
-func (t *Tagger) close() {
-	if t.open {
-		t.ranges.Tag(t.name, t.lo, t.b.NumStates())
-		t.open = false
-	}
-}
-
-// Provenance closes any open scope and freezes the map for the builder's
-// current state count.
-func (t *Tagger) Provenance() *Provenance {
-	t.close()
-	return t.ranges.Provenance(t.b.NumStates())
 }
 
 // FromComponents builds a fallback provenance for automata without

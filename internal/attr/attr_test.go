@@ -124,30 +124,6 @@ func TestApplyMultiReplicates(t *testing.T) {
 	}
 }
 
-func TestTaggerScopes(t *testing.T) {
-	b := automata.NewBuilder()
-	tg := NewTagger(b)
-	tg.Begin("first")
-	chain(b, "ab", 1)
-	tg.Begin("second") // implicitly closes "first"
-	chain(b, "cd", 2)
-	tg.Done()
-	chain(b, "ef", 3) // outside any scope: unattributed
-	p := tg.Provenance()
-	if p.NumPatterns() != 2 || p.NumStates() != 6 {
-		t.Fatalf("patterns=%d states=%d", p.NumPatterns(), p.NumStates())
-	}
-	if got := p.Label(0); got != "first" {
-		t.Fatalf("label(0)=%q", got)
-	}
-	if got := p.Label(2); got != "second" {
-		t.Fatalf("label(2)=%q", got)
-	}
-	if got := p.Label(4); got != "" {
-		t.Fatalf("label(4)=%q want unattributed empty", got)
-	}
-}
-
 func TestFromComponents(t *testing.T) {
 	b := automata.NewBuilder()
 	chain(b, "ab", 7)
@@ -174,13 +150,13 @@ func TestFromComponents(t *testing.T) {
 func buildTwo(t *testing.T) (*automata.Automaton, *Provenance) {
 	t.Helper()
 	b := automata.NewBuilder()
-	tg := NewTagger(b)
-	tg.Begin("alpha")
+	var r Ranges
 	chain(b, "ab", 1)
-	tg.Begin("beta")
+	r.Tag("alpha", 0, b.NumStates())
+	lo := b.NumStates()
 	chain(b, "cd", 2)
-	prov := tg.Provenance()
-	return b.MustBuild(), prov
+	r.Tag("beta", lo, b.NumStates())
+	return b.MustBuild(), r.Provenance(b.NumStates())
 }
 
 func TestCollectorFoldAndReportExactness(t *testing.T) {

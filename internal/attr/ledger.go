@@ -229,25 +229,7 @@ type Ledger struct {
 	slots     []int32 // sorted unique global components this engine covers
 	codeOwner map[int32]int32
 	unattrib  int32
-	d         *ledgerData // shared with any Views of this ledger
-}
-
-// View returns a ledger that shares this ledger's accumulation buffer but
-// maps a different engine-local state space: compOf maps the sub-engine's
-// state IDs to global component indices (build it with Slot over the
-// parent's numbering). The two-stage prefilter hands a view to its
-// residual sim engine so both stages charge one buffer; the parent's
-// Commit/Discard covers everything the view recorded. Views must not be
-// used concurrently with their parent.
-func (l *Ledger) View(compOf []int32) *Ledger {
-	return &Ledger{
-		c:         l.c,
-		compOf:    compOf,
-		slots:     uniqueSlots(compOf),
-		codeOwner: l.codeOwner,
-		unattrib:  l.unattrib,
-		d:         l.d,
-	}
+	d         *ledgerData
 }
 
 // Activate records one unit of frontier work for the component of

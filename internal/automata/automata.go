@@ -31,6 +31,7 @@ package automata
 
 import (
 	"fmt"
+	"slices"
 
 	"automatazoo/internal/charset"
 )
@@ -189,6 +190,25 @@ func (a *Automaton) OutDegree(id StateID) int {
 // Starts returns all states with a start type, in ascending ID order. The
 // caller must not modify the returned slice.
 func (a *Automaton) Starts() []StateID { return a.starts }
+
+// WithoutStarts returns a copy of a in which the given states are no
+// longer start states; every other state, edge, class and counter — and
+// so every state ID — is a's. Only the flags and the start list are
+// copied: the frozen CSR, classes, report codes and counters are shared.
+func (a *Automaton) WithoutStarts(ids []StateID) *Automaton {
+	b := *a
+	b.flags = slices.Clone(a.flags)
+	for _, id := range ids {
+		b.flags[id] &^= flagStartMask
+	}
+	b.starts = nil
+	for _, s := range a.starts {
+		if b.flags[s]&flagStartMask != 0 {
+			b.starts = append(b.starts, s)
+		}
+	}
+	return &b
+}
 
 // Reports returns the IDs of all reporting states, ascending.
 func (a *Automaton) Reports() []StateID {

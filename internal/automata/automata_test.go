@@ -326,3 +326,26 @@ func TestMemoryFootprintPositive(t *testing.T) {
 		t.Fatal("footprint should be positive")
 	}
 }
+
+func TestWithoutStarts(t *testing.T) {
+	b := NewBuilder()
+	x := b.AddSTE(charset.Single('x'), StartAllInput)
+	y := b.AddSTE(charset.Single('y'), StartOfData)
+	z := b.AddSTE(charset.Single('z'), StartAllInput)
+	b.AddEdge(x, y)
+	b.SetReport(z, 4)
+	a := b.MustBuild()
+	w := a.WithoutStarts([]StateID{x})
+	if w.Start(x) != StartNone || w.Start(y) != StartOfData || w.Start(z) != StartAllInput {
+		t.Fatalf("start types %v %v %v", w.Start(x), w.Start(y), w.Start(z))
+	}
+	if got := w.Starts(); len(got) != 2 || got[0] != y || got[1] != z {
+		t.Fatalf("Starts()=%v want [%d %d]", got, y, z)
+	}
+	if a.Start(x) != StartAllInput || len(a.Starts()) != 3 {
+		t.Fatal("WithoutStarts changed the original")
+	}
+	if !w.IsReport(z) || w.ReportCode(z) != 4 || len(w.Succ(x)) != 1 || w.NumStates() != 3 {
+		t.Fatal("WithoutStarts lost a report, an edge or a state")
+	}
+}

@@ -1,16 +1,19 @@
 // Package prefilter implements two-stage scanning: extract each pattern's
 // mandatory literal prefix ("anchor"), match all anchors simultaneously
-// with one Aho–Corasick pass, and drive the full automaton's frontier only
+// with one Aho–Corasick pass, and drive the rest of the automaton only
 // from anchor hits. This is the architecture production engines
 // (Hyperscan's literal factoring) use to make large literal-heavy rule
 // sets — ClamAV, YARA — cheap on CPUs, and it is exact: an anchor is the
 // unique entry path of its component, so enabling the component at anchor
 // hits reproduces precisely the matches of full NFA interpretation.
 //
-// Components without a usable anchor (head classes that are not single
-// bytes, multiple start states, counters, anchors shorter than MinAnchor)
-// fall back to an ordinary always-on sim engine embedded in the same
-// Engine ("residual"), stepped in lockstep.
+// The second stage is one sim.Engine over the whole automaton with the
+// anchored components' chain heads no longer started
+// (automata.Automaton.WithoutStarts), so state IDs are the automaton's
+// everywhere. An anchor hit arms the chain tail's successors in it
+// (EnableState); components without a usable anchor (head classes that are
+// not single bytes, multiple start states, counters, anchors shorter than
+// MinAnchor) keep their starts and run in it as they would alone.
 //
 // Engine mirrors sim.Engine's execution contract so the partition, segment,
 // and stats layers can drive either engine through one interface:
@@ -21,30 +24,26 @@
 //     enabled per symbol are pure functions of the Aho–Corasick state).
 //   - Reports carry the same offsets, codes, and state IDs as sim, and
 //     within one offset are delivered in the canonical (offset, code,
-//     state) order — the three emit mechanisms (confirm frontier, anchor
-//     tails, residual engine) are merged per symbol.
+//     state) order — anchor-tail reports and the sim engine's are merged
+//     per symbol.
 //   - OnReport behaves exactly as on sim.Engine; RunChecked performs the
 //     same ~4 KiB cooperative budget checks at guard.SitePrefilter.
 //   - FrontierSnapshot/RestoreState make mid-stream handoff exact: the
-//     snapshot is the confirm frontier plus the residual frontier (in
-//     whole-automaton state IDs) plus one sentinel entry >= NumStates
-//     encoding the Aho–Corasick state, so the segment scanner's
+//     snapshot is the sim engine's frontier plus one sentinel entry >=
+//     NumStates encoding the Aho–Corasick state, so the segment scanner's
 //     speculation stitch validates the matcher position too.
 //
 // One observability difference from sim remains: chain-state activations
 // are accounted in Stats but not traced individually (the prefilter never
-// visits them), so OnActivate traces cover confirm and residual states
-// only.
+// visits them), so OnActivate traces cover every other state only.
 package prefilter
 
 import (
 	"fmt"
-	"slices"
 
 	"automatazoo/internal/acmatch"
 	"automatazoo/internal/attr"
 	"automatazoo/internal/automata"
-	"automatazoo/internal/charset"
 	"automatazoo/internal/guard"
 	"automatazoo/internal/hooks"
 	"automatazoo/internal/sim"
@@ -65,14 +64,6 @@ type anchor struct {
 	tail automata.StateID
 }
 
-// pending is one report buffered inside the current symbol, awaiting the
-// per-offset canonical merge. residual-sourced reports skip the ledger
-// (the residual engine's ledger view already charged them).
-type pending struct {
-	rep   sim.Report
-	resid bool
-}
-
 // Engine is the two-stage scanner over one automaton, execution-contract
 // compatible with sim.Engine. Reusable across runs (Reset) but not safe
 // for concurrent use.
@@ -82,29 +73,14 @@ type Engine struct {
 	anchors []anchor
 	wa, we  []int64 // per-matcher-node chain active/enabled weights
 
-	// residual runs the non-anchored components in lockstep (nil when
-	// every component is anchored). residualInv/residualLoc translate its
-	// local state IDs from/to whole-automaton IDs; residualLoc is -1 for
-	// anchored states.
-	residual    *sim.Engine
-	residualInv []automata.StateID
-	residualLoc []int32
+	// nfa steps every state the matcher does not stand for: the anchored
+	// components past their chains, armed by anchor hits, and the
+	// unanchored components, started as usual.
+	nfa *sim.Engine
 
 	numStates  int
 	anchored   int
 	unanchored int
-
-	// Confirm interpreter over the full automaton: the frontier holds the
-	// anchored components' post-chain states, seeded by anchor hits.
-	sets     []charset.Set
-	css      []charset.Handle
-	succ     [][]automata.StateID
-	isReport []bool
-	code     []int32
-	frontier []automata.StateID
-	next     []automata.StateID
-	mark     []uint32
-	gen      uint32
 
 	acState int32
 	offset  int64
@@ -112,26 +88,23 @@ type Engine struct {
 	// OnReport is the report output, exactly sim.Engine's.
 	OnReport func(sim.Report)
 
-	stats      sim.Stats // this engine's share; Stats() folds the residual in
+	stats      sim.Stats // the chain work and anchor-tail reports; Stats() adds nfa's
 	anchorHits int64
-	pend       []pending
+	pend       []sim.Report // this symbol's reports, awaiting the canonical merge
 
 	onAnchorFn func(int) // bound once so the hot loop never allocates
 
-	// h is the attached hook bundle (see Attach), nil-guarded exactly like
-	// sim.Engine's so the disabled path stays allocation-free.
+	// h is the attached hook bundle (see Attach). The Tracer and the Ledger
+	// are nfa's too; the Registry is this engine's alone.
 	h               hooks.Set
-	telemetryOn     bool
 	frontierHist    *telemetry.Histogram
 	published       sim.Stats
 	pubAnchorHits   int64
 	pubResidualWork int64
 	// led is h.Ledger, held as a field of the attr type so its hot-path
 	// methods inline (see sim.Engine.Attach).
-	led             *attr.Ledger
-	ledMark         int64
-	anchorSlot      []int32 // per-anchor attribution slot (when led != nil)
-	anchorCompSlots []int32 // distinct slots of anchored components
+	led        *attr.Ledger
+	anchorSlot []int32 // per-anchor attribution slot (when led != nil)
 }
 
 // New analyzes a and prepares the engine.
@@ -150,8 +123,8 @@ func New(a *automata.Automaton) (*Engine, error) {
 	}
 	pred := a.Reverse()
 
-	// Components containing counter elements cannot be confirmed by the
-	// stateless frontier stepper; they stay in the residual engine.
+	// Components containing counter elements have no anchor: the matcher
+	// cannot stand in for a counter's state.
 	hasCounter := make([]bool, nComp)
 	for i := 0; i < a.NumStates(); i++ {
 		if a.Kind(automata.StateID(i)) == automata.KindCounter {
@@ -159,27 +132,9 @@ func New(a *automata.Automaton) (*Engine, error) {
 		}
 	}
 
-	n := a.NumStates()
-	e := &Engine{
-		a:         a,
-		numStates: n,
-		sets:      a.Table().Sets(),
-		css:       make([]charset.Handle, n),
-		succ:      make([][]automata.StateID, n),
-		isReport:  make([]bool, n),
-		code:      make([]int32, n),
-		mark:      make([]uint32, n),
-	}
-	for i := 0; i < n; i++ {
-		id := automata.StateID(i)
-		e.css[id] = a.ClassHandle(id)
-		e.succ[id] = a.Succ(id)
-		e.isReport[id] = a.IsReport(id)
-		e.code[id] = a.ReportCode(id)
-	}
-
-	anchoredComp := make([]bool, nComp)
+	e := &Engine{a: a, numStates: a.NumStates()}
 	var literals [][]byte
+	var heads []automata.StateID
 	for c := 0; c < nComp; c++ {
 		if hasCounter[c] {
 			e.unanchored++
@@ -187,9 +142,9 @@ func New(a *automata.Automaton) (*Engine, error) {
 		}
 		lit, tail, ok := extractAnchor(a, starts[c], pred)
 		if ok {
-			anchoredComp[c] = true
 			e.anchors = append(e.anchors, anchor{literal: lit, tail: tail})
 			literals = append(literals, lit)
+			heads = append(heads, starts[c][0])
 			e.anchored++
 		} else {
 			e.unanchored++
@@ -206,17 +161,9 @@ func New(a *automata.Automaton) (*Engine, error) {
 		}
 		e.matcher, e.wa, e.we = m, wa, we
 	}
-	if e.unanchored > 0 {
-		res, loc, inv, err := extractComponents(a, compIdx, func(c int32) bool { return !anchoredComp[c] })
-		if err != nil {
-			return nil, err
-		}
-		e.residual = sim.New(res)
-		e.residualInv, e.residualLoc = inv, loc
-		e.residual.OnReport = e.residReport
-	}
+	e.nfa = sim.New(a.WithoutStarts(heads))
+	e.nfa.OnReport = e.pendReport
 	e.onAnchorFn = e.onAnchor
-	e.Reset()
 	return e, nil
 }
 
@@ -227,14 +174,8 @@ func (e *Engine) Automaton() *automata.Automaton { return e.a }
 func (e *Engine) Anchored() int   { return e.anchored }
 func (e *Engine) Unanchored() int { return e.unanchored }
 
-// residReport buffers one residual-engine report, translated back to
-// whole-automaton state numbering, into the current symbol's merge buffer.
-func (e *Engine) residReport(r sim.Report) {
-	e.pend = append(e.pend, pending{
-		rep:   sim.Report{Offset: r.Offset, State: e.residualInv[r.State], Code: r.Code},
-		resid: true,
-	})
-}
+// pendReport buffers one report into the current symbol's merge buffer.
+func (e *Engine) pendReport(r sim.Report) { e.pend = append(e.pend, r) }
 
 // onAnchor handles one anchor hit at the current offset: the chain tail is
 // active, so emit its report (if any) and enable its successors for the
@@ -245,137 +186,65 @@ func (e *Engine) onAnchor(pat int) {
 	if e.led != nil {
 		e.led.AddWork(e.anchorSlot[pat], int64(len(an.literal)))
 	}
-	if e.isReport[an.tail] {
-		e.pend = append(e.pend, pending{rep: sim.Report{Offset: e.offset, State: an.tail, Code: e.code[an.tail]}})
+	if e.a.IsReport(an.tail) {
+		// Counted, charged and traced as sim.Engine's emit does; delivered
+		// by the merge.
+		code := e.a.ReportCode(an.tail)
+		e.stats.Reports++
+		if e.led != nil {
+			e.led.Report(code)
+		}
+		if e.h.Tracer != nil {
+			e.h.Tracer.OnReport(e.offset, an.tail, code)
+		}
+		e.pendReport(sim.Report{Offset: e.offset, State: an.tail, Code: code})
 	}
-	for _, t := range e.succ[an.tail] {
-		e.enable(t)
-	}
-}
-
-// enable puts id on the next-symbol confirm frontier (deduplicated).
-func (e *Engine) enable(id automata.StateID) {
-	if e.mark[id] != e.gen {
-		e.mark[id] = e.gen
-		e.next = append(e.next, id)
-	}
-}
-
-// activate processes a confirm state that matched the current symbol.
-// Confirm states are never start states and the frontier is deduplicated,
-// so activation needs no per-cycle mark.
-func (e *Engine) activate(id automata.StateID) {
-	e.stats.Active++
-	if e.telemetryOn && e.h.Tracer != nil {
-		e.h.Tracer.OnActivate(e.offset, id)
-	}
-	if e.led != nil {
-		e.led.Activate(id)
-	}
-	if e.isReport[id] {
-		e.pend = append(e.pend, pending{rep: sim.Report{Offset: e.offset, State: id, Code: e.code[id]}})
-	}
-	for _, t := range e.succ[id] {
-		e.enable(t)
+	for _, t := range e.a.Succ(an.tail) {
+		e.nfa.EnableState(t)
 	}
 }
 
 // flushPend sorts the symbol's buffered reports into canonical (code,
-// state) order — all offsets are equal — and emits them. A manual
+// state) order — all offsets are equal — and delivers them. A manual
 // insertion sort keeps the disabled path allocation-free (sort.Slice's
 // closure would allocate every symbol).
 func (e *Engine) flushPend() {
 	p := e.pend
 	for i := 1; i < len(p); i++ {
-		for j := i; j > 0 && (p[j].rep.Code < p[j-1].rep.Code ||
-			(p[j].rep.Code == p[j-1].rep.Code && p[j].rep.State < p[j-1].rep.State)); j-- {
+		for j := i; j > 0 && (p[j].Code < p[j-1].Code ||
+			(p[j].Code == p[j-1].Code && p[j].State < p[j-1].State)); j-- {
 			p[j], p[j-1] = p[j-1], p[j]
 		}
 	}
-	for i := range p {
-		e.emit(&p[i])
+	if e.OnReport != nil {
+		for _, r := range p {
+			e.OnReport(r)
+		}
 	}
 	e.pend = p[:0]
 }
 
-// emit delivers one merged report, mirroring sim.Engine.emit. Residual
-// reports skip the ledger: the residual engine's ledger view (a View of
-// the attached ledger sharing its buffer) already attributed them.
-func (e *Engine) emit(p *pending) {
-	e.stats.Reports++
-	if e.led != nil && !p.resid {
-		e.led.Report(p.rep.Code)
-	}
-	if e.h.Tracer != nil {
-		e.h.Tracer.OnReport(p.rep.Offset, p.rep.State, p.rep.Code)
-	}
-	if e.OnReport != nil {
-		e.OnReport(p.rep)
-	}
-}
-
-// stepTelemetry runs the per-symbol hooks; called only when telemetryOn.
-func (e *Engine) stepTelemetry(b byte) {
-	if e.h.Tracer != nil {
-		e.h.Tracer.OnSymbol(e.offset, b)
-	}
-	if e.frontierHist != nil {
-		e.frontierHist.Observe(e.frontierLenAll())
-	}
-}
-
-// frontierLenAll is the combined enabled-frontier size: confirm plus
-// residual (chain states are virtual and carry no per-state frontier).
-func (e *Engine) frontierLenAll() int64 {
-	n := int64(len(e.frontier))
-	if e.residual != nil {
-		n += int64(e.residual.FrontierLen())
-	}
-	return n
-}
-
 // Step consumes one input symbol.
 func (e *Engine) Step(b byte) {
-	e.stats.Symbols++
-	if e.telemetryOn {
-		e.stepTelemetry(b)
+	if e.frontierHist != nil {
+		e.frontierHist.Observe(int64(e.nfa.FrontierLen()))
 	}
 	// Enabled accounting: chain states armed for this symbol are a pure
-	// function of the matcher position before the byte; confirm states are
-	// the frontier itself. (Chain heads are all-input starts — excluded,
-	// as sim's indexed engine excludes them.)
+	// function of the matcher position before the byte. (Chain heads are
+	// all-input starts — excluded, as sim's indexed engine excludes them.)
 	if e.matcher != nil {
 		e.stats.Enabled += e.we[e.acState]
 	}
-	e.stats.Enabled += int64(len(e.frontier))
-	for _, s := range e.frontier {
-		if e.sets[e.css[s]].Contains(b) {
-			e.activate(s)
-		}
-	}
+	// nfa steps first: the anchor hits below arm its next symbol.
+	e.nfa.Step(b)
 	if e.matcher != nil {
 		e.acState = e.matcher.StepFrom(e.acState, b, e.onAnchorFn)
 		// Chain states that matched this byte: every (pattern, position)
 		// whose prefix is a suffix of the input, read off the new state.
 		e.stats.Active += e.wa[e.acState]
 	}
-	if e.residual != nil {
-		e.residual.Step(b)
-	}
 	if len(e.pend) > 0 {
 		e.flushPend()
-	}
-	// Swap frontiers and advance the generation, exactly as sim does.
-	e.frontier, e.next = e.next, e.frontier[:0]
-	e.gen++
-	if e.gen < 2 { // wrapped: clear marks, keep gen >= 2 for EnableState
-		for i := range e.mark {
-			e.mark[i] = 0
-		}
-		e.gen = 2
-		for _, s := range e.frontier {
-			e.mark[s] = e.gen - 1
-		}
 	}
 	e.offset++
 }
@@ -389,16 +258,16 @@ func (e *Engine) Run(input []byte) sim.Stats {
 }
 
 // RunChecked is Run under the attached hooks, through the shared chunk
-// protocol (hooks.Set.Chunks) at guard.SitePrefilter with the combined
-// confirm + residual frontier as the active set — exactly as sim chunks
-// at sim.chunk. The governor's trip is sticky, so a tripped engine stays
-// tripped at every later boundary. With no governor, progress tracker,
-// recorder or checkpointer attached it is exactly Run.
+// protocol (hooks.Set.Chunks) at guard.SitePrefilter with nfa's frontier
+// as the active set — exactly as sim chunks at sim.chunk. The governor's
+// trip is sticky, so a tripped engine stays tripped at every later
+// boundary. With no governor, progress tracker, recorder or checkpointer
+// attached it is exactly Run.
 func (e *Engine) RunChecked(input []byte) (sim.Stats, error) {
 	if !e.h.Chunked() {
 		return e.Run(input), nil
 	}
-	err := e.h.Chunks(guard.SitePrefilter, input, e.scanChunk, e.FrontierLen, e.flushLedger)
+	err := e.h.Chunks(guard.SitePrefilter, input, e.scanChunk, e.FrontierLen, e.nfa.FlushTelemetry)
 	e.FlushTelemetry()
 	return e.Stats(), err
 }
@@ -413,18 +282,8 @@ func (e *Engine) scanChunk(chunk []byte) error {
 }
 
 // Stats returns the combined statistics since the last Reset — exactly the
-// full NFA run's. Reports are counted once (residual reports flow through
-// this engine's emit); Symbols are the stream's, not per-stage.
-func (e *Engine) Stats() sim.Stats {
-	st := e.stats
-	if e.residual != nil {
-		rs := e.residual.Stats()
-		st.Enabled += rs.Enabled
-		st.Active += rs.Active
-		st.CounterPulses += rs.CounterPulses
-	}
-	return st
-}
+// full NFA run's.
+func (e *Engine) Stats() sim.Stats { return e.nfa.Stats().Add(e.stats) }
 
 // AnchorHits returns the number of anchor-literal occurrences since Reset.
 func (e *Engine) AnchorHits() int64 { return e.anchorHits }
@@ -432,16 +291,8 @@ func (e *Engine) AnchorHits() int64 { return e.anchorHits }
 // Reset clears all runtime state, mirroring sim.Engine.Reset.
 func (e *Engine) Reset() {
 	e.FlushTelemetry()
-	e.frontier = e.frontier[:0]
-	e.next = e.next[:0]
+	e.nfa.Reset()
 	e.pend = e.pend[:0]
-	e.gen++
-	if e.gen < 2 {
-		for i := range e.mark {
-			e.mark[i] = 0
-		}
-		e.gen = 2
-	}
 	e.acState = 0
 	e.offset = 0
 	e.stats = sim.Stats{}
@@ -449,17 +300,14 @@ func (e *Engine) Reset() {
 	e.published = sim.Stats{}
 	e.pubAnchorHits = 0
 	e.pubResidualWork = 0
-	e.ledMark = 0
-	if e.residual != nil {
-		e.residual.Reset()
-	}
 }
 
 // SetOnReport sets the OnReport callback (nil detaches).
 func (e *Engine) SetOnReport(fn func(sim.Report)) { e.OnReport = fn }
 
-// FrontierLen returns the combined enabled-frontier size.
-func (e *Engine) FrontierLen() int { return int(e.frontierLenAll()) }
+// FrontierLen returns nfa's enabled-frontier size (chain states are
+// virtual and carry no per-state frontier).
+func (e *Engine) FrontierLen() int { return e.nfa.FrontierLen() }
 
 // Attach installs h as the engine's hook bundle, replacing whatever was
 // attached (the zero Set detaches everything). Only hooks that changed
@@ -470,21 +318,18 @@ func (e *Engine) FrontierLen() int { return int(e.frontierLenAll()) }
 //     engine publishes — the stats layer derives Table-I dynamics from
 //     those deltas regardless of engine — plus the prefilter.anchor_hits /
 //     prefilter.residual_work counters behind the azoo_prefilter_*
-//     Prometheus families. The embedded residual engine deliberately gets
-//     no registry: its work is folded into the combined flush, and
-//     attaching it too would double-count;
-//   - a new Ledger covers this engine's whole state space from this point
-//     of the stream onward; the residual engine receives a View sharing
-//     the same buffer, remapped to its local numbering, so one
-//     Commit/Discard by the caller covers both stages. Anchored
-//     components' scanned bytes are charged at flush points; anchor hits
-//     charge one work unit per literal byte (the chain work sim would
-//     have done).
+//     Prometheus families. nfa deliberately gets no registry: its work is
+//     folded into the combined flush, and attaching it too would
+//     double-count;
+//   - a new Ledger is nfa's too, and covers the whole state space from
+//     this point of the stream onward: nfa charges every component's
+//     scanned bytes, activations and reports, and anchor hits charge one
+//     work unit per literal byte (the chain work sim would have done).
 //
-// The Tracer covers symbols, reports, and confirm/residual activations —
-// chain-state activations are accounted in Stats but not traced (see the
-// package comment). Spans are not recorded by this engine. Governor,
-// Progress, Recorder and Checkpointer act only under RunChecked.
+// The Tracer is nfa's too: it covers symbols, reports, and every
+// activation but the chain states' — those are accounted in Stats but not
+// traced (see the package comment). Spans are not recorded by this engine.
+// Governor, Progress, Recorder and Checkpointer act only under RunChecked.
 func (e *Engine) Attach(h hooks.Set) {
 	old := e.h
 	e.h = h
@@ -494,76 +339,37 @@ func (e *Engine) Attach(h hooks.Set) {
 			e.frontierHist = h.Registry.Histogram("sim.frontier", telemetry.ExpBuckets(1, 16))
 			e.published = e.Stats()
 			e.pubAnchorHits = e.anchorHits
-			e.pubResidualWork = e.residualWork()
+			e.pubResidualWork = e.nfa.Stats().Enabled
 		}
 	}
 	if h.Ledger != old.Ledger {
-		e.attachLedger()
-	}
-	e.telemetryOn = h.Tracer != nil || e.frontierHist != nil
-}
-
-// attachLedger resolves the attribution slots of the newly attached
-// ledger and hands the residual engine its view (or detaches it).
-func (e *Engine) attachLedger() {
-	l := e.h.Ledger
-	e.led, e.ledMark = l, e.stats.Symbols
-	var view hooks.Set
-	if l != nil {
-		e.anchorSlot = make([]int32, len(e.anchors))
-		e.anchorCompSlots = e.anchorCompSlots[:0]
-		seen := make(map[int32]bool, len(e.anchors))
-		for i, an := range e.anchors {
-			s := l.Slot(an.tail)
-			e.anchorSlot[i] = s
-			if !seen[s] {
-				seen[s] = true
-				e.anchorCompSlots = append(e.anchorCompSlots, s)
+		e.led = h.Ledger
+		if e.led != nil {
+			e.anchorSlot = make([]int32, len(e.anchors))
+			for i, an := range e.anchors {
+				e.anchorSlot[i] = e.led.Slot(an.tail)
 			}
 		}
-		slices.Sort(e.anchorCompSlots)
-		if e.residual != nil {
-			compOf := make([]int32, len(e.residualInv))
-			for loc, g := range e.residualInv {
-				compOf[loc] = l.Slot(g)
-			}
-			view.Ledger = l.View(compOf)
-		}
 	}
-	if e.residual != nil {
-		e.residual.Attach(view)
-	}
+	e.nfa.Attach(hooks.Set{Tracer: h.Tracer, Ledger: h.Ledger})
 }
 
 // FlushTelemetry publishes statistics and ledger bytes accumulated since
 // the last flush. Run and RunChecked flush at run end (and Reset before
 // clearing); the checkpoint saver calls this mid-stream so a snapshot
-// reflects every byte scanned so far. The residual engine's counters fold
-// into the combined flush, exactly as at run end.
+// reflects every byte scanned so far.
 func (e *Engine) FlushTelemetry() {
 	if e.h.Registry != nil {
 		e.flushStats()
 	}
-	if e.led != nil {
-		e.flushLedger()
-	}
-}
-
-// residualWork is the residual engine's enabled-frontier work sum — the
-// cost the prefilter did NOT save (0 when fully anchored).
-func (e *Engine) residualWork() int64 {
-	if e.residual == nil {
-		return 0
-	}
-	return e.residual.Stats().Enabled
+	e.nfa.FlushTelemetry()
 }
 
 // flushStats publishes stats accumulated since the last flush.
+// prefilter.residual_work is nfa's enabled-frontier work: the cost the
+// matcher did NOT save.
 func (e *Engine) flushStats() {
 	d := e.h.Registry
-	if d == nil {
-		return
-	}
 	cur := e.Stats()
 	d.Counter("sim.symbols").Add(cur.Symbols - e.published.Symbols)
 	d.Counter("sim.enabled").Add(cur.Enabled - e.published.Enabled)
@@ -571,86 +377,44 @@ func (e *Engine) flushStats() {
 	d.Counter("sim.counter_pulses").Add(cur.CounterPulses - e.published.CounterPulses)
 	d.Counter("sim.reports").Add(cur.Reports - e.published.Reports)
 	d.Counter("prefilter.anchor_hits").Add(e.anchorHits - e.pubAnchorHits)
-	rw := e.residualWork()
+	rw := e.nfa.Stats().Enabled
 	d.Counter("prefilter.residual_work").Add(rw - e.pubResidualWork)
 	e.published = cur
 	e.pubAnchorHits = e.anchorHits
 	e.pubResidualWork = rw
 }
 
-// flushLedger charges bytes scanned since the last flush to every anchored
-// component, and nudges the residual engine to flush its own byte
-// watermark (a zero-length Run flushes without consuming symbols).
-func (e *Engine) flushLedger() {
-	if d := e.stats.Symbols - e.ledMark; d > 0 {
-		for _, slot := range e.anchorCompSlots {
-			e.led.AddBytes(slot, d)
-		}
-	}
-	e.ledMark = e.stats.Symbols
-	if e.residual != nil {
-		e.residual.Run(nil)
-	}
-}
-
 // SetOffset positions the engine at an absolute stream offset without
 // touching any other state (see sim.Engine.SetOffset).
 func (e *Engine) SetOffset(off int64) {
 	e.offset = off
-	if e.residual != nil {
-		e.residual.SetOffset(off)
-	}
+	e.nfa.SetOffset(off)
 }
 
-// EnableState arms a whole-automaton state for the next Step, routing
-// residual-component states to the embedded residual engine.
-func (e *Engine) EnableState(id automata.StateID) {
-	if loc, ok := e.residualID(id); ok {
-		e.residual.EnableState(loc)
-		return
-	}
-	prev := e.gen - 1
-	if e.mark[id] == prev {
-		return
-	}
-	e.mark[id] = prev
-	e.frontier = append(e.frontier, id)
-}
+// EnableState arms a state for the next Step.
+func (e *Engine) EnableState(id automata.StateID) { e.nfa.EnableState(id) }
 
-// residualID returns the residual engine's ID for a whole-automaton state
-// of an unanchored component.
-func (e *Engine) residualID(id automata.StateID) (automata.StateID, bool) {
-	if int(id) < len(e.residualLoc) && e.residualLoc[id] >= 0 {
-		return automata.StateID(e.residualLoc[id]), true
-	}
-	return 0, false
-}
-
-// FrontierSnapshot returns the canonical continuation set: the sorted
-// union of the confirm frontier and the residual frontier (whole-automaton
-// IDs), plus one sentinel entry NumStates+acState encoding the matcher
+// FrontierSnapshot returns the canonical continuation set: nfa's sorted
+// frontier plus one sentinel entry NumStates+acState encoding the matcher
 // position. The sentinel sorts last, so snapshots from engines at the same
 // stream position are equal exactly when frontier AND matcher state agree
 // — the condition under which all future stats and reports coincide.
 func (e *Engine) FrontierSnapshot() []automata.StateID {
-	f := append([]automata.StateID(nil), e.frontier...)
-	if e.residual != nil {
-		for _, loc := range e.residual.FrontierSnapshot() {
-			f = append(f, e.residualInv[loc])
-		}
-	}
-	slices.Sort(f)
-	return append(f, automata.StateID(e.numStates)+automata.StateID(e.acState))
+	return append(e.nfa.FrontierSnapshot(), e.sentinel())
+}
+
+// sentinel is the frontier entry encoding the matcher position.
+func (e *Engine) sentinel() automata.StateID {
+	return automata.StateID(e.numStates) + automata.StateID(e.acState)
 }
 
 // RestoreState resets the engine and re-seeds it to continue the logical
-// stream at s, decoding FrontierSnapshot's encoding: entries >= NumStates
-// restore the matcher state, residual-component entries re-arm the
-// residual engine, the rest the confirm frontier. Counter snapshots are
-// forwarded to the residual engine (anchored components never hold
-// counters), which rejects what it cannot hold. A frontier without
-// exactly one sentinel, or with a sentinel or state this engine does not
-// have, was captured elsewhere and is rejected before anything changes.
+// stream at s, decoding FrontierSnapshot's encoding: the entry >=
+// NumStates restores the matcher state, the rest and the counters go to
+// nfa. A snapshot without exactly one sentinel, with a sentinel or state
+// this engine does not have, or with a counter value for a state that is
+// not a counter, was captured elsewhere and is rejected before anything
+// changes.
 func (e *Engine) RestoreState(s *sim.StreamState) error {
 	nodes := 1 // the root, the only state of an absent matcher
 	if e.matcher != nil {
@@ -668,30 +432,22 @@ func (e *Engine) RestoreState(s *sim.StreamState) error {
 	if sentinels != 1 {
 		return fmt.Errorf("prefilter: RestoreState: frontier carries %d matcher sentinels, want 1", sentinels)
 	}
+	for _, c := range s.Counters {
+		if int(c.ID) >= e.numStates || e.a.Kind(c.ID) != automata.KindCounter {
+			return fmt.Errorf("prefilter: RestoreState: state %d is not a counter", c.ID)
+		}
+	}
 	e.Reset()
-	var rs sim.StreamState
-	rs.Offset = s.Offset
+	rs := sim.StreamState{Offset: s.Offset, Counters: s.Counters}
 	for _, id := range s.Frontier {
 		if int(id) >= e.numStates {
 			e.acState = int32(int(id) - e.numStates)
-			continue
-		}
-		if loc, ok := e.residualID(id); ok {
-			rs.Frontier = append(rs.Frontier, loc)
-			continue
-		}
-		e.EnableState(id)
-	}
-	for _, c := range s.Counters {
-		if loc, ok := e.residualID(c.ID); ok {
-			rs.Counters = append(rs.Counters, sim.CounterSnapshot{ID: loc, Value: c.Value, Latched: c.Latched})
+		} else {
+			rs.Frontier = append(rs.Frontier, id)
 		}
 	}
 	e.offset = s.Offset
-	if e.residual != nil {
-		return e.residual.RestoreState(&rs)
-	}
-	return nil
+	return e.nfa.RestoreState(&rs)
 }
 
 // Speculative reports whether segments may be scanned speculatively: as
@@ -699,22 +455,13 @@ func (e *Engine) RestoreState(s *sim.StreamState) error {
 func (e *Engine) Speculative() bool { return e.a.NumCounters() == 0 }
 
 // CaptureState snapshots the engine between Run calls in RestoreState's
-// encoding: FrontierSnapshot (confirm + residual frontiers plus the
-// matcher-state sentinel) and the residual engine's counter snapshots
-// translated to whole-automaton IDs. The snapshot shares no storage with
-// the engine, and restoring it into a fresh engine continues the stream
-// with identical reports and stats.
+// encoding: FrontierSnapshot (nfa's frontier plus the matcher-state
+// sentinel) and nfa's counter snapshots. The snapshot shares no storage
+// with the engine, and restoring it into a fresh engine continues the
+// stream with identical reports and stats.
 func (e *Engine) CaptureState() *sim.StreamState {
-	s := &sim.StreamState{Offset: e.offset, Frontier: e.FrontierSnapshot()}
-	if e.residual != nil {
-		// residualInv is ascending in whole-automaton IDs, so the sorted
-		// local counters translate to sorted global counters.
-		for _, c := range e.residual.CaptureState().Counters {
-			s.Counters = append(s.Counters, sim.CounterSnapshot{
-				ID: e.residualInv[c.ID], Value: c.Value, Latched: c.Latched,
-			})
-		}
-	}
+	s := e.nfa.CaptureState()
+	s.Frontier = append(s.Frontier, e.sentinel())
 	return s
 }
 
@@ -764,48 +511,4 @@ func anchorResult(lit []byte, tail automata.StateID) ([]byte, automata.StateID, 
 		return nil, 0, false
 	}
 	return lit, tail, true
-}
-
-// extractComponents rebuilds the sub-automaton of the components selected
-// by keep, returning it with the original→local state-ID map (-1 for
-// states left out) and its inverse (locals are assigned in ascending
-// original order).
-func extractComponents(a *automata.Automaton, compIdx []int32, keep func(int32) bool) (*automata.Automaton, []int32, []automata.StateID, error) {
-	b := automata.NewBuilder()
-	n := a.NumStates()
-	newID := make([]int32, n)
-	var inv []automata.StateID
-	for i := 0; i < n; i++ {
-		newID[i] = -1
-		id := automata.StateID(i)
-		if !keep(compIdx[i]) {
-			continue
-		}
-		var nid automata.StateID
-		if a.Kind(id) == automata.KindCounter {
-			cfg, _ := a.CounterConfig(id)
-			nid = b.AddCounter(cfg.Target, cfg.Mode)
-		} else {
-			nid = b.AddSTE(a.Class(id), a.Start(id))
-		}
-		if a.IsReport(id) {
-			b.SetReport(nid, a.ReportCode(id))
-		}
-		newID[id] = int32(nid)
-		inv = append(inv, id)
-	}
-	for i := 0; i < n; i++ {
-		id := automata.StateID(i)
-		if !keep(compIdx[i]) {
-			continue
-		}
-		for _, t := range a.Succ(id) {
-			b.AddEdge(automata.StateID(newID[id]), automata.StateID(newID[t]))
-		}
-	}
-	res, err := b.Build()
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	return res, newID, inv, nil
 }

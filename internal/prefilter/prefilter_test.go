@@ -1,6 +1,7 @@
 package prefilter
 
 import (
+	"cmp"
 	"slices"
 	"sort"
 	"testing"
@@ -8,12 +9,14 @@ import (
 	"automatazoo/internal/automata"
 	"automatazoo/internal/charset"
 	"automatazoo/internal/clamav"
+	"automatazoo/internal/core"
 	"automatazoo/internal/entity"
 	"automatazoo/internal/guard"
 	"automatazoo/internal/hooks"
 	"automatazoo/internal/regex"
 	"automatazoo/internal/sim"
 	"automatazoo/internal/spm"
+	"automatazoo/internal/telemetry"
 	"automatazoo/internal/yara"
 )
 
@@ -128,8 +131,8 @@ func TestAllAnchoredHasNilResidual(t *testing.T) {
 	if e.Unanchored() != 0 {
 		t.Fatalf("unanchored=%d", e.Unanchored())
 	}
-	if e.residual != nil {
-		t.Fatal("fully anchored automaton should carry no residual engine")
+	if got := e.nfa.Automaton().Starts(); len(got) != 0 {
+		t.Fatalf("fully anchored automaton left starts %v in the NFA stage", got)
 	}
 }
 
@@ -191,8 +194,8 @@ func TestMultiStartComponentsFallBack(t *testing.T) {
 	if e.Anchored() != 0 || e.Unanchored() != 1 {
 		t.Fatalf("anchored=%d unanchored=%d", e.Anchored(), e.Unanchored())
 	}
-	if e.residual == nil {
-		t.Fatal("multi-start component should live in the residual engine")
+	if got := e.nfa.Automaton().Starts(); !slices.Equal(got, []automata.StateID{s1, s2}) {
+		t.Fatalf("multi-start component should keep its starts in the NFA stage, has %v", got)
 	}
 }
 
@@ -349,7 +352,8 @@ func TestSnapshotRestoreRoundTrip(t *testing.T) {
 // TestRestoreStateRejectsForeignFrontier: a frontier whose matcher
 // sentinel is missing, doubled or past the trie — or names a state past the
 // automaton — is rejected before the engine changes, instead of restoring
-// an AC state the next Run indexes out of range.
+// an AC state the next Run indexes out of range; so is a counter value for
+// a state that is not a counter.
 func TestRestoreStateRejectsForeignFrontier(t *testing.T) {
 	for _, tc := range []struct {
 		name     string
@@ -383,6 +387,17 @@ func TestRestoreStateRejectsForeignFrontier(t *testing.T) {
 			if got := e.FrontierSnapshot(); !slices.Equal(got, before) {
 				t.Fatalf("%s: rejected frontier %v changed the engine: %v, was %v", tc.name, bad, got, before)
 			}
+		}
+		// A counter value for a state that is no counter (the last state, a
+		// residual STE), with a valid frontier: the check must come before
+		// the reset.
+		notCounter := &sim.StreamState{Offset: 3, Frontier: []automata.StateID{0, ns},
+			Counters: []sim.CounterSnapshot{{ID: ns - 1, Value: 1}}}
+		if err := e.RestoreState(notCounter); err == nil {
+			t.Fatalf("%s: counter snapshot of STE %d accepted", tc.name, ns-1)
+		}
+		if got := e.FrontierSnapshot(); !slices.Equal(got, before) {
+			t.Fatalf("%s: rejected counter snapshot changed the engine: %v, was %v", tc.name, got, before)
 		}
 		if err := e.RestoreState(&sim.StreamState{Offset: 3, Frontier: []automata.StateID{0, ns + nodes - 1}}); err != nil {
 			t.Fatalf("%s: last matcher node rejected: %v", tc.name, err)
@@ -433,5 +448,102 @@ func TestEntityEquivalence(t *testing.T) {
 	e := agree(t, a, stream)
 	if e.Anchored() != 0 {
 		t.Fatalf("mesh filters unexpectedly anchored: %d", e.Anchored())
+	}
+}
+
+// traceEvent is one Tracer call; kind is 's'ymbol, 'a'ctivate or 'r'eport.
+type traceEvent struct {
+	off   int64
+	kind  byte
+	state uint32
+	code  int32
+	sym   byte
+}
+
+type eventTracer struct{ ev []traceEvent }
+
+func (r *eventTracer) OnSymbol(off int64, b byte) {
+	r.ev = append(r.ev, traceEvent{off: off, kind: 's', sym: b})
+}
+func (r *eventTracer) OnActivate(off int64, s uint32) {
+	r.ev = append(r.ev, traceEvent{off: off, kind: 'a', state: s})
+}
+func (r *eventTracer) OnReport(off int64, s uint32, code int32) {
+	r.ev = append(r.ev, traceEvent{off: off, kind: 'r', state: s, code: code})
+}
+func (r *eventTracer) OnCacheEvent(int64, int, telemetry.CacheEventKind) {}
+
+// trace runs input through e under a recording tracer and returns the
+// events sorted, so that equal per-offset multisets compare equal.
+func trace(e interface {
+	Attach(hooks.Set)
+	Run([]byte) sim.Stats
+}, input []byte) []traceEvent {
+	tr := &eventTracer{}
+	e.Attach(hooks.Set{Tracer: tr})
+	e.Run(input)
+	slices.SortFunc(tr.ev, func(x, y traceEvent) int {
+		return cmp.Or(cmp.Compare(x.off, y.off), cmp.Compare(x.kind, y.kind), cmp.Compare(x.state, y.state),
+			cmp.Compare(x.code, y.code), cmp.Compare(x.sym, y.sym))
+	})
+	return tr.ev
+}
+
+// TestTraceMatchesSim: per offset, the prefilter traces the symbols and
+// reports sim traces, and every activation sim traces but the anchor
+// chains' — the states the matcher stands in for.
+func TestTraceMatchesSim(t *testing.T) {
+	snort, err := core.ByName("Snort")
+	if err != nil {
+		t.Fatal(err)
+	}
+	sa, segs, err := snort.Build(core.Config{Scale: 0.02, InputBytes: 50_000, Seed: 0xa20})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name  string
+		a     *automata.Automaton
+		input []byte
+	}{
+		{"mixed", compilePatterns(t, "needle", `error: [0-9]+x`, "[xy]zzz", "ab"),
+			[]byte("a needle error: 17x xzzz needles ab error: 9x yzzzz")},
+		{"Snort", sa, segs[0]},
+	} {
+		e, err := New(tc.a)
+		if err != nil {
+			t.Fatal(err)
+		}
+		chain := make([]bool, tc.a.NumStates())
+		pred := tc.a.Reverse()
+		for _, an := range e.anchors {
+			for s, n := an.tail, 0; n < len(an.literal); n++ {
+				chain[s] = true
+				if n+1 < len(an.literal) {
+					s = pred[s][0]
+				}
+			}
+		}
+		want := slices.DeleteFunc(trace(sim.New(tc.a), tc.input), func(ev traceEvent) bool {
+			return ev.kind == 'a' && chain[ev.state]
+		})
+		got := trace(e, tc.input)
+		acts := 0
+		for _, ev := range got {
+			if ev.kind == 'a' {
+				acts++
+			}
+		}
+		if acts == 0 {
+			t.Fatalf("%s: no activation traced: the test premise is broken", tc.name)
+		}
+		if !slices.Equal(got, want) {
+			i := 0
+			for i < min(len(got), len(want)) && got[i] == want[i] {
+				i++
+			}
+			t.Fatalf("%s: %d events, sim minus chains %d; first difference at %d: %+v vs %+v",
+				tc.name, len(got), len(want), i, got[min(i, len(got)-1)], want[min(i, len(want)-1)])
+		}
 	}
 }

@@ -15,6 +15,8 @@
 //
 // All-input start states are never iterated: the list step takes the
 // matching ones from a byte→starts index, the bitset step ORs in their row.
+// On an empty list frontier, a byte no start matches costs the list step
+// only its generation bump.
 // The enabled frontier has two representations behind the one Step:
 //
 //   - a list deduplicated with generation marks: per-symbol cost is
@@ -115,8 +117,8 @@ func (s Stats) ReportRate() float64 {
 // The frontier switch (package doc), in enabled states per word per symbol
 // over a block. Break-even is near one (File Carving 0.98× at 1.0, Entity
 // Resolution 1.5× at 2.4); the gap stops flapping. Below 16 enabled states
-// the bitset's fixed cost loses (File Carving's prefilter residual: 65
-// states, 3.6 enabled per symbol, 25 % slower), hence bitsetMinWords.
+// the bitset's fixed cost loses (a 65-state File Carving sub-automaton, 3.6
+// enabled per symbol, ran 25 % slower), hence bitsetMinWords.
 const (
 	blockLen       = 64
 	bitsetEnter    = 2.0
@@ -428,10 +430,7 @@ func (e *Engine) Reset() {
 	// every stale mark is <= gen-2 here — a state enabled in the final
 	// cycle of the previous run CAN be re-armed immediately after Reset
 	// (pinned by TestEnableStateAfterReset).
-	e.gen++
-	if e.gen < 2 {
-		e.wrapGen()
-	}
+	e.nextGen()
 	for _, id := range e.counters {
 		e.ctr[id] = counter{cfg: e.ctr[id].cfg}
 	}
@@ -441,6 +440,14 @@ func (e *Engine) Reset() {
 	e.published = Stats{}
 	e.ledMark = 0
 	e.blockSyms, e.blockEnabled = 0, 0
+}
+
+// nextGen advances the generation, restarting it after uint32 wrap.
+func (e *Engine) nextGen() {
+	e.gen++
+	if e.gen < 2 {
+		e.wrapGen()
+	}
 }
 
 // wrapGen restarts the generation after uint32 wrap: it clears every mark
@@ -648,6 +655,14 @@ func (e *Engine) Step(b byte) {
 	if e.telemetryOn {
 		e.stepTelemetry(b)
 	}
+	// An empty frontier with no start matching b enables nothing: the idle
+	// symbol of a sparse stream (or of a prefilter's fully anchored one)
+	// only moves the generation and the offset on.
+	if len(e.frontier) == 0 && len(e.startIdx[b]) == 0 && e.offset != 0 {
+		e.nextGen()
+		e.advance()
+		return
+	}
 	// Start-of-data states participate only on the first symbol; they are
 	// part of the enabled frontier conceptually.
 	if e.offset == 0 {
@@ -673,10 +688,7 @@ func (e *Engine) Step(b byte) {
 	// Swap frontiers and advance the generation so next-cycle enables
 	// re-mark from scratch.
 	e.frontier, e.next = e.next, e.frontier[:0]
-	e.gen++
-	if e.gen < 2 {
-		e.wrapGen()
-	}
+	e.nextGen()
 	e.advance()
 }
 
@@ -726,10 +738,7 @@ func (e *Engine) enterBits() {
 // frontier is re-marked for EnableState's dedupe.
 func (e *Engine) leaveBits() {
 	e.dense = false
-	e.gen++
-	if e.gen < 2 {
-		e.wrapGen()
-	}
+	e.nextGen()
 	e.frontier = appendBits(e.frontier, e.bf.cur)
 	for _, s := range e.frontier {
 		e.mark[s] = e.gen - 1

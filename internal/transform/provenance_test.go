@@ -13,9 +13,9 @@ import (
 func compileTagged(t *testing.T, patterns ...string) (*automata.Automaton, *attr.Provenance) {
 	t.Helper()
 	b := automata.NewBuilder()
-	tg := attr.NewTagger(b)
+	var r attr.Ranges
 	for i, p := range patterns {
-		tg.Begin("p" + string(rune('0'+i)))
+		lo := b.NumStates()
 		parsed, err := regex.Parse(p, 0)
 		if err != nil {
 			t.Fatal(err)
@@ -23,9 +23,9 @@ func compileTagged(t *testing.T, patterns ...string) (*automata.Automaton, *attr
 		if _, err := regex.CompileInto(b, parsed, int32(i)); err != nil {
 			t.Fatal(err)
 		}
+		r.Tag("p"+string(rune('0'+i)), lo, b.NumStates())
 	}
-	prov := tg.Provenance()
-	return b.MustBuild(), prov
+	return b.MustBuild(), r.Provenance(b.NumStates())
 }
 
 // checkReportOrigins asserts the provenance invariant that every transform

@@ -903,8 +903,6 @@ func use(t a.T) { t.M(); _ = strings.N }`,
 		"internal/mnrl.ReadAutomaton":          "MNRL reader: the round-trip oracle for export and the FuzzMNRLLoad target",
 		// Dead, each with a test of its own that goes with it: the next
 		// deletions of ROADMAP item 13(d).
-		"internal/attr.NewTagger":               "dead (TestTaggerScopes): the CompileTagged tag callbacks replaced it",
-		"internal/attr.Tagger.Begin":            "dead (TestTaggerScopes), as NewTagger",
 		"internal/attr.Provenance.Apply":        "dead (TestApplyMergesAndDrops and the transform provenance tests)",
 		"internal/attr.Provenance.ApplyMulti":   "dead (TestApplyMultiReplicates and the transform provenance tests)",
 		"internal/automata.Builder.ClearReport": "dead (TestSetStartAndClassMutation)",
