@@ -7,7 +7,7 @@ GO ?= go
 # plain `go test`; this budget buys mutation time on top.
 FUZZTIME ?= 10s
 
-.PHONY: ci build vet bench-module fmt-check test race race-parallel allocguard prometheus-golden explain-golden fuzz-short soak loc clean
+.PHONY: ci build vet bench-module fmt-check test race race-parallel allocguard prometheus-golden explain-golden suite-golden fuzz-short soak loc clean
 
 ci: vet fmt-check build test race-parallel race allocguard prometheus-golden explain-golden fuzz-short soak bench-module
 
@@ -60,10 +60,11 @@ race-parallel:
 # The second line guards the set-up passes the same way, on allocation
 # counts rather than timings: Builder.Build and acmatch.Compile allocate a
 # constant number of objects, PrefixMerge a bounded number per state, RF
-# class synthesis none.
+# class synthesis none, and bitnfa.Stride8 a bounded number per output
+# state.
 allocguard:
 	$(GO) test -run 'TestNilTelemetryZeroAllocs|TestDisabledLiveTelemetryZeroAllocs|TestBitsetStepZeroAllocs|TestFallbackStepZeroAllocs|TestConstructAllocsPerDstate' -count=1 -v ./internal/sim/ ./internal/dfa/ ./internal/prefilter/
-	$(GO) test -run 'TestBuildAllocsConstant|TestPrefixMergeAllocsPerState|TestSymbolClassZeroAllocs|TestCompileAllocsConstant' -count=1 -v ./internal/automata/ ./internal/transform/ ./internal/rf/ ./internal/acmatch/
+	$(GO) test -run 'TestBuildAllocsConstant|TestPrefixMergeAllocsPerState|TestSymbolClassZeroAllocs|TestCompileAllocsConstant|TestStride8Allocs' -count=1 -v ./internal/automata/ ./internal/transform/ ./internal/rf/ ./internal/acmatch/ ./internal/bitnfa/
 
 # Byte-stability gate for the /metrics surface: the exposition golden
 # file plus the cross-worker-count determinism check (Table I's merged
@@ -80,6 +81,14 @@ prometheus-golden:
 explain-golden:
 	$(GO) test -run 'TestExplainGolden|TestExplainStatesGolden|TestExplainByteIdenticalAcrossWorkersAndSegments|TestExplainReportIdentity' -count=1 -v ./cmd/azoo/
 
+# Regenerate the suite fingerprint (internal/core/testdata/suite.golden):
+# one line per kernel with its shape, the SHA-256 of its MNRL export and of
+# its input stimulus. TestSuiteGolden, part of `make test`, compares it
+# against a fresh build; regenerate only for an intended change to a
+# generator, loader, compiler or set-up pass, and name the moved lines.
+suite-golden:
+	$(GO) test ./internal/core/ -run TestSuiteGolden -count=1 -update
+
 # Short differential-fuzzing gate: each oracle target gets a fixed
 # FUZZTIME of mutation on top of the always-executed deterministic seed
 # corpus (go permits one -fuzz target per invocation, hence one run per
@@ -95,6 +104,7 @@ fuzz-short:
 	$(GO) test -run '^$$' -fuzz 'FuzzEngineMatchesReference' -fuzztime $(FUZZTIME) ./internal/dfa/
 	$(GO) test -run '^$$' -fuzz 'FuzzEngineMatchesReference' -fuzztime $(FUZZTIME) ./internal/sim/
 	$(GO) test -run '^$$' -fuzz 'FuzzEngineMatchesReference' -fuzztime $(FUZZTIME) ./internal/prefilter/
+	$(GO) test -run '^$$' -fuzz 'FuzzStride8MatchesReference' -fuzztime $(FUZZTIME) ./internal/bitnfa/
 
 # The soak, the acceptance gate for engine changes. First 200 seeded
 # fault-injection trials: every injected panic/deadline/trip must surface

@@ -198,10 +198,12 @@ func TestAgreesWithNFAEngine(t *testing.T) {
 			p[j] = byte('a' + rng.Intn(4))
 		}
 		patterns[i] = p
-		if _, tail, err := regex.LiteralPattern(b, p, 0, automata.StartAllInput); err != nil {
+		parsed, err := regex.Parse(string(p), 0)
+		if err == nil {
+			_, err = regex.CompileInto(b, parsed, int32(i))
+		}
+		if err != nil {
 			t.Fatal(err)
-		} else {
-			b.SetReport(tail, int32(i))
 		}
 	}
 	a := b.MustBuild()

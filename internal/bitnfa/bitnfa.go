@@ -13,7 +13,9 @@
 package bitnfa
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 
 	"automatazoo/internal/automata"
@@ -258,208 +260,206 @@ func (a *Automaton) Simulate(input []byte) [][2]int64 {
 //
 // The construction has two phases. First it builds an edge-labelled byte
 // NFA whose nodes are "anchor" bit-states (states active on the final bit
-// of a byte): for each anchor u and each byte value, the 8-bit futures of
-// u's successors are simulated to find which anchors activate next and
-// whether a report fires. Then the edge-labelled NFA is homogenized by
-// splitting every node per distinct incoming byte-set, which is what gives
-// strided automata their characteristic high fan-out (File Carving's 58.8
-// edges/node in Table I).
+// of a byte): for each anchor u, one depth-first walk of the 8-level bit
+// trie finds, for all 256 byte values at once, which anchors the 8-bit
+// futures of u's successors activate next. Then the edge-labelled NFA is
+// homogenized by splitting every node per distinct incoming byte-set,
+// which is what gives strided automata their characteristic high fan-out
+// (File Carving's 58.8 edges/node in Table I).
+//
+// Cost: one trie pass per anchor (plus one for the virtual start node),
+// at most 510 frontier steps that share their prefixes and stop where a
+// prefix has nothing enabled. Frontiers are deduplicated with generation
+// marks over the bit states, so allocations grow with the number of
+// anchors and output states, not with anchors × 256.
 func (a *Automaton) Stride8() (*automata.Automaton, error) {
-	type futures struct {
-		next   [256][]StateID // anchors active on last bit, per byte
-		report [256]bool
-	}
-	// simulate8 runs 8 bits of byte b from the given initially-enabled set
-	// and reports which states are active on the last bit, plus whether a
-	// reporting state activated anywhere in the byte (and at which bit).
-	simulate8 := func(initial []StateID, b byte) (active []StateID, reported bool, midByteReport bool) {
-		enabled := map[StateID]bool{}
-		for _, s := range initial {
-			enabled[s] = true
-		}
-		for bit := 7; bit >= 0; bit-- {
-			v := b >> bit & 1
-			act := []StateID{}
-			next := map[StateID]bool{}
-			for s := range enabled {
-				if !a.class[s].matches(v) {
-					continue
-				}
-				act = append(act, s)
-				if a.report[s] {
-					reported = true
-					if bit != 0 {
-						midByteReport = true
-					}
-				}
-				for _, t := range a.succ[s] {
-					next[t] = true
-				}
-			}
-			enabled = next
-			if bit == 0 {
-				sort.Slice(act, func(i, j int) bool { return act[i] < act[j] })
-				active = act
-			}
-		}
-		return active, reported, midByteReport
-	}
-
+	n := len(a.class)
+	walker := trie{a: a, mark: make([]uint32, n)}
 	var startStates []StateID
-	for s := range a.start {
-		if a.start[s] {
+	for s, st := range a.start {
+		if st {
 			startStates = append(startStates, StateID(s))
 		}
 	}
 
-	// Discover anchors via worklist; node "start" is virtual.
-	anchorIdx := map[StateID]int{}
-	var anchors []StateID
-	addAnchor := func(s StateID) int {
-		if i, ok := anchorIdx[s]; ok {
-			return i
-		}
-		i := len(anchors)
-		anchorIdx[s] = i
-		anchors = append(anchors, s)
-		return i
-	}
-
-	// Edge-labelled byte NFA. node -1 is the virtual start.
-	type labelled struct {
-		bytes charset.Set
-	}
-	edges := map[[2]int]*labelled{} // (fromAnchorIdx or -1, toAnchorIdx)
-	reportsOn := map[int]charset.Set{}
-	reportCode := map[int]int32{}
-
-	// Anchor report codes: an anchor that is a reporting bit-state reports
-	// when it activates (on the last bit). simulate8's 'reported' covers
-	// reports by *interior* states too; byte alignment means interior
-	// reports are exactly the anchor reports, which we verify.
-	addEdge := func(from int, s StateID, b byte) {
-		to := addAnchor(s)
-		key := [2]int{from, to}
-		l := edges[key]
-		if l == nil {
-			l = &labelled{}
-			edges[key] = l
-		}
-		l.bytes.Add(b)
-		if a.report[s] {
-			cs := reportsOn[to]
-			cs.Add(b)
-			reportsOn[to] = cs
-			reportCode[to] = a.code[s]
-		}
-	}
-
-	processed := map[int]bool{}
-	var work []int
-	// Seed from the virtual start.
-	for b := 0; b < 256; b++ {
-		act, _, mid := simulate8(startStates, byte(b))
-		if mid {
-			return nil, fmt.Errorf("bitnfa: pattern reports mid-byte (not byte-aligned)")
-		}
-		for _, s := range act {
-			addEdge(-1, s, byte(b))
-		}
-	}
-	for i := range anchors {
-		if !processed[i] {
-			processed[i] = true
-			work = append(work, i)
-		}
-	}
-	for len(work) > 0 {
-		i := work[len(work)-1]
-		work = work[:len(work)-1]
-		u := anchors[i]
-		for b := 0; b < 256; b++ {
-			// u was active on the last bit of the previous byte, so its
-			// successors are enabled on the first bit of this one. Starts
-			// re-join every byte but are covered by the virtual start node.
-			act, _, mid := simulate8(a.succ[u], byte(b))
-			if mid {
-				return nil, fmt.Errorf("bitnfa: pattern reports mid-byte (not byte-aligned)")
-			}
-			before := len(anchors)
-			for _, s := range act {
-				addEdge(i, s, byte(b))
-			}
-			for j := before; j < len(anchors); j++ {
-				if !processed[j] {
-					processed[j] = true
-					work = append(work, j)
-				}
-			}
-		}
-	}
-
-	// Homogenize: split each anchor per distinct incoming byte-set.
-	b2 := automata.NewBuilder()
-	type split struct {
-		bytes charset.Set
-		id    automata.StateID
-	}
-	splits := make([][]split, len(anchors))
-	getSplit := func(to int, bytes charset.Set) automata.StateID {
-		for _, sp := range splits[to] {
-			if sp.bytes == bytes {
-				return sp.id
-			}
-		}
-		id := b2.AddSTE(bytes, automata.StartNone)
-		if rep, ok := reportsOn[to]; ok && !rep.Intersect(bytes).IsEmpty() {
-			// The copy reports only if its label overlaps the reporting
-			// byte-set; exact when labels don't mix reporting and
-			// non-reporting bytes, which holds because reporting is a
-			// property of the destination anchor activating — and this
-			// copy activates exactly on its label bytes.
-			b2.SetReport(id, reportCode[to])
-		}
-		splits[to] = append(splits[to], split{bytes, id})
-		return id
-	}
-
-	// Group edges by destination and label so each (to, bytes) pair becomes
-	// one split copy.
+	// Edge-labelled byte NFA: one record per (from, to) anchor pair, from
+	// -1 being the virtual start. Anchors are numbered in discovery order
+	// and walked from a LIFO worklist; slot[s] is the record of the anchor
+	// being walked (stamped from+2) whose destination is bit state s.
 	type edgeRec struct {
 		from, to int
 		bytes    charset.Set
+		id       automata.StateID // the destination's split copy
 	}
 	var recs []edgeRec
-	for k, l := range edges {
-		recs = append(recs, edgeRec{k[0], k[1], l.bytes})
+	anchorOf := make([]int32, n)
+	for i := range anchorOf {
+		anchorOf[i] = -1
 	}
-	sort.Slice(recs, func(i, j int) bool {
-		if recs[i].to != recs[j].to {
-			return recs[i].to < recs[j].to
+	stamp := make([]int32, n)
+	slot := make([]int32, n)
+	var anchors []StateID
+	var work []int
+	from := -1
+	addEdges := func(b byte, act []StateID) {
+		for _, s := range act {
+			to := anchorOf[s]
+			if to < 0 {
+				to = int32(len(anchors))
+				anchorOf[s] = to
+				anchors = append(anchors, s)
+				work = append(work, int(to))
+			}
+			if stamp[s] != int32(from+2) {
+				stamp[s] = int32(from + 2)
+				slot[s] = int32(len(recs))
+				recs = append(recs, edgeRec{from: from, to: int(to)})
+			}
+			recs[slot[s]].bytes.Add(b)
 		}
-		return recs[i].from < recs[j].from
-	})
-	// First materialize all split copies (destinations).
-	for _, r := range recs {
-		getSplit(r.to, r.bytes)
 	}
-	// Start-labelled copies become all-input start states.
+	// u was active on the last bit of the previous byte, so its successors
+	// are enabled on the first bit of this one. Starts re-join every byte
+	// but are covered by the virtual start node.
+	ok := walker.walk(startStates, addEdges)
+	for ok && len(work) > 0 {
+		from = work[len(work)-1]
+		work = work[:len(work)-1]
+		ok = walker.walk(a.succ[anchors[from]], addEdges)
+	}
+	if !ok {
+		return nil, fmt.Errorf("bitnfa: pattern reports mid-byte (not byte-aligned)")
+	}
+
+	// Homogenize: one split copy per anchor and distinct incoming byte-set.
+	// With the records ordered by destination, an anchor's copies get
+	// consecutive IDs: [splitOff[to], splitOff[to+1]). A copy reports iff
+	// its anchor is a reporting bit-state, since it activates exactly on
+	// its label bytes.
+	slices.SortFunc(recs, func(x, y edgeRec) int {
+		if x.to != y.to {
+			return cmp.Compare(x.to, y.to)
+		}
+		return cmp.Compare(x.from, y.from)
+	})
+	b2 := automata.NewBuilder()
+	splitOff := make([]automata.StateID, len(anchors)+1)
+	for g := 0; g < len(recs); {
+		to := recs[g].to
+		splitOff[to] = automata.StateID(b2.NumStates())
+		h := g
+	recs:
+		for ; h < len(recs) && recs[h].to == to; h++ {
+			for k := g; k < h; k++ {
+				if recs[k].bytes == recs[h].bytes {
+					recs[h].id = recs[k].id
+					continue recs
+				}
+			}
+			recs[h].id = b2.AddSTE(recs[h].bytes, automata.StartNone)
+			if s := anchors[to]; a.report[s] {
+				b2.SetReport(recs[h].id, a.code[s])
+			}
+		}
+		g = h
+	}
+	splitOff[len(anchors)] = automata.StateID(b2.NumStates())
+	// Start-labelled copies become all-input start states; every other
+	// record wires every copy of its source to its destination copy.
 	for _, r := range recs {
 		if r.from == -1 {
-			id := getSplit(r.to, r.bytes)
-			b2.SetStart(id, automata.StartAllInput)
+			b2.SetStart(r.id, automata.StartAllInput)
 		}
 	}
-	// Wire interior edges: from every copy of r.from to the copy of r.to
-	// carrying r.bytes.
 	for _, r := range recs {
 		if r.from == -1 {
 			continue
 		}
-		toID := getSplit(r.to, r.bytes)
-		for _, sp := range splits[r.from] {
-			b2.AddEdge(sp.id, toID)
+		for id := splitOff[r.from]; id < splitOff[r.from+1]; id++ {
+			b2.AddEdge(id, r.id)
 		}
 	}
 	return b2.Build()
+}
+
+// trie walks the 8-level bit trie of one byte's futures. level[d] holds
+// the states enabled on bit 7-d under the prefix being walked; mark and
+// gen deduplicate each level's frontier without a set allocation.
+type trie struct {
+	a     *Automaton
+	mark  []uint32
+	gen   uint32
+	level [8][]StateID
+	leaf  []StateID
+}
+
+// walk enables initial on the first bit of a byte and calls emit(b, act)
+// for b = 0..255 in ascending order, act being the states active on b's
+// last bit in ascending order, skipping bytes where act is empty. act is
+// reused after emit returns. walk returns false if a reporting state is
+// active on any earlier bit (a mid-byte report).
+func (t *trie) walk(initial []StateID, emit func(b byte, act []StateID)) bool {
+	t.bump()
+	set := t.level[0][:0]
+	for _, s := range initial {
+		if t.mark[s] != t.gen {
+			t.mark[s] = t.gen
+			set = append(set, s)
+		}
+	}
+	t.level[0] = set
+	return len(set) == 0 || t.descend(0, 0, emit)
+}
+
+// descend walks both children of the prefix (its high d bits) whose
+// enabled set is level[d]: bit 0 first, so leaves come in byte order.
+func (t *trie) descend(d int, prefix int, emit func(b byte, act []StateID)) bool {
+	set := t.level[d]
+	for v := 0; v < 2; v++ {
+		c := MatchZero << v
+		if d == 7 {
+			act := t.leaf[:0]
+			for _, s := range set {
+				if t.a.class[s]&c != 0 {
+					act = append(act, s)
+				}
+			}
+			t.leaf = act
+			if len(act) > 0 {
+				slices.Sort(act)
+				emit(byte(prefix<<1|v), act)
+			}
+			continue
+		}
+		t.bump()
+		next := t.level[d+1][:0]
+		for _, s := range set {
+			if t.a.class[s]&c == 0 {
+				continue
+			}
+			if t.a.report[s] {
+				return false
+			}
+			for _, u := range t.a.succ[s] {
+				if t.mark[u] != t.gen {
+					t.mark[u] = t.gen
+					next = append(next, u)
+				}
+			}
+		}
+		t.level[d+1] = next
+		if len(next) > 0 && !t.descend(d+1, prefix<<1|v, emit) {
+			return false
+		}
+	}
+	return true
+}
+
+// bump starts a new frontier generation, clearing the marks on wrap.
+func (t *trie) bump() {
+	t.gen++
+	if t.gen == 0 {
+		clear(t.mark)
+		t.gen = 1
+	}
 }

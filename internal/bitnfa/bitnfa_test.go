@@ -44,11 +44,101 @@ func sameOffsets(a, b map[int64]bool) bool {
 	return true
 }
 
-func TestAppendByteExact(t *testing.T) {
+// bytePattern builds one start chain of (value, careMask) byte matchers
+// reporting code 0 at its tail.
+func bytePattern(bytes ...[2]byte) *Automaton {
 	a := New()
-	tail := a.AppendByte(NoTail, 0xAB, 0xFF, true)
-	tail = a.AppendByte(tail, 0xCD, 0xFF, false)
+	tail := StateID(NoTail)
+	for i, b := range bytes {
+		tail = a.AppendByte(tail, b[0], b[1], i == 0)
+	}
 	a.SetReport(tail, 0)
+	return a
+}
+
+// rangePattern builds a width-bit acceptor of [lo, hi] reporting code 0
+// at every tail.
+func rangePattern(width uint, lo, hi uint64) (*Automaton, error) {
+	a := New()
+	tails, err := a.AppendUintRange(NoTail, width, lo, hi)
+	for _, tl := range tails {
+		a.SetReport(tl, 0)
+	}
+	return a, err
+}
+
+// dosTimePattern is the 16-bit MS-DOS time stamp: a 5-bit field in
+// [0,23], a 6-bit field in [0,59] and a 5-bit field in [0,29].
+func dosTimePattern() (*Automaton, error) {
+	a := New()
+	tails, err := a.AppendUintRange(NoTail, 5, 0, 23) // hours (high bits)
+	if err != nil {
+		return nil, err
+	}
+	for _, f := range []struct{ width, hi uint64 }{{6, 59}, {5, 29}} {
+		var next []StateID
+		for _, tl := range tails {
+			ts, err := a.AppendUintRange(tl, uint(f.width), 0, f.hi)
+			if err != nil {
+				return nil, err
+			}
+			next = append(next, ts...)
+		}
+		tails = next
+	}
+	for _, tl := range tails {
+		a.SetReport(tl, 0)
+	}
+	return a, nil
+}
+
+// compositePattern is the shape of a real file-format signature: literal
+// header, a cross-byte 16-bit field in [300, 7000], literal trailer.
+func compositePattern() (*Automaton, error) {
+	a := New()
+	head := a.AppendByte(NoTail, 0x50, 0xFF, true)
+	head = a.AppendByte(head, 0x4B, 0xFF, false)
+	tails, err := a.AppendUintRange(head, 16, 300, 7000)
+	if err != nil {
+		return nil, err
+	}
+	for _, tl := range tails {
+		a.SetReport(a.AppendByte(tl, 0xFF, 0xFF, false), 0)
+	}
+	return a, nil
+}
+
+// midBytePattern is a k-bit chain of MatchOne states reporting at its
+// tail: for k not a multiple of 8 it reports mid-byte.
+func midBytePattern(k int) *Automaton {
+	a := New()
+	tail := StateID(NoTail)
+	for i := 0; i < k; i++ {
+		id := a.AddState(MatchOne, tail == NoTail)
+		if tail != NoTail {
+			a.AddEdge(tail, id)
+		}
+		tail = id
+	}
+	a.SetReport(tail, 0)
+	return a
+}
+
+// randomChain is one trial of TestRandomizedStrideEquivalence: a start
+// chain of 1..3 random masked bytes.
+func randomChain(rng *rand.Rand) *Automaton {
+	a := New()
+	nBytes := 1 + rng.Intn(3)
+	tail := StateID(NoTail)
+	for i := 0; i < nBytes; i++ {
+		tail = a.AppendByte(tail, byte(rng.Intn(256)), byte(rng.Intn(256)), i == 0)
+	}
+	a.SetReport(tail, 0)
+	return a
+}
+
+func TestAppendByteExact(t *testing.T) {
+	a := bytePattern([2]byte{0xAB, 0xFF}, [2]byte{0xCD, 0xFF})
 	if a.NumStates() != 16 {
 		t.Fatalf("states=%d", a.NumStates())
 	}
@@ -62,9 +152,7 @@ func TestAppendByteExact(t *testing.T) {
 
 func TestAppendByteNibbleWildcard(t *testing.T) {
 	// Match ?A: low nibble A, high nibble anything.
-	a := New()
-	tail := a.AppendByte(NoTail, 0x0A, 0x0F, true)
-	a.SetReport(tail, 0)
+	a := bytePattern([2]byte{0x0A, 0x0F})
 	got := offsetsFromStride(t, a, []byte{0x1A, 0xFA, 0xAB, 0x0A})
 	want := map[int64]bool{0: true, 1: true, 3: true}
 	if !sameOffsets(got, want) {
@@ -73,10 +161,7 @@ func TestAppendByteNibbleWildcard(t *testing.T) {
 }
 
 func TestStrideMatchesBitSimulation(t *testing.T) {
-	a := New()
-	tail := a.AppendByte(NoTail, 0x50, 0xF0, true) // high nibble 5
-	tail = a.AppendByte(tail, 0x03, 0xFF, false)
-	a.SetReport(tail, 0)
+	a := bytePattern([2]byte{0x50, 0xF0}, [2]byte{0x03, 0xFF}) // high nibble 5
 	rng := rand.New(rand.NewSource(3))
 	input := make([]byte, 200)
 	for i := range input {
@@ -90,13 +175,9 @@ func TestStrideMatchesBitSimulation(t *testing.T) {
 
 func TestUintRangeSingleByte(t *testing.T) {
 	// Range [3, 17] in one 8-bit field.
-	a := New()
-	tails, err := a.AppendUintRange(NoTail, 8, 3, 17)
+	a, err := rangePattern(8, 3, 17)
 	if err != nil {
 		t.Fatal(err)
-	}
-	for _, tl := range tails {
-		a.SetReport(tl, 0)
 	}
 	byteA, err := a.Stride8()
 	if err != nil {
@@ -117,29 +198,9 @@ func TestUintRangeSingleByte(t *testing.T) {
 func TestUintRangeSplitFields(t *testing.T) {
 	// A 16-bit structure: 5-bit field in [0,29], then 6-bit field in
 	// [0,59], then 5-bit field in [0,23] — the MS-DOS time stamp layout.
-	a := New()
-	tails, err := a.AppendUintRange(NoTail, 5, 0, 23) // hours (high bits)
+	a, err := dosTimePattern()
 	if err != nil {
 		t.Fatal(err)
-	}
-	var tails2 []StateID
-	for _, tl := range tails {
-		ts, err := a.AppendUintRange(tl, 6, 0, 59)
-		if err != nil {
-			t.Fatal(err)
-		}
-		tails2 = append(tails2, ts...)
-	}
-	var tails3 []StateID
-	for _, tl := range tails2 {
-		ts, err := a.AppendUintRange(tl, 5, 0, 29)
-		if err != nil {
-			t.Fatal(err)
-		}
-		tails3 = append(tails3, ts...)
-	}
-	for _, tl := range tails3 {
-		a.SetReport(tl, 0)
 	}
 	byteA, err := a.Stride8()
 	if err != nil {
@@ -178,32 +239,22 @@ func TestUintRangeErrors(t *testing.T) {
 }
 
 func TestMidByteReportRejected(t *testing.T) {
-	a := New()
-	// 4-bit pattern: reports mid-byte.
-	var tail StateID = NoTail
-	for i := 0; i < 4; i++ {
-		id := a.AddState(MatchOne, tail == NoTail)
-		if tail != NoTail {
-			a.AddEdge(tail, id)
+	// A k-bit pattern reports on bit 8-k of its byte: every k but 8 is
+	// rejected, whichever trie level the report sits on.
+	for k := 1; k <= 8; k++ {
+		_, err := midBytePattern(k).Stride8()
+		if (err != nil) != (k != 8) {
+			t.Fatalf("%d-bit pattern: err=%v", k, err)
 		}
-		tail = id
-	}
-	a.SetReport(tail, 0)
-	if _, err := a.Stride8(); err == nil {
-		t.Fatal("mid-byte report should be rejected")
 	}
 }
 
 func TestCrossByteBitField(t *testing.T) {
 	// A 16-bit big-endian value in [300, 700]: the field crosses the byte
 	// boundary, which is the case regexes cannot express.
-	a := New()
-	tails, err := a.AppendUintRange(NoTail, 16, 300, 700)
+	a, err := rangePattern(16, 300, 700)
 	if err != nil {
 		t.Fatal(err)
-	}
-	for _, tl := range tails {
-		a.SetReport(tl, 0)
 	}
 	byteA, err := a.Stride8()
 	if err != nil {
@@ -229,21 +280,9 @@ func TestStridedFanOutIsHigh(t *testing.T) {
 	// (58.8): boundary-crossing fields split anchors into many byte-set
 	// copies with dense interconnection. Nibble-aligned patterns, by
 	// contrast, stride to simple chains.
-	// Composite: literal header, cross-byte field, literal trailer — the
-	// shape of a real file-format signature.
-	a := New()
-	head := a.AppendByte(NoTail, 0x50, 0xFF, true)
-	head = a.AppendByte(head, 0x4B, 0xFF, false)
-	tails, err := a.AppendUintRange(head, 16, 300, 7000)
+	a, err := compositePattern()
 	if err != nil {
 		t.Fatal(err)
-	}
-	var final []StateID
-	for _, tl := range tails {
-		final = append(final, a.AppendByte(tl, 0xFF, 0xFF, false))
-	}
-	for _, tl := range final {
-		a.SetReport(tl, 0)
 	}
 	byteA, err := a.Stride8()
 	if err != nil {
@@ -252,12 +291,7 @@ func TestStridedFanOutIsHigh(t *testing.T) {
 	compositeRatio := float64(byteA.NumEdges()) / float64(byteA.NumStates())
 
 	// Pure literal chain for comparison: always ratio < 1.
-	lit := New()
-	tl := lit.AppendByte(NoTail, 0x50, 0xFF, true)
-	tl = lit.AppendByte(tl, 0x4B, 0xFF, false)
-	tl = lit.AppendByte(tl, 0x03, 0xFF, false)
-	lit.SetReport(tl, 0)
-	litA, err := lit.Stride8()
+	litA, err := bytePattern([2]byte{0x50, 0xFF}, [2]byte{0x4B, 0xFF}, [2]byte{0x03, 0xFF}).Stride8()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -271,19 +305,40 @@ func TestStridedFanOutIsHigh(t *testing.T) {
 func TestRandomizedStrideEquivalence(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	for trial := 0; trial < 30; trial++ {
-		a := New()
-		nBytes := 1 + rng.Intn(3)
-		tail := StateID(NoTail)
-		for i := 0; i < nBytes; i++ {
-			tail = a.AppendByte(tail, byte(rng.Intn(256)), byte(rng.Intn(256)), i == 0)
-		}
-		a.SetReport(tail, 0)
+		a := randomChain(rng)
 		input := make([]byte, 64)
 		for i := range input {
 			input[i] = byte(rng.Intn(4)) // small alphabet → more matches
 		}
 		if !sameOffsets(offsetsFromStride(t, a, input), offsetsFromBitSim(a, input)) {
 			t.Fatalf("trial %d: stride/bit-sim mismatch", trial)
+		}
+	}
+}
+
+// TestStride8Allocs bounds Stride8's allocations by its output: every
+// anchor has at least one split copy, so O(anchors + output states) is
+// O(output states). A per-(anchor, byte) simulation over hash sets
+// allocates hundreds of times that (the seed body: 63 467 on the
+// composite pattern, 712 575 on the DOS time stamp).
+func TestStride8Allocs(t *testing.T) {
+	composite, err := compositePattern()
+	if err != nil {
+		t.Fatal(err)
+	}
+	dos, err := dosTimePattern()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, a := range []*Automaton{composite, dos} {
+		byteA, err := a.Stride8()
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := testing.AllocsPerRun(5, func() { a.Stride8() })
+		if limit := float64(64 + 4*byteA.NumStates()); got > limit {
+			t.Errorf("%d bit states -> %d byte states: %.0f allocs, limit %.0f",
+				a.NumStates(), byteA.NumStates(), got, limit)
 		}
 	}
 }

@@ -38,17 +38,6 @@ func ToRegex(hex string) (string, error) {
 	var sb strings.Builder
 	i := 0
 	n := len(hex)
-	hexVal := func(c byte) (int, bool) {
-		switch {
-		case c >= '0' && c <= '9':
-			return int(c - '0'), true
-		case c >= 'a' && c <= 'f':
-			return int(c-'a') + 10, true
-		case c >= 'A' && c <= 'F':
-			return int(c-'A') + 10, true
-		}
-		return 0, false
-	}
 	for i < n {
 		switch c := hex[i]; c {
 		case '*':
@@ -64,11 +53,7 @@ func ToRegex(hex string) (string, error) {
 			if err != nil {
 				return "", err
 			}
-			if hi < 0 {
-				fmt.Fprintf(&sb, ".{%d,}", lo)
-			} else {
-				fmt.Fprintf(&sb, ".{%d,%d}", lo, hi)
-			}
+			regex.WriteGap(&sb, lo, hi)
 			i += end + 1
 		case '(':
 			sb.WriteByte('(')
@@ -85,26 +70,7 @@ func ToRegex(hex string) (string, error) {
 			if i+1 >= n {
 				return "", fmt.Errorf("clamav: dangling nibble in %q", hex)
 			}
-			hiC, loC := hex[i], hex[i+1]
-			hv, hok := hexVal(hiC)
-			lv, lok := hexVal(loC)
-			switch {
-			case hiC == '?' && loC == '?':
-				sb.WriteByte('.')
-			case hiC == '?' && lok:
-				// High nibble free: a 16-byte character class (one state),
-				// the same conversion the YARA pipeline uses.
-				sb.WriteByte('[')
-				for h := 0; h < 16; h++ {
-					fmt.Fprintf(&sb, "\\x%02x", h<<4|lv)
-				}
-				sb.WriteByte(']')
-			case hok && loC == '?':
-				// Low nibble free: a contiguous 16-byte range.
-				fmt.Fprintf(&sb, "[\\x%02x-\\x%02x]", hv<<4, hv<<4|0x0f)
-			case hok && lok:
-				fmt.Fprintf(&sb, "\\x%02x", hv<<4|lv)
-			default:
+			if !regex.WriteHexPair(&sb, hex[i], hex[i+1]) {
 				return "", fmt.Errorf("clamav: bad hex pair %q in %q", hex[i:i+2], hex)
 			}
 			i += 2

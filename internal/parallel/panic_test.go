@@ -38,6 +38,10 @@ func TestForEachRecoversPanicWorkers(t *testing.T) {
 		if i == 5 {
 			panic(errors.New("kernel crash"))
 		}
+		// Every other item takes a millisecond, so the panic is recorded
+		// long before the other workers could drain the rest: instant
+		// items let them finish all 64 while the panic is being recovered.
+		time.Sleep(time.Millisecond)
 		return nil
 	})
 	var pe *PanicError

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"automatazoo/internal/automata"
-	"automatazoo/internal/charset"
 )
 
 // CompileResult carries the compiled automaton plus the pattern metadata
@@ -129,7 +128,9 @@ type glushkov struct {
 }
 
 // info summarizes a subexpression: its first and last position sets and
-// nullability. Positions are builder state IDs.
+// nullability. Positions are builder state IDs. An info owns its two
+// slices, which never share spare capacity, so a parent may extend them in
+// place.
 type info struct {
 	first, last []automata.StateID
 	nullable    bool
@@ -143,7 +144,8 @@ func (g *glushkov) build(n *node) (info, error) {
 		}
 		id := g.b.AddSTE(n.class, automata.StartNone)
 		g.count++
-		return info{first: []automata.StateID{id}, last: []automata.StateID{id}}, nil
+		pos := []automata.StateID{id, id}
+		return info{first: pos[:1:1], last: pos[1:]}, nil
 
 	case kindConcat:
 		if len(n.subs) == 0 {
@@ -164,26 +166,29 @@ func (g *glushkov) build(n *node) (info, error) {
 					g.b.AddEdge(p, q)
 				}
 			}
-			merged := info{}
-			merged.first = append(merged.first, cur.first...)
+			// first(cur·nxt) is first(cur), plus first(nxt) if cur is
+			// nullable; last is last(nxt), plus last(cur) if nxt is.
 			if cur.nullable {
-				merged.first = append(merged.first, nxt.first...)
+				cur.first = append(cur.first, nxt.first...)
 			}
-			merged.last = append(merged.last, nxt.last...)
 			if nxt.nullable {
-				merged.last = append(merged.last, cur.last...)
+				nxt.last = append(nxt.last, cur.last...)
 			}
-			merged.nullable = cur.nullable && nxt.nullable
-			cur = merged
+			cur.last = nxt.last
+			cur.nullable = cur.nullable && nxt.nullable
 		}
 		return cur, nil
 
 	case kindAlt:
 		out := info{}
-		for _, sn := range n.subs {
+		for i, sn := range n.subs {
 			si, err := g.build(sn)
 			if err != nil {
 				return info{}, err
+			}
+			if i == 0 {
+				out = si
+				continue
 			}
 			out.first = append(out.first, si.first...)
 			out.last = append(out.last, si.last...)
@@ -216,33 +221,4 @@ func (g *glushkov) build(n *node) (info, error) {
 		return info{}, fmt.Errorf("regex: unexpanded counted repeat {%d,%d}", n.min, n.max)
 	}
 	return info{}, fmt.Errorf("regex: unknown node kind %d", n.kind)
-}
-
-// LiteralPattern compiles a plain byte string (no metacharacters) directly
-// into the builder as a chain — the fast path used by signature compilers
-// for exact-match fragments. Returns the head and tail state IDs.
-func LiteralPattern(b *automata.Builder, lit []byte, flags Flags, start automata.StartType) (head, tail automata.StateID, err error) {
-	if len(lit) == 0 {
-		return 0, 0, fmt.Errorf("regex: empty literal")
-	}
-	prev := automata.NoState
-	for i, c := range lit {
-		cls := charset.Single(c)
-		if flags&CaseInsensitive != 0 {
-			cls = cls.CaseFold()
-		}
-		st := automata.StartNone
-		if i == 0 {
-			st = start
-		}
-		id := b.AddSTE(cls, st)
-		if prev != automata.NoState {
-			b.AddEdge(prev, id)
-		}
-		if i == 0 {
-			head = id
-		}
-		prev = id
-	}
-	return head, prev, nil
 }

@@ -289,26 +289,6 @@ func TestCompileInto(t *testing.T) {
 	}
 }
 
-func TestLiteralPattern(t *testing.T) {
-	b := automata.NewBuilder()
-	head, tail, err := LiteralPattern(b, []byte("ab"), CaseInsensitive, automata.StartAllInput)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b.SetReport(tail, 0)
-	if head == tail {
-		t.Fatal("head==tail for 2-byte literal")
-	}
-	a := b.MustBuild()
-	e := sim.New(a)
-	if got := e.Run([]byte("AB ab Ab")).Reports; got != 3 {
-		t.Fatalf("case-folded literal count=%d", got)
-	}
-	if _, _, err := LiteralPattern(b, nil, 0, automata.StartAllInput); err == nil {
-		t.Fatal("empty literal should error")
-	}
-}
-
 func TestPositionsCount(t *testing.T) {
 	res := mustCompile(t, "a{4}b", 0, 0)
 	if res.Positions != 5 || res.Automaton.NumStates() != 5 {
@@ -353,6 +333,38 @@ func TestQuickRandomPatterns(t *testing.T) {
 		if !sameOffsets(got, want) {
 			t.Fatalf("trial %d: pattern %q input %q: got %v want %v",
 				trial, pat, in, got, want)
+		}
+	}
+}
+
+// TestPositionSetsCompose checks concatenation and alternation of
+// multi-position, nullable and looping operands against Go's regexp on
+// every input up to length 4 over the pattern alphabet. The Glushkov
+// build extends its operands' first and last sets in place, so a first
+// set that shared storage with a last set would show here.
+func TestPositionSetsCompose(t *testing.T) {
+	patterns := []string{
+		"(ab|cd)e", "(a?b|c)d", "(ab|c?d?)e", "e(ab|cd)*a", "(a|bc|d?e)+a",
+		"(ab?|c)(d|ea?)b", "a(b?c?)(d?e?)a", "(ab|cd)(ec|ba)?", "((ab|c)d|e)(a|bc)",
+	}
+	const alphabet = "abcde"
+	var inputs []string
+	for n, frontier := 0, []string{""}; n <= 4; n++ {
+		inputs = append(inputs, frontier...)
+		var next []string
+		for _, in := range frontier {
+			for i := range alphabet {
+				next = append(next, in+alphabet[i:i+1])
+			}
+		}
+		frontier = next
+	}
+	for _, pat := range patterns {
+		for _, in := range inputs {
+			got := matchOffsets(t, pat, 0, in)
+			if want := goMatchEnds(t, pat, in, false); !sameOffsets(got, want) {
+				t.Fatalf("pattern %q input %q: got %v want %v", pat, in, got, want)
+			}
 		}
 	}
 }

@@ -185,17 +185,11 @@ func HexToRegex(hex string) (string, error) {
 			if err != nil {
 				return "", err
 			}
-			if hi < 0 {
-				fmt.Fprintf(&sb, ".{%d,}", lo)
-			} else {
-				fmt.Fprintf(&sb, ".{%d,%d}", lo, hi)
-			}
+			regex.WriteGap(&sb, lo, hi)
 		case len(tok) == 2:
-			cls, err := nibblePair(tok[0], tok[1])
-			if err != nil {
-				return "", err
+			if !regex.WriteHexPair(&sb, tok[0], tok[1]) {
+				return "", fmt.Errorf("yara: bad hex pair %s", tok)
 			}
-			sb.WriteString(cls)
 		default:
 			return "", fmt.Errorf("yara: bad hex token %q", tok)
 		}
@@ -239,30 +233,6 @@ func nibbleVal(c byte) (int, bool) {
 		return int(c-'A') + 10, true
 	}
 	return 0, false
-}
-
-// nibblePair renders one hex pair (possibly with nibble wildcards) as a
-// regex atom.
-func nibblePair(hi, lo byte) (string, error) {
-	hv, hok := nibbleVal(hi)
-	lv, lok := nibbleVal(lo)
-	switch {
-	case hi == '?' && lo == '?':
-		return ".", nil
-	case hi == '?' && lok:
-		var sb strings.Builder
-		sb.WriteByte('[')
-		for h := 0; h < 16; h++ {
-			fmt.Fprintf(&sb, "\\x%02x", h<<4|lv)
-		}
-		sb.WriteByte(']')
-		return sb.String(), nil
-	case hok && lo == '?':
-		return fmt.Sprintf("[\\x%02x-\\x%02x]", hv<<4, hv<<4|0x0f), nil
-	case hok && lok:
-		return fmt.Sprintf("\\x%02x", hv<<4|lv), nil
-	}
-	return "", fmt.Errorf("yara: bad hex pair %c%c", hi, lo)
 }
 
 // stringPattern converts one YARA string to the regex subset.
