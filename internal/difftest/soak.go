@@ -43,6 +43,9 @@ func (r *SoakResult) record(seed uint64, vs ...verdict) {
 //     outlive the segment warmup (its dense frontiers make it the costliest,
 //     so on a quarter of the input) and on odd trials an anchorable one
 //     with spliced witness matches (the prefilter's two-stage path proper);
+//   - on every sixteenth trial it also scans a dense counter-bearing one,
+//     on a quarter of the input: wide and busy enough that sim steps it on
+//     its bitset frontier, counters included;
 //   - the bit-level trial checks bitnfa against the 8-strided automaton;
 //   - one crash-resume cell runs, its engine (nfa, prefilter, dfa) and its
 //     (workers, segments) shape rotating with the trial index, on an input
@@ -59,6 +62,9 @@ func Soak(cfg SoakConfig) SoakResult {
 	for b := range deep.Alphabet {
 		deep.Alphabet[b] = byte(b)
 	}
+	// dense automata are sim's bitset shape: 512 states fill its minimum of
+	// eight frontier words, and hundreds of them stay enabled.
+	dense := GenConfig{States: 512, Density: 0.9, StartFrac: 0.01, ReportFrac: 0.02, Alphabet: deep.Alphabet}
 	for i := 0; i < cfg.Seeds; i++ {
 		seed := cfg.Seed + uint64(i)
 		rng := randx.New(seed)
@@ -74,6 +80,11 @@ func Soak(cfg SoakConfig) SoakResult {
 		} else {
 			a, wit := GenAnchorable(rng.Fork())
 			res.record(seed, check(a, GenAnchorableInput(rng.Fork(), wit, cfg.InputLen), segments, cells)...)
+		}
+		if i%16 == 1 {
+			dense.Counters = 1 + i/16%3
+			a := Generate(rng.Fork(), dense)
+			res.record(seed, check(a, GenInput(rng.Fork(), dense, cfg.InputLen/4), segments, cells)...)
 		}
 
 		ba, bwit := GenerateBit(rng.Fork())

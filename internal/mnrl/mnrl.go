@@ -15,7 +15,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"sort"
+	"strconv"
 
 	"automatazoo/internal/automata"
 	"automatazoo/internal/charset"
@@ -50,19 +50,39 @@ const (
 	modeLatch         = "latch"
 )
 
-func stateName(id automata.StateID) string { return fmt.Sprintf("_%d", id) }
+// stateNames returns the node ID "_<id>" of each of n states, all cut from
+// one string.
+func stateNames(n int) []string {
+	var buf []byte
+	ends := make([]int, n)
+	for i := range ends {
+		buf = strconv.AppendInt(append(buf, '_'), int64(i), 10)
+		ends[i] = len(buf)
+	}
+	all, start := string(buf), 0
+	names := make([]string, n)
+	for i, end := range ends {
+		names[i], start = all[start:end], end
+	}
+	return names
+}
 
 // Export converts an automaton into a Network named id.
 func Export(a *automata.Automaton, id string) *Network {
-	n := &Network{ID: id}
+	names := stateNames(a.NumStates())
+	off, edges := a.CSR()
+	activate := make([]string, len(edges))
+	for i, t := range edges {
+		activate[i] = names[t]
+	}
+	symbolSets := make([]string, len(a.Table().Sets())) // by class handle, once each
+	var buf []byte
+	n := &Network{ID: id, Nodes: make([]Node, 0, a.NumStates())}
 	for i := 0; i < a.NumStates(); i++ {
 		sid := automata.StateID(i)
 		node := Node{
-			ID:       stateName(sid),
-			Activate: []string{},
-		}
-		for _, t := range a.Succ(sid) {
-			node.Activate = append(node.Activate, stateName(t))
+			ID:       names[i],
+			Activate: activate[off[i]:off[i+1]:off[i+1]],
 		}
 		if a.IsReport(sid) {
 			node.Report = true
@@ -79,7 +99,12 @@ func Export(a *automata.Automaton, id string) *Network {
 			}
 		} else {
 			node.Type = typeHState
-			node.SymbolSet = encodeSymbolSet(a.Class(sid))
+			h := a.ClassHandle(sid)
+			if symbolSets[h] == "" {
+				buf = appendSymbolSet(buf[:0], a.Class(sid))
+				symbolSets[h] = string(buf)
+			}
+			node.SymbolSet = symbolSets[h]
 			switch a.Start(sid) {
 			case automata.StartAllInput:
 				node.Enable = enableAlways
@@ -225,30 +250,32 @@ func ReadAutomaton(r io.Reader) (*automata.Automaton, error) {
 	return Import(n)
 }
 
-// encodeSymbolSet renders a charset as an exact, machine-reversible
+// appendSymbolSet appends s rendered as an exact, machine-reversible
 // bracket expression: sorted \xHH atoms and ranges.
-func encodeSymbolSet(s charset.Set) string {
+func appendSymbolSet(dst []byte, s charset.Set) []byte {
 	bs := s.Bytes()
 	if len(bs) == 256 {
-		return "*"
+		return append(dst, '*')
 	}
-	out := "["
+	hex := func(dst []byte, b byte) []byte {
+		return append(dst, '\\', 'x', "0123456789abcdef"[b>>4], "0123456789abcdef"[b&15])
+	}
+	dst = append(dst, '[')
 	for i := 0; i < len(bs); {
 		j := i
 		for j+1 < len(bs) && bs[j+1] == bs[j]+1 {
 			j++
 		}
+		dst = hex(dst, bs[i])
 		if j > i {
-			out += fmt.Sprintf("\\x%02x-\\x%02x", bs[i], bs[j])
-		} else {
-			out += fmt.Sprintf("\\x%02x", bs[i])
+			dst = hex(append(dst, '-'), bs[j])
 		}
 		i = j + 1
 	}
-	return out + "]"
+	return append(dst, ']')
 }
 
-// decodeSymbolSet parses the exact format encodeSymbolSet produces (plus
+// decodeSymbolSet parses the exact format appendSymbolSet produces (plus
 // "*" and "[]").
 func decodeSymbolSet(s string) (charset.Set, error) {
 	var out charset.Set
@@ -291,30 +318,4 @@ func decodeSymbolSet(s string) (charset.Set, error) {
 		out.Add(lo)
 	}
 	return out, nil
-}
-
-// Validate checks structural invariants of a parsed network before import:
-// unique ids, known node types, resolvable connections. Import also
-// enforces these; Validate lets tools report all problems at once.
-func (n *Network) Validate() []error {
-	var errs []error
-	seen := map[string]bool{}
-	for _, node := range n.Nodes {
-		if seen[node.ID] {
-			errs = append(errs, fmt.Errorf("duplicate id %q", node.ID))
-		}
-		seen[node.ID] = true
-		if node.Type != typeHState && node.Type != typeUpCounter {
-			errs = append(errs, fmt.Errorf("node %s: unknown type %q", node.ID, node.Type))
-		}
-	}
-	for _, node := range n.Nodes {
-		for _, to := range node.Activate {
-			if !seen[to] {
-				errs = append(errs, fmt.Errorf("node %s: dangling connection %q", node.ID, to))
-			}
-		}
-	}
-	sort.Slice(errs, func(i, j int) bool { return errs[i].Error() < errs[j].Error() })
-	return errs
 }

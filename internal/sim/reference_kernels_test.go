@@ -12,7 +12,7 @@ import (
 // The kernels of the benchmark's dense_nfa and sparse_nfa workloads.
 var referenceKernels = []string{
 	"Hamming 22x5", "Levenshtein 24x5", "Levenshtein 37x10", "Seq. Match 6w 6p wC",
-	"Seq. Match 6w 10p", "Protomata", "Entity Resolution", "CRISPR CasOT", "AP PRNG 8-sided",
+	"Seq. Match 6w 10p", "Seq. Match 6w 10p wC", "Protomata", "Entity Resolution", "CRISPR CasOT", "AP PRNG 8-sided",
 	"Snort", "ClamAV", "YARA", "YARA Wide", "File Carving", "Brill",
 }
 

@@ -270,7 +270,7 @@ var refModes = []refMode{
 
 func (m refMode) apply(e *Engine) {
 	e.enterAt, e.leaveAt = m.enterAt, m.leaveAt
-	if m.pin && e.ctr == nil && !e.dense {
+	if m.pin && !e.dense {
 		e.enterBits()
 	}
 }
@@ -408,8 +408,8 @@ func compareMode(a *automata.Automaton, input []byte, seed int64, m refMode, hoo
 // RandomAutomaton draws an automaton of up to 200 states (so several
 // frontier words) over 'a'..'e': start-of-data and all-input starts,
 // reporting states, self-loops, dense fan-out so the bitset engages, and
-// in one automaton of four, latching and rollover counters chained into
-// each other and back into states.
+// in one automaton of four, latching and rollover counters, each pulsed
+// by two states, chained into each other and back into states.
 func RandomAutomaton(rng *rand.Rand) *automata.Automaton {
 	b := automata.NewBuilder()
 	n := 1 + rng.Intn(200)
@@ -449,6 +449,7 @@ func RandomAutomaton(rng *rand.Rand) *automata.Automaton {
 		for k := 1 + rng.Intn(3); k > 0; k-- {
 			c := b.AddCounter(uint32(1+rng.Intn(4)), mode[rng.Intn(2)])
 			b.AddEdge(automata.StateID(rng.Intn(n)), c)
+			b.AddEdge(automata.StateID(rng.Intn(n)), c) // same-cycle pulses coalesce
 			b.AddEdge(c, automata.StateID(rng.Intn(n)))
 			if rng.Intn(2) == 0 {
 				b.SetReport(c, int32(rng.Intn(5)))

@@ -30,10 +30,14 @@
 // Every stream starts on the list. At each 64-symbol block boundary of the
 // stream offset the engine enters the bitset when the block averaged
 // bitsetEnter or more enabled states per frontier word (of at least
-// bitsetMinWords), and leaves it below bitsetLeave. The bitset tables are built on first entry; automata with
-// counters stay on the list. Statistics, snapshots and hooks are identical
-// in both; only within one offset does the bitset emit reports and
-// OnActivate events in ascending state order, which no output depends on.
+// bitsetMinWords), and leaves it below bitsetLeave. The bitset tables are
+// built on first entry. Both steps read one successor layout, split once in
+// New into STE and counter successors: the bitset propagates the STE CSR
+// and pulses counters from a row of the states with counter successors;
+// fired counters enable into whichever frontier is in use. Statistics,
+// snapshots and hooks are identical in both; only within one offset does
+// the bitset emit reports and OnActivate events in ascending state order,
+// which no output depends on.
 package sim
 
 import (
@@ -118,7 +122,9 @@ func (s Stats) ReportRate() float64 {
 // over a block. Break-even is near one (File Carving 0.98× at 1.0, Entity
 // Resolution 1.5× at 2.4); the gap stops flapping. Below 16 enabled states
 // the bitset's fixed cost loses (a 65-state File Carving sub-automaton, 3.6
-// enabled per symbol, ran 25 % slower), hence bitsetMinWords.
+// enabled per symbol, ran 25 % slower), hence bitsetMinWords. Counter
+// automata switch on the same thresholds: a counter is never enabled, so
+// it adds nothing to the count.
 const (
 	blockLen       = 64
 	bitsetEnter    = 2.0
@@ -133,11 +139,16 @@ type Engine struct {
 	a    *automata.Automaton
 	sets []charset.Set    // interned class storage
 	css  []charset.Handle // per-state class handle
-	succ [][]automata.StateID
 
-	isCounter []bool
-	isReport  []bool
-	code      []int32
+	// The successors, split once: state i enables the STEs
+	// edges[off[i]:off[i+1]] (the automaton's own CSR when it has no
+	// counters) and pulses the counters cedges[coff[i]:coff[i+1]] (empty
+	// without counters). Each keeps the automaton's edge order.
+	off, coff     []uint32
+	edges, cedges []automata.StateID
+
+	isReport []bool
+	code     []int32
 
 	startIdx    [256][]automata.StateID // all-input starts matching each byte
 	startOfData []automata.StateID
@@ -207,14 +218,14 @@ type counter struct {
 
 // bitFrontier is the bitset frontier and the rows it is stepped with.
 type bitFrontier struct {
-	class     [256]uint16        // byte → class (charset.Classes)
-	match     []uint64           // row k*words..: states whose class holds class k's bytes
-	starts    []uint64           // all-input starts
-	sodStarts []uint64           // starts plus start-of-data states, for offset 0
-	report    []uint64           // reporting states
-	off       []uint32           // the automaton's CSR successors, with
-	edges     []automata.StateID // off padded to whole words
-	cur, next []uint64           // enabled now; next, all zero between steps
+	class     [256]uint16 // byte → class (charset.Classes)
+	match     []uint64    // row k*words..: states whose class holds class k's bytes
+	starts    []uint64    // all-input starts
+	sodStarts []uint64    // starts plus start-of-data states, for offset 0
+	report    []uint64    // reporting states
+	pulse     []uint64    // states with counter successors; nil without counters
+	off       []uint32    // Engine.off padded to whole words
+	cur, next []uint64    // enabled now; next, all zero between steps
 }
 
 // New returns an engine for a. The automaton is analyzed once; subsequent
@@ -222,29 +233,27 @@ type bitFrontier struct {
 func New(a *automata.Automaton) *Engine {
 	n := a.NumStates()
 	e := &Engine{
-		a:         a,
-		sets:      a.Table().Sets(),
-		css:       make([]charset.Handle, n),
-		succ:      make([][]automata.StateID, n),
-		isCounter: make([]bool, n),
-		isReport:  make([]bool, n),
-		code:      make([]int32, n),
-		mark:      make([]uint32, n),
-		amark:     make([]uint32, n),
-		enterAt:   bitsetEnter,
-		leaveAt:   bitsetLeave,
+		a:        a,
+		sets:     a.Table().Sets(),
+		css:      make([]charset.Handle, n),
+		isReport: make([]bool, n),
+		code:     make([]int32, n),
+		mark:     make([]uint32, n),
+		amark:    make([]uint32, n),
+		enterAt:  bitsetEnter,
+		leaveAt:  bitsetLeave,
 	}
+	e.off, e.edges = a.CSR()
 	if a.NumCounters() > 0 {
 		e.ctr = make([]counter, n)
+		e.off, e.edges, e.coff, e.cedges = splitSucc(a)
 	}
 	for i := 0; i < n; i++ {
 		id := automata.StateID(i)
 		e.css[id] = a.ClassHandle(id)
-		e.succ[id] = a.Succ(id)
 		e.isReport[id] = a.IsReport(id)
 		e.code[id] = a.ReportCode(id)
 		if a.Kind(id) == automata.KindCounter {
-			e.isCounter[id] = true
 			e.ctr[id].cfg, _ = a.CounterConfig(id)
 			e.counters = append(e.counters, id)
 		}
@@ -266,9 +275,26 @@ func New(a *automata.Automaton) *Engine {
 	return e
 }
 
-// newBitFrontier builds the bitset tables of e's automaton, which has no
-// counters: one match row per byte class, and the start, start-of-data
-// and report rows.
+// splitSucc splits a's CSR into its STE successors and its counter
+// successors.
+func splitSucc(a *automata.Automaton) (off []uint32, edges []automata.StateID, coff []uint32, cedges []automata.StateID) {
+	n := a.NumStates()
+	off, coff = make([]uint32, n+1), make([]uint32, n+1)
+	for i := range n {
+		for _, t := range a.Succ(automata.StateID(i)) {
+			if a.Kind(t) == automata.KindCounter {
+				cedges = append(cedges, t)
+			} else {
+				edges = append(edges, t)
+			}
+		}
+		off[i+1], coff[i+1] = uint32(len(edges)), uint32(len(cedges))
+	}
+	return off, edges, coff, cedges
+}
+
+// newBitFrontier builds the bitset tables of e's automaton: one match row
+// per byte class, and the start, start-of-data, report and pulse rows.
 func newBitFrontier(e *Engine) *bitFrontier {
 	n := len(e.css)
 	words := (n + 63) / 64
@@ -280,10 +306,11 @@ func newBitFrontier(e *Engine) *bitFrontier {
 		cur:       make([]uint64, words),
 		next:      make([]uint64, words),
 	}
-	var off []uint32
-	off, f.edges = e.a.CSR()
-	for i := copy(f.off, off); i < len(f.off); i++ {
-		f.off[i] = off[n]
+	for i := copy(f.off, e.off); i < len(f.off); i++ {
+		f.off[i] = e.off[n]
+	}
+	if e.ctr != nil {
+		f.pulse = make([]uint64, words)
 	}
 	seen := make([]bool, len(e.sets))
 	var reps []byte
@@ -307,6 +334,9 @@ func newBitFrontier(e *Engine) *bitFrontier {
 		}
 		if e.isReport[i] {
 			f.report[i>>6] |= bit
+		}
+		if e.ctr != nil && e.coff[i+1] > e.coff[i] {
+			f.pulse[i>>6] |= bit
 		}
 	}
 	for _, s := range e.a.Starts() {
@@ -542,12 +572,11 @@ func (e *Engine) activate(id automata.StateID) {
 	if e.isReport[id] {
 		e.emit(id)
 	}
-	for _, t := range e.succ[id] {
-		if e.isCounter[t] {
-			e.pulse(t)
-		} else {
-			e.enable(t)
-		}
+	for _, t := range e.edges[e.off[id]:e.off[id+1]] {
+		e.enable(t)
+	}
+	if e.ctr != nil {
+		e.pulseSucc(id)
 	}
 }
 
@@ -570,15 +599,16 @@ func (e *Engine) activateTelemetry(id automata.StateID) {
 	}
 }
 
-// pulse delivers a count-enable to a counter (at most one increment per
-// counter per cycle, per the AP model).
-func (e *Engine) pulse(id automata.StateID) {
-	if e.ctr[id].pulsed {
-		return
+// pulseSucc delivers a count-enable to each counter successor of id: at
+// most one per counter per cycle, per the AP model.
+func (e *Engine) pulseSucc(id automata.StateID) {
+	for _, t := range e.cedges[e.coff[id]:e.coff[id+1]] {
+		if !e.ctr[t].pulsed {
+			e.ctr[t].pulsed = true
+			e.pulsed = append(e.pulsed, t)
+			e.stats.CounterPulses++
+		}
 	}
-	e.ctr[id].pulsed = true
-	e.pulsed = append(e.pulsed, id)
-	e.stats.CounterPulses++
 }
 
 // fireCounters resolves end-of-cycle counter increments.
@@ -589,8 +619,9 @@ func (e *Engine) pulse(id automata.StateID) {
 // counters all coalesce into that one increment. Resolution seeds from the
 // pulsed set in ascending element-ID order and cascades FIFO: a counter
 // reaching its target fires (reports, enables STE successors for the next
-// symbol) and delivers a same-cycle count-enable to its counter successors,
-// which obey the one-increment rule, the latch, and their own thresholds.
+// symbol, into whichever frontier Step is building) and delivers a
+// same-cycle count-enable to its counter successors, which obey the
+// one-increment rule, the latch, and their own thresholds.
 // The coalescing rule makes the outcome independent of resolution order
 // (and bounds the cascade: each counter is processed at most once per
 // cycle); the sorted seed makes the report sequence canonical.
@@ -604,10 +635,9 @@ func (e *Engine) fireCounters() {
 	if len(e.pulsed) == 0 {
 		return
 	}
-	queue := e.pulsed
-	slices.Sort(queue)
-	for i := 0; i < len(queue); i++ {
-		id := queue[i]
+	slices.Sort(e.pulsed)
+	for i := 0; i < len(e.pulsed); i++ {
+		id := e.pulsed[i]
 		c := &e.ctr[id]
 		if c.latched {
 			continue // a latched counter ignores count-enables until Reset
@@ -621,17 +651,14 @@ func (e *Engine) fireCounters() {
 		if e.isReport[id] {
 			e.emit(id)
 		}
-		for _, t := range e.succ[id] {
-			if e.isCounter[t] {
-				if !e.ctr[t].pulsed {
-					e.ctr[t].pulsed = true
-					e.stats.CounterPulses++
-					queue = append(queue, t)
-				}
+		for _, t := range e.edges[e.off[id]:e.off[id+1]] {
+			if e.dense {
+				e.bf.next[t>>6] |= 1 << (t & 63)
 			} else {
 				e.enable(t)
 			}
 		}
+		e.pulseSucc(id)
 		if c.cfg.Mode == automata.CountRollover {
 			c.val = 0
 		} else {
@@ -639,10 +666,10 @@ func (e *Engine) fireCounters() {
 			c.val = c.cfg.Target
 		}
 	}
-	for _, id := range queue {
+	for _, id := range e.pulsed {
 		e.ctr[id].pulsed = false
 	}
-	e.pulsed = queue[:0]
+	e.pulsed = e.pulsed[:0]
 }
 
 // Step consumes one input symbol.
@@ -702,12 +729,8 @@ func (e *Engine) advance() {
 }
 
 // chooseFrontier switches representation by the block's mean enabled
-// states per frontier word (see bitsetEnter). Automata with counters stay
-// on the list.
+// states per frontier word (see bitsetEnter).
 func (e *Engine) chooseFrontier() {
-	if e.ctr != nil {
-		return
-	}
 	syms := e.stats.Symbols - e.blockSyms
 	words := max((len(e.css)+63)/64, bitsetMinWords)
 	perWord := float64(e.stats.Enabled-e.blockEnabled) / float64(syms) / float64(words)
@@ -775,7 +798,10 @@ func (e *Engine) stepBits(b byte) {
 		e.stats.Enabled += int64(len(e.startOfData))
 	}
 	starts, report, next := starts[:words], f.report[:words], next[:words]
-	edges := f.edges
+	if f.pulse != nil {
+		e.pulseBits(cur, starts, match)
+	}
+	edges := e.edges
 	hooked := e.telemetryOn || e.led != nil
 	enabled, active := 0, 0
 	for w, x := range cur {
@@ -803,8 +829,21 @@ func (e *Engine) stepBits(b byte) {
 	}
 	e.stats.Enabled += int64(enabled)
 	e.stats.Active += int64(active)
+	e.fireCounters()
 	f.cur, f.next = next, cur
 	e.advance()
+}
+
+// pulseBits delivers the count-enables of this symbol's active states
+// that have counter successors. It is a pass of its own, taken only with
+// counters, so that the step of a counter-free automaton pays nothing for
+// them.
+func (e *Engine) pulseBits(cur, starts, match []uint64) {
+	for w, p := range e.bf.pulse {
+		for p &= (cur[w] | starts[w]) & match[w]; p != 0; p &= p - 1 {
+			e.pulseSucc(automata.StateID(w<<6 | bits.TrailingZeros64(p)))
+		}
+	}
 }
 
 // activateWord runs the per-activation hooks and reports of the active
@@ -910,7 +949,7 @@ func (e *Engine) RestoreState(s *StreamState) error {
 		}
 	}
 	for _, c := range s.Counters {
-		if int(c.ID) >= len(e.isCounter) || !e.isCounter[c.ID] {
+		if int(c.ID) >= len(e.mark) || e.a.Kind(c.ID) != automata.KindCounter {
 			return fmt.Errorf("sim: RestoreState: state %d is not a counter", c.ID)
 		}
 	}

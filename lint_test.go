@@ -908,7 +908,6 @@ func use(t a.T) { t.M(); _ = strings.N }`,
 		"internal/automata.Builder.ClearReport": "dead (TestSetStartAndClassMutation)",
 		"internal/automata.Builder.SetClass":    "dead (TestSetStartAndClassMutation)",
 		"internal/brill.Apply":                  "dead (TestApply): no experiment applies the located corrections",
-		"internal/mnrl.Network.Validate":        "dead (TestValidate): import enforces the same invariants",
 		"internal/snort.ParseRule":              "dead (TestParseRuleErrors): the generator emits rules already parsed",
 		"internal/yara.ParseRules":              "dead (TestParseRules): the generator emits rules already parsed",
 	}
