@@ -26,19 +26,30 @@ import (
 // what it printed alongside f's error.
 func captureStdout(t *testing.T, f func() error) (string, error) {
 	t.Helper()
+	return capture(t, &os.Stdout, f)
+}
+
+// captureStderr is captureStdout for os.Stderr.
+func captureStderr(t *testing.T, f func() error) (string, error) {
+	t.Helper()
+	return capture(t, &os.Stderr, f)
+}
+
+func capture(t *testing.T, file **os.File, f func() error) (string, error) {
+	t.Helper()
 	r, w, err := os.Pipe()
 	if err != nil {
 		t.Fatal(err)
 	}
-	saved := os.Stdout
-	os.Stdout = w
+	saved := *file
+	*file = w
 	out := make(chan string)
 	go func() {
 		b, _ := io.ReadAll(r)
 		out <- string(b)
 	}()
 	ferr := f()
-	os.Stdout = saved
+	*file = saved
 	w.Close()
 	return <-out, ferr
 }

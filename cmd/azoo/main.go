@@ -29,9 +29,8 @@
 // Prometheus text exposition (/metrics), and live heartbeat state
 // (/progress); -progress <interval> prints per-kernel heartbeats to
 // stderr; -stall-after <duration> arms a watchdog that trips the run and
-// dumps a flight-recorder postmortem when a kernel stops heartbeating;
-// -postmortem <file> overrides the dump path (default
-// <report>.postmortem.ndjson). See EXPERIMENTS.md ("Live ops").
+// prints every goroutine's stack to stderr when a kernel stops
+// heartbeating. See EXPERIMENTS.md ("Live ops").
 //
 // Crash safety: run -checkpoint persists a durable, checksummed
 // checkpoint of the scan (engine continuation, report cursor, metrics,
@@ -42,8 +41,8 @@
 // engine's transition-cache line, which describes the resumed process
 // only (its cache restarts cold). SIGINT/SIGTERM on a checkpointed or
 // telemetry-active run trip the governor's graceful drain: engines stop
-// at their next chunk boundary, a final checkpoint and postmortem are
-// saved, the truncated manifest is written, and the process exits 3
+// at their next chunk boundary, a final checkpoint is saved, the
+// truncated manifest is written, and the process exits 3
 // (truncated) — a second signal forces immediate exit. See
 // EXPERIMENTS.md ("Surviving a kill -9").
 //

@@ -2,7 +2,10 @@ package main
 
 import (
 	"encoding/json"
+	"errors"
 	"os"
+	"os/exec"
+	"strings"
 	"testing"
 
 	"automatazoo/internal/difftest"
@@ -20,6 +23,28 @@ func TestRetiredCommandsAreUsageErrors(t *testing.T) {
 		if code := run(); code != exitUsage {
 			t.Errorf("azoo %s: exit %d, want %d (usage)", name, code, exitUsage)
 		}
+	}
+}
+
+// The retired -postmortem flag is an unknown flag now: run's flag set
+// rejects it with usage on stderr and exit 2 before any scan. The flag
+// set exits the process itself, so the command runs in a child copy of
+// the test binary (the helper-process idiom of os/exec's own tests).
+func TestRetiredPostmortemFlagIsUsageError(t *testing.T) {
+	if os.Getenv("AZOO_TEST_HELPER_PROCESS") == "1" {
+		os.Args = []string{"azoo", "run", "-bench", "Snort", "-scale", "0.01", "-input", "4096", "-postmortem", "x"}
+		os.Exit(run())
+	}
+	cmd := exec.Command(os.Args[0], "-test.run=^TestRetiredPostmortemFlagIsUsageError$")
+	cmd.Env = append(os.Environ(), "AZOO_TEST_HELPER_PROCESS=1")
+	cmd.Dir = t.TempDir()
+	out, err := cmd.CombinedOutput()
+	var ee *exec.ExitError
+	if !errors.As(err, &ee) || ee.ExitCode() != exitUsage {
+		t.Fatalf("azoo run -postmortem x: %v, want exit %d (usage)\n%s", err, exitUsage, out)
+	}
+	if !strings.Contains(string(out), "flag provided but not defined: -postmortem") {
+		t.Errorf("stderr does not name the unknown flag:\n%s", out)
 	}
 }
 

@@ -2,18 +2,14 @@ package main
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"flag"
 	"fmt"
-	"io"
 	"net"
 	"net/http"
 	"net/http/pprof"
 	"os"
 	"os/signal"
-	"sync"
-	"sync/atomic"
 	"syscall"
 	"time"
 
@@ -28,55 +24,49 @@ import (
 
 // telFlags is the observability flag set shared by run, resume and the
 // table commands: -trace, -trace-sample, -metrics, -debug-addr, -report,
-// plus the live-ops flags -progress, -stall-after, and -postmortem.
+// plus the live-ops flags -progress and -stall-after.
 type telFlags struct {
-	trace      *string
-	sample     *int64
-	metrics    *string
-	debug      *string
-	report     *string
-	progress   *time.Duration
-	stall      *time.Duration
-	postmortem *string
+	trace    *string
+	sample   *int64
+	metrics  *string
+	debug    *string
+	report   *string
+	progress *time.Duration
+	stall    *time.Duration
 }
 
 func telemetryFlags(fs *flag.FlagSet) *telFlags {
 	return &telFlags{
-		trace:      fs.String("trace", "", "write an NDJSON event trace to this file (see internal/telemetry doc.go for the schema)"),
-		sample:     fs.Int64("trace-sample", 1, "record symbol/activate trace events only for offsets divisible by N (reports and cache events are always recorded)"),
-		metrics:    fs.String("metrics", "", "write a metrics-registry JSON snapshot to this file on completion"),
-		debug:      fs.String("debug-addr", "", "serve net/http/pprof, Prometheus (/metrics), and live progress (/progress) on this address, e.g. localhost:6060"),
-		report:     fs.String("report", "", "write a run-report manifest (JSON: environment, kernel rows, phase spans, metrics) to this file"),
-		progress:   fs.Duration("progress", 0, "print per-kernel progress heartbeats (bytes, rate, active set, ETA) to stderr at this interval (0 = off)"),
-		stall:      fs.Duration("stall-after", 0, "declare a stall and dump a postmortem when a kernel heartbeats nothing for this long (0 = off)"),
-		postmortem: fs.String("postmortem", "", "flight-recorder NDJSON dump path on trip/panic/stall (default <report>.postmortem.ndjson when -report is set)"),
+		trace:    fs.String("trace", "", "write an NDJSON event trace to this file (see internal/telemetry doc.go for the schema)"),
+		sample:   fs.Int64("trace-sample", 1, "record symbol/activate trace events only for offsets divisible by N (reports and cache events are always recorded)"),
+		metrics:  fs.String("metrics", "", "write a metrics-registry JSON snapshot to this file on completion"),
+		debug:    fs.String("debug-addr", "", "serve net/http/pprof, Prometheus (/metrics), and live progress (/progress) on this address, e.g. localhost:6060"),
+		report:   fs.String("report", "", "write a run-report manifest (JSON: environment, kernel rows, phase spans, metrics) to this file"),
+		progress: fs.Duration("progress", 0, "print per-kernel progress heartbeats (bytes, rate, active set, ETA) to stderr at this interval (0 = off)"),
+		stall:    fs.Duration("stall-after", 0, "stop the run (exit 3) and print every goroutine's stack to stderr when a kernel heartbeats nothing for this long (0 = off)"),
 	}
 }
 
 // obsSession is one command's activated telemetry: the hook bundle built
-// from the flags — registry, trace sink, phase-span collector, governor
-// and flight recorder (Progress is per kernel, see hooks) — plus where
-// its artifacts go. Close writes the metrics snapshot and the run-report
-// manifest and flushes the trace.
+// from the flags — registry, trace sink, phase-span collector and
+// governor (Progress is per kernel, see hooks) — plus where its artifacts
+// go. Close writes the metrics snapshot and the run-report manifest and
+// flushes the trace.
 type obsSession struct {
 	stats.Hooks
 	traceFile   *telemetry.NDJSON // Tracer's concrete sink, for Close
 	metricsPath string
 	reportPath  string
 
-	// Live-ops surface: the progress aggregator and flight recorder exist
-	// whenever the session is active; the watchdog and stderr ticker only
-	// when their flags armed them.
+	// Live-ops surface: the progress aggregator exists whenever the
+	// session is active; the watchdog and stderr ticker only when their
+	// flags armed them.
 	prog       *telemetry.Progress
 	watchdog   *telemetry.Watchdog
 	sigStop    func()
 	tickStop   chan struct{}
 	tickDone   chan struct{}
 	stallAfter time.Duration
-	pmPath     string
-	pmOnce     sync.Once
-	pmWritten  atomic.Bool
-	crashRec   bool // parallel.SetCrashRecorder installed; uninstall on Close
 
 	// Manifest contents accumulated by the command via setReport.
 	command  string
@@ -97,17 +87,10 @@ type obsSession struct {
 func (tf *telFlags) session() (*obsSession, error) {
 	s := &obsSession{metricsPath: *tf.metrics, reportPath: *tf.report, stallAfter: *tf.stall}
 	active := *tf.metrics != "" || *tf.debug != "" || *tf.trace != "" || *tf.report != "" ||
-		*tf.progress > 0 || *tf.stall > 0 || *tf.postmortem != ""
+		*tf.progress > 0 || *tf.stall > 0
 	if active {
 		s.Registry = telemetry.NewRegistry()
 		s.prog = telemetry.NewProgress()
-		s.Recorder = telemetry.NewFlightRecorder(telemetry.DefaultFlightRecorderSize)
-		parallel.SetCrashRecorder(s.Recorder)
-		s.crashRec = true
-	}
-	s.pmPath = *tf.postmortem
-	if s.pmPath == "" && *tf.report != "" {
-		s.pmPath = *tf.report + ".postmortem.ndjson"
 	}
 	if *tf.report != "" {
 		s.Spans = telemetry.NewSpans()
@@ -181,10 +164,11 @@ func printProgress(p *telemetry.Progress) {
 }
 
 // armWatchdog starts the stall watchdog when -stall-after is set. Called
-// after the governor is attached: on a stall the watchdog dumps the
-// postmortem and trips the governor, which releases workers parked at
-// their next boundary check. A -stall-after with no budgets still needs a
-// governor to trip, so one is created with an empty budget in that case.
+// after the governor is attached: on a stall the watchdog names the quiet
+// kernel, prints every goroutine's stack to stderr and trips the
+// governor, which releases workers parked at their next boundary check.
+// A -stall-after with no budgets still needs a governor to trip, so one
+// is created with an empty budget in that case.
 func (s *obsSession) armWatchdog() {
 	if s == nil || s.stallAfter <= 0 || s.prog == nil {
 		return
@@ -194,10 +178,8 @@ func (s *obsSession) armWatchdog() {
 	}
 	quiet := s.stallAfter
 	s.watchdog = telemetry.NewWatchdog(s.prog, quiet, func(r telemetry.StallReport) {
-		fmt.Fprintf(os.Stderr, "azoo: stall: %q produced no heartbeat for %v\n",
-			r.Component, time.Duration(r.QuietNanos))
-		s.Recorder.Record(telemetry.RecStall, 0, r.Component, r.QuietNanos)
-		s.writePostmortem("stall", &r, nil)
+		fmt.Fprintf(os.Stderr, "azoo: stall: %q produced no heartbeat for %v; goroutine stacks:\n%s",
+			r.Component, time.Duration(r.QuietNanos), r.Stacks)
 		s.Governor.TripStalled(r.Component, quiet)
 	})
 	s.watchdog.Start()
@@ -206,8 +188,8 @@ func (s *obsSession) armWatchdog() {
 // armSignals routes SIGINT/SIGTERM through the governor's graceful-drain
 // path: the first signal trips the governor, engines stop at their next
 // chunk boundary, and the command's trip handling writes the final
-// checkpoint, the postmortem, and the truncated manifest before exiting
-// 3 (truncated); a second signal forces immediate exit. Armed when the
+// checkpoint and the truncated manifest before exiting 3 (truncated); a
+// second signal forces immediate exit. Armed when the
 // run has something to drain into — an active governor or telemetry
 // session — or unconditionally with force (checkpointed scans and
 // resume). Idempotent; Close stops the handler.
@@ -242,51 +224,6 @@ func (s *obsSession) armSignals(force bool) {
 		signal.Stop(ch)
 		close(done)
 	}
-}
-
-// writePostmortem dumps the flight recorder, the live registry snapshot,
-// and (for stalls and panics) the captured goroutine stacks to the
-// postmortem NDJSON file. At most one postmortem is written per session;
-// the manifest links it via the postmortem field.
-func (s *obsSession) writePostmortem(reason string, stall *telemetry.StallReport, panicStack []byte) {
-	if s == nil || s.pmPath == "" {
-		return
-	}
-	s.pmOnce.Do(func() {
-		// Atomic (write-temp + rename): a crash mid-dump leaves no
-		// truncated-but-parseable postmortem behind.
-		err := atomicio.WriteFile(s.pmPath, func(f io.Writer) error {
-			fmt.Fprintf(f, "{\"ev\":\"postmortem\",\"schema\":1,\"reason\":%q}\n", reason)
-			if s.Recorder != nil {
-				if err := s.Recorder.WriteNDJSON(f); err != nil {
-					return err
-				}
-			}
-			if s.Registry != nil {
-				snap, err := json.Marshal(s.Registry.Snapshot())
-				if err == nil {
-					fmt.Fprintf(f, "{\"ev\":\"registry\",\"snapshot\":%s}\n", snap)
-				}
-			}
-			if stall != nil {
-				fmt.Fprintf(f, "{\"ev\":\"stall\",\"component\":%q,\"quiet_nanos\":%d}\n",
-					stall.Component, stall.QuietNanos)
-				stacks, _ := json.Marshal(string(stall.Stacks))
-				fmt.Fprintf(f, "{\"ev\":\"stacks\",\"stacks\":%s}\n", stacks)
-			}
-			if panicStack != nil {
-				stacks, _ := json.Marshal(string(panicStack))
-				fmt.Fprintf(f, "{\"ev\":\"panic_stack\",\"stacks\":%s}\n", stacks)
-			}
-			return nil
-		})
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "azoo: postmortem:", err)
-			return
-		}
-		s.pmWritten.Store(true)
-		fmt.Fprintf(os.Stderr, "azoo: wrote postmortem to %s\n", s.pmPath)
-	})
 }
 
 // hooks returns the session's hook bundle for one named kernel: the
@@ -336,18 +273,13 @@ func (s *obsSession) setTruncated(trip *guard.TripError) {
 }
 
 // closeTruncated finishes a command whose experiment returned err under a
-// governor: a budget trip is recorded on the manifest (with a postmortem
-// dump) and the session is closed (writing the flagged manifest) before
-// the error propagates to main's exit-code mapping. A worker panic also
-// dumps a postmortem — the crash recorder captured the stack at the
-// recover site — and writes the (non-truncated) manifest. Other errors
-// pass through untouched.
+// governor: a budget trip is recorded on the manifest and the session is
+// closed (writing the flagged manifest) before the error propagates to
+// main's exit-code mapping. A worker panic prints the stack captured at
+// the recover site to stderr and writes the (non-truncated) manifest.
+// Other errors pass through untouched.
 func (s *obsSession) closeTruncated(err error) error {
 	if trip := guard.AsTrip(err); trip != nil {
-		if s != nil && s.Recorder != nil {
-			s.Recorder.Record(telemetry.RecTrip, 0, trip.Budget, trip.Actual)
-		}
-		s.writePostmortem("trip", nil, nil)
 		s.setTruncated(trip)
 		if cerr := s.Close(); cerr != nil {
 			fmt.Fprintln(os.Stderr, "azoo:", cerr)
@@ -356,7 +288,7 @@ func (s *obsSession) closeTruncated(err error) error {
 	}
 	var pe *parallel.PanicError
 	if errors.As(err, &pe) {
-		s.writePostmortem("panic", nil, pe.Stack)
+		fmt.Fprintf(os.Stderr, "azoo: stack of panicked item %d:\n%s", pe.Index, pe.Stack)
 		if cerr := s.Close(); cerr != nil {
 			fmt.Fprintln(os.Stderr, "azoo:", cerr)
 		}
@@ -366,8 +298,7 @@ func (s *obsSession) closeTruncated(err error) error {
 
 // Close flushes the trace and writes the metrics snapshot and the
 // run-report manifest. Live-ops teardown happens first: the watchdog and
-// progress ticker stop, and the process-wide crash recorder slot is
-// released.
+// progress ticker stop.
 func (s *obsSession) Close() error {
 	if s == nil {
 		return nil
@@ -384,10 +315,6 @@ func (s *obsSession) Close() error {
 		close(s.tickStop)
 		<-s.tickDone
 		s.tickStop = nil
-	}
-	if s.crashRec {
-		parallel.SetCrashRecorder(nil)
-		s.crashRec = false
 	}
 	var first error
 	if s.traceFile != nil {
@@ -415,9 +342,6 @@ func (s *obsSession) Close() error {
 			Truncated:     s.truncated,
 			TrippedBudget: s.trippedBudget,
 			Attribution:   s.attrRows,
-		}
-		if s.pmWritten.Load() {
-			m.Postmortem = s.pmPath
 		}
 		if s.Registry != nil {
 			snap := s.Registry.Snapshot()

@@ -3,6 +3,7 @@ package main
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"flag"
 	"maps"
 	"os"
@@ -12,6 +13,7 @@ import (
 	"testing"
 
 	"automatazoo/internal/guard"
+	"automatazoo/internal/parallel"
 	"automatazoo/internal/report"
 	"automatazoo/internal/telemetry"
 )
@@ -31,11 +33,10 @@ func newTestSession(t *testing.T, args ...string) *obsSession {
 	return sess
 }
 
-// TestCloseTruncatedWritesManifestAndPostmortem drives the trip-then-
-// report path end to end: a budget trip through closeTruncated must write
-// a manifest flagged truncated, naming the tripped budget, and linking a
-// postmortem NDJSON dump that holds the flight-recorder contents.
-func TestCloseTruncatedWritesManifestAndPostmortem(t *testing.T) {
+// TestCloseTruncatedWritesManifest drives the trip-then-report path: a
+// budget trip through closeTruncated must write a manifest flagged
+// truncated and naming the tripped budget, and nothing beside it.
+func TestCloseTruncatedWritesManifest(t *testing.T) {
 	dir := t.TempDir()
 	rpt := filepath.Join(dir, "manifest.json")
 	sess := newTestSession(t, "-report", rpt)
@@ -59,25 +60,17 @@ func TestCloseTruncatedWritesManifestAndPostmortem(t *testing.T) {
 	if !m.Truncated || m.TrippedBudget != guard.BudgetInputBytes {
 		t.Errorf("manifest truncation: %v %q", m.Truncated, m.TrippedBudget)
 	}
-	wantPM := rpt + ".postmortem.ndjson"
-	if m.Postmortem != wantPM {
-		t.Fatalf("manifest postmortem = %q, want %q", m.Postmortem, wantPM)
+	if m.Metrics == nil {
+		t.Error("truncated manifest carries no metrics snapshot")
 	}
-	pm, rerr := os.ReadFile(wantPM)
-	if rerr != nil {
-		t.Fatal(rerr)
-	}
-	for _, want := range []string{`"ev":"postmortem"`, `"reason":"trip"`, `"ev":"trip"`, `"ev":"registry"`} {
-		if !strings.Contains(string(pm), want) {
-			t.Errorf("postmortem missing %s:\n%s", want, pm)
-		}
+	if entries, _ := os.ReadDir(dir); len(entries) != 1 {
+		t.Errorf("the trip left %d files, want the manifest alone", len(entries))
 	}
 }
 
 func TestSetTruncatedNilSafe(t *testing.T) {
 	var s *obsSession
 	s.setTruncated(&guard.TripError{Budget: guard.BudgetDeadline})
-	s.writePostmortem("trip", nil, nil)
 	if err := s.closeTruncated(nil); err != nil {
 		t.Fatal(err)
 	}
@@ -92,19 +85,24 @@ func TestSetTruncatedNilSafe(t *testing.T) {
 	}
 }
 
-// TestStallWatchdogEndToEnd is the acceptance test for the live-ops
-// tentpole: an injected stall: fault parks a sim worker mid-run, the
-// watchdog detects the silent heartbeat, dumps a flight-recorder
-// postmortem with goroutine stacks, and trips the governor so the run
-// unwinds as a "stalled" truncation linked from the manifest.
+// TestStallWatchdogEndToEnd: an injected stall: fault parks a sim worker
+// mid-run, the watchdog detects the silent heartbeat, names the quiet
+// kernel and prints every goroutine's stack to stderr, and trips the
+// governor so the run unwinds as a "stalled" truncation (exit 3) with a
+// truncated manifest.
 func TestStallWatchdogEndToEnd(t *testing.T) {
 	dir := t.TempDir()
 	rpt := filepath.Join(dir, "manifest.json")
-	err := cmdRun([]string{
-		"-bench", "Brill", "-scale", "0.01", "-input", "30000", "-j", "1",
-		"-report", rpt,
-		"-faults", "stall:sim.chunk:2",
-		"-stall-after", "150ms",
+	stderr, err := captureStderr(t, func() error {
+		_, err := captureStdout(t, func() error {
+			return cmdRun([]string{
+				"-bench", "Brill", "-scale", "0.01", "-input", "30000", "-j", "1",
+				"-report", rpt,
+				"-faults", "stall:sim.chunk:2",
+				"-stall-after", "150ms",
+			})
+		})
+		return err
 	})
 	trip := guard.AsTrip(err)
 	if trip == nil {
@@ -112,6 +110,9 @@ func TestStallWatchdogEndToEnd(t *testing.T) {
 	}
 	if trip.Budget != guard.BudgetStalled {
 		t.Fatalf("tripped budget = %q, want stalled", trip.Budget)
+	}
+	if exitCode(err) != exitTruncated {
+		t.Errorf("exit code = %d, want %d", exitCode(err), exitTruncated)
 	}
 
 	m, rerr := report.ReadFile(rpt)
@@ -121,25 +122,52 @@ func TestStallWatchdogEndToEnd(t *testing.T) {
 	if !m.Truncated || m.TrippedBudget != guard.BudgetStalled {
 		t.Errorf("manifest: truncated=%v budget=%q", m.Truncated, m.TrippedBudget)
 	}
-	if m.Postmortem == "" {
-		t.Fatal("manifest does not link a postmortem")
+	if !strings.Contains(stderr, `azoo: stall: "Brill" produced no heartbeat`) {
+		t.Errorf("stderr does not name the stalled kernel:\n%s", stderr)
 	}
-	pm, rerr := os.ReadFile(m.Postmortem)
+	if !strings.Contains(stderr, "goroutine ") || !strings.Contains(stderr, "[running]") {
+		t.Errorf("stderr carries no goroutine dump:\n%s", stderr)
+	}
+}
+
+// TestWorkerPanicEndToEnd: an injected panic in a segment task is
+// recovered by parallel.ForEach. The run fails (exit 1), still writes its
+// (not truncated) manifest, and prints the panicking goroutine's stack to
+// stderr.
+func TestWorkerPanicEndToEnd(t *testing.T) {
+	dir := t.TempDir()
+	rpt := filepath.Join(dir, "manifest.json")
+	stderr, err := captureStderr(t, func() error {
+		_, err := captureStdout(t, func() error {
+			return cmdRun([]string{
+				"-bench", "Snort", "-scale", "0.01", "-input", "30000", "-j", "2", "-segments", "3",
+				"-report", rpt,
+				"-faults", "panic:segment.spec:2",
+			})
+		})
+		return err
+	})
+	var pe *parallel.PanicError
+	if !errors.As(err, &pe) {
+		t.Fatalf("cmdRun returned %v, want a worker panic", err)
+	}
+	if _, ok := pe.Value.(guard.InjectedPanic); !ok {
+		t.Fatalf("panic value %v is not the injected fault", pe.Value)
+	}
+	if exitCode(err) != exitRuntime {
+		t.Errorf("exit code = %d, want %d", exitCode(err), exitRuntime)
+	}
+
+	m, rerr := report.ReadFile(rpt)
 	if rerr != nil {
 		t.Fatal(rerr)
 	}
-	body := string(pm)
-	for _, want := range []string{`"reason":"stall"`, `"ev":"stall"`, `"ev":"budget"`, `"ev":"stacks"`} {
-		if !strings.Contains(body, want) {
-			t.Errorf("postmortem missing %s", want)
-		}
+	if m.Truncated || len(m.Kernels) != 1 || m.Kernels[0].Name != "Snort" {
+		t.Errorf("manifest: truncated=%v kernels=%+v", m.Truncated, m.Kernels)
 	}
-	if !strings.Contains(body, "goroutine") {
-		t.Error("postmortem stacks do not look like a goroutine dump")
-	}
-	// Exit-code mapping: a stall is a truncation (exit 3).
-	if exitCode(err) != exitTruncated {
-		t.Errorf("exit code = %d, want %d", exitCode(err), exitTruncated)
+	if !strings.Contains(stderr, "azoo: stack of panicked item") ||
+		!strings.Contains(stderr, "goroutine ") || !strings.Contains(stderr, "guard.(*Governor).Boundary") {
+		t.Errorf("stderr carries no panic stack:\n%s", stderr)
 	}
 }
 

@@ -1,6 +1,6 @@
 // Package atomicio writes run artifacts (checkpoints, report manifests,
-// postmortems, metrics dumps) atomically: content goes to a temp file in
-// the destination directory, is fsynced, and is renamed over the target.
+// metrics dumps) atomically: content goes to a temp file in the
+// destination directory, is fsynced, and is renamed over the target.
 // A crash at any point leaves either the previous complete file or no
 // file — never a truncated-but-parseable artifact. It is the single
 // sanctioned write path for artifacts; the root lint test bans raw

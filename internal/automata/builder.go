@@ -64,20 +64,9 @@ func (b *Builder) SetReport(id StateID, code int32) {
 	b.report[id] = code
 }
 
-// ClearReport removes the reporting flag from state id.
-func (b *Builder) ClearReport(id StateID) {
-	b.flags[id] &^= flagReport
-	b.report[id] = 0
-}
-
 // SetStart changes the start type of state id.
 func (b *Builder) SetStart(id StateID, start StartType) {
 	b.flags[id] = b.flags[id]&^flagStartMask | uint8(start)<<flagStartShift
-}
-
-// SetClass replaces the character class of state id.
-func (b *Builder) SetClass(id StateID, cs charset.Set) {
-	b.css[id] = b.table.Intern(cs)
 }
 
 // Class returns the current character class of state id.

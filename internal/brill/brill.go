@@ -162,22 +162,3 @@ func Corpus(n int, rules []Rule, plantEvery int, seed uint64) []Token {
 	}
 	return tokens[:n]
 }
-
-// Apply runs one correction pass: every located site's token is retagged.
-// It returns the corrected tokens and the number of corrections, and is
-// the full-kernel counterpart the automata reports drive.
-func Apply(tokens []Token, rules []Rule, siteRule map[int]int) ([]Token, int) {
-	out := append([]Token(nil), tokens...)
-	n := 0
-	for idx, rid := range siteRule {
-		if idx < 0 || idx >= len(out) || rid < 0 || rid >= len(rules) {
-			continue
-		}
-		r := rules[rid]
-		if out[idx].Tag == r.FromTag && out[idx].Word == r.Word {
-			out[idx].Tag = r.ToTag
-			n++
-		}
-	}
-	return out, n
-}

@@ -113,23 +113,6 @@ func TestCorpusPlantsSites(t *testing.T) {
 	}
 }
 
-func TestApply(t *testing.T) {
-	rules := []Rule{{ID: 0, PrevTag: 1, FromTag: 2, ToTag: 3, Word: "abc"}}
-	tokens := []Token{
-		{Word: "x", Tag: 1},
-		{Word: "abc", Tag: 2},
-	}
-	out, n := Apply(tokens, rules, map[int]int{1: 0})
-	if n != 1 || out[1].Tag != 3 {
-		t.Fatalf("apply failed: n=%d tag=%d", n, out[1].Tag)
-	}
-	// Mismatched site is skipped.
-	_, n = Apply(tokens, rules, map[int]int{0: 0})
-	if n != 0 {
-		t.Fatalf("bogus site applied: %d", n)
-	}
-}
-
 func TestEncodeLayout(t *testing.T) {
 	b := Encode([]Token{{Word: "hi", Tag: 4}})
 	want := []byte{TagByte(4), 'h', 'i', Sep}

@@ -8,7 +8,6 @@ import (
 	"automatazoo/internal/atomicio"
 	"automatazoo/internal/guard"
 	"automatazoo/internal/hooks"
-	"automatazoo/internal/telemetry"
 )
 
 // Retry policy for transient checkpoint-I/O failures: capped exponential
@@ -43,14 +42,13 @@ type Saver struct {
 	// (internal/scan) sets it; it must flush engine telemetry and commit
 	// ledgers so the snapshot covers every byte scanned.
 	Capture func() (*Checkpoint, error)
-	// Set is the run's hook bundle; the saver uses three of its sinks.
+	// Set is the run's hook bundle; the saver uses two of its sinks.
 	// Governor supplies fault injection (crash/ioerr rules) and budget
 	// remainders. Registry receives the ckpt.* counters (exposed as
 	// azoo_ckpt_* Prometheus families); ckpt.saves is incremented before
 	// Capture so the persisted registry snapshot counts the in-progress
 	// save — the accounting that keeps a resumed run's final counter
-	// equal to the uninterrupted run's. Recorder logs RecCheckpoint events
-	// (save / retry / disable) for postmortem dumps.
+	// equal to the uninterrupted run's.
 	hooks.Set
 	// MaxRetries bounds write retries per save (0 = DefaultMaxRetries).
 	MaxRetries int
@@ -148,9 +146,6 @@ func (s *Saver) save(reason string) error {
 			if s.Registry != nil {
 				s.Registry.Counter("ckpt.retries").Add(1)
 			}
-			if s.Recorder != nil {
-				s.Recorder.Record(telemetry.RecCheckpoint, 0, "retry", int64(attempt))
-			}
 			sleep(backoff)
 			backoff *= 2
 			if backoff > backoffCap {
@@ -158,9 +153,6 @@ func (s *Saver) save(reason string) error {
 			}
 		}
 		if lastErr = s.writeOnce(data); lastErr == nil {
-			if s.Recorder != nil {
-				s.Recorder.Record(telemetry.RecCheckpoint, 0, "save", c.Cursor.Offset)
-			}
 			return nil
 		}
 	}
@@ -169,9 +161,6 @@ func (s *Saver) save(reason string) error {
 	s.disabled = true
 	if s.Registry != nil {
 		s.Registry.Gauge("ckpt.disabled").Set(1)
-	}
-	if s.Recorder != nil {
-		s.Recorder.Record(telemetry.RecCheckpoint, 0, "disable", int64(maxRetries))
 	}
 	msg := fmt.Sprintf("azoo: warning: checkpointing disabled after %d failed attempts (%s save): %v; the scan continues WITHOUT crash safety",
 		maxRetries+1, reason, lastErr)

@@ -407,7 +407,6 @@ func (e *Engine) fallBack(c *component, ci int, seed []automata.StateID, trace b
 	if trace && e.h.Tracer != nil {
 		e.h.Tracer.OnCacheEvent(e.offset, ci, telemetry.CacheEviction)
 	}
-	e.recordDegrade(ci, int64(c.numDstates()))
 	e.ledgerDegrade(ci, int64(c.numDstates()))
 	c.frontier = append(c.frontier[:0], seed...)
 	if c.freeBytes {
@@ -656,18 +655,6 @@ func (e *Engine) ledgerDegrade(ci int, evicted int64) {
 	e.led.AddFallback(e.ledSlot[ci])
 }
 
-// recordDegrade logs a component degradation (eviction + fallback) to the
-// attached flight recorder, if any.
-func (e *Engine) recordDegrade(ci int, evicted int64) {
-	if e.h.Recorder == nil {
-		return
-	}
-	if evicted > 0 {
-		e.h.Recorder.Record(telemetry.RecEvict, ci, guard.SiteDFAConstruct, evicted)
-	}
-	e.h.Recorder.Record(telemetry.RecFallback, ci, guard.SiteDFAConstruct, 0)
-}
-
 // flushStats publishes stats accumulated since the last flush.
 func (e *Engine) flushStats() {
 	r := e.h.Registry
@@ -767,8 +754,8 @@ func (e *Engine) Step(b byte) { e.stepByte(b) }
 // subset construction are surfaced. The lazy DFA has no NFA active set,
 // so no active-set budget applies and the engine heartbeats for itself
 // (scanChunk). On a trip the partial statistics are returned with the
-// *guard.TripError. With no governor, progress tracker, recorder or
-// checkpointer attached it is exactly Run.
+// *guard.TripError. With no governor, progress tracker or checkpointer
+// attached it is exactly Run.
 func (e *Engine) RunChecked(input []byte) (sim.Stats, error) {
 	if !e.h.Chunked() {
 		e.run(input)

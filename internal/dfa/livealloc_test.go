@@ -10,9 +10,9 @@ import (
 )
 
 // TestDisabledLiveTelemetryZeroAllocs: with no governor, progress
-// tracker, flight recorder, attribution ledger, or checkpointer
-// attached, the DFA engine's RunChecked must reduce to the exact Run
-// fast path and stay allocation-free once the transition cache is warm.
+// tracker, attribution ledger, or checkpointer attached, the DFA
+// engine's RunChecked must reduce to the exact Run fast path and stay
+// allocation-free once the transition cache is warm.
 func TestDisabledLiveTelemetryZeroAllocs(t *testing.T) {
 	a := compile(t, "abc", "bca")
 	e, err := New(a)

@@ -23,8 +23,7 @@ import (
 // build/simulate/compress (etc.) wall-clock breakdown. Governor bounds
 // the experiment: every kernel checks in at the experiments.kernel
 // boundary before starting and every engine runs governed, so one budget
-// trip stops the whole table. Recorder logs kernel phase transitions and
-// engine events for postmortem dumps. NewEngine selects the scan-engine
+// trip stops the whole table. NewEngine selects the scan-engine
 // implementation for every simulation the experiment runs (the `azoo
 // table1 -engine` plumbing) — rows are identical for any exact engine, so
 // it changes how the table is computed, never its contents. The zero

@@ -119,11 +119,9 @@ func TableI(ctx context.Context, cfg core.Config, compress bool, workers, segmen
 	h, prog := obs.sinks()
 	regs := localRegistries(h.Registry, len(benches))
 	forks := localSpans(h.Spans, len(benches))
-	gov, rec := h.Governor, h.Recorder
 	err := parallel.ForEach(ctx, workers, len(benches), func(i int) error {
 		b := benches[i]
-		rec.Record(telemetry.RecPhase, i, b.Name, 0)
-		if err := gov.Boundary(guard.SiteKernel, 0); err != nil {
+		if err := h.Governor.Boundary(guard.SiteKernel, 0); err != nil {
 			return fmt.Errorf("%s: %w", b.Name, err)
 		}
 		ksp := forks[i].Start(b.Name)
@@ -147,7 +145,6 @@ func TableI(ctx context.Context, cfg core.Config, compress bool, workers, segmen
 			return fmt.Errorf("%s: %w", b.Name, err)
 		}
 		kh.Progress.Done()
-		rec.Record(telemetry.RecPhase, i, b.Name, 1)
 		row := stats.Row{
 			Name:    b.Name,
 			Domain:  b.Domain,
@@ -189,16 +186,13 @@ func TableII(ctx context.Context, samples int, seed uint64, workers int, obs *Ob
 	h, _ := obs.sinks()
 	regs := localRegistries(h.Registry, len(variants))
 	forks := localSpans(h.Spans, len(variants))
-	gov, rec := h.Governor, h.Recorder
 	rows, err := parallel.Map(ctx, workers, len(variants), func(i int) (TableIIRow, error) {
 		v := variants[i]
-		rec.Record(telemetry.RecPhase, i, "rf."+v.Name, 0)
-		if err := gov.Boundary(guard.SiteKernel, 0); err != nil {
+		if err := h.Governor.Boundary(guard.SiteKernel, 0); err != nil {
 			return TableIIRow{}, err
 		}
 		ksp := forks[i].Start("rf." + v.Name)
 		defer ksp.End()
-		defer rec.Record(telemetry.RecPhase, i, "rf."+v.Name, 1)
 		tsp := ksp.Start("train")
 		m, err := rf.Train(train, v, seed)
 		tsp.End()
@@ -292,7 +286,6 @@ func TableIII(ctx context.Context, filters, inputItemsets int, seed uint64, work
 		return best
 	}
 	regs := localRegistries(h.Registry, 4)
-	gov, rec := h.Governor, h.Recorder
 	timeNFA := func(a *automata.Automaton, set hooks.Set) (float64, error) {
 		e := sim.New(a)
 		set.Tracer = nil // see the doc comment: not inside the timed loop
@@ -342,13 +335,11 @@ func TableIII(ctx context.Context, filters, inputItemsets int, seed uint64, work
 	names := []string{"nfa.plain", "nfa.padded", "dfa.plain", "dfa.padded"}
 	forks := localSpans(h.Spans, 4)
 	err = parallel.ForEach(ctx, workers, 4, func(i int) error {
-		rec.Record(telemetry.RecPhase, i, names[i], 0)
-		if err := gov.Boundary(guard.SiteKernel, 0); err != nil {
+		if err := h.Governor.Boundary(guard.SiteKernel, 0); err != nil {
 			return err
 		}
 		ksp := forks[i].Start(names[i])
 		defer ksp.End()
-		defer rec.Record(telemetry.RecPhase, i, names[i], 1)
 		kh := h
 		kh.Registry, kh.Progress = regs[i], prog.Tracker("table3."+names[i])
 		if i < 2 {
@@ -428,8 +419,6 @@ func TableIV(ctx context.Context, samples int, seed uint64, workers int, obs *Ob
 	h, prog := obs.sinks()
 	regs := localRegistries(h.Registry, 3)
 	forks := localSpans(h.Spans, 3)
-	gov, rec := h.Governor, h.Recorder
-	kernelNames := []string{"hyperscan", "native", "reapr"}
 	kernels := []func() error{
 		func() error { // Hyperscan proxy: per-sample DFA scan.
 			ksp := forks[0].Start("hyperscan")
@@ -491,11 +480,9 @@ func TableIV(ctx context.Context, samples int, seed uint64, workers int, obs *Ob
 		},
 	}
 	err = parallel.ForEach(ctx, workers, len(kernels), func(i int) error {
-		rec.Record(telemetry.RecPhase, i, kernelNames[i], 0)
-		if err := gov.Boundary(guard.SiteKernel, 0); err != nil {
+		if err := h.Governor.Boundary(guard.SiteKernel, 0); err != nil {
 			return err
 		}
-		defer rec.Record(telemetry.RecPhase, i, kernelNames[i], 1)
 		return kernels[i]()
 	})
 	mergeRegistries(h.Registry, regs)

@@ -70,7 +70,7 @@ const (
 	// BudgetSignaled marks a trip forced by SIGINT/SIGTERM: the CLI's
 	// signal handler routes delivery through TripSignaled so engines drain
 	// at the next chunk boundary and the run closes like any other
-	// truncation (postmortem, truncated manifest, exit code 3).
+	// truncation (truncated manifest, exit code 3).
 	BudgetSignaled = "signaled"
 	// BudgetCrashed marks an injected process death (the `crash:` fault
 	// kind): the checkpoint saver aborts *instead of* completing the save,

@@ -24,7 +24,7 @@ type Checkpointer interface {
 // nil-guarded at each touch point; the zero Set is a bare engine whose
 // RunChecked is exactly Run, allocation-free (the allocguard tests).
 //
-// The first six are ambient sinks a driver hands to every engine of a
+// The first five are ambient sinks a driver hands to every engine of a
 // run. Ledger and Checkpointer belong to one scan unit: drivers attach
 // them for the unit (a slice pass, a speculative segment, one stream of a
 // checkpointed scan) and re-Attach without them afterwards.
@@ -43,9 +43,6 @@ type Set struct {
 	Governor *guard.Governor
 	// Progress is heartbeaten at every chunk boundary of RunChecked.
 	Progress *telemetry.ProgressTracker
-	// Recorder logs chunk budget checks, trips and dfa degradations for
-	// postmortem dumps.
-	Recorder *telemetry.FlightRecorder
 	// Ledger attributes runtime cost to source patterns from the attach
 	// point of the stream onward; the engine never commits it.
 	Ledger *attr.Ledger
@@ -61,33 +58,31 @@ type Set struct {
 const Chunk = 4096
 
 // Chunked reports whether RunChecked needs the chunked path at all: with
-// no governor, progress tracker, recorder or checkpointer there is
-// nothing to do at a chunk boundary and RunChecked collapses to Run.
+// no governor, progress tracker or checkpointer there is nothing to do
+// at a chunk boundary and RunChecked collapses to Run.
 func (s *Set) Chunked() bool {
-	return s.Governor != nil || s.Progress != nil || s.Recorder != nil || s.Checkpointer != nil
+	return s.Governor != nil || s.Progress != nil || s.Checkpointer != nil
 }
 
 // Chunks is the governed scan loop. It feeds input to scan one Chunk at a
 // time and, per chunk, in this order:
 //
-//  1. logs the budget check to the Recorder,
-//  2. asks the Governor's Boundary at site (fault injection, sticky trip,
+//  1. asks the Governor's Boundary at site (fault injection, sticky trip,
 //     deadline, input-byte accounting) — an error stops before the chunk,
-//  3. scans the chunk,
-//  4. heartbeats Progress with the chunk size and frontier(),
-//  5. calls flush when a Ledger is attached (the engine charges the bytes
+//  2. scans the chunk,
+//  3. heartbeats Progress with the chunk size and frontier(),
+//  4. calls flush when a Ledger is attached (the engine charges the bytes
 //     scanned since its last flush),
-//  6. stops if scan failed,
-//  7. offers the chunk to the Checkpointer,
-//  8. checks frontier() against the Governor's active-set budget.
+//  5. stops if scan failed,
+//  6. offers the chunk to the Checkpointer,
+//  7. checks frontier() against the Governor's active-set budget.
 //
-// The first error ends the loop and is returned; when it is a budget trip
-// it is also logged to the Recorder. Steps 6→7→8 in that order mean a
-// completed chunk is always offered for checkpointing before the
-// active-set check can end the run.
+// The first error ends the loop and is returned. Steps 5→6→7 in that
+// order mean a completed chunk is always offered for checkpointing before
+// the active-set check can end the run.
 //
 // frontier is the size of the engine's NFA active set after the chunk. An
-// engine without one (dfa) passes nil: steps 4 and 8 are skipped and the
+// engine without one (dfa) passes nil: steps 3 and 7 are skipped and the
 // engine heartbeats from scan with whatever it tracks instead. flush may
 // be nil when the engine has no per-chunk ledger work.
 func (s *Set) Chunks(site string, input []byte, scan func(chunk []byte) error, frontier func() int, flush func()) error {
@@ -95,9 +90,6 @@ func (s *Set) Chunks(site string, input []byte, scan func(chunk []byte) error, f
 	for off := 0; off < len(input); off += Chunk {
 		end := min(off+Chunk, len(input))
 		n := int64(end - off)
-		if s.Recorder != nil {
-			s.Recorder.Record(telemetry.RecBudget, 0, site, n)
-		}
 		if err = s.Governor.Boundary(site, n); err != nil {
 			break
 		}
@@ -124,11 +116,6 @@ func (s *Set) Chunks(site string, input []byte, scan func(chunk []byte) error, f
 			if err = s.Governor.CheckActive(fl); err != nil {
 				break
 			}
-		}
-	}
-	if err != nil && s.Recorder != nil {
-		if t := guard.AsTrip(err); t != nil {
-			s.Recorder.Record(telemetry.RecTrip, 0, t.Budget, t.Actual)
 		}
 	}
 	return err

@@ -18,8 +18,8 @@ import (
 
 const testSite = "test.chunk"
 
-// harness drives Chunks with every hook attached. The recorder, governor,
-// progress tracker and ledger are the real (concrete) sinks, so the
+// harness drives Chunks with every hook attached. The governor, progress
+// tracker and ledger are the real (concrete) sinks, so the
 // engine-side callbacks — scan, frontier, flush and the checkpointer —
 // probe their state at the moment they are called; the log of those
 // probes is the observed step order.
@@ -47,18 +47,17 @@ func newHarness(t *testing.T, b guard.Budget) *harness {
 	h.set = Set{
 		Governor: guard.New(context.Background(), b),
 		Progress: h.prog.Tracker("k"),
-		Recorder: telemetry.NewFlightRecorder(64),
 		Ledger:   col.Ledger(col.GlobalCompOf()),
 	}
 	h.set.Checkpointer = h
 	return h
 }
 
-// probe renders the sinks' state: events recorded, bytes the governor has
-// charged, bytes the progress tracker has been beaten.
+// probe renders the sinks' state: bytes the governor has charged, bytes
+// the progress tracker has been beaten.
 func (h *harness) probe(step string, n int) {
-	h.log = append(h.log, fmt.Sprintf("%s#%d n=%d rec=%d charged=%d beaten=%d",
-		step, h.chunk, n, h.set.Recorder.Len(), h.set.Governor.InputBytes(), h.prog.Snapshot()[0].Bytes))
+	h.log = append(h.log, fmt.Sprintf("%s#%d n=%d charged=%d beaten=%d",
+		step, h.chunk, n, h.set.Governor.InputBytes(), h.prog.Snapshot()[0].Bytes))
 }
 
 func (h *harness) scan(chunk []byte) error {
@@ -82,21 +81,10 @@ func (h *harness) Boundary(n int64) error {
 	return h.ckptErr[h.chunk]
 }
 
-// lastEvent returns the recorder's newest NDJSON line.
-func (h *harness) lastEvent(t *testing.T) string {
-	t.Helper()
-	var buf bytes.Buffer
-	if err := h.set.Recorder.WriteNDJSON(&buf); err != nil {
-		t.Fatal(err)
-	}
-	lines := strings.Split(strings.TrimSpace(buf.String()), "\n")
-	return lines[len(lines)-1]
-}
-
 // TestChunksProtocol pins the one governed loop: the per-chunk step order
-// (record → governor boundary → scan → beat → ledger flush → checkpoint
-// → active-set check), the stop point and recorded trip for an error at
-// each fallible step, and short-final-chunk accounting.
+// (governor boundary → scan → beat → ledger flush → checkpoint →
+// active-set check), the stop point for an error at each fallible step,
+// and short-final-chunk accounting.
 func TestChunksProtocol(t *testing.T) {
 	const tail = 100
 	input := make([]byte, 2*Chunk+tail)
@@ -105,15 +93,15 @@ func TestChunksProtocol(t *testing.T) {
 
 	// fullChunk is one chunk's probe log when nothing stops it: idx is the
 	// 1-based chunk, n its size, before the bytes charged/beaten by the
-	// chunks ahead of it. Each chunk records exactly one budget event.
+	// chunks ahead of it.
 	fullChunk := func(idx, n, before int) []string {
 		return []string{
-			// recorded and charged (boundary) before the scan; not yet beaten
-			fmt.Sprintf("scan#%d n=%d rec=%d charged=%d beaten=%d", idx, n, idx, before+n, before),
-			fmt.Sprintf("frontier#%d n=0 rec=%d charged=%d beaten=%d", idx, idx, before+n, before),
+			// charged (boundary) before the scan; not yet beaten
+			fmt.Sprintf("scan#%d n=%d charged=%d beaten=%d", idx, n, before+n, before),
+			fmt.Sprintf("frontier#%d n=0 charged=%d beaten=%d", idx, before+n, before),
 			// beaten before the ledger flush
-			fmt.Sprintf("flush#%d n=0 rec=%d charged=%d beaten=%d", idx, idx, before+n, before+n),
-			fmt.Sprintf("ckpt#%d n=%d rec=%d charged=%d beaten=%d", idx, n, idx, before+n, before+n),
+			fmt.Sprintf("flush#%d n=0 charged=%d beaten=%d", idx, before+n, before+n),
+			fmt.Sprintf("ckpt#%d n=%d charged=%d beaten=%d", idx, n, before+n, before+n),
 		}
 	}
 	concat := func(parts ...[]string) []string {
@@ -130,8 +118,7 @@ func TestChunksProtocol(t *testing.T) {
 		arm       func(h *harness)
 		wantLog   []string
 		wantErr   func(error) bool
-		wantTrip  string // budget name in the recorder's last event; "" = last event is a budget check
-		wantBytes int64  // bytes charged to the governor at return
+		wantBytes int64 // bytes charged to the governor at return
 	}{
 		{
 			name:      "clean run, short final chunk",
@@ -147,7 +134,6 @@ func TestChunksProtocol(t *testing.T) {
 				tr := guard.AsTrip(err)
 				return tr != nil && tr.Budget == guard.BudgetInputBytes && tr.Site == testSite
 			},
-			wantTrip:  guard.BudgetInputBytes,
 			wantBytes: Chunk, // the refused chunk is un-charged
 		},
 		{
@@ -155,7 +141,6 @@ func TestChunksProtocol(t *testing.T) {
 			arm:       func(h *harness) { h.scanErr = map[int]error{2: constructTrip} },
 			wantLog:   concat(fullChunk(1, Chunk, 0), fullChunk(2, Chunk, Chunk)[:3]),
 			wantErr:   func(err error) bool { return err == error(constructTrip) },
-			wantTrip:  guard.BudgetCacheBytes,
 			wantBytes: 2 * Chunk,
 		},
 		{
@@ -179,7 +164,6 @@ func TestChunksProtocol(t *testing.T) {
 				tr := guard.AsTrip(err)
 				return tr != nil && tr.Budget == guard.BudgetActiveSet && tr.Actual == 9
 			},
-			wantTrip:  guard.BudgetActiveSet,
 			wantBytes: 2 * Chunk,
 		},
 	}
@@ -199,14 +183,6 @@ func TestChunksProtocol(t *testing.T) {
 			if got := h.set.Governor.InputBytes(); got != tc.wantBytes {
 				t.Errorf("governor charged %d bytes, want %d", got, tc.wantBytes)
 			}
-			last := h.lastEvent(t)
-			if tc.wantTrip == "" {
-				if !strings.Contains(last, `"ev":"budget"`) || !strings.Contains(last, testSite) {
-					t.Errorf("last recorder event = %s, want a budget check at %s", last, testSite)
-				}
-			} else if !strings.Contains(last, `"ev":"trip"`) || !strings.Contains(last, tc.wantTrip) {
-				t.Errorf("last recorder event = %s, want trip %q", last, tc.wantTrip)
-			}
 		})
 	}
 }
@@ -220,17 +196,17 @@ func TestChunksWithoutActiveSet(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := []string{
-		fmt.Sprintf("scan#1 n=%d rec=1 charged=%d beaten=0", Chunk, Chunk),
-		fmt.Sprintf("ckpt#1 n=%d rec=1 charged=%d beaten=0", Chunk, Chunk),
-		fmt.Sprintf("scan#2 n=1 rec=2 charged=%d beaten=0", Chunk+1),
-		fmt.Sprintf("ckpt#2 n=1 rec=2 charged=%d beaten=0", Chunk+1),
+		fmt.Sprintf("scan#1 n=%d charged=%d beaten=0", Chunk, Chunk),
+		fmt.Sprintf("ckpt#1 n=%d charged=%d beaten=0", Chunk, Chunk),
+		fmt.Sprintf("scan#2 n=1 charged=%d beaten=0", Chunk+1),
+		fmt.Sprintf("ckpt#2 n=1 charged=%d beaten=0", Chunk+1),
 	}
 	if !reflect.DeepEqual(h.log, want) {
 		t.Errorf("step log:\n got  %s\n want %s", strings.Join(h.log, "\n      "), strings.Join(want, "\n      "))
 	}
 }
 
-// TestZeroSetTakesBarePath pins the fast-path predicate: only the four
+// TestZeroSetTakesBarePath pins the fast-path predicate: only the three
 // chunk-boundary hooks force the chunked path; the zero Set — and the
 // per-run sinks alone — leave RunChecked free to collapse to Run.
 func TestZeroSetTakesBarePath(t *testing.T) {
@@ -245,7 +221,6 @@ func TestZeroSetTakesBarePath(t *testing.T) {
 		{"per-run sinks only", Set{Registry: telemetry.NewRegistry(), Tracer: telemetry.NewNDJSON(&bytes.Buffer{}), Spans: telemetry.NewSpans(), Ledger: full.Ledger}, false},
 		{"governor", Set{Governor: full.Governor}, true},
 		{"progress", Set{Progress: full.Progress}, true},
-		{"recorder", Set{Recorder: full.Recorder}, true},
 		{"checkpointer", Set{Checkpointer: full.Checkpointer}, true},
 	}
 	for _, tc := range cases {

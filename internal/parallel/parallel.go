@@ -76,43 +76,11 @@ func (e *PanicError) Error() string {
 	return fmt.Sprintf("parallel: item %d panicked: %v", e.Index, e.Value)
 }
 
-// CrashRecorder receives recovered worker panics before they are turned
-// into errors — the hook the telemetry flight recorder uses so a panic's
-// last-moments event stream ends up in the postmortem file even though
-// the panic unwinds past every engine. Implementations must be safe for
-// concurrent use.
-type CrashRecorder interface {
-	RecordPanic(index int, value any, stack []byte)
-}
-
-// crashRec is the process-wide crash recorder (one postmortem sink per
-// process, like a signal handler). Nil when disabled; the enabled check
-// is a single atomic load on the panic path only — the non-panicking path
-// never touches it.
-var crashRec atomic.Pointer[crashRecHolder]
-
-type crashRecHolder struct{ r CrashRecorder }
-
-// SetCrashRecorder installs r as the process-wide recorder for recovered
-// worker panics (nil uninstalls). The previous recorder, if any, is
-// replaced.
-func SetCrashRecorder(r CrashRecorder) {
-	if r == nil {
-		crashRec.Store(nil)
-		return
-	}
-	crashRec.Store(&crashRecHolder{r: r})
-}
-
 // safeCall invokes fn(ctx, i), converting a panic into a *PanicError.
 func safeCall(ctx context.Context, i int, fn func(ctx context.Context, i int) error) (err error) {
 	defer func() {
 		if v := recover(); v != nil {
-			stack := debug.Stack()
-			if h := crashRec.Load(); h != nil {
-				h.r.RecordPanic(i, v, stack)
-			}
-			err = &PanicError{Index: i, Value: v, Stack: stack}
+			err = &PanicError{Index: i, Value: v, Stack: debug.Stack()}
 		}
 	}()
 	return fn(ctx, i)

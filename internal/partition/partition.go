@@ -255,7 +255,6 @@ func (p *Plan) Run(ctx context.Context, streams [][]byte, opts RunOptions) (Resu
 		}
 	}
 	err := parallel.ForEach(ctx, opts.Workers, len(p.Slices), func(i int) error {
-		opts.Recorder.Record(telemetry.RecPhase, i, guard.SitePartitionSlice, 0)
 		if err := opts.Governor.Boundary(guard.SitePartitionSlice, 0); err != nil {
 			return err
 		}

@@ -27,8 +27,8 @@ func prefilterWorkload(t testing.TB) (*Engine, []byte) {
 
 // TestDisabledLiveTelemetryZeroAllocs guards the two-stage engine's
 // disabled path: with no registry, tracer, governor, progress tracker,
-// flight recorder, ledger, or checkpointer attached, RunChecked must
-// reduce to the Run fast path and stay allocation-free once warm —
+// ledger, or checkpointer attached, RunChecked must reduce to the Run
+// fast path and stay allocation-free once warm —
 // including the per-offset report merge and the anchor-hit callback.
 func TestDisabledLiveTelemetryZeroAllocs(t *testing.T) {
 	e, input := prefilterWorkload(t)

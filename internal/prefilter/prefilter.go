@@ -261,8 +261,8 @@ func (e *Engine) Run(input []byte) sim.Stats {
 // protocol (hooks.Set.Chunks) at guard.SitePrefilter with nfa's frontier
 // as the active set — exactly as sim chunks at sim.chunk. The governor's
 // trip is sticky, so a tripped engine stays tripped at every later
-// boundary. With no governor, progress tracker, recorder or checkpointer
-// attached it is exactly Run.
+// boundary. With no governor, progress tracker or checkpointer attached
+// it is exactly Run.
 func (e *Engine) RunChecked(input []byte) (sim.Stats, error) {
 	if !e.h.Chunked() {
 		return e.Run(input), nil
@@ -329,7 +329,7 @@ func (e *Engine) FrontierLen() int { return e.nfa.FrontierLen() }
 // The Tracer is nfa's too: it covers symbols, reports, and every
 // activation but the chain states' — those are accounted in Stats but not
 // traced (see the package comment). Spans are not recorded by this engine.
-// Governor, Progress, Recorder and Checkpointer act only under RunChecked.
+// Governor, Progress and Checkpointer act only under RunChecked.
 func (e *Engine) Attach(h hooks.Set) {
 	old := e.h
 	e.h = h

@@ -351,8 +351,8 @@ func (e *refEngine) Run(input []byte) sim.Stats {
 // protocol (hooks.Set.Chunks) at guard.SitePrefilter with the combined
 // confirm + residual frontier as the active set — exactly as sim chunks
 // at sim.chunk. The governor's trip is sticky, so a tripped engine stays
-// tripped at every later boundary. With no governor, progress tracker,
-// recorder or checkpointer attached it is exactly Run.
+// tripped at every later boundary. With no governor, progress tracker or
+// checkpointer attached it is exactly Run.
 func (e *refEngine) RunChecked(input []byte) (sim.Stats, error) {
 	if !e.h.Chunked() {
 		return e.Run(input), nil
@@ -443,7 +443,7 @@ func (e *refEngine) FrontierLen() int { return int(e.frontierLenAll()) }
 // The Tracer covers symbols, reports, and confirm/residual activations —
 // chain-state activations are accounted in Stats but not traced (see the
 // package comment). Spans are not recorded by this engine. Governor,
-// Progress, Recorder and Checkpointer act only under RunChecked.
+// Progress and Checkpointer act only under RunChecked.
 func (e *refEngine) Attach(h hooks.Set) {
 	old := e.h
 	e.h = h

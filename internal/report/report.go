@@ -88,11 +88,6 @@ type Manifest struct {
 	// the budget that stopped the run (guard.TripError.Budget).
 	Truncated     bool   `json:"truncated,omitempty"`
 	TrippedBudget string `json:"tripped_budget,omitempty"`
-
-	// Postmortem is the path of the flight-recorder NDJSON dump written
-	// for this run (budget trip, worker panic, or watchdog stall), empty
-	// when no postmortem was produced.
-	Postmortem string `json:"postmortem,omitempty"`
 }
 
 // WriteJSON writes the manifest as indented, deterministic JSON.

@@ -9,7 +9,6 @@ import (
 	"automatazoo/internal/guard"
 	"automatazoo/internal/randx"
 	"automatazoo/internal/segment"
-	"automatazoo/internal/telemetry"
 )
 
 // TestInjectedTripClassIdenticalAcrossSegments: a fault injected at an
@@ -92,25 +91,6 @@ func TestStallMidSegmentUnwindsAllWorkers(t *testing.T) {
 	}
 	if classes[1] != guard.BudgetDeadline {
 		t.Fatalf("want %q, got %q", guard.BudgetDeadline, classes[1])
-	}
-}
-
-// TestTripRecordsSegmentEvents: the flight recorder sees RecSegment task
-// events, so a postmortem dump shows which segments were in flight.
-func TestTripRecordsSegmentEvents(t *testing.T) {
-	rng := randx.New(7)
-	cfg := difftest.GenConfig{States: 12}
-	a := difftest.Generate(rng.Fork(), cfg)
-	input := difftest.GenInput(rng.Fork(), cfg, 32<<10)
-	rec := telemetry.NewFlightRecorder(128)
-	_, err := segment.Run(context.Background(), a, input, segment.Options{
-		Segments: 4, Workers: 2, Warmup: 64, Hooks: segment.Hooks{Recorder: rec},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rec.Len() == 0 {
-		t.Fatal("flight recorder saw no events from a segmented run")
 	}
 }
 

@@ -167,10 +167,6 @@ type Hooks struct {
 	// expected total from the driver that knows it. Warmup bytes do not
 	// beat; replayed bytes beat twice — ETA is approximate under waste.
 	Progress *telemetry.ProgressTracker
-	// Recorder receives driver phase events (RecPhase per slice,
-	// RecSegment per task plus commit/replay outcomes) and every engine's
-	// chunk/trip events for postmortem dumps.
-	Recorder *telemetry.FlightRecorder
 	// Attribution collects per-component cost attribution (internal/attr):
 	// every engine scans into its own ledger (see Ledger), committed when
 	// its scan unit completes — or discarded when a speculative segment
@@ -195,7 +191,6 @@ func (h Hooks) EngineSet() hooks.Set {
 		Tracer:   h.Tracer,
 		Governor: h.Governor,
 		Progress: h.Progress,
-		Recorder: h.Recorder,
 	}
 }
 
@@ -427,7 +422,6 @@ func (r *runner) runTask(i int) error {
 		sp := r.forks[i].Start("segment.scan")
 		defer sp.End()
 	}
-	r.opts.Recorder.Record(telemetry.RecSegment, i, guard.SiteSegment, r.bounds[i+1]-r.bounds[i])
 	if err := r.opts.Governor.Boundary(guard.SiteSegment, 0); err != nil {
 		return err
 	}
@@ -555,7 +549,6 @@ func (r *runner) finish(phase1Err error) (Result, error) {
 				s.led.Commit()
 			}
 			res.Stitch.Committed++
-			r.opts.Recorder.Record(telemetry.RecSegment, i, "commit", r.bounds[i+1]-r.bounds[i])
 			continue
 		}
 		if s.led != nil {
@@ -566,7 +559,6 @@ func (r *runner) finish(phase1Err error) (Result, error) {
 		if r.specOK {
 			res.Stitch.Replayed++
 			res.Stitch.ReplayBytes += r.bounds[i+1] - r.bounds[i]
-			r.opts.Recorder.Record(telemetry.RecSegment, i, "replay", r.bounds[i+1]-r.bounds[i])
 		}
 		if err = r.scanMaster(i); err != nil {
 			break

@@ -10,9 +10,8 @@ import (
 
 // TestDisabledLiveTelemetryZeroAllocs guards the checked path with the
 // live-ops surface fully disabled: with no governor, progress tracker,
-// flight recorder, attribution ledger, or checkpointer attached,
-// RunChecked must reduce to the exact Run fast path and stay
-// allocation-free once warm.
+// attribution ledger, or checkpointer attached, RunChecked must reduce
+// to the exact Run fast path and stay allocation-free once warm.
 func TestDisabledLiveTelemetryZeroAllocs(t *testing.T) {
 	a := literalAutomaton("abc", 1)
 	e := New(a)

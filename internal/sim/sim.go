@@ -195,8 +195,8 @@ type Engine struct {
 	// disabled path costs one predictable branch per symbol and per
 	// activation and zero allocations (asserted by
 	// TestNilTelemetryZeroAllocs); the individual nil guards run only once
-	// some hook is attached. Spans, Governor, Progress, Recorder, Ledger
-	// and Checkpointer are deliberately outside telemetryOn: they are
+	// some hook is attached. Spans, Governor, Progress, Ledger and
+	// Checkpointer are deliberately outside telemetryOn: they are
 	// touched per Run call or per chunk, never per symbol, so all-nil
 	// RunChecked stays byte-for-byte the Run loop.
 	h            hooks.Set
@@ -376,8 +376,8 @@ func (e *Engine) FrontierLen() int {
 // the current statistics (and owns the sim.frontier histogram); a new
 // Ledger is charged from this point of the stream onward — bytes consumed
 // before the attach (e.g. a segment-scan warmup) are not. Governor,
-// Progress, Recorder and Checkpointer act only under RunChecked; bare
-// Run/Step calls stay ungoverned and silent.
+// Progress and Checkpointer act only under RunChecked; bare Run/Step
+// calls stay ungoverned and silent.
 func (e *Engine) Attach(h hooks.Set) {
 	old := e.h
 	e.h = h
@@ -512,8 +512,8 @@ func (e *Engine) Run(input []byte) Stats {
 // through the shared chunk protocol (hooks.Set.Chunks) at
 // guard.SiteSimChunk, with the enabled frontier as the active set. On a
 // budget trip the run stops between chunks and the partial statistics are
-// returned with the *guard.TripError. With no governor, progress tracker,
-// recorder or checkpointer attached it is exactly Run.
+// returned with the *guard.TripError. With no governor, progress tracker
+// or checkpointer attached it is exactly Run.
 func (e *Engine) RunChecked(input []byte) (Stats, error) {
 	if !e.h.Chunked() {
 		return e.Run(input), nil

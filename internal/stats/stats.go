@@ -112,9 +112,9 @@ type Hooks = segment.Hooks
 // ObserveSegmentsHooked runs each segment as an independent stream on one
 // whole-automaton engine with h attached (scan.Run's whole layout): the
 // engine runs its checked path, so budgets, cancellation and injected
-// faults stop the simulation mid-stream, and it heartbeats progress and
-// records flight-recorder events at its chunk boundaries. On a trip the
-// Dynamic of the work completed so far is returned with the error.
+// faults stop the simulation mid-stream, and it heartbeats progress at
+// its chunk boundaries. On a trip the Dynamic of the work completed so
+// far is returned with the error.
 func ObserveSegmentsHooked(a *automata.Automaton, segments [][]byte, h Hooks) (Dynamic, error) {
 	return observe(context.Background(), a, segments, scan.Spec{Hooks: h, Workers: 1, Segments: 1})
 }

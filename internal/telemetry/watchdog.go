@@ -24,7 +24,7 @@ type StallReport struct {
 // ticker for production use.
 //
 // The watchdog fires at most once per run — a stalled process needs one
-// postmortem, not a stream of them.
+// stack dump, not a stream of them.
 type Watchdog struct {
 	prog    *Progress
 	quiet   int64 // nanoseconds

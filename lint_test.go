@@ -156,9 +156,9 @@ func bannedFileOps(fset *token.FileSet, f *ast.File, writes bool) []string {
 	return violations
 }
 
-// Run artifacts — checkpoints, report manifests, postmortems, metrics
-// snapshots — must be written through internal/atomicio (write-temp +
-// fsync + rename), so a crash can never leave a torn-but-parseable file.
+// Run artifacts — checkpoints, report manifests, metrics snapshots —
+// must be written through internal/atomicio (write-temp + fsync +
+// rename), so a crash can never leave a torn-but-parseable file.
 // Enforcement: os.Rename is banned everywhere outside internal/atomicio
 // (a raw rename is exactly the non-durable half of the atomic pattern),
 // and the artifact-writing packages (internal/report, internal/ckpt) may
@@ -903,13 +903,10 @@ func use(t a.T) { t.M(); _ = strings.N }`,
 		"internal/mnrl.ReadAutomaton":          "MNRL reader: the round-trip oracle for export and the FuzzMNRLLoad target",
 		// Dead, each with a test of its own that goes with it: the next
 		// deletions of ROADMAP item 13(d).
-		"internal/attr.Provenance.Apply":        "dead (TestApplyMergesAndDrops and the transform provenance tests)",
-		"internal/attr.Provenance.ApplyMulti":   "dead (TestApplyMultiReplicates and the transform provenance tests)",
-		"internal/automata.Builder.ClearReport": "dead (TestSetStartAndClassMutation)",
-		"internal/automata.Builder.SetClass":    "dead (TestSetStartAndClassMutation)",
-		"internal/brill.Apply":                  "dead (TestApply): no experiment applies the located corrections",
-		"internal/snort.ParseRule":              "dead (TestParseRuleErrors): the generator emits rules already parsed",
-		"internal/yara.ParseRules":              "dead (TestParseRules): the generator emits rules already parsed",
+		"internal/attr.Provenance.Apply":      "dead (TestApplyMergesAndDrops and the transform provenance tests)",
+		"internal/attr.Provenance.ApplyMulti": "dead (TestApplyMultiReplicates and the transform provenance tests)",
+		"internal/snort.ParseRule":            "dead (TestParseRuleErrors): the generator emits rules already parsed",
+		"internal/yara.ParseRules":            "dead (TestParseRules): the generator emits rules already parsed",
 	}
 	_, files := goFiles(t, ".", false)
 	_, benchFiles := goFiles(t, "bench", false)
