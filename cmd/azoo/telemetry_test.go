@@ -130,44 +130,50 @@ func TestStallWatchdogEndToEnd(t *testing.T) {
 	}
 }
 
-// TestWorkerPanicEndToEnd: an injected panic in a segment task is
-// recovered by parallel.ForEach. The run fails (exit 1), still writes its
-// (not truncated) manifest, and prints the panicking goroutine's stack to
-// stderr.
+// TestWorkerPanicEndToEnd: an injected panic in a segment task, or in
+// the engine of a whole-automaton scan, is recovered by parallel.ForEach.
+// The run fails (exit 1), still writes its (not truncated) manifest, and
+// prints the panicking goroutine's stack to stderr.
 func TestWorkerPanicEndToEnd(t *testing.T) {
-	dir := t.TempDir()
-	rpt := filepath.Join(dir, "manifest.json")
-	stderr, err := captureStderr(t, func() error {
-		_, err := captureStdout(t, func() error {
-			return cmdRun([]string{
-				"-bench", "Snort", "-scale", "0.01", "-input", "30000", "-j", "2", "-segments", "3",
-				"-report", rpt,
-				"-faults", "panic:segment.spec:2",
+	for _, tc := range []struct{ j, segments, fault string }{
+		{"2", "3", "panic:segment.spec:2"},
+		{"1", "1", "panic:sim.chunk:2"},
+	} {
+		t.Run("j"+tc.j+"-s"+tc.segments, func(t *testing.T) {
+			rpt := filepath.Join(t.TempDir(), "manifest.json")
+			stderr, err := captureStderr(t, func() error {
+				_, err := captureStdout(t, func() error {
+					return cmdRun([]string{
+						"-bench", "Snort", "-scale", "0.01", "-input", "30000", "-j", tc.j, "-segments", tc.segments,
+						"-report", rpt,
+						"-faults", tc.fault,
+					})
+				})
+				return err
 			})
-		})
-		return err
-	})
-	var pe *parallel.PanicError
-	if !errors.As(err, &pe) {
-		t.Fatalf("cmdRun returned %v, want a worker panic", err)
-	}
-	if _, ok := pe.Value.(guard.InjectedPanic); !ok {
-		t.Fatalf("panic value %v is not the injected fault", pe.Value)
-	}
-	if exitCode(err) != exitRuntime {
-		t.Errorf("exit code = %d, want %d", exitCode(err), exitRuntime)
-	}
+			var pe *parallel.PanicError
+			if !errors.As(err, &pe) {
+				t.Fatalf("cmdRun returned %v, want a worker panic", err)
+			}
+			if _, ok := pe.Value.(guard.InjectedPanic); !ok {
+				t.Fatalf("panic value %v is not the injected fault", pe.Value)
+			}
+			if exitCode(err) != exitRuntime {
+				t.Errorf("exit code = %d, want %d", exitCode(err), exitRuntime)
+			}
 
-	m, rerr := report.ReadFile(rpt)
-	if rerr != nil {
-		t.Fatal(rerr)
-	}
-	if m.Truncated || len(m.Kernels) != 1 || m.Kernels[0].Name != "Snort" {
-		t.Errorf("manifest: truncated=%v kernels=%+v", m.Truncated, m.Kernels)
-	}
-	if !strings.Contains(stderr, "azoo: stack of panicked item") ||
-		!strings.Contains(stderr, "goroutine ") || !strings.Contains(stderr, "guard.(*Governor).Boundary") {
-		t.Errorf("stderr carries no panic stack:\n%s", stderr)
+			m, rerr := report.ReadFile(rpt)
+			if rerr != nil {
+				t.Fatal(rerr)
+			}
+			if m.Truncated || len(m.Kernels) != 1 || m.Kernels[0].Name != "Snort" {
+				t.Errorf("manifest: truncated=%v kernels=%+v", m.Truncated, m.Kernels)
+			}
+			if !strings.Contains(stderr, "azoo: stack of panicked item") ||
+				!strings.Contains(stderr, "goroutine ") || !strings.Contains(stderr, "guard.(*Governor).Boundary") {
+				t.Errorf("stderr carries no panic stack:\n%s", stderr)
+			}
+		})
 	}
 }
 

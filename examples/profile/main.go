@@ -1,8 +1,9 @@
 // Profile: run the Snort kernel under full instrumentation and print a
 // per-state activation heatmap with subgraph attribution — the library
 // API behind `azoo explain snort -states 10`. The same engine run also
-// feeds a metrics registry (counters + the frontier-size histogram) and an
-// NDJSON event trace, demonstrating all three faces of internal/telemetry.
+// feeds a frontier-size histogram from a metrics registry and an NDJSON
+// event trace, demonstrating all three faces of internal/telemetry; the
+// totals are the engine's own Stats.
 package main
 
 import (
@@ -28,29 +29,29 @@ func main() {
 		log.Fatal(err)
 	}
 
-	// Attach all three telemetry hooks in one bundle: a metrics registry,
-	// and as the tracer both the per-state profile (a Tracer that counts
-	// activations) and a sampled NDJSON trace.
+	// Attach all three telemetry hooks in one bundle: a registry's
+	// frontier-size histogram, and as the tracer both the per-state profile
+	// (a Tracer that counts activations) and a sampled NDJSON trace.
 	e := sim.New(a)
 	prof := telemetry.NewStateProfile(a.NumStates())
-	reg := telemetry.NewRegistry()
+	h := telemetry.NewRegistry().Histogram("sim.frontier", telemetry.ExpBuckets(1, 16))
 	var traceBuf bytes.Buffer
 	tracer := telemetry.NewNDJSON(&traceBuf)
 	tracer.SampleEvery = 1000 // keep symbol/activate volume down
-	e.Attach(hooks.Set{Registry: reg, Tracer: tee{prof, tracer}})
+	e.Attach(hooks.Set{Frontier: h, Tracer: tee{prof, tracer}})
 
+	var total sim.Stats
 	for _, seg := range segs {
 		e.Reset()
-		e.Run(seg)
+		total = total.Add(e.Run(seg))
 	}
 	if err := tracer.Flush(); err != nil {
 		log.Fatal(err)
 	}
 
-	symbols := reg.Counter("sim.symbols").Value()
+	symbols := total.Symbols
 	fmt.Printf("%s: %d states, %d symbols, %d reports\n",
-		bench.Name, a.NumStates(), symbols, reg.Counter("sim.reports").Value())
-	h := reg.Histogram("sim.frontier", nil)
+		bench.Name, a.NumStates(), symbols, total.Reports)
 	fmt.Printf("enabled frontier: mean %.2f, max %d\n\n", h.Mean(), h.Max())
 
 	// The heatmap: hottest states, attributed to their subgraphs (each

@@ -7,7 +7,7 @@ import (
 
 	"automatazoo/internal/atomicio"
 	"automatazoo/internal/guard"
-	"automatazoo/internal/hooks"
+	"automatazoo/internal/segment"
 )
 
 // Retry policy for transient checkpoint-I/O failures: capped exponential
@@ -39,17 +39,18 @@ type Saver struct {
 	// Meta is stored verbatim in every checkpoint the scan driver builds.
 	Meta Meta
 	// Capture builds the checkpoint to persist. The scan driver
-	// (internal/scan) sets it; it must flush engine telemetry and commit
-	// ledgers so the snapshot covers every byte scanned.
+	// (internal/scan) sets it; it must flush and commit ledgers and fold
+	// unpublished engine counts into the registry snapshot, so the image
+	// covers every byte scanned.
 	Capture func() (*Checkpoint, error)
-	// Set is the run's hook bundle; the saver uses two of its sinks.
+	// Hooks is the run's hook bundle; the saver uses two of its sinks.
 	// Governor supplies fault injection (crash/ioerr rules) and budget
 	// remainders. Registry receives the ckpt.* counters (exposed as
 	// azoo_ckpt_* Prometheus families); ckpt.saves is incremented before
 	// Capture so the persisted registry snapshot counts the in-progress
 	// save — the accounting that keeps a resumed run's final counter
 	// equal to the uninterrupted run's.
-	hooks.Set
+	segment.Hooks
 	// MaxRetries bounds write retries per save (0 = DefaultMaxRetries).
 	MaxRetries int
 	// Sleep, when non-nil, replaces time.Sleep between retries (tests

@@ -9,7 +9,7 @@ import (
 	"time"
 
 	"automatazoo/internal/guard"
-	"automatazoo/internal/hooks"
+	"automatazoo/internal/segment"
 	"automatazoo/internal/telemetry"
 )
 
@@ -20,7 +20,7 @@ func testSaver(t *testing.T, gov *guard.Governor, reg *telemetry.Registry) *Save
 		Path:     filepath.Join(t.TempDir(), "ck"),
 		Interval: ChunkAlign,
 		Capture:  func() (*Checkpoint, error) { return c, nil },
-		Set:      hooks.Set{Governor: gov, Registry: reg},
+		Hooks:    segment.Hooks{Governor: gov, Registry: reg},
 	}
 }
 

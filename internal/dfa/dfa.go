@@ -290,8 +290,7 @@ type Engine struct {
 	// h is the attached hook bundle (see Attach), nil-guarded at every
 	// touch point; the zero Set is a bare engine whose RunChecked is
 	// byte-for-byte the Run loop and allocation-free (allocguard test).
-	h         hooks.Set
-	published Stats // portion of stats already flushed to h.Registry
+	h hooks.Set
 
 	// govErr stashes a run-stopping governor error raised inside
 	// construction (computeTransition has no error return) for RunChecked
@@ -581,7 +580,6 @@ func (e *Engine) computeTransition(c *component, di uint32, cls uint16) {
 // attached (the zero Set detaches everything). Only hooks that changed
 // take their attach-time baseline:
 //
-//   - a new Registry starts publishing from the current statistics;
 //   - a new Governor is asked to reserve the engine's already-interned
 //     states against its cache budget (best effort — before any scan they
 //     are a handful of near-empty dstates). It bounds RunChecked and
@@ -599,9 +597,6 @@ func (e *Engine) computeTransition(c *component, di uint32, cls uint16) {
 func (e *Engine) Attach(h hooks.Set) {
 	old := e.h
 	e.h = h
-	if h.Registry != old.Registry && h.Registry != nil {
-		e.published = e.stats
-	}
 	if h.Governor != old.Governor && h.Governor != nil && e.cacheBytes > 0 {
 		h.Governor.GrowCache(guard.SiteDFAConstruct, e.cacheBytes)
 	}
@@ -622,24 +617,14 @@ func (e *Engine) Attach(h hooks.Set) {
 	}
 }
 
-// FlushTelemetry publishes statistics and cache-byte levels accumulated
-// since the last flush to the attached registry and ledger. Run and
-// RunChecked flush at run end (and Reset before clearing); the checkpoint
-// saver calls this mid-stream so a snapshot reflects every byte scanned
-// so far.
-func (e *Engine) FlushTelemetry() {
-	if e.h.Registry != nil {
-		e.flushStats()
+// FlushLedger records each component's current cache-byte level in the
+// attached ledger (if any): a gauge-like quantity sampled at run end, at
+// Reset and at each checkpoint save, whose high-water the ledger keeps
+// (the flow counters are charged at their events).
+func (e *Engine) FlushLedger() {
+	if e.led == nil {
+		return
 	}
-	if e.led != nil {
-		e.flushLedger()
-	}
-}
-
-// flushLedger records each component's current cache-byte level (a
-// gauge-like quantity sampled at run boundaries; the flow counters are
-// charged at their events).
-func (e *Engine) flushLedger() {
 	for i, c := range e.comps {
 		e.led.SetCacheBytes(e.ledSlot[i], c.bytes)
 	}
@@ -655,30 +640,10 @@ func (e *Engine) ledgerDegrade(ci int, evicted int64) {
 	e.led.AddFallback(e.ledSlot[ci])
 }
 
-// flushStats publishes stats accumulated since the last flush.
-func (e *Engine) flushStats() {
-	r := e.h.Registry
-	if r == nil {
-		return
-	}
-	s := e.CacheStats() // includes live DFAStates
-	r.Counter("dfa.symbols").Add(s.Symbols - e.published.Symbols)
-	r.Counter("dfa.reports").Add(s.Reports - e.published.Reports)
-	r.Counter("dfa.cache_hits").Add(s.CacheHits - e.published.CacheHits)
-	r.Counter("dfa.cache_misses").Add(s.CacheMisses - e.published.CacheMisses)
-	r.Counter("dfa.cache_evictions").Add(s.CacheEvictions - e.published.CacheEvictions)
-	r.Counter("dfa.construct_nanos").Add(s.ConstructNanos - e.published.ConstructNanos)
-	r.Counter("dfa.fallback_bytes").Add(s.FallbackBytes - e.published.FallbackBytes)
-	r.Gauge("dfa.states").Set(int64(s.DFAStates))
-	r.Gauge("dfa.fallbacks").Set(int64(s.Fallbacks))
-	r.Gauge("dfa.cache_bytes").Set(s.CacheBytes)
-	e.published = s
-}
-
 // Reset restarts all component DFAs at their initial state and clears
 // statistics. Interned DFA states are retained.
 func (e *Engine) Reset() {
-	e.FlushTelemetry()
+	e.FlushLedger()
 	e.live = e.live[:0]
 	for i, c := range e.comps {
 		e.cur[i] = 1
@@ -688,8 +653,6 @@ func (e *Engine) Reset() {
 	e.offset = 0
 	e.stats.Reports = 0
 	e.stats.Symbols = 0
-	e.published.Reports = 0
-	e.published.Symbols = 0
 }
 
 // Stats returns the symbols and reports since the last Reset — the
@@ -741,7 +704,7 @@ func (e *Engine) run(input []byte) {
 	for _, b := range input {
 		e.stepByte(b)
 	}
-	e.FlushTelemetry()
+	e.FlushLedger()
 	sp.End()
 }
 
@@ -763,7 +726,7 @@ func (e *Engine) RunChecked(input []byte) (sim.Stats, error) {
 	}
 	sp := e.h.Spans.Start("dfa.run")
 	err := e.h.Chunks(guard.SiteDFAChunk, input, e.scanChunk, nil, nil)
-	e.FlushTelemetry()
+	e.FlushLedger()
 	sp.End()
 	return e.Stats(), err
 }

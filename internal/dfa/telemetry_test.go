@@ -122,39 +122,21 @@ func (r *cacheRecorder) OnCacheEvent(_ int64, _ int, k telemetry.CacheEventKind)
 	}
 }
 
-func TestTracerAndRegistry(t *testing.T) {
+// TestTracerCacheEvents: the Tracer sees every cache miss Stats counts,
+// and every report.
+func TestTracerCacheEvents(t *testing.T) {
 	a := compile(t, "abc")
 	e, err := New(a)
 	if err != nil {
 		t.Fatal(err)
 	}
 	tr := &cacheRecorder{}
-	reg := telemetry.NewRegistry()
-	e.Attach(hooks.Set{Tracer: tr, Registry: reg})
+	e.Attach(hooks.Set{Tracer: tr})
 	st := e.Run([]byte("zzabczzabc"))
 	if int64(tr.misses) != st.CacheMisses {
 		t.Errorf("traced misses = %d, stats say %d", tr.misses, st.CacheMisses)
 	}
 	if tr.reports != 2 {
 		t.Errorf("traced reports = %d, want 2", tr.reports)
-	}
-	if got := reg.Counter("dfa.symbols").Value(); got != 10 {
-		t.Errorf("dfa.symbols = %d, want 10", got)
-	}
-	if got := reg.Counter("dfa.cache_hits").Value(); got != st.CacheHits {
-		t.Errorf("dfa.cache_hits = %d, stats say %d", got, st.CacheHits)
-	}
-	if got := reg.Gauge("dfa.states").Value(); got != int64(st.DFAStates) {
-		t.Errorf("dfa.states gauge = %d, stats say %d", got, st.DFAStates)
-	}
-	// The registry should hold the full dfa.* set.
-	snap := reg.Snapshot()
-	for _, want := range []string{"dfa.cache_misses", "dfa.cache_evictions", "dfa.construct_nanos"} {
-		if _, ok := snap.Counters[want]; !ok {
-			t.Errorf("registry missing counter %s", want)
-		}
-	}
-	if _, ok := snap.Gauges["dfa.fallbacks"]; !ok {
-		t.Error("registry missing gauge dfa.fallbacks")
 	}
 }

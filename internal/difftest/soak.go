@@ -49,7 +49,11 @@ func (r *SoakResult) record(seed uint64, vs ...verdict) {
 //   - the bit-level trial checks bitnfa against the 8-strided automaton;
 //   - one crash-resume cell runs, its engine (nfa, prefilter, dfa) and its
 //     (workers, segments) shape rotating with the trial index, on an input
-//     several checkpoint intervals long so kills land mid-stream.
+//     several checkpoint intervals long so kills land mid-stream;
+//   - on every 256th trial (a dense one) an nfa crash-resume cell also
+//     runs on a dense counter-bearing automaton, on an input as long:
+//     kills land on the bitset frontier, and the resumed engine restarts
+//     on its list. At about 0.4 s a cell it is the soak's costliest.
 //
 // Trials run sequentially: determinism is the point.
 func Soak(cfg SoakConfig) SoakResult {
@@ -100,6 +104,13 @@ func Soak(cfg SoakConfig) SoakResult {
 		input := GenInput(rng.Fork(), crash, 6*ckpt.ChunkAlign+512+256*(i%5))
 		interval := int64(ckpt.ChunkAlign) * int64(1+i%2)
 		res.record(seed, c.crashResume(a, input, shape[1], interval, seed))
+
+		if i%256 == 1 {
+			// Drawn last, so every other draw of the trial is unchanged.
+			a := Generate(rng.Fork(), dense)
+			input := GenInput(rng.Fork(), dense, len(input))
+			res.record(seed, cell{engine: engines[0], workers: 1}.crashResume(a, input, 1, interval, seed))
+		}
 	}
 	return res
 }

@@ -10,10 +10,10 @@ import (
 	"automatazoo/internal/core"
 	"automatazoo/internal/dfa"
 	"automatazoo/internal/guard"
-	"automatazoo/internal/hooks"
 	"automatazoo/internal/parallel"
 	"automatazoo/internal/randx"
 	"automatazoo/internal/rf"
+	"automatazoo/internal/segment"
 	"automatazoo/internal/sim"
 	"automatazoo/internal/spatial"
 	"automatazoo/internal/spm"
@@ -246,10 +246,10 @@ func TableII(ctx context.Context, samples int, seed uint64, workers int, obs *Ob
 // run concurrently on up to workers goroutines. Each kernel's wall-clock
 // measurement is taken on its own engine; with workers > 1 the kernels
 // contend for the machine, so use workers == 1 for paper-fidelity
-// absolute timings. Both engines publish into obs.Registry, and the DFA
-// engine traces cache events to obs.Tracer. (Symbol-level tracing is not
-// attached inside the timed loops — it would measure the tracer, not the
-// engine.)
+// absolute timings. Both engines' counts are published into obs.Registry,
+// and the DFA engine traces cache events to obs.Tracer. (Symbol-level
+// tracing is not attached inside the timed loops — it would measure the
+// tracer, not the engine.)
 func TableIII(ctx context.Context, filters, inputItemsets int, seed uint64, workers int, obs *Observer) ([]TableIIIRow, error) {
 	h, prog := obs.sinks()
 	rng := randx.New(seed)
@@ -286,10 +286,10 @@ func TableIII(ctx context.Context, filters, inputItemsets int, seed uint64, work
 		return best
 	}
 	regs := localRegistries(h.Registry, 4)
-	timeNFA := func(a *automata.Automaton, set hooks.Set) (float64, error) {
+	timeNFA := func(a *automata.Automaton, kh segment.Hooks) (float64, error) {
 		e := sim.New(a)
-		set.Tracer = nil // see the doc comment: not inside the timed loop
-		e.Attach(set)
+		kh.Tracer = nil // see the doc comment: not inside the timed loop
+		e.Attach(kh.EngineSet(e))
 		var rerr error
 		sec := bestOf(3, func() float64 {
 			e.Reset()
@@ -297,18 +297,22 @@ func TableIII(ctx context.Context, filters, inputItemsets int, seed uint64, work
 			if _, err := e.RunChecked(input); err != nil && rerr == nil {
 				rerr = err
 			}
+			kh.Publish(e)
 			return time.Since(start).Seconds()
 		})
-		set.Progress.Done()
+		kh.Progress.Done()
 		return sec, rerr
 	}
-	timeDFA := func(a *automata.Automaton, set hooks.Set) (float64, dfa.Stats, error) {
+	timeDFA := func(a *automata.Automaton, kh segment.Hooks) (float64, dfa.Stats, error) {
 		e, err := dfa.New(a)
 		if err != nil {
 			return 0, dfa.Stats{}, err
 		}
-		e.Attach(set)
-		if _, err := e.RunChecked(input); err != nil { // warm the transition cache fully
+		e.Attach(kh.EngineSet(e))
+		defer func() { kh.PublishCache(e.CacheStats()) }()
+		_, err = e.RunChecked(input) // warm the transition cache fully
+		kh.Publish(e)
+		if err != nil {
 			return 0, dfa.Stats{}, err
 		}
 		const loops = 12
@@ -320,10 +324,11 @@ func TableIII(ctx context.Context, filters, inputItemsets int, seed uint64, work
 				if _, err := e.RunChecked(input); err != nil {
 					rerr = err
 				}
+				kh.Publish(e)
 			}
 			return time.Since(start).Seconds() / loops
 		})
-		set.Progress.Done()
+		kh.Progress.Done()
 		return sec, e.CacheStats(), rerr
 	}
 
@@ -343,11 +348,11 @@ func TableIII(ctx context.Context, filters, inputItemsets int, seed uint64, work
 		kh := h
 		kh.Registry, kh.Progress = regs[i], prog.Tracker("table3."+names[i])
 		if i < 2 {
-			sec, err := timeNFA(autos[i], kh.EngineSet())
+			sec, err := timeNFA(autos[i], kh)
 			secs[i] = sec
 			return err
 		}
-		sec, st, err := timeDFA(autos[i], kh.EngineSet())
+		sec, st, err := timeDFA(autos[i], kh)
 		if err != nil {
 			return err
 		}
@@ -394,8 +399,8 @@ func TableIII(ctx context.Context, filters, inputItemsets int, seed uint64, work
 // inference, and the REAPR model) run concurrently; the native
 // multi-threaded measurement runs after the pool drains, because it
 // saturates every core by itself. As with Table III, workers == 1 is the
-// sequential harness. The DFA engine publishes into obs.Registry and
-// traces cache events to obs.Tracer.
+// sequential harness. The DFA engine's counts are published into
+// obs.Registry, and it traces cache events to obs.Tracer.
 func TableIV(ctx context.Context, samples int, seed uint64, workers int, obs *Observer) ([]TableIVRow, error) {
 	ds := rf.GenerateDataset(samples, seed)
 	train, test := ds.Split(0.8)
@@ -438,11 +443,14 @@ func TableIV(ctx context.Context, samples int, seed uint64, workers int, obs *Ob
 			}
 			kh := h
 			kh.Registry, kh.Progress = regs[0], prog.Tracker("table4.hyperscan")
-			de.Attach(kh.EngineSet())
+			de.Attach(kh.EngineSet(de))
 			defer kh.Progress.Done()
+			defer func() { kh.PublishCache(de.CacheStats()) }()
 			for _, s := range encoded[:min(64, len(encoded))] {
 				de.Reset()
-				if _, err := de.RunChecked(s); err != nil {
+				_, err := de.RunChecked(s)
+				kh.Publish(de)
+				if err != nil {
 					return err
 				}
 			}
@@ -450,7 +458,9 @@ func TableIV(ctx context.Context, samples int, seed uint64, workers int, obs *Ob
 			start := time.Now()
 			for _, s := range encoded {
 				de.Reset()
-				if _, err := de.RunChecked(s); err != nil {
+				_, err := de.RunChecked(s)
+				kh.Publish(de)
+				if err != nil {
 					ssp.End()
 					return err
 				}

@@ -24,14 +24,16 @@ type Checkpointer interface {
 // nil-guarded at each touch point; the zero Set is a bare engine whose
 // RunChecked is exactly Run, allocation-free (the allocguard tests).
 //
-// The first five are ambient sinks a driver hands to every engine of a
-// run. Ledger and Checkpointer belong to one scan unit: drivers attach
-// them for the unit (a slice pass, a speculative segment, one stream of a
+// Frontier and the four sinks after it are handed to every engine of a
+// run; no registry is (engines count in Stats, and the drivers publish).
+// Ledger and Checkpointer belong to one scan unit: drivers attach them
+// for the unit (a slice pass, a speculative segment, one stream of a
 // checkpointed scan) and re-Attach without them afterwards.
 type Set struct {
-	// Registry receives the engine's aggregate counters at the end of
-	// every Run and on Reset, and the per-symbol frontier histogram.
-	Registry *telemetry.Registry
+	// Frontier observes the NFA enabled-frontier size once per symbol
+	// (sim, prefilter), the one per-symbol quantity Stats cannot give; the
+	// lazy DFA has no NFA frontier and ignores it.
+	Frontier *telemetry.Histogram
 	// Tracer receives per-symbol/activation/report (sim, prefilter) or
 	// report/cache (dfa) events from inside the scan loop.
 	Tracer telemetry.Tracer

@@ -198,10 +198,11 @@ type RunOptions struct {
 	// complete, stream by stream in the canonical merged order (see
 	// RunParallel).
 	OnReport func(sim.Report)
-	// Hooks are attached to every slice engine. Note the Registry
-	// describes per-slice engine work: sim.symbols counts Passes() × the
-	// stream bytes. Every slice engine gets a slice-local attribution
-	// ledger committed after its pass.
+	// Hooks are attached to every slice engine. Run publishes each slice
+	// pass's engine counts to the Registry when the pass ends (the pass is
+	// the scan unit), so the registry describes per-slice engine work:
+	// sim.symbols counts Passes() × the stream bytes. Every slice engine
+	// gets a slice-local attribution ledger committed after its pass.
 	segment.Hooks
 }
 
@@ -272,7 +273,7 @@ func (p *Plan) Run(ctx context.Context, streams [][]byte, opts RunOptions) (Resu
 		if err != nil {
 			return err
 		}
-		set := opts.EngineSet()
+		set := opts.EngineSet(e)
 		if opts.Attribution != nil {
 			set.Ledger = opts.Ledger(p.SliceCompOf(i))
 			defer set.Ledger.Commit()
@@ -289,6 +290,7 @@ func (p *Plan) Run(ctx context.Context, streams [][]byte, opts RunOptions) (Resu
 				e.SetOnReport(func(r sim.Report) { buffered[i][s] = append(buffered[i][s], r) })
 			}
 			st, err := e.RunChecked(input)
+			opts.Publish(e)
 			stats[i] = stats[i].Add(st)
 			if err != nil {
 				return err

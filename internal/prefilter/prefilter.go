@@ -47,7 +47,6 @@ import (
 	"automatazoo/internal/guard"
 	"automatazoo/internal/hooks"
 	"automatazoo/internal/sim"
-	"automatazoo/internal/telemetry"
 )
 
 // MinAnchor is the minimum literal-prefix length worth prefiltering; below
@@ -95,12 +94,8 @@ type Engine struct {
 	onAnchorFn func(int) // bound once so the hot loop never allocates
 
 	// h is the attached hook bundle (see Attach). The Tracer and the Ledger
-	// are nfa's too; the Registry is this engine's alone.
-	h               hooks.Set
-	frontierHist    *telemetry.Histogram
-	published       sim.Stats
-	pubAnchorHits   int64
-	pubResidualWork int64
+	// are nfa's too; the Frontier histogram is this engine's alone.
+	h hooks.Set
 	// led is h.Ledger, held as a field of the attr type so its hot-path
 	// methods inline (see sim.Engine.Attach).
 	led        *attr.Ledger
@@ -226,8 +221,8 @@ func (e *Engine) flushPend() {
 
 // Step consumes one input symbol.
 func (e *Engine) Step(b byte) {
-	if e.frontierHist != nil {
-		e.frontierHist.Observe(int64(e.nfa.FrontierLen()))
+	if e.h.Frontier != nil {
+		e.h.Frontier.Observe(int64(e.nfa.FrontierLen()))
 	}
 	// Enabled accounting: chain states armed for this symbol are a pure
 	// function of the matcher position before the byte. (Chain heads are
@@ -253,7 +248,7 @@ func (e *Engine) Step(b byte) {
 // It may be called repeatedly to continue the same logical stream.
 func (e *Engine) Run(input []byte) sim.Stats {
 	e.scanChunk(input)
-	e.FlushTelemetry()
+	e.FlushLedger()
 	return e.Stats()
 }
 
@@ -267,8 +262,8 @@ func (e *Engine) RunChecked(input []byte) (sim.Stats, error) {
 	if !e.h.Chunked() {
 		return e.Run(input), nil
 	}
-	err := e.h.Chunks(guard.SitePrefilter, input, e.scanChunk, e.FrontierLen, e.nfa.FlushTelemetry)
-	e.FlushTelemetry()
+	err := e.h.Chunks(guard.SitePrefilter, input, e.scanChunk, e.FrontierLen, e.FlushLedger)
+	e.FlushLedger()
 	return e.Stats(), err
 }
 
@@ -288,18 +283,18 @@ func (e *Engine) Stats() sim.Stats { return e.nfa.Stats().Add(e.stats) }
 // AnchorHits returns the number of anchor-literal occurrences since Reset.
 func (e *Engine) AnchorHits() int64 { return e.anchorHits }
 
+// ResidualWork returns nfa's enabled-frontier work since Reset: the cost
+// the matcher did NOT save.
+func (e *Engine) ResidualWork() int64 { return e.nfa.Stats().Enabled }
+
 // Reset clears all runtime state, mirroring sim.Engine.Reset.
 func (e *Engine) Reset() {
-	e.FlushTelemetry()
 	e.nfa.Reset()
 	e.pend = e.pend[:0]
 	e.acState = 0
 	e.offset = 0
 	e.stats = sim.Stats{}
 	e.anchorHits = 0
-	e.published = sim.Stats{}
-	e.pubAnchorHits = 0
-	e.pubResidualWork = 0
 }
 
 // SetOnReport sets the OnReport callback (nil detaches).
@@ -311,37 +306,21 @@ func (e *Engine) FrontierLen() int { return e.nfa.FrontierLen() }
 
 // Attach installs h as the engine's hook bundle, replacing whatever was
 // attached (the zero Set detaches everything). Only hooks that changed
-// take their attach-time baseline:
-//
-//   - a new Registry starts publishing from the current statistics.
-//     Combined run statistics flush to the same sim.* counters the NFA
-//     engine publishes — the stats layer derives Table-I dynamics from
-//     those deltas regardless of engine — plus the prefilter.anchor_hits /
-//     prefilter.residual_work counters behind the azoo_prefilter_*
-//     Prometheus families. nfa deliberately gets no registry: its work is
-//     folded into the combined flush, and attaching it too would
-//     double-count;
-//   - a new Ledger is nfa's too, and covers the whole state space from
-//     this point of the stream onward: nfa charges every component's
-//     scanned bytes, activations and reports, and anchor hits charge one
-//     work unit per literal byte (the chain work sim would have done).
+// take their attach-time baseline: a new Ledger is nfa's too, and covers
+// the whole state space from this point of the stream onward — nfa
+// charges every component's scanned bytes, activations and reports, and
+// anchor hits charge one work unit per literal byte (the chain work sim
+// would have done).
 //
 // The Tracer is nfa's too: it covers symbols, reports, and every
 // activation but the chain states' — those are accounted in Stats but not
-// traced (see the package comment). Spans are not recorded by this engine.
+// traced (see the package comment). The Frontier histogram is this
+// engine's alone: nfa steps once per symbol too, and observing there as
+// well would double-count. Spans are not recorded by this engine.
 // Governor, Progress and Checkpointer act only under RunChecked.
 func (e *Engine) Attach(h hooks.Set) {
 	old := e.h
 	e.h = h
-	if h.Registry != old.Registry {
-		e.frontierHist = nil
-		if h.Registry != nil {
-			e.frontierHist = h.Registry.Histogram("sim.frontier", telemetry.ExpBuckets(1, 16))
-			e.published = e.Stats()
-			e.pubAnchorHits = e.anchorHits
-			e.pubResidualWork = e.nfa.Stats().Enabled
-		}
-	}
 	if h.Ledger != old.Ledger {
 		e.led = h.Ledger
 		if e.led != nil {
@@ -354,35 +333,9 @@ func (e *Engine) Attach(h hooks.Set) {
 	e.nfa.Attach(hooks.Set{Tracer: h.Tracer, Ledger: h.Ledger})
 }
 
-// FlushTelemetry publishes statistics and ledger bytes accumulated since
-// the last flush. Run and RunChecked flush at run end (and Reset before
-// clearing); the checkpoint saver calls this mid-stream so a snapshot
-// reflects every byte scanned so far.
-func (e *Engine) FlushTelemetry() {
-	if e.h.Registry != nil {
-		e.flushStats()
-	}
-	e.nfa.FlushTelemetry()
-}
-
-// flushStats publishes stats accumulated since the last flush.
-// prefilter.residual_work is nfa's enabled-frontier work: the cost the
-// matcher did NOT save.
-func (e *Engine) flushStats() {
-	d := e.h.Registry
-	cur := e.Stats()
-	d.Counter("sim.symbols").Add(cur.Symbols - e.published.Symbols)
-	d.Counter("sim.enabled").Add(cur.Enabled - e.published.Enabled)
-	d.Counter("sim.active").Add(cur.Active - e.published.Active)
-	d.Counter("sim.counter_pulses").Add(cur.CounterPulses - e.published.CounterPulses)
-	d.Counter("sim.reports").Add(cur.Reports - e.published.Reports)
-	d.Counter("prefilter.anchor_hits").Add(e.anchorHits - e.pubAnchorHits)
-	rw := e.nfa.Stats().Enabled
-	d.Counter("prefilter.residual_work").Add(rw - e.pubResidualWork)
-	e.published = cur
-	e.pubAnchorHits = e.anchorHits
-	e.pubResidualWork = rw
-}
+// FlushLedger charges the ledger bytes scanned since the last flush (see
+// sim.Engine.FlushLedger); the ledger is nfa's.
+func (e *Engine) FlushLedger() { e.nfa.FlushLedger() }
 
 // SetOffset positions the engine at an absolute stream offset without
 // touching any other state (see sim.Engine.SetOffset).

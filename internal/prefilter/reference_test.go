@@ -77,12 +77,8 @@ type refEngine struct {
 
 	// h is the attached hook bundle (see Attach), nil-guarded exactly like
 	// sim.Engine's so the disabled path stays allocation-free.
-	h               hooks.Set
-	telemetryOn     bool
-	frontierHist    *telemetry.Histogram
-	published       sim.Stats
-	pubAnchorHits   int64
-	pubResidualWork int64
+	h           hooks.Set
+	telemetryOn bool
 	// led is h.Ledger, held as a field of the attr type so its hot-path
 	// methods inline (see sim.Engine.Attach).
 	led             *attr.Ledger
@@ -278,8 +274,8 @@ func (e *refEngine) stepTelemetry(b byte) {
 	if e.h.Tracer != nil {
 		e.h.Tracer.OnSymbol(e.offset, b)
 	}
-	if e.frontierHist != nil {
-		e.frontierHist.Observe(e.frontierLenAll())
+	if e.h.Frontier != nil {
+		e.h.Frontier.Observe(e.frontierLenAll())
 	}
 }
 
@@ -343,7 +339,7 @@ func (e *refEngine) Step(b byte) {
 // It may be called repeatedly to continue the same logical stream.
 func (e *refEngine) Run(input []byte) sim.Stats {
 	e.scanChunk(input)
-	e.FlushTelemetry()
+	e.FlushLedger()
 	return e.Stats()
 }
 
@@ -358,7 +354,7 @@ func (e *refEngine) RunChecked(input []byte) (sim.Stats, error) {
 		return e.Run(input), nil
 	}
 	err := e.h.Chunks(guard.SitePrefilter, input, e.scanChunk, e.FrontierLen, e.flushLedger)
-	e.FlushTelemetry()
+	e.FlushLedger()
 	return e.Stats(), err
 }
 
@@ -390,7 +386,7 @@ func (e *refEngine) AnchorHits() int64 { return e.anchorHits }
 
 // Reset clears all runtime state, mirroring sim.Engine.Reset.
 func (e *refEngine) Reset() {
-	e.FlushTelemetry()
+	e.FlushLedger()
 	e.frontier = e.frontier[:0]
 	e.next = e.next[:0]
 	e.pend = e.pend[:0]
@@ -405,9 +401,6 @@ func (e *refEngine) Reset() {
 	e.offset = 0
 	e.stats = sim.Stats{}
 	e.anchorHits = 0
-	e.published = sim.Stats{}
-	e.pubAnchorHits = 0
-	e.pubResidualWork = 0
 	e.ledMark = 0
 	if e.residual != nil {
 		e.residual.Reset()
@@ -422,44 +415,25 @@ func (e *refEngine) FrontierLen() int { return int(e.frontierLenAll()) }
 
 // Attach installs h as the engine's hook bundle, replacing whatever was
 // attached (the zero Set detaches everything). Only hooks that changed
-// take their attach-time baseline:
+// take their attach-time baseline: a new Ledger covers this engine's
+// whole state space from this point of the stream onward; the residual
+// engine receives a ledger of its own from col, remapped to its local
+// numbering (commitLedgers commits both). Anchored components' scanned
+// bytes are charged at flush points; anchor hits charge one work unit per
+// literal byte (the chain work sim would have done).
 //
-//   - a new Registry starts publishing from the current statistics.
-//     Combined run statistics flush to the same sim.* counters the NFA
-//     engine publishes — the stats layer derives Table-I dynamics from
-//     those deltas regardless of engine — plus the prefilter.anchor_hits /
-//     prefilter.residual_work counters behind the azoo_prefilter_*
-//     Prometheus families. The embedded residual engine deliberately gets
-//     no registry: its work is folded into the combined flush, and
-//     attaching it too would double-count;
-//   - a new Ledger covers this engine's whole state space from this point
-//     of the stream onward; the residual engine receives a ledger of its
-//     own from col, remapped to its local numbering (commitLedgers commits
-//     both). Anchored
-//     components' scanned bytes are charged at flush points; anchor hits
-//     charge one work unit per literal byte (the chain work sim would
-//     have done).
-//
-// The Tracer covers symbols, reports, and confirm/residual activations —
+// The Frontier histogram observes the combined frontier; the embedded
+// residual engine gets none, which would double-count. The Tracer covers symbols, reports, and confirm/residual activations —
 // chain-state activations are accounted in Stats but not traced (see the
 // package comment). Spans are not recorded by this engine. Governor,
 // Progress and Checkpointer act only under RunChecked.
 func (e *refEngine) Attach(h hooks.Set) {
 	old := e.h
 	e.h = h
-	if h.Registry != old.Registry {
-		e.frontierHist = nil
-		if h.Registry != nil {
-			e.frontierHist = h.Registry.Histogram("sim.frontier", telemetry.ExpBuckets(1, 16))
-			e.published = e.Stats()
-			e.pubAnchorHits = e.anchorHits
-			e.pubResidualWork = e.residualWork()
-		}
-	}
 	if h.Ledger != old.Ledger {
 		e.attachLedger()
 	}
-	e.telemetryOn = h.Tracer != nil || e.frontierHist != nil
+	e.telemetryOn = h.Tracer != nil || h.Frontier != nil
 }
 
 // attachLedger resolves the attribution slots of the newly attached
@@ -495,47 +469,13 @@ func (e *refEngine) attachLedger() {
 	}
 }
 
-// FlushTelemetry publishes statistics and ledger bytes accumulated since
-// the last flush. Run and RunChecked flush at run end (and Reset before
-// clearing); the checkpoint saver calls this mid-stream so a snapshot
-// reflects every byte scanned so far. The residual engine's counters fold
-// into the combined flush, exactly as at run end.
-func (e *refEngine) FlushTelemetry() {
-	if e.h.Registry != nil {
-		e.flushStats()
-	}
+// FlushLedger charges the attached ledger (if any) the bytes scanned
+// since the last flush. Run and RunChecked flush at run end (and Reset
+// before clearing); the checkpoint save calls it mid-stream.
+func (e *refEngine) FlushLedger() {
 	if e.led != nil {
 		e.flushLedger()
 	}
-}
-
-// residualWork is the residual engine's enabled-frontier work sum — the
-// cost the prefilter did NOT save (0 when fully anchored).
-func (e *refEngine) residualWork() int64 {
-	if e.residual == nil {
-		return 0
-	}
-	return e.residual.Stats().Enabled
-}
-
-// flushStats publishes stats accumulated since the last flush.
-func (e *refEngine) flushStats() {
-	d := e.h.Registry
-	if d == nil {
-		return
-	}
-	cur := e.Stats()
-	d.Counter("sim.symbols").Add(cur.Symbols - e.published.Symbols)
-	d.Counter("sim.enabled").Add(cur.Enabled - e.published.Enabled)
-	d.Counter("sim.active").Add(cur.Active - e.published.Active)
-	d.Counter("sim.counter_pulses").Add(cur.CounterPulses - e.published.CounterPulses)
-	d.Counter("sim.reports").Add(cur.Reports - e.published.Reports)
-	d.Counter("prefilter.anchor_hits").Add(e.anchorHits - e.pubAnchorHits)
-	rw := e.residualWork()
-	d.Counter("prefilter.residual_work").Add(rw - e.pubResidualWork)
-	e.published = cur
-	e.pubAnchorHits = e.anchorHits
-	e.pubResidualWork = rw
 }
 
 // flushLedger charges bytes scanned since the last flush to every anchored
@@ -731,11 +671,10 @@ func (e *refEngine) commitLedgers() {
 }
 
 // CompareWithReference steps New(a) and the reference over input a byte at
-// a time, each with its own registry and ledger, and fails t after the
-// first byte on which they differ in Stats, reports (order included),
-// FrontierSnapshot, CaptureState, AnchorHits, committed ledger totals or
-// registry contents — all but prefilter.residual_work, which now counts
-// the confirm work too. Now and then the same random state is armed on
+// a time, each with its own frontier histogram and ledger, and fails t
+// after the first byte on which they differ in Stats, reports (order
+// included), FrontierSnapshot, CaptureState, AnchorHits, committed ledger
+// totals or sim.frontier histogram. Now and then the same random state is armed on
 // both (EnableState), and at the middle of input each engine is restored
 // from the other's CaptureState.
 func CompareWithReference(t testing.TB, a *automata.Automaton, input []byte, seed int64) {
@@ -753,8 +692,11 @@ func CompareWithReference(t testing.TB, a *automata.Automaton, input []byte, see
 	eled, rled := ecol.Ledger(ecol.GlobalCompOf()), rcol.Ledger(rcol.GlobalCompOf())
 	ereg, rreg := telemetry.NewRegistry(), telemetry.NewRegistry()
 	r.col = rcol
-	e.Attach(hooks.Set{Registry: ereg, Ledger: eled})
-	r.Attach(hooks.Set{Registry: rreg, Ledger: rled})
+	frontier := func(reg *telemetry.Registry) *telemetry.Histogram {
+		return reg.Histogram("sim.frontier", telemetry.ExpBuckets(1, 16))
+	}
+	e.Attach(hooks.Set{Frontier: frontier(ereg), Ledger: eled})
+	r.Attach(hooks.Set{Frontier: frontier(rreg), Ledger: rled})
 	var got, want []sim.Report
 	e.OnReport = func(x sim.Report) { got = append(got, x) }
 	r.OnReport = func(x sim.Report) { want = append(want, x) }
@@ -782,8 +724,8 @@ func CompareWithReference(t testing.TB, a *automata.Automaton, input []byte, see
 		}
 		e.Step(b)
 		r.Step(b)
-		e.FlushTelemetry()
-		r.FlushTelemetry()
+		e.FlushLedger()
+		r.FlushLedger()
 		eled.Commit()
 		r.commitLedgers()
 		if err := compareEngines(e, r, got, want, ecol, rcol, ereg, rreg); err != nil {
@@ -811,10 +753,7 @@ func compareEngines(e *Engine, r *refEngine, got, want []sim.Report, ecol, rcol 
 	if g, w := ecol.Totals(), rcol.Totals(); !reflect.DeepEqual(g, w) {
 		return fmt.Errorf("ledger totals %+v, reference %+v", g, w)
 	}
-	gs, ws := ereg.Snapshot(), rreg.Snapshot()
-	delete(gs.Counters, "prefilter.residual_work")
-	delete(ws.Counters, "prefilter.residual_work")
-	if !reflect.DeepEqual(gs, ws) {
+	if gs, ws := ereg.Snapshot(), rreg.Snapshot(); !reflect.DeepEqual(gs, ws) {
 		return fmt.Errorf("registry %+v, reference %+v", gs, ws)
 	}
 	return nil

@@ -42,6 +42,7 @@ import (
 	"automatazoo/internal/prefilter"
 	"automatazoo/internal/segment"
 	"automatazoo/internal/sim"
+	"automatazoo/internal/telemetry"
 )
 
 // Every engine Factory builds satisfies the segment and checkpoint
@@ -183,7 +184,11 @@ func (sp *Spec) run(ctx context.Context, a *automata.Automaton, streams [][]byte
 	if sliced {
 		err = sp.slices(ctx, a, streams, &res)
 	} else {
-		err = sp.whole(ctx, a, e, streams, &res)
+		// Inline, under the pool's panic isolation, as slices and
+		// segments run: a panic fails the run with a *parallel.PanicError.
+		err = parallel.ForEach(context.Background(), 1, 1, func(int) error {
+			return sp.whole(ctx, a, e, streams, &res)
+		})
 	}
 	for _, c := range cachers {
 		if res.Cache == nil {
@@ -193,12 +198,7 @@ func (sp *Spec) run(ctx context.Context, a *automata.Automaton, streams [][]byte
 	}
 	if c := res.Cache; c != nil {
 		c.Symbols, c.Reports = 0, 0
-		if r := sp.Registry; r != nil {
-			// The run's levels, not whichever engine flushed last.
-			r.Gauge("dfa.states").Set(int64(c.DFAStates))
-			r.Gauge("dfa.fallbacks").Set(int64(c.Fallbacks))
-			r.Gauge("dfa.cache_bytes").Set(c.CacheBytes)
-		}
+		sp.PublishCache(*c)
 	}
 	return res, err
 }
@@ -278,7 +278,7 @@ func (sp *Spec) whole(ctx context.Context, a *automata.Automaton, e segment.Engi
 		}
 	}
 	sp.Progress.AddTotal(remainingBytes(streams, first, off))
-	set := sp.EngineSet()
+	set := sp.EngineSet(e)
 	set.Ledger = sp.Ledger(nil)
 	sv := sp.Saver
 	var eng ckpt.Engine
@@ -287,17 +287,18 @@ func (sp *Spec) whole(ctx context.Context, a *automata.Automaton, e segment.Engi
 		if eng, ok = e.(ckpt.Engine); !ok {
 			return fmt.Errorf("engine %T cannot checkpoint", e)
 		}
-		sv.Set = sp.EngineSet()
+		sv.Hooks = sp.Hooks
 		set.Checkpointer = sv
 	}
+	inflight := false // a stream's RunChecked has not returned
 	// save builds a checkpoint at the engine's position in stream si, or
 	// at the start of stream si when snap is nil.
 	save := func(si int, snap *sim.StreamState, st sim.Stats) (*ckpt.Checkpoint, error) {
-		eng.FlushTelemetry()
+		eng.FlushLedger()
 		if set.Ledger != nil {
 			set.Ledger.Commit()
 		}
-		return sp.checkpoint(si, snap, st, res.Stitch), nil
+		return sp.checkpoint(si, snap, st, res.Stitch, e, inflight), nil
 	}
 	defer func() {
 		if set.Ledger != nil {
@@ -337,7 +338,10 @@ func (sp *Spec) whole(ctx context.Context, a *automata.Automaton, e segment.Engi
 			}
 			e.Attach(set)
 			e.SetOnReport(sp.OnReport)
+			inflight = true
 			st, err := e.RunChecked(stream[off:])
+			inflight = false
+			sp.Publish(e)
 			res.Stats = base.Add(st)
 			if err != nil {
 				return err
@@ -398,8 +402,9 @@ func (sp *Spec) chunked(ctx context.Context, a *automata.Automaton, e segment.En
 	return nil
 }
 
-// checkpoint assembles one checkpoint image from the run's current state.
-func (sp *Spec) checkpoint(stream int, snap *sim.StreamState, st sim.Stats, stitch segment.Stitch) *ckpt.Checkpoint {
+// checkpoint assembles one checkpoint image from the run's current state,
+// on engine e; inflight says e's stream work is not yet published.
+func (sp *Spec) checkpoint(stream int, snap *sim.StreamState, st sim.Stats, stitch segment.Stitch, e segment.Engine, inflight bool) *ckpt.Checkpoint {
 	cur := ckpt.Cursor{Stream: stream, Reports: st.Reports, Sim: &st}
 	if snap != nil {
 		cur.Offset = snap.Offset
@@ -409,7 +414,7 @@ func (sp *Spec) checkpoint(stream int, snap *sim.StreamState, st sim.Stats, stit
 	}
 	c := &ckpt.Checkpoint{Meta: sp.Saver.Meta, Sim: snap, Cursor: cur}
 	if sp.Registry != nil {
-		s := sp.Registry.Snapshot()
+		s := sp.metrics(e, inflight)
 		c.Metrics = &s
 	}
 	if sp.Attribution != nil {
@@ -421,6 +426,22 @@ func (sp *Spec) checkpoint(stream int, snap *sim.StreamState, st sim.Stats, stit
 		c.Budget = &b
 	}
 	return c
+}
+
+// metrics is the registry snapshot a checkpoint holds: a copy with what e
+// has counted but not yet published folded in — its in-flight stream's
+// work, and a caching engine's cache profile, published at run end.
+func (sp *Spec) metrics(e segment.Engine, inflight bool) telemetry.Snapshot {
+	h := sp.Hooks
+	h.Registry = telemetry.NewRegistry()
+	h.Registry.Merge(sp.Registry.Snapshot())
+	if inflight {
+		h.Publish(e)
+	}
+	if c, ok := e.(cacher); ok {
+		h.PublishCache(c.CacheStats())
+	}
+	return h.Registry.Snapshot()
 }
 
 // remainingBytes is what a scan starting at (stream, offset) has to read:

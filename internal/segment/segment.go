@@ -48,6 +48,7 @@ import (
 
 	"automatazoo/internal/attr"
 	"automatazoo/internal/automata"
+	"automatazoo/internal/dfa"
 	"automatazoo/internal/guard"
 	"automatazoo/internal/hooks"
 	"automatazoo/internal/parallel"
@@ -136,12 +137,12 @@ type Engine interface {
 // structs of those layers embed it; stats.Hooks is an alias of it. All
 // fields are optional and the zero value is a bare run.
 type Hooks struct {
-	// Registry is attached to every engine the run builds. sim.*/dfa.*
-	// counters describe engine work — per-slice passes, warmup and replay
-	// waste included — so exact stream statistics come from the drivers'
-	// Results, never from registry deltas. Drivers publish their own
-	// counters (segment.*, ckpt.*) here too. Final contents are
-	// deterministic at any worker or segment count (commutative sums).
+	// Registry is held by no engine: each driver publishes the engine
+	// counts of the scan units it owns (Publish), so sim.*/dfa.* counters
+	// describe engine work — per-slice passes, warmup and replay waste
+	// included — and exact stream statistics come from the drivers'
+	// Results. Drivers publish their own counters (segment.*, ckpt.*) here
+	// too. Final contents are deterministic at any worker or segment count.
 	Registry *telemetry.Registry
 	// Tracer is attached to whole-automaton engines and segment masters,
 	// but not to speculative segment engines: a traced segmented run
@@ -180,18 +181,85 @@ type Hooks struct {
 	NewEngine func(*automata.Automaton) (Engine, error)
 }
 
-// EngineSet is the one driver→engine conversion: the ambient sinks every
-// engine built under h is attached with. Spans stays behind — drivers
-// time their own phases, and an "<engine>.run" node under each would
-// change every manifest's span tree. Ledger and Checkpointer are per scan
+// EngineSet is the one driver→engine conversion: the ambient sinks an
+// engine like e is attached with — the Registry only as the sim.frontier
+// histogram, for an engine with an NFA frontier. Spans stays behind:
+// drivers time their own phases. Ledger and Checkpointer are per scan
 // unit and set by the driver that owns the unit.
-func (h Hooks) EngineSet() hooks.Set {
-	return hooks.Set{
-		Registry: h.Registry,
-		Tracer:   h.Tracer,
-		Governor: h.Governor,
-		Progress: h.Progress,
+func (h Hooks) EngineSet(e Engine) hooks.Set {
+	set := hooks.Set{Tracer: h.Tracer, Governor: h.Governor, Progress: h.Progress}
+	if _, ok := e.(interface{ FrontierLen() int }); ok && h.Registry != nil {
+		set.Frontier = h.Registry.Histogram("sim.frontier", telemetry.ExpBuckets(1, 16))
 	}
+	return set
+}
+
+// work is what Publish counts of an engine since its Reset: Stats, and
+// the prefilter's anchor hits and residual NFA work.
+type work struct {
+	st                 sim.Stats
+	anchors, residuals int64
+}
+
+type prefiltered interface {
+	AnchorHits() int64
+	ResidualWork() int64
+}
+
+func workOf(e Engine) (w work) {
+	w.st = e.Stats()
+	if p, ok := e.(prefiltered); ok {
+		w.anchors, w.residuals = p.AnchorHits(), p.ResidualWork()
+	}
+	return w
+}
+
+// Publish adds the work e has done since its Reset to h.Registry
+// (nil-safe): sim.* and, for the prefilter, prefilter.* counters, or
+// dfa.symbols and dfa.reports. The driver that owns a scan unit calls it
+// once, when the unit ends.
+func (h Hooks) Publish(e Engine) { h.publish(e, work{}) }
+
+// publish adds the work e has done since base, read from e earlier.
+func (h Hooks) publish(e Engine, base work) {
+	r := h.Registry
+	if r == nil {
+		return
+	}
+	w := workOf(e)
+	st := subStats(w.st, base.st)
+	if _, ok := e.(interface{ CacheStats() dfa.Stats }); ok {
+		r.Counter("dfa.symbols").Add(st.Symbols)
+		r.Counter("dfa.reports").Add(st.Reports)
+		return
+	}
+	r.Counter("sim.symbols").Add(st.Symbols)
+	r.Counter("sim.enabled").Add(st.Enabled)
+	r.Counter("sim.active").Add(st.Active)
+	r.Counter("sim.counter_pulses").Add(st.CounterPulses)
+	r.Counter("sim.reports").Add(st.Reports)
+	if _, ok := e.(prefiltered); ok {
+		r.Counter("prefilter.anchor_hits").Add(w.anchors - base.anchors)
+		r.Counter("prefilter.residual_work").Add(w.residuals - base.residuals)
+	}
+}
+
+// PublishCache adds the cache profile c of a run's dfa engines to
+// h.Registry (nil-safe): the cache counters, which persist across Reset
+// and so are published once per run, and the levels as the dfa.* gauges.
+func (h Hooks) PublishCache(c dfa.Stats) {
+	r := h.Registry
+	if r == nil {
+		return
+	}
+	r.Counter("dfa.cache_hits").Add(c.CacheHits)
+	r.Counter("dfa.cache_misses").Add(c.CacheMisses)
+	r.Counter("dfa.cache_evictions").Add(c.CacheEvictions)
+	r.Counter("dfa.construct_nanos").Add(c.ConstructNanos)
+	r.Counter("dfa.fallback_bytes").Add(c.FallbackBytes)
+	r.Gauge("dfa.states").Set(int64(c.DFAStates))
+	r.Gauge("dfa.fallbacks").Set(int64(c.Fallbacks))
+	r.Gauge("dfa.cache_bytes").Set(c.CacheBytes)
 }
 
 // New builds one scan engine for a through h.NewEngine (sim.New when nil).
@@ -373,7 +441,7 @@ func newRunner(a *automata.Automaton, input []byte, opts Options) (*runner, erro
 		r.master = m
 	}
 	r.specOK = r.k > 1 && r.warmup > 0 && r.master.Speculative()
-	set := opts.EngineSet()
+	set := opts.EngineSet(r.master)
 	r.masterLed = opts.Ledger(nil)
 	set.Ledger = r.masterLed
 	r.master.Attach(set)
@@ -440,10 +508,11 @@ func (r *runner) scanMaster(i int) error {
 	if r.collect {
 		r.master.SetOnReport(func(rep sim.Report) { buf = append(buf, rep) })
 	}
-	base := r.master.Stats()
+	base := workOf(r.master)
 	st, err := r.master.RunChecked(r.input[lo:hi])
 	r.master.SetOnReport(nil)
-	r.total = r.total.Add(subStats(st, base))
+	r.opts.publish(r.master, base)
+	r.total = r.total.Add(subStats(st, base.st))
 	r.perSeg[i] = canonReports(buf)
 	return err
 }
@@ -496,6 +565,9 @@ func (r *runner) speculate(i int) error {
 	st, err := e.RunChecked(r.input[lo:hi])
 	e.SetOnReport(nil)
 	e.Attach(r.specSet)
+	// Everything since the Reset: the warmup is speculation waste, and
+	// counted as such.
+	r.opts.Publish(e)
 	if err != nil {
 		return err
 	}

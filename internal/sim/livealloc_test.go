@@ -6,27 +6,35 @@ import (
 	"automatazoo/internal/automata"
 	"automatazoo/internal/charset"
 	"automatazoo/internal/hooks"
+	"automatazoo/internal/telemetry"
 )
 
 // TestDisabledLiveTelemetryZeroAllocs guards the checked path with the
 // live-ops surface fully disabled: with no governor, progress tracker,
 // attribution ledger, or checkpointer attached, RunChecked must reduce
-// to the exact Run fast path and stay allocation-free once warm.
+// to the exact Run fast path and stay allocation-free once warm — bare,
+// and with only the Frontier histogram observing every symbol.
 func TestDisabledLiveTelemetryZeroAllocs(t *testing.T) {
 	a := literalAutomaton("abc", 1)
-	e := New(a)
-	e.Attach(hooks.Set{})
-	input := []byte("xxabcxxabcabcxaxbxcabxcabc")
-	e.Reset()
-	if _, err := e.RunChecked(input); err != nil {
-		t.Fatal(err)
-	}
-	allocs := testing.AllocsPerRun(200, func() {
+	frontier := telemetry.NewRegistry().Histogram("sim.frontier", telemetry.ExpBuckets(1, 16))
+	for _, set := range []hooks.Set{{}, {Frontier: frontier}} {
+		e := New(a)
+		e.Attach(set)
+		input := []byte("xxabcxxabcabcxaxbxcabxcabc")
 		e.Reset()
-		e.RunChecked(input)
-	})
-	if allocs != 0 {
-		t.Fatalf("disabled-live RunChecked allocated %.1f times per run, want 0", allocs)
+		if _, err := e.RunChecked(input); err != nil {
+			t.Fatal(err)
+		}
+		allocs := testing.AllocsPerRun(200, func() {
+			e.Reset()
+			e.RunChecked(input)
+		})
+		if allocs != 0 {
+			t.Fatalf("disabled-live RunChecked (frontier %v) allocated %.1f times per run, want 0", set.Frontier != nil, allocs)
+		}
+	}
+	if frontier.Count() == 0 {
+		t.Fatal("the Frontier histogram observed nothing; the second case is vacuous")
 	}
 }
 

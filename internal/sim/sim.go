@@ -50,7 +50,6 @@ import (
 	"automatazoo/internal/charset"
 	"automatazoo/internal/guard"
 	"automatazoo/internal/hooks"
-	"automatazoo/internal/telemetry"
 )
 
 // Report records one match: the automaton entered a reporting state (or a
@@ -199,12 +198,10 @@ type Engine struct {
 	// Checkpointer are deliberately outside telemetryOn: they are
 	// touched per Run call or per chunk, never per symbol, so all-nil
 	// RunChecked stays byte-for-byte the Run loop.
-	h            hooks.Set
-	led          *attr.Ledger // h.Ledger (see Attach)
-	telemetryOn  bool         // Tracer or frontierHist attached
-	frontierHist *telemetry.Histogram
-	published    Stats // portion of stats already flushed to h.Registry
-	ledMark      int64 // Symbols watermark of the last ledger byte flush
+	h           hooks.Set
+	led         *attr.Ledger // h.Ledger (see Attach)
+	telemetryOn bool         // Tracer or Frontier attached
+	ledMark     int64        // Symbols watermark of the last ledger byte flush
 }
 
 // counter is one counter element's configuration and runtime state.
@@ -371,23 +368,14 @@ func (e *Engine) FrontierLen() int {
 }
 
 // Attach installs h as the engine's hook bundle, replacing whatever was
-// attached (the zero Set detaches everything). Only hooks that changed
-// take their attach-time baseline: a new Registry starts publishing from
-// the current statistics (and owns the sim.frontier histogram); a new
-// Ledger is charged from this point of the stream onward — bytes consumed
-// before the attach (e.g. a segment-scan warmup) are not. Governor,
-// Progress and Checkpointer act only under RunChecked; bare Run/Step
-// calls stay ungoverned and silent.
+// attached (the zero Set detaches everything). A new Ledger is charged
+// from this point of the stream onward — bytes consumed before the attach
+// (e.g. a segment-scan warmup) are not. Governor, Progress and
+// Checkpointer act only under RunChecked; bare Run/Step calls stay
+// ungoverned and silent.
 func (e *Engine) Attach(h hooks.Set) {
 	old := e.h
 	e.h = h
-	if h.Registry != old.Registry {
-		e.frontierHist = nil
-		if h.Registry != nil {
-			e.frontierHist = h.Registry.Histogram("sim.frontier", telemetry.ExpBuckets(1, 16))
-			e.published = e.stats
-		}
-	}
 	if h.Ledger != old.Ledger {
 		// The hot loops go through a field of the attr type itself: the
 		// ledger's per-activation methods inline only into packages that
@@ -395,59 +383,29 @@ func (e *Engine) Attach(h hooks.Set) {
 		e.led = h.Ledger
 		e.ledMark = e.stats.Symbols
 	}
-	e.telemetryOn = e.h.Tracer != nil || e.frontierHist != nil
+	e.telemetryOn = e.h.Tracer != nil || e.h.Frontier != nil
 }
 
-// FlushTelemetry publishes statistics and ledger bytes accumulated since
-// the last flush to the attached registry and ledger. Run and RunChecked
-// flush on their own at run end (and Reset before clearing); the
-// checkpoint saver calls this mid-stream so a snapshot of the
-// registry/collector reflects every byte scanned so far.
-func (e *Engine) FlushTelemetry() {
-	if e.h.Registry != nil {
-		e.flushStats()
+// FlushLedger charges the attached ledger (if any) the bytes scanned since
+// the last flush, to every component this engine covers. Run and
+// RunChecked flush at run end (and Reset before clearing); the checkpoint
+// save calls it mid-stream so the committed totals cover every byte
+// scanned so far.
+func (e *Engine) FlushLedger() {
+	if e.led == nil {
+		return
 	}
-	if e.led != nil {
-		e.flushLedger()
-	}
-}
-
-// flushLedger charges bytes scanned since the last flush to every
-// component this engine covers.
-func (e *Engine) flushLedger() {
 	if d := e.stats.Symbols - e.ledMark; d > 0 {
 		e.led.AddBytesAll(d)
 	}
 	e.ledMark = e.stats.Symbols
 }
 
-// flushStats publishes stats accumulated since the last flush to the
-// attached registry.
-func (e *Engine) flushStats() {
-	d := e.h.Registry
-	if d == nil {
-		return
-	}
-	delta := Stats{
-		Symbols:       e.stats.Symbols - e.published.Symbols,
-		Enabled:       e.stats.Enabled - e.published.Enabled,
-		Active:        e.stats.Active - e.published.Active,
-		CounterPulses: e.stats.CounterPulses - e.published.CounterPulses,
-		Reports:       e.stats.Reports - e.published.Reports,
-	}
-	d.Counter("sim.symbols").Add(delta.Symbols)
-	d.Counter("sim.enabled").Add(delta.Enabled)
-	d.Counter("sim.active").Add(delta.Active)
-	d.Counter("sim.counter_pulses").Add(delta.CounterPulses)
-	d.Counter("sim.reports").Add(delta.Reports)
-	e.published = e.stats
-}
-
 // Reset clears all runtime state: the frontier, counters, latches, offset
 // and statistics. The next symbol consumed is treated as the start of
 // data, on the list frontier.
 func (e *Engine) Reset() {
-	e.FlushTelemetry() // don't lose stats accumulated via bare Step calls
+	e.FlushLedger() // don't lose bytes scanned via bare Step calls
 	e.frontier = e.frontier[:0]
 	e.next = e.next[:0]
 	if e.dense {
@@ -467,7 +425,6 @@ func (e *Engine) Reset() {
 	e.pulsed = e.pulsed[:0]
 	e.offset = 0
 	e.stats = Stats{}
-	e.published = Stats{}
 	e.ledMark = 0
 	e.blockSyms, e.blockEnabled = 0, 0
 }
@@ -503,7 +460,7 @@ func (e *Engine) Stats() Stats { return e.stats }
 func (e *Engine) Run(input []byte) Stats {
 	sp := e.h.Spans.Start("sim.run")
 	e.scanChunk(input)
-	e.FlushTelemetry()
+	e.FlushLedger()
 	sp.End()
 	return e.stats
 }
@@ -519,8 +476,8 @@ func (e *Engine) RunChecked(input []byte) (Stats, error) {
 		return e.Run(input), nil
 	}
 	sp := e.h.Spans.Start("sim.run")
-	err := e.h.Chunks(guard.SiteSimChunk, input, e.scanChunk, e.FrontierLen, e.flushLedger)
-	e.FlushTelemetry()
+	err := e.h.Chunks(guard.SiteSimChunk, input, e.scanChunk, e.FrontierLen, e.FlushLedger)
+	e.FlushLedger()
 	sp.End()
 	return e.stats, err
 }
@@ -586,8 +543,8 @@ func (e *Engine) stepTelemetry(b byte) {
 	if e.h.Tracer != nil {
 		e.h.Tracer.OnSymbol(e.offset, b)
 	}
-	if e.frontierHist != nil {
-		e.frontierHist.Observe(int64(e.FrontierLen()))
+	if e.h.Frontier != nil {
+		e.h.Frontier.Observe(int64(e.FrontierLen()))
 	}
 }
 

@@ -105,37 +105,6 @@ func TestTracerEventStream(t *testing.T) {
 	}
 }
 
-func TestRegistryPublishing(t *testing.T) {
-	a := literalAutomaton("ab", 1)
-	e := New(a)
-	reg := telemetry.NewRegistry()
-	e.Attach(hooks.Set{Registry: reg})
-	e.Run([]byte("abab"))
-	if got := reg.Counter("sim.symbols").Value(); got != 4 {
-		t.Errorf("sim.symbols = %d, want 4", got)
-	}
-	if got := reg.Counter("sim.reports").Value(); got != 2 {
-		t.Errorf("sim.reports = %d, want 2", got)
-	}
-	// Second Run on the same stream publishes only the delta.
-	e.Run([]byte("ab"))
-	if got := reg.Counter("sim.symbols").Value(); got != 6 {
-		t.Errorf("after second run sim.symbols = %d, want 6", got)
-	}
-	// Reset flushes pending bare-Step stats rather than dropping them.
-	e.Reset()
-	e.Step('a')
-	e.Step('b')
-	e.Reset()
-	if got := reg.Counter("sim.symbols").Value(); got != 8 {
-		t.Errorf("after bare steps sim.symbols = %d, want 8", got)
-	}
-	// Frontier histogram observed one value per symbol.
-	if got := reg.Histogram("sim.frontier", nil).Count(); got != 8 {
-		t.Errorf("frontier observations = %d, want 8", got)
-	}
-}
-
 // TestStatsZeroInput is the divide-by-zero hardening audit: every rate
 // accessor must return 0, not NaN, on an empty run.
 func TestStatsZeroInput(t *testing.T) {

@@ -13,22 +13,28 @@
 // # Metrics registry
 //
 // A Registry is a namespace of named atomic Counters, Gauges, and
-// Histograms. Engines publish under conventional prefixes:
+// Histograms. The drivers publish engine work (segment.Hooks.Publish)
+// under conventional prefixes; engines observe only sim.frontier
+// (hooks.Set.Frontier):
 //
-//	sim.symbols          counter  input symbols consumed
-//	sim.enabled          counter  summed enabled-frontier sizes
-//	sim.active           counter  summed per-symbol matching states
-//	sim.reports          counter  reports emitted
-//	sim.counter_pulses   counter  AP-counter increment events
-//	sim.frontier         histogram per-symbol enabled-frontier size
-//	dfa.symbols          counter  input symbols consumed
-//	dfa.reports          counter  reports emitted
-//	dfa.cache_hits       counter  transitions found interned
-//	dfa.cache_misses     counter  transitions subset-constructed
-//	dfa.cache_evictions  counter  interned dstates abandoned on overflow
-//	dfa.construct_nanos  counter  cumulative subset-construction time
-//	dfa.states           gauge    distinct interned DFA states
-//	dfa.fallbacks        gauge    components running in NFA fallback
+//	sim.symbols              counter   input symbols consumed
+//	sim.enabled              counter   summed enabled-frontier sizes
+//	sim.active               counter   summed per-symbol matching states
+//	sim.reports              counter   reports emitted
+//	sim.counter_pulses       counter   AP-counter increment events
+//	sim.frontier             histogram per-symbol enabled-frontier size
+//	prefilter.anchor_hits    counter   anchor-literal occurrences
+//	prefilter.residual_work  counter   the sim stage's enabled work
+//	dfa.symbols              counter   input symbols consumed
+//	dfa.reports              counter   reports emitted
+//	dfa.cache_hits           counter   transitions found interned
+//	dfa.cache_misses         counter   transitions subset-constructed
+//	dfa.cache_evictions      counter   interned dstates abandoned on overflow
+//	dfa.construct_nanos      counter   cumulative subset-construction time
+//	dfa.fallback_bytes       counter   bytes stepped by degraded components
+//	dfa.states               gauge     distinct interned DFA states
+//	dfa.fallbacks            gauge     components running in NFA fallback
+//	dfa.cache_bytes          gauge     modeled transition-cache size
 //
 // Registry.Snapshot serializes to deterministic JSON (map keys sort), and
 // WritePrometheus renders the live registry as Prometheus text, which
