@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"os"
@@ -16,6 +17,7 @@ import (
 	"automatazoo/internal/charset"
 	"automatazoo/internal/ckpt"
 	"automatazoo/internal/guard"
+	"automatazoo/internal/parallel"
 	"automatazoo/internal/report"
 	"automatazoo/internal/scan"
 	"automatazoo/internal/stats"
@@ -147,6 +149,41 @@ func TestResumeIdenticalToStraightRun(t *testing.T) {
 				t.Errorf("manifest kernel row differs:\nstraight %+v\nresumed  %+v", k0, k2)
 			}
 		})
+	}
+}
+
+// TestPanicKeepsCheckpoint: an engine panic in a checkpointed
+// whole-automaton run fails the run but leaves the last checkpoint, and
+// resuming from it prints what a straight run prints.
+func TestPanicKeepsCheckpoint(t *testing.T) {
+	dir := t.TempDir()
+	ck0, ck := filepath.Join(dir, "straight.ck"), filepath.Join(dir, "pk.ck")
+	base := []string{"-bench", "Snort", "-scale", "0.01", "-input", "30000", "-j", "1", "-segments", "1",
+		"-checkpoint-interval", "4096"}
+	base = base[:len(base):len(base)]
+	want, err := captureStdout(t, func() error { return cmdRun(append(base, "-checkpoint", ck0)) })
+	if err != nil {
+		t.Fatalf("straight run: %v", err)
+	}
+	_, err = captureStderr(t, func() error {
+		_, err := captureStdout(t, func() error {
+			return cmdRun(append(base, "-checkpoint", ck, "-faults", "panic:sim.chunk:4"))
+		})
+		return err
+	})
+	var pe *parallel.PanicError
+	if !errors.As(err, &pe) {
+		t.Fatalf("panicking run returned %v, want a worker panic", err)
+	}
+	if _, err := os.Stat(ck); err != nil {
+		t.Fatalf("panicking run left no checkpoint: %v", err)
+	}
+	got, err := captureStdout(t, func() error { return cmdResume([]string{ck}) })
+	if err != nil {
+		t.Fatalf("resume: %v", err)
+	}
+	if got != want || want == "" {
+		t.Errorf("stdout differs:\nstraight %q\nresumed  %q", want, got)
 	}
 }
 

@@ -278,11 +278,11 @@ func cmdStats(args []string) error {
 	if err != nil {
 		return err
 	}
-	row := stats.Row{
-		Name: b.Name, Domain: b.Domain, Input: b.Input,
-		Static:  stats.Compute(a),
-		Dynamic: stats.SimulateSegments(a, segs),
+	dyn, err := stats.ObserveSegmentsHooked(a, segs, stats.Hooks{})
+	if err != nil {
+		return err
 	}
+	row := stats.Row{Name: b.Name, Domain: b.Domain, Input: b.Input, Static: stats.Compute(a), Dynamic: dyn}
 	if *compress {
 		row.Compression = stats.Compress(a)
 	}
@@ -378,7 +378,7 @@ func runScan(sess *obsSession, sp scanSpec) error {
 	if h.NewEngine, err = scan.Factory(m.Engine); err != nil {
 		return err
 	}
-	bsp := h.Spans.Start("build")
+	bsp := sess.Spans.Start("build")
 	// With telemetry active the run carries cost attribution: the manifest
 	// gains an attribution section and the registry azoo_attr_* families.
 	// Without it col stays nil and every attribution hook is disabled
@@ -397,11 +397,10 @@ func runScan(sess *obsSession, sp scanSpec) error {
 	}
 	h.Attribution = col
 	spec := scan.Spec{Hooks: h, Workers: m.Workers, Segments: m.Segments, Start: sp.start}
-	spec.Spans = nil // the command times the scan as a whole
 	if sp.ckptPath != "" {
 		spec.Saver = &ckpt.Saver{Path: sp.ckptPath, Interval: m.Interval, Meta: m}
 	}
-	ssp := h.Spans.Start("scan")
+	ssp := sess.Spans.Start("scan")
 	res, err := scan.Run(context.Background(), a, segs, spec)
 	h.Progress.Done()
 	ssp.End()
@@ -510,7 +509,7 @@ func runTable(fs *flag.FlagSet, args []string,
 		return err
 	}
 	// With nothing armed this is the zero Observer, which observes nothing.
-	obs := &experiments.Observer{Hooks: sess.Hooks, Progress: sess.prog}
+	obs := &experiments.Observer{Hooks: sess.Hooks, Spans: sess.Spans, Progress: sess.prog}
 	config, rows, err := table(*workers, obs)
 	if err != nil {
 		sess.setReport(fs.Name(), *workers, config, nil)

@@ -54,6 +54,7 @@ func telemetryFlags(fs *flag.FlagSet) *telFlags {
 // flushes the trace.
 type obsSession struct {
 	stats.Hooks
+	Spans       *telemetry.Spans
 	traceFile   *telemetry.NDJSON // Tracer's concrete sink, for Close
 	metricsPath string
 	reportPath  string

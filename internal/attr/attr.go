@@ -1,16 +1,14 @@
 // Package attr attributes runtime cost back to source patterns.
 //
 // The suite's loaders assemble thousands of regex/MNRL patterns into one
-// automaton; after prefix-merging and fan-out limiting the resulting
-// states no longer correspond one-to-one to patterns, and the engines'
-// telemetry (heatmaps, cache counters) speaks in anonymous state indices.
-// This package closes that gap in three layers:
+// automaton, and the engines' telemetry (heatmaps, cache counters) speaks
+// in anonymous state indices. This package closes that gap in three
+// layers:
 //
 //   - Provenance: a compile-time map from every automaton state to the
 //     set of pattern IDs whose compilation produced it. Loaders record
-//     contiguous builder state ranges per pattern (Ranges); every
-//     transform pass propagates origins through its state rewrite
-//     (Apply/ApplyMulti), so merged states carry origin-ID sets.
+//     contiguous builder state ranges per pattern (Ranges); overlapping
+//     ranges give a state several origins.
 //   - Collector/Ledger (ledger.go): a runtime cost ledger — per-component
 //     bytes scanned, frontier work, reports, DFA cache bytes, evictions
 //     and fallbacks — filled by nil-guarded engine hooks and folded up to
@@ -39,9 +37,8 @@ type Pattern struct {
 }
 
 // Provenance maps automaton states to the patterns that produced them.
-// States created by bookkeeping outside any pattern range (or whose
-// origins were dropped by a transform) have an empty origin set and fold
-// into the reserved "(unattributed)" bucket.
+// States created by bookkeeping outside any pattern range have an empty
+// origin set and fold into the reserved "(unattributed)" bucket.
 type Provenance struct {
 	patterns []Pattern
 	origins  [][]int32 // per state: sorted pattern IDs
@@ -167,39 +164,6 @@ func FromComponents(a *automata.Automaton, prefix string) *Provenance {
 		origins[s] = []int32{comp[s]}
 	}
 	return &Provenance{patterns: patterns, origins: origins}
-}
-
-// Apply rebuilds the provenance for a transformed automaton described by
-// a one-to-at-most-one state remap: remap[old] is the new ID of old
-// state old, or automata.NoState when the state was dropped. Several old
-// states may map to one new state (prefix-merge); the new state's origin
-// set is the union of theirs.
-func (p *Provenance) Apply(remap []automata.StateID, newStates int) *Provenance {
-	origins := make([][]int32, newStates)
-	for old, nw := range remap {
-		if nw == automata.NoState || int(nw) >= newStates {
-			continue
-		}
-		origins[nw] = unionIDs(origins[nw], p.origins[old])
-	}
-	return &Provenance{patterns: p.patterns, origins: origins}
-}
-
-// ApplyMulti rebuilds the provenance for a transform that may replicate
-// states: copies[old] lists every new state derived from old state old
-// (widening's orig/pad pairs, fan-limiting's replicas). Each replica
-// inherits the full origin set.
-func (p *Provenance) ApplyMulti(copies [][]automata.StateID, newStates int) *Provenance {
-	origins := make([][]int32, newStates)
-	for old, list := range copies {
-		for _, nw := range list {
-			if nw == automata.NoState || int(nw) >= newStates {
-				continue
-			}
-			origins[nw] = unionIDs(origins[nw], p.origins[old])
-		}
-	}
-	return &Provenance{patterns: p.patterns, origins: origins}
 }
 
 func sortIDs(ids []int32) {

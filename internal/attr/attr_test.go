@@ -88,42 +88,6 @@ func TestUnionIDs(t *testing.T) {
 	}
 }
 
-func TestApplyMergesAndDrops(t *testing.T) {
-	var r Ranges
-	r.Tag("p0", 0, 2)
-	r.Tag("p1", 2, 4)
-	p := r.Provenance(4)
-	// Merge states 0 and 2 into new state 0, keep 1→1, drop state 3.
-	remap := []automata.StateID{0, 1, 0, automata.NoState}
-	q := p.Apply(remap, 2)
-	if got := q.Origins(0); !reflect.DeepEqual(got, []int32{0, 1}) {
-		t.Fatalf("merged origins=%v want [0 1]", got)
-	}
-	if got := q.Origins(1); !reflect.DeepEqual(got, []int32{0}) {
-		t.Fatalf("kept origins=%v want [0]", got)
-	}
-	if q.NumStates() != 2 {
-		t.Fatalf("states=%d want 2", q.NumStates())
-	}
-}
-
-func TestApplyMultiReplicates(t *testing.T) {
-	var r Ranges
-	r.Tag("p0", 0, 1)
-	r.Tag("p1", 1, 2)
-	p := r.Provenance(2)
-	copies := [][]automata.StateID{{0, 2}, {1}}
-	q := p.ApplyMulti(copies, 3)
-	for _, s := range []automata.StateID{0, 2} {
-		if got := q.Origins(s); !reflect.DeepEqual(got, []int32{0}) {
-			t.Fatalf("replica %d origins=%v want [0]", s, got)
-		}
-	}
-	if got := q.Origins(1); !reflect.DeepEqual(got, []int32{1}) {
-		t.Fatalf("state 1 origins=%v want [1]", got)
-	}
-}
-
 func TestFromComponents(t *testing.T) {
 	b := automata.NewBuilder()
 	chain(b, "ab", 7)

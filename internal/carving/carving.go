@@ -169,15 +169,10 @@ var regexPatterns = map[int]struct {
 	SSN:       {`[0-8][0-9]{2}-[0-9]{2}-[0-9]{4}`, 0},
 }
 
-// Build assembles the full nine-pattern benchmark automaton; pattern i
-// reports with code i.
-func Build() (*automata.Automaton, error) {
-	return BuildTagged(nil)
-}
-
-// BuildTagged is Build additionally reporting each pattern's builder
-// state range to tag (when non-nil), so a cost-attribution provenance map
-// (internal/attr) can name states by the Names entries.
+// BuildTagged assembles the full nine-pattern benchmark automaton; pattern
+// i reports with code i. It reports each pattern's builder state range to
+// tag (when non-nil), so a cost-attribution provenance map (internal/attr)
+// can name states by the Names entries.
 func BuildTagged(tag func(name string, lo, hi int)) (*automata.Automaton, error) {
 	b := automata.NewBuilder()
 	zip, err := buildZipHeader()

@@ -9,7 +9,7 @@ import (
 
 func build(t *testing.T) *automata.Automaton {
 	t.Helper()
-	a, err := Build()
+	a, err := BuildTagged(nil)
 	if err != nil {
 		t.Fatal(err)
 	}

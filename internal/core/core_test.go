@@ -73,7 +73,10 @@ func TestAllBenchmarksBuildAndSimulate(t *testing.T) {
 			if st.Subgraphs == 0 || st.ReportStates == 0 {
 				t.Fatalf("degenerate stats: %+v", st)
 			}
-			dyn := stats.SimulateSegments(a, segs)
+			dyn, err := stats.ObserveSegmentsHooked(a, segs, stats.Hooks{})
+			if err != nil {
+				t.Fatal(err)
+			}
 			if dyn.Symbols == 0 {
 				t.Fatal("no symbols simulated")
 			}

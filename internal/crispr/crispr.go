@@ -124,20 +124,6 @@ func exactSegment(b *automata.Builder, pattern []byte, entries []automata.StateI
 	return mesh.BuildClassChain(b, classes, entries)
 }
 
-// Benchmark builds the AutomataZoo CRISPR benchmark: n filters (the paper
-// uses 2,000) of the given style over random guides. Filter i reports with
-// code i.
-func Benchmark(style Style, n int, seed uint64) (*automata.Automaton, error) {
-	rng := randx.New(seed)
-	b := automata.NewBuilder()
-	for i := 0; i < n; i++ {
-		if err := BuildFilter(b, RandomGuide(rng), style, int32(i)); err != nil {
-			return nil, err
-		}
-	}
-	return b.Build()
-}
-
 // Input synthesizes a genome fragment of n bases with sites planted for
 // the given guides: for each guide, one exact protospacer+PAM occurrence
 // and one single-mismatch occurrence, surrounded by random sequence.

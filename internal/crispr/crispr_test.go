@@ -131,10 +131,14 @@ func TestFilterSizes(t *testing.T) {
 }
 
 func TestBenchmarkShape(t *testing.T) {
-	a, err := Benchmark(CasOFFinder, 20, 1)
-	if err != nil {
-		t.Fatal(err)
+	rng := randx.New(1)
+	b := automata.NewBuilder()
+	for i := 0; i < 20; i++ {
+		if err := BuildFilter(b, RandomGuide(rng), CasOFFinder, int32(i)); err != nil {
+			t.Fatal(err)
+		}
 	}
+	a := b.MustBuild()
 	sizes, _ := a.Components()
 	if len(sizes) != 20 {
 		t.Fatalf("subgraphs=%d", len(sizes))

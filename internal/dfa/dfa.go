@@ -700,12 +700,10 @@ func (e *Engine) Run(input []byte) Stats {
 }
 
 func (e *Engine) run(input []byte) {
-	sp := e.h.Spans.Start("dfa.run")
 	for _, b := range input {
 		e.stepByte(b)
 	}
 	e.FlushLedger()
-	sp.End()
 }
 
 // Step consumes one input symbol.
@@ -724,10 +722,8 @@ func (e *Engine) RunChecked(input []byte) (sim.Stats, error) {
 		e.run(input)
 		return e.Stats(), nil
 	}
-	sp := e.h.Spans.Start("dfa.run")
 	err := e.h.Chunks(guard.SiteDFAChunk, input, e.scanChunk, nil, nil)
 	e.FlushLedger()
-	sp.End()
 	return e.Stats(), err
 }
 

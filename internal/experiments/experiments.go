@@ -20,7 +20,8 @@ import (
 // Observer carries the optional hook bundle through an experiment: the
 // Registry the engines publish into, the Tracer receiving execution
 // events, and the Spans collector recording each kernel's
-// build/simulate/compress (etc.) wall-clock breakdown. Governor bounds
+// build/simulate/compress (etc.) wall-clock breakdown — the harness's own
+// phases; no driver or engine below it records spans. Governor bounds
 // the experiment: every kernel checks in at the experiments.kernel
 // boundary before starting and every engine runs governed, so one budget
 // trip stops the whole table. NewEngine selects the scan-engine
@@ -30,19 +31,21 @@ import (
 // value (and a nil *Observer) disables all of them.
 type Observer struct {
 	segment.Hooks
+	Spans *telemetry.Spans
 	// Progress, when non-nil, hands every kernel its own live heartbeat
 	// tracker (named after the kernel). It shadows the bundle's single
 	// tracker, which a multi-kernel experiment has no use for.
 	Progress *telemetry.Progress
 }
 
-// sinks returns the observer's hook bundle and progress aggregator. A nil
-// observer yields the zero bundle and a nil aggregator, both valid no-ops.
-func (o *Observer) sinks() (segment.Hooks, *telemetry.Progress) {
+// sinks returns the observer's hook bundle, span collector and progress
+// aggregator. A nil observer yields the zero bundle and nil collectors,
+// all valid no-ops.
+func (o *Observer) sinks() (segment.Hooks, *telemetry.Spans, *telemetry.Progress) {
 	if o == nil {
-		return segment.Hooks{}, nil
+		return segment.Hooks{}, nil, nil
 	}
-	return o.Hooks, o.Progress
+	return o.Hooks, o.Spans, o.Progress
 }
 
 // TableIIRow is one Random Forest variant's trade-off summary.

@@ -116,9 +116,9 @@ func perSecond(n int, elapsed time.Duration) float64 {
 func TableI(ctx context.Context, cfg core.Config, compress bool, workers, segments int, obs *Observer) ([]stats.Row, error) {
 	benches := core.All()
 	rows := make([]stats.Row, len(benches))
-	h, prog := obs.sinks()
+	h, spans, prog := obs.sinks()
 	regs := localRegistries(h.Registry, len(benches))
-	forks := localSpans(h.Spans, len(benches))
+	forks := localSpans(spans, len(benches))
 	err := parallel.ForEach(ctx, workers, len(benches), func(i int) error {
 		b := benches[i]
 		if err := h.Governor.Boundary(guard.SiteKernel, 0); err != nil {
@@ -132,10 +132,9 @@ func TableI(ctx context.Context, cfg core.Config, compress bool, workers, segmen
 		if err != nil {
 			return fmt.Errorf("%s: %w", b.Name, err)
 		}
-		// The kernel's bundle: its own registry and tracker. Its phase spans
-		// are this harness's (ksp); the scan drivers get none.
+		// The kernel's bundle: its own registry and tracker.
 		kh := h
-		kh.Registry, kh.Spans, kh.Progress = regs[i], nil, prog.Tracker(b.Name)
+		kh.Registry, kh.Progress = regs[i], prog.Tracker(b.Name)
 		ssp := ksp.Start("simulate")
 		dyn, _, err := stats.ObserveStreams(ctx, a, segs, stats.StreamOptions{
 			Workers: workers, Segments: segments, Hooks: kh,
@@ -164,7 +163,7 @@ func TableI(ctx context.Context, cfg core.Config, compress bool, workers, segmen
 	// reports the partial phase spans and counters of the kernels that ran
 	// (the pool has drained, so the forks and registries are settled).
 	mergeRegistries(h.Registry, regs)
-	adoptSpans(h.Spans, forks)
+	adoptSpans(spans, forks)
 	if err != nil {
 		return nil, err
 	}
@@ -183,9 +182,9 @@ func TableII(ctx context.Context, samples int, seed uint64, workers int, obs *Ob
 	ds := rf.GenerateDataset(samples, seed)
 	train, test := ds.Split(0.8)
 	variants := []rf.Variant{rf.VariantA, rf.VariantB, rf.VariantC}
-	h, _ := obs.sinks()
+	h, spans, _ := obs.sinks()
 	regs := localRegistries(h.Registry, len(variants))
-	forks := localSpans(h.Spans, len(variants))
+	forks := localSpans(spans, len(variants))
 	rows, err := parallel.Map(ctx, workers, len(variants), func(i int) (TableIIRow, error) {
 		v := variants[i]
 		if err := h.Governor.Boundary(guard.SiteKernel, 0); err != nil {
@@ -220,7 +219,7 @@ func TableII(ctx context.Context, samples int, seed uint64, workers int, obs *Ob
 		return row, nil
 	})
 	mergeRegistries(h.Registry, regs)
-	adoptSpans(h.Spans, forks)
+	adoptSpans(spans, forks)
 	if err != nil {
 		return nil, err
 	}
@@ -251,14 +250,14 @@ func TableII(ctx context.Context, samples int, seed uint64, workers int, obs *Ob
 // tracing is not attached inside the timed loops — it would measure the
 // tracer, not the engine.)
 func TableIII(ctx context.Context, filters, inputItemsets int, seed uint64, workers int, obs *Observer) ([]TableIIIRow, error) {
-	h, prog := obs.sinks()
+	h, spans, prog := obs.sinks()
 	rng := randx.New(seed)
 	pats := make([]spm.Pattern, filters)
 	for i := range pats {
 		pats[i] = spm.RandomPattern(rng, 6)
 	}
 	// The two automaton builds are themselves independent work items.
-	buildForks := localSpans(h.Spans, 2)
+	buildForks := localSpans(spans, 2)
 	built, err := parallel.Map(ctx, workers, 2, func(i int) (*automata.Automaton, error) {
 		name := "build.plain"
 		pad := 0
@@ -269,7 +268,7 @@ func TableIII(ctx context.Context, filters, inputItemsets int, seed uint64, work
 		defer bsp.End()
 		return spm.Benchmark(filters, 6, spm.Config{Padding: pad}, seed)
 	})
-	adoptSpans(h.Spans, buildForks)
+	adoptSpans(spans, buildForks)
 	if err != nil {
 		return nil, err
 	}
@@ -338,7 +337,7 @@ func TableIII(ctx context.Context, filters, inputItemsets int, seed uint64, work
 	dfaStats := make([]dfa.Stats, 4)
 	autos := []*automata.Automaton{plain, padded, plain, padded}
 	names := []string{"nfa.plain", "nfa.padded", "dfa.plain", "dfa.padded"}
-	forks := localSpans(h.Spans, 4)
+	forks := localSpans(spans, 4)
 	err = parallel.ForEach(ctx, workers, 4, func(i int) error {
 		if err := h.Governor.Boundary(guard.SiteKernel, 0); err != nil {
 			return err
@@ -360,7 +359,7 @@ func TableIII(ctx context.Context, filters, inputItemsets int, seed uint64, work
 		return nil
 	})
 	mergeRegistries(h.Registry, regs)
-	adoptSpans(h.Spans, forks)
+	adoptSpans(spans, forks)
 	if err != nil {
 		return nil, err
 	}
@@ -421,9 +420,9 @@ func TableIV(ctx context.Context, samples int, seed uint64, workers int, obs *Ob
 
 	var hsRate, nativeRate, fpgaRate float64
 	var dfaStats dfa.Stats
-	h, prog := obs.sinks()
+	h, spans, prog := obs.sinks()
 	regs := localRegistries(h.Registry, 3)
-	forks := localSpans(h.Spans, 3)
+	forks := localSpans(spans, 3)
 	kernels := []func() error{
 		func() error { // Hyperscan proxy: per-sample DFA scan.
 			ksp := forks[0].Start("hyperscan")
@@ -496,14 +495,14 @@ func TableIV(ctx context.Context, samples int, seed uint64, workers int, obs *Ob
 		return kernels[i]()
 	})
 	mergeRegistries(h.Registry, regs)
-	adoptSpans(h.Spans, forks)
+	adoptSpans(spans, forks)
 	if err != nil {
 		return nil, err
 	}
 
 	// Native multi-threaded, alone on the machine (recorded straight into
 	// obs.Spans: the pool has drained, so there is no contention to avoid).
-	msp := h.Spans.Start("native_mt")
+	msp := spans.Start("native_mt")
 	start := time.Now()
 	m.PredictBatch(batch, runtime.GOMAXPROCS(0))
 	mtRate := perSecond(len(batch), time.Since(start))

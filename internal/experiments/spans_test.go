@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"automatazoo/internal/core"
-	"automatazoo/internal/segment"
 	"automatazoo/internal/telemetry"
 )
 
@@ -46,7 +45,7 @@ func TestTableISpansDeterministicAcrossWorkers(t *testing.T) {
 	var trees [][]telemetry.SpanSnapshot
 	for _, workers := range []int{1, 4} {
 		spans := telemetry.NewSpans()
-		_, err := TableI(context.Background(), cfg, false, workers, 1, &Observer{Hooks: segment.Hooks{Spans: spans}})
+		_, err := TableI(context.Background(), cfg, false, workers, 1, &Observer{Spans: spans})
 		if err != nil {
 			t.Fatal(err)
 		}

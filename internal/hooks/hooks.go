@@ -24,7 +24,7 @@ type Checkpointer interface {
 // nil-guarded at each touch point; the zero Set is a bare engine whose
 // RunChecked is exactly Run, allocation-free (the allocguard tests).
 //
-// Frontier and the four sinks after it are handed to every engine of a
+// Frontier and the three sinks after it are handed to every engine of a
 // run; no registry is (engines count in Stats, and the drivers publish).
 // Ledger and Checkpointer belong to one scan unit: drivers attach them
 // for the unit (a slice pass, a speculative segment, one stream of a
@@ -37,9 +37,6 @@ type Set struct {
 	// Tracer receives per-symbol/activation/report (sim, prefilter) or
 	// report/cache (dfa) events from inside the scan loop.
 	Tracer telemetry.Tracer
-	// Spans times every Run/RunChecked call as one aggregated
-	// "<engine>.run" phase span (the prefilter engine records none).
-	Spans *telemetry.Spans
 	// Governor bounds RunChecked (and dfa subset construction); bare
 	// Run/Step calls stay ungoverned.
 	Governor *guard.Governor

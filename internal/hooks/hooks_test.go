@@ -218,7 +218,7 @@ func TestZeroSetTakesBarePath(t *testing.T) {
 		want bool
 	}{
 		{"zero", Set{}, false},
-		{"per-run sinks only", Set{Frontier: telemetry.NewRegistry().Histogram("f", nil), Tracer: telemetry.NewNDJSON(&bytes.Buffer{}), Spans: telemetry.NewSpans(), Ledger: full.Ledger}, false},
+		{"per-run sinks only", Set{Frontier: telemetry.NewRegistry().Histogram("f", nil), Tracer: telemetry.NewNDJSON(&bytes.Buffer{}), Ledger: full.Ledger}, false},
 		{"governor", Set{Governor: full.Governor}, true},
 		{"progress", Set{Progress: full.Progress}, true},
 		{"checkpointer", Set{Checkpointer: full.Checkpointer}, true},

@@ -105,12 +105,14 @@ func TestRoundTripMesh(t *testing.T) {
 }
 
 func TestRoundTripCRISPRBenchmark(t *testing.T) {
-	a, err := crispr.Benchmark(crispr.CasOFFinder, 10, 7)
-	if err != nil {
-		t.Fatal(err)
+	rng := randx.New(7)
+	b := automata.NewBuilder()
+	for i := 0; i < 10; i++ {
+		if err := crispr.BuildFilter(b, crispr.RandomGuide(rng), crispr.CasOFFinder, int32(i)); err != nil {
+			t.Fatal(err)
+		}
 	}
-	rng := randx.New(5)
-	roundTrip(t, a, mesh.RandomDNA(rng, 5000))
+	roundTrip(t, b.MustBuild(), mesh.RandomDNA(randx.New(5), 5000))
 }
 
 func TestSymbolSetCodec(t *testing.T) {

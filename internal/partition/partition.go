@@ -30,7 +30,6 @@ import (
 	"automatazoo/internal/parallel"
 	"automatazoo/internal/segment"
 	"automatazoo/internal/sim"
-	"automatazoo/internal/telemetry"
 )
 
 // Slice is one device-load: a set of component indices and its state cost.
@@ -244,28 +243,11 @@ func (p *Plan) Run(ctx context.Context, streams [][]byte, opts RunOptions) (Resu
 	if opts.OnReport != nil {
 		buffered = make([][][]sim.Report, len(p.Slices))
 	}
-	// Phase spans: each worker records into its own fork; forks are
-	// adopted in slice-index order after the barrier, so the merged
-	// extract/scan aggregates are deterministic at any worker count.
-	root := opts.Spans.Start("partition.run")
-	var sliceSpans []*telemetry.Spans
-	if opts.Spans != nil {
-		sliceSpans = make([]*telemetry.Spans, len(p.Slices))
-		for i := range sliceSpans {
-			sliceSpans[i] = opts.Spans.Fork()
-		}
-	}
 	err := parallel.ForEach(ctx, opts.Workers, len(p.Slices), func(i int) error {
 		if err := opts.Governor.Boundary(guard.SitePartitionSlice, 0); err != nil {
 			return err
 		}
-		var ss *telemetry.Spans
-		if sliceSpans != nil {
-			ss = sliceSpans[i]
-		}
-		esp := ss.Start("extract")
 		sub, err := p.Extract(i)
-		esp.End()
 		if err != nil {
 			return err
 		}
@@ -282,8 +264,6 @@ func (p *Plan) Run(ctx context.Context, streams [][]byte, opts RunOptions) (Resu
 		if buffered != nil {
 			buffered[i] = make([][]sim.Report, len(streams))
 		}
-		rsp := ss.Start("scan")
-		defer rsp.End()
 		for s, input := range streams {
 			e.Reset()
 			if buffered != nil {
@@ -298,21 +278,15 @@ func (p *Plan) Run(ctx context.Context, streams [][]byte, opts RunOptions) (Resu
 		}
 		return nil
 	})
-	// Adopt the per-slice span forks and sum stats on the error path too:
-	// a truncated run still reports its partial phase spans and work done
-	// (ForEach has waited for in-flight slices, so the forks are settled).
-	for i := range sliceSpans {
-		root.Adopt(sliceSpans[i])
-	}
+	// Sum stats on the error path too: a truncated run still reports the
+	// work done (ForEach has waited for in-flight slices).
 	for _, st := range stats {
 		res.add(st)
 	}
 	if err != nil {
-		root.End()
 		return res, err
 	}
 	if buffered != nil {
-		msp := root.Start("merge")
 		perSlice := make([][]sim.Report, len(p.Slices))
 		for s := range streams {
 			for i := range buffered {
@@ -322,9 +296,7 @@ func (p *Plan) Run(ctx context.Context, streams [][]byte, opts RunOptions) (Resu
 				opts.OnReport(r)
 			}
 		}
-		msp.End()
 	}
-	root.End()
 	return res, nil
 }
 

@@ -316,8 +316,8 @@ func (e *Engine) FrontierLen() int { return e.nfa.FrontierLen() }
 // activation but the chain states' — those are accounted in Stats but not
 // traced (see the package comment). The Frontier histogram is this
 // engine's alone: nfa steps once per symbol too, and observing there as
-// well would double-count. Spans are not recorded by this engine.
-// Governor, Progress and Checkpointer act only under RunChecked.
+// well would double-count. Governor, Progress and Checkpointer act only
+// under RunChecked.
 func (e *Engine) Attach(h hooks.Set) {
 	old := e.h
 	e.h = h

@@ -425,8 +425,8 @@ func (e *refEngine) FrontierLen() int { return int(e.frontierLenAll()) }
 // The Frontier histogram observes the combined frontier; the embedded
 // residual engine gets none, which would double-count. The Tracer covers symbols, reports, and confirm/residual activations —
 // chain-state activations are accounted in Stats but not traced (see the
-// package comment). Spans are not recorded by this engine. Governor,
-// Progress and Checkpointer act only under RunChecked.
+// package comment). Governor, Progress and Checkpointer act only under
+// RunChecked.
 func (e *refEngine) Attach(h hooks.Set) {
 	old := e.h
 	e.h = h

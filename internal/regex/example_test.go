@@ -22,18 +22,3 @@ func ExampleCompile() {
 	// Output:
 	// code 7 at offset 8
 }
-
-// Snort and ClamAV rules carry patterns in /pattern/flags form.
-func ExampleParsePCRE() {
-	pat, flags, extra, err := regex.ParsePCRE(`/User-Agent: \w+/iU`)
-	if err != nil {
-		panic(err)
-	}
-	fmt.Println(pat)
-	fmt.Println(flags&regex.CaseInsensitive != 0)
-	fmt.Println(extra)
-	// Output:
-	// User-Agent: \w+
-	// true
-	// U
-}

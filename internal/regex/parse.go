@@ -451,38 +451,3 @@ func (p *parser) parseClass() (charset.Set, error) {
 	}
 	return cls, nil
 }
-
-// ParsePCRE splits a /pattern/flags form (the shape Snort and ClamAV rules
-// carry) into the raw pattern and Flags. Unknown flag letters are returned
-// so callers can apply rule-level semantics (e.g. Snort's R/U modifiers).
-func ParsePCRE(s string) (pattern string, flags Flags, extra string, err error) {
-	if len(s) < 2 || s[0] != '/' {
-		return "", 0, "", fmt.Errorf("regex: not a /pattern/flags form: %q", s)
-	}
-	end := -1
-	for i := len(s) - 1; i > 0; i-- {
-		if s[i] == '/' {
-			end = i
-			break
-		}
-	}
-	if end <= 0 {
-		return "", 0, "", fmt.Errorf("regex: unterminated /pattern/: %q", s)
-	}
-	pattern = s[1:end]
-	for _, f := range s[end+1:] {
-		switch f {
-		case 'i':
-			flags |= CaseInsensitive
-		case 's':
-			flags |= DotAll
-		case 'm', 'x':
-			// multiline/extended: accepted and ignored (no ^$ interior
-			// anchors, no literal whitespace stripping needed for the
-			// generated rulesets).
-		default:
-			extra += string(f)
-		}
-	}
-	return pattern, flags, extra, nil
-}

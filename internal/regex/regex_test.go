@@ -227,37 +227,6 @@ func TestNonCapturingGroup(t *testing.T) {
 	checkAgainstGo(t, "(?:ab)+c", "ababc abc xc")
 }
 
-func TestParsePCRE(t *testing.T) {
-	pat, flags, extra, err := ParsePCRE("/foo.*bar/si")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if pat != "foo.*bar" {
-		t.Errorf("pattern=%q", pat)
-	}
-	if flags&CaseInsensitive == 0 || flags&DotAll == 0 {
-		t.Errorf("flags=%v", flags)
-	}
-	if extra != "" {
-		t.Errorf("extra=%q", extra)
-	}
-	_, _, extra, err = ParsePCRE("/x/UR")
-	if err != nil || extra != "UR" {
-		t.Errorf("extra modifiers: %q err=%v", extra, err)
-	}
-	if _, _, _, err = ParsePCRE("nope"); err == nil {
-		t.Error("ParsePCRE should reject non-slash form")
-	}
-	if _, _, _, err = ParsePCRE("/unterminated"); err == nil {
-		t.Error("ParsePCRE should reject unterminated form")
-	}
-	// Pattern containing a slash: the split is at the last slash.
-	pat, _, _, err = ParsePCRE("/a\\/b/i")
-	if err != nil || pat != "a\\/b" {
-		t.Errorf("slash-in-pattern: %q err=%v", pat, err)
-	}
-}
-
 func TestCompileInto(t *testing.T) {
 	b := automata.NewBuilder()
 	p1, err := Parse("cat", 0)

@@ -72,8 +72,7 @@ func Factory(name string) (func(*automata.Automaton) (segment.Engine, error), er
 // Spec says how Run scans.
 type Spec struct {
 	// Hooks are attached to every engine the run builds, and NewEngine
-	// builds them (see Factory; nil is nfa). Run's layouts record their
-	// own phase spans in Spans; set it nil to time the scan as a whole.
+	// builds them (see Factory; nil is nfa).
 	segment.Hooks
 	// Workers bounds the run's goroutines (<= 0: one per CPU); Segments
 	// asks for segment-parallel pieces per stream (0 auto, 1 off, N
@@ -300,13 +299,16 @@ func (sp *Spec) whole(ctx context.Context, a *automata.Automaton, e segment.Engi
 		}
 		return sp.checkpoint(si, snap, st, res.Stitch, e, inflight), nil
 	}
+	// A panic unwinds through the clean-up below with err still nil; only
+	// a normal return may remove the checkpoint.
+	completed := false
 	defer func() {
 		if set.Ledger != nil {
 			set.Ledger.Commit()
 		}
 		switch trip := guard.AsTrip(err); {
 		case sv == nil:
-		case err == nil:
+		case completed:
 			ckpt.Remove(sv.Path)
 		case trip != nil && trip.Budget == guard.BudgetSignaled:
 			sv.SaveFinal("signal")
@@ -356,6 +358,7 @@ func (sp *Spec) whole(ctx context.Context, a *automata.Automaton, e segment.Engi
 			sv.ResetInterval()
 		}
 	}
+	completed = true
 	return nil
 }
 

@@ -152,12 +152,6 @@ type Hooks struct {
 	// locally, so the tracer sees automaton state IDs in stream order. It
 	// must be safe for concurrent use (telemetry.NDJSON is).
 	Tracer telemetry.Tracer
-	// Spans receives each driver's own phase spans ("segment.run" with
-	// "segment.scan"/"segment.stitch" children; "partition.run" with
-	// "extract"/"scan"/"merge"). Concurrent tasks record into forks adopted
-	// in index order, so the tree is deterministic at any worker count.
-	// Engines built under the bundle get no Spans (see EngineSet).
-	Spans *telemetry.Spans
 	// Governor bounds the run: drivers check in at their own sites
 	// (segment.spec, partition.slice, experiments.kernel) and every engine
 	// runs governed, so one trip anywhere stops every task cooperatively at
@@ -183,9 +177,8 @@ type Hooks struct {
 
 // EngineSet is the one driver→engine conversion: the ambient sinks an
 // engine like e is attached with — the Registry only as the sim.frontier
-// histogram, for an engine with an NFA frontier. Spans stays behind:
-// drivers time their own phases. Ledger and Checkpointer are per scan
-// unit and set by the driver that owns the unit.
+// histogram, for an engine with an NFA frontier. Ledger and Checkpointer
+// are per scan unit and set by the driver that owns the unit.
 func (h Hooks) EngineSet(e Engine) hooks.Set {
 	set := hooks.Set{Tracer: h.Tracer, Governor: h.Governor, Progress: h.Progress}
 	if _, ok := e.(interface{ FrontierLen() int }); ok && h.Registry != nil {
@@ -401,8 +394,6 @@ type runner struct {
 	master Engine
 	pool   sync.Pool
 	specs  []spec
-	forks  []*telemetry.Spans
-	root   *telemetry.Span
 
 	collect   bool
 	perSeg    [][]sim.Report
@@ -460,14 +451,6 @@ func newRunner(a *automata.Automaton, input []byte, opts Options) (*runner, erro
 		e.Attach(r.specSet)
 		return e
 	}
-
-	r.root = opts.Spans.Start("segment.run")
-	if opts.Spans != nil {
-		r.forks = make([]*telemetry.Spans, r.tasks())
-		for i := range r.forks {
-			r.forks[i] = opts.Spans.Fork()
-		}
-	}
 	return r, nil
 }
 
@@ -486,10 +469,6 @@ func (r *runner) tasks() int {
 // statistics); tasks 1..k-1 are speculative warmup+scan. Distinct tasks
 // may run concurrently.
 func (r *runner) runTask(i int) error {
-	if r.forks != nil {
-		sp := r.forks[i].Start("segment.scan")
-		defer sp.End()
-	}
 	if err := r.opts.Governor.Boundary(guard.SiteSegment, 0); err != nil {
 		return err
 	}
@@ -587,9 +566,6 @@ func (r *runner) speculate(i int) error {
 // exact partial statistics are returned with it (speculative partial work
 // is discarded — it may cover bytes the master never reached).
 func (r *runner) finish(phase1Err error) (Result, error) {
-	for _, f := range r.forks {
-		r.root.Adopt(f)
-	}
 	res := Result{Stitch: Stitch{
 		Segments:    int64(r.k),
 		Speculated:  r.speculated.Load(),
@@ -601,10 +577,8 @@ func (r *runner) finish(phase1Err error) (Result, error) {
 		if r.masterLed != nil {
 			r.masterLed.Commit()
 		}
-		r.root.End()
 		return res, phase1Err
 	}
-	ssp := r.root.Start("segment.stitch")
 	var err error
 	for i := 1; i < r.k; i++ {
 		s := &r.specs[i]
@@ -636,14 +610,12 @@ func (r *runner) finish(phase1Err error) (Result, error) {
 			break
 		}
 	}
-	ssp.End()
 	res.Stats = r.total
 	res.Stitch.Publish(r.opts.Registry)
 	if r.masterLed != nil {
 		r.masterLed.Commit()
 	}
 	if err != nil {
-		r.root.End()
 		return res, err
 	}
 	if r.collect {
@@ -653,7 +625,6 @@ func (r *runner) finish(phase1Err error) (Result, error) {
 			}
 		}
 	}
-	r.root.End()
 	return res, nil
 }
 

@@ -194,10 +194,10 @@ type Engine struct {
 	// disabled path costs one predictable branch per symbol and per
 	// activation and zero allocations (asserted by
 	// TestNilTelemetryZeroAllocs); the individual nil guards run only once
-	// some hook is attached. Spans, Governor, Progress, Ledger and
-	// Checkpointer are deliberately outside telemetryOn: they are
-	// touched per Run call or per chunk, never per symbol, so all-nil
-	// RunChecked stays byte-for-byte the Run loop.
+	// some hook is attached. Governor, Progress, Ledger and Checkpointer
+	// are deliberately outside telemetryOn: they are touched per Run call
+	// or per chunk, never per symbol, so all-nil RunChecked stays
+	// byte-for-byte the Run loop.
 	h           hooks.Set
 	led         *attr.Ledger // h.Ledger (see Attach)
 	telemetryOn bool         // Tracer or Frontier attached
@@ -458,10 +458,8 @@ func (e *Engine) Stats() Stats { return e.stats }
 // Run consumes the entire input and returns the accumulated statistics.
 // It may be called repeatedly to continue the same logical stream.
 func (e *Engine) Run(input []byte) Stats {
-	sp := e.h.Spans.Start("sim.run")
 	e.scanChunk(input)
 	e.FlushLedger()
-	sp.End()
 	return e.stats
 }
 
@@ -475,10 +473,8 @@ func (e *Engine) RunChecked(input []byte) (Stats, error) {
 	if !e.h.Chunked() {
 		return e.Run(input), nil
 	}
-	sp := e.h.Spans.Start("sim.run")
 	err := e.h.Chunks(guard.SiteSimChunk, input, e.scanChunk, e.FrontierLen, e.FlushLedger)
 	e.FlushLedger()
-	sp.End()
 	return e.stats, err
 }
 

@@ -8,9 +8,8 @@ import (
 )
 
 // TestNilTelemetryZeroAllocs is the benchmark guard for the disabled
-// telemetry path: with no tracer, registry, or span collector
-// attached, Run must not allocate at all once the engine is warm (the
-// per-run "sim.run" phase span reduces to a nil-receiver no-op).
+// telemetry path: with no hook attached, Run must not allocate at all
+// once the engine is warm.
 func TestNilTelemetryZeroAllocs(t *testing.T) {
 	a := literalAutomaton("abc", 1)
 	e := New(a)

@@ -10,7 +10,6 @@ package snort
 
 import (
 	"fmt"
-	"strconv"
 	"strings"
 
 	"automatazoo/internal/automata"
@@ -21,7 +20,6 @@ import (
 // Rule is one Snort rule's automata-relevant content.
 type Rule struct {
 	SID       int
-	Msg       string
 	PCRE      string      // raw pattern (no slashes)
 	Flags     regex.Flags // i / s
 	SnortMods string      // Snort-specific PCRE modifiers (U, I, P, H, …)
@@ -31,91 +29,6 @@ type Rule struct {
 // HasSnortModifiers reports whether the rule's pattern was written for a
 // specific HTTP buffer rather than the raw stream.
 func (r Rule) HasSnortModifiers() bool { return r.SnortMods != "" }
-
-// Format renders the rule in Snort's rule syntax.
-func (r Rule) Format() string {
-	var sb strings.Builder
-	fmt.Fprintf(&sb, `alert tcp any any -> any any (msg:%q; pcre:"/%s/`, r.Msg, r.PCRE)
-	if r.Flags&regex.CaseInsensitive != 0 {
-		sb.WriteByte('i')
-	}
-	if r.Flags&regex.DotAll != 0 {
-		sb.WriteByte('s')
-	}
-	sb.WriteString(r.SnortMods)
-	sb.WriteString(`";`)
-	if r.Isdataat {
-		sb.WriteString(" isdataat:10,relative;")
-	}
-	fmt.Fprintf(&sb, " sid:%d;)", r.SID)
-	return sb.String()
-}
-
-// ParseRule parses the subset of Snort rule syntax Format emits (plus
-// whitespace tolerance): the pcre, isdataat, msg, and sid options.
-func ParseRule(line string) (Rule, error) {
-	var r Rule
-	open := strings.IndexByte(line, '(')
-	close_ := strings.LastIndexByte(line, ')')
-	if open < 0 || close_ < open {
-		return r, fmt.Errorf("snort: no option block in %q", line)
-	}
-	body := line[open+1 : close_]
-	for _, opt := range splitOptions(body) {
-		key, val, _ := strings.Cut(strings.TrimSpace(opt), ":")
-		val = strings.TrimSpace(val)
-		switch strings.TrimSpace(key) {
-		case "pcre":
-			val = strings.Trim(val, `"`)
-			pat, flags, extra, err := regex.ParsePCRE(val)
-			if err != nil {
-				return r, fmt.Errorf("snort: %v", err)
-			}
-			r.PCRE = pat
-			r.Flags = flags
-			r.SnortMods = extra
-		case "isdataat":
-			r.Isdataat = true
-		case "msg":
-			r.Msg = strings.Trim(val, `"`)
-		case "sid":
-			sid, err := strconv.Atoi(val)
-			if err != nil {
-				return r, fmt.Errorf("snort: bad sid %q", val)
-			}
-			r.SID = sid
-		}
-	}
-	if r.PCRE == "" {
-		return r, fmt.Errorf("snort: rule has no pcre option: %q", line)
-	}
-	return r, nil
-}
-
-// splitOptions splits a rule option block on semicolons that are not
-// inside a quoted string.
-func splitOptions(body string) []string {
-	var out []string
-	depth := false
-	start := 0
-	for i := 0; i < len(body); i++ {
-		switch body[i] {
-		case '"':
-			if i == 0 || body[i-1] != '\\' {
-				depth = !depth
-			}
-		case ';':
-			if !depth {
-				out = append(out, body[start:i])
-				start = i + 1
-			}
-		}
-	}
-	if start < len(body) {
-		out = append(out, body[start:])
-	}
-	return out
-}
 
 // GenConfig sizes the generated ruleset. Defaults mirror the paper's
 // population: 2,486 content rules survive filtering, 2,856 carry Snort
@@ -192,8 +105,7 @@ func Generate(cfg GenConfig, seed uint64) []Rule {
 			pat = esc(randLit(12+rng.Intn(8))) + "(=|%3d)" + esc(randLit(14+rng.Intn(10))) +
 				"(;|\\|)" + esc(randLit(10)) + "(%0a|\\n)"
 		}
-		rules = append(rules, Rule{SID: sid, Msg: "SYNTH content rule", PCRE: pat,
-			Flags: regexFlagsFor(rng)})
+		rules = append(rules, Rule{SID: sid, PCRE: pat, Flags: regexFlagsFor(rng)})
 	}
 	mods := []string{"U", "I", "P", "H"}
 	for i := 0; i < cfg.ModifierRules; i++ {
@@ -209,7 +121,7 @@ func Generate(cfg GenConfig, seed uint64) []Rule {
 		default: // header + version digit
 			pat = esc(randx.Pick(rng, headers)+": ") + "[A-Za-z]+" + fmt.Sprintf("%d", rng.Intn(10))
 		}
-		rules = append(rules, Rule{SID: sid, Msg: "SYNTH modifier rule", PCRE: pat,
+		rules = append(rules, Rule{SID: sid, PCRE: pat,
 			Flags: regexFlagsFor(rng), SnortMods: randx.Pick(rng, mods)})
 	}
 	for i := 0; i < cfg.IsdataatRules; i++ {
@@ -223,8 +135,7 @@ func Generate(cfg GenConfig, seed uint64) []Rule {
 		default: // request line with a specific URI word
 			pat = esc(randx.Pick(rng, methods)) + " \\/" + esc(randx.Pick(rng, uriWords))
 		}
-		rules = append(rules, Rule{SID: sid, Msg: "SYNTH isdataat rule", PCRE: pat,
-			Isdataat: true})
+		rules = append(rules, Rule{SID: sid, PCRE: pat, Isdataat: true})
 	}
 	return rules
 }

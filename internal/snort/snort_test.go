@@ -8,33 +8,6 @@ import (
 	"automatazoo/internal/sim"
 )
 
-func TestFormatParseRoundTrip(t *testing.T) {
-	rules := Generate(GenConfig{CleanRules: 20, ModifierRules: 20, IsdataatRules: 5}, 1)
-	for _, r := range rules {
-		line := r.Format()
-		got, err := ParseRule(line)
-		if err != nil {
-			t.Fatalf("ParseRule(%q): %v", line, err)
-		}
-		if got.PCRE != r.PCRE || got.SID != r.SID || got.Isdataat != r.Isdataat ||
-			got.SnortMods != r.SnortMods || got.Flags != r.Flags {
-			t.Fatalf("round trip mismatch:\n in=%+v\nout=%+v", r, got)
-		}
-	}
-}
-
-func TestParseRuleErrors(t *testing.T) {
-	for _, bad := range []string{
-		"alert tcp no options",
-		`alert tcp any any -> any any (msg:"x"; sid:1;)`, // no pcre
-		`alert tcp any any -> any any (pcre:"/a/"; sid:zzz;)`,
-	} {
-		if _, err := ParseRule(bad); err == nil {
-			t.Errorf("ParseRule(%q) should fail", bad)
-		}
-	}
-}
-
 func TestGeneratePopulations(t *testing.T) {
 	cfg := GenConfig{CleanRules: 30, ModifierRules: 20, IsdataatRules: 10}
 	rules := Generate(cfg, 7)

@@ -25,7 +25,7 @@ func TestObserveSegmentsParallelMatchesSequential(t *testing.T) {
 		mesh.RandomDNA(rng, 12_000),
 		mesh.RandomDNA(rng, 8_000),
 	}
-	want := SimulateSegments(a, segments)
+	want := observeWhole(t, a, segments)
 	if want.Reports == 0 {
 		t.Fatal("kernel produced no reports; test is vacuous")
 	}

@@ -96,21 +96,15 @@ type Dynamic struct {
 	ReportRate float64
 }
 
-// SimulateSegments runs each segment as an independent stream (the engine
-// is reset between segments, as in per-classification workloads) and
-// aggregates the dynamic profile across all of them.
-func SimulateSegments(a *automata.Automaton, segments [][]byte) Dynamic {
-	d, _ := ObserveSegmentsHooked(a, segments, Hooks{})
-	return d
-}
-
 // Hooks is the driver-level hook bundle (segment.Hooks) every observed
 // simulation carries. All fields are optional; the zero value is a bare
 // run.
 type Hooks = segment.Hooks
 
-// ObserveSegmentsHooked runs each segment as an independent stream on one
-// whole-automaton engine with h attached (scan.Run's whole layout): the
+// ObserveSegmentsHooked runs each segment as an independent stream (the
+// engine is reset between segments, as in per-classification workloads)
+// on one whole-automaton engine with h attached (scan.Run's whole
+// layout), and aggregates the dynamic profile across all of them: the
 // engine runs its checked path, so budgets, cancellation and injected
 // faults stop the simulation mid-stream, and it heartbeats progress at
 // its chunk boundaries. On a trip the Dynamic of the work completed so

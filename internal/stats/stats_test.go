@@ -67,9 +67,20 @@ func TestCompress(t *testing.T) {
 	}
 }
 
+// observeWhole is ObserveSegmentsHooked with no hooks, failing t on an
+// error.
+func observeWhole(t *testing.T, a *automata.Automaton, segments [][]byte) Dynamic {
+	t.Helper()
+	d, err := ObserveSegmentsHooked(a, segments, Hooks{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return d
+}
+
 func TestSimulateDynamic(t *testing.T) {
 	a := buildTwoChains(t)
-	d := SimulateSegments(a, [][]byte{[]byte("abcz")})
+	d := observeWhole(t, a, [][]byte{[]byte("abcz")})
 	if d.Symbols != 4 {
 		t.Fatalf("symbols=%d", d.Symbols)
 	}
@@ -92,7 +103,7 @@ func TestRowFormat(t *testing.T) {
 		Input:       "inline",
 		Static:      Compute(a),
 		Compression: Compress(a),
-		Dynamic:     SimulateSegments(a, [][]byte{[]byte("abcz")}),
+		Dynamic:     observeWhole(t, a, [][]byte{[]byte("abcz")}),
 	}
 	line := r.Format()
 	if !strings.Contains(line, "TestBench") || !strings.Contains(line, "Unit Testing") {

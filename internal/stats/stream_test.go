@@ -24,7 +24,7 @@ func TestObserveStreamsMatchesSequential(t *testing.T) {
 		mesh.RandomDNA(rng, 12_000),
 		mesh.RandomDNA(rng, 8_000),
 	}
-	want := SimulateSegments(a, streams)
+	want := observeWhole(t, a, streams)
 	if want.Reports == 0 {
 		t.Fatal("kernel produced no reports; test is vacuous")
 	}
@@ -59,7 +59,7 @@ func TestObserveStreamsAutoResolution(t *testing.T) {
 	}
 	rng := randx.New(9)
 	streams := [][]byte{mesh.RandomDNA(rng, 5_000)}
-	want := SimulateSegments(a, streams)
+	want := observeWhole(t, a, streams)
 	got, stitch, err := ObserveStreams(context.Background(), a, streams, StreamOptions{Workers: 8})
 	if err != nil {
 		t.Fatal(err)

@@ -66,6 +66,13 @@
 // bucket "activate" by "state" to rebuild the heatmap, or join "cache"
 // against offsets to see where lazy determinization spends its time.
 //
+// # Phase spans
+//
+// Spans (span.go) is the wall-clock phase tree of a -report manifest. Only
+// the command session (build, scan) and the experiment harnesses (one
+// root per kernel or variant: build, simulate, compress, train, …) record
+// spans; the engines and scan drivers time nothing.
+//
 // # Per-state profiles and heatmaps
 //
 // StateProfile is a Tracer that accumulates per-state activation counts;

@@ -18,12 +18,6 @@ import (
 // mutex-guarded EWMA fold and never allocates; a nil tracker is a valid
 // no-op receiver, so the disabled path costs one predictable branch
 // (asserted by the engines' allocguard tests, like every other hook).
-//
-// Like Registry.Merge, Progress snapshots merge commutatively so a -j N
-// fan-out aggregates canonically: bytes, cache bytes, fallbacks, and
-// rates add; active set and totals take the maximum; done ORs (merges
-// happen after a fan-out completes, so any contributor reporting done
-// means that component's work finished somewhere).
 type Progress struct {
 	mu       sync.Mutex
 	now      func() int64
@@ -100,39 +94,6 @@ func (p *Progress) WriteJSON(w io.Writer) error {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	return enc.Encode(snap)
-}
-
-// Merge folds another aggregator's snapshot into p, tracker-wise by name,
-// with the commutative semantics documented on Progress. Used by parallel
-// harnesses that give each worker a private aggregator.
-func (p *Progress) Merge(snap []ProgressSnapshot) {
-	if p == nil {
-		return
-	}
-	for _, s := range snap {
-		t := p.Tracker(s.Name)
-		t.bytes.Add(s.Bytes)
-		t.cache.Add(s.CacheBytes)
-		t.fallbacks.Add(s.Fallbacks)
-		for {
-			cur := t.total.Load()
-			if s.TotalBytes <= cur || t.total.CompareAndSwap(cur, s.TotalBytes) {
-				break
-			}
-		}
-		for {
-			cur := t.active.Load()
-			if s.Active <= cur || t.active.CompareAndSwap(cur, s.Active) {
-				break
-			}
-		}
-		if s.Done {
-			t.done.Store(true)
-		}
-		t.mu.Lock()
-		t.rate += s.BytesPerSec
-		t.mu.Unlock()
-	}
 }
 
 // Stalest returns the name and last-heartbeat timestamp (in the

@@ -58,42 +58,6 @@ func TestProgressBeatRateAndETA(t *testing.T) {
 	}
 }
 
-func TestProgressMergeCommutative(t *testing.T) {
-	build := func() []ProgressSnapshot {
-		var now int64
-		p := NewProgress()
-		p.SetClock(func() int64 { return now })
-		tr := p.Tracker("k")
-		tr.AddTotal(500)
-		now = 1e9
-		tr.Beat(200, 7)
-		tr.AddCache(64)
-		tr.AddFallbacks(2)
-		return p.Snapshot()
-	}
-	a, b := build(), build()
-	merge := func(first, second []ProgressSnapshot) ProgressSnapshot {
-		p := NewProgress()
-		p.Merge(first)
-		p.Merge(second)
-		s := p.Snapshot()
-		if len(s) != 1 {
-			t.Fatalf("merged snapshot: %+v", s)
-		}
-		return s[0]
-	}
-	ab, ba := merge(a, b), merge(b, a)
-	if ab != ba {
-		t.Fatalf("merge not commutative: %+v vs %+v", ab, ba)
-	}
-	if ab.Bytes != 400 || ab.CacheBytes != 128 || ab.Fallbacks != 4 {
-		t.Errorf("additive fields: %+v", ab)
-	}
-	if ab.TotalBytes != 500 || ab.Active != 7 {
-		t.Errorf("max fields: %+v", ab)
-	}
-}
-
 func TestProgressStalest(t *testing.T) {
 	var now int64 = 10
 	p := NewProgress()
@@ -130,7 +94,6 @@ func TestProgressWriteJSONEmpty(t *testing.T) {
 func TestProgressNilSafe(t *testing.T) {
 	var p *Progress
 	p.SetClock(nil)
-	p.Merge(nil)
 	if p.Tracker("x") != nil {
 		t.Fatal("nil Progress must hand out nil trackers")
 	}

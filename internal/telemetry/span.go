@@ -5,23 +5,25 @@ import (
 )
 
 // Spans collects a tree of named phase spans — the wall-clock breakdown
-// (build / transform / partition / run / merge) behind a run report's
-// per-phase timing columns.
+// (build / scan, or per kernel build / simulate / compress) behind a run
+// report's per-phase timing columns. Only the command session and the
+// experiment harnesses record spans; the scan drivers and engines time
+// nothing.
 //
 // Two properties shape the design:
 //
 //   - Repeated phases aggregate. Starting a name that already exists under
 //     the same parent re-times the existing span and accumulates into it
-//     (Nanos sums, Count increments), so a segmented workload that calls an
-//     engine ten thousand times produces one "sim.run" span with
-//     Count == 10000, not ten thousand tree nodes.
+//     (Nanos sums, Count increments), so a phase timed once per stream
+//     of a ten-thousand-stream kernel is one span with Count == 10000,
+//     not ten thousand tree nodes.
 //   - Child ordering is deterministic: children appear in first-start
 //     order, which is execution order for sequential code and adoption
 //     order (see Adopt) for parallel sections.
 //
 // A nil *Spans and a nil *Span are valid no-op receivers: instrumented
 // code calls Start/End unconditionally and the disabled path costs a nil
-// check with zero allocations (asserted by the engines' allocguard tests).
+// check with zero allocations (TestNilSpansZeroAllocs).
 //
 // The clock is injectable (SetClock) so run-report artifacts can be made
 // byte-deterministic in golden tests.
@@ -86,14 +88,12 @@ func (s *Spans) Adopt(other *Spans) {
 		return
 	}
 	other.mu.Lock()
-	snap := other.roots.snapshotChildren(other.nowLocked())
+	snap := other.roots.snapshotChildren(other.now)
 	other.mu.Unlock()
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.roots.absorb(snap)
 }
-
-func (s *Spans) nowLocked() func() int64 { return s.now }
 
 // Snapshot returns a deep copy of the span tree, children in first-start
 // order. Spans still running are reported with the time elapsed so far.
@@ -167,22 +167,6 @@ func (sp *Span) End() {
 	}
 	sp.running = false
 	sp.nanos += set.now() - sp.start
-}
-
-// Adopt merges another collector's roots as children of sp (the parallel
-// fan-out pattern: fork per worker, adopt under the phase span in index
-// order). See Spans.Adopt for the merge rule.
-func (sp *Span) Adopt(other *Spans) {
-	if sp == nil || other == nil {
-		return
-	}
-	other.mu.Lock()
-	snap := other.roots.snapshotChildren(other.nowLocked())
-	other.mu.Unlock()
-	set := sp.spansOf()
-	set.mu.Lock()
-	defer set.mu.Unlock()
-	sp.absorb(snap)
 }
 
 // absorb folds snapshot nodes into sp's children, merging by name.

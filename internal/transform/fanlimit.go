@@ -19,44 +19,24 @@ import (
 //
 // Counters are never split (they hold runtime state).
 func LimitFanOut(a *automata.Automaton, max int) (*automata.Automaton, error) {
-	lim, _, err := LimitFanOutMapped(a, max)
-	return lim, err
-}
-
-// LimitFanOutMapped is LimitFanOut returning additionally the state
-// replication map composed across all splitting iterations: copies[old]
-// lists every final state derived from original state old, for
-// provenance propagation.
-func LimitFanOutMapped(a *automata.Automaton, max int) (*automata.Automaton, [][]automata.StateID, error) {
 	if max < 2 {
-		return nil, nil, fmt.Errorf("transform: fan-out limit must be >= 2")
+		return nil, fmt.Errorf("transform: fan-out limit must be >= 2")
 	}
 	cur := a
-	// composed[orig] lists cur-automaton states derived from orig.
-	composed := make([][]automata.StateID, a.NumStates())
-	for i := range composed {
-		composed[i] = []automata.StateID{automata.StateID(i)}
-	}
 	for iter := 0; iter < 64; iter++ {
-		changed, next, step, err := limitFanOutOnce(cur, max)
+		changed, next, err := limitFanOutOnce(cur, max)
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 		if !changed {
-			return cur, composed, nil
+			return cur, nil
 		}
-		nextComposed := make([][]automata.StateID, len(composed))
-		for orig, list := range composed {
-			for _, c := range list {
-				nextComposed[orig] = append(nextComposed[orig], step[c]...)
-			}
-		}
-		composed, cur = nextComposed, next
+		cur = next
 	}
-	return nil, nil, fmt.Errorf("transform: fan-out limiting did not converge at max=%d", max)
+	return nil, fmt.Errorf("transform: fan-out limiting did not converge at max=%d", max)
 }
 
-func limitFanOutOnce(a *automata.Automaton, max int) (bool, *automata.Automaton, [][]automata.StateID, error) {
+func limitFanOutOnce(a *automata.Automaton, max int) (bool, *automata.Automaton, error) {
 	n := a.NumStates()
 	over := false
 	for i := 0; i < n && !over; i++ {
@@ -65,7 +45,7 @@ func limitFanOutOnce(a *automata.Automaton, max int) (bool, *automata.Automaton,
 		}
 	}
 	if !over {
-		return false, a, nil, nil
+		return false, a, nil
 	}
 	b := automata.NewBuilder()
 	// copies[old] lists the new IDs of old's replicas (len 1 when not
@@ -105,7 +85,7 @@ func limitFanOutOnce(a *automata.Automaton, max int) (bool, *automata.Automaton,
 					}
 				}
 				if !found {
-					return false, nil, nil, fmt.Errorf(
+					return false, nil, fmt.Errorf(
 						"transform: state %d (self-loop, fan-out %d) cannot meet limit %d", id, deg, max)
 				}
 			} else {
@@ -165,5 +145,5 @@ func limitFanOutOnce(a *automata.Automaton, max int) (bool, *automata.Automaton,
 		}
 	}
 	nb, err := b.Build()
-	return true, nb, copies, err
+	return true, nb, err
 }

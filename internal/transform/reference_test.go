@@ -12,11 +12,11 @@ import (
 	"automatazoo/internal/transform"
 )
 
-// prefixMergeReference is the pass-based PrefixMergeMapped the worklist
+// prefixMergeReference is the pass-based PrefixMerge the worklist
 // pass replaced, kept as the oracle: every pass re-signs all n states with
 // a freshly formatted string and merges each signature group into its
 // lowest ID, until a pass merges nothing.
-func prefixMergeReference(a *automata.Automaton) (*automata.Automaton, int, []automata.StateID) {
+func prefixMergeReference(a *automata.Automaton) (*automata.Automaton, int) {
 	n := a.NumStates()
 	rep := make([]automata.StateID, n)
 	for i := range rep {
@@ -99,11 +99,7 @@ func prefixMergeReference(a *automata.Automaton) (*automata.Automaton, int, []au
 			b.AddEdge(from, newID[find(t)])
 		}
 	}
-	remap := make([]automata.StateID, n)
-	for s := 0; s < n; s++ {
-		remap[s] = newID[find(automata.StateID(s))]
-	}
-	return b.MustBuild(), removed, remap
+	return b.MustBuild(), removed
 }
 
 func referenceSignature(a *automata.Automaton, id automata.StateID, pred []automata.StateID) string {
@@ -124,17 +120,13 @@ func referenceSignature(a *automata.Automaton, id automata.StateID, pred []autom
 }
 
 // requireSameMerge runs both passes on a and fails unless they agree on
-// removed, on remap, and on the output automaton state by state. It
-// returns removed.
+// removed and on the output automaton state by state. It returns removed.
 func requireSameMerge(t *testing.T, name string, a *automata.Automaton) int {
 	t.Helper()
-	want, wantRemoved, wantRemap := prefixMergeReference(a)
-	got, gotRemoved, gotRemap := transform.PrefixMergeMapped(a)
+	want, wantRemoved := prefixMergeReference(a)
+	got, gotRemoved := transform.PrefixMerge(a)
 	if gotRemoved != wantRemoved {
 		t.Fatalf("%s: removed=%d, reference %d", name, gotRemoved, wantRemoved)
-	}
-	if !slices.Equal(gotRemap, wantRemap) {
-		t.Fatalf("%s: remap differs from reference", name)
 	}
 	if got.NumStates() != want.NumStates() || got.NumEdges() != want.NumEdges() {
 		t.Fatalf("%s: %d states/%d edges, reference %d/%d", name,

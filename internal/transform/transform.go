@@ -30,15 +30,6 @@ import (
 //
 // Returns the compressed automaton and the number of states removed.
 func PrefixMerge(a *automata.Automaton) (*automata.Automaton, int) {
-	m, removed, _ := PrefixMergeMapped(a)
-	return m, removed
-}
-
-// PrefixMergeMapped is PrefixMerge returning additionally the state
-// remap: remap[old] is the new ID of old state old — merged-away states
-// map to their surviving representative's new ID, so provenance layers
-// (internal/attr) can union origin sets across a merge.
-func PrefixMergeMapped(a *automata.Automaton) (*automata.Automaton, int, []automata.StateID) {
 	n := a.NumStates()
 	// rep[i] is the canonical representative of state i under merging:
 	// always the lowest ID of its class.
@@ -188,13 +179,7 @@ func PrefixMergeMapped(a *automata.Automaton) (*automata.Automaton, int, []autom
 			b.AddEdge(from, newID[find(t)])
 		}
 	}
-	// Remap every state (not just survivors) to its representative's new
-	// ID for provenance propagation.
-	remap := make([]automata.StateID, n)
-	for s := 0; s < n; s++ {
-		remap[s] = newID[find(automata.StateID(s))]
-	}
-	return b.MustBuild(), removed, remap
+	return b.MustBuild(), removed
 }
 
 // sameLabel reports whether x and y agree on everything in the merge key
@@ -229,16 +214,8 @@ func keyHash(a *automata.Automaton, id automata.StateID, pred []automata.StateID
 // state, so a widened match spans the full widened pattern. The result has
 // exactly 2x the states. Counter automata are not supported.
 func Widen(a *automata.Automaton) (*automata.Automaton, error) {
-	w, _, err := WidenMapped(a)
-	return w, err
-}
-
-// WidenMapped is Widen returning additionally the state replication map:
-// copies[old] lists the new states derived from old state old (its
-// widened original and its pad state), for provenance propagation.
-func WidenMapped(a *automata.Automaton) (*automata.Automaton, [][]automata.StateID, error) {
 	if a.NumCounters() > 0 {
-		return nil, nil, fmt.Errorf("transform: cannot widen automata with counters")
+		return nil, fmt.Errorf("transform: cannot widen automata with counters")
 	}
 	n := a.NumStates()
 	b := automata.NewBuilder()
@@ -259,28 +236,12 @@ func WidenMapped(a *automata.Automaton) (*automata.Automaton, [][]automata.State
 			b.AddEdge(pad[i], orig[t])
 		}
 	}
-	w, err := b.Build()
-	if err != nil {
-		return nil, nil, err
-	}
-	copies := make([][]automata.StateID, n)
-	for i := 0; i < n; i++ {
-		copies[i] = []automata.StateID{orig[i], pad[i]}
-	}
-	return w, copies, nil
+	return b.Build()
 }
 
 // Trim removes states unreachable from any start state, returning the
 // trimmed automaton and the number of removed states.
 func Trim(a *automata.Automaton) (*automata.Automaton, int) {
-	m, removed, _ := TrimMapped(a)
-	return m, removed
-}
-
-// TrimMapped is Trim returning additionally the state remap: remap[old]
-// is the new ID of old state old, or automata.NoState when it was
-// unreachable and dropped.
-func TrimMapped(a *automata.Automaton) (*automata.Automaton, int, []automata.StateID) {
 	reach := a.ReachableFromStarts()
 	n := a.NumStates()
 	b := automata.NewBuilder()
@@ -313,5 +274,5 @@ func TrimMapped(a *automata.Automaton) (*automata.Automaton, int, []automata.Sta
 			}
 		}
 	}
-	return b.MustBuild(), removed, newID
+	return b.MustBuild(), removed
 }

@@ -4,8 +4,8 @@
 // plus plain text strings and regexes. Nibble-level patterns are below
 // the granularity regex engines accept, so — exactly as the paper's
 // pipeline (Plyara → hex-to-regex conversion → pcre2mnrl) — this package
-// parses rule text, rewrites hex tokens into byte-level character
-// classes, and compiles everything to automata. The "wide" variant
+// generates rules, rewrites hex tokens into byte-level character classes,
+// and compiles everything to automata. The "wide" variant
 // (16-bit symbols, zero high bytes) is produced by the suite's widening
 // transformation.
 package yara
@@ -45,121 +45,6 @@ type String struct {
 type Rule struct {
 	Name    string
 	Strings []String
-}
-
-// ParseRules parses a stream of rule blocks in the subset this package
-// emits:
-//
-//	rule Name {
-//	  strings:
-//	    $a = "text" wide
-//	    $b = { 9C 50 ?? (?A | 66) [4-12] 58 }
-//	    $c = /regex/
-//	  condition: any of them
-//	}
-func ParseRules(src string) ([]Rule, error) {
-	var rules []Rule
-	rest := src
-	for {
-		i := strings.Index(rest, "rule ")
-		if i < 0 {
-			break
-		}
-		rest = rest[i+5:]
-		brace := strings.IndexByte(rest, '{')
-		if brace < 0 {
-			return nil, fmt.Errorf("yara: rule without body")
-		}
-		name := strings.TrimSpace(rest[:brace])
-		end, err := matchBrace(rest, brace)
-		if err != nil {
-			return nil, fmt.Errorf("yara: rule %s: %v", name, err)
-		}
-		body := rest[brace+1 : end]
-		rest = rest[end+1:]
-		r := Rule{Name: name}
-		if err := parseStrings(body, &r); err != nil {
-			return nil, fmt.Errorf("yara: rule %s: %v", name, err)
-		}
-		rules = append(rules, r)
-	}
-	if len(rules) == 0 {
-		return nil, fmt.Errorf("yara: no rules found")
-	}
-	return rules, nil
-}
-
-// matchBrace finds the closing brace matching src[open], skipping quoted
-// strings.
-func matchBrace(src string, open int) (int, error) {
-	depth := 0
-	inQuote := false
-	for i := open; i < len(src); i++ {
-		switch src[i] {
-		case '"':
-			if i == 0 || src[i-1] != '\\' {
-				inQuote = !inQuote
-			}
-		case '{':
-			if !inQuote {
-				depth++
-			}
-		case '}':
-			if !inQuote {
-				depth--
-				if depth == 0 {
-					return i, nil
-				}
-			}
-		}
-	}
-	return 0, fmt.Errorf("unbalanced braces")
-}
-
-func parseStrings(body string, r *Rule) error {
-	idx := strings.Index(body, "strings:")
-	if idx < 0 {
-		return fmt.Errorf("no strings section")
-	}
-	sec := body[idx+len("strings:"):]
-	if c := strings.Index(sec, "condition:"); c >= 0 {
-		sec = sec[:c]
-	}
-	for _, line := range strings.Split(sec, "\n") {
-		line = strings.TrimSpace(line)
-		if line == "" || !strings.HasPrefix(line, "$") {
-			continue
-		}
-		name, val, ok := strings.Cut(line, "=")
-		if !ok {
-			return fmt.Errorf("bad string line %q", line)
-		}
-		s := String{Name: strings.TrimSpace(name)}
-		val = strings.TrimSpace(val)
-		if strings.HasSuffix(val, " wide") {
-			s.Wide = true
-			val = strings.TrimSuffix(val, " wide")
-			val = strings.TrimSpace(val)
-		}
-		switch {
-		case strings.HasPrefix(val, `"`) && strings.HasSuffix(val, `"`):
-			s.Kind = KindText
-			s.Value = val[1 : len(val)-1]
-		case strings.HasPrefix(val, "{") && strings.HasSuffix(val, "}"):
-			s.Kind = KindHex
-			s.Value = strings.TrimSpace(val[1 : len(val)-1])
-		case strings.HasPrefix(val, "/") && strings.HasSuffix(val, "/"):
-			s.Kind = KindRegex
-			s.Value = val[1 : len(val)-1]
-		default:
-			return fmt.Errorf("unrecognized string form %q", val)
-		}
-		r.Strings = append(r.Strings, s)
-	}
-	if len(r.Strings) == 0 {
-		return fmt.Errorf("rule has no strings")
-	}
-	return nil
 }
 
 // HexToRegex rewrites a YARA hex-string body into the suite's regex
@@ -384,32 +269,6 @@ func Generate(cfg GenConfig, seed uint64) []Rule {
 		rules[i] = Rule{Name: fmt.Sprintf("synth_mal_%d", i), Strings: strs}
 	}
 	return rules
-}
-
-// Format renders rules back to YARA source (round-trippable through
-// ParseRules).
-func Format(rules []Rule) string {
-	var sb strings.Builder
-	for _, r := range rules {
-		fmt.Fprintf(&sb, "rule %s {\n  strings:\n", r.Name)
-		for _, s := range r.Strings {
-			fmt.Fprintf(&sb, "    %s = ", s.Name)
-			switch s.Kind {
-			case KindText:
-				fmt.Fprintf(&sb, "%q", s.Value)
-			case KindHex:
-				fmt.Fprintf(&sb, "{ %s }", s.Value)
-			case KindRegex:
-				fmt.Fprintf(&sb, "/%s/", s.Value)
-			}
-			if s.Wide {
-				sb.WriteString(" wide")
-			}
-			sb.WriteByte('\n')
-		}
-		sb.WriteString("  condition: any of them\n}\n")
-	}
-	return sb.String()
 }
 
 // MalwareBody materializes bytes matching a rule's first string (minimal

@@ -1,60 +1,10 @@
 package yara
 
 import (
-	"strings"
 	"testing"
 
 	"automatazoo/internal/sim"
 )
-
-const sampleRules = `
-rule ExampleHex {
-  strings:
-    $a = { 9C 50 A1 ?? ( ?A | 66 ) 58 }
-  condition: any of them
-}
-rule ExampleText {
-  strings:
-    $t = "malicious payload"
-  condition: any of them
-}
-rule ExampleWide {
-  strings:
-    $w = "evil" wide
-  condition: any of them
-}
-`
-
-func TestParseRules(t *testing.T) {
-	rules, err := ParseRules(sampleRules)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rules) != 3 {
-		t.Fatalf("rules=%d", len(rules))
-	}
-	if rules[0].Name != "ExampleHex" || rules[0].Strings[0].Kind != KindHex {
-		t.Fatalf("rule0=%+v", rules[0])
-	}
-	if rules[1].Strings[0].Kind != KindText || rules[1].Strings[0].Value != "malicious payload" {
-		t.Fatalf("rule1=%+v", rules[1])
-	}
-	if !rules[2].Strings[0].Wide {
-		t.Fatal("wide modifier lost")
-	}
-}
-
-func TestParseErrors(t *testing.T) {
-	for _, bad := range []string{
-		"",
-		"rule X { condition: true }", // no strings
-		"rule Y { strings: $a = ??? \n condition:", // unbalanced
-	} {
-		if _, err := ParseRules(bad); err == nil {
-			t.Errorf("ParseRules(%q) should fail", bad)
-		}
-	}
-}
 
 func TestHexToRegex(t *testing.T) {
 	cases := []struct{ in, want string }{
@@ -85,14 +35,8 @@ func TestHexToRegex(t *testing.T) {
 
 func TestPaperExamplePattern(t *testing.T) {
 	// The paper's example: 9C 50 A1 ?? (?A ?? 00 | 66 A9 D?) ?? 58 0F 85.
-	rules, err := ParseRules(`rule Paper {
-  strings:
-    $x = { 9C 50 A1 ?? ( ?A ?? 00 | 66 A9 D? ) ?? 58 0F 85 }
-  condition: any of them
-}`)
-	if err != nil {
-		t.Fatal(err)
-	}
+	rules := []Rule{{Name: "Paper", Strings: []String{
+		{Name: "$x", Kind: KindHex, Value: "9C 50 A1 ?? ( ?A ?? 00 | 66 A9 D? ) ?? 58 0F 85"}}}}
 	a, skipped, err := Compile(rules)
 	if err != nil || skipped != 0 {
 		t.Fatalf("compile: %v skipped=%d", err, skipped)
@@ -119,14 +63,7 @@ func TestPaperExamplePattern(t *testing.T) {
 }
 
 func TestWideCompilation(t *testing.T) {
-	rules, err := ParseRules(`rule W {
-  strings:
-    $w = "hi" wide
-  condition: any of them
-}`)
-	if err != nil {
-		t.Fatal(err)
-	}
+	rules := []Rule{{Name: "W", Strings: []String{{Name: "$w", Kind: KindText, Value: "hi", Wide: true}}}}
 	a, skipped, err := Compile(rules)
 	if err != nil || skipped != 0 {
 		t.Fatalf("compile: %v skipped=%d", err, skipped)
@@ -138,25 +75,6 @@ func TestWideCompilation(t *testing.T) {
 	e.Reset()
 	if got := e.Run([]byte("hi")).Reports; got != 0 {
 		t.Fatalf("narrow input matched wide rule: %d", got)
-	}
-}
-
-func TestFormatParseRoundTrip(t *testing.T) {
-	rules := Generate(GenConfig{Rules: 40, WideFrac: 0.25}, 3)
-	src := Format(rules)
-	back, err := ParseRules(src)
-	if err != nil {
-		t.Fatalf("reparse: %v\nsource:\n%s", err, src)
-	}
-	if len(back) != len(rules) {
-		t.Fatalf("round trip count %d != %d", len(back), len(rules))
-	}
-	for i := range rules {
-		if back[i].Name != rules[i].Name ||
-			back[i].Strings[0].Kind != rules[i].Strings[0].Kind ||
-			back[i].Strings[0].Wide != rules[i].Strings[0].Wide {
-			t.Fatalf("rule %d mismatch:\n in=%+v\nout=%+v", i, rules[i], back[i])
-		}
 	}
 }
 
@@ -225,8 +143,7 @@ func TestMalwareBodyMatchesOwnRule(t *testing.T) {
 		}
 		e := sim.New(a)
 		if e.Run(body).Reports == 0 {
-			t.Fatalf("rule %d (%s) does not match its own body %x",
-				i, strings.TrimSpace(Format([]Rule{r})), body)
+			t.Fatalf("rule %d (%+v) does not match its own body %x", i, r, body)
 		}
 	}
 }

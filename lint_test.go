@@ -332,8 +332,9 @@ func TestNoMapIterationInAttr(t *testing.T) {
 // file. bundlePkg exempts the two packages that define the bundles;
 // enginePkg additionally bans the per-hook setter methods and the
 // registry: an engine names no telemetry.Registry and calls no Counter or
-// Gauge method.
-func hookBundleViolations(fset *token.FileSet, f *ast.File, bundlePkg, enginePkg bool) []string {
+// Gauge method. spanless bans naming telemetry.Spans: the engines and the
+// scan drivers time no phases.
+func hookBundleViolations(fset *token.FileSet, f *ast.File, bundlePkg, enginePkg, spanless bool) []string {
 	isPtrTo := func(e ast.Expr, pkg, name string) bool {
 		star, ok := e.(*ast.StarExpr)
 		if !ok {
@@ -367,6 +368,10 @@ func hookBundleViolations(fset *token.FileSet, f *ast.File, bundlePkg, enginePkg
 				violations = append(violations, fset.Position(v.Pos()).String()+
 					": engine names telemetry.Registry (engines count; the drivers publish)")
 			}
+			if id, ok := v.X.(*ast.Ident); ok && spanless && id.Name == "telemetry" && v.Sel.Name == "Spans" {
+				violations = append(violations, fset.Position(v.Pos()).String()+
+					": names telemetry.Spans (only the command session and the experiment harnesses time phases)")
+			}
 		case *ast.CallExpr:
 			if sel, ok := v.Fun.(*ast.SelectorExpr); ok && enginePkg && (sel.Sel.Name == "Counter" || sel.Sel.Name == "Gauge") {
 				violations = append(violations, fset.Position(v.Pos()).String()+
@@ -397,7 +402,8 @@ func hookBundleViolations(fset *token.FileSet, f *ast.File, bundlePkg, enginePkg
 // registry stays out of the engines: they keep their counts in Stats,
 // and the driver that owns a scan unit publishes them
 // (segment.Hooks.Publish), so engine code names no telemetry.Registry and
-// calls no Counter or Gauge.
+// calls no Counter or Gauge. Phase spans stay above the scan: the engines
+// and the scan drivers (segment, partition, scan) name no telemetry.Spans.
 func TestOneHookBundle(t *testing.T) {
 	// Canary: the detector must catch both classes, or the walk below
 	// proves nothing.
@@ -417,25 +423,33 @@ func (e *Engine) flush(r *telemetry.Registry) {
 	r.Counter("sim.symbols").Add(1)
 	r.Gauge("dfa.states").Set(1)
 }
+func (e *Engine) time(s *telemetry.Spans) {}
 `, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	// As an engine package: the re-spelled struct, the setter, three
-	// telemetry.Registry names, a Counter and a Gauge call.
-	if got := hookBundleViolations(fset, canary, false, true); len(got) != 7 {
-		t.Fatalf("canary: detector found %d of 7 planted violations: %v", len(got), got)
+	// telemetry.Registry names, a Counter and a Gauge call, and the
+	// telemetry.Spans name.
+	if got := hookBundleViolations(fset, canary, false, true, true); len(got) != 8 {
+		t.Fatalf("canary: detector found %d of 8 planted violations: %v", len(got), got)
 	}
 	// Elsewhere only the re-spelled struct is one.
-	if got := hookBundleViolations(fset, canary, false, false); len(got) != 1 {
+	if got := hookBundleViolations(fset, canary, false, false, false); len(got) != 1 {
 		t.Fatalf("canary: detector found %d of 1 planted violation outside the engines: %v", len(got), got)
 	}
-	if got := hookBundleViolations(fset, canary, true, false); len(got) != 0 {
+	// In a bundle-defining scan driver (segment) only the Spans name is.
+	if got := hookBundleViolations(fset, canary, true, false, true); len(got) != 1 {
+		t.Fatalf("canary: detector found %d of 1 planted violation in a scan driver: %v", len(got), got)
+	}
+	if got := hookBundleViolations(fset, canary, true, false, false); len(got) != 0 {
 		t.Fatalf("canary: exempt package still flagged: %v", got)
 	}
 
 	bundlePackages := map[string]bool{"internal/hooks": true, "internal/segment": true}
 	enginePackages := map[string]bool{"internal/sim": true, "internal/dfa": true, "internal/prefilter": true}
+	spanlessPackages := map[string]bool{"internal/sim": true, "internal/dfa": true, "internal/prefilter": true,
+		"internal/segment": true, "internal/partition": true, "internal/scan": true}
 	var violations []string
 	err = filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
 		if err != nil {
@@ -456,7 +470,7 @@ func (e *Engine) flush(r *telemetry.Registry) {
 			return err
 		}
 		dir := filepath.Dir(path)
-		violations = append(violations, hookBundleViolations(fset, f, bundlePackages[dir], enginePackages[dir])...)
+		violations = append(violations, hookBundleViolations(fset, f, bundlePackages[dir], enginePackages[dir], spanlessPackages[dir])...)
 		return nil
 	})
 	if err != nil {
@@ -809,25 +823,26 @@ func TestEveryInternalPackageIsImported(t *testing.T) {
 
 // orphanExports returns the exported functions and methods declared in
 // the internal/ files among files (non-test files keyed by slash path)
-// that nothing refers to, as "dir.Func" or "dir.Type.Method". The scan is
-// by name: a function is referred to by any bare identifier or
-// package-qualified selector of its name, a method by any other selector
-// of its name. A name shared with a live declaration hides an orphan, so
-// the lint can miss dead code but never reports live code.
+// that nothing refers to, as "dir.Func" or "dir.Type.Method". A function
+// is keyed by its package: it is referred to by a bare identifier of its
+// name inside its own package or by a selector of its name on an import
+// of that package. A method is matched by name, by any other selector of
+// its name. A method name shared with a live one hides an orphan, so the
+// lint can miss dead code but never reports live code.
 func orphanExports(files map[string]*ast.File) []string {
 	type decl struct{ key, use string }
 	var decls []decl
-	used := map[string]bool{} // "Func" and ".Method"
+	used := map[string]bool{} // "dir.Func" and ".Method"
 	for path, f := range files {
 		dir := filepath.ToSlash(filepath.Dir(path))
-		pkgs := map[string]bool{} // import names
+		pkgs := map[string]string{} // import name -> package dir
 		for _, imp := range f.Imports {
 			p := strings.Trim(imp.Path.Value, `"`)
 			name := p[strings.LastIndex(p, "/")+1:]
 			if imp.Name != nil {
 				name = imp.Name.Name
 			}
-			pkgs[name] = true
+			pkgs[name] = strings.TrimPrefix(p, "automatazoo/")
 		}
 		declaring := map[*ast.Ident]bool{}
 		for _, d := range f.Decls {
@@ -840,7 +855,8 @@ func orphanExports(files map[string]*ast.File) []string {
 				continue
 			}
 			if fn.Recv == nil {
-				decls = append(decls, decl{dir + "." + fn.Name.Name, fn.Name.Name})
+				key := dir + "." + fn.Name.Name
+				decls = append(decls, decl{key, key})
 				continue
 			}
 			recv := fn.Recv.List[0].Type
@@ -855,14 +871,14 @@ func orphanExports(files map[string]*ast.File) []string {
 		ast.Inspect(f, func(n ast.Node) bool {
 			switch v := n.(type) {
 			case *ast.SelectorExpr:
-				if x, ok := v.X.(*ast.Ident); ok && pkgs[x.Name] {
-					used[v.Sel.Name] = true
+				if x, ok := v.X.(*ast.Ident); ok && pkgs[x.Name] != "" {
+					used[pkgs[x.Name]+"."+v.Sel.Name] = true
 					return false
 				}
 				used["."+v.Sel.Name] = true
 			case *ast.Ident:
 				if !declaring[v] {
-					used[v.Name] = true
+					used[dir+"."+v.Name] = true
 				}
 			}
 			return true
@@ -889,9 +905,11 @@ func orphanExports(files map[string]*ast.File) []string {
 // test, so the list only shrinks.
 func TestEveryInternalExportIsCalled(t *testing.T) {
 	// Canary: internal/a exports F (called from the root), G (called
-	// only inside a), H (never called), method T.M (called through a
-	// selector in internal/b) and T.N (never called, though a standard
-	// library function shares its name) — so H and T.N are orphans.
+	// only inside a), H (never called, though internal/b calls its own
+	// H), method T.M (called through a selector in internal/b) and T.N
+	// (never called, though a standard library function shares its name);
+	// internal/c exports F, never called though a.F is — so a.H, a.T.N
+	// and c.F are orphans.
 	fset := token.NewFileSet()
 	canary := map[string]*ast.File{}
 	for path, src := range map[string]string{
@@ -904,7 +922,10 @@ func (T) M() {}
 func (*T) N() {}`,
 		"internal/b/b.go": `package b
 import ("automatazoo/internal/a"; "strings")
-func use(t a.T) { t.M(); _ = strings.N }`,
+func use(t a.T) { t.M(); _ = strings.N; H() }
+func H() {}`,
+		"internal/c/c.go": `package c
+func F() {}`,
 		"doc.go": `package automatazoo; import z "automatazoo/internal/a"; var _ = z.F`,
 	} {
 		f, err := parser.ParseFile(fset, path, src, 0)
@@ -913,7 +934,7 @@ func use(t a.T) { t.M(); _ = strings.N }`,
 		}
 		canary[path] = f
 	}
-	if got, want := orphanExports(canary), []string{"internal/a.H", "internal/a.T.N"}; !slices.Equal(got, want) {
+	if got, want := orphanExports(canary), []string{"internal/a.H", "internal/a.T.N", "internal/c.F"}; !slices.Equal(got, want) {
 		t.Fatalf("canary: detector found orphans %v, want %v", got, want)
 	}
 
@@ -927,12 +948,8 @@ func use(t a.T) { t.M(); _ = strings.N }`,
 		"internal/telemetry.Progress.SetClock": "injected-clock test seam",
 		"internal/telemetry.Spans.SetClock":    "injected-clock test seam",
 		"internal/mnrl.ReadAutomaton":          "MNRL reader: the round-trip oracle for export and the FuzzMNRLLoad target",
-		// Dead, each with a test of its own that goes with it: the next
-		// deletions of ROADMAP item 13(d).
-		"internal/attr.Provenance.Apply":      "dead (TestApplyMergesAndDrops and the transform provenance tests)",
-		"internal/attr.Provenance.ApplyMulti": "dead (TestApplyMultiReplicates and the transform provenance tests)",
-		"internal/snort.ParseRule":            "dead (TestParseRuleErrors): the generator emits rules already parsed",
-		"internal/yara.ParseRules":            "dead (TestParseRules): the generator emits rules already parsed",
+		"internal/regex.Compile":               "one-pattern front end: the regex tests' and FuzzRegexCompile's entry point",
+		"internal/report.ReadFile":             "manifest reader: the read-back oracle of the manifest tests",
 	}
 	_, files := goFiles(t, ".", false)
 	_, benchFiles := goFiles(t, "bench", false)
