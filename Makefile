@@ -83,9 +83,11 @@ explain-golden:
 
 # Regenerate the suite fingerprint (internal/core/testdata/suite.golden):
 # one line per kernel with its shape, the SHA-256 of its MNRL export and of
-# its input stimulus. TestSuiteGolden, part of `make test`, compares it
-# against a fresh build; regenerate only for an intended change to a
-# generator, loader, compiler or set-up pass, and name the moved lines.
+# its input stimulus, and the report count and report-stream SHA-256 of
+# nfa, dfa, prefilter and a starved dfa. TestSuiteGolden, part of `make
+# test`, compares it against a fresh build and the engines with each
+# other; regenerate only for an intended change to a generator, loader,
+# compiler, set-up pass or engine output, and name the moved lines.
 suite-golden:
 	$(GO) test ./internal/core/ -run TestSuiteGolden -count=1 -update
 
@@ -110,8 +112,8 @@ fuzz-short:
 # fault-injection trials: every injected panic/deadline/trip must surface
 # as a structured error with the same class at -j 1 and -j NumCPU, and
 # un-faulted controls stay byte-identical. Then the differential oracle,
-# 500 seeded trials of the engine × transform × mode matrix (forced,
-# starved and thrashing DFA degradation included), one crash-resume cell
+# 500 seeded trials of the engine × transform × mode matrix (the DFA
+# starved and tight governor cache budgets included), one crash-resume cell
 # per trial (killed at seed-drawn save points, resumed, held to the
 # uninterrupted run) and the bit-level trial.
 soak:

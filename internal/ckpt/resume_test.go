@@ -15,6 +15,7 @@ import (
 	. "automatazoo/internal/ckpt"
 	"automatazoo/internal/dfa"
 	"automatazoo/internal/guard"
+	"automatazoo/internal/hooks"
 	"automatazoo/internal/randx"
 	"automatazoo/internal/scan"
 	"automatazoo/internal/segment"
@@ -253,7 +254,7 @@ func TestScanTripMidChunkKeepsChunkBoundary(t *testing.T) {
 }
 
 // A resumed DFA scan restores reports and symbols exactly; restoring
-// into an engine whose cache-byte budget cannot hold the snapshot's
+// into an engine whose governor cache budget cannot hold the snapshot's
 // frontier degrades that component to NFA stepping (Fallbacks) instead of
 // failing — with the report stream unchanged.
 func TestDFARestoreCacheBudgetDegradation(t *testing.T) {
@@ -318,10 +319,11 @@ func TestDFARestoreCacheBudgetDegradation(t *testing.T) {
 		t.Fatal("probe interned nothing — budget cannot be positioned")
 	}
 
-	engB, err := dfa.NewWithOptions(a, dfa.Options{MaxCacheBytes: base})
+	engB, err := dfa.New(a)
 	if err != nil {
 		t.Fatal(err)
 	}
+	engB.Attach(hooks.Set{Governor: guard.New(context.Background(), guard.Budget{MaxCacheBytes: base})})
 	engB.Run(input[:1]) // warm the start dstates up to the budget
 	engB.OnReport = engA.OnReport
 	if err := engB.RestoreState(dec.Sim); err != nil {

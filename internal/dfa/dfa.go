@@ -22,10 +22,18 @@
 //
 // Construction is map-free. A component keeps its interned frontiers in one
 // arena, its transitions and report spans in flat dstate × class tables, and
-// an open-addressed frontier-hash table; one generation-marked NFA step
-// serves subset construction and the degraded fallback alike. A component
-// with no start-of-data states files the empty frontier under its initial
-// dstate 1, not the dead dstate 0 (see intern).
+// an open-addressed frontier-hash table; a generation-marked NFA step
+// computes each new transition. A component with no start-of-data states
+// files the empty frontier under its initial dstate 1, not the dead dstate
+// 0 (see intern).
+//
+// A component degrades when its next dstate would exceed the state budget
+// (16 per NFA state, plus 64) or the governor denies its cache bytes. Every
+// degraded component steps in one sim.Engine, the fallback, built over the
+// automaton without the cached components' starts: state IDs stay the
+// automaton's, and a degrading component's frontier enters it through
+// EnableState. The fallback is rebuilt once per byte in which the degraded
+// set grows.
 package dfa
 
 import (
@@ -54,7 +62,7 @@ type Stats struct {
 	Symbols   int64
 	Reports   int64
 	DFAStates int // total interned DFA states across components
-	Fallbacks int // components that overflowed their DFA budget
+	Fallbacks int // components degraded: state budget or governor denial
 
 	// CacheHits counts transitions found already interned; CacheMisses
 	// counts transitions that had to be subset-constructed. Their ratio is
@@ -63,20 +71,19 @@ type Stats struct {
 	CacheHits   int64
 	CacheMisses int64
 	// CacheEvictions counts interned DFA states abandoned when a component
-	// overflowed its state budget and fell back to NFA stepping.
+	// degraded to the fallback.
 	CacheEvictions int64
 	// ConstructNanos is cumulative wall time spent in subset construction
 	// (the cache-miss path).
 	ConstructNanos int64
 
-	// FallbackBytes counts input symbols processed via the NFA-fallback
-	// path (one per degraded component per byte) — the extent of the
-	// stream that ran degraded. Accumulates across Resets like the cache
-	// counters.
+	// FallbackBytes counts input symbols stepped in the fallback (one per
+	// degraded component per byte) — the extent of the stream that ran
+	// degraded. Accumulates across Resets like the cache counters.
 	FallbackBytes int64
 	// CacheBytes estimates the bytes currently held by interned DFA
-	// states (the quantity bounded by Options.MaxCacheBytes and the
-	// governor's cache-byte budget). It is a level, not a cumulator.
+	// states (the quantity the governor's cache-byte budget bounds). It is
+	// a level, not a cumulator.
 	CacheBytes int64
 }
 
@@ -136,12 +143,7 @@ type component struct {
 	trans    []uint32
 	reps     []span
 	nClasses int
-	overflow bool // budget exceeded: component runs in NFA-fallback mode
-
-	// Thrash-detection window (used when Options.ThrashMissRate is set):
-	// transition-cache lookups and misses since the last window reset.
-	winLookups int32
-	winMisses  int32
+	overflow bool // degraded: the component steps in the engine's fallback
 
 	repArena []int32
 	arena    []automata.StateID
@@ -158,14 +160,11 @@ type component struct {
 
 	budget int
 	bytes  int64 // modeled bytes held by this component's dstates
+	held   int64 // the part of bytes reserved with the attached governor
 
-	// freeBytes marks a byte-budget/thrash/forced degradation: the interned
-	// dstates are released once the fallback frontier is seeded (fallBack).
+	// freeBytes marks a governor degradation: the interned dstates are
+	// released once the frontier is handed over (degrade).
 	freeBytes bool
-
-	// NFA-fallback runtime (only used when overflow).
-	frontier []automata.StateID
-	next     []automata.StateID
 }
 
 // span is an offset/length pair into a component's arena or repArena.
@@ -248,16 +247,15 @@ func grow[T any](s []T, n int) []T {
 	return append(make([]T, 0, max(2*cap(s), len(s)+n)), s...)
 }
 
-// thrashWindow is the lookup window over which Options.ThrashMissRate is
-// evaluated per component.
-const thrashWindow = 1024
+// budgetFactor is the state budget per NFA state of a component (plus
+// 64): the component degrades rather than intern more dstates.
+const budgetFactor = 16
 
 // Engine executes one automaton via per-component lazy DFAs. Not safe for
 // concurrent use; the underlying Automaton is shared and immutable, so run
 // parallel streams with one Engine each.
 type Engine struct {
 	a     *automata.Automaton
-	opts  Options
 	sets  []charset.Set
 	comps []*component
 	cur   []uint32 // current dstate per component
@@ -265,20 +263,29 @@ type Engine struct {
 	// frontier back into per-component frontiers with it.
 	compOf []int32
 
-	// mark[s] == gen: s is marked in step's current pass (see bump). extra,
-	// next and fired are scratch: starts outside the frontier, construction's
-	// next frontier, and the fallback's report codes.
+	// mark[s] == gen: s is marked in step's current pass (see bump). extra
+	// and next are scratch: starts outside the frontier and construction's
+	// next frontier.
 	mark  []uint32
 	gen   uint32
 	extra []automata.StateID
 	next  []automata.StateID
-	fired []int32
 
-	// live lists the components that can still act. A component whose DFA
-	// reaches the dead state and has no all-input starts can never match
-	// again before the next Reset, so it is dropped from the scan loop —
-	// the pattern-confirmed-dead elision production engines rely on.
+	// live lists the cached components that can still act. A component
+	// whose DFA reaches the dead state and has no all-input starts can
+	// never match again before the next Reset, so it is dropped from the
+	// scan loop — the pattern-confirmed-dead elision production engines
+	// rely on. A degraded component leaves it for degraded.
 	live []int32
+
+	// fb steps the degraded components, in degradation order in degraded
+	// (see the package doc); nil until the first degradation. handoff holds
+	// the frontiers handed to it since the last handOver, and fbStale says
+	// the degraded set grew since fb was built.
+	fb       *sim.Engine
+	degraded []int32
+	handoff  []automata.StateID
+	fbStale  bool
 
 	offset int64
 	stats  Stats
@@ -308,44 +315,16 @@ type Engine struct {
 	// per-byte methods inline only into packages that import attr
 	// directly, not through hooks.Set. ledSlot caches each component's
 	// global attribution slot. The ledger is charged per-component scanned
-	// bytes (only while the component is live — dead elision stops the
-	// meter), construction/fallback frontier work, reports by code,
-	// cache-byte levels, evictions, and degradations.
+	// bytes (only while the component is live or degraded — dead elision
+	// stops the meter), construction/fallback frontier work, reports by
+	// code, cache-byte levels, evictions, and degradations.
 	led     *attr.Ledger
 	ledSlot []int32
-}
-
-// Options tune the engine's internal strategies; the zero value is the
-// production configuration.
-type Options struct {
-	// BudgetFactor overrides the DFA-state budget multiplier (default 16
-	// states per NFA state).
-	BudgetFactor int
-
-	// MaxCacheBytes bounds the engine's modeled interned-state bytes
-	// (0 = unlimited). A component whose next constructed state would
-	// exceed it degrades to NFA stepping and frees its interned states;
-	// reports are unchanged (pinned by difftest).
-	MaxCacheBytes int64
-	// ThrashMissRate, when > 0, degrades a component whose transition
-	// cache keeps missing: if its miss rate over a window of 1024
-	// lookups exceeds this fraction, the component falls back to NFA
-	// stepping instead of constructing (and evicting) forever.
-	ThrashMissRate float64
-	// ForceNFAFallback starts every component in NFA-fallback mode —
-	// the degradation path exercised end to end (difftest soak uses it
-	// to pin report identity across the degradation boundary).
-	ForceNFAFallback bool
 }
 
 // New analyzes and decomposes a. It returns ErrCounters if the automaton
 // uses counter elements.
 func New(a *automata.Automaton) (*Engine, error) {
-	return NewWithOptions(a, Options{})
-}
-
-// NewWithOptions is New with explicit strategy options.
-func NewWithOptions(a *automata.Automaton, opts Options) (*Engine, error) {
 	if a.NumCounters() > 0 {
 		return nil, ErrCounters
 	}
@@ -356,7 +335,7 @@ func NewWithOptions(a *automata.Automaton, opts Options) (*Engine, error) {
 			nComp = int(c) + 1
 		}
 	}
-	e := &Engine{a: a, opts: opts, sets: a.Table().Sets(), comps: make([]*component, nComp), compOf: compIdx,
+	e := &Engine{a: a, sets: a.Table().Sets(), comps: make([]*component, nComp), compOf: compIdx,
 		mark: make([]uint32, a.NumStates())}
 	for i := range e.comps {
 		e.comps[i] = &component{}
@@ -372,11 +351,6 @@ func NewWithOptions(a *automata.Automaton, opts Options) (*Engine, error) {
 	}
 	e.cur = make([]uint32, nComp)
 	e.Reset()
-	if opts.ForceNFAFallback {
-		for i, c := range e.comps {
-			e.degrade(c, i, nil)
-		}
-	}
 	return e, nil
 }
 
@@ -387,40 +361,58 @@ func dstateCost(frontierLen, nClasses int) int64 {
 	return 96 + 4*int64(frontierLen) + 12*int64(nClasses)
 }
 
-// degrade switches component ci into NFA-fallback mode with its frontier
-// seeded from seed (nil for a fresh stream), releasing its interned
-// dstates' bytes to the engine and governor accounting.
-func (e *Engine) degrade(c *component, ci int, seed []automata.StateID) {
-	c.overflow, c.freeBytes = true, true
-	e.stats.Fallbacks++
-	e.stats.CacheEvictions += int64(c.numDstates())
-	e.fallBack(c, ci, seed, true)
-}
-
-// fallBack completes a degradation already counted (degrade, admit): it
-// logs it (to the tracer too if trace), seeds the fallback frontier from
-// seed, and for a byte-budget degradation (freeBytes) releases the interned
-// dstates. The state-budget overflow keeps them: DFAStates in existing
-// output must not change.
-func (e *Engine) fallBack(c *component, ci int, seed []automata.StateID, trace bool) {
+// degrade completes a degradation admit counted: it logs it (to the tracer
+// too if trace), lists component ci as degraded with its frontier f handed
+// to the fallback, and for a governor degradation (freeBytes) releases the
+// interned dstates. The state-budget overflow keeps them:
+// DFAStates in existing output must not change.
+func (e *Engine) degrade(c *component, ci int, f []automata.StateID, trace bool) {
 	if trace && e.h.Tracer != nil {
 		e.h.Tracer.OnCacheEvent(e.offset, ci, telemetry.CacheEviction)
 	}
 	e.ledgerDegrade(ci, int64(c.numDstates()))
-	c.frontier = append(c.frontier[:0], seed...)
+	e.degraded = append(e.degraded, int32(ci))
+	e.handoff = append(e.handoff, f...)
+	e.fbStale = true
 	if c.freeBytes {
 		e.cacheBytes -= c.bytes
-		e.h.Governor.ReleaseCache(c.bytes)
-		c.bytes, c.freeBytes = 0, false
+		e.h.Governor.ReleaseCache(c.held)
+		c.bytes, c.held, c.freeBytes = 0, 0, false
 		c.arena, c.fspan, c.dhash, c.trans, c.reps, c.repArena, c.table = nil, nil, nil, nil, nil, nil, nil
 	}
 }
 
+// handOver arms the fallback with the handed-over frontiers at the current
+// offset. When the degraded set grew it first rebuilds the fallback over
+// the automaton without the still-cached components' starts, carrying the
+// old fallback's frontier over.
+func (e *Engine) handOver() {
+	if e.fbStale {
+		var cached []automata.StateID
+		for _, c := range e.comps {
+			if !c.overflow {
+				cached = append(append(cached, c.allStarts...), c.sodStarts...)
+			}
+		}
+		if e.fb != nil {
+			e.handoff = append(e.handoff, e.fb.FrontierSnapshot()...)
+		}
+		e.fb = sim.New(e.a.WithoutStarts(cached))
+		e.fb.OnReport = func(r sim.Report) { e.emit(r.Code) } // at e.offset
+		e.fbStale = false
+	}
+	e.fb.SetOffset(e.offset)
+	for _, s := range e.handoff {
+		e.fb.EnableState(s)
+	}
+	e.handoff = e.handoff[:0]
+}
+
 // admit interns frontier f (hash h) as a new dstate of c if the state
-// budget, the governor and Options.MaxCacheBytes allow it. Otherwise it
-// counts a degradation of c, freeBytes when a byte budget refused, and
-// returns false for the caller to finish with fallBack; or it returns a
-// run-stopping governor error and changes nothing.
+// budget and the governor allow it. Otherwise it counts a degradation of
+// c, freeBytes when the governor refused, and returns false for the caller
+// to finish with degrade; or it returns a run-stopping governor error and
+// changes nothing.
 func (e *Engine) admit(c *component, f []automata.StateID, h uint64) (uint32, bool, error) {
 	refuse := func(freeBytes bool) (uint32, bool, error) {
 		c.overflow, c.freeBytes = true, freeBytes
@@ -440,10 +432,7 @@ func (e *Engine) admit(c *component, f []automata.StateID, h uint64) (uint32, bo
 		if !granted {
 			return refuse(true)
 		}
-	}
-	if e.opts.MaxCacheBytes > 0 && e.cacheBytes+cost > e.opts.MaxCacheBytes {
-		e.h.Governor.ReleaseCache(cost)
-		return refuse(true)
+		c.held += cost
 	}
 	c.bytes += cost
 	e.cacheBytes += cost
@@ -475,11 +464,7 @@ func (e *Engine) prepare(c *component, seen []uint32, stamp uint32) {
 		}
 	})
 	c.nClasses = len(c.classRep)
-	factor := e.opts.BudgetFactor
-	if factor <= 0 {
-		factor = 16
-	}
-	c.budget = factor*len(c.states) + 64
+	c.budget = budgetFactor*len(c.states) + 64
 	// dstate 0: dead (empty frontier). dstate 1: initial (start-of-data
 	// frontier) — the same empty frontier when there are no start-of-data
 	// states, which then re-files it under dstate 1 (see intern).
@@ -501,22 +486,16 @@ func (e *Engine) bump() uint32 {
 	return e.gen
 }
 
-// step is the one NFA step under construction and fallback: it considers
-// every state of frontier f, then every state of sod and all that is not
-// in f, in that order. A considered state whose charset contains b appends
-// its report code to fired and its unmarked successors to next, in
-// discovery order.
-func (e *Engine) step(f, sod, all []automata.StateID, b byte, next []automata.StateID, fired []int32) ([]automata.StateID, []int32) {
+// step is the NFA step under construction: it considers every state of
+// frontier f, then every all-input start in all that is not in f, in that
+// order. A considered state whose charset contains b appends its report
+// code to fired and its unmarked successors to next, in discovery order.
+func (e *Engine) step(f, all []automata.StateID, b byte, next []automata.StateID, fired []int32) ([]automata.StateID, []int32) {
 	e.extra = e.extra[:0]
-	if len(sod)+len(all) > 0 {
+	if len(all) > 0 {
 		g := e.bump()
 		for _, s := range f {
 			e.mark[s] = g
-		}
-		for _, s := range sod {
-			if e.mark[s] != g {
-				e.extra = append(e.extra, s)
-			}
 		}
 		for _, s := range all {
 			if e.mark[s] != g {
@@ -556,7 +535,7 @@ func (e *Engine) computeTransition(c *component, di uint32, cls uint16) {
 		}
 	}
 	repOff := len(c.repArena)
-	e.next, c.repArena = e.step(c.frontierOf(di), nil, c.allStarts, c.classRep[cls], e.next[:0], c.repArena)
+	e.next, c.repArena = e.step(c.frontierOf(di), c.allStarts, c.classRep[cls], e.next[:0], c.repArena)
 	slices.Sort(e.next)
 	h := hashFrontier(e.next)
 	ni, _, ok := c.lookup(e.next, h)
@@ -582,8 +561,9 @@ func (e *Engine) computeTransition(c *component, di uint32, cls uint16) {
 //
 //   - a new Governor is asked to reserve the engine's already-interned
 //     states against its cache budget (best effort — before any scan they
-//     are a handful of near-empty dstates). It bounds RunChecked and
-//     subset construction; bare Run calls stay ungoverned;
+//     are a handful of near-empty dstates; a degradation releases only
+//     what was reserved). It bounds RunChecked and subset construction;
+//     bare Run calls stay ungoverned;
 //   - a new Progress tracker is heartbeaten cache-byte and fallback
 //     deltas from the current levels;
 //   - a new Ledger has every component's global attribution slot resolved
@@ -597,8 +577,14 @@ func (e *Engine) computeTransition(c *component, di uint32, cls uint16) {
 func (e *Engine) Attach(h hooks.Set) {
 	old := e.h
 	e.h = h
-	if h.Governor != old.Governor && h.Governor != nil && e.cacheBytes > 0 {
-		h.Governor.GrowCache(guard.SiteDFAConstruct, e.cacheBytes)
+	if h.Governor != old.Governor {
+		granted, _ := h.Governor.GrowCache(guard.SiteDFAConstruct, e.cacheBytes)
+		for _, c := range e.comps {
+			c.held = 0
+			if granted {
+				c.held = c.bytes
+			}
+		}
 	}
 	if h.Progress != old.Progress {
 		e.progCache = e.cacheBytes
@@ -640,16 +626,22 @@ func (e *Engine) ledgerDegrade(ci int, evicted int64) {
 	e.led.AddFallback(e.ledSlot[ci])
 }
 
-// Reset restarts all component DFAs at their initial state and clears
-// statistics. Interned DFA states are retained.
+// Reset restarts all component DFAs at their initial state, and the
+// fallback at the start of data, and clears statistics. Interned DFA
+// states are retained, and degraded components stay degraded.
 func (e *Engine) Reset() {
 	e.FlushLedger()
 	e.live = e.live[:0]
 	for i, c := range e.comps {
 		e.cur[i] = 1
-		c.frontier = c.frontier[:0]
-		e.live = append(e.live, int32(i))
+		if !c.overflow {
+			e.live = append(e.live, int32(i))
+		}
 	}
+	if e.fb != nil {
+		e.fb.Reset()
+	}
+	e.handoff = e.handoff[:0]
 	e.offset = 0
 	e.stats.Reports = 0
 	e.stats.Symbols = 0
@@ -729,8 +721,8 @@ func (e *Engine) RunChecked(input []byte) (sim.Stats, error) {
 
 // scanChunk steps chunk until a governor error raised inside construction
 // stops it, then heartbeats the chunk (its full size even when cut short,
-// like the budget it was charged), the live-component count, and the
-// cache-byte and fallback deltas since the last beat.
+// like the budget it was charged), the live and degraded component count,
+// and the cache-byte and fallback deltas since the last beat.
 func (e *Engine) scanChunk(chunk []byte) error {
 	for _, b := range chunk {
 		e.stepByte(b)
@@ -739,7 +731,7 @@ func (e *Engine) scanChunk(chunk []byte) error {
 		}
 	}
 	if p := e.h.Progress; p != nil {
-		p.Beat(int64(len(chunk)), int64(len(e.live)))
+		p.Beat(int64(len(chunk)), int64(len(e.live)+len(e.degraded)))
 		if d := e.cacheBytes - e.progCache; d != 0 {
 			p.AddCache(d)
 			e.progCache = e.cacheBytes
@@ -754,6 +746,7 @@ func (e *Engine) scanChunk(chunk []byte) error {
 
 func (e *Engine) stepByte(b byte) {
 	e.stats.Symbols++
+	n := len(e.degraded)
 	for i := 0; i < len(e.live); {
 		ci := e.live[i]
 		c := e.comps[ci]
@@ -763,17 +756,11 @@ func (e *Engine) stepByte(b byte) {
 			// totals equal the whole-stream scan regardless of slicing.
 			e.led.AddBytes(e.ledSlot[ci], 1)
 		}
-		if c.overflow {
-			e.nfaStep(c, ci, b)
-			i++
-			continue
-		}
 		di := e.cur[ci]
 		cls := c.byteClass[b]
 		t := int(di)*c.nClasses + int(cls)
 		if c.trans[t] == transUnset {
 			e.stats.CacheMisses++
-			c.winMisses++
 			if e.led != nil {
 				// Frontier work for a cached DFA is the construction events,
 				// not the per-byte transitions: a warm cache does ~zero work.
@@ -788,31 +775,18 @@ func (e *Engine) stepByte(b byte) {
 			if e.govErr != nil {
 				// Run-stopping governor error inside construction: the
 				// transition was not computed; RunChecked surfaces govErr.
-				return
+				break
 			}
 			if c.overflow {
-				// Seed the fallback frontier from the current dstate and
-				// process this byte via the NFA path.
-				e.fallBack(c, int(ci), c.frontierOf(di), true)
-				e.nfaStep(c, ci, b)
-				i++
+				// The component steps this byte in the fallback, from the
+				// current dstate's frontier. The live order is kept: it is
+				// the order in which components ask the governor for bytes.
+				e.degrade(c, int(ci), c.frontierOf(di), true)
+				e.live = slices.Delete(e.live, i, i+1)
 				continue
 			}
 		} else {
 			e.stats.CacheHits++
-		}
-		c.winLookups++
-		if e.opts.ThrashMissRate > 0 && c.winLookups >= thrashWindow {
-			if float64(c.winMisses) > e.opts.ThrashMissRate*float64(c.winLookups) {
-				// Persistent cache thrash: constructing (and re-constructing)
-				// is costing more than interpreting — degrade the component
-				// and process this byte via the NFA path.
-				e.degrade(c, int(ci), c.frontierOf(di))
-				e.nfaStep(c, ci, b)
-				i++
-				continue
-			}
-			c.winLookups, c.winMisses = 0, 0
 		}
 		if r := c.reps[t]; r.n > 0 {
 			for _, code := range c.repArena[r.off : r.off+r.n] {
@@ -829,26 +803,37 @@ func (e *Engine) stepByte(b byte) {
 		}
 		i++
 	}
+	if e.fbStale {
+		e.handOver()
+	}
+	if e.govErr != nil {
+		return
+	}
+	if len(e.degraded) > 0 {
+		e.stepFallback(b, e.degraded[:n])
+	}
 	e.offset++
 }
 
-// nfaStep advances an overflowed component by direct frontier stepping.
-func (e *Engine) nfaStep(c *component, ci int32, b byte) {
-	e.stats.FallbackBytes++
+// stepFallback steps byte b in the fallback. Every degraded component
+// counts one fallback byte. The ledger charges each its fallback work, as
+// sim charges activations: one unit per frontier state plus the step
+// itself; and it charges the byte to those in before, the components
+// degraded before this byte (the cached loop charged the others).
+func (e *Engine) stepFallback(b byte, before []int32) {
+	e.stats.FallbackBytes += int64(len(e.degraded))
 	if e.led != nil {
-		// Fallback interpretation is real frontier work, charged like sim's
-		// activation count: one unit per frontier state plus the step itself.
-		e.led.AddWork(e.ledSlot[ci], int64(len(c.frontier))+1)
+		for _, s := range e.fb.FrontierSnapshot() {
+			e.led.AddWork(e.ledSlot[e.compOf[s]], 1)
+		}
+		for _, ci := range before {
+			e.led.AddBytes(e.ledSlot[ci], 1)
+		}
+		for _, ci := range e.degraded {
+			e.led.AddWork(e.ledSlot[ci], 1)
+		}
 	}
-	var sod []automata.StateID
-	if e.offset == 0 {
-		sod = c.sodStarts
-	}
-	c.next, e.fired = e.step(c.frontier, sod, c.allStarts, b, c.next[:0], e.fired[:0])
-	for _, code := range e.fired {
-		e.emit(code)
-	}
-	c.frontier, c.next = c.next, c.frontier
+	e.fb.Step(b)
 }
 
 // CaptureState snapshots the engine between Run calls: the absolute
@@ -863,15 +848,15 @@ func (e *Engine) CaptureState() *sim.StreamState {
 	return &sim.StreamState{Offset: e.offset, Frontier: e.FrontierSnapshot()}
 }
 
-// FrontierSnapshot returns the sorted union of the components' frontiers.
+// FrontierSnapshot returns the sorted union of the live components' dstate
+// frontiers and the fallback's frontier (a dead component's is empty).
 func (e *Engine) FrontierSnapshot() []automata.StateID {
 	var f []automata.StateID
-	for i, c := range e.comps {
-		if c.overflow {
-			f = append(f, c.frontier...)
-		} else {
-			f = append(f, c.frontierOf(e.cur[i])...)
-		}
+	if e.fb != nil {
+		f = e.fb.FrontierSnapshot()
+	}
+	for _, ci := range e.live {
+		f = append(f, e.comps[ci].frontierOf(e.cur[ci])...)
 	}
 	slices.Sort(f)
 	return f
@@ -879,7 +864,12 @@ func (e *Engine) FrontierSnapshot() []automata.StateID {
 
 // SetOffset positions the engine at an absolute stream offset without
 // touching any other state (see sim.Engine.SetOffset).
-func (e *Engine) SetOffset(off int64) { e.offset = off }
+func (e *Engine) SetOffset(off int64) {
+	e.offset = off
+	if e.fb != nil {
+		e.fb.SetOffset(off)
+	}
+}
 
 // Speculative is always false: the printed DFA-state and cache statistics
 // record the engine's interning history, which a second engine scanning a
@@ -888,10 +878,10 @@ func (e *Engine) Speculative() bool { return false }
 
 // RestoreState resets the engine and re-seeds it to continue the logical
 // stream at s. Per-stream statistics (Symbols, Reports) restart from
-// zero, exactly like Reset; cache counters persist. A degraded component
-// seeds its fallback frontier directly; a cached component interns the
+// zero, exactly like Reset; cache counters persist. A degraded component's
+// frontier is handed to the fallback; a cached component interns the
 // frontier as a dstate — subject to the usual state/cache budgets, so a
-// restore can itself trigger a DFA→NFA degradation (reports unchanged).
+// restore can itself degrade a component (reports unchanged).
 // Returns an error when the snapshot names a state this automaton does
 // not have or holds counter values (it was captured from a different
 // automaton), or when the governor holds a run-stopping trip.
@@ -907,15 +897,14 @@ func (e *Engine) RestoreState(s *sim.StreamState) error {
 		per[e.compOf[id]] = append(per[e.compOf[id]], id)
 	}
 	e.Reset()
+	for _, ci := range e.degraded {
+		e.handoff = append(e.handoff, per[ci]...)
+	}
+	cached := e.live
 	e.live = e.live[:0]
-	for i, c := range e.comps {
-		f := per[i]
+	for _, ci := range cached {
+		c, f := e.comps[ci], per[ci]
 		slices.Sort(f)
-		if c.overflow {
-			c.frontier = append(c.frontier[:0], f...)
-			e.live = append(e.live, int32(i))
-			continue
-		}
 		h := hashFrontier(f)
 		di, _, ok := c.lookup(f, h)
 		if !ok {
@@ -926,19 +915,21 @@ func (e *Engine) RestoreState(s *sim.StreamState) error {
 			if !ok {
 				// Degrade like the construction path (a state-budget
 				// overflow is not traced here).
-				e.fallBack(c, i, f, c.freeBytes)
-				e.live = append(e.live, int32(i))
+				e.degrade(c, int(ci), f, c.freeBytes)
 				continue
 			}
 		}
-		e.cur[i] = di
+		e.cur[ci] = di
 		if di == 0 && len(c.allStarts) == 0 {
 			// Empty frontier and nothing can re-arm it: elide, as stepByte
 			// would have.
 			continue
 		}
-		e.live = append(e.live, int32(i))
+		e.live = append(e.live, ci)
 	}
 	e.offset = s.Offset
+	if len(e.degraded) > 0 {
+		e.handOver()
+	}
 	return nil
 }

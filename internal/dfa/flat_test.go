@@ -55,35 +55,28 @@ func TestEmptyFrontierAlias(t *testing.T) {
 	if e.cur[ca] != 1 || e.cur[cs] != 0 {
 		t.Fatalf("restored empty frontier: dstates %d and %d, want 1 and 0", e.cur[ca], e.cur[cs])
 	}
-	compareWithRef(t, a, Options{}, []byte("xxabxaabbab"))
+	compareWithRef(t, a, refConfigs[0], []byte("xxabxaabbab"))
 }
 
 // TestStepGenerationWrap sets the mark generation just below its wrap
 // point after a short scan has left low generations in the marks, then
-// scans on across the wrap, holding construction and fallback to the
-// reference.
+// scans on across the wrap, holding construction to the reference.
 func TestStepGenerationWrap(t *testing.T) {
-	for _, opts := range []Options{{}, {ForceNFAFallback: true}} {
-		wrapped := 0
-		for seed := int64(1); seed <= 60; seed++ {
-			rng := rand.New(rand.NewSource(seed))
-			a := randomAutomaton(rng)
-			input := randomInput(rng, 400)
-			e, err := NewWithOptions(a, opts)
-			if err != nil {
-				t.Fatal(err)
-			}
-			ref := newRef(a, opts)
-			compareEngines(t, e, ref, input[:20])
-			e.gen = math.MaxUint32 - 2
-			compareEngines(t, e, ref, input[20:])
-			if e.gen < math.MaxUint32-2 {
-				wrapped++
-			}
+	wrapped := 0
+	for seed := int64(1); seed <= 60; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		a := randomAutomaton(rng)
+		input := randomInput(rng, 400)
+		e, ref := newGoverned(t, a, refConfigs[0]), newRef(a, refConfigs[0])
+		compareEngines(t, e, ref, input[:20])
+		e.gen = math.MaxUint32 - 2
+		compareEngines(t, e, ref, input[20:])
+		if e.gen < math.MaxUint32-2 {
+			wrapped++
 		}
-		if wrapped < 30 {
-			t.Fatalf("%+v: only %d of 60 scans stepped across the wrap", opts, wrapped)
-		}
+	}
+	if wrapped < 30 {
+		t.Fatalf("only %d of 60 scans stepped across the wrap", wrapped)
 	}
 }
 
@@ -96,7 +89,8 @@ func TestInternSurvivesHashCollisions(t *testing.T) {
 	for _, cfg := range refConfigs[:2] {
 		for seed := int64(1); seed <= 60; seed++ {
 			rng := rand.New(rand.NewSource(seed))
-			compareWithRef(t, randomAutomaton(rng), cfg.opts, randomInput(rng, 600))
+			compareWithRef(t, randomAutomaton(rng), cfg, randomInput(rng, 600))
 		}
 	}
+	compareWithRef(t, budgetAutomaton(t, 9), refConfigs[0], budgetInput(rand.New(rand.NewSource(9)), 3000))
 }

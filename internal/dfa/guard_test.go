@@ -12,13 +12,11 @@ import (
 	"automatazoo/internal/sim"
 )
 
-// reportKey multiset of an engine run.
-func dfaReports(t *testing.T, a *automata.Automaton, opts Options, input []byte) map[[2]int64]int {
+// dfaReports is the report multiset of a run under the governor cache
+// budget cacheBudget (none when 0).
+func dfaReports(t *testing.T, a *automata.Automaton, cacheBudget int64, input []byte) map[[2]int64]int {
 	t.Helper()
-	e, err := NewWithOptions(a, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
+	e := newGoverned(t, a, refConfig{cacheBudget: cacheBudget})
 	got := reportKeys(e.SetOnReport)
 	e.Run(input)
 	return got
@@ -54,80 +52,61 @@ func guardInput(n int) []byte {
 	return input
 }
 
-// Forced degradation runs the whole stream on the NFA-fallback path;
-// reports must be byte-identical to both the normal DFA and the sim
-// reference — the degradation-transparency contract.
+// A one-byte governor cache budget forces every component into the NFA
+// fallback at its first construction; reports must be byte-identical to
+// both the normal DFA and the sim reference — the degradation-transparency
+// contract.
 func TestForceNFAFallbackReportsIdentical(t *testing.T) {
 	a := compile(t, "cat", "dog", "[ab]+c", "x\\d{2,3}y")
 	input := guardInput(20_000)
 	want := simReports(t, a, input)
-	normal := dfaReports(t, a, Options{}, input)
-	forced := dfaReports(t, a, Options{ForceNFAFallback: true}, input)
+	normal := dfaReports(t, a, 0, input)
+	starved := dfaReports(t, a, 1, input)
 	sameReports(t, normal, want, "normal DFA vs sim")
-	sameReports(t, forced, want, "forced fallback vs sim")
+	sameReports(t, starved, want, "starved DFA vs sim")
 }
 
+// A starved engine counts its degradations and fallback bytes and keeps
+// no dstate: the ones a degradation releases include those the
+// governor's attach-time reservation was denied.
 func TestForceNFAFallbackStats(t *testing.T) {
 	a := compile(t, "cat", "dog")
-	e, err := NewWithOptions(a, Options{ForceNFAFallback: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	input := guardInput(1000)
-	s := e.Run(input)
-	if s.Fallbacks == 0 {
-		t.Fatal("forced fallback did not count Fallbacks")
+	e := newGoverned(t, a, refConfig{cacheBudget: 1})
+	s := e.Run(guardInput(1000))
+	if s.Fallbacks != len(e.comps) {
+		t.Fatalf("%d of %d components degraded", s.Fallbacks, len(e.comps))
 	}
 	if s.FallbackBytes == 0 {
-		t.Fatal("forced fallback did not count FallbackBytes")
+		t.Fatal("starved engine did not count FallbackBytes")
 	}
 	if s.DFAStates != 0 {
-		t.Fatalf("forced fallback retained %d DFA states", s.DFAStates)
+		t.Fatalf("starved engine retained %d DFA states", s.DFAStates)
 	}
 	if s.CacheBytes != 0 {
-		t.Fatalf("forced fallback retained %d cache bytes", s.CacheBytes)
+		t.Fatalf("starved engine retained %d cache bytes", s.CacheBytes)
 	}
 }
 
-// A tiny byte budget forces mid-stream degradation; reports must still be
-// identical, and the component's interned bytes must be released.
+// A governor cache budget that runs out mid-stream hands warm frontiers to
+// the fallback; reports must still be identical, and the degraded
+// components' interned bytes must be released.
 func TestMaxCacheBytesDegradesMidStream(t *testing.T) {
 	a := compile(t, "[ab]+c", "x\\d{2,3}y", "z.z")
 	input := guardInput(30_000)
 	want := simReports(t, a, input)
-
-	e, err := NewWithOptions(a, Options{MaxCacheBytes: 1}) // below even the initial states
-	if err != nil {
-		t.Fatal(err)
-	}
+	probe := newGoverned(t, a, refConfig{})
+	// Room for the initial dstates and about three more.
+	e := newGoverned(t, a, refConfig{cacheBudget: probe.CacheStats().CacheBytes + 600})
 	got := reportKeys(e.SetOnReport)
 	s := e.Run(input)
-	sameReports(t, got, want, "byte-budget degraded vs sim")
-	if s.Fallbacks == 0 || s.FallbackBytes == 0 {
-		t.Fatalf("no degradation recorded: %+v", s)
+	sameReports(t, got, want, "mid-stream degraded vs sim")
+	if s.Fallbacks == 0 || s.FallbackBytes >= int64(s.Fallbacks)*int64(len(input)) {
+		t.Fatalf("no degradation after offset 0: %+v", s)
 	}
-	if s.CacheBytes != 0 {
-		t.Fatalf("degraded components retained %d cache bytes", s.CacheBytes)
-	}
-}
-
-// ThrashMissRate 0 < r < 1 with a cache that can never warm up (every
-// lookup a miss is impossible here, so use a rate low enough to trigger
-// on the cold-start window) degrades instead of constructing forever.
-func TestThrashMissRateDegrades(t *testing.T) {
-	a := compile(t, "[ab]+c", "x\\d{2,3}y", "z.z", "catalog")
-	input := guardInput(100_000)
-	want := simReports(t, a, input)
-
-	e, err := NewWithOptions(a, Options{ThrashMissRate: 0.0001})
-	if err != nil {
-		t.Fatal(err)
-	}
-	got := reportKeys(e.SetOnReport)
-	s := e.Run(input)
-	sameReports(t, got, want, "thrash-degraded vs sim")
-	if s.Fallbacks == 0 {
-		t.Fatal("thrash threshold never degraded any component")
+	for _, ci := range e.degraded {
+		if c := e.comps[ci]; c.bytes != 0 {
+			t.Fatalf("degraded component %d retained %d cache bytes", ci, c.bytes)
+		}
 	}
 }
 

@@ -34,16 +34,16 @@ func TestDisabledLiveTelemetryZeroAllocs(t *testing.T) {
 	}
 }
 
-// TestFallbackStepZeroAllocs: a degraded component steps its NFA frontier
-// on generation marks and reused scratch, so once the frontiers have grown
-// to size a fallback scan allocates nothing.
+// TestFallbackStepZeroAllocs: under a one-byte governor cache budget every
+// component degrades to the fallback, a sim engine, so once the degraded
+// set has stopped growing a fallback scan allocates nothing.
 func TestFallbackStepZeroAllocs(t *testing.T) {
 	a, input := kernel(t, "Hamming 18x3", 0.005, 2048)
-	e, err := NewWithOptions(a, Options{ForceNFAFallback: true})
-	if err != nil {
-		t.Fatal(err)
-	}
+	e := newGoverned(t, a, refConfig{cacheBudget: 1})
 	e.Run(input)
+	if len(e.degraded) != len(e.comps) {
+		t.Fatalf("%d of %d components degraded under a one-byte cache budget", len(e.degraded), len(e.comps))
+	}
 	allocs := testing.AllocsPerRun(20, func() {
 		e.Reset()
 		e.Run(input)

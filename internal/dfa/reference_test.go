@@ -1,6 +1,7 @@
 package dfa
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"slices"
@@ -9,28 +10,32 @@ import (
 
 	"automatazoo/internal/automata"
 	"automatazoo/internal/charset"
+	"automatazoo/internal/guard"
+	"automatazoo/internal/hooks"
 	"automatazoo/internal/sim"
 )
 
 // refEngine is the engine's construction layer as it was before the flat
 // arrays: per-byte signature strings for the byte classes, a map-based
-// subset construction, frontiers interned under string keys, and a fallback
-// step that allocates a map per byte. It keeps the stepping, budgets and
-// degradation of Engine without hooks, so the two can be compared byte by
-// byte (TestEngineMatchesReference). It is the oracle only; nothing here
-// is tuned.
+// subset construction, frontiers interned under string keys, and a
+// per-component fallback step that allocates a map per byte. It keeps the
+// stepping, budgets and degradation of Engine without hooks, so the two
+// can be compared byte by byte (TestEngineMatchesReference), under the
+// same refConfig. It is the oracle only; nothing here is tuned.
 type refEngine struct {
-	a          *automata.Automaton
-	opts       Options
-	sets       []charset.Set
-	comps      []*refComponent
-	cur        []uint32
-	compOf     []int32
-	live       []int32
-	offset     int64
-	stats      Stats
-	cacheBytes int64
-	fired      []int32 // report codes emitted since the caller last cleared it
+	a           *automata.Automaton
+	cacheBudget int64 // refConfig.cacheBudget
+	govBytes    int64 // the bytes reserved with the governor it models
+	sets        []charset.Set
+	comps       []*refComponent
+	cur         []uint32
+	compOf      []int32
+	live        []int32
+	degraded    []int32
+	offset      int64
+	stats       Stats
+	cacheBytes  int64
+	fired       []int32 // report codes emitted since the caller last cleared it
 }
 
 type refComponent struct {
@@ -47,10 +52,9 @@ type refComponent struct {
 	overflow bool
 	budget   int
 	bytes    int64
+	held     int64
 
-	freeBytes  bool
-	winLookups int32
-	winMisses  int32
+	freeBytes bool
 
 	frontier []automata.StateID
 	next     []automata.StateID
@@ -63,7 +67,7 @@ type refDstate struct {
 	reports  [][]int32
 }
 
-func newRef(a *automata.Automaton, opts Options) *refEngine {
+func newRef(a *automata.Automaton, cfg refConfig) *refEngine {
 	_, compIdx := a.Components()
 	nComp := 0
 	for _, c := range compIdx {
@@ -71,7 +75,7 @@ func newRef(a *automata.Automaton, opts Options) *refEngine {
 			nComp = int(c) + 1
 		}
 	}
-	e := &refEngine{a: a, opts: opts, sets: a.Table().Sets(), comps: make([]*refComponent, nComp), compOf: compIdx}
+	e := &refEngine{a: a, cacheBudget: cfg.cacheBudget, sets: a.Table().Sets(), comps: make([]*refComponent, nComp), compOf: compIdx}
 	for i := range e.comps {
 		e.comps[i] = &refComponent{index: map[string]uint32{}}
 	}
@@ -81,30 +85,58 @@ func newRef(a *automata.Automaton, opts Options) *refEngine {
 	}
 	for _, c := range e.comps {
 		e.prepare(c)
+		if cfg.stateBudget != nil {
+			c.budget = cfg.stateBudget(len(c.states))
+		}
 	}
 	e.cur = make([]uint32, nComp)
 	e.Reset()
-	if opts.ForceNFAFallback {
+	// The governor's attach-time reservation of the initial dstates.
+	if e.cacheBudget > 0 && e.cacheBytes <= e.cacheBudget {
+		e.govBytes = e.cacheBytes
 		for _, c := range e.comps {
-			e.degrade(c, nil)
+			c.held = c.bytes
 		}
 	}
 	return e
 }
 
-func (e *refEngine) degrade(c *refComponent, seed []automata.StateID) {
-	c.overflow = true
-	e.stats.Fallbacks++
-	e.stats.CacheEvictions += int64(len(c.dstates))
+// admit reserves cost bytes of a new dstate of c, or marks c overflowed
+// (freeBytes when the governor refused) and counts its degradation.
+func (e *refEngine) admit(c *refComponent, cost int64) bool {
+	refuse := len(c.dstates) >= c.budget
+	if !refuse && e.cacheBudget > 0 {
+		if refuse = e.govBytes+cost > e.cacheBudget; refuse {
+			c.freeBytes = true
+		} else {
+			e.govBytes += cost
+			c.held += cost
+		}
+	}
+	if refuse {
+		c.overflow = true
+		e.stats.Fallbacks++
+		e.stats.CacheEvictions += int64(len(c.dstates))
+	}
+	return !refuse
+}
+
+// degrade moves component ci to the fallback with frontier seed, releasing
+// its dstates after a governor refusal.
+func (e *refEngine) degrade(c *refComponent, ci int32, seed []automata.StateID) {
+	e.degraded = append(e.degraded, ci)
 	c.frontier = append(c.frontier[:0], seed...)
 	if c.mark == nil {
 		c.mark = map[automata.StateID]bool{}
 	}
-	e.cacheBytes -= c.bytes
-	c.bytes = 0
-	c.dstates = nil
-	c.index = nil
-	c.freeBytes = false
+	if c.freeBytes {
+		e.cacheBytes -= c.bytes
+		e.govBytes -= c.held
+		c.bytes, c.held = 0, 0
+		c.dstates = nil
+		c.index = nil
+		c.freeBytes = false
+	}
 }
 
 func (e *refEngine) prepare(c *refComponent) {
@@ -145,11 +177,7 @@ func (e *refEngine) prepare(c *refComponent) {
 		c.byteClass[b] = cls
 	}
 	c.nClasses = len(sigIndex)
-	factor := e.opts.BudgetFactor
-	if factor <= 0 {
-		factor = 16
-	}
-	c.budget = factor*len(c.states) + 64
+	c.budget = 16*len(c.states) + 64
 	c.dstates = append(c.dstates, e.newDstate(c, nil))
 	c.index[""] = 0
 	init := append([]automata.StateID(nil), c.sodStarts...)
@@ -213,18 +241,8 @@ func (e *refEngine) computeTransition(c *refComponent, di uint32, cls uint16) {
 	key := frontierKey(nextFront)
 	ni, ok := c.index[key]
 	if !ok {
-		if len(c.dstates) >= c.budget {
-			c.overflow = true
-			e.stats.Fallbacks++
-			e.stats.CacheEvictions += int64(len(c.dstates))
-			return
-		}
 		cost := dstateCost(len(nextFront), c.nClasses)
-		if e.opts.MaxCacheBytes > 0 && e.cacheBytes+cost > e.opts.MaxCacheBytes {
-			c.overflow = true
-			c.freeBytes = true
-			e.stats.Fallbacks++
-			e.stats.CacheEvictions += int64(len(c.dstates))
+		if !e.admit(c, cost) {
 			return
 		}
 		ni = uint32(len(c.dstates))
@@ -248,14 +266,28 @@ func (e *refEngine) Reset() {
 	for i, c := range e.comps {
 		e.cur[i] = 1
 		c.frontier = c.frontier[:0]
-		if c.overflow && c.mark == nil {
-			c.mark = map[automata.StateID]bool{}
+		if !c.overflow {
+			e.live = append(e.live, int32(i))
 		}
-		e.live = append(e.live, int32(i))
 	}
 	e.offset = 0
 	e.stats.Reports = 0
 	e.stats.Symbols = 0
+}
+
+// frontierSnapshot is the sorted union of the components' frontiers: the
+// current dstate's, or the fallback frontier of a degraded component.
+func (e *refEngine) frontierSnapshot() []automata.StateID {
+	var f []automata.StateID
+	for i, c := range e.comps {
+		if c.overflow {
+			f = append(f, c.frontier...)
+		} else {
+			f = append(f, c.dstates[e.cur[i]].frontier...)
+		}
+	}
+	slices.Sort(f)
+	return f
 }
 
 func (e *refEngine) CacheStats() Stats {
@@ -278,45 +310,18 @@ func (e *refEngine) stepByte(b byte) {
 	for i := 0; i < len(e.live); {
 		ci := e.live[i]
 		c := e.comps[ci]
-		if c.overflow {
-			e.nfaStep(c, b)
-			i++
-			continue
-		}
 		di := e.cur[ci]
 		cls := c.byteClass[b]
 		if c.dstates[di].trans[cls] == transUnset {
 			e.stats.CacheMisses++
-			c.winMisses++
 			e.computeTransition(c, di, cls)
 			if c.overflow {
-				c.frontier = append(c.frontier[:0], c.dstates[di].frontier...)
-				if c.mark == nil {
-					c.mark = map[automata.StateID]bool{}
-				}
-				if c.freeBytes {
-					e.cacheBytes -= c.bytes
-					c.bytes = 0
-					c.dstates = nil
-					c.index = nil
-					c.freeBytes = false
-				}
-				e.nfaStep(c, b)
-				i++
+				e.degrade(c, ci, c.dstates[di].frontier)
+				e.live = slices.Delete(e.live, i, i+1)
 				continue
 			}
 		} else {
 			e.stats.CacheHits++
-		}
-		c.winLookups++
-		if e.opts.ThrashMissRate > 0 && c.winLookups >= thrashWindow {
-			if float64(c.winMisses) > e.opts.ThrashMissRate*float64(c.winLookups) {
-				e.degrade(c, c.dstates[di].frontier)
-				e.nfaStep(c, b)
-				i++
-				continue
-			}
-			c.winLookups, c.winMisses = 0, 0
 		}
 		d := &c.dstates[di]
 		for _, code := range d.reports[cls] {
@@ -330,6 +335,9 @@ func (e *refEngine) stepByte(b byte) {
 			continue
 		}
 		i++
+	}
+	for _, ci := range e.degraded {
+		e.nfaStep(e.comps[ci], b)
 	}
 	e.offset++
 }
@@ -378,79 +386,110 @@ func (e *refEngine) RestoreState(s *sim.StreamState) {
 		per[e.compOf[id]] = append(per[e.compOf[id]], id)
 	}
 	e.Reset()
-	e.live = e.live[:0]
-	for i, c := range e.comps {
-		f := per[i]
+	for _, ci := range e.degraded {
+		c := e.comps[ci]
+		c.frontier = append(c.frontier[:0], per[ci]...)
+	}
+	cached := e.live
+	e.live = nil
+	for _, ci := range cached {
+		c, f := e.comps[ci], per[ci]
 		slices.Sort(f)
-		if c.overflow {
-			c.frontier = append(c.frontier[:0], f...)
-			e.live = append(e.live, int32(i))
-			continue
-		}
 		key := frontierKey(f)
 		di, ok := c.index[key]
 		if !ok {
-			if len(c.dstates) >= c.budget {
-				c.overflow = true
-				e.stats.Fallbacks++
-				e.stats.CacheEvictions += int64(len(c.dstates))
-				c.frontier = append(c.frontier[:0], f...)
-				if c.mark == nil {
-					c.mark = map[automata.StateID]bool{}
-				}
-				e.live = append(e.live, int32(i))
-				continue
-			}
-			cost := dstateCost(len(f), c.nClasses)
-			if e.opts.MaxCacheBytes > 0 && e.cacheBytes+cost > e.opts.MaxCacheBytes {
-				e.degrade(c, f)
-				e.live = append(e.live, int32(i))
+			if !e.admit(c, dstateCost(len(f), c.nClasses)) {
+				e.degrade(c, ci, f)
 				continue
 			}
 			di = uint32(len(c.dstates))
 			c.dstates = append(c.dstates, e.newDstate(c, f))
 			c.index[key] = di
+			cost := dstateCost(len(f), c.nClasses)
 			c.bytes += cost
 			e.cacheBytes += cost
 		}
-		e.cur[i] = di
+		e.cur[ci] = di
 		if di == 0 && len(c.allStarts) == 0 {
 			continue
 		}
-		e.live = append(e.live, int32(i))
+		e.live = append(e.live, ci)
 	}
 	e.offset = s.Offset
 }
 
-// refConfigs are the engine configurations the reference comparison runs:
-// the production defaults, a state budget small enough to overflow, and the
-// three degradations the difftest matrix runs (forced, starved, thrash).
-var refConfigs = []struct {
-	name string
-	opts Options
-}{
-	{"default", Options{}},
-	{"budget", Options{BudgetFactor: 1}},
-	{"forced", Options{ForceNFAFallback: true}},
-	{"starved", Options{MaxCacheBytes: 1}},
-	{"tight-bytes", Options{MaxCacheBytes: 4096}},
-	{"thrash", Options{ThrashMissRate: 0.0001}},
+// refConfig is one way to run the engine and the reference: under a
+// governor with a DFA cache budget (cacheBudget > 0), and with the
+// components' state budget overridden in the test (stateBudget, given a
+// component's state count).
+type refConfig struct {
+	name        string
+	cacheBudget int64
+	stateBudget func(states int) int
 }
 
-// compareWithRef scans input on a fresh engine and a fresh reference with
-// the same options, comparing after every byte the reports fired, each
-// component's mode, current dstate and fallback frontier, every frontier
-// interned so far (in order) and the cache statistics. Halfway it restores
-// both from the engine's snapshot, and at the end it compares the
-// transition and report tables.
-func compareWithRef(t testing.TB, a *automata.Automaton, opts Options, input []byte) {
+// refConfigs are the configurations the reference comparison runs: the
+// production defaults; a state budget of one dstate per state (plus 64)
+// that overflows mid-stream, keeping the dstates; a state budget of zero
+// that degrades every component at its first construction; a one-byte
+// governor budget that does the same, releasing the dstates; and governor
+// budgets that run out mid-stream (tight-bytes) and later, once the cache
+// has warmed (thrash). A state budget that overflows on its own is
+// budgetAutomaton's.
+var refConfigs = []refConfig{
+	{name: "default"},
+	{name: "budget", stateBudget: func(n int) int { return n + 64 }},
+	{name: "forced", stateBudget: func(int) int { return 0 }},
+	{name: "starved", cacheBudget: 1},
+	{name: "tight-bytes", cacheBudget: 4096},
+	{name: "thrash", cacheBudget: 16384},
+}
+
+// newGoverned returns New(a) configured as cfg says.
+func newGoverned(t testing.TB, a *automata.Automaton, cfg refConfig) *Engine {
 	t.Helper()
-	e, err := NewWithOptions(a, opts)
+	e, err := New(a)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ref := newRef(a, opts)
-	compareEngines(t, e, ref, input)
+	if cfg.stateBudget != nil {
+		for _, c := range e.comps {
+			c.budget = cfg.stateBudget(len(c.states))
+		}
+	}
+	if cfg.cacheBudget > 0 {
+		e.Attach(hooks.Set{Governor: guard.New(context.Background(), guard.Budget{MaxCacheBytes: cfg.cacheBudget})})
+	}
+	return e
+}
+
+// budgetAutomaton is (a|b)*a(a|b){k}: k+1 states whose DFA has 2^(k+1)
+// dstates on a/b input, so from k = 9 on it overflows the state budget of
+// 16 per state plus 64 on its own. budgetInput is such input.
+func budgetAutomaton(t *testing.T, k int) *automata.Automaton {
+	t.Helper()
+	return compile(t, fmt.Sprintf("a[ab]{%d}", k))
+}
+
+func budgetInput(rng *rand.Rand, n int) []byte {
+	in := make([]byte, n)
+	for i := range in {
+		in[i] = "ab"[rng.Intn(2)]
+	}
+	return in
+}
+
+// compareWithRef scans input on a fresh engine and a fresh reference
+// configured as cfg says, comparing after every byte the
+// reports fired (as multisets: the cached components report before the
+// fallback), each component's mode, current dstate and fallback frontier
+// (the fallback's projected through compOf), every frontier interned so far
+// (in order) and the cache statistics. Halfway it restores both from the
+// engine's snapshot, and at the end it compares the transition and report
+// tables.
+func compareWithRef(t testing.TB, a *automata.Automaton, cfg refConfig, input []byte) {
+	t.Helper()
+	compareEngines(t, newGoverned(t, a, cfg), newRef(a, cfg), input)
 }
 
 // compareEngines is compareWithRef on engines already built.
@@ -477,6 +516,8 @@ func compareEngines(t testing.TB, e *Engine, ref *refEngine, input []byte) {
 		fired, ref.fired = fired[:0], ref.fired[:0]
 		e.Step(b)
 		ref.stepByte(b)
+		slices.Sort(fired)
+		slices.Sort(ref.fired)
 		if !slices.Equal(fired, ref.fired) {
 			t.Fatalf("byte %d: reports %v, reference %v", at, fired, ref.fired)
 		}
@@ -503,16 +544,27 @@ func compareEngines(t testing.TB, e *Engine, ref *refEngine, input []byte) {
 // frontiers of component i already compared.
 func checkState(t testing.TB, e *Engine, ref *refEngine, checked []int, at int, when string) []int {
 	t.Helper()
-	if !slices.Equal(e.live, ref.live) || e.offset != ref.offset {
-		t.Fatalf("%s %d: live %v at %d, reference %v at %d", when, at, e.live, e.offset, ref.live, ref.offset)
+	if !slices.Equal(e.live, ref.live) || !slices.Equal(e.degraded, ref.degraded) || e.offset != ref.offset {
+		t.Fatalf("%s %d: live %v degraded %v at %d, reference %v %v at %d", when, at, e.live, e.degraded, e.offset, ref.live, ref.degraded, ref.offset)
+	}
+	fallback := make([][]automata.StateID, len(e.comps))
+	if e.fb != nil {
+		for _, s := range e.fb.FrontierSnapshot() {
+			fallback[e.compOf[s]] = append(fallback[e.compOf[s]], s)
+		}
 	}
 	for i, c := range e.comps {
 		rc := ref.comps[i]
 		if c.overflow != rc.overflow || e.cur[i] != ref.cur[i] {
 			t.Fatalf("%s %d component %d: overflow %v dstate %d, reference %v %d", when, at, i, c.overflow, e.cur[i], rc.overflow, ref.cur[i])
 		}
-		if c.overflow && !slices.Equal(c.frontier, rc.frontier) {
-			t.Fatalf("%s %d component %d: fallback frontier %v, reference %v", when, at, i, c.frontier, rc.frontier)
+		var want []automata.StateID
+		if c.overflow {
+			want = slices.Clone(rc.frontier)
+			slices.Sort(want)
+		}
+		if !slices.Equal(fallback[i], want) {
+			t.Fatalf("%s %d component %d: fallback frontier %v, reference %v", when, at, i, fallback[i], want)
 		}
 		if c.numDstates() != len(rc.dstates) {
 			t.Fatalf("%s %d component %d: %d dstates, reference %d", when, at, i, c.numDstates(), len(rc.dstates))
@@ -526,6 +578,9 @@ func checkState(t testing.TB, e *Engine, ref *refEngine, checked []int, at int, 
 			}
 		}
 		checked[i] = c.numDstates()
+	}
+	if got, want := e.FrontierSnapshot(), ref.frontierSnapshot(); !slices.Equal(got, want) {
+		t.Fatalf("%s %d: frontier snapshot %v, reference %v", when, at, got, want)
 	}
 	got, want := e.CacheStats(), ref.CacheStats()
 	got.ConstructNanos = 0
@@ -588,14 +643,15 @@ var dfaCacheKernels = []string{"Snort", "YARA Wide", "Brill", "CRISPR CasOffinde
 
 // TestEngineMatchesReference holds the flat construction layer to the
 // map-based reference byte by byte, on random automata and on the
-// dfa_cache kernels at tiny scale, in every configuration.
+// dfa_cache kernels at tiny scale, in every configuration, and the state
+// budget on budgetAutomaton with the production defaults.
 func TestEngineMatchesReference(t *testing.T) {
 	for _, cfg := range refConfigs {
 		for seed := int64(1); seed <= 150; seed++ {
 			rng := rand.New(rand.NewSource(seed))
 			a := randomAutomaton(rng)
 			t.Run(fmt.Sprintf("%s/random-%d", cfg.name, seed), func(t *testing.T) {
-				compareWithRef(t, a, cfg.opts, randomInput(rng, 1500))
+				compareWithRef(t, a, cfg, randomInput(rng, 1500))
 			})
 		}
 	}
@@ -603,9 +659,19 @@ func TestEngineMatchesReference(t *testing.T) {
 		a, input := kernel(t, name, 0.005, 2048)
 		for _, cfg := range refConfigs {
 			t.Run(cfg.name+"/"+name, func(t *testing.T) {
-				compareWithRef(t, a, cfg.opts, input)
+				compareWithRef(t, a, cfg, input)
 			})
 		}
+	}
+	for k := 9; k <= 11; k++ {
+		t.Run(fmt.Sprintf("budget/k%d", k), func(t *testing.T) {
+			a := budgetAutomaton(t, k)
+			input := budgetInput(rand.New(rand.NewSource(int64(k))), 3000)
+			compareWithRef(t, a, refConfigs[0], input)
+			if e := newGoverned(t, a, refConfigs[0]); e.Run(input).Fallbacks != 1 {
+				t.Fatalf("a(a|b){%d} did not overflow the state budget", k)
+			}
+		})
 	}
 }
 
@@ -617,6 +683,6 @@ func FuzzEngineMatchesReference(f *testing.F) {
 	f.Add(int64(42), uint8(5), []byte("abcde"))
 	f.Fuzz(func(t *testing.T, seed int64, cfg uint8, input []byte) {
 		a := randomAutomaton(rand.New(rand.NewSource(seed)))
-		compareWithRef(t, a, refConfigs[int(cfg)%len(refConfigs)].opts, input)
+		compareWithRef(t, a, refConfigs[int(cfg)%len(refConfigs)], input)
 	})
 }

@@ -1,6 +1,8 @@
 package dfa_test
 
 import (
+	"cmp"
+	"context"
 	"reflect"
 	"slices"
 	"testing"
@@ -8,6 +10,8 @@ import (
 	"automatazoo/internal/automata"
 	"automatazoo/internal/dfa"
 	"automatazoo/internal/difftest"
+	"automatazoo/internal/guard"
+	"automatazoo/internal/hooks"
 	"automatazoo/internal/randx"
 	"automatazoo/internal/sim"
 )
@@ -69,7 +73,10 @@ func TestDFACaptureRestoreResumesExactly(t *testing.T) {
 // TestDFARestoreAcrossDegradationBoundary: a snapshot is a frontier set,
 // not a dstate index, so it must restore across engines in different
 // degradation states — cached→fallback and fallback→cached both resume
-// with the exact report stream of the continuous cached run.
+// with the report stream of the continuous cached run, in canonical order
+// within an offset (the cached components report before the fallback).
+// The fallback engine is starved: a one-byte governor cache budget
+// degrades each component at its first construction.
 func TestDFARestoreAcrossDegradationBoundary(t *testing.T) {
 	rng := randx.New(21)
 	cfg := difftest.GenConfig{States: 16}
@@ -84,33 +91,47 @@ func TestDFARestoreAcrossDegradationBoundary(t *testing.T) {
 	var want []sim.Report
 	record(ref, &want)
 	ref.Run(input)
+	canon := func(rs []sim.Report) {
+		slices.SortFunc(rs, func(x, y sim.Report) int {
+			return cmp.Or(cmp.Compare(x.Offset, y.Offset), cmp.Compare(x.Code, y.Code))
+		})
+	}
+	canon(want)
+	engine := func(starved bool) *dfa.Engine {
+		e, err := dfa.New(a)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if starved {
+			e.Attach(hooks.Set{Governor: guard.New(context.Background(), guard.Budget{MaxCacheBytes: 1})})
+		}
+		return e
+	}
 
 	for _, dir := range []struct {
-		name       string
-		headForced bool
+		name        string
+		headStarved bool
 	}{
 		{"cached head, fallback tail", false},
 		{"fallback head, cached tail", true},
 	} {
-		head, err := dfa.NewWithOptions(a, dfa.Options{ForceNFAFallback: dir.headForced})
-		if err != nil {
-			t.Fatal(err)
-		}
+		head := engine(dir.headStarved)
 		var got []sim.Report
 		record(head, &got)
 		head.Run(input[:cut])
 		snap := head.CaptureState()
 
-		tail, err := dfa.NewWithOptions(a, dfa.Options{ForceNFAFallback: !dir.headForced})
-		if err != nil {
-			t.Fatal(err)
-		}
+		tail := engine(!dir.headStarved)
 		record(tail, &got)
 		if err := tail.RestoreState(snap); err != nil {
 			t.Fatalf("%s: RestoreState: %v", dir.name, err)
 		}
 		tail.Run(input[cut:])
+		if head.CacheStats().Fallbacks+tail.CacheStats().Fallbacks == 0 {
+			t.Fatalf("%s: neither engine degraded", dir.name)
+		}
 
+		canon(got)
 		if !slices.Equal(got, want) {
 			t.Fatalf("%s: report streams differ: ref %d, stitched %d", dir.name, len(want), len(got))
 		}

@@ -80,7 +80,7 @@ func TestEvictionsOnOverflow(t *testing.T) {
 	// A tiny budget forces the component into NFA fallback, which must be
 	// recorded as evictions of the abandoned dstates.
 	a := compile(t, "a[ab]*b[ab]{4}")
-	e, err := NewWithOptions(a, Options{BudgetFactor: -1})
+	e, err := New(a)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -3,9 +3,9 @@
 // one matrix, each cell a scan.Run scan — the driver the CLI uses, so the
 // oracle checks the scan path that ships:
 //
-//	engine     nfa, prefilter, dfa, and dfa under each degradation option
-//	           (forced NFA fallback, a one-byte cache budget, an aggressive
-//	           thrash detector), which must all fall back
+//	engine     nfa, prefilter, dfa, and dfa under a governor cache budget
+//	           of one byte (dfa-starved) or 4 KiB (dfa-tight), which must
+//	           both fall back
 //	transform  none, or prefix-merge
 //	mode       (-j 1, -segments 1), (4, 1) component slices, (1, N) and
 //	           (4, N), with N chosen per trial and a 48-byte warmup

@@ -8,6 +8,7 @@ import (
 	"automatazoo/internal/automata"
 	"automatazoo/internal/bitnfa"
 	"automatazoo/internal/dfa"
+	"automatazoo/internal/guard"
 	"automatazoo/internal/scan"
 	"automatazoo/internal/segment"
 	"automatazoo/internal/sim"
@@ -20,10 +21,10 @@ const warmup = 48
 
 // engine is one value of the engine axis.
 type engine struct {
-	name     string
-	new      func(*automata.Automaton) (segment.Engine, error)
-	exact    bool // keeps the reference's full sim.Stats
-	degraded bool // a dfa degradation option: its cells must fall back
+	name        string
+	new         func(*automata.Automaton) (segment.Engine, error)
+	exact       bool  // keeps the reference's full sim.Stats
+	cacheBudget int64 // > 0: a degraded dfa, each scan under a governor with this cache budget
 }
 
 func factory(name string) func(*automata.Automaton) (segment.Engine, error) {
@@ -34,19 +35,15 @@ func factory(name string) func(*automata.Automaton) (segment.Engine, error) {
 	return f
 }
 
-func degradedDFA(name string, opts dfa.Options) engine {
-	return engine{name: name, degraded: true, new: func(a *automata.Automaton) (segment.Engine, error) {
-		return dfa.NewWithOptions(a, opts)
-	}}
-}
-
+// The degraded dfa cells: dfa-starved degrades every component at its
+// first construction, offset 0 included; dfa-tight's budget runs out
+// mid-stream, so warm frontiers cross into the fallback.
 var engines = []engine{
 	{name: "nfa", new: factory("nfa"), exact: true},
 	{name: "prefilter", new: factory("prefilter"), exact: true},
 	{name: "dfa", new: factory("dfa")},
-	degradedDFA("dfa-forced", dfa.Options{ForceNFAFallback: true}),
-	degradedDFA("dfa-starved", dfa.Options{MaxCacheBytes: 1}),
-	degradedDFA("dfa-thrash", dfa.Options{ThrashMissRate: 0.0001}),
+	{name: "dfa-starved", new: factory("dfa"), cacheBudget: 1},
+	{name: "dfa-tight", new: factory("dfa"), cacheBudget: 4096},
 }
 
 // cell is one engine × transform × execution mode.
@@ -94,8 +91,12 @@ type outcome struct {
 
 // run scans input through scan.Run as the cell says, at segments segments
 // when the cell is segmented. sp carries whatever else the scan needs
-// (the crash-resume cell's registry, governor, saver and start).
+// (the crash-resume cell's registry, governor, saver and start); a
+// degraded dfa cell's governor goes in its hooks, which scan.Run attaches.
 func (c cell) run(a *automata.Automaton, input []byte, segments int, sp scan.Spec) (outcome, error) {
+	if c.cacheBudget > 0 {
+		sp.Governor = guard.New(context.Background(), guard.Budget{MaxCacheBytes: c.cacheBudget})
+	}
 	if c.merge {
 		a, _ = transform.PrefixMerge(a)
 	}
@@ -117,7 +118,8 @@ type CellStat struct {
 	Reports   int64 `json:"reports"`             // reference reports those runs compared
 	Committed int64 `json:"committed,omitempty"` // speculative segments committed (Result.Stitch)
 	Replayed  int64 `json:"replayed,omitempty"`  // speculative segments replayed
-	Fallbacks int64 `json:"fallbacks,omitempty"` // dfa components degraded to NFA stepping (Result.Cache)
+	Fallbacks int64 `json:"fallbacks,omitempty"` // dfa components degraded to the fallback (Result.Cache)
+	Late      int64 `json:"late,omitempty"`      // runs in which one degraded after offset 0
 	Crashes   int   `json:"crashes,omitempty"`   // crash-resume kills survived
 }
 
@@ -127,6 +129,7 @@ func (s *CellStat) add(o CellStat) {
 	s.Committed += o.Committed
 	s.Replayed += o.Replayed
 	s.Fallbacks += o.Fallbacks
+	s.Late += o.Late
 	s.Crashes += o.Crashes
 }
 
@@ -157,8 +160,11 @@ func check(a *automata.Automaton, input []byte, segments int, cells []cell) []ve
 		}
 		v := verdict{cell: c.String(), stat: CellStat{Runs: 1, Reports: int64(len(ref.events)),
 			Committed: got.res.Stitch.Committed, Replayed: got.res.Stitch.Replayed}}
-		if got.res.Cache != nil {
-			v.stat.Fallbacks = int64(got.res.Cache.Fallbacks)
+		if c := got.res.Cache; c != nil {
+			v.stat.Fallbacks = int64(c.Fallbacks)
+			if c.FallbackBytes < v.stat.Fallbacks*int64(len(input)) {
+				v.stat.Late = 1
+			}
 		}
 		if err != nil {
 			v.div = failed(v.cell, err)

@@ -557,33 +557,57 @@ func TestNoGoBenchmarksInRootModule(t *testing.T) {
 	}
 }
 
-// The engines carry no ablation forks: an exported Options field that
-// switches a strategy off (No*, Disable*) keeps a second code path alive
-// in a hot loop for the sake of a measurement nobody gates on.
+// The engines carry no strategy knobs: an Options type or a
+// NewWithOptions constructor keeps a second code path alive in a hot loop
+// for the sake of a configuration no production caller sets. Each engine
+// has one constructor and one behaviour; a test that needs another budget
+// sets it on the engine it builds.
 func TestNoAblationKnobsInEngines(t *testing.T) {
-	for _, dir := range []string{"internal/sim", "internal/dfa"} {
+	// Canary: the detector must catch both kinds, or the walk below proves
+	// nothing.
+	fset := token.NewFileSet()
+	canary, err := parser.ParseFile(fset, "canary.go", `package canary
+type Options struct{ BudgetFactor int }
+type options struct{}
+func NewWithOptions(a *automata.Automaton, opts Options) (*Engine, error) { return nil, nil }
+func New(a *automata.Automaton) (*Engine, error) { return nil, nil }
+func (e *Engine) NewWithOptions() {}
+`, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := ablationKnobs(fset, canary); len(got) != 2 {
+		t.Fatalf("canary: detector found %d of 2 planted violations: %v", len(got), got)
+	}
+	for _, dir := range []string{"internal/sim", "internal/dfa", "internal/prefilter"} {
 		fset, files := goFiles(t, dir, false)
 		for _, f := range files {
-			ast.Inspect(f, func(n ast.Node) bool {
-				ts, ok := n.(*ast.TypeSpec)
-				if !ok || ts.Name.Name != "Options" {
-					return true
-				}
-				st, ok := ts.Type.(*ast.StructType)
-				if !ok {
-					return true
-				}
-				for _, fld := range st.Fields.List {
-					for _, name := range fld.Names {
-						if strings.HasPrefix(name.Name, "No") || strings.HasPrefix(name.Name, "Disable") {
-							t.Errorf("%s: %s.Options.%s is an ablation knob", fset.Position(name.Pos()), dir, name.Name)
-						}
-					}
-				}
-				return false
-			})
+			for _, v := range ablationKnobs(fset, f) {
+				t.Errorf("%s: %s", dir, v)
+			}
 		}
 	}
+}
+
+// ablationKnobs lists f's top-level Options types and NewWithOptions
+// functions.
+func ablationKnobs(fset *token.FileSet, f *ast.File) []string {
+	var out []string
+	for _, decl := range f.Decls {
+		switch d := decl.(type) {
+		case *ast.GenDecl:
+			for _, spec := range d.Specs {
+				if ts, ok := spec.(*ast.TypeSpec); ok && ts.Name.Name == "Options" {
+					out = append(out, fset.Position(ts.Pos()).String()+": declares an Options type")
+				}
+			}
+		case *ast.FuncDecl:
+			if d.Recv == nil && d.Name.Name == "NewWithOptions" {
+				out = append(out, fset.Position(d.Pos()).String()+": declares NewWithOptions")
+			}
+		}
+	}
+	return out
 }
 
 // Every command azoo dispatches is listed by its usage text and vice
