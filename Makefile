@@ -24,7 +24,11 @@ vet:
 # a refactor that breaks it silently costs every per-layer benchmark
 # metric. Build, vet and smoke-test it here. The telemetry-overhead budget
 # (<2%) is judged against its hooks.overhead_ratio.* probes and is NOT met
-# today (seed: 1.20 nfa / 1.16 dfa / 1.10 prefilter; ROADMAP item 12).
+# today: `bash bench/run.sh -layers` read nfa 1.27-1.53 / dfa 1.18-1.47 /
+# prefilter 1.69-2.27 while the engines observed the frontier histogram
+# and metered dfa bytes per symbol, and 0.91-1.36 / 0.92-1.31 / 0.99-1.45
+# since they batch both (three runs each, 2-vCPU box; the hooked command
+# also checkpoints and writes -metrics and -report; ROADMAP item 12).
 bench-module:
 	$(GO) build -C bench ./...
 	$(GO) vet -C bench ./...
@@ -63,7 +67,7 @@ race-parallel:
 # class synthesis none, and bitnfa.Stride8 a bounded number per output
 # state.
 allocguard:
-	$(GO) test -run 'TestNilTelemetryZeroAllocs|TestDisabledLiveTelemetryZeroAllocs|TestBitsetStepZeroAllocs|TestFallbackStepZeroAllocs|TestConstructAllocsPerDstate' -count=1 -v ./internal/sim/ ./internal/dfa/ ./internal/prefilter/
+	$(GO) test -run 'TestNilTelemetryZeroAllocs|TestDisabledLiveTelemetryZeroAllocs|TestBitsetStepZeroAllocs|TestFrontierStepZeroAllocs|TestFallbackStepZeroAllocs|TestConstructAllocsPerDstate' -count=1 -v ./internal/sim/ ./internal/dfa/ ./internal/prefilter/
 	$(GO) test -run 'TestBuildAllocsConstant|TestPrefixMergeAllocsPerState|TestSymbolClassZeroAllocs|TestCompileAllocsConstant|TestStride8Allocs' -count=1 -v ./internal/automata/ ./internal/transform/ ./internal/rf/ ./internal/acmatch/ ./internal/bitnfa/
 
 # Byte-stability gate for the /metrics surface: the exposition golden

@@ -68,9 +68,9 @@ func TestDifftestFlags(t *testing.T) {
 	if err := json.Unmarshal([]byte(out), &res); err != nil {
 		t.Fatalf("-json output does not parse: %v\n%s", err, out)
 	}
-	// 5 engines × 2 transforms × 4 modes, 3 crash-resume cells, bitnfa.
-	if len(res.Cells) != 44 || res.Seeds != 3 || len(res.Divergences) != 0 {
-		t.Errorf("soak: %d cells, %d seeds, %d divergences; want 44, 3, 0", len(res.Cells), res.Seeds, len(res.Divergences))
+	// 5 engines × 2 transforms × 4 modes, 4 crash-resume cells, bitnfa.
+	if len(res.Cells) != 45 || res.Seeds != 3 || len(res.Divergences) != 0 {
+		t.Errorf("soak: %d cells, %d seeds, %d divergences; want 45, 3, 0", len(res.Cells), res.Seeds, len(res.Divergences))
 	}
 	for name, st := range res.Cells {
 		if st.Runs == 0 {

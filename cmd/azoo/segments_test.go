@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"path/filepath"
 	"strconv"
+	"strings"
 	"testing"
 
 	"automatazoo/internal/guard"
@@ -103,5 +104,35 @@ func TestRunSegmentedManifestCarriesStitchExtras(t *testing.T) {
 	}
 	if fmt.Sprintf("%v", m.Suite["segments"]) != "3" {
 		t.Errorf("suite segments = %q", m.Suite["segments"])
+	}
+}
+
+// TestCacheBudgetedRunIdenticalAcrossWorkers: a dfa run under a cache
+// budget prints the same DFA-state, fallback and hit-rate line at any -j.
+// Component slices would share the one governor and race for its cache
+// bytes, so which component is refused first would vary from run to run;
+// scan.Run keeps a cache-budgeted run on one engine.
+func TestCacheBudgetedRunIdenticalAcrossWorkers(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds and scans a mesh kernel four times")
+	}
+	run := func(j, segs string) string {
+		out, err := captureStdout(t, func() error {
+			return cmdRun([]string{"-bench", "Hamming 22x5", "-engine", "dfa", "-scale", "0.05",
+				"-input", "32768", "-j", j, "-segments", segs, "-max-cache-mb", "1"})
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return out
+	}
+	want := run("1", "1")
+	if strings.Contains(want, " 0 fallbacks") {
+		t.Fatalf("test premise broken: the budget degrades nothing:\n%s", want)
+	}
+	for i := 0; i < 3; i++ {
+		if got := run("2", "3"); got != want {
+			t.Errorf("-j 2 run %d:\n%s\nwant (-j 1):\n%s", i, got, want)
+		}
 	}
 }

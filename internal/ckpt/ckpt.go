@@ -107,12 +107,11 @@ type Cursor struct {
 }
 
 // Engine is what a checkpointed scan needs of its engine: the segment
-// scanner's contract plus state capture and a mid-stream ledger flush.
-// sim.Engine, prefilter.Engine and dfa.Engine all satisfy it.
+// scanner's contract plus state capture. sim.Engine, prefilter.Engine and
+// dfa.Engine all satisfy it.
 type Engine interface {
 	segment.Engine
 	CaptureState() *sim.StreamState
-	FlushLedger()
 }
 
 // Checkpoint is one decoded checkpoint: everything a fresh process needs

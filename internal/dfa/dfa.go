@@ -281,11 +281,13 @@ type Engine struct {
 	// fb steps the degraded components, in degradation order in degraded
 	// (see the package doc); nil until the first degradation. handoff holds
 	// the frontiers handed to it since the last handOver, and fbStale says
-	// the degraded set grew since fb was built.
-	fb       *sim.Engine
-	degraded []int32
-	handoff  []automata.StateID
-	fbStale  bool
+	// the degraded set grew since fb was built. fbFrontier is scratch for
+	// fb's frontier, which the ledger charges per byte.
+	fb         *sim.Engine
+	degraded   []int32
+	handoff    []automata.StateID
+	fbStale    bool
+	fbFrontier []automata.StateID
 
 	offset int64
 	stats  Stats
@@ -317,9 +319,20 @@ type Engine struct {
 	// global attribution slot. The ledger is charged per-component scanned
 	// bytes (only while the component is live or degraded — dead elision
 	// stops the meter), construction/fallback frontier work, reports by
-	// code, cache-byte levels, evictions, and degradations.
+	// code, cache-byte levels, evictions, and degradations. The bytes are
+	// folded, not metered per byte (foldBytes): ledMark is the Symbols
+	// count every live and degraded component is charged through.
 	led     *attr.Ledger
 	ledSlot []int32
+	ledMark int64
+
+	// A run can stop inside a byte only at a cache miss: a governor error
+	// or a panic in construction. missAt and missDeg place the last miss
+	// (its index in live, and how many components were degraded when its
+	// byte began) for foldStopped; constructing is set while a miss is
+	// being constructed.
+	missAt, missDeg int
+	constructing    bool
 }
 
 // New analyzes and decomposes a. It returns ErrCounters if the automaton
@@ -591,7 +604,8 @@ func (e *Engine) Attach(h hooks.Set) {
 		e.progFallbacks = int64(e.stats.Fallbacks)
 	}
 	if h.Ledger != old.Ledger {
-		e.led, e.ledSlot = h.Ledger, nil
+		e.foldBytes()
+		e.led, e.ledSlot, e.ledMark = h.Ledger, nil, e.stats.Symbols
 		if e.led != nil {
 			e.ledSlot = make([]int32, len(e.comps))
 			for i, c := range e.comps {
@@ -603,16 +617,56 @@ func (e *Engine) Attach(h hooks.Set) {
 	}
 }
 
-// FlushLedger records each component's current cache-byte level in the
-// attached ledger (if any): a gauge-like quantity sampled at run end, at
-// Reset and at each checkpoint save, whose high-water the ledger keeps
-// (the flow counters are charged at their events).
-func (e *Engine) FlushLedger() {
+// Flush folds the scanned bytes into the attached ledger (if any) and
+// records each component's current cache-byte level there: a gauge-like
+// quantity sampled at run end, at Reset and at each checkpoint save,
+// whose high-water the ledger keeps (the other flow counters are charged
+// at their events).
+func (e *Engine) Flush() {
 	if e.led == nil {
 		return
 	}
+	e.foldBytes()
 	for i, c := range e.comps {
 		e.led.SetCacheBytes(e.ledSlot[i], c.bytes)
+	}
+}
+
+// foldBytes charges every live and degraded component the bytes consumed
+// since the last fold. A byte is charged to each component stepped on it,
+// cached or in the fallback; dead-component elision charges a dropped
+// component through its last byte when it drops it (stepByte). So the
+// per-component totals equal the whole-stream scan's regardless of
+// slicing, exactly as a per-byte meter's would.
+func (e *Engine) foldBytes() {
+	if e.led == nil {
+		return
+	}
+	if d := e.stats.Symbols - e.ledMark; d > 0 {
+		for _, ci := range e.live {
+			e.led.AddBytes(e.ledSlot[ci], d)
+		}
+		for _, ci := range e.degraded {
+			e.led.AddBytes(e.ledSlot[ci], d)
+		}
+	}
+	e.ledMark = e.stats.Symbols
+}
+
+// foldStopped is foldBytes for a run stopped inside the byte of the last
+// cache miss: only the components stepped up to and including the missed
+// one, and those degraded within the byte, were stepped on it; the rest
+// are charged through the byte before.
+func (e *Engine) foldStopped() {
+	if e.led == nil {
+		return
+	}
+	e.foldBytes()
+	for _, ci := range e.live[e.missAt+1:] {
+		e.led.AddBytes(e.ledSlot[ci], -1)
+	}
+	for _, ci := range e.degraded[:e.missDeg] {
+		e.led.AddBytes(e.ledSlot[ci], -1)
 	}
 }
 
@@ -630,7 +684,7 @@ func (e *Engine) ledgerDegrade(ci int, evicted int64) {
 // fallback at the start of data, and clears statistics. Interned DFA
 // states are retained, and degraded components stay degraded.
 func (e *Engine) Reset() {
-	e.FlushLedger()
+	e.Flush()
 	e.live = e.live[:0]
 	for i, c := range e.comps {
 		e.cur[i] = 1
@@ -645,6 +699,7 @@ func (e *Engine) Reset() {
 	e.offset = 0
 	e.stats.Reports = 0
 	e.stats.Symbols = 0
+	e.ledMark = 0
 }
 
 // Stats returns the symbols and reports since the last Reset — the
@@ -695,7 +750,7 @@ func (e *Engine) run(input []byte) {
 	for _, b := range input {
 		e.stepByte(b)
 	}
-	e.FlushLedger()
+	e.Flush()
 }
 
 // Step consumes one input symbol.
@@ -708,14 +763,21 @@ func (e *Engine) Step(b byte) { e.stepByte(b) }
 // so no active-set budget applies and the engine heartbeats for itself
 // (scanChunk). On a trip the partial statistics are returned with the
 // *guard.TripError. With no governor, progress tracker or checkpointer
-// attached it is exactly Run.
+// attached it is exactly Run. A panic in construction (an injected fault)
+// leaves the ledger charged as the byte left it (foldStopped).
 func (e *Engine) RunChecked(input []byte) (sim.Stats, error) {
 	if !e.h.Chunked() {
 		e.run(input)
 		return e.Stats(), nil
 	}
+	defer func() {
+		if e.constructing {
+			e.constructing = false
+			e.foldStopped()
+		}
+	}()
 	err := e.h.Chunks(guard.SiteDFAChunk, input, e.scanChunk, nil, nil)
-	e.FlushLedger()
+	e.Flush()
 	return e.Stats(), err
 }
 
@@ -750,24 +812,21 @@ func (e *Engine) stepByte(b byte) {
 	for i := 0; i < len(e.live); {
 		ci := e.live[i]
 		c := e.comps[ci]
-		if e.led != nil {
-			// One byte of scanning charged to every still-live component:
-			// dead-component elision stops the meter, so per-component byte
-			// totals equal the whole-stream scan regardless of slicing.
-			e.led.AddBytes(e.ledSlot[ci], 1)
-		}
 		di := e.cur[ci]
 		cls := c.byteClass[b]
 		t := int(di)*c.nClasses + int(cls)
 		if c.trans[t] == transUnset {
 			e.stats.CacheMisses++
+			e.missAt, e.missDeg = i, n
 			if e.led != nil {
 				// Frontier work for a cached DFA is the construction events,
 				// not the per-byte transitions: a warm cache does ~zero work.
 				e.led.AddWork(e.ledSlot[ci], 1)
 			}
 			start := time.Now()
+			e.constructing = true
 			e.computeTransition(c, di, cls)
+			e.constructing = false
 			e.stats.ConstructNanos += time.Since(start).Nanoseconds()
 			if e.h.Tracer != nil {
 				e.h.Tracer.OnCacheEvent(e.offset, int(ci), telemetry.CacheMiss)
@@ -775,6 +834,7 @@ func (e *Engine) stepByte(b byte) {
 			if e.govErr != nil {
 				// Run-stopping governor error inside construction: the
 				// transition was not computed; RunChecked surfaces govErr.
+				e.foldStopped()
 				break
 			}
 			if c.overflow {
@@ -796,7 +856,11 @@ func (e *Engine) stepByte(b byte) {
 		next := c.trans[t]
 		e.cur[ci] = next
 		if next == 0 && len(c.allStarts) == 0 {
-			// Permanently dead until Reset: drop from the scan loop.
+			// Permanently dead until Reset: drop from the scan loop, the
+			// byte meter stopping after this byte.
+			if e.led != nil {
+				e.led.AddBytes(e.ledSlot[ci], e.stats.Symbols-e.ledMark)
+			}
 			e.live[i] = e.live[len(e.live)-1]
 			e.live = e.live[:len(e.live)-1]
 			continue
@@ -810,7 +874,7 @@ func (e *Engine) stepByte(b byte) {
 		return
 	}
 	if len(e.degraded) > 0 {
-		e.stepFallback(b, e.degraded[:n])
+		e.stepFallback(b)
 	}
 	e.offset++
 }
@@ -818,16 +882,13 @@ func (e *Engine) stepByte(b byte) {
 // stepFallback steps byte b in the fallback. Every degraded component
 // counts one fallback byte. The ledger charges each its fallback work, as
 // sim charges activations: one unit per frontier state plus the step
-// itself; and it charges the byte to those in before, the components
-// degraded before this byte (the cached loop charged the others).
-func (e *Engine) stepFallback(b byte, before []int32) {
+// itself.
+func (e *Engine) stepFallback(b byte) {
 	e.stats.FallbackBytes += int64(len(e.degraded))
 	if e.led != nil {
-		for _, s := range e.fb.FrontierSnapshot() {
+		e.fbFrontier = e.fb.AppendFrontier(e.fbFrontier[:0])
+		for _, s := range e.fbFrontier {
 			e.led.AddWork(e.ledSlot[e.compOf[s]], 1)
-		}
-		for _, ci := range before {
-			e.led.AddBytes(e.ledSlot[ci], 1)
 		}
 		for _, ci := range e.degraded {
 			e.led.AddWork(e.ledSlot[ci], 1)

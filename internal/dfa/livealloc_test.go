@@ -4,6 +4,7 @@ import (
 	"runtime"
 	"testing"
 
+	"automatazoo/internal/attr"
 	"automatazoo/internal/automata"
 	"automatazoo/internal/core"
 	"automatazoo/internal/hooks"
@@ -36,23 +37,30 @@ func TestDisabledLiveTelemetryZeroAllocs(t *testing.T) {
 
 // TestFallbackStepZeroAllocs: under a one-byte governor cache budget every
 // component degrades to the fallback, a sim engine, so once the degraded
-// set has stopped growing a fallback scan allocates nothing.
+// set has stopped growing a fallback scan allocates nothing — also with a
+// ledger attached, which charges the fallback's frontier every byte.
 func TestFallbackStepZeroAllocs(t *testing.T) {
 	a, input := kernel(t, "Hamming 18x3", 0.005, 2048)
-	e := newGoverned(t, a, refConfig{cacheBudget: 1})
-	e.Run(input)
-	if len(e.degraded) != len(e.comps) {
-		t.Fatalf("%d of %d components degraded under a one-byte cache budget", len(e.degraded), len(e.comps))
-	}
-	allocs := testing.AllocsPerRun(20, func() {
-		e.Reset()
+	for _, ledger := range []bool{false, true} {
+		e := newGoverned(t, a, refConfig{cacheBudget: 1})
+		if ledger {
+			coll := attr.NewCollector(a, attr.FromComponents(a, "c"))
+			e.Attach(hooks.Set{Governor: e.h.Governor, Ledger: coll.Ledger(coll.GlobalCompOf())})
+		}
 		e.Run(input)
-	})
-	if allocs != 0 {
-		t.Fatalf("fallback scan allocated %.1f times per run, want 0", allocs)
-	}
-	if s := e.CacheStats(); s.FallbackBytes == 0 {
-		t.Fatalf("stats %+v: the scan did not run degraded", s)
+		if len(e.degraded) != len(e.comps) {
+			t.Fatalf("%d of %d components degraded under a one-byte cache budget", len(e.degraded), len(e.comps))
+		}
+		allocs := testing.AllocsPerRun(20, func() {
+			e.Reset()
+			e.Run(input)
+		})
+		if allocs != 0 {
+			t.Fatalf("fallback scan (ledger %v) allocated %.1f times per run, want 0", ledger, allocs)
+		}
+		if s := e.CacheStats(); s.FallbackBytes == 0 {
+			t.Fatalf("stats %+v: the scan did not run degraded", s)
+		}
 	}
 }
 

@@ -126,11 +126,14 @@ func TestSoakSmall(t *testing.T) {
 	}
 	want := []string{"bitnfa"}
 	var late int64
-	for _, e := range engines[:3] {
+	for _, e := range append(engines[:3:3], engines[4]) {
 		name := e.name + "/crash-resume"
 		want = append(want, name)
 		if res.Cells[name].Crashes == 0 {
 			t.Errorf("%s never crashed", name)
+		}
+		if e.cacheBudget > 0 && res.Cells[name].Fallbacks == 0 {
+			t.Errorf("%s never fell back", name)
 		}
 	}
 	for _, c := range matrix() {

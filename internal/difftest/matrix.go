@@ -92,9 +92,11 @@ type outcome struct {
 // run scans input through scan.Run as the cell says, at segments segments
 // when the cell is segmented. sp carries whatever else the scan needs
 // (the crash-resume cell's registry, governor, saver and start); a
-// degraded dfa cell's governor goes in its hooks, which scan.Run attaches.
+// degraded dfa cell's governor goes in its hooks, which scan.Run attaches,
+// unless sp brings one (the crash-resume cell's, which carries the cache
+// budget and the fault injector).
 func (c cell) run(a *automata.Automaton, input []byte, segments int, sp scan.Spec) (outcome, error) {
-	if c.cacheBudget > 0 {
+	if c.cacheBudget > 0 && sp.Governor == nil {
 		sp.Governor = guard.New(context.Background(), guard.Budget{MaxCacheBytes: c.cacheBudget})
 	}
 	if c.merge {

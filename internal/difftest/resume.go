@@ -29,9 +29,10 @@ const maxCrashes = 8
 // reports truncated to its durable cursor, the at-least-once cursor-dedup
 // contract — must equal the straight run's reports, sim.Stats and registry
 // snapshot (ckpt.saves counts every save point once across attempts),
-// except dfa.*: a resumed dfa engine's cache restarts cold. A crash before
-// the first save restarts from zero; ckpt.Load's generation fallback is on
-// trial whenever a kill lands between the rotate and the write.
+// except dfa.*: a resumed dfa engine's cache restarts cold, under a fresh
+// cache budget in a degraded dfa cell. A crash before the first save
+// restarts from zero; ckpt.Load's generation fallback is on trial whenever
+// a kill lands between the rotate and the write.
 func (c cell) crashResume(a *automata.Automaton, input []byte, segments int, interval int64, seed uint64) verdict {
 	v := verdict{cell: c.name + "/crash-resume"}
 	fail := func(format string, args ...any) verdict {
@@ -68,6 +69,9 @@ func (c cell) crashResume(a *automata.Automaton, input []byte, segments int, int
 		return fail("straight run: %v", err)
 	}
 	canon(straight.events)
+	if c := straight.res.Cache; c != nil {
+		v.stat.Fallbacks = int64(c.Fallbacks)
+	}
 	if v.div = compare(v.cell, c.exact, ref, straight); v.div != nil {
 		v.div.Detail += " (straight checkpointed run)"
 		return v
@@ -87,7 +91,7 @@ func (c cell) crashResume(a *automata.Automaton, input []byte, segments int, int
 			if err != nil {
 				return fail("ParseInjector: %v", err)
 			}
-			gov = guard.New(context.Background(), guard.Budget{})
+			gov = guard.New(context.Background(), guard.Budget{MaxCacheBytes: c.cacheBudget})
 			gov.SetInjector(inj)
 		}
 		if got, snap, err = attempt(path, gov, start); err == nil {
@@ -112,7 +116,7 @@ func (c cell) crashResume(a *automata.Automaton, input []byte, segments int, int
 		kept, start = all[:keep:keep], ck
 	}
 
-	if c.name == "dfa" {
+	if strings.HasPrefix(c.name, "dfa") {
 		want, snap = withoutDFA(want), withoutDFA(snap)
 	}
 	if !reflect.DeepEqual(want, snap) {

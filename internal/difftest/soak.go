@@ -53,10 +53,15 @@ func (r *SoakResult) record(seed uint64, vs ...verdict) {
 //   - on every 256th trial (a dense one) an nfa crash-resume cell also
 //     runs on a dense counter-bearing automaton, on an input as long:
 //     kills land on the bitset frontier, and the resumed engine restarts
-//     on its list. At about 0.4 s a cell it is the soak's costliest.
+//     on its list. At about 0.4 s a cell it is the soak's costliest;
+//   - on every fourth trial (none of those) a dfa-tight crash-resume cell
+//     runs on a counter-free automaton, on an input as long, its shape
+//     rotating every four trials: its budget runs out mid-stream, so the
+//     checkpoints hold the fallback's frontier.
 //
 // Trials run sequentially: determinism is the point.
 func Soak(cfg SoakConfig) SoakResult {
+	shapes := [4][2]int{{1, 1}, {4, 1}, {1, 4}, {4, 4}} // crash-resume (workers, segments)
 	res := SoakResult{Seeds: cfg.Seeds, BaseSeed: cfg.Seed, Cells: map[string]CellStat{}, Divergences: []Divergence{}}
 	cells := matrix()
 	// deep automata match almost every byte from almost no all-input
@@ -94,7 +99,7 @@ func Soak(cfg SoakConfig) SoakResult {
 		ba, bwit := GenerateBit(rng.Fork())
 		res.record(seed, checkBit(ba, GenBitInput(rng.Fork(), bwit, min(cfg.InputLen, 256))))
 
-		shape := [4][2]int{{1, 1}, {4, 1}, {1, 4}, {4, 4}}[i%4]
+		shape := shapes[i%4]
 		c := cell{engine: engines[i%3], workers: shape[0], segmented: shape[1] > 1} // nfa, prefilter, dfa
 		crash := GenConfig{States: cfg.States}
 		if c.name != "dfa" { // dfa rejects counters
@@ -110,6 +115,15 @@ func Soak(cfg SoakConfig) SoakResult {
 			a := Generate(rng.Fork(), dense)
 			input := GenInput(rng.Fork(), dense, len(input))
 			res.record(seed, cell{engine: engines[0], workers: 1}.crashResume(a, input, 1, interval, seed))
+		}
+		if i%4 == 2 {
+			// Drawn last as well.
+			tight := GenConfig{States: cfg.States}
+			a := Generate(rng.Fork(), tight)
+			input := GenInput(rng.Fork(), tight, len(input))
+			shape := shapes[i/4%4]
+			c := cell{engine: engines[4], workers: shape[0], segmented: shape[1] > 1} // dfa-tight
+			res.record(seed, c.crashResume(a, input, shape[1], interval, seed))
 		}
 	}
 	return res

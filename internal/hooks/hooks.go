@@ -30,9 +30,13 @@ type Checkpointer interface {
 // for the unit (a slice pass, a speculative segment, one stream of a
 // checkpointed scan) and re-Attach without them afterwards.
 type Set struct {
-	// Frontier observes the NFA enabled-frontier size once per symbol
+	// Frontier receives the NFA enabled-frontier size of every symbol
 	// (sim, prefilter), the one per-symbol quantity Stats cannot give; the
-	// lazy DFA has no NFA frontier and ignores it.
+	// lazy DFA has no NFA frontier and ignores it. The engine batches the
+	// sizes in plain integers (telemetry.Tally) and adds them to the
+	// histogram when it flushes — per chunk, at run end, at Reset, at a
+	// checkpoint save and when Attach replaces it — so between flushes the
+	// histogram lags the scan, and the scan loop does no atomic operation.
 	Frontier *telemetry.Histogram
 	// Tracer receives per-symbol/activation/report (sim, prefilter) or
 	// report/cache (dfa) events from inside the scan loop.
@@ -70,8 +74,8 @@ func (s *Set) Chunked() bool {
 //     deadline, input-byte accounting) — an error stops before the chunk,
 //  2. scans the chunk,
 //  3. heartbeats Progress with the chunk size and frontier(),
-//  4. calls flush when a Ledger is attached (the engine charges the bytes
-//     scanned since its last flush),
+//  4. calls flush (the engine hands what it batched since its last flush
+//     to its Ledger and Frontier histogram),
 //  5. stops if scan failed,
 //  6. offers the chunk to the Checkpointer,
 //  7. checks frontier() against the Governor's active-set budget.
@@ -83,7 +87,7 @@ func (s *Set) Chunked() bool {
 // frontier is the size of the engine's NFA active set after the chunk. An
 // engine without one (dfa) passes nil: steps 3 and 7 are skipped and the
 // engine heartbeats from scan with whatever it tracks instead. flush may
-// be nil when the engine has no per-chunk ledger work.
+// be nil when the engine batches nothing.
 func (s *Set) Chunks(site string, input []byte, scan func(chunk []byte) error, frontier func() int, flush func()) error {
 	var err error
 	for off := 0; off < len(input); off += Chunk {
@@ -100,7 +104,7 @@ func (s *Set) Chunks(site string, input []byte, scan func(chunk []byte) error, f
 				s.Progress.Beat(n, fl)
 			}
 		}
-		if s.Ledger != nil && flush != nil {
+		if flush != nil {
 			flush()
 		}
 		if err != nil {

@@ -93,8 +93,8 @@ type Engine struct {
 
 	onAnchorFn func(int) // bound once so the hot loop never allocates
 
-	// h is the attached hook bundle (see Attach). The Tracer and the Ledger
-	// are nfa's too; the Frontier histogram is this engine's alone.
+	// h is the attached hook bundle (see Attach). The Tracer, the Ledger
+	// and the Frontier histogram are nfa's.
 	h hooks.Set
 	// led is h.Ledger, held as a field of the attr type so its hot-path
 	// methods inline (see sim.Engine.Attach).
@@ -221,9 +221,6 @@ func (e *Engine) flushPend() {
 
 // Step consumes one input symbol.
 func (e *Engine) Step(b byte) {
-	if e.h.Frontier != nil {
-		e.h.Frontier.Observe(int64(e.nfa.FrontierLen()))
-	}
 	// Enabled accounting: chain states armed for this symbol are a pure
 	// function of the matcher position before the byte. (Chain heads are
 	// all-input starts — excluded, as sim's indexed engine excludes them.)
@@ -248,7 +245,7 @@ func (e *Engine) Step(b byte) {
 // It may be called repeatedly to continue the same logical stream.
 func (e *Engine) Run(input []byte) sim.Stats {
 	e.scanChunk(input)
-	e.FlushLedger()
+	e.Flush()
 	return e.Stats()
 }
 
@@ -262,8 +259,8 @@ func (e *Engine) RunChecked(input []byte) (sim.Stats, error) {
 	if !e.h.Chunked() {
 		return e.Run(input), nil
 	}
-	err := e.h.Chunks(guard.SitePrefilter, input, e.scanChunk, e.FrontierLen, e.FlushLedger)
-	e.FlushLedger()
+	err := e.h.Chunks(guard.SitePrefilter, input, e.scanChunk, e.FrontierLen, e.Flush)
+	e.Flush()
 	return e.Stats(), err
 }
 
@@ -314,10 +311,11 @@ func (e *Engine) FrontierLen() int { return e.nfa.FrontierLen() }
 //
 // The Tracer is nfa's too: it covers symbols, reports, and every
 // activation but the chain states' — those are accounted in Stats but not
-// traced (see the package comment). The Frontier histogram is this
-// engine's alone: nfa steps once per symbol too, and observing there as
-// well would double-count. Governor, Progress and Checkpointer act only
-// under RunChecked.
+// traced (see the package comment). So is the Frontier histogram: nfa
+// steps once per symbol, before the anchor hits of the symbol arm it, so
+// the size it batches is the frontier this engine's FrontierLen reports
+// before the step. Governor, Progress and Checkpointer act only under
+// RunChecked.
 func (e *Engine) Attach(h hooks.Set) {
 	old := e.h
 	e.h = h
@@ -330,12 +328,12 @@ func (e *Engine) Attach(h hooks.Set) {
 			}
 		}
 	}
-	e.nfa.Attach(hooks.Set{Tracer: h.Tracer, Ledger: h.Ledger})
+	e.nfa.Attach(hooks.Set{Frontier: h.Frontier, Tracer: h.Tracer, Ledger: h.Ledger})
 }
 
-// FlushLedger charges the ledger bytes scanned since the last flush (see
-// sim.Engine.FlushLedger); the ledger is nfa's.
-func (e *Engine) FlushLedger() { e.nfa.FlushLedger() }
+// Flush hands nfa's batched bytes and frontier sizes to the ledger and
+// the histogram (see sim.Engine.Flush).
+func (e *Engine) Flush() { e.nfa.Flush() }
 
 // SetOffset positions the engine at an absolute stream offset without
 // touching any other state (see sim.Engine.SetOffset).

@@ -724,7 +724,7 @@ func CompareWithReference(t testing.TB, a *automata.Automaton, input []byte, see
 		}
 		e.Step(b)
 		r.Step(b)
-		e.FlushLedger()
+		e.Flush()
 		r.FlushLedger()
 		eled.Commit()
 		r.commitLedgers()

@@ -10,7 +10,8 @@
 //	segmented         a stream resolves to     one whole-automaton master,
 //	                  more than one segment    segment.Run per stream
 //	                  (not a caching engine)
-//	component slices  Workers > 1, no Tracer   one engine per partition slice
+//	component slices  Workers > 1, no Tracer,  one engine per partition slice
+//	                  no cache budget
 //	whole             otherwise                one whole-automaton engine
 //
 // The first, second and fourth share one loop (whole): each stream is one
@@ -21,10 +22,12 @@
 // component slices instead. A traced run never slices: a slice engine
 // numbers its states locally, and the Tracer contract is automaton state
 // IDs, so an unsegmented traced run emits the same events at any Workers.
-// Unsliced is Run without the slices. Every layout yields the same
-// Result.Stats, report multiset and, for dfa, cache line: the engine is
-// deterministic, and a caching engine keeps one cache per automaton
-// component whichever layout holds it.
+// Nor does a run under a governor cache budget (guard.Budget.MaxCacheBytes)
+// slice: slice engines would race for the one budget, and which component
+// is refused first would vary from run to run. Unsliced is Run without the
+// slices. Every layout yields the same Result.Stats, report multiset and,
+// for dfa, cache line: the engine is deterministic, and a caching engine
+// keeps one cache per automaton component whichever layout holds it.
 package scan
 
 import (
@@ -166,12 +169,14 @@ func (sp *Spec) run(ctx context.Context, a *automata.Automaton, streams [][]byte
 		return e, err
 	}
 	// Slices at Workers > 1 when nothing is checkpointed or traced (slice
-	// engines number states locally, and a Tracer sees automaton IDs),
-	// unless a stream resolves to more than one segment and the engine is
-	// not a caching one: those are the segmented layout's master.
+	// engines number states locally, and a Tracer sees automaton IDs) and
+	// no cache budget is shared, unless a stream resolves to more than one
+	// segment and the engine is not a caching one: those are the segmented
+	// layout's master.
 	var e segment.Engine
 	var err error
-	sliced := sliceable && sp.Saver == nil && sp.Start == nil && sp.Tracer == nil && parallel.Workers(sp.Workers) > 1
+	sliced := sliceable && sp.Saver == nil && sp.Start == nil && sp.Tracer == nil &&
+		sp.Governor.Budget().MaxCacheBytes == 0 && parallel.Workers(sp.Workers) > 1
 	if sliced && segmented(streams, sp.Segments, sp.Workers) {
 		if e, err = sp.New(a); err != nil {
 			return res, err
@@ -293,7 +298,7 @@ func (sp *Spec) whole(ctx context.Context, a *automata.Automaton, e segment.Engi
 	// save builds a checkpoint at the engine's position in stream si, or
 	// at the start of stream si when snap is nil.
 	save := func(si int, snap *sim.StreamState, st sim.Stats) (*ckpt.Checkpoint, error) {
-		eng.FlushLedger()
+		eng.Flush()
 		if set.Ledger != nil {
 			set.Ledger.Commit()
 		}

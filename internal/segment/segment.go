@@ -117,11 +117,14 @@ func Bounds(n int64, k int) []int64 {
 // engine gains segment parallelism for free, provided it is deterministic
 // from (frontier, offset, input) — the stitch validates FrontierSnapshot
 // equality and assumes everything downstream of an equal snapshot
-// coincides; any other engine cascades its segments.
+// coincides; any other engine cascades its segments. Flush hands what the
+// engine batches for its ledger and Frontier histogram to them; Run,
+// RunChecked and Reset flush on their own.
 type Engine interface {
 	Reset()
 	Step(b byte)
 	RunChecked(input []byte) (sim.Stats, error)
+	Flush()
 	Stats() sim.Stats
 	SetOnReport(fn func(sim.Report))
 	Attach(h hooks.Set)
@@ -520,6 +523,7 @@ func (r *runner) speculate(i int) error {
 			end = lo
 		}
 		if err := r.opts.Governor.Boundary(guard.SiteSegment, 0); err != nil {
+			e.Flush() // the warmup's frontier sizes
 			return err
 		}
 		for _, b := range r.input[off:end] {

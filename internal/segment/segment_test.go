@@ -8,6 +8,8 @@ import (
 	"automatazoo/internal/automata"
 	"automatazoo/internal/charset"
 	"automatazoo/internal/difftest"
+	"automatazoo/internal/guard"
+	"automatazoo/internal/hooks"
 	"automatazoo/internal/randx"
 	"automatazoo/internal/segment"
 	"automatazoo/internal/sim"
@@ -256,5 +258,35 @@ func TestSegmentsAreDeterministicAcrossWorkers(t *testing.T) {
 		if res.Stats != base.Stats || res.Stitch != base.Stitch || !slices.Equal(reps, baseReps) {
 			t.Fatalf("workers=%d diverges from workers=1: %+v vs %+v", workers, res.Stitch, base.Stitch)
 		}
+	}
+}
+
+// TestWarmupTripKeepsFrontierSizes: a speculative engine batches the
+// sim.frontier sizes of its warmup, so a trip between two warmup chunks
+// must still hand them to the histogram: at one worker, the master's
+// segment and the first warmup chunk of segment 1 are all it observed.
+func TestWarmupTripKeepsFrontierSizes(t *testing.T) {
+	rng := randx.New(5)
+	cfg := difftest.GenConfig{States: 16}
+	a := difftest.Generate(rng.Fork(), cfg)
+	input := difftest.GenInput(rng.Fork(), cfg, 60000)
+	// Boundary hits at segment.spec: task 0, task 1, then one per warmup
+	// chunk of task 1; the 4th trips after one warmup chunk was stepped.
+	inj, err := guard.ParseInjector("trip:segment.spec:4", 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	gov := guard.New(context.Background(), guard.Budget{})
+	gov.SetInjector(inj)
+	reg := telemetry.NewRegistry()
+	_, err = segment.Run(context.Background(), a, input, segment.Options{
+		Segments: 3, Workers: 1, Hooks: segment.Hooks{Registry: reg, Governor: gov},
+	})
+	if guard.AsTrip(err) == nil {
+		t.Fatalf("want an injected trip, got %v", err)
+	}
+	want := segment.Bounds(int64(len(input)), 3)[1] + hooks.Chunk
+	if got := reg.Histogram("sim.frontier", nil).Count(); got != want {
+		t.Errorf("sim.frontier holds %d symbols, want %d (segment 0 and one warmup chunk)", got, want)
 	}
 }

@@ -91,3 +91,42 @@ func TestBitsetStepZeroAllocs(t *testing.T) {
 		}
 	}
 }
+
+// TestFrontierStepZeroAllocs: with the Frontier histogram attached, Step
+// batches the frontier size in plain integers and allocates nothing, on
+// the list (a literal on mostly idle input) and on the bitset (a busy
+// ring); the Tally is allocated once, at Attach.
+func TestFrontierStepZeroAllocs(t *testing.T) {
+	idle := []byte("xxabcxxxxxxxabcabcxxxxxxxaxbxcabxcabcxxxxxxx")
+	for _, c := range []struct {
+		name  string
+		a     *automata.Automaton
+		input []byte
+		dense bool
+	}{
+		{"list", literalAutomaton("abc", 1), idle, false},
+		{"bitset", ringAutomaton(200), make([]byte, 512), true},
+	} {
+		frontier := telemetry.NewRegistry().Histogram("sim.frontier", telemetry.ExpBuckets(1, 16))
+		e := New(c.a)
+		e.Attach(hooks.Set{Frontier: frontier})
+		for _, b := range c.input {
+			e.Step(b)
+		}
+		if e.dense != c.dense {
+			t.Fatalf("%s: engine dense %v after %d symbols", c.name, e.dense, len(c.input))
+		}
+		allocs := testing.AllocsPerRun(100, func() {
+			for _, b := range c.input {
+				e.Step(b)
+			}
+		})
+		if allocs != 0 {
+			t.Fatalf("%s: Step with the Frontier histogram attached allocated %.1f times per pass, want 0", c.name, allocs)
+		}
+		e.Flush()
+		if frontier.Count() == 0 {
+			t.Fatalf("%s: the histogram observed nothing", c.name)
+		}
+	}
+}

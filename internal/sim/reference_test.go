@@ -387,7 +387,7 @@ func compareMode(a *automata.Automaton, input []byte, seed int64, m refMode, hoo
 	if !hooked {
 		return nil
 	}
-	e.FlushLedger()
+	e.Flush()
 	led.Commit()
 	snap, want := reg.Snapshot(), wantReg.Snapshot()
 	if g, w := snap.Histograms["sim.frontier"], want.Histograms["sim.frontier"]; !reflect.DeepEqual(g, w) {

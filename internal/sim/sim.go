@@ -50,6 +50,7 @@ import (
 	"automatazoo/internal/charset"
 	"automatazoo/internal/guard"
 	"automatazoo/internal/hooks"
+	"automatazoo/internal/telemetry"
 )
 
 // Report records one match: the automaton entered a reporting state (or a
@@ -190,18 +191,22 @@ type Engine struct {
 	stats Stats
 
 	// h is the attached hook bundle (see Attach); the zero Set is a bare
-	// engine. The hot loop tests only the single telemetryOn flag, so the
-	// disabled path costs one predictable branch per symbol and per
-	// activation and zero allocations (asserted by
-	// TestNilTelemetryZeroAllocs); the individual nil guards run only once
-	// some hook is attached. Governor, Progress, Ledger and Checkpointer
-	// are deliberately outside telemetryOn: they are touched per Run call
-	// or per chunk, never per symbol, so all-nil RunChecked stays
+	// engine. The hot loop tests one thing per symbol and per activation —
+	// telemetryOn on the list step, the Tracer on its idle shortcut, on
+	// the bitset step and per activation — so the disabled path costs one
+	// predictable branch each and zero allocations (asserted by
+	// TestNilTelemetryZeroAllocs). The Frontier histogram is fed in
+	// batches: fr counts the frontier sizes in plain integers, and Flush
+	// hands them over. Governor, Progress, Ledger and Checkpointer are
+	// deliberately outside telemetryOn: they are touched per Run call or
+	// per chunk, never per symbol, so all-nil RunChecked stays
 	// byte-for-byte the Run loop.
 	h           hooks.Set
-	led         *attr.Ledger // h.Ledger (see Attach)
-	telemetryOn bool         // Tracer or Frontier attached
-	ledMark     int64        // Symbols watermark of the last ledger byte flush
+	led         *attr.Ledger     // h.Ledger (see Attach)
+	fr          *telemetry.Tally // h.Frontier's batch (see Flush); nil without it
+	telemetryOn bool             // Tracer or Frontier attached
+	ledMark     int64            // Symbols watermark of the last ledger byte flush
+	frMark      int64            // Symbols watermark of the last frontier flush
 }
 
 // counter is one counter element's configuration and runtime state.
@@ -370,12 +375,21 @@ func (e *Engine) FrontierLen() int {
 // Attach installs h as the engine's hook bundle, replacing whatever was
 // attached (the zero Set detaches everything). A new Ledger is charged
 // from this point of the stream onward — bytes consumed before the attach
-// (e.g. a segment-scan warmup) are not. Governor, Progress and
-// Checkpointer act only under RunChecked; bare Run/Step calls stay
-// ungoverned and silent.
+// (e.g. a segment-scan warmup) are not. A replaced Frontier histogram is
+// first handed the sizes batched for it; the new one observes from this
+// symbol on. Governor, Progress and Checkpointer act only under
+// RunChecked; bare Run/Step calls stay ungoverned and silent.
 func (e *Engine) Attach(h hooks.Set) {
 	old := e.h
 	e.h = h
+	if h.Frontier != old.Frontier {
+		e.flushFrontier()
+		e.fr = nil
+		if h.Frontier != nil {
+			e.fr = telemetry.NewTally(h.Frontier)
+		}
+		e.frMark = e.stats.Symbols
+	}
 	if h.Ledger != old.Ledger {
 		// The hot loops go through a field of the attr type itself: the
 		// ledger's per-activation methods inline only into packages that
@@ -386,12 +400,14 @@ func (e *Engine) Attach(h hooks.Set) {
 	e.telemetryOn = e.h.Tracer != nil || e.h.Frontier != nil
 }
 
-// FlushLedger charges the attached ledger (if any) the bytes scanned since
-// the last flush, to every component this engine covers. Run and
-// RunChecked flush at run end (and Reset before clearing); the checkpoint
-// save calls it mid-stream so the committed totals cover every byte
-// scanned so far.
-func (e *Engine) FlushLedger() {
+// Flush hands what the engine batched since the last flush to the
+// attached sinks: the ledger (if any) is charged the bytes scanned, to
+// every component this engine covers, and the Frontier histogram (if any)
+// receives the per-symbol frontier sizes. Run and RunChecked flush per
+// chunk and at run end, Reset before clearing; the checkpoint save calls
+// it mid-stream so the committed totals cover every byte scanned so far.
+func (e *Engine) Flush() {
+	e.flushFrontier()
 	if e.led == nil {
 		return
 	}
@@ -401,11 +417,22 @@ func (e *Engine) FlushLedger() {
 	e.ledMark = e.stats.Symbols
 }
 
+// flushFrontier hands the batched frontier sizes to the histogram: one
+// observation per symbol since the last flush, the symbols stepped with
+// an empty frontier (never observed one by one) as zeros.
+func (e *Engine) flushFrontier() {
+	if e.fr == nil {
+		return
+	}
+	e.fr.Flush(e.stats.Symbols - e.frMark)
+	e.frMark = e.stats.Symbols
+}
+
 // Reset clears all runtime state: the frontier, counters, latches, offset
 // and statistics. The next symbol consumed is treated as the start of
 // data, on the list frontier.
 func (e *Engine) Reset() {
-	e.FlushLedger() // don't lose bytes scanned via bare Step calls
+	e.Flush() // don't lose bytes scanned via bare Step calls
 	e.frontier = e.frontier[:0]
 	e.next = e.next[:0]
 	if e.dense {
@@ -425,7 +452,7 @@ func (e *Engine) Reset() {
 	e.pulsed = e.pulsed[:0]
 	e.offset = 0
 	e.stats = Stats{}
-	e.ledMark = 0
+	e.ledMark, e.frMark = 0, 0
 	e.blockSyms, e.blockEnabled = 0, 0
 }
 
@@ -459,7 +486,7 @@ func (e *Engine) Stats() Stats { return e.stats }
 // It may be called repeatedly to continue the same logical stream.
 func (e *Engine) Run(input []byte) Stats {
 	e.scanChunk(input)
-	e.FlushLedger()
+	e.Flush()
 	return e.stats
 }
 
@@ -473,8 +500,8 @@ func (e *Engine) RunChecked(input []byte) (Stats, error) {
 	if !e.h.Chunked() {
 		return e.Run(input), nil
 	}
-	err := e.h.Chunks(guard.SiteSimChunk, input, e.scanChunk, e.FrontierLen, e.FlushLedger)
-	e.FlushLedger()
+	err := e.h.Chunks(guard.SiteSimChunk, input, e.scanChunk, e.FrontierLen, e.Flush)
+	e.Flush()
 	return e.stats, err
 }
 
@@ -516,8 +543,8 @@ func (e *Engine) activate(id automata.StateID) {
 	}
 	e.amark[id] = e.gen
 	e.stats.Active++
-	if e.telemetryOn {
-		e.activateTelemetry(id)
+	if e.h.Tracer != nil {
+		e.h.Tracer.OnActivate(e.offset, id)
 	}
 	if e.led != nil {
 		e.led.Activate(id)
@@ -530,25 +557,6 @@ func (e *Engine) activate(id automata.StateID) {
 	}
 	if e.ctr != nil {
 		e.pulseSucc(id)
-	}
-}
-
-// stepTelemetry runs the per-symbol hooks; called only when telemetryOn.
-// Kept out of Step so the disabled hot loop carries a single branch.
-func (e *Engine) stepTelemetry(b byte) {
-	if e.h.Tracer != nil {
-		e.h.Tracer.OnSymbol(e.offset, b)
-	}
-	if e.h.Frontier != nil {
-		e.h.Frontier.Observe(int64(e.FrontierLen()))
-	}
-}
-
-// activateTelemetry runs the per-activation hooks; called only when
-// telemetryOn.
-func (e *Engine) activateTelemetry(id automata.StateID) {
-	if e.h.Tracer != nil {
-		e.h.Tracer.OnActivate(e.offset, id)
 	}
 }
 
@@ -632,16 +640,21 @@ func (e *Engine) Step(b byte) {
 		return
 	}
 	e.stats.Symbols++
-	if e.telemetryOn {
-		e.stepTelemetry(b)
-	}
 	// An empty frontier with no start matching b enables nothing: the idle
 	// symbol of a sparse stream (or of a prefilter's fully anchored one)
-	// only moves the generation and the offset on.
+	// only moves the generation and the offset on. Of the per-symbol hooks
+	// only the Tracer sees it; the Frontier histogram counts it in bulk
+	// (flushFrontier).
 	if len(e.frontier) == 0 && len(e.startIdx[b]) == 0 && e.offset != 0 {
+		if e.h.Tracer != nil {
+			e.stepTelemetry(b)
+		}
 		e.nextGen()
 		e.advance()
 		return
+	}
+	if e.telemetryOn {
+		e.stepTelemetry(b)
 	}
 	// Start-of-data states participate only on the first symbol; they are
 	// part of the enabled frontier conceptually.
@@ -670,6 +683,19 @@ func (e *Engine) Step(b byte) {
 	e.frontier, e.next = e.next, e.frontier[:0]
 	e.nextGen()
 	e.advance()
+}
+
+// stepTelemetry runs the per-symbol hooks, out of Step's hot loop: the
+// Tracer, and the batched list-frontier size. An empty frontier is not
+// observed (flushFrontier counts it), and the bitset step observes the
+// popcount it takes anyway (stepBits), its list being empty here.
+func (e *Engine) stepTelemetry(b byte) {
+	if e.h.Tracer != nil {
+		e.h.Tracer.OnSymbol(e.offset, b)
+	}
+	if n := len(e.frontier); n > 0 && e.fr != nil {
+		e.fr.Observe(int64(n))
+	}
 }
 
 // advance moves to the next offset and, at a block boundary, chooses the
@@ -737,7 +763,7 @@ func appendBits(dst []automata.StateID, words []uint64) []automata.StateID {
 // again.
 func (e *Engine) stepBits(b byte) {
 	e.stats.Symbols++
-	if e.telemetryOn {
+	if e.h.Tracer != nil {
 		e.stepTelemetry(b)
 	}
 	f := e.bf
@@ -755,7 +781,7 @@ func (e *Engine) stepBits(b byte) {
 		e.pulseBits(cur, starts, match)
 	}
 	edges := e.edges
-	hooked := e.telemetryOn || e.led != nil
+	hooked := e.h.Tracer != nil || e.led != nil
 	enabled, active := 0, 0
 	for w, x := range cur {
 		enabled += bits.OnesCount64(x)
@@ -782,6 +808,9 @@ func (e *Engine) stepBits(b byte) {
 	}
 	e.stats.Enabled += int64(enabled)
 	e.stats.Active += int64(active)
+	if e.fr != nil {
+		e.fr.Observe(int64(enabled))
+	}
 	e.fireCounters()
 	f.cur, f.next = next, cur
 	e.advance()
@@ -805,8 +834,8 @@ func (e *Engine) pulseBits(cur, starts, match []uint64) {
 func (e *Engine) activateWord(w int, act uint64) {
 	for ; act != 0; act &= act - 1 {
 		id := automata.StateID(w<<6 | bits.TrailingZeros64(act))
-		if e.telemetryOn {
-			e.activateTelemetry(id)
+		if e.h.Tracer != nil {
+			e.h.Tracer.OnActivate(e.offset, id)
 		}
 		if e.led != nil {
 			e.led.Activate(id)
@@ -865,12 +894,21 @@ type StreamState struct {
 // stream position return equal snapshots regardless of the order their
 // frontiers were built in.
 func (e *Engine) FrontierSnapshot() []automata.StateID {
-	if e.dense {
-		return appendBits(nil, e.bf.cur)
+	f := e.AppendFrontier(nil)
+	if !e.dense {
+		slices.Sort(f)
 	}
-	f := append([]automata.StateID(nil), e.frontier...)
-	slices.Sort(f)
 	return f
+}
+
+// AppendFrontier appends the frontier enabled for the next symbol to dst,
+// in no particular order, and returns the extended slice: FrontierSnapshot
+// without the sort, and without an allocation once dst has the room.
+func (e *Engine) AppendFrontier(dst []automata.StateID) []automata.StateID {
+	if e.dense {
+		return appendBits(dst, e.bf.cur)
+	}
+	return append(dst, e.frontier...)
 }
 
 // CaptureState snapshots the engine's continuation state between Step

@@ -15,7 +15,7 @@
 // A Registry is a namespace of named atomic Counters, Gauges, and
 // Histograms. The drivers publish engine work (segment.Hooks.Publish)
 // under conventional prefixes; engines observe only sim.frontier
-// (hooks.Set.Frontier):
+// (hooks.Set.Frontier), in batches through a Tally:
 //
 //	sim.symbols              counter   input symbols consumed
 //	sim.enabled              counter   summed enabled-frontier sizes

@@ -50,18 +50,93 @@ type Histogram struct {
 	max    Gauge
 }
 
-// Observe records one value.
+// Observe records one value. A scan loop observes through a Tally
+// instead, which costs no atomic operation per value.
 func (h *Histogram) Observe(v int64) {
+	h.counts[h.bucket(v)].Add(1)
+	h.sum.Add(v)
+	h.count.Add(1)
+	h.max.Max(v)
+}
+
+// bucket returns the index of the bucket v falls in.
+func (h *Histogram) bucket(v int64) int {
 	// Linear scan: telemetry histograms have ~a dozen buckets and the scan
 	// is branch-predictable; binary search costs more below ~32 bounds.
 	i := 0
 	for i < len(h.bounds) && v > h.bounds[i] {
 		i++
 	}
-	h.counts[i].Add(1)
-	h.sum.Add(v)
-	h.count.Add(1)
-	h.max.Max(v)
+	return i
+}
+
+// add records a batch of observations: counts per bucket, their sum,
+// their number n and their maximum.
+func (h *Histogram) add(counts []int64, sum, n, max int64) {
+	for i, c := range counts {
+		if c != 0 {
+			h.counts[i].Add(c)
+		}
+	}
+	h.sum.Add(sum)
+	h.count.Add(n)
+	h.max.Max(max)
+}
+
+// tallySmall bounds the values a Tally counts by value: below it an
+// observation is one array increment, bucketed only at Flush.
+const tallySmall = 64
+
+// Tally batches a Histogram's observations for one goroutine: Observe
+// counts into plain integers and Flush adds the batch to the histogram at
+// once, which then reads exactly as if every value had been observed
+// there. Zeros need not be observed: Flush is told how many observations
+// the batch stands for, and counts those not made as zeros.
+type Tally struct {
+	h        *Histogram
+	small    [tallySmall]int64 // small[v]: observations of v
+	big      []int64           // per bucket of h: the other observations
+	sum, max int64             // of the other observations
+}
+
+// NewTally returns an empty Tally that flushes into h.
+func NewTally(h *Histogram) *Tally {
+	return &Tally{h: h, big: make([]int64, len(h.counts))}
+}
+
+// Observe records one value.
+func (t *Tally) Observe(v int64) {
+	if uint64(v) < tallySmall {
+		t.small[v]++
+		return
+	}
+	t.big[t.h.bucket(v)]++
+	t.sum += v
+	t.max = max(t.max, v)
+}
+
+// Flush adds the batch to the histogram as n observations, those beyond
+// the ones Observe recorded being zeros, and starts an empty batch.
+func (t *Tally) Flush(n int64) {
+	if n == 0 {
+		return
+	}
+	sum, mx := t.sum, t.max
+	for v, c := range t.small {
+		if c != 0 {
+			t.big[t.h.bucket(int64(v))] += c
+			sum += int64(v) * c
+			mx = max(mx, int64(v))
+		}
+	}
+	zeros := n
+	for _, c := range t.big {
+		zeros -= c
+	}
+	t.big[t.h.bucket(0)] += zeros
+	t.h.add(t.big, sum, n, mx)
+	clear(t.big)
+	*t = Tally{h: t.h, big: t.big}
 }
 
 // Count returns the number of observations.

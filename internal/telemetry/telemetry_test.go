@@ -5,6 +5,7 @@ import (
 	"flag"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -188,5 +189,69 @@ func TestHeatmapRanking(t *testing.T) {
 	}
 	if !strings.Contains(buf.String(), "#") {
 		t.Error("heatmap missing bars")
+	}
+}
+
+// TestTallyMatchesObserve: a Tally flushed into one histogram leaves it
+// exactly as observing every value into another does — small values
+// counted by value, values past the small range, negatives, explicit
+// zeros, and zeros only implied by the flush's observation count — across
+// several flushes; a Tally on a nil histogram drops its batches.
+func TestTallyMatchesObserve(t *testing.T) {
+	bounds := ExpBuckets(1, 16)
+	got, want := NewRegistry(), NewRegistry()
+	tally := NewTally(got.Histogram("h", bounds))
+	wh := want.Histogram("h", bounds)
+	values := []int64{0, 1, 2, 3, 63, 64, 65, 1 << 20, -5, 17, 0, 40000}
+	for round := 0; round < 4; round++ {
+		n := int64(0)
+		for i, v := range values {
+			for k := 0; k <= i%3; k++ {
+				if v != 0 || round%2 == 0 {
+					tally.Observe(v) // odd rounds leave the zeros to Flush
+				}
+				wh.Observe(v)
+				n++
+			}
+		}
+		tally.Flush(n)
+		if g, w := got.Snapshot(), want.Snapshot(); !reflect.DeepEqual(g, w) {
+			t.Fatalf("round %d: tally %+v, observed %+v", round, g.Histograms["h"], w.Histograms["h"])
+		}
+	}
+	tally.Flush(0)
+	if g, w := got.Snapshot(), want.Snapshot(); !reflect.DeepEqual(g, w) {
+		t.Fatalf("an empty flush changed the histogram: %+v, want %+v", g.Histograms["h"], w.Histograms["h"])
+	}
+}
+
+// TestTalliesShareAHistogram: engines on several goroutines flush their
+// own Tallies into one histogram; the batches add up.
+func TestTalliesShareAHistogram(t *testing.T) {
+	got, want := NewRegistry(), NewRegistry()
+	h := got.Histogram("h", ExpBuckets(1, 16))
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			tally := NewTally(h)
+			for i := 0; i < 1000; i++ {
+				tally.Observe(int64(i % 200))
+				if i%100 == 99 {
+					tally.Flush(100)
+				}
+			}
+		}()
+	}
+	wh := want.Histogram("h", ExpBuckets(1, 16))
+	for g := 0; g < 4; g++ {
+		for i := 0; i < 1000; i++ {
+			wh.Observe(int64(i % 200))
+		}
+	}
+	wg.Wait()
+	if g, w := got.Snapshot(), want.Snapshot(); !reflect.DeepEqual(g, w) {
+		t.Fatalf("shared histogram %+v, want %+v", g.Histograms["h"], w.Histograms["h"])
 	}
 }

@@ -2,8 +2,10 @@ package automatazoo_test
 
 import (
 	"go/ast"
+	"go/importer"
 	"go/parser"
 	"go/token"
+	"go/types"
 	"io/fs"
 	"path/filepath"
 	"slices"
@@ -392,6 +394,33 @@ func hookBundleViolations(fset *token.FileSet, f *ast.File, bundlePkg, enginePkg
 	return violations
 }
 
+// histogramCalls is TestOneHookBundle's type-checked detector over the
+// files of one package: every use of a method of telemetry.Histogram,
+// whose methods are atomic. An engine batches what it observes in a
+// telemetry.Tally instead.
+func histogramCalls(t *testing.T, fset *token.FileSet, files []*ast.File, imp types.Importer) []string {
+	t.Helper()
+	info := &types.Info{Selections: map[*ast.SelectorExpr]*types.Selection{}}
+	conf := types.Config{Importer: imp}
+	if _, err := conf.Check(files[0].Name.Name, fset, files, info); err != nil {
+		t.Fatal(err)
+	}
+	var violations []string
+	for sel, s := range info.Selections {
+		recv := s.Recv()
+		if p, ok := recv.(*types.Pointer); ok {
+			recv = p.Elem()
+		}
+		n, ok := recv.(*types.Named)
+		if s.Kind() == types.MethodVal && ok && n.Obj().Name() == "Histogram" && n.Obj().Pkg().Path() == "automatazoo/internal/telemetry" {
+			violations = append(violations, fset.Position(sel.Pos()).String()+
+				": engine calls telemetry.Histogram."+sel.Sel.Name+" (batch in a telemetry.Tally)")
+		}
+	}
+	slices.Sort(violations)
+	return violations
+}
+
 // One hook bundle from flag to engine: the engine-level hook list is
 // spelled once (internal/hooks.Set) and the driver-level one once
 // (internal/segment.Hooks); every other layer embeds or holds one of the
@@ -402,8 +431,11 @@ func hookBundleViolations(fset *token.FileSet, f *ast.File, bundlePkg, enginePkg
 // registry stays out of the engines: they keep their counts in Stats,
 // and the driver that owns a scan unit publishes them
 // (segment.Hooks.Publish), so engine code names no telemetry.Registry and
-// calls no Counter or Gauge. Phase spans stay above the scan: the engines
-// and the scan drivers (segment, partition, scan) name no telemetry.Spans.
+// calls no Counter or Gauge. Nor does it call a telemetry.Histogram
+// method, all atomic: the Frontier histogram is fed through a
+// telemetry.Tally, flushed per chunk, so no atomic operation runs per
+// symbol. Phase spans stay above the scan: the engines and the scan
+// drivers (segment, partition, scan) name no telemetry.Spans.
 func TestOneHookBundle(t *testing.T) {
 	// Canary: the detector must catch both classes, or the walk below
 	// proves nothing.
@@ -445,12 +477,36 @@ func (e *Engine) time(s *telemetry.Spans) {}
 	if got := hookBundleViolations(fset, canary, true, false, false); len(got) != 0 {
 		t.Fatalf("canary: exempt package still flagged: %v", got)
 	}
+	// The type-checked half: two Histogram method calls, one through a
+	// field as the engines reach it, and one method value; the Tally's
+	// methods are fine.
+	imp := importer.ForCompiler(fset, "source", nil)
+	histCanary, err := parser.ParseFile(fset, "histcanary.go", `package canary
+import "automatazoo/internal/telemetry"
+type set struct{ Frontier *telemetry.Histogram }
+func step(h set, n int64) {
+	h.Frontier.Observe(n)
+	_ = h.Frontier.Count()
+	observe := h.Frontier.Observe
+	tally := telemetry.NewTally(h.Frontier)
+	tally.Observe(n)
+	tally.Flush(1)
+	_ = observe
+}
+`, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := histogramCalls(t, fset, []*ast.File{histCanary}, imp); len(got) != 3 {
+		t.Fatalf("canary: detector found %d of 3 planted Histogram method uses: %v", len(got), got)
+	}
 
 	bundlePackages := map[string]bool{"internal/hooks": true, "internal/segment": true}
 	enginePackages := map[string]bool{"internal/sim": true, "internal/dfa": true, "internal/prefilter": true}
 	spanlessPackages := map[string]bool{"internal/sim": true, "internal/dfa": true, "internal/prefilter": true,
 		"internal/segment": true, "internal/partition": true, "internal/scan": true}
 	var violations []string
+	engineFiles := map[string][]*ast.File{}
 	err = filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
 		if err != nil {
 			return err
@@ -471,10 +527,19 @@ func (e *Engine) time(s *telemetry.Spans) {}
 		}
 		dir := filepath.Dir(path)
 		violations = append(violations, hookBundleViolations(fset, f, bundlePackages[dir], enginePackages[dir], spanlessPackages[dir])...)
+		if enginePackages[dir] {
+			engineFiles[dir] = append(engineFiles[dir], f)
+		}
 		return nil
 	})
 	if err != nil {
 		t.Fatal(err)
+	}
+	if len(engineFiles) != len(enginePackages) {
+		t.Fatalf("found the files of %d engine packages, want %d", len(engineFiles), len(enginePackages))
+	}
+	for _, files := range engineFiles {
+		violations = append(violations, histogramCalls(t, fset, files, imp)...)
 	}
 	for _, v := range violations {
 		t.Errorf("hook bundle re-spelled: %s", v)
