@@ -7,7 +7,7 @@ GO ?= go
 # plain `go test`; this budget buys mutation time on top.
 FUZZTIME ?= 10s
 
-.PHONY: ci build vet bench-module fmt-check test race race-parallel allocguard prometheus-golden explain-golden suite-golden fuzz-short soak loc clean
+.PHONY: ci build vet bench-module fmt-check test race race-parallel allocguard prometheus-golden explain-golden suite-golden fuzz-short soak ab loc clean
 
 ci: vet fmt-check build test race-parallel race allocguard prometheus-golden explain-golden fuzz-short soak bench-module
 
@@ -123,6 +123,15 @@ fuzz-short:
 soak:
 	AZOO_SOAK_SEEDS=200 $(GO) test -run 'TestFaultSoak' -count=1 ./internal/guard/
 	$(GO) run ./cmd/azoo difftest -seeds 500
+
+# In-process A/B of an engine against its reference body in
+# reference_test.go on fixed kernels: warm, alternating, fastest of 21,
+# logged in ns/byte. It asserts nothing about time (bench/ judges speed);
+# it reproduces the in-process tables CHANGES.md quotes. dfa: refEngine's
+# every-component loop against the idle-skipping Engine on the dfa_cache
+# kernels.
+ab:
+	$(GO) test -run 'TestABStep' -count=1 -v ./internal/dfa/ -ab
 
 # The number ROADMAP asks every PR to report before/after: non-test Go
 # lines under cmd/, internal/ and examples/.

@@ -1,7 +1,9 @@
 package main
 
 import (
+	"encoding/json"
 	"fmt"
+	"os"
 	"path/filepath"
 	"strconv"
 	"strings"
@@ -135,4 +137,74 @@ func TestCacheBudgetedRunIdenticalAcrossWorkers(t *testing.T) {
 			t.Errorf("-j 2 run %d:\n%s\nwant (-j 1):\n%s", i, got, want)
 		}
 	}
+}
+
+// TestFaultedRunIdenticalAcrossWorkers: a run whose governor carries a
+// fault injector writes the same -metrics and -report at any -j. Component
+// slices would share the injector's hit counts, so which slice reached the
+// Nth dfa construction first would vary from run to run; scan.Run keeps
+// such a run on one engine. -j 4 takes the slice layout on any machine
+// when nothing keeps the run whole.
+func TestFaultedRunIdenticalAcrossWorkers(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds and scans a signature kernel four times")
+	}
+	run := func(j string) (metrics, manifest string) {
+		dir := t.TempDir()
+		m, r := filepath.Join(dir, "m.json"), filepath.Join(dir, "r.json")
+		err := cmdRun([]string{"-bench", "Snort", "-engine", "dfa", "-scale", "0.05", "-input", "32768",
+			"-j", j, "-faults", "trip:dfa.construct:200", "-metrics", m, "-report", r})
+		if trip := guard.AsTrip(err); trip == nil || trip.Budget != guard.BudgetInjected {
+			t.Fatalf("-j %s: want an injected trip, got %v", j, err)
+		}
+		return maskTimings(t, m), maskTimings(t, r)
+	}
+	wantM, wantR := run("1")
+	for i := 0; i < 3; i++ {
+		gotM, gotR := run("4")
+		if gotM != wantM {
+			t.Errorf("-j 4 run %d: -metrics\n%s\nwant (-j 1):\n%s", i, gotM, wantM)
+		}
+		if gotR != wantR {
+			t.Errorf("-j 4 run %d: -report\n%s\nwant (-j 1):\n%s", i, gotR, wantR)
+		}
+	}
+}
+
+// maskTimings reads a -metrics or -report JSON file and zeroes what
+// depends on the clock or the machine: the timestamp and environment, span
+// durations and *_nanos counters.
+func maskTimings(t *testing.T, path string) string {
+	t.Helper()
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var doc map[string]any
+	if err := json.Unmarshal(data, &doc); err != nil {
+		t.Fatalf("%s: %v", path, err)
+	}
+	delete(doc, "timestamp")
+	delete(doc, "env")
+	if spans, ok := doc["spans"].([]any); ok {
+		for _, s := range spans {
+			s.(map[string]any)["nanos"] = 0
+		}
+	}
+	metrics := doc
+	if m, ok := doc["metrics"].(map[string]any); ok {
+		metrics = m
+	}
+	if counters, ok := metrics["counters"].(map[string]any); ok {
+		for k := range counters {
+			if strings.HasSuffix(k, "_nanos") {
+				counters[k] = 0
+			}
+		}
+	}
+	out, err := json.MarshalIndent(doc, "", " ")
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(out)
 }

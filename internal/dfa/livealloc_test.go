@@ -13,25 +13,38 @@ import (
 // TestDisabledLiveTelemetryZeroAllocs: with no governor, progress
 // tracker, attribution ledger, or checkpointer attached, the DFA
 // engine's RunChecked must reduce to the exact Run fast path and stay
-// allocation-free once the transition cache is warm.
+// allocation-free once the transition cache is warm, also where idle
+// components are skipped.
 func TestDisabledLiveTelemetryZeroAllocs(t *testing.T) {
-	a := compile(t, "abc", "bca")
-	e, err := New(a)
-	if err != nil {
-		t.Fatal(err)
-	}
-	e.Attach(hooks.Set{})
-	input := []byte("xxabcxxabcabcxaxbxcabxcabcbcabca")
-	e.Reset()
-	if _, err := e.RunChecked(input); err != nil {
-		t.Fatal(err)
-	}
-	allocs := testing.AllocsPerRun(200, func() {
+	snort, snortInput := kernel(t, "Snort", 0.005, 2048)
+	for _, k := range []struct {
+		name  string
+		a     *automata.Automaton
+		input []byte
+	}{
+		{"literals", compile(t, "abc", "bca"), []byte("xxabcxxabcabcxaxbxcabxcabcbcabca")},
+		// Signature components that sit idle between wake bytes.
+		{"Snort", snort, snortInput},
+	} {
+		e, err := New(k.a)
+		if err != nil {
+			t.Fatal(err)
+		}
+		e.Attach(hooks.Set{})
 		e.Reset()
-		e.RunChecked(input)
-	})
-	if allocs != 0 {
-		t.Fatalf("disabled-live RunChecked allocated %.1f times per run, want 0", allocs)
+		if _, err := e.RunChecked(k.input); err != nil {
+			t.Fatal(err)
+		}
+		if idleComponents(e) == 0 {
+			t.Fatalf("%s: no component idles at the end of the scan", k.name)
+		}
+		allocs := testing.AllocsPerRun(200, func() {
+			e.Reset()
+			e.RunChecked(k.input)
+		})
+		if allocs != 0 {
+			t.Fatalf("%s: disabled-live RunChecked allocated %.1f times per run, want 0", k.name, allocs)
+		}
 	}
 }
 

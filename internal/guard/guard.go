@@ -199,6 +199,9 @@ func (g *Governor) SetInjector(inj *Injector) {
 	}
 }
 
+// Armed reports whether a fault injector is set.
+func (g *Governor) Armed() bool { return g != nil && g.inj != nil }
+
 // Budget returns the governed budget (zero value for a nil governor).
 func (g *Governor) Budget() Budget {
 	if g == nil {

@@ -170,13 +170,14 @@ func (sp *Spec) run(ctx context.Context, a *automata.Automaton, streams [][]byte
 	}
 	// Slices at Workers > 1 when nothing is checkpointed or traced (slice
 	// engines number states locally, and a Tracer sees automaton IDs) and
-	// no cache budget is shared, unless a stream resolves to more than one
-	// segment and the engine is not a caching one: those are the segmented
-	// layout's master.
+	// no cache budget or fault injector is shared (slice engines would race
+	// on the one budget, or on the injector's hit counts), unless a stream
+	// resolves to more than one segment and the engine is not a caching
+	// one: those are the segmented layout's master.
 	var e segment.Engine
 	var err error
 	sliced := sliceable && sp.Saver == nil && sp.Start == nil && sp.Tracer == nil &&
-		sp.Governor.Budget().MaxCacheBytes == 0 && parallel.Workers(sp.Workers) > 1
+		sp.Governor.Budget().MaxCacheBytes == 0 && !sp.Governor.Armed() && parallel.Workers(sp.Workers) > 1
 	if sliced && segmented(streams, sp.Segments, sp.Workers) {
 		if e, err = sp.New(a); err != nil {
 			return res, err
