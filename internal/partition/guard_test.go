@@ -127,3 +127,25 @@ func TestRunGovernedInjectedPanicIsolated(t *testing.T) {
 		}
 	}
 }
+
+// An injected trip inside a slice's scan (the sim.chunk boundary) stops
+// the fan-out with the injected fault class at any worker count. scan.Run
+// gives a run whose governor carries an injector no slices, so this is
+// where sliced scans meet injected trips.
+func TestRunGovernedInjectedTrip(t *testing.T) {
+	for _, workers := range []int{1, 4} {
+		a := wideAutomaton(t, 8)
+		p := ForWorkers(a, 4)
+		inj, err := guard.ParseInjector("trip:sim.chunk:2", 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		g := guard.New(context.Background(), guard.Budget{})
+		g.SetInjector(inj)
+		_, err = p.Run(context.Background(), [][]byte{make([]byte, 1<<20)}, RunOptions{Workers: workers, Hooks: segment.Hooks{Governor: g}})
+		trip := guard.AsTrip(err)
+		if trip == nil || trip.Budget != guard.BudgetInjected || trip.Site != guard.SiteSimChunk {
+			t.Fatalf("workers=%d: want an injected trip at sim.chunk, got %v", workers, err)
+		}
+	}
+}
